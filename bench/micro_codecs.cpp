@@ -3,9 +3,13 @@
 // simulation rate.
 //
 // Extra flag: --codec_json=PATH writes a machine-readable speedup report
-// (one JSON object with per-format scalar/kernel throughput and the
-// single-thread speedup) before the google-benchmark run — the bench
-// trajectory and EXPERIMENTS.md consume it.
+// before the google-benchmark run — the bench trajectory and EXPERIMENTS.md
+// consume it.  Per format, on a normal and a ReLU-shaped (half zeros)
+// buffer, single thread: ns/elem of the Format::quantize reference
+// (fake_quantize_scalar) and of each QuantKernel batch loop the host can
+// run (scalar, avx2, avx512), and the dispatched loop's speedup.  Every
+// loop's output is first compared bitwise with the reference; any
+// difference makes the run exit 1 (no timing gate).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -115,13 +119,21 @@ void BM_QuantizeBufferKernel(benchmark::State& state, const char* name) {
 
 // ------------------------------------------------- speedup report (JSON) --
 
+using Loop = formats::kernels::QuantKernel::Loop;
+using formats::kernels::QuantKernel;
+
+/// One format on one buffer shape: the Format::quantize reference and each
+/// QuantKernel batch loop (negative = the host cannot run that loop).
 struct CodecTiming {
   std::string format;
-  double scalar_ns_per_elem = 0.0;
-  double kernel_ns_per_elem = 0.0;
+  const char* buffer = "";
+  double reference_ns_per_elem = 0.0;
+  double loop_ns_per_elem[std::size(QuantKernel::kLoops)] = {};
+  double dispatched_ns_per_elem = 0.0;
   [[nodiscard]] double speedup() const {
-    return kernel_ns_per_elem > 0.0 ? scalar_ns_per_elem / kernel_ns_per_elem
-                                    : 0.0;
+    return dispatched_ns_per_elem > 0.0
+               ? reference_ns_per_elem / dispatched_ns_per_elem
+               : 0.0;
   }
 };
 
@@ -151,51 +163,118 @@ double time_ns_per_elem(const std::vector<float>& buf, int passes, Fn&& fn) {
   return ns / (static_cast<double>(passes) * static_cast<double>(buf.size()));
 }
 
-/// Measure every registered format and write the JSON report.
+/// Activation-shaped input: ReLU of a normal stream, so about half the
+/// elements are zeros at unpredictable positions.
+std::vector<float> relu_floats(std::size_t n) {
+  std::vector<float> buf = random_floats(n, /*seed=*/5);
+  for (float& v : buf) v = std::max(v, 0.f);
+  return buf;
+}
+
+/// Measure every registered format through the reference and every host
+/// loop, on a normal and a ReLU-shaped buffer, and write the JSON report.
+/// Returns 1 when any loop's output differs bitwise from the reference.
 int write_codec_json(const char* path) {
   constexpr std::size_t kElems = 1 << 16;
   constexpr int kPasses = 24;
-  const std::vector<float> buf = random_floats(kElems);
+  const struct {
+    const char* name;
+    std::vector<float> data;
+  } buffers[] = {{"normal", random_floats(kElems)},
+                 {"relu", relu_floats(kElems)}};
   std::vector<CodecTiming> rows;
+  int mismatches = 0;
   for (const std::string& name : core::all_format_names()) {
     const auto fmt = core::make_format(name);
     (void)fmt->codec();
-    (void)formats::kernels::kernel_for(*fmt);
-    const double scale = ptq_scale(*fmt, buf);
-    CodecTiming t;
-    t.format = name;
-    t.scalar_ns_per_elem =
-        time_ns_per_elem(buf, kPasses, [&](std::span<float> c) {
-          formats::fake_quantize_scalar(c, *fmt, scale);
-        });
-    t.kernel_ns_per_elem =
-        time_ns_per_elem(buf, kPasses, [&](std::span<float> c) {
-          formats::fake_quantize(c, *fmt, scale);
-        });
-    rows.push_back(t);
+    const auto kernel = formats::kernels::kernel_for(*fmt);
+    for (const auto& b : buffers) {
+      const double scale = ptq_scale(*fmt, b.data);
+      std::vector<float> want = b.data;
+      formats::fake_quantize_scalar(want, *fmt, scale);
+      CodecTiming t;
+      t.format = name;
+      t.buffer = b.name;
+      t.reference_ns_per_elem =
+          time_ns_per_elem(b.data, kPasses, [&](std::span<float> c) {
+            formats::fake_quantize_scalar(c, *fmt, scale);
+          });
+      for (std::size_t l = 0; l < std::size(QuantKernel::kLoops); ++l) {
+        const Loop loop = QuantKernel::kLoops[l];
+        t.loop_ns_per_elem[l] = -1.0;
+        if (!QuantKernel::loop_supported(loop)) continue;
+        std::vector<float> got = b.data;
+        kernel->fake_quantize_with(loop, got, scale);
+        if (std::memcmp(got.data(), want.data(), got.size() * sizeof(float)) !=
+            0) {
+          std::fprintf(stderr,
+                       "micro_codecs: %s loop differs from the scalar "
+                       "reference on %s (%s buffer)\n",
+                       QuantKernel::loop_name(loop), name.c_str(), b.name);
+          ++mismatches;
+        }
+        t.loop_ns_per_elem[l] =
+            time_ns_per_elem(b.data, kPasses, [&](std::span<float> c) {
+              kernel->fake_quantize_with(loop, c, scale);
+            });
+        if (loop == kernel->loop())
+          t.dispatched_ns_per_elem = t.loop_ns_per_elem[l];
+      }
+      rows.push_back(t);
+    }
   }
   std::FILE* f = std::fopen(path, "w");
   if (f == nullptr) {
     std::fprintf(stderr, "micro_codecs: cannot open %s\n", path);
     return 1;
   }
+  const Loop dispatched = formats::kernels::kernel_for(*core::make_format(
+                                                           "MERSIT(8,2)"))
+                              ->loop();
   std::fprintf(f, "{\n  \"bench\": \"micro_codecs/fake_quantize\",\n");
-  std::fprintf(f, "  \"elements\": %zu,\n  \"formats\": [\n", kElems);
+  std::fprintf(f, "  \"elements\": %zu,\n  \"dispatched_loop\": \"%s\",\n",
+               kElems, QuantKernel::loop_name(dispatched));
+  std::fprintf(f, "  \"mismatches\": %d,\n  \"rows\": [\n", mismatches);
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const CodecTiming& t = rows[i];
     std::fprintf(f,
-                 "    {\"format\": \"%s\", \"scalar_ns_per_elem\": %.3f, "
-                 "\"kernel_ns_per_elem\": %.3f, \"speedup\": %.2f}%s\n",
-                 t.format.c_str(), t.scalar_ns_per_elem, t.kernel_ns_per_elem,
-                 t.speedup(), i + 1 < rows.size() ? "," : "");
+                 "    {\"format\": \"%s\", \"buffer\": \"%s\", "
+                 "\"reference_ns_per_elem\": %.3f",
+                 t.format.c_str(), t.buffer, t.reference_ns_per_elem);
+    for (std::size_t l = 0; l < std::size(QuantKernel::kLoops); ++l) {
+      const char* loop = QuantKernel::loop_name(QuantKernel::kLoops[l]);
+      if (t.loop_ns_per_elem[l] < 0.0)
+        std::fprintf(f, ", \"%s_ns_per_elem\": null", loop);
+      else
+        std::fprintf(f, ", \"%s_ns_per_elem\": %.3f", loop,
+                     t.loop_ns_per_elem[l]);
+    }
+    std::fprintf(f, ", \"speedup\": %.2f}%s\n", t.speedup(),
+                 i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
-  std::printf("%-16s %14s %14s %9s\n", "format", "scalar ns/elem",
-              "kernel ns/elem", "speedup");
-  for (const CodecTiming& t : rows)
-    std::printf("%-16s %14.2f %14.2f %8.1fx\n", t.format.c_str(),
-                t.scalar_ns_per_elem, t.kernel_ns_per_elem, t.speedup());
+  std::printf("%-14s %-7s %10s", "format", "buffer", "reference");
+  for (const Loop loop : QuantKernel::kLoops)
+    std::printf(" %10s", QuantKernel::loop_name(loop));
+  std::printf(" %8s   (ns/elem; dispatched loop: %s)\n", "speedup",
+              QuantKernel::loop_name(dispatched));
+  for (const CodecTiming& t : rows) {
+    std::printf("%-14s %-7s %10.2f", t.format.c_str(), t.buffer,
+                t.reference_ns_per_elem);
+    for (const double ns : t.loop_ns_per_elem) {
+      if (ns < 0.0)
+        std::printf(" %10s", "-");
+      else
+        std::printf(" %10.2f", ns);
+    }
+    std::printf(" %7.1fx\n", t.speedup());
+  }
+  if (mismatches != 0) {
+    std::fprintf(stderr, "micro_codecs: %d loop/format/buffer outputs differ "
+                 "from the scalar reference\n", mismatches);
+    return 1;
+  }
   return 0;
 }
 

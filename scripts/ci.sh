@@ -69,6 +69,15 @@ echo "==> perf smoke (bench_inference, fast sizing)"
 MERSIT_BENCH_FAST=1 ./build/bench/bench_inference --json=build/BENCH_inference.json
 ./build/bench/bench_inference --check_json=BENCH_inference.json
 
+# Codec loop smoke: micro_codecs --codec_json runs every registered format
+# through every fake-quant batch loop this host can execute (scalar, AVX2,
+# AVX-512) on a normal and a ReLU-shaped buffer and exits nonzero if any
+# loop's output differs bitwise from the scalar reference.  The per-loop
+# ns/elem columns are reported, not gated.
+echo "==> codec loop smoke (micro_codecs --codec_json)"
+./build/bench/micro_codecs --codec_json=build/codec_throughput.json \
+  --benchmark_filter='^$'
+
 # Serving smoke: bench_serving drives the engine through saturation, 2x
 # overload, hot-swap under live traffic, and a fault campaign fired through
 # the swap path, enforcing its own gates (exit nonzero on violation):

@@ -22,6 +22,22 @@
 // branches left are the short candidate scan and rare events (NaN/±0 input,
 // exact midpoint ties).
 //
+// Batch dispatch: fake_quantize runs one of three loops over the same
+// tables, picked once at construction from the host's CPUID bits (the
+// avx512f / avx2 bits the GEMM backends and quantize_levels use):
+//
+//  * kAvx512 / kAvx2 — 8 lanes at a time: the bucket key is computed as in
+//    pick_index, the bucket, both midpoints and the candidate value are
+//    gathered, the two boundary compares become mask adds, the sign is
+//    restored with a masked xor, and ±0 / NaN lanes take the zero value
+//    through a blend.  A vector holding an exact midpoint tie redoes its 8
+//    lanes with the scalar quantize_value; the tail runs the scalar loop;
+//  * kScalar — quantize_value per element: the reference the vector loops
+//    are tested against, and the fallback on other hosts.
+//
+// fake_quantize_with runs a named loop, so tests and benches can pin each
+// one against the scalar reference on any host that can execute it.
+//
 // The kernel is immutable after construction and safe for concurrent use
 // from any number of threads.  Scale is a per-call parameter: the tables are
 // scale-independent (the scalar reference divides by `scale` before the
@@ -88,9 +104,27 @@ class QuantKernel {
     return std::bit_cast<double>(qb ^ (sign & (0 - nonzero)));
   }
 
+  /// The batch loops behind fake_quantize (see the header comment).
+  enum class Loop : std::uint8_t { kScalar, kAvx2, kAvx512 };
+  static constexpr Loop kLoops[] = {Loop::kScalar, Loop::kAvx2, Loop::kAvx512};
+
+  /// True when this host can execute `loop`.
+  [[nodiscard]] static bool loop_supported(Loop loop);
+  [[nodiscard]] static const char* loop_name(Loop loop);
+
+  /// The loop fake_quantize runs: the widest the host supports.
+  [[nodiscard]] Loop loop() const { return loop_; }
+
   /// In-place batched fake quantization; bit-identical to the scalar
   /// reference loop (fake_quantize_scalar).
-  void fake_quantize(std::span<float> data, double scale) const;
+  void fake_quantize(std::span<float> data, double scale) const {
+    run_loop(loop_, data, scale);
+  }
+
+  /// fake_quantize through a specific loop; std::invalid_argument when the
+  /// host cannot execute it.
+  void fake_quantize_with(Loop loop, std::span<float> data,
+                          double scale) const;
 
   /// Batched RMSE between `data` and its fake-quantized image; identical
   /// accumulation order (hence bit-identical result) to the scalar path.
@@ -98,6 +132,10 @@ class QuantKernel {
                                          double scale) const;
 
  private:
+  friend struct QuantKernelLoops;  // the loop bodies, in quant_kernel.cpp
+
+  void run_loop(Loop loop, std::span<float> data, double scale) const;
+
   /// Candidate index for a positive magnitude (caller filtered ±0/NaN):
   /// slot 0 is the zero code, slot k+1 is positive value k.  The constructor
   /// refines the bucket LUT until each bucket holds at most one representable
@@ -171,10 +209,13 @@ class QuantKernel {
   // the bucket's start.  shift_ starts at 46 (exponent + 6 mantissa bits per
   // key) and the constructor lowers it until every bucket holds at most one
   // representable value — the precondition for the two-compare pick above.
+  // 32-bit entries, so the vector loops gather them directly.
   int shift_ = 46;
   std::uint64_t key_base_ = 0;
   std::uint64_t key_top_ = 0;
-  std::vector<std::uint16_t> bucket_;
+  std::vector<std::uint32_t> bucket_;
+
+  Loop loop_ = Loop::kScalar;
 };
 
 }  // namespace mersit::formats::kernels

@@ -7,12 +7,12 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <cstdlib>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "core/aligned.h"
+#include "core/env.h"
 #include "core/scratch_arena.h"
 #include "nn/gemm/backend.h"
 #include "nn/gemm/backend_impl.h"
@@ -22,26 +22,17 @@ namespace mersit::nn::gemm {
 namespace {
 
 std::atomic<bool>& enabled_flag() {
-  static std::atomic<bool> flag = [] {
-    const char* env = std::getenv("MERSIT_GEMM");
-    return !(env != nullptr && env[0] == '0' && env[1] == '\0');
-  }();
+  static std::atomic<bool> flag = core::env_switch("MERSIT_GEMM", true);
   return flag;
 }
 
 std::atomic<bool>& prepack_flag() {
-  static std::atomic<bool> flag = [] {
-    const char* env = std::getenv("MERSIT_PREPACK");
-    return !(env != nullptr && env[0] == '0' && env[1] == '\0');
-  }();
+  static std::atomic<bool> flag = core::env_switch("MERSIT_PREPACK", true);
   return flag;
 }
 
 std::atomic<bool>& fold_bn_flag() {
-  static std::atomic<bool> flag = [] {
-    const char* env = std::getenv("MERSIT_FOLD_BN");
-    return env != nullptr && env[0] == '1' && env[1] == '\0';
-  }();
+  static std::atomic<bool> flag = core::env_switch("MERSIT_FOLD_BN", false);
   return flag;
 }
 

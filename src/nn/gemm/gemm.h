@@ -61,23 +61,24 @@
 namespace mersit::nn::gemm {
 
 /// GEMM dispatch switch: MERSIT_GEMM=0 disables it (naive reference loops);
-/// anything else — including unset — enables it.
+/// unset, empty or 1 enables it; any other value throws naming the variable
+/// (core::env_switch).
 [[nodiscard]] bool enabled();
 
 /// Programmatic override (tests, benches); returns the previous value.
 bool set_enabled(bool on);
 
 /// Prepack/fusion switch for the inference-runtime layer: MERSIT_PREPACK=0
-/// makes the layers pack per call and keep explicit activation modules (the
-/// PR-4 behaviour); anything else — including unset — enables the
-/// prepacked-weight caches and epilogue fusion.
+/// makes the layers pack per call and keep explicit activation modules;
+/// unset, empty or 1 enables the prepacked-weight caches and epilogue
+/// fusion; any other value throws naming the variable.
 [[nodiscard]] bool prepack_enabled();
 bool set_prepack_enabled(bool on);
 
 /// Inference-only BatchNorm folding switch (MERSIT_FOLD_BN=1 to enable;
-/// default off).  Folding multiplies conv weights by gamma/sigma before the
-/// GEMM, which reassociates rounding — results are tolerance-equal, not
-/// bit-identical, hence opt-in.
+/// default off; values other than 0/1 throw).  Folding multiplies conv
+/// weights by gamma/sigma before the GEMM, which reassociates rounding —
+/// results are tolerance-equal, not bit-identical, hence opt-in.
 [[nodiscard]] bool fold_bn_enabled();
 bool set_fold_bn_enabled(bool on);
 

@@ -103,6 +103,7 @@ FakeQuantizer::FakeQuantizer(const CalibrationTable& table, const Format& fmt,
   grid_usable_ = g.usable;
   grid_pitch_ = g.pitch;
   grid_qmax_ = g.qmax;
+  if (!grid_usable_) kernel_ = formats::kernels::kernel_for(fmt);
 }
 
 void FakeQuantizer::fake_quantize_grid(std::span<float> x,
@@ -130,6 +131,28 @@ void FakeQuantizer::fake_quantize_grid(std::span<float> x,
   }
 }
 
+void FakeQuantizer::fake_quantize_tensor(Tensor& t, double scale) const {
+  // Fixed 8192-element blocks (32 KiB, L1-sized) spread over the pool.  The
+  // operation is elementwise, so any pool width — and the inline run a
+  // nested call gets — writes the same bits.
+  constexpr std::size_t kBlock = 8192;
+  const std::span<float> x = t.data();
+  const std::size_t blocks = (x.size() + kBlock - 1) / kBlock;
+  core::global_pool().parallel_chunks(
+      blocks, [&](std::size_t b0, std::size_t b1) {
+        const std::size_t begin = b0 * kBlock;
+        const std::span<float> part =
+            x.subspan(begin, std::min(x.size(), b1 * kBlock) - begin);
+        if (grid_usable_)
+          fake_quantize_grid(part, scale);
+        else
+          kernel_->fake_quantize(part, scale);
+      });
+  // Every element is now code_value * scale for some 8-bit code; stamp the
+  // scale so the Kulisch GEMM mode can recover the codes by re-encoding.
+  t.set_quant_scale(scale);
+}
+
 void FakeQuantizer::on_activation(const Module& layer, Tensor& t) {
   const std::string& path = layer.path();
   const auto it = table_.absmax.find(path);
@@ -140,14 +163,8 @@ void FakeQuantizer::on_activation(const Module& layer, Tensor& t) {
     return;
   }
   if (it->second <= 0.f) return;  // degenerate (all-zero) layer output
-  const double scale = formats::scale_for_absmax(fmt_, it->second, policy_);
-  if (grid_usable_)
-    fake_quantize_grid(t.data(), scale);
-  else
-    formats::fake_quantize(t.data(), fmt_, scale);
-  // Every element is now code_value * scale for some 8-bit code; stamp the
-  // scale so the Kulisch GEMM mode can recover the codes by re-encoding.
-  t.set_quant_scale(scale);
+  fake_quantize_tensor(t,
+                       formats::scale_for_absmax(fmt_, it->second, policy_));
 }
 
 std::set<std::string> FakeQuantizer::uncalibrated_paths() const {
@@ -157,13 +174,8 @@ std::set<std::string> FakeQuantizer::uncalibrated_paths() const {
 
 void FakeQuantizer::quantize_input(Tensor& t) const {
   if (table_.input_absmax <= 0.f) return;
-  const double scale =
-      formats::scale_for_absmax(fmt_, table_.input_absmax, policy_);
-  if (grid_usable_)
-    fake_quantize_grid(t.data(), scale);
-  else
-    formats::fake_quantize(t.data(), fmt_, scale);
-  t.set_quant_scale(scale);
+  fake_quantize_tensor(
+      t, formats::scale_for_absmax(fmt_, table_.input_absmax, policy_));
 }
 
 // ---------------------------------------------------------------- weights --

@@ -18,11 +18,13 @@
 #include <atomic>
 #include <iosfwd>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <set>
 #include <span>
 #include <string>
 
+#include "formats/kernels/quant_kernel.h"
 #include "formats/quantize.h"
 #include "nn/models.h"
 #include "nn/train.h"
@@ -72,6 +74,14 @@ class MaxCalibrator final : public nn::QuantSession {
 
 /// Fake-quantizes every activation with the calibrated per-layer scales.
 ///
+/// Each tensor (activation or model input) goes through one helper that
+/// splits it into fixed 8192-element blocks across core::global_pool(); each
+/// block takes the uniform-grid path (INT8) or the format's QuantKernel,
+/// whose batch loop (AVX-512 / AVX2 / scalar) was picked when the kernel was
+/// built.  Quantization is elementwise, so the output bits do not depend on
+/// the pool width; called from inside a parallel region (the evaluators'
+/// batch fan-out) the blocks run inline.
+///
 /// Concurrency: after construction the quantizer only reads the calibration
 /// table and the shared format kernel, and each evaluation thread hands it a
 /// distinct activation tensor — so it declares concurrent_safe() and the
@@ -108,11 +118,15 @@ class FakeQuantizer final : public nn::QuantSession {
   [[nodiscard]] bool uniform_grid_fast_path() const { return grid_usable_; }
 
  private:
+  /// Block fan-out over the pool, then the grid or kernel path per block;
+  /// stamps `scale` on the tensor.
+  void fake_quantize_tensor(nn::Tensor& t, double scale) const;
   void fake_quantize_grid(std::span<float> x, double scale) const;
 
   const CalibrationTable& table_;
   const formats::Format& fmt_;
   formats::ScalePolicy policy_;
+  std::shared_ptr<const formats::kernels::QuantKernel> kernel_;  // non-grid
   // Uniform-grid fast path: values are ±pitch·{0..qmax} with pitch = 2^e and
   // code parity == level parity (the tie conditions; derivation at the
   // detector in ptq.cpp).

@@ -4,7 +4,9 @@
 // on the adversarial corners: exact decoded values, exact rounding midpoints
 // (the ties-to-even-code rule), their nextafter neighbours, the underflow
 // boundary, the saturation boundary, ±0, double denormals, NaN and ±inf —
-// plus a large random sweep.
+// plus a large random sweep.  Each batch loop (scalar, AVX2, AVX-512) the
+// host can execute is also pinned to the scalar reference directly, at every
+// lane position and in the scalar tail.
 #include "formats/kernels/quant_kernel.h"
 
 #include <gtest/gtest.h>
@@ -13,6 +15,8 @@
 #include <cmath>
 #include <limits>
 #include <random>
+#include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "core/registry.h"
@@ -179,6 +183,115 @@ TEST(KernelEquivalence, BatchRmseMatchesScalarReference) {
       EXPECT_EQ(std::bit_cast<std::uint64_t>(a), std::bit_cast<std::uint64_t>(b))
           << name << " scale=" << scale;
     }
+  }
+}
+
+// ------------------------------------------------------ batch loops --
+// Every fake_quantize loop the host can execute (scalar, AVX2, AVX-512),
+// called directly through fake_quantize_with, against the scalar reference.
+
+/// The edge cases of one format at one scale, as floats: ±0, NaN, ±inf,
+/// float denormals, every value, every exact midpoint (an exact tie in the
+/// value domain whenever the scale is a power of two) and its neighbours,
+/// the underflow and saturation boundaries.
+std::vector<float> special_floats(const Format& fmt, double scale) {
+  const TableCodec& codec = fmt.codec();
+  constexpr float inf = std::numeric_limits<float>::infinity();
+  std::vector<float> out = {0.f,
+                            -0.f,
+                            std::numeric_limits<float>::quiet_NaN(),
+                            inf,
+                            -inf,
+                            std::numeric_limits<float>::denorm_min(),
+                            -std::numeric_limits<float>::denorm_min(),
+                            std::numeric_limits<float>::min() * 0.5f};
+  const auto push_signed = [&out, scale](double v) {
+    const float f = static_cast<float>(v * scale);
+    for (const float g : {f, std::nextafter(f, 0.f), std::nextafter(f, inf)}) {
+      out.push_back(g);
+      out.push_back(-g);
+    }
+  };
+  const auto& pos = codec.positives();
+  for (std::size_t i = 0; i < pos.size(); ++i) {
+    push_signed(pos[i].value);
+    if (i > 0) push_signed(0.5 * (pos[i - 1].value + pos[i].value));
+  }
+  push_signed(codec.min_positive() * 0.5);
+  push_signed(codec.max_finite() * 4.0);
+  return out;
+}
+
+/// Bitwise comparison of `got` against `want`; reports the first mismatch.
+::testing::AssertionResult same_bits(std::span<const float> in,
+                                     std::span<const float> got,
+                                     std::span<const float> want) {
+  for (std::size_t i = 0; i < got.size(); ++i)
+    if (std::bit_cast<std::uint32_t>(got[i]) !=
+        std::bit_cast<std::uint32_t>(want[i]))
+      return ::testing::AssertionFailure()
+             << "i=" << i << " in=" << std::hexfloat << in[i]
+             << " got=" << got[i] << " want=" << want[i];
+  return ::testing::AssertionSuccess();
+}
+
+TEST(KernelLoops, EveryHostLoopMatchesScalarReference) {
+  int loops_run = 0;
+  for (const QuantKernel::Loop loop : QuantKernel::kLoops) {
+    if (!QuantKernel::loop_supported(loop)) continue;
+    ++loops_run;
+    for (const auto& name : core::all_format_names()) {
+      const auto fmt = core::make_format(name);
+      const auto kernel = kernel_for(*fmt);
+      for (const double scale : kScales) {
+        const std::vector<float> specials = special_floats(*fmt, scale);
+        // Specials, then random data.  Running the whole buffer at start
+        // offsets 0-7 moves every special through every one of the 8 lanes.
+        std::vector<float> buf = specials;
+        const std::vector<float> noise = float_probes(*fmt, scale);
+        buf.insert(buf.end(), noise.begin(), noise.begin() + 1000);
+        std::vector<float> want = buf;
+        fake_quantize_scalar(want, *fmt, scale);
+        const std::span<const float> in_all(buf), want_all(want);
+        for (std::size_t off = 0; off < 8; ++off) {
+          std::vector<float> got(buf.begin() + off, buf.end());
+          kernel->fake_quantize_with(loop, got, scale);
+          EXPECT_TRUE(same_bits(in_all.subspan(off), got, want_all.subspan(off)))
+              << name << " " << QuantKernel::loop_name(loop)
+              << " scale=" << scale << " offset=" << off;
+        }
+        // Short buffers (lengths 0-33, offsets 0-7) over the dense start of
+        // the specials: NaN, ±0, ±inf and denormals also land in the scalar
+        // tail and in partial vectors.
+        for (std::size_t off = 0; off < 8; ++off) {
+          for (std::size_t len = 0; len <= 33; ++len) {
+            std::vector<float> got(buf.begin() + off, buf.begin() + off + len);
+            kernel->fake_quantize_with(loop, got, scale);
+            EXPECT_TRUE(same_bits(in_all.subspan(off, len), got,
+                                  want_all.subspan(off, len)))
+                << name << " " << QuantKernel::loop_name(loop)
+                << " scale=" << scale << " offset=" << off << " len=" << len;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GE(loops_run, 1);  // scalar always runs
+}
+
+TEST(KernelLoops, DispatchPicksTheWidestHostLoop) {
+  const auto kernel = kernel_for(*core::make_format("MERSIT(8,2)"));
+  QuantKernel::Loop widest = QuantKernel::Loop::kScalar;
+  for (const QuantKernel::Loop loop : QuantKernel::kLoops)
+    if (QuantKernel::loop_supported(loop)) widest = loop;
+  EXPECT_EQ(kernel->loop(), widest);
+  for (const QuantKernel::Loop loop : QuantKernel::kLoops) {
+    std::vector<float> buf(16, 1.f);
+    if (QuantKernel::loop_supported(loop))
+      EXPECT_NO_THROW(kernel->fake_quantize_with(loop, buf, 1.0));
+    else
+      EXPECT_THROW(kernel->fake_quantize_with(loop, buf, 1.0),
+                   std::invalid_argument);
   }
 }
 

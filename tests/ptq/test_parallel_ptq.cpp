@@ -5,19 +5,24 @@
 // The serial reference is obtained with the pool's own nesting rule: a
 // parallel region entered from inside another parallel region runs inline,
 // so wrapping a call in parallel_chunks(1, ...) forces its internal
-// parallel_* calls onto one thread without touching any global state.
+// parallel_* calls onto one thread without touching any global state.  The
+// fake-quant fan-out is checked across explicit pool widths (1, 2, 4) too.
 #include "ptq/ptq.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <cstdlib>
+#include <random>
 #include <span>
 
 #include "core/registry.h"
 #include "core/thread_pool.h"
+#include "formats/quantize.h"
 #include "nn/data.h"
+#include "nn/layers.h"
 
 namespace mersit::ptq {
 namespace {
@@ -127,6 +132,104 @@ TEST(ParallelPtq, EvaluationIsDeterministicAndMatchesSerial) {
 
   EXPECT_EQ(std::bit_cast<std::uint32_t>(a), std::bit_cast<std::uint32_t>(b));
   EXPECT_EQ(std::bit_cast<std::uint32_t>(a), std::bit_cast<std::uint32_t>(serial));
+}
+
+// ------------------------------------------- fake-quant pool fan-out --
+// FakeQuantizer splits each tensor into fixed blocks across the global
+// pool; quantization is elementwise, so every pool width must write the
+// same bits.
+
+constexpr int kPoolWidths[] = {1, 2, 4};
+
+/// Restores the global pool to its environment width on scope exit.
+struct PoolWidthRestore {
+  ~PoolWidthRestore() {
+    core::resize_global_pool(core::ThreadPool::default_thread_count());
+  }
+};
+
+bool tensors_bitwise_equal(const nn::Tensor& a, const nn::Tensor& b) {
+  const std::span<const float> da = a.data();
+  const std::span<const float> db = b.data();
+  if (da.size() != db.size()) return false;
+  for (std::size_t i = 0; i < da.size(); ++i)
+    if (std::bit_cast<std::uint32_t>(da[i]) != std::bit_cast<std::uint32_t>(db[i]))
+      return false;
+  return true;
+}
+
+/// Activation-like data: a normal stream with every third element clamped
+/// at zero (ReLU), so zeros and both signs all occur.
+nn::Tensor activation_tensor(int n, unsigned seed) {
+  nn::Tensor t({n});
+  std::mt19937 rng(seed);
+  std::normal_distribution<float> normal(0.f, 1.5f);
+  for (float& v : t.data()) v = normal(rng);
+  for (std::size_t i = 0; i < t.data().size(); i += 3)
+    t.data()[i] = std::max(t.data()[i], 0.f);
+  return t;
+}
+
+TEST(ParallelPtq, FakeQuantizerIsBitIdenticalAcrossPoolWidths) {
+  const PoolWidthRestore restore;
+  nn::Flatten layer;
+  layer.set_path("probe");
+  // Below one 8192-element block, exactly two, and past three with a tail.
+  for (const int n : {1000, 16384, 3 * 8192 + 77}) {
+    const nn::Tensor input = activation_tensor(n, static_cast<unsigned>(n));
+    CalibrationTable table;
+    table.absmax["probe"] = input.abs_max();
+    table.input_absmax = input.abs_max();
+    for (const char* name : {"MERSIT(8,2)", "Posit(8,1)", "FP(8,4)", "INT8"}) {
+      const auto fmt = core::make_format(name);
+      // Reference: the scalar codec path over the whole tensor.
+      nn::Tensor want = input;
+      formats::fake_quantize_scalar(
+          want.data(), *fmt,
+          formats::scale_for_absmax(*fmt, table.absmax["probe"],
+                                    formats::ScalePolicy::kMaxToUnity));
+      for (const int width : kPoolWidths) {
+        core::resize_global_pool(width);
+        FakeQuantizer fq(table, *fmt, formats::ScalePolicy::kMaxToUnity);
+        nn::Tensor act = input;
+        fq.on_activation(layer, act);
+        nn::Tensor in = input;
+        fq.quantize_input(in);
+        EXPECT_TRUE(tensors_bitwise_equal(act, want))
+            << name << " n=" << n << " width=" << width;
+        EXPECT_TRUE(tensors_bitwise_equal(in, want))
+            << name << " n=" << n << " width=" << width;
+        EXPECT_GT(act.quant_scale(), 0.0);
+        EXPECT_EQ(fq.uncalibrated_layers(), 0);
+      }
+    }
+  }
+}
+
+TEST(ParallelPtq, ResNet18W8A8ForwardIsBitIdenticalAcrossPoolWidths) {
+  const PoolWidthRestore restore;
+  std::mt19937 rng(21);
+  nn::ModulePtr model = nn::make_resnet_mini(3, 10, 1, rng);
+  const nn::Dataset calib = nn::make_vision_dataset(64, 3, 12, 51);
+  const nn::Tensor batch = nn::slice_batch(
+      nn::make_vision_dataset(32, 3, 12, 52).inputs, 0, 32);
+  const auto fmt = core::make_format("MERSIT(8,2)");
+  const CalibrationTable table = calibrate_model(*model, calib);
+  quantize_weights_per_channel(*model, *fmt, formats::ScalePolicy::kMaxToUnity);
+  FakeQuantizer fq(table, *fmt, formats::ScalePolicy::kMaxToUnity);
+  fq.set_input_quantization(true);
+  nn::Tensor reference;
+  for (const int width : kPoolWidths) {
+    core::resize_global_pool(width);
+    nn::Tensor x = batch;
+    fq.on_input(x);
+    const nn::Tensor logits = model->run(x, nn::Context{/*train=*/false, &fq});
+    if (width == kPoolWidths[0])
+      reference = logits;
+    else
+      EXPECT_TRUE(tensors_bitwise_equal(logits, reference)) << "width=" << width;
+  }
+  EXPECT_EQ(fq.uncalibrated_layers(), 0);
 }
 
 TEST(ParallelPtq, Fp32EvaluationIsDeterministic) {
