@@ -1,22 +1,20 @@
-// Inference-runtime benchmark across the model zoo: naive loops vs the GEMM
-// engine packing per call vs the persistent prepacked-weight cache with
-// fused epilogues (and, as a fourth opt-in column, inference-only BN fold).
+// Inference-runtime benchmark across the model zoo: the naive reference
+// loops vs the default inference path (persistent prepacked-weight cache,
+// BN and activations fused into the GEMM write-back).
 //
 // For every vision model (and BERT-mini) this times a full forward batch in
-// each mode and cross-checks outputs element by element.  The packed and
-// prepacked paths are designed to reproduce the naive rounding sequence
-// exactly — identical packed panels, identical ascending-k accumulation,
-// epilogues applied only at final write-back — so any non-zero ULP distance
-// is a bug and the bench exits nonzero (the CI perf-smoke stage relies on
-// this).  BN folding rescales weights (w' = w*gamma/sigma), which
-// reassociates the rounding, so that column gets a small numeric tolerance
-// instead of the bitwise gate.
+// each mode and cross-checks outputs element by element.  The prepacked
+// path is designed to reproduce the naive rounding sequence exactly —
+// identical packed panels, identical ascending-k accumulation, BN affine
+// and epilogues applied only at final write-back — so any non-zero ULP
+// distance is a bug and the bench exits nonzero (the CI perf-smoke stage
+// relies on this).
 //
 // The whole sweep runs at two pool widths (1 and 4 worker threads, via
 // core::resize_global_pool) to demonstrate thread-count invariance of the
 // bit-exact modes and multi-thread scaling of the prepacked path.
 //
-// A fifth column runs the code-domain quantized path (MERSIT_QGEMM=code):
+// A third column runs the code-domain quantized path (MERSIT_QGEMM=code):
 // weights stay 8-bit in memory (ptq::install_weight_codes) and the GEMM
 // pack step decodes them through the per-format LUT.  The decode is
 // bit-identical to quantize→dequantize, so the column is gated at max ULP 0
@@ -25,7 +23,7 @@
 // A one-shot Kulisch probe documents the exact-accumulator ULP contract by
 // measuring how far FP32 ascending-k accumulation drifts from the quire.
 //
-// A sixth column runs the decode-free integer path (MERSIT_QGEMM=int8,
+// A fourth column runs the decode-free integer path (MERSIT_QGEMM=int8,
 // INT8 weights): codes are remapped to int8 levels through the affine LUT,
 // activations are quantized to levels at each GEMM boundary, and the
 // accumulation runs in int32 (nn/gemm/qgemm.h documents the ULP contract).
@@ -55,9 +53,8 @@
 // with the host's support verdict and exits nonzero if detection picked a
 // backend the host cannot execute (the CI self-check).
 //
-// Perf gates: on ResNet18-mini the prepacked path must be at least as fast
-// as packing per call, and the code-domain path must not regress against
-// prepacked FP32 (both with a measurement-noise allowance); the detected
+// Perf gates: on ResNet18-mini the code-domain path must not regress
+// against prepacked FP32 (with a measurement-noise allowance); the detected
 // backend must not lose to scalar on the sweep geomean; and in full sizing
 // at least one vision model must clear a 1.5x single-thread best-vs-scalar
 // speedup (the SIMD backends must pay for their dispatch).  A regression
@@ -90,12 +87,7 @@ using namespace mersit;
 
 namespace {
 
-/// BN fold tolerance on the final logits: the rescale is tiny for the
-/// bench's freshly initialized running stats, but downstream layers can
-/// amplify the reassociated rounding a little.
-constexpr float kFoldTol = 2e-3f;
-
-/// Allowance for timer noise in the prepacked >= packed-per-call gate.
+/// Allowance for timer noise in the detected-backend >= scalar gate.
 constexpr double kPerfSlack = 1.02;
 
 /// Allowance for the code-domain >= prepacked-FP32 gate.  Both paths serve
@@ -151,14 +143,6 @@ std::uint32_t max_ulp(const nn::Tensor& a, const nn::Tensor& b) {
   return m;
 }
 
-float max_abs_diff(const nn::Tensor& a, const nn::Tensor& b) {
-  float m = 0.f;
-  const auto da = a.data(), db = b.data();
-  for (std::size_t i = 0; i < da.size(); ++i)
-    m = std::max(m, std::fabs(da[i] - db[i]));
-  return m;
-}
-
 /// Best-of-R wall time for one forward batch, in milliseconds (one untimed
 /// warm-up pass absorbs lazy work — including the one-time weight prepack,
 /// which is exactly what the persistent cache amortizes away).
@@ -179,16 +163,12 @@ double time_forward_ms(nn::Module& model, const nn::Tensor& x, int reps,
 struct Row {
   std::string model;
   int batch = 0;
-  bool vision = true;        ///< counts toward the zoo geomean
-  double naive_ms = 0.0;     ///< per forward batch, MERSIT_GEMM=0
-  double packed_ms = 0.0;    ///< GEMM engine, repacking weights every call
-  double prepacked_ms = 0.0; ///< persistent prepack + fused epilogues
-  double folded_ms = 0.0;    ///< + inference-only BN fold (MERSIT_FOLD_BN)
+  bool vision = true;        ///< image input: runs the int8 column and gates
+  double naive_ms = 0.0;     ///< per forward batch, gemm::set_enabled(false)
+  double prepacked_ms = 0.0; ///< persistent prepack + fused BN/epilogues
   double code_ms = 0.0;      ///< 8-bit weight codes, decoded in the pack step
-  std::uint32_t packed_ulp = 0;
   std::uint32_t prepacked_ulp = 0;
   std::uint32_t code_ulp = 0;  ///< vs FP32 forward over fake-quantized weights
-  float folded_diff = 0.f;
   std::uint64_t weight_bytes_fp32 = 0;   ///< FP32 footprint of coded weights
   std::uint64_t weight_bytes_codes = 0;  ///< codes + per-channel scales
   // Decode-free integer column (vision models; INT8 weights, quant session
@@ -200,9 +180,6 @@ struct Row {
   int int8_top1_delta = 0;      ///< batch argmax disagreements vs code
   [[nodiscard]] double speedup_vs_naive() const {
     return prepacked_ms > 0.0 ? naive_ms / prepacked_ms : 0.0;
-  }
-  [[nodiscard]] double speedup_vs_packed() const {
-    return prepacked_ms > 0.0 ? packed_ms / prepacked_ms : 0.0;
   }
   [[nodiscard]] double speedup_code_vs_prepacked() const {
     return code_ms > 0.0 ? prepacked_ms / code_ms : 0.0;
@@ -228,18 +205,8 @@ Row measure(const std::string& name, nn::Module& model, const nn::Tensor& x,
   row.naive_ms = time_forward_ms(model, x, reps);
 
   nn::gemm::set_enabled(true);
-  nn::gemm::set_prepack_enabled(false);
-  row.packed_ulp = max_ulp(ref, model.forward(x, ctx));
-  row.packed_ms = time_forward_ms(model, x, reps);
-
-  nn::gemm::set_prepack_enabled(true);
   row.prepacked_ulp = max_ulp(ref, model.forward(x, ctx));
   row.prepacked_ms = time_forward_ms(model, x, reps);
-
-  nn::gemm::set_fold_bn_enabled(true);
-  row.folded_diff = max_abs_diff(ref, model.forward(x, ctx));
-  row.folded_ms = time_forward_ms(model, x, reps);
-  nn::gemm::set_fold_bn_enabled(false);
 
   // Code domain: the bit-identity reference is an FP32 forward over the
   // *fake-quantized* weights (quantize→dequantize in place, then restore);
@@ -407,7 +374,6 @@ BackendSweep backend_sweep(Zoo& zoo, const nn::Tensor& x, int reps) {
   BackendSweep sweep;
   core::resize_global_pool(1);
   nn::gemm::set_enabled(true);
-  nn::gemm::set_prepack_enabled(true);
   const nn::gemm::Backend& detected = nn::gemm::active_backend();
   const nn::Context ctx;
   // Scalar is last in detection order, so collect the bitwise references
@@ -481,42 +447,24 @@ void print_backend_sweep(const BackendSweep& sweep) {
               sweep.max_speedup_model.c_str());
 }
 
-/// Geomean of the prepacked-over-packed speedup across the vision rows.
-double zoo_geomean(const std::vector<Row>& rows) {
-  double log_sum = 0.0;
-  int n = 0;
-  for (const Row& r : rows) {
-    if (!r.vision || r.speedup_vs_packed() <= 0.0) continue;
-    log_sum += std::log(r.speedup_vs_packed());
-    ++n;
-  }
-  return n > 0 ? std::exp(log_sum / n) : 0.0;
-}
-
 struct RunReport {
   int threads = 0;
   std::vector<Row> rows;
-  double geomean = 0.0;
 };
 
 void print_run(const RunReport& run) {
   std::printf("\n--- %d worker thread(s) ---\n", run.threads);
-  std::printf("%-22s %6s %10s %10s %11s %10s %8s %8s %8s %8s %7s %7s %7s %7s %7s\n",
-              "model", "batch", "naive ms", "packed ms", "prepack ms",
-              "folded ms", "code ms", "int8 ms", "vs naive", "vs pack",
-              "i8/code", "ULP pk", "ULP pp", "ULP cd", "w MB");
-  bench::print_rule(152);
+  std::printf("%-22s %6s %10s %11s %8s %8s %8s %7s %7s %7s %7s\n", "model",
+              "batch", "naive ms", "prepack ms", "code ms", "int8 ms",
+              "vs naive", "i8/code", "ULP pp", "ULP cd", "w MB");
+  bench::print_rule(112);
   for (const Row& r : run.rows)
-    std::printf("%-22s %6d %10.3f %10.3f %11.3f %10.3f %8.3f %8.3f %7.2fx "
-                "%7.2fx %6.2fx %7u %7u %7u %7.2f\n",
-                r.model.c_str(), r.batch, r.naive_ms, r.packed_ms,
-                r.prepacked_ms, r.folded_ms, r.code_ms, r.int8_ms,
-                r.speedup_vs_naive(), r.speedup_vs_packed(),
-                r.speedup_int8_vs_code(), r.packed_ulp, r.prepacked_ulp,
-                r.code_ulp,
+    std::printf("%-22s %6d %10.3f %11.3f %8.3f %8.3f %7.2fx %6.2fx %7u %7u "
+                "%7.2f\n",
+                r.model.c_str(), r.batch, r.naive_ms, r.prepacked_ms,
+                r.code_ms, r.int8_ms, r.speedup_vs_naive(),
+                r.speedup_int8_vs_code(), r.prepacked_ulp, r.code_ulp,
                 static_cast<double>(r.weight_bytes_codes) / (1024.0 * 1024.0));
-  std::printf("vision-zoo geomean (prepacked+fused over packed-per-call): "
-              "%.2fx\n", run.geomean);
 }
 
 int write_json(const char* path, const bench::Sizes& sizes,
@@ -563,33 +511,27 @@ int write_json(const char* path, const bench::Sizes& sizes,
                sizes.seq);
   for (std::size_t k = 0; k < runs.size(); ++k) {
     const RunReport& run = runs[k];
-    std::fprintf(f,
-                 "    {\"threads\": %d, \"zoo_geomean_prepack_vs_packed\": "
-                 "%.2f, \"models\": [\n",
-                 run.threads, run.geomean);
+    std::fprintf(f, "    {\"threads\": %d, \"models\": [\n", run.threads);
     for (std::size_t i = 0; i < run.rows.size(); ++i) {
       const Row& r = run.rows[i];
       std::fprintf(
           f,
           "      {\"model\": \"%s\", \"batch\": %d, \"naive_ms\": %.3f, "
-          "\"packed_ms\": %.3f, \"prepacked_ms\": %.3f, \"folded_ms\": %.3f, "
-          "\"code_ms\": %.3f, "
-          "\"speedup_vs_naive\": %.2f, \"speedup_vs_packed\": %.2f, "
+          "\"prepacked_ms\": %.3f, \"code_ms\": %.3f, "
+          "\"speedup_vs_naive\": %.2f, "
           "\"speedup_code_vs_prepacked\": %.2f, "
-          "\"prepacked_img_per_s\": %.1f, \"packed_ulp\": %u, "
+          "\"prepacked_img_per_s\": %.1f, "
           "\"prepacked_ulp\": %u, \"code_ulp\": %u, "
           "\"weight_bytes_fp32\": %llu, \"weight_bytes_codes\": %llu, "
-          "\"folded_max_abs_diff\": %.2e, "
           "\"int8_eligible\": %s, \"int8_code_ms\": %.3f, \"int8_ms\": %.3f, "
           "\"speedup_int8_vs_code\": %.2f, \"int8_max_rel_vs_code\": %.2e, "
           "\"int8_top1_delta\": %d}%s\n",
-          r.model.c_str(), r.batch, r.naive_ms, r.packed_ms, r.prepacked_ms,
-          r.folded_ms, r.code_ms, r.speedup_vs_naive(), r.speedup_vs_packed(),
-          r.speedup_code_vs_prepacked(), r.img_per_s(), r.packed_ulp,
+          r.model.c_str(), r.batch, r.naive_ms, r.prepacked_ms, r.code_ms,
+          r.speedup_vs_naive(), r.speedup_code_vs_prepacked(), r.img_per_s(),
           r.prepacked_ulp, r.code_ulp,
           static_cast<unsigned long long>(r.weight_bytes_fp32),
           static_cast<unsigned long long>(r.weight_bytes_codes),
-          static_cast<double>(r.folded_diff), r.int8_eligible ? "true" : "false",
+          r.int8_eligible ? "true" : "false",
           r.int8_code_ms, r.int8_ms, r.speedup_int8_vs_code(),
           static_cast<double>(r.int8_max_rel), r.int8_top1_delta,
           i + 1 < run.rows.size() ? "," : "");
@@ -626,22 +568,16 @@ int check_json(const char* path) {
       "\"qgemm_format\"",
       "\"kulisch_probe\"",
       "\"fp32_max_ulp_vs_exact\"",
-      "\"zoo_geomean_prepack_vs_packed\"",
       "\"naive_ms\"",
-      "\"packed_ms\"",
       "\"prepacked_ms\"",
-      "\"folded_ms\"",
       "\"code_ms\"",
       "\"speedup_vs_naive\"",
-      "\"speedup_vs_packed\"",
       "\"speedup_code_vs_prepacked\"",
       "\"prepacked_img_per_s\"",
-      "\"packed_ulp\"",
       "\"prepacked_ulp\"",
       "\"code_ulp\"",
       "\"weight_bytes_fp32\"",
       "\"weight_bytes_codes\"",
-      "\"folded_max_abs_diff\"",
       "\"int8_format\"",
       "\"int8_eligible\"",
       "\"int8_code_ms\"",
@@ -711,7 +647,7 @@ int main(int argc, char** argv) {
   const int batch = sizes.fast ? 8 : 32;
   const int reps = sizes.fast ? 3 : 7;
 
-  std::printf("=== Inference: naive vs packed-per-call vs prepacked+fused ===\n");
+  std::printf("=== Inference: naive reference vs prepacked+fused ===\n");
   std::printf("(%s sizing, img=%d, seq=%d, batch=%d, best of %d)\n",
               sizes.mode(), sizes.img, sizes.seq, batch, reps);
 
@@ -734,7 +670,6 @@ int main(int argc, char** argv) {
           measure(entry.name, *entry.model, vision_x, reps, /*vision=*/true));
     run.rows.push_back(
         measure("BERT-mini", *bert, tokens, reps, /*vision=*/false));
-    run.geomean = zoo_geomean(run.rows);
     print_run(run);
     runs.push_back(std::move(run));
   }
@@ -755,13 +690,11 @@ int main(int argc, char** argv) {
   }
 
   // Gates (all must hold in every pool-width run):
-  //  * bit-exactness — the packed and prepacked paths must reproduce the
-  //    naive outputs to the last bit (max ULP 0), and the code-domain path
-  //    must reproduce the fake-quantized FP32 forward to the last bit;
-  //  * BN fold stays within the numeric tolerance;
-  //  * perf — on ResNet18-mini the persistent prepack must not lose to
-  //    packing per call, and the code-domain path must not lose to
-  //    prepacked FP32 (CI perf-smoke regression gates);
+  //  * bit-exactness — the prepacked path must reproduce the naive outputs
+  //    to the last bit (max ULP 0), and the code-domain path must
+  //    reproduce the fake-quantized FP32 forward to the last bit;
+  //  * perf — on ResNet18-mini the code-domain path must not lose to
+  //    prepacked FP32 (CI perf-smoke regression gate);
   //  * the Kulisch probe must find a usable table for the code format.
   int bad = 0;
   const bool simd_active =
@@ -774,21 +707,11 @@ int main(int argc, char** argv) {
   }
   for (const RunReport& run : runs) {
     for (const Row& r : run.rows) {
-      if (r.packed_ulp > 0 || r.prepacked_ulp > 0) {
+      if (r.prepacked_ulp > 0) {
         std::fprintf(stderr,
                      "bench_inference: %s diverges at %d thread(s) "
-                     "(packed ULP %u, prepacked ULP %u; must be 0)\n",
-                     r.model.c_str(), run.threads, r.packed_ulp,
-                     r.prepacked_ulp);
-        ++bad;
-      }
-      if (r.folded_diff > kFoldTol) {
-        std::fprintf(stderr,
-                     "bench_inference: %s BN-fold diverges at %d thread(s) "
-                     "(max |diff| %.3e > %.1e)\n",
-                     r.model.c_str(), run.threads,
-                     static_cast<double>(r.folded_diff),
-                     static_cast<double>(kFoldTol));
+                     "(prepacked ULP %u; must be 0)\n",
+                     r.model.c_str(), run.threads, r.prepacked_ulp);
         ++bad;
       }
       if (r.code_ulp > 0) {
@@ -797,14 +720,6 @@ int main(int argc, char** argv) {
                      "the fake-quantized FP32 path at %d thread(s) "
                      "(max ULP %u; must be 0)\n",
                      r.model.c_str(), run.threads, r.code_ulp);
-        ++bad;
-      }
-      if (r.model == "ResNet18-mini" &&
-          r.prepacked_ms > r.packed_ms * kPerfSlack) {
-        std::fprintf(stderr,
-                     "bench_inference: prepacked slower than packed-per-call "
-                     "on %s at %d thread(s) (%.3f ms vs %.3f ms)\n",
-                     r.model.c_str(), run.threads, r.prepacked_ms, r.packed_ms);
         ++bad;
       }
       if (r.model == "ResNet18-mini" &&

@@ -45,14 +45,13 @@ echo "==> GEMM suites under MERSIT_BACKEND=scalar"
 MERSIT_BACKEND=scalar ./build/tests/test_concurrency --gtest_filter='Gemm*'
 MERSIT_BACKEND=scalar ./build/tests/test_qgemm --gtest_filter='QgemmPack.*:Int8*'
 
-# Perf smoke: the Release bench runs every model through all six modes
-# (naive / packed-per-call / prepacked+fused / folded-BN / code-domain
-# MERSIT_QGEMM=code / decode-free MERSIT_QGEMM=int8) and enforces its gates
-# internally, exiting nonzero when any fails:
-#  * ULP > 0 for a non-folded GEMM mode (the bit-identity contract),
+# Perf smoke: the Release bench runs every model through all four modes
+# (naive reference / prepacked+fused / code-domain MERSIT_QGEMM=code /
+# decode-free MERSIT_QGEMM=int8) and enforces its gates internally, exiting
+# nonzero when any fails:
+#  * ULP > 0 for prepacked+fused vs the naive reference (the bit-identity
+#    contract),
 #  * ULP > 0 for the code-domain forward vs the fake-quantized FP32 path,
-#  * folded-BN divergence beyond its documented tolerance,
-#  * prepacked+fused slower than packed-per-call on ResNet18-mini,
 #  * code-domain slower than prepacked FP32 on ResNet18-mini,
 #  * a vision model with no usable affine LUT for INT8 (int8 path never
 #    engaged), int8 logits outside the grid-flip tolerance of the code

@@ -36,12 +36,6 @@ namespace mersit::core {
   return v;
 }
 
-/// A 0/1 switch: env_int over [0, 1], so "false", "yes" or "2" throw
-/// naming the variable instead of silently keeping the default.
-[[nodiscard]] inline bool env_switch(const char* name, bool fallback) {
-  return env_int(name, fallback ? 1 : 0, 0, 1) != 0;
-}
-
 /// String form of the same unset policy: nullptr when `name` is unset or set
 /// to the empty string, the raw value otherwise.  Validation stays with the
 /// caller — which knows the accepted value set — and must follow the same

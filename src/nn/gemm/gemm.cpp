@@ -1,7 +1,7 @@
-// The GEMM driver: env switches, epilogue formulas, cache-blocked tiling,
-// and the prepack machinery.  All register-tile work — packing panels and
-// the micro-kernel — dispatches through the active SIMD backend
-// (nn/gemm/backend.h); this TU stays ISA-agnostic.
+// The GEMM entry points: the naive-reference switch, epilogue formulas,
+// cache-blocked tiling, and the prepack machinery.  All register-tile work
+// — packing panels and the micro-kernel — dispatches through the active
+// SIMD backend (nn/gemm/backend.h); this TU stays ISA-agnostic.
 #include "nn/gemm/gemm.h"
 
 #include <algorithm>
@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "core/aligned.h"
-#include "core/env.h"
 #include "core/scratch_arena.h"
 #include "nn/gemm/backend.h"
 #include "nn/gemm/backend_impl.h"
@@ -21,20 +20,8 @@ namespace mersit::nn::gemm {
 
 namespace {
 
-std::atomic<bool>& enabled_flag() {
-  static std::atomic<bool> flag = core::env_switch("MERSIT_GEMM", true);
-  return flag;
-}
-
-std::atomic<bool>& prepack_flag() {
-  static std::atomic<bool> flag = core::env_switch("MERSIT_PREPACK", true);
-  return flag;
-}
-
-std::atomic<bool>& fold_bn_flag() {
-  static std::atomic<bool> flag = core::env_switch("MERSIT_FOLD_BN", false);
-  return flag;
-}
+/// false selects the naive reference loops (set_enabled).
+std::atomic<bool> g_enabled{true};
 
 /// Row write-back of completed sums with the epilogue switch hoisted out of
 /// the element loop: each case instantiates epilogue_eval with a constant
@@ -255,22 +242,10 @@ PackedMatrix pack_generic(bool is_a, int other, int K, PackBlockFn&& pack_block)
 
 }  // namespace
 
-bool enabled() { return enabled_flag().load(std::memory_order_relaxed); }
+bool enabled() { return g_enabled.load(std::memory_order_relaxed); }
 
 bool set_enabled(bool on) {
-  return enabled_flag().exchange(on, std::memory_order_relaxed);
-}
-
-bool prepack_enabled() { return prepack_flag().load(std::memory_order_relaxed); }
-
-bool set_prepack_enabled(bool on) {
-  return prepack_flag().exchange(on, std::memory_order_relaxed);
-}
-
-bool fold_bn_enabled() { return fold_bn_flag().load(std::memory_order_relaxed); }
-
-bool set_fold_bn_enabled(bool on) {
-  return fold_bn_flag().exchange(on, std::memory_order_relaxed);
+  return g_enabled.exchange(on, std::memory_order_relaxed);
 }
 
 float epilogue_eval(Epilogue e, float x) {

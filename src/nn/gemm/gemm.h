@@ -30,9 +30,8 @@
 //    panel packing once for a frozen operand (layer weights); sgemm calls
 //    that pass the resulting PackedMatrix skip the per-call pack entirely.
 //    The packed panels are byte-identical to what the per-call path would
-//    build, so prepacked results are bit-identical too.  MERSIT_PREPACK=0
-//    (or set_prepack_enabled(false)) turns the layer-side caches off for
-//    A/B comparisons.
+//    build, so prepacked results are bit-identical too.  Inference layers
+//    always serve their weights from these packs.
 //
 //  * Fused epilogues.  An Epilogue applies an elementwise activation
 //    inside the micro-kernel's final write-back, after the full k-summation
@@ -47,9 +46,8 @@
 //    core::ScratchArena instead of the heap, so steady-state inference
 //    allocates nothing.
 //
-// MERSIT_GEMM=0 in the environment (or set_enabled(false)) routes every
-// layer back to its naive reference loops; the equivalence tests compare
-// the two paths.
+// set_enabled(false) routes every layer back to its naive reference loops;
+// the equivalence tests and bench_inference compare the two paths.
 #pragma once
 
 #include <cstdint>
@@ -60,27 +58,14 @@
 
 namespace mersit::nn::gemm {
 
-/// GEMM dispatch switch: MERSIT_GEMM=0 disables it (naive reference loops);
-/// unset, empty or 1 enables it; any other value throws naming the variable
-/// (core::env_switch).
+/// GEMM dispatch: true (the default) runs the blocked GEMM with prepacked
+/// weights and fused epilogues; false selects the naive reference loops,
+/// module by module and unfused.
 [[nodiscard]] bool enabled();
 
-/// Programmatic override (tests, benches); returns the previous value.
+/// Selects the naive reference (false) or the GEMM (true) for the equivalence
+/// tests and bench_inference; returns the previous value.
 bool set_enabled(bool on);
-
-/// Prepack/fusion switch for the inference-runtime layer: MERSIT_PREPACK=0
-/// makes the layers pack per call and keep explicit activation modules;
-/// unset, empty or 1 enables the prepacked-weight caches and epilogue
-/// fusion; any other value throws naming the variable.
-[[nodiscard]] bool prepack_enabled();
-bool set_prepack_enabled(bool on);
-
-/// Inference-only BatchNorm folding switch (MERSIT_FOLD_BN=1 to enable;
-/// default off; values other than 0/1 throw).  Folding multiplies conv
-/// weights by gamma/sigma before the GEMM, which reassociates rounding —
-/// results are tolerance-equal, not bit-identical, hence opt-in.
-[[nodiscard]] bool fold_bn_enabled();
-bool set_fold_bn_enabled(bool on);
 
 /// What each C element starts from before the k-summation.
 enum class Init {

@@ -21,14 +21,6 @@ namespace {
 
 float sigmoidf(float x) { return 1.f / (1.f + std::exp(-x)); }
 
-/// Weight prepacking is value-preserving (the cached panels are
-/// byte-identical to per-call packs), so it stays on under quant sessions —
-/// that is what accelerates the PTQ sweeps.  Only training (weights move
-/// every step) opts out.
-bool use_prepack(const Context& ctx) {
-  return gemm::prepack_enabled() && !ctx.train;
-}
-
 /// The installed code-domain weights, when the layer should run from them:
 /// inference only and MERSIT_QGEMM != float.  The snapshot is taken once
 /// per forward; everything derived (decoded floats, packs, the cache
@@ -60,21 +52,17 @@ std::uint64_t float_pack_identity() {
 /// Cache identity of a code-domain entry: the process-unique WeightCodes id
 /// shifted past a two-bit entry kind (1 = code packs, 2 = int8 level packs
 /// — the two builds share a Param version, so the kind must be part of the
-/// key or a mode flip between code and int8 could serve the wrong panels),
-/// a want-packs bit (so toggling MERSIT_PREPACK rebuilds the entry
-/// with/without panels instead of serving a packless one forever), and four
-/// backend-id bits for the same foreign-layout reason as
+/// key or a mode flip between code and int8 could serve the wrong panels)
+/// and four backend-id bits for the same foreign-layout reason as
 /// float_pack_identity.  Never collides with the float path's identities
-/// (< 16): the kind bits make these always >= 32.
-std::uint64_t codes_identity(const WeightCodes& wc, bool want_packs) {
-  return (wc.id << 7) | (std::uint64_t{1} << 5) |
-         (static_cast<std::uint64_t>(want_packs) << 4) | float_pack_identity();
+/// (< 16): the kind bits make these always >= 16.
+std::uint64_t codes_identity(const WeightCodes& wc) {
+  return (wc.id << 6) | (std::uint64_t{1} << 4) | float_pack_identity();
 }
 
 /// Cache identity of an int8-path entry (kind 2; see codes_identity).
-std::uint64_t int8_identity(const WeightCodes& wc, bool want_packs) {
-  return (wc.id << 7) | (std::uint64_t{2} << 5) |
-         (static_cast<std::uint64_t>(want_packs) << 4) | float_pack_identity();
+std::uint64_t int8_identity(const WeightCodes& wc) {
+  return (wc.id << 6) | (std::uint64_t{2} << 4) | float_pack_identity();
 }
 
 /// Kulisch eligibility for one forward: opt-in mode, exact table available,
@@ -115,8 +103,7 @@ gemm::Epilogue epilogue_for(Act a) {
 }  // namespace
 
 bool fuse_inference_ok(const Context& ctx) {
-  return !ctx.train && ctx.quant == nullptr && gemm::enabled() &&
-         gemm::prepack_enabled();
+  return !ctx.train && ctx.quant == nullptr && gemm::enabled();
 }
 
 // ---------------------------------------------------------------- Linear ---
@@ -146,11 +133,11 @@ Tensor Linear::forward_fused(const Tensor& x, const Context& ctx,
   const int n = x.dim(0);
   if (x.dim(1) != in_) throw std::invalid_argument("Linear: width mismatch");
   if (const auto wc = active_codes(*this, ctx); wc != nullptr)
-    return forward_codes(x, ctx, wc, epi);
+    return forward_codes(x, wc, epi);
   Tensor y({n, out_});
   if (gemm::enabled()) {
     const gemm::PackedMatrix* pb = nullptr;
-    if (use_prepack(ctx)) {
+    if (!ctx.train) {
       const PackedWeights& cached = packs_.get(weight, float_pack_identity(), [&] {
         PackedWeights pw;
         pw.packs.push_back(gemm::pack_b_matrix(in_, out_, weight.value.raw(),
@@ -180,7 +167,7 @@ Tensor Linear::forward_fused(const Tensor& x, const Context& ctx,
   return y;
 }
 
-Tensor Linear::forward_codes(const Tensor& x, const Context& ctx,
+Tensor Linear::forward_codes(const Tensor& x,
                              const std::shared_ptr<const WeightCodes>& wc,
                              gemm::Epilogue epi) {
   const int n = x.dim(0);
@@ -213,18 +200,15 @@ Tensor Linear::forward_codes(const Tensor& x, const Context& ctx,
     // codes and the only float math is the dequant write-back.
     const gemm::AffineLut& alut = *wc->affine;
     const double xscale = x.quant_scale();
-    const bool want_packs = use_prepack(ctx);
-    const PackedWeights& cached =
-        packs_.get(weight, int8_identity(*wc, want_packs), [&] {
-          PackedWeights pw;
-          pw.iscales.resize(wc->scales.size());
-          for (std::size_t o = 0; o < wc->scales.size(); ++o)
-            pw.iscales[o] = alut.scale * wc->scales[o];
-          if (want_packs)
-            pw.ipacks.push_back(gemm::pack_b_int8_matrix(
-                in_, out_, wc->codes.data(), in_, /*trans_b=*/true, alut.q));
-          return pw;
-        });
+    const PackedWeights& cached = packs_.get(weight, int8_identity(*wc), [&] {
+      PackedWeights pw;
+      pw.iscales.resize(wc->scales.size());
+      for (std::size_t o = 0; o < wc->scales.size(); ++o)
+        pw.iscales[o] = alut.scale * wc->scales[o];
+      pw.ipacks.push_back(gemm::pack_b_int8_matrix(
+          in_, out_, wc->codes.data(), in_, /*trans_b=*/true, alut.q));
+      return pw;
+    });
     Tensor y({n, out_});
     // Activations ride as a float-source operand: the backend pack fuses the
     // level quantization into the panel distribution (bit-identical to a
@@ -240,34 +224,30 @@ Tensor Linear::forward_codes(const Tensor& x, const Context& ctx,
                               cached.iscales.data(), 0.0};
     gemm::qgemm_int8(n, out_, in_, a, b, gemm::Init::kBiasCol,
                      bias.value.raw(), y.raw(), out_, nullptr, epi, nullptr,
-                     cached.ipacks.empty() ? nullptr : cached.ipacks.data());
+                     cached.ipacks.data());
     return y;
   }
   // Code mode: the GEMM operand is packed straight from the codes; the
   // decoded FP32 array serves the paths that read raw float pointers and is
   // bit-identical to the quantize→dequantize weights, so outputs match the
   // float-path quantized forward exactly.
-  const bool want_packs = gemm::enabled() && use_prepack(ctx);
-  const PackedWeights& cached =
-      packs_.get(weight, codes_identity(*wc, want_packs), [&] {
-        PackedWeights pw;
-        pw.decoded.resize(wc->codes.size());
-        gemm::decode_codes(wc->codes.data(), wc->codes.size(), wc->lut,
-                           wc->scales.data(), static_cast<std::size_t>(in_),
-                           pw.decoded.data());
-        if (want_packs)
-          pw.packs.push_back(gemm::pack_b_codes(in_, out_, wc->codes.data(),
-                                                in_, /*trans_b=*/true, wc->lut,
-                                                wc->scales.data()));
-        return pw;
-      });
+  const PackedWeights& cached = packs_.get(weight, codes_identity(*wc), [&] {
+    PackedWeights pw;
+    pw.decoded.resize(wc->codes.size());
+    gemm::decode_codes(wc->codes.data(), wc->codes.size(), wc->lut,
+                       wc->scales.data(), static_cast<std::size_t>(in_),
+                       pw.decoded.data());
+    pw.packs.push_back(gemm::pack_b_codes(in_, out_, wc->codes.data(), in_,
+                                          /*trans_b=*/true, wc->lut,
+                                          wc->scales.data()));
+    return pw;
+  });
   const float* w = cached.decoded.data();
   Tensor y({n, out_});
   if (gemm::enabled()) {
     gemm::sgemm(n, out_, in_, x.raw(), in_, /*trans_a=*/false, w, in_,
                 /*trans_b=*/true, y.raw(), out_, gemm::Init::kBiasCol,
-                bias.value.raw(), nullptr, epi, nullptr,
-                cached.packs.empty() ? nullptr : cached.packs.data());
+                bias.value.raw(), nullptr, epi, nullptr, cached.packs.data());
   } else {
     for (int i = 0; i < n; ++i) {
       const float* xi = x.raw() + static_cast<std::ptrdiff_t>(i) * in_;
@@ -445,22 +425,7 @@ Tensor Conv2d::forward(const Tensor& x, const Context& ctx) {
 
 Tensor Conv2d::forward_fused(const Tensor& x, const Context& ctx,
                              gemm::Epilogue epi) {
-  if (const auto wc = active_codes(*this, ctx); wc != nullptr)
-    return forward_codes(x, ctx, wc, epi);
-  const gemm::PackedMatrix* packs = nullptr;
-  const bool depthwise = in_ch_ == groups_ && out_ch_ == groups_;
-  if (gemm::enabled() && !depthwise && use_prepack(ctx)) {
-    const int icg = in_ch_ / groups_;
-    const int kdim = icg * k_ * k_;
-    const int ocg = out_ch_ / groups_;
-    const PackedWeights& cached = packs_.get(weight, float_pack_identity(), [&] {
-      PackedWeights pw;
-      pw.packs = pack_conv_weights(weight.value.raw(), groups_, ocg, kdim);
-      return pw;
-    });
-    packs = cached.packs.data();
-  }
-  return run_conv(x, ctx, weight.value.raw(), bias.value.raw(), packs, epi);
+  return forward_affine(x, ctx, epi, nullptr, nullptr);
 }
 
 Tensor Conv2d::forward_bn_fused(const Tensor& x, const Context& ctx,
@@ -482,11 +447,17 @@ Tensor Conv2d::forward_bn_fused(const Tensor& x, const Context& ctx,
     sh[static_cast<std::size_t>(c)] =
         bn.beta.value[c] - bn.running_mean[c] * scale;
   }
+  return forward_affine(x, ctx, epi, sc.data(), sh.data());
+}
+
+Tensor Conv2d::forward_affine(const Tensor& x, const Context& ctx,
+                              gemm::Epilogue epi, const float* bn_scale,
+                              const float* bn_shift) {
   if (const auto wc = active_codes(*this, ctx); wc != nullptr)
-    return forward_codes(x, ctx, wc, epi, sc.data(), sh.data());
+    return forward_codes(x, ctx, wc, epi, bn_scale, bn_shift);
   const gemm::PackedMatrix* packs = nullptr;
   const bool depthwise = in_ch_ == groups_ && out_ch_ == groups_;
-  if (gemm::enabled() && !depthwise && use_prepack(ctx)) {
+  if (gemm::enabled() && !depthwise && !ctx.train) {
     const int icg = in_ch_ / groups_;
     const int kdim = icg * k_ * k_;
     const int ocg = out_ch_ / groups_;
@@ -498,54 +469,7 @@ Tensor Conv2d::forward_bn_fused(const Tensor& x, const Context& ctx,
     packs = cached.packs.data();
   }
   return run_conv(x, ctx, weight.value.raw(), bias.value.raw(), packs, epi,
-                  sc.data(), sh.data());
-}
-
-Tensor Conv2d::forward_folded(const Tensor& x, const Context& ctx,
-                              const BatchNorm2d& bn, gemm::Epilogue epi) {
-  if (bn.folded()) throw std::logic_error("Conv2d::forward_folded: BN already folded");
-  if (bn.channels() != out_ch_)
-    throw std::invalid_argument("Conv2d::forward_folded: channel mismatch");
-  // Code-domain weights are immutable — there is nothing to fold the BN
-  // into.  The affine write-back path computes the identical conv→BN
-  // result from the codes (bit-identical, where folding is only
-  // tolerance-equal), so delegate.
-  if (active_codes(*this, ctx) != nullptr)
-    return forward_bn_fused(x, ctx, bn, epi);
-  const std::uint64_t wv = weight.version(), bv = bias.version(),
-                      gv = bn.gamma.version(), bev = bn.beta.version();
-  const std::uint64_t bk = static_cast<std::uint64_t>(gemm::active_backend().id);
-  {
-    const std::lock_guard<std::mutex> lock(fold_.mu);
-    if (fold_.wv != wv || fold_.bv != bv || fold_.gv != gv ||
-        fold_.bev != bev || fold_.bk != bk) {
-      const std::size_t per = static_cast<std::size_t>(in_ch_ / groups_) * k_ * k_;
-      fold_.w.assign(weight.value.raw(),
-                     weight.value.raw() + static_cast<std::size_t>(out_ch_) * per);
-      fold_.b.assign(bias.value.raw(), bias.value.raw() + out_ch_);
-      for (int o = 0; o < out_ch_; ++o) {
-        const float inv = 1.f / std::sqrt(bn.running_var[o] + bn.eps());
-        const float scale = bn.gamma.value[o] * inv;
-        float* wo = fold_.w.data() + static_cast<std::size_t>(o) * per;
-        for (std::size_t i = 0; i < per; ++i) wo[i] *= scale;
-        fold_.b[o] = (fold_.b[o] - bn.running_mean[o]) * scale + bn.beta.value[o];
-      }
-      fold_.packs.clear();
-      const bool depthwise = in_ch_ == groups_ && out_ch_ == groups_;
-      if (gemm::enabled() && !depthwise) {
-        const int icg = in_ch_ / groups_;
-        fold_.packs = pack_conv_weights(fold_.w.data(), groups_,
-                                        out_ch_ / groups_, icg * k_ * k_);
-      }
-      fold_.wv = wv;
-      fold_.bv = bv;
-      fold_.gv = gv;
-      fold_.bev = bev;
-      fold_.bk = bk;
-    }
-  }
-  return run_conv(x, ctx, fold_.w.data(), fold_.b.data(),
-                  fold_.packs.empty() ? nullptr : fold_.packs.data(), epi);
+                  bn_scale, bn_shift);
 }
 
 Tensor Conv2d::forward_codes(const Tensor& x, const Context& ctx,
@@ -565,47 +489,42 @@ Tensor Conv2d::forward_codes(const Tensor& x, const Context& ctx,
     // Sequential fusion scan needs no special case.  Depthwise stays on the
     // direct float loops (no GEMM to run in the level domain).
     const gemm::AffineLut& alut = *wc->affine;
-    const bool want_packs = use_prepack(ctx);
-    const PackedWeights& cached =
-        packs_.get(weight, int8_identity(*wc, want_packs), [&] {
-          PackedWeights pw;
-          pw.iscales.resize(wc->scales.size());
-          for (std::size_t o = 0; o < wc->scales.size(); ++o)
-            pw.iscales[o] = alut.scale * wc->scales[o];
-          if (want_packs) {
-            pw.ipacks.reserve(static_cast<std::size_t>(groups_));
-            for (int grp = 0; grp < groups_; ++grp)
-              pw.ipacks.push_back(gemm::pack_a_int8_matrix(
-                  ocg, kdim,
-                  wc->codes.data() + static_cast<std::size_t>(grp) * ocg * kdim,
-                  kdim, /*trans_a=*/false, alut.q));
-          }
-          return pw;
-        });
+    const PackedWeights& cached = packs_.get(weight, int8_identity(*wc), [&] {
+      PackedWeights pw;
+      pw.iscales.resize(wc->scales.size());
+      for (std::size_t o = 0; o < wc->scales.size(); ++o)
+        pw.iscales[o] = alut.scale * wc->scales[o];
+      pw.ipacks.reserve(static_cast<std::size_t>(groups_));
+      for (int grp = 0; grp < groups_; ++grp)
+        pw.ipacks.push_back(gemm::pack_a_int8_matrix(
+            ocg, kdim,
+            wc->codes.data() + static_cast<std::size_t>(grp) * ocg * kdim,
+            kdim, /*trans_a=*/false, alut.q));
+      return pw;
+    });
     return run_conv_int8(x, *wc, cached, epi, bn_scale, bn_shift);
   }
   // Code mode: packs come straight from the codes; the decoded FP32 array
   // (bit-identical to quantize→dequantize) feeds the depthwise/naive loops
-  // and the small-problem direct GEMM.
-  const bool want_packs = gemm::enabled() && !depthwise && use_prepack(ctx);
-  const PackedWeights& cached =
-      packs_.get(weight, codes_identity(*wc, want_packs), [&] {
-        PackedWeights pw;
-        pw.decoded.resize(wc->codes.size());
-        gemm::decode_codes(wc->codes.data(), wc->codes.size(), wc->lut,
-                           wc->scales.data(), static_cast<std::size_t>(kdim),
-                           pw.decoded.data());
-        if (want_packs) {
-          pw.packs.reserve(static_cast<std::size_t>(groups_));
-          for (int grp = 0; grp < groups_; ++grp)
-            pw.packs.push_back(gemm::pack_a_codes(
-                ocg, kdim,
-                wc->codes.data() + static_cast<std::size_t>(grp) * ocg * kdim,
-                kdim, /*trans_a=*/false, wc->lut,
-                wc->scales.data() + static_cast<std::size_t>(grp) * ocg));
-        }
-        return pw;
-      });
+  // and the small-problem direct GEMM.  Depthwise convs run no GEMM, so
+  // they decode only.
+  const PackedWeights& cached = packs_.get(weight, codes_identity(*wc), [&] {
+    PackedWeights pw;
+    pw.decoded.resize(wc->codes.size());
+    gemm::decode_codes(wc->codes.data(), wc->codes.size(), wc->lut,
+                       wc->scales.data(), static_cast<std::size_t>(kdim),
+                       pw.decoded.data());
+    if (!depthwise) {
+      pw.packs.reserve(static_cast<std::size_t>(groups_));
+      for (int grp = 0; grp < groups_; ++grp)
+        pw.packs.push_back(gemm::pack_a_codes(
+            ocg, kdim,
+            wc->codes.data() + static_cast<std::size_t>(grp) * ocg * kdim,
+            kdim, /*trans_a=*/false, wc->lut,
+            wc->scales.data() + static_cast<std::size_t>(grp) * ocg));
+    }
+    return pw;
+  });
   return run_conv(x, ctx, cached.decoded.data(), bias.value.raw(),
                   cached.packs.empty() ? nullptr : cached.packs.data(), epi,
                   bn_scale, bn_shift);
@@ -675,8 +594,6 @@ Tensor Conv2d::run_conv_int8(const Tensor& x, const WeightCodes& wc,
   const double xscale = x.quant_scale();
   const double xinv = 1.0 / (alut.scale * xscale);
   Tensor y({n, out_ch_, oh, ow});
-  const ConvGeom g{n,  in_ch_,  out_ch_, h,       w,   oh,  ow,
-                   k_, stride_, pad_,    groups_, icg, ocg};
   // Batched lowering: sample chunks share one wide column buffer (sample i's
   // columns at offset i*osz, row stride chunk·osz), so each group runs ONE
   // qgemm_int8 of N = chunk·osz columns instead of a per-sample GEMM —
@@ -738,8 +655,8 @@ Tensor Conv2d::run_conv_int8(const Tensor& x, const WeightCodes& wc,
       gemm::qgemm_int8(ocg, ncols, kdim, a, bop, gemm::Init::kBiasRow,
                        bias.value.raw() + static_cast<std::size_t>(grp) * ocg,
                        cdst, ncols, &core::global_pool(), epi,
-                       cached.ipacks.empty() ? nullptr : &cached.ipacks[grp],
-                       nullptr, bn_scale != nullptr ? &aff : nullptr);
+                       &cached.ipacks[grp], nullptr,
+                       bn_scale != nullptr ? &aff : nullptr);
       if (bn > 1) {
         for (int m = 0; m < ocg; ++m) {
           const float* crow = cbuf + static_cast<std::size_t>(m) * ncols;
@@ -963,11 +880,6 @@ Tensor BatchNorm2d::forward(const Tensor& x, const Context& ctx) {
       inv_std_[c] = inv;
       running_mean[c] = (1.f - momentum_) * running_mean[c] + momentum_ * mean;
       running_var[c] = (1.f - momentum_) * running_var[c] + momentum_ * var;
-      if (c == 0) {
-        // Running stats moved: stamp gamma so MERSIT_FOLD_BN caches keyed on
-        // this BN rebuild (the stats tensors carry no version of their own).
-        gamma.bump_version();
-      }
       for (int b = 0; b < n; ++b)
         for (int i = 0; i < h; ++i)
           for (int j = 0; j < w; ++j) {
@@ -1027,6 +939,11 @@ void BatchNorm2d::fold_into(Conv2d& conv) {
   if (folded_) throw std::logic_error("BatchNorm2d: already folded");
   if (conv.out_channels() != c_)
     throw std::invalid_argument("BatchNorm2d::fold_into: channel mismatch");
+  if (conv.weight_codes() != nullptr)
+    throw std::logic_error(
+        "BatchNorm2d::fold_into: conv '" +
+        (conv.path().empty() ? conv.name() : conv.path()) +
+        "' carries installed weight codes; fold before installing codes");
   for (int o = 0; o < c_; ++o) {
     const float inv = 1.f / std::sqrt(running_var[o] + eps_);
     const float scale = gamma.value[o] * inv;
@@ -1234,22 +1151,21 @@ Tensor Sequential::forward(const Tensor& x, const Context& ctx) {
   // Inference-only fusion scan (no quant session, so run() == forward() and
   // skipping a module loses no hooks): a Conv2d or Linear head absorbs an
   // already-folded BN (exact identity — saves the pass-through copy), an
-  // unfolded BN — as the bit-identical per-channel affine write-back by
-  // default, or as a weight fold (tolerance-equal) when MERSIT_FOLD_BN is
-  // on — and a trailing fusable Activation (bit-identical fused epilogue).
+  // unfolded channel-matched BN as the bit-identical per-channel affine
+  // write-back, and a trailing fusable Activation (bit-identical fused
+  // epilogue).
   Tensor cur = x;
   for (std::size_t i = 0; i < mods_.size();) {
     Module* m = mods_[i].get();
     if (auto* conv = dynamic_cast<Conv2d*>(m)) {
       std::size_t j = i + 1;
-      const BatchNorm2d* fold_bn = nullptr;
       const BatchNorm2d* affine_bn = nullptr;
       if (j < mods_.size()) {
         if (auto* bn = dynamic_cast<BatchNorm2d*>(mods_[j].get())) {
           if (bn->folded()) {
             ++j;  // identity module: skip it outright
           } else if (bn->channels() == conv->out_channels()) {
-            (gemm::fold_bn_enabled() ? fold_bn : affine_bn) = bn;
+            affine_bn = bn;
             ++j;
           }
         }
@@ -1264,8 +1180,7 @@ Tensor Sequential::forward(const Tensor& x, const Context& ctx) {
           }
         }
       }
-      cur = fold_bn != nullptr ? conv->forward_folded(cur, ctx, *fold_bn, epi)
-            : affine_bn != nullptr
+      cur = affine_bn != nullptr
                 ? conv->forward_bn_fused(cur, ctx, *affine_bn, epi)
                 : conv->forward_fused(cur, ctx, epi);
       i = j;

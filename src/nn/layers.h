@@ -15,10 +15,11 @@ namespace mersit::nn {
 class BatchNorm2d;
 
 /// One prepacked-weight cache entry: the GEMM panel packs (one PackedMatrix
-/// per conv group; a single entry for Linear; empty when the build skipped
-/// packing) plus, for code-domain entries, the eagerly decoded FP32 weights
-/// feeding the paths that read raw float pointers (depthwise/naive loops,
-/// the small-problem direct GEMM, sgemm's shape validation).
+/// per conv group; a single entry for Linear; empty for depthwise convs,
+/// which run no GEMM) plus, for code-domain entries, the eagerly decoded
+/// FP32 weights feeding the paths that read raw float pointers
+/// (depthwise/naive loops, the small-problem direct GEMM, sgemm's shape
+/// validation).
 struct PackedWeights {
   std::vector<gemm::PackedMatrix> packs;
   std::vector<float> decoded;
@@ -35,11 +36,12 @@ struct PackedWeights {
 /// pair (Param version, source identity).  The version covers every seam
 /// that rewrites the FP32 value in place (optimizer steps, PTQ
 /// quantize/restore, artifact unpack, BN folding — all bump it).  The
-/// identity covers *which source* the entry was built from: 0 for the FP32
-/// value itself, or the process-unique WeightCodes id (never 0) for a
-/// code-domain build — so a hot-swap that installs new codes for the same
-/// shapes, racing a concurrent pack lookup, can never serve panels decoded
-/// with the old format's LUT: the old entry's identity no longer matches.
+/// identity covers *which source* the entry was built from: the active GEMM
+/// backend's id for the FP32 value itself, or a key derived from the
+/// process-unique WeightCodes id for a code-domain build — so a hot-swap
+/// that installs new codes for the same shapes, racing a concurrent pack
+/// lookup, can never serve panels decoded with the old format's LUT: the
+/// old entry's identity no longer matches.
 /// Copies start empty: a cloned module repacks from its own storage.
 class PackCache {
  public:
@@ -71,26 +73,13 @@ class PackCache {
   PackedWeights entry_;
 };
 
-/// Inference-only folded conv+BN weights (MERSIT_FOLD_BN), keyed on the
-/// versions of all four contributing Params.  Same copy semantics as
-/// PackCache.  Fields are populated by Conv2d::forward_folded under `mu`.
-struct FoldCache {
-  FoldCache() = default;
-  FoldCache(const FoldCache&) noexcept {}
-  FoldCache& operator=(const FoldCache&) noexcept { return *this; }
-
-  std::mutex mu;
-  std::uint64_t wv = 0, bv = 0, gv = 0, bev = 0;
-  std::uint64_t bk = ~std::uint64_t{0};    ///< gemm Backend::id of `packs`
-  std::vector<float> w, b;                 ///< folded weight / bias values
-  std::vector<gemm::PackedMatrix> packs;   ///< per-group packs of `w`
-};
-
-/// True when the container fusions (skipping explicit Activation modules,
-/// folding BN) are legal: inference only, and no quant session — the PTQ
-/// hooks must observe every intermediate tensor a real accelerator would
-/// spill.  Weight prepacking alone is value-preserving and stays active
-/// under quant sessions; this gate covers the structural fusions.
+/// True when the container fusions (absorbing a following BN and
+/// Activation into the conv/linear write-back) are legal: inference only,
+/// no quant session — the PTQ hooks must observe every intermediate tensor
+/// a real accelerator would spill — and the GEMM path, so the naive
+/// reference stays module by module.  Weight prepacking alone is
+/// value-preserving and stays active under quant sessions; this gate covers
+/// the structural fusions.
 [[nodiscard]] bool fuse_inference_ok(const Context& ctx);
 
 class Linear final : public Module, public ChannelWeights {
@@ -118,7 +107,7 @@ class Linear final : public Module, public ChannelWeights {
   /// Code-domain forward: GEMM operands come from `wc` (packed straight
   /// from the 8-bit codes); the FP32 weight Param is not read.  Dispatches
   /// to the Kulisch accumulator when eligible under MERSIT_QGEMM=kulisch.
-  Tensor forward_codes(const Tensor& x, const Context& ctx,
+  Tensor forward_codes(const Tensor& x,
                        const std::shared_ptr<const WeightCodes>& wc,
                        gemm::Epilogue epi);
 
@@ -146,11 +135,6 @@ class Conv2d final : public Module, public ChannelWeights {
   /// `bn` must be unfolded and channel-matched.
   Tensor forward_bn_fused(const Tensor& x, const Context& ctx,
                           const BatchNorm2d& bn, gemm::Epilogue epi);
-  /// Inference-only conv with `bn` folded into weights/bias on the fly
-  /// (tolerance-equal to conv→BN, not bit-identical; gated by
-  /// MERSIT_FOLD_BN).  `bn` must be unfolded and channel-matched.
-  Tensor forward_folded(const Tensor& x, const Context& ctx,
-                        const BatchNorm2d& bn, gemm::Epilogue epi);
   Tensor backward(const Tensor& grad_out) override;
   void collect_params(std::vector<Param*>& out) override;
   [[nodiscard]] ModulePtr clone() const override { return std::make_unique<Conv2d>(*this); }
@@ -166,10 +150,17 @@ class Conv2d final : public Module, public ChannelWeights {
   Param bias;    ///< [out]
 
  private:
-  /// Shared forward body: runs the conv with the given weight/bias arrays
-  /// (the live Params or the folded copies), optional per-group packs, and
-  /// an optional fused per-channel affine (bn_scale/bn_shift, out_ch
-  /// entries each, applied before `epi` at write-back).
+  /// Body of forward_fused / forward_bn_fused: dispatches to the code-domain
+  /// path when codes are active, else runs the FP32 weights with their
+  /// prepacked panels (inference) and the optional fused BN affine.
+  Tensor forward_affine(const Tensor& x, const Context& ctx,
+                        gemm::Epilogue epi, const float* bn_scale,
+                        const float* bn_shift);
+  /// Shared conv body: runs the conv with the given weight/bias arrays
+  /// (the live Params or the decoded code-domain weights), optional
+  /// per-group packs, and an optional fused per-channel affine
+  /// (bn_scale/bn_shift, out_ch entries each, applied before `epi` at
+  /// write-back).
   Tensor run_conv(const Tensor& x, const Context& ctx, const float* wt,
                   const float* bs, const gemm::PackedMatrix* group_packs,
                   gemm::Epilogue epi, const float* bn_scale = nullptr,
@@ -189,7 +180,7 @@ class Conv2d final : public Module, public ChannelWeights {
   /// Decode-free conv (MERSIT_QGEMM=int8 on an affine-LUT format): weight
   /// levels times activation levels in int32, dequant at write-back.
   /// `cached` carries the per-group level packs and fused dequant scales;
-  /// bn_scale/bn_shift fold a following inference BN exactly as run_conv.
+  /// bn_scale/bn_shift fuse a following inference BN exactly as run_conv.
   Tensor run_conv_int8(const Tensor& x, const WeightCodes& wc,
                        const PackedWeights& cached, gemm::Epilogue epi,
                        const float* bn_scale, const float* bn_shift);
@@ -197,7 +188,6 @@ class Conv2d final : public Module, public ChannelWeights {
   int in_ch_, out_ch_, k_, stride_, pad_, groups_;
   Tensor x_cache_;
   PackCache packs_;
-  FoldCache fold_;
 };
 
 /// Batch normalization over [N,C,H,W] (per-channel).  Training uses batch
@@ -216,7 +206,10 @@ class BatchNorm2d final : public Module {
   /// Fold this BN into the preceding convolution:
   ///   w'[o,...] = w[o,...] * gamma[o]/sigma[o]
   ///   b'[o]     = (b[o] - mean[o]) * gamma[o]/sigma[o] + beta[o]
-  /// After folding the BN becomes the identity.
+  /// After folding the BN becomes the identity.  Throws std::logic_error
+  /// when `conv` carries installed weight codes: the codes are immutable,
+  /// so a fold would pair them with the folded bias.  Fold before
+  /// installing codes.
   void fold_into(Conv2d& conv);
 
   [[nodiscard]] bool folded() const { return folded_; }

@@ -62,8 +62,7 @@ struct WeightCodes {
   /// (the LUT already reflects the policy).
   std::uint64_t nonfinite = 0;
 
-  /// Process-unique identity for cache keys; never 0 (0 is the float-path
-  /// identity in the prepacked-weight cache).
+  /// Process-unique identity for the prepacked-weight cache keys; never 0.
   std::uint64_t id = next_id();
 
   static std::uint64_t next_id() {

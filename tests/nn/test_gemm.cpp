@@ -1,6 +1,7 @@
 // Equivalence of the GEMM-lowered inference paths against the naive
-// reference loops (selected with MERSIT_GEMM=0 / gemm::set_enabled(false)),
-// plus thread-count invariance of the blocked kernel itself.
+// reference loops (selected with gemm::set_enabled(false)), layer by layer
+// and over whole zoo models, plus thread-count invariance of the blocked
+// kernel itself.
 //
 // The GEMM paths are designed to reproduce the naive rounding sequence
 // exactly (fixed ascending-k summation from the same initial value), so the
@@ -27,6 +28,7 @@
 #include "nn/gemm/backend.h"
 #include "nn/gemm/im2col.h"
 #include "nn/layers.h"
+#include "nn/models.h"
 
 namespace mersit::nn {
 namespace {
@@ -661,6 +663,53 @@ TEST(GemmBackend, RejectsOperandsPackedForAForeignBackend) {
                            c.data(), N, gemm::Init::kZero, nullptr, nullptr,
                            gemm::Epilogue::kNone, nullptr, &pb),
                std::invalid_argument);
+}
+
+// ------------------------------------------------------------ whole models --
+
+// The whole-model contract: the default inference forward — prepacked
+// weights, BN and activations fused into the GEMM write-back — is bitwise
+// equal to the naive reference, which runs every module as its own unfused
+// pass.  Covers every vision-zoo model plus BERT-mini at pool widths 1 and 4.
+TEST(GemmZoo, DefaultForwardBitwiseMatchesNaiveModulePasses) {
+  constexpr int kBatch = 2, kImg = 12, kSeq = 8, kVocab = 50;
+  std::mt19937 rng(101);
+  std::vector<NamedModel> zoo = make_vision_zoo(3, 10, 101, kImg);
+  zoo.push_back({"BERT-mini",
+                 make_bert_mini(kVocab, kSeq + 2, 32, 4, 2, 64, 4, rng)});
+  // Non-trivial BN statistics, so the fused affine is not near-identity.
+  std::normal_distribution<float> nd(0.f, 0.5f);
+  std::uniform_real_distribution<float> ud(0.5f, 2.f);
+  for (NamedModel& entry : zoo)
+    for (Module* m : entry.model->modules())
+      if (auto* bn = dynamic_cast<BatchNorm2d*>(m)) {
+        for (auto& v : bn->gamma.value.data()) v = 1.f + nd(rng);
+        for (auto& v : bn->beta.value.data()) v = nd(rng);
+        for (auto& v : bn->running_mean.data()) v = nd(rng);
+        for (auto& v : bn->running_var.data()) v = ud(rng);
+      }
+  const Tensor image = Tensor::randn({kBatch, 3, kImg, kImg}, rng, 1.f);
+  Tensor tokens({kBatch, kSeq});
+  std::uniform_int_distribution<int> tok(0, kVocab - 1);
+  for (auto& t : tokens.data()) t = static_cast<float>(tok(rng));
+
+  const int prev_width = core::global_pool().size();
+  const Context ctx;
+  for (const int width : {1, 4}) {
+    core::resize_global_pool(width);
+    for (NamedModel& entry : zoo) {
+      const Tensor& x = entry.name == "BERT-mini" ? tokens : image;
+      Tensor naive;
+      {
+        const GemmGuard off(false);
+        naive = entry.model->forward(x, ctx);
+      }
+      const Tensor fast = entry.model->forward(x, ctx);
+      EXPECT_TRUE(bitwise_equal(fast.data(), naive.data()))
+          << entry.name << " at pool width " << width;
+    }
+  }
+  core::resize_global_pool(prev_width);
 }
 
 TEST(GemmEnv, SetEnabledReturnsPreviousValue) {

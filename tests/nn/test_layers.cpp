@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
+#include "core/registry.h"
 #include "gradcheck.h"
+#include "ptq/ptq.h"
 
 namespace mersit::nn {
 namespace {
@@ -139,6 +143,34 @@ TEST(BatchNorm2d, FoldIntoConvPreservesInference) {
   ASSERT_EQ(before.numel(), after.numel());
   for (std::int64_t i = 0; i < before.numel(); ++i)
     EXPECT_NEAR(before[i], after[i], 2e-4f) << i;
+}
+
+// Installed codes are immutable: a fold would rescale only the FP32 weights
+// and the bias, and the code-mode forward would pair the unscaled codes with
+// the folded bias.  fold_into must refuse and leave both layers untouched.
+TEST(BatchNorm2d, FoldIntoConvWithInstalledCodesThrows) {
+  auto rng = rng_for(18);
+  Conv2d conv(2, 3, 3, 1, 1, 1, rng);
+  conv.set_path("stem.conv");
+  BatchNorm2d bn(3);
+  bn.gamma.value[1] = 1.7f;
+  bn.running_mean[2] = 0.3f;
+  ptq::install_weight_codes(conv, *core::make_format("MERSIT(8,2)"),
+                            formats::ScalePolicy::kMaxToUnity);
+  const Tensor w_before = conv.weight.value;
+  const Tensor b_before = conv.bias.value;
+  try {
+    bn.fold_into(conv);
+    FAIL() << "fold_into accepted a conv with installed weight codes";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("stem.conv"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_FALSE(bn.folded());
+  for (std::int64_t i = 0; i < w_before.numel(); ++i)
+    EXPECT_EQ(conv.weight.value[i], w_before[i]) << i;
+  for (std::int64_t i = 0; i < b_before.numel(); ++i)
+    EXPECT_EQ(conv.bias.value[i], b_before[i]) << i;
 }
 
 class ActivationGrad : public ::testing::TestWithParam<Act> {};

@@ -59,12 +59,6 @@ struct GemmGuard {
   bool prev;
 };
 
-struct PrepackGuard {
-  explicit PrepackGuard(bool on) : prev(gemm::set_prepack_enabled(on)) {}
-  ~PrepackGuard() { gemm::set_prepack_enabled(prev); }
-  bool prev;
-};
-
 /// Restores the active GEMM backend on scope exit.
 struct BackendGuard {
   explicit BackendGuard(const gemm::Backend& be)
@@ -286,8 +280,8 @@ std::unique_ptr<ptq::CalibrationTable> QgemmModelTest::table_;
 std::unique_ptr<Tensor> QgemmModelTest::probe_;
 
 // install_weight_codes + code mode reproduces the quantize→dequantize FP32
-// forward bit for bit — with the blocked GEMM, with the naive loops, and
-// with prepacking on/off — while leaving the FP32 weights untouched.
+// forward bit for bit — with the blocked GEMM and with the naive loops —
+// while leaving the FP32 weights untouched.
 TEST_F(QgemmModelTest, CodeModeForwardBitIdenticalToQuantizedWeights) {
   for (const char* name : {"MERSIT(8,2)", "FP(8,4)", "Posit(8,1)", "INT8"}) {
     SCOPED_TRACE(name);
@@ -306,10 +300,6 @@ TEST_F(QgemmModelTest, CodeModeForwardBitIdenticalToQuantizedWeights) {
     {
       const ModeGuard mode(gemm::QgemmMode::kCode);
       EXPECT_TRUE(bitwise_equal(quant_forward(*code_model, *fmt), ref));
-      {
-        const PrepackGuard noprepack(false);
-        EXPECT_TRUE(bitwise_equal(quant_forward(*code_model, *fmt), ref));
-      }
       {
         const GemmGuard nogemm(false);
         EXPECT_TRUE(bitwise_equal(quant_forward(*code_model, *fmt), ref));
@@ -478,32 +468,6 @@ TEST(QgemmPackCache, RebuildsWhenCodesChangeWithoutVersionBump) {
   ptq::clear_weight_codes(fresh);
   ptq::install_weight_codes(fresh, *fmt_a, formats::ScalePolicy::kMaxToUnity);
   EXPECT_FALSE(bitwise_equal(fresh.forward(x, ctx), want));
-}
-
-// Toggling MERSIT_PREPACK must also rebuild the entry (the want-packs bit
-// of the identity): a pack-less entry cached under prepack-off is not
-// served once prepacking is back on, and both configurations stay
-// bit-identical anyway.
-TEST(QgemmPackCache, PrepackToggleKeepsForwardBitIdentical) {
-  const ModeGuard mode(gemm::QgemmMode::kCode);
-  std::mt19937 rng(5);
-  Linear lin(24, 12, rng);
-  std::mt19937 xrng(9);
-  const Tensor x = Tensor::randn({6, 24}, xrng, 1.f);
-  const Context ctx{/*train=*/false, nullptr};
-  const auto fmt = core::make_format("MERSIT(8,2)");
-  ptq::install_weight_codes(lin, *fmt, formats::ScalePolicy::kMaxToUnity);
-
-  Tensor off_result, on_result;
-  {
-    const PrepackGuard off(false);
-    off_result = lin.forward(x, ctx);
-  }
-  {
-    const PrepackGuard on(true);
-    on_result = lin.forward(x, ctx);
-  }
-  EXPECT_TRUE(bitwise_equal(off_result, on_result));
 }
 
 // ------------------------------------------------------------ Kulisch mode --

@@ -53,12 +53,6 @@ struct ModeGuard {
   gemm::QgemmMode prev;
 };
 
-struct PrepackGuard {
-  explicit PrepackGuard(bool on) : prev(gemm::set_prepack_enabled(on)) {}
-  ~PrepackGuard() { gemm::set_prepack_enabled(prev); }
-  bool prev;
-};
-
 struct BackendGuard {
   explicit BackendGuard(const gemm::Backend& be)
       : prev(gemm::set_backend(&be)) {}
@@ -461,7 +455,7 @@ TEST(Int8Kernel, RejectsUnsafeCallsAndStaysThreadCountInvariant) {
 
 // A Linear under MERSIT_QGEMM=int8 with INT8 codes and a stamped activation
 // scale takes the integer path — bit-identical to calling qgemm_int8
-// directly with the layer's operands, prepacked or not — and stays within
+// directly with the layer's operands — and stays within
 // the documented K·2^-24-order tolerance of the code-mode result.  A
 // non-affine format under the same mode falls back to code mode bitwise.
 TEST(Int8Layer, LinearForwardTakesIntegerPathAndFallsBackPerFormat) {
@@ -484,19 +478,16 @@ TEST(Int8Layer, LinearForwardTakesIntegerPathAndFallsBackPerFormat) {
   kernel->fake_quantize(x.data(), xscale);
   x.set_quant_scale(xscale);
 
-  Tensor y_int8, y_int8_nopack, y_code;
+  Tensor y_int8, y_code;
   const Context ctx{/*train=*/false, nullptr};
   {
     const ModeGuard mode(gemm::QgemmMode::kInt8);
     y_int8 = lin.forward(x, ctx);
-    const PrepackGuard nopack(false);
-    y_int8_nopack = lin.forward(x, ctx);
   }
   {
     const ModeGuard mode(gemm::QgemmMode::kCode);
     y_code = lin.forward(x, ctx);
   }
-  EXPECT_TRUE(bitwise_equal(y_int8, y_int8_nopack));
 
   // Direct integer reference with the layer's exact operands.
   std::vector<std::int8_t> xq(static_cast<std::size_t>(5) * 32);
@@ -681,7 +672,7 @@ std::unique_ptr<Tensor> Int8ModelTest::probe_;
 // The full conv/BN-fused/linear network under int8 mode: outputs stay
 // within the documented per-element tolerance of the code-mode forward
 // (shared values, K float roundings apart), the result is invariant to
-// prepacking and thread count, and the FP32 weights are never touched.
+// thread count, and the FP32 weights are never touched.
 TEST_F(Int8ModelTest, ForwardWithinContractToleranceOfCodeMode) {
   const ModulePtr model = proto_->clone();
   const ptq::WeightSnapshot before = ptq::snapshot_weights(*model);
@@ -692,21 +683,16 @@ TEST_F(Int8ModelTest, ForwardWithinContractToleranceOfCodeMode) {
     const ModeGuard mode(gemm::QgemmMode::kCode);
     y_code = quant_forward(*model);
   }
-  Tensor y_int8, y_nopack, y_t1, y_t13;
+  Tensor y_int8, y_t1, y_t13;
   {
     const ModeGuard mode(gemm::QgemmMode::kInt8);
     y_int8 = quant_forward(*model);
-    {
-      const PrepackGuard nopack(false);
-      y_nopack = quant_forward(*model);
-    }
     core::resize_global_pool(1);
     y_t1 = quant_forward(*model);
     core::resize_global_pool(13);
     y_t13 = quant_forward(*model);
     core::resize_global_pool(4);
   }
-  EXPECT_TRUE(bitwise_equal(y_int8, y_nopack));
   EXPECT_TRUE(bitwise_equal(y_int8, y_t1));
   EXPECT_TRUE(bitwise_equal(y_int8, y_t13));
   // Note: the quant hooks re-quantize every intermediate activation to the
