@@ -6,7 +6,8 @@
 # labelled suites (codec lazy init, kernel cache, thread pool, GEMM,
 # parallel PTQ, serving engine + hot-swap; see tests/CMakeLists.txt for the
 # label registry).  Finally, guard against build artifacts leaking into the
-# work tree.
+# work tree.  Between the default build and the sanitizers, the gate-replay
+# benchmark workload must report its outputs correct.
 #
 # Usage: scripts/ci.sh [jobs]
 set -euo pipefail
@@ -100,6 +101,22 @@ MERSIT_BENCH_FAST=1 ./build/bench/bench_serving --fast --json=build/BENCH_servin
 echo "==> hardware smoke (fig7_mac_area_power, fast sizing)"
 MERSIT_BENCH_FAST=1 ./build/bench/fig7_mac_area_power --json=build/BENCH_fig7.json
 ./build/bench/fig7_mac_area_power --check_json=BENCH_fig7.json
+
+# Benchmark exactness: the gate-replay workload replays every captured
+# layer stream through the three headline MACs many times over and reports
+# "correct": false if any lane's accumulator disagrees with hw::MacReference
+# or any pass's simulated statistics (pairs, toggles, energy) differ from
+# the first.  Only the result line's verdict is gated, not the timings.
+echo "==> gate-replay exactness (perfbench)"
+REPLAY_OUT="$(CARGO_TARGET_DIR=build/perfbench-ci python3 perfbench/run.py \
+  --workload gate-replay --seed 1 --seconds 3 --trace 1)"
+REPLAY_RESULT="${REPLAY_OUT##*$'\n'}"
+printf '%s\n' "${REPLAY_OUT%$'\n'*}"
+if [[ "${REPLAY_RESULT}" != '{"correct": true,'* ]]; then
+  echo "==> CI FAIL: gate-replay result is not \"correct\": true:" >&2
+  printf '%s\n' "${REPLAY_RESULT}" >&2
+  exit 1
+fi
 
 # Sanitizer stages run the *default* dispatch under the forced scalar
 # reference backend (deterministic baseline codegen; the per-backend gates

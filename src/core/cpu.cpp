@@ -10,6 +10,7 @@ CpuFeatures probe() {
   // __builtin_cpu_supports consults libgcc's cached CPUID model, which
   // includes the XGETBV check that the OS saves/restores the wide register
   // state — a true bit means the instructions will actually execute.
+  f.popcnt = __builtin_cpu_supports("popcnt") != 0;
   f.avx2 = __builtin_cpu_supports("avx2") != 0;
   f.avx512f = __builtin_cpu_supports("avx512f") != 0;
   // VNNI rides the same XSAVE/ZMM-state check as avx512f; require both so a

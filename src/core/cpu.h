@@ -13,11 +13,13 @@
 
 namespace mersit::core {
 
-/// Feature bits the SIMD backends care about.  `avx512f` implies the host
-/// also passed the OS XSAVE/ZMM-state check that __builtin_cpu_supports
-/// performs, so a true bit means the instructions are actually executable,
-/// not merely advertised by CPUID.
+/// Feature bits the SIMD backends and the gate simulator's popcnt loop
+/// care about.  `avx512f` implies the host also passed the OS
+/// XSAVE/ZMM-state check that __builtin_cpu_supports performs, so a true
+/// bit means the instructions are actually executable, not merely
+/// advertised by CPUID.
 struct CpuFeatures {
+  bool popcnt = false;   ///< x86: popcnt (not in the x86-64 baseline)
   bool avx2 = false;     ///< x86: 256-bit integer/float SIMD
   bool avx512f = false;  ///< x86: 512-bit foundation (masked ops included)
   bool avx512vnni = false;  ///< x86: vpdpbusd int8 dot-product (DL Boost)

@@ -1,6 +1,8 @@
 #include "hw/power.h"
 
 #include <algorithm>
+#include <array>
+#include <optional>
 #include <stdexcept>
 
 #include "hw/reference.h"
@@ -26,12 +28,15 @@ ComponentCost MacCost::multiplier() const {
 }
 
 struct MacReplay::Impl {
-  const formats::ExponentCodedFormat* fmt = nullptr;
   std::string name;
-  int v_margin = 6;
   rtl::Netlist nl;
   MacPorts mac;
   std::uint8_t zero_code = 0;
+  // Built once over `nl`; reset() before every stream.
+  std::optional<rtl::Simulator> sim;
+  // Copied into `refs`, one per lane, before every stream.
+  std::optional<MacReference> proto;
+  std::vector<MacReference> refs;
 
   // Running totals across replay() calls.
   std::size_t pairs = 0;
@@ -41,13 +46,14 @@ struct MacReplay::Impl {
 
 MacReplay::MacReplay(const formats::Format& fmt, int v_margin)
     : impl_(std::make_unique<Impl>()) {
-  impl_->fmt = dynamic_cast<const formats::ExponentCodedFormat*>(&fmt);
-  if (impl_->fmt == nullptr)
+  const auto* ef = dynamic_cast<const formats::ExponentCodedFormat*>(&fmt);
+  if (ef == nullptr)
     throw std::invalid_argument("MacReplay: not an exponent-coded format");
   impl_->name = fmt.name();
-  impl_->v_margin = v_margin;
   impl_->mac = build_mac(impl_->nl, fmt, v_margin);
   impl_->zero_code = fmt.encode(0.0);
+  impl_->sim.emplace(impl_->nl);
+  impl_->proto.emplace(*ef, v_margin);
   impl_->energy_by_group_fj.assign(impl_->nl.group_names().size(), 0.0);
 }
 
@@ -65,15 +71,17 @@ ReplayStats MacReplay::replay(const CodeStream& stream, int lanes) {
   Impl& im = *impl_;
   const rtl::CellLibrary& lib = rtl::CellLibrary::nangate45_like();
 
-  // Fresh simulator and references per stream: each replay is an
+  // Reset simulator and fresh references per stream: each replay is an
   // independent measurement starting from the settled reset state.
-  rtl::Simulator sim(im.nl);
-  std::vector<MacReference> refs;
-  refs.reserve(static_cast<std::size_t>(lanes));
-  for (int l = 0; l < lanes; ++l) refs.emplace_back(*im.fmt, im.v_margin);
+  rtl::Simulator& sim = *im.sim;
+  sim.reset();
+  std::vector<MacReference>& refs = im.refs;
+  refs.clear();
+  refs.resize(static_cast<std::size_t>(lanes), *im.proto);
 
-  std::vector<std::uint64_t> w_lanes(static_cast<std::size_t>(lanes));
-  std::vector<std::uint64_t> a_lanes(static_cast<std::size_t>(lanes));
+  std::array<std::uint64_t, rtl::Simulator::kLanes> w_buf{}, a_buf{};
+  const std::span<std::uint64_t> w_lanes(w_buf.data(), static_cast<std::size_t>(lanes));
+  const std::span<std::uint64_t> a_lanes(a_buf.data(), static_cast<std::size_t>(lanes));
 
   ReplayStats st;
   st.pairs = stream.size();

@@ -14,6 +14,11 @@
 // lane count and park idle lanes on the format's zero code (special codes
 // contribute nothing to the accumulator), so reported toggles equal the
 // summed per-lane scalar replays exactly.
+//
+// A MacReplay compiles its netlist into one Simulator at construction and
+// reset()s it before every stream; the per-lane references are copies of
+// one prototype MacReference, whose decoded-fields table is built once
+// from the Format (never looked up by Format address).
 #pragma once
 
 #include <cstdint>
@@ -63,8 +68,9 @@ struct ReplayStats {
 /// Reusable replay harness: builds the MAC netlist for `fmt` once, then
 /// replays any number of code streams through it (e.g. one per DNN layer),
 /// accumulating switching energy towards a single MacCost report.  Every
-/// replay() runs on a fresh simulator — streams are independent
-/// measurements, not one concatenated trace.
+/// replay() starts from the simulator's reset state — streams are
+/// independent measurements, not one concatenated trace.  The Format need
+/// not outlive the constructor.
 class MacReplay {
  public:
   explicit MacReplay(const formats::Format& fmt, int v_margin = 6);

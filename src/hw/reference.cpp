@@ -3,6 +3,7 @@
 #include <cassert>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 namespace mersit::hw {
 
@@ -22,11 +23,17 @@ DecodedFields decode_fields(const formats::ExponentCodedFormat& fmt,
 }
 
 MacReference::MacReference(const formats::ExponentCodedFormat& fmt, int v_margin)
-    : fmt_(fmt), cfg_(mac_config(fmt, v_margin)) {}
+    : cfg_(mac_config(fmt, v_margin)) {
+  auto fields = std::make_shared<FieldTable>();
+  for (int c = 0; c < 256; ++c)
+    (*fields)[static_cast<std::size_t>(c)] =
+        decode_fields(fmt, cfg_.spec, static_cast<std::uint8_t>(c));
+  fields_ = std::move(fields);
+}
 
 void MacReference::accumulate(std::uint8_t w_code, std::uint8_t a_code) {
-  const DecodedFields w = decode_fields(fmt_, cfg_.spec, w_code);
-  const DecodedFields a = decode_fields(fmt_, cfg_.spec, a_code);
+  const DecodedFields& w = (*fields_)[w_code];
+  const DecodedFields& a = (*fields_)[a_code];
   if (w.special || a.special) return;  // zero contribution
   const int m = cfg_.spec.m;
   const std::int64_t prod =

@@ -6,7 +6,9 @@
 // MAC simulations in the benches.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <memory>
 #include <span>
 
 #include "formats/format.h"
@@ -28,6 +30,12 @@ struct DecodedFields {
                                           std::uint8_t code);
 
 /// Exact integer Kulisch MAC; accumulator units are 2^(2*emin).
+///
+/// The constructor decodes all 256 codes once into a DecodedFields table;
+/// copies share that immutable table, so stamping out one reference per
+/// lane from a prototype costs no decoding (and, unlike a cache keyed by
+/// Format address, stays correct when a Format is freed and its address
+/// reused).
 class MacReference {
  public:
   explicit MacReference(const formats::ExponentCodedFormat& fmt, int v_margin = 6);
@@ -47,8 +55,10 @@ class MacReference {
   [[nodiscard]] const MacConfig& config() const { return cfg_; }
 
  private:
-  const formats::ExponentCodedFormat& fmt_;
+  using FieldTable = std::array<DecodedFields, 256>;
+
   MacConfig cfg_;
+  std::shared_ptr<const FieldTable> fields_;  // decode_fields() of every code
   std::int64_t acc_ = 0;
   bool overflowed_ = false;
 };

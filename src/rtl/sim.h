@@ -2,21 +2,36 @@
 // per-gate toggle counting.
 //
 // Every net holds one uint64_t of state: bit L is the net's value in lane L,
-// so a single in-order sweep over the gate list (construction order is
-// topological, see netlist.h) settles 64 independent stimulus vectors at
-// once with word-wise boolean ops — the classic bit-parallel logic-sim
-// trick, worth ~64x over the old uint8_t-per-net scalar sweep.  DFF outputs
-// act as sources during eval() and are updated by clock(); each lane
-// carries its own independent register state, so a 64-lane run is exactly
-// 64 scalar machines in lockstep.
+// so one settle of the gate graph evaluates 64 independent stimulus vectors
+// at once with word-wise boolean ops — the classic bit-parallel logic-sim
+// trick.  DFF outputs act as sources during eval() and are updated by
+// clock(); each lane carries its own independent register state, so a
+// 64-lane run is exactly 64 scalar machines in lockstep.
+//
+// Compiled evaluation: the constructor compiles the netlist once into a
+// levelised op program.  A gate's level is 1 + the highest level among its
+// inputs (primary inputs, DFF outputs: level 0); ops are sorted by level
+// and, within a level, grouped into runs of one cell type, so a settle is a
+// handful of tight branch-free loops instead of a per-gate switch.  Every
+// gate is still evaluated exactly once per settle, after all its inputs,
+// so values and toggles equal the in-order sweep over construction order
+// (netlist.h) that the program replaces.  A second, precomputed program
+// holds only the fan-out cone of the DFF outputs: after a clock edge it
+// re-settles just that cone when the rest of the graph is known settled —
+// no fault plan installed and nothing driven since the last eval() —
+// and the full program otherwise.  A gate outside the cone of what changed
+// sees the same inputs, so it keeps its value and charges no toggle.  The
+// loops use the hardware popcnt when the host has it (core::CpuFeatures).
 //
 // Toggle counts drive the activity-based power model: the paper extracts
 // power "using PrimeTime PX with the average value obtained from actual DNN
 // data"; here the quantized data streams are replayed through the gate
 // graph and every output transition in an *active* lane is charged the
-// cell's switching energy — toggles_[g] += popcount((prev ^ next) & mask).
-// A batched run therefore reports exactly the summed toggles of the
-// per-lane scalar runs it replaces (pinned by tests/rtl/test_sim.cpp).
+// cell's switching energy — toggles_[g] += popcount((prev ^ next) & mask),
+// kept per original gate index.  A batched run therefore reports exactly
+// the summed toggles of the per-lane scalar runs it replaces (pinned by
+// tests/rtl/test_sim.cpp, which also checks the compiled program against
+// an in-order reference evaluator).
 //
 // Lane discipline:
 //  * lane_count() starts at 1.  The scalar API (set_input / get / get_bus)
@@ -63,7 +78,12 @@ class Simulator {
   /// Width of the bit-parallel datapath: independent stimulus lanes per net.
   static constexpr int kLanes = 64;
 
+  /// Compiles `nl` (which must outlive the simulator) and settles it.
   explicit Simulator(const Netlist& nl);
+
+  /// Restore exactly the state just after construction: settled reset
+  /// values, lane count 1, cycle 0, no fault plan, zero toggle statistics.
+  void reset();
 
   // --- lane control ---------------------------------------------------------
   /// Restrict toggle accounting to lanes [0, lanes).  1..kLanes.
@@ -73,6 +93,7 @@ class Simulator {
   // --- scalar compatibility API (drives every lane, reads lane 0) ----------
   void set_input(NetId net, bool value);
   /// Drive `bus` (LSB first) with the low bits of `value` on every lane.
+  /// Throws std::invalid_argument for a bus wider than 64 bits.
   void set_input_bus(const Bus& bus, std::uint64_t value);
   [[nodiscard]] bool get(NetId net) const { return (value_[net] & 1u) != 0; }
   [[nodiscard]] std::uint64_t get_bus(const Bus& bus) const;
@@ -86,7 +107,8 @@ class Simulator {
   /// bits of `lane_values[L]`.  Lanes at and beyond lane_values.size() are
   /// driven with 0 — batched replays should pass a full kLanes-wide span
   /// with explicit padding (e.g. a format's zero code) when the tail of a
-  /// stream leaves lanes idle.
+  /// stream leaves lanes idle.  Throws std::invalid_argument for a bus
+  /// wider than 64 bits.
   void set_input_bus_lanes(const Bus& bus, std::span<const std::uint64_t> lane_values);
   /// Raw 64-lane word of one net.
   [[nodiscard]] std::uint64_t get_lanes(NetId net) const { return value_[net]; }
@@ -100,7 +122,8 @@ class Simulator {
   /// Settle all combinational logic (DFF outputs unchanged), all lanes.
   void eval();
   /// Rising clock edge: latch every DFF's D into Q, per lane.  Call after
-  /// eval(); combinational nets are re-settled automatically.
+  /// eval(); combinational nets are re-settled automatically (only the DFF
+  /// fan-out cone when the rest is known settled, see the header comment).
   void clock();
 
   // --- statistics -----------------------------------------------------------
@@ -136,7 +159,31 @@ class Simulator {
     FaultPlan plan;
   };
 
-  void eval_gate(const Gate& g);
+  /// One compiled gate.  `gate` is its index in Netlist::gates(), which
+  /// keys the toggle counters.  For a DFF latch op, `a` is the D net.
+  struct Op {
+    NetId a = 0, b = 0, s = 0, out = 0;
+    std::uint32_t gate = 0;
+  };
+  /// Ops [begin, end) of one program: all one cell type, all one level.
+  struct Run {
+    CellType type = CellType::kConst0;
+    std::uint32_t begin = 0, end = 0;
+  };
+  /// Ops in evaluation order, and the runs that partition them.
+  struct Program {
+    std::vector<Op> ops;
+    std::vector<Run> runs;
+  };
+  friend struct SettleLoops;  // the loop bodies (sim.cpp)
+
+  /// Sort `ops` by (level of the driven net, cell type) and cut the runs.
+  [[nodiscard]] Program levelise(std::vector<Op> ops,
+                                 const std::vector<std::uint32_t>& level) const;
+
+  /// Evaluate `p` on every lane, charging toggles, through the loop picked
+  /// for this host and the fault state.
+  void run(const Program& p);
   /// Value word actually appearing on `net` when `v` is driven onto it.
   /// Branch-free: stuck lanes are overridden by their forced level, live
   /// transient lanes are flipped, untouched lanes pass through.
@@ -147,10 +194,19 @@ class Simulator {
   void rebuild_transients();
 
   const Netlist& nl_;
+  Program full_;   // every combinational gate, levelised
+  Program cone_;   // the DFF outputs' fan-out cone, levelised
+  Program latch_;  // one kDff run: Q <= sampled D
+  bool popcnt_ = false;  // host executes the popcnt instruction
+  // True while every combinational net holds the fault-free function of
+  // the current sources, so a clock edge can only change the DFF cone.
+  bool settled_ = false;
+
   int lane_count_ = 1;
   std::uint64_t lane_mask_ = 1;              // toggle-accounting mask
   std::vector<std::uint64_t> value_;         // per net: 64 lanes
   std::vector<std::uint64_t> toggles_;       // per gate, summed over lanes
+  std::vector<std::uint64_t> sampled_;       // per DFF: D sampled at the edge
 
   bool has_faults_ = false;
   std::uint64_t cycle_ = 0;

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <random>
+#include <stdexcept>
+#include <string>
 
 #include "core/registry.h"
 
@@ -75,6 +78,105 @@ TEST(MeasureMac, Table3Shape) {
   // Table 3's explanation for the near-equal multiplier totals.
   EXPECT_LT(fp.component("frac_multiplier").area_um2,
             me.component("frac_multiplier").area_um2);
+}
+
+// --- golden replay statistics ------------------------------------------------
+
+/// Seeded stream of raw code pairs (every code, special ones included);
+/// built from mt19937 words only, so it is the same on every platform.
+CodeStream raw_code_stream(unsigned seed, std::size_t n) {
+  std::mt19937 rng(seed);
+  CodeStream s;
+  s.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint32_t r = rng();
+    s.emplace_back(static_cast<std::uint8_t>(r & 0xFFu),
+                   static_cast<std::uint8_t>((r >> 8) & 0xFFu));
+  }
+  return s;
+}
+
+struct GoldenReplay {
+  const char* format;
+  int lanes;
+  std::size_t pairs, sweeps;
+  std::uint64_t toggles;
+  double energy_fj;
+};
+
+/// raw_code_stream(20241, 5000) replayed through each headline MAC,
+/// recorded with the in-order (uncompiled) simulator.  Any change to these
+/// numbers is a change to the simulated hardware, not an optimisation.
+constexpr GoldenReplay kGolden[] = {
+    {"FP(8,4)", 64, 5000, 79, 1153994, 0x1.44f5266666664p+20},
+    {"FP(8,4)", 1, 5000, 5000, 1152181, 0x1.43a02999999a2p+20},
+    {"Posit(8,1)", 64, 5000, 79, 1410343, 0x1.973e519999991p+20},
+    {"Posit(8,1)", 1, 5000, 5000, 1401081, 0x1.9387dccccccd1p+20},
+    {"MERSIT(8,2)", 64, 5000, 79, 1297193, 0x1.77cd61999999ap+20},
+    {"MERSIT(8,2)", 1, 5000, 5000, 1291889, 0x1.74c1a4ccccccbp+20},
+};
+
+void expect_golden(const ReplayStats& st, const GoldenReplay& g) {
+  EXPECT_EQ(st.pairs, g.pairs);
+  EXPECT_EQ(st.sweeps, g.sweeps);
+  EXPECT_EQ(st.toggles, g.toggles);
+  EXPECT_EQ(st.energy_fj, g.energy_fj);  // bitwise, not approximately
+}
+
+void expect_same_stats(const ReplayStats& a, const ReplayStats& b) {
+  EXPECT_EQ(a.pairs, b.pairs);
+  EXPECT_EQ(a.sweeps, b.sweeps);
+  EXPECT_EQ(a.toggles, b.toggles);
+  EXPECT_EQ(a.energy_fj, b.energy_fj);
+  EXPECT_EQ(a.energy_by_group_fj, b.energy_by_group_fj);
+}
+
+TEST(GoldenReplay, HeadlineFormatsMatchRecordedStatistics) {
+  const CodeStream stream = raw_code_stream(20241, 5000);
+  for (const GoldenReplay& g : kGolden) {
+    SCOPED_TRACE(std::string(g.format) + " lanes " + std::to_string(g.lanes));
+    const auto fmt = core::make_format(g.format);
+    MacReplay replay(*fmt);
+    expect_golden(replay.replay(stream, g.lanes), g);
+  }
+}
+
+TEST(GoldenReplay, RepeatedReplayIsIdentical) {
+  // Each replay() starts from the simulator's reset state, so the same
+  // stream must give the same statistics however often it is replayed.
+  const CodeStream stream = raw_code_stream(20241, 5000);
+  for (const auto& fmt : core::headline_formats()) {
+    SCOPED_TRACE(fmt->name());
+    MacReplay replay(*fmt);
+    const ReplayStats first = replay.replay(stream);
+    (void)replay.replay(raw_code_stream(7, 777), 13);
+    expect_same_stats(replay.replay(stream), first);
+    expect_same_stats(replay.replay(stream), first);
+  }
+}
+
+TEST(GoldenReplay, InterleavedFormatsMatchTheirSoloRuns) {
+  // Two harnesses replayed alternately, each built from a Format object
+  // destroyed right after construction (so the next format may reuse its
+  // address): nothing may be shared or cached between them.
+  const CodeStream stream = raw_code_stream(20241, 5000);
+  const auto golden = [](const std::string& name, int lanes) {
+    for (const GoldenReplay& g : kGolden)
+      if (g.format == name && g.lanes == lanes) return g;
+    throw std::out_of_range(name);
+  };
+  const auto build = [](const char* name) {
+    auto fmt = core::make_format(name);
+    return std::make_unique<MacReplay>(*fmt);
+  };
+  const std::unique_ptr<MacReplay> mersit = build("MERSIT(8,2)");
+  const std::unique_ptr<MacReplay> posit = build("Posit(8,1)");
+  for (int round = 0; round < 2; ++round) {
+    for (const int lanes : {64, 1}) {
+      expect_golden(mersit->replay(stream, lanes), golden("MERSIT(8,2)", lanes));
+      expect_golden(posit->replay(stream, lanes), golden("Posit(8,1)", lanes));
+    }
+  }
 }
 
 TEST(MakeCodeStream, EncodesScaledValues) {
