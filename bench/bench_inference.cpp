@@ -1,20 +1,22 @@
-// Inference-runtime benchmark across the model zoo: the naive reference
-// loops vs the default inference path (persistent prepacked-weight cache,
-// BN and activations fused into the GEMM write-back).
+// Inference-runtime benchmark across the model zoo for the default
+// inference path (persistent prepacked-weight cache, BN and activations
+// fused into the GEMM write-back).
 //
-// For every vision model (and BERT-mini) this times a full forward batch in
-// each mode and cross-checks outputs element by element.  The prepacked
-// path is designed to reproduce the naive rounding sequence exactly —
-// identical packed panels, identical ascending-k accumulation, BN affine
-// and epilogues applied only at final write-back — so any non-zero ULP
+// For every vision model (and BERT-mini) this times a full forward batch
+// and cross-checks it element by element against the same model run module
+// by module under a pass-through quant session, which declines every
+// structural fusion.  The fused write-back applies the same per-element
+// formulas as the separate BN and activation passes, so any non-zero ULP
 // distance is a bug and the bench exits nonzero (the CI perf-smoke stage
-// relies on this).
+// relies on this).  The layer-level bit identity against the naive loops is
+// the test suite's job (GemmConv/GemmLinear/GemmAttention in
+// tests/nn/test_gemm.cpp).
 //
 // The whole sweep runs at two pool widths (1 and 4 worker threads, via
 // core::resize_global_pool) to demonstrate thread-count invariance of the
 // bit-exact modes and multi-thread scaling of the prepacked path.
 //
-// A third column runs the code-domain quantized path (MERSIT_QGEMM=code):
+// A second column runs the code-domain quantized path (MERSIT_QGEMM=code):
 // weights stay 8-bit in memory (ptq::install_weight_codes) and the GEMM
 // pack step decodes them through the per-format LUT.  The decode is
 // bit-identical to quantize→dequantize, so the column is gated at max ULP 0
@@ -23,7 +25,7 @@
 // A one-shot Kulisch probe documents the exact-accumulator ULP contract by
 // measuring how far FP32 ascending-k accumulation drifts from the quire.
 //
-// A fourth column runs the decode-free integer path (MERSIT_QGEMM=int8,
+// A third column runs the decode-free integer path (MERSIT_QGEMM=int8,
 // INT8 weights): codes are remapped to int8 levels through the affine LUT,
 // activations are quantized to levels at each GEMM boundary, and the
 // accumulation runs in int32 (nn/gemm/qgemm.h documents the ULP contract).
@@ -143,6 +145,16 @@ std::uint32_t max_ulp(const nn::Tensor& a, const nn::Tensor& b) {
   return m;
 }
 
+/// Observes nothing; its presence alone makes every container run its
+/// modules one by one (nn::fuse_inference_ok needs ctx.quant == nullptr).
+class PassThroughSession final : public nn::QuantSession {
+ public:
+  void on_activation(const nn::Module& layer, nn::Tensor& t) override {
+    (void)layer;
+    (void)t;
+  }
+};
+
 /// Best-of-R wall time for one forward batch, in milliseconds (one untimed
 /// warm-up pass absorbs lazy work — including the one-time weight prepack,
 /// which is exactly what the persistent cache amortizes away).
@@ -164,10 +176,9 @@ struct Row {
   std::string model;
   int batch = 0;
   bool vision = true;        ///< image input: runs the int8 column and gates
-  double naive_ms = 0.0;     ///< per forward batch, gemm::set_enabled(false)
-  double prepacked_ms = 0.0; ///< persistent prepack + fused BN/epilogues
+  double prepacked_ms = 0.0; ///< per forward batch: prepack + fused BN/epilogues
   double code_ms = 0.0;      ///< 8-bit weight codes, decoded in the pack step
-  std::uint32_t prepacked_ulp = 0;
+  std::uint32_t prepacked_ulp = 0;  ///< vs the unfused module-by-module forward
   std::uint32_t code_ulp = 0;  ///< vs FP32 forward over fake-quantized weights
   std::uint64_t weight_bytes_fp32 = 0;   ///< FP32 footprint of coded weights
   std::uint64_t weight_bytes_codes = 0;  ///< codes + per-channel scales
@@ -178,9 +189,6 @@ struct Row {
   double int8_ms = 0.0;         ///< quant-session forward, MERSIT_QGEMM=int8
   float int8_max_rel = 0.f;     ///< max |int8-code| / max(1,|code|) on logits
   int int8_top1_delta = 0;      ///< batch argmax disagreements vs code
-  [[nodiscard]] double speedup_vs_naive() const {
-    return prepacked_ms > 0.0 ? naive_ms / prepacked_ms : 0.0;
-  }
   [[nodiscard]] double speedup_code_vs_prepacked() const {
     return code_ms > 0.0 ? prepacked_ms / code_ms : 0.0;
   }
@@ -200,12 +208,9 @@ Row measure(const std::string& name, nn::Module& model, const nn::Tensor& x,
   row.vision = vision;
   const nn::Context ctx;
 
-  nn::gemm::set_enabled(false);
-  const nn::Tensor ref = model.forward(x, ctx);
-  row.naive_ms = time_forward_ms(model, x, reps);
-
-  nn::gemm::set_enabled(true);
-  row.prepacked_ulp = max_ulp(ref, model.forward(x, ctx));
+  PassThroughSession pass;
+  const nn::Tensor unfused = model.forward(x, nn::Context{false, &pass});
+  row.prepacked_ulp = max_ulp(unfused, model.forward(x, ctx));
   row.prepacked_ms = time_forward_ms(model, x, reps);
 
   // Code domain: the bit-identity reference is an FP32 forward over the
@@ -373,7 +378,6 @@ template <typename Zoo>
 BackendSweep backend_sweep(Zoo& zoo, const nn::Tensor& x, int reps) {
   BackendSweep sweep;
   core::resize_global_pool(1);
-  nn::gemm::set_enabled(true);
   const nn::gemm::Backend& detected = nn::gemm::active_backend();
   const nn::Context ctx;
   // Scalar is last in detection order, so collect the bitwise references
@@ -454,16 +458,15 @@ struct RunReport {
 
 void print_run(const RunReport& run) {
   std::printf("\n--- %d worker thread(s) ---\n", run.threads);
-  std::printf("%-22s %6s %10s %11s %8s %8s %8s %7s %7s %7s %7s\n", "model",
-              "batch", "naive ms", "prepack ms", "code ms", "int8 ms",
-              "vs naive", "i8/code", "ULP pp", "ULP cd", "w MB");
-  bench::print_rule(112);
+  std::printf("%-22s %6s %11s %8s %8s %7s %7s %7s %7s\n", "model", "batch",
+              "prepack ms", "code ms", "int8 ms", "i8/code", "ULP pp",
+              "ULP cd", "w MB");
+  bench::print_rule(92);
   for (const Row& r : run.rows)
-    std::printf("%-22s %6d %10.3f %11.3f %8.3f %8.3f %7.2fx %6.2fx %7u %7u "
-                "%7.2f\n",
-                r.model.c_str(), r.batch, r.naive_ms, r.prepacked_ms,
-                r.code_ms, r.int8_ms, r.speedup_vs_naive(),
-                r.speedup_int8_vs_code(), r.prepacked_ulp, r.code_ulp,
+    std::printf("%-22s %6d %11.3f %8.3f %8.3f %6.2fx %7u %7u %7.2f\n",
+                r.model.c_str(), r.batch, r.prepacked_ms, r.code_ms,
+                r.int8_ms, r.speedup_int8_vs_code(), r.prepacked_ulp,
+                r.code_ulp,
                 static_cast<double>(r.weight_bytes_codes) / (1024.0 * 1024.0));
 }
 
@@ -516,9 +519,8 @@ int write_json(const char* path, const bench::Sizes& sizes,
       const Row& r = run.rows[i];
       std::fprintf(
           f,
-          "      {\"model\": \"%s\", \"batch\": %d, \"naive_ms\": %.3f, "
+          "      {\"model\": \"%s\", \"batch\": %d, "
           "\"prepacked_ms\": %.3f, \"code_ms\": %.3f, "
-          "\"speedup_vs_naive\": %.2f, "
           "\"speedup_code_vs_prepacked\": %.2f, "
           "\"prepacked_img_per_s\": %.1f, "
           "\"prepacked_ulp\": %u, \"code_ulp\": %u, "
@@ -526,8 +528,8 @@ int write_json(const char* path, const bench::Sizes& sizes,
           "\"int8_eligible\": %s, \"int8_code_ms\": %.3f, \"int8_ms\": %.3f, "
           "\"speedup_int8_vs_code\": %.2f, \"int8_max_rel_vs_code\": %.2e, "
           "\"int8_top1_delta\": %d}%s\n",
-          r.model.c_str(), r.batch, r.naive_ms, r.prepacked_ms, r.code_ms,
-          r.speedup_vs_naive(), r.speedup_code_vs_prepacked(), r.img_per_s(),
+          r.model.c_str(), r.batch, r.prepacked_ms, r.code_ms,
+          r.speedup_code_vs_prepacked(), r.img_per_s(),
           r.prepacked_ulp, r.code_ulp,
           static_cast<unsigned long long>(r.weight_bytes_fp32),
           static_cast<unsigned long long>(r.weight_bytes_codes),
@@ -568,10 +570,8 @@ int check_json(const char* path) {
       "\"qgemm_format\"",
       "\"kulisch_probe\"",
       "\"fp32_max_ulp_vs_exact\"",
-      "\"naive_ms\"",
       "\"prepacked_ms\"",
       "\"code_ms\"",
-      "\"speedup_vs_naive\"",
       "\"speedup_code_vs_prepacked\"",
       "\"prepacked_img_per_s\"",
       "\"prepacked_ulp\"",
@@ -647,7 +647,7 @@ int main(int argc, char** argv) {
   const int batch = sizes.fast ? 8 : 32;
   const int reps = sizes.fast ? 3 : 7;
 
-  std::printf("=== Inference: naive reference vs prepacked+fused ===\n");
+  std::printf("=== Inference: prepacked+fused forward vs unfused module passes ===\n");
   std::printf("(%s sizing, img=%d, seq=%d, batch=%d, best of %d)\n",
               sizes.mode(), sizes.img, sizes.seq, batch, reps);
 
@@ -690,9 +690,10 @@ int main(int argc, char** argv) {
   }
 
   // Gates (all must hold in every pool-width run):
-  //  * bit-exactness — the prepacked path must reproduce the naive outputs
-  //    to the last bit (max ULP 0), and the code-domain path must
-  //    reproduce the fake-quantized FP32 forward to the last bit;
+  //  * bit-exactness — the fused default forward must reproduce the
+  //    unfused module-by-module forward to the last bit (max ULP 0), and
+  //    the code-domain path must reproduce the fake-quantized FP32 forward
+  //    to the last bit;
   //  * perf — on ResNet18-mini the code-domain path must not lose to
   //    prepacked FP32 (CI perf-smoke regression gate);
   //  * the Kulisch probe must find a usable table for the code format.
@@ -709,7 +710,8 @@ int main(int argc, char** argv) {
     for (const Row& r : run.rows) {
       if (r.prepacked_ulp > 0) {
         std::fprintf(stderr,
-                     "bench_inference: %s diverges at %d thread(s) "
+                     "bench_inference: %s fused forward diverges from the "
+                     "unfused module passes at %d thread(s) "
                      "(prepacked ULP %u; must be 0)\n",
                      r.model.c_str(), run.threads, r.prepacked_ulp);
         ++bad;

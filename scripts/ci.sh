@@ -6,8 +6,9 @@
 # labelled suites (codec lazy init, kernel cache, thread pool, GEMM,
 # parallel PTQ, serving engine + hot-swap; see tests/CMakeLists.txt for the
 # label registry).  Finally, guard against build artifacts leaking into the
-# work tree.  Between the default build and the sanitizers, the gate-replay
-# benchmark workload must report its outputs correct.
+# work tree.  Between the default build and the sanitizers, the gate-replay,
+# trunk-mersit and mobile-int8 benchmark workloads must report their
+# outputs correct.
 #
 # Usage: scripts/ci.sh [jobs]
 set -euo pipefail
@@ -46,12 +47,15 @@ echo "==> GEMM suites under MERSIT_BACKEND=scalar"
 MERSIT_BACKEND=scalar ./build/tests/test_concurrency --gtest_filter='Gemm*'
 MERSIT_BACKEND=scalar ./build/tests/test_qgemm --gtest_filter='QgemmPack.*:Int8*'
 
-# Perf smoke: the Release bench runs every model through all four modes
-# (naive reference / prepacked+fused / code-domain MERSIT_QGEMM=code /
-# decode-free MERSIT_QGEMM=int8) and enforces its gates internally, exiting
-# nonzero when any fails:
-#  * ULP > 0 for prepacked+fused vs the naive reference (the bit-identity
-#    contract),
+# Perf smoke: the Release bench runs every model through all three modes
+# (prepacked+fused / code-domain MERSIT_QGEMM=code / decode-free
+# MERSIT_QGEMM=int8) and enforces its gates internally, exiting nonzero
+# when any fails:
+#  * ULP > 0 for the fused default forward vs the same model run module by
+#    module under a pass-through quant session, on every model at pool
+#    widths 1 and 4 (the whole-model bit-identity contract; the layer-level
+#    contract against the naive loops is GemmConv/GemmLinear/GemmAttention
+#    in test_gemm),
 #  * ULP > 0 for the code-domain forward vs the fake-quantized FP32 path,
 #  * code-domain slower than prepacked FP32 on ResNet18-mini,
 #  * a vision model with no usable affine LUT for INT8 (int8 path never
@@ -102,21 +106,33 @@ echo "==> hardware smoke (fig7_mac_area_power, fast sizing)"
 MERSIT_BENCH_FAST=1 ./build/bench/fig7_mac_area_power --json=build/BENCH_fig7.json
 ./build/bench/fig7_mac_area_power --check_json=BENCH_fig7.json
 
-# Benchmark exactness: the gate-replay workload replays every captured
-# layer stream through the three headline MACs many times over and reports
-# "correct": false if any lane's accumulator disagrees with hw::MacReference
-# or any pass's simulated statistics (pairs, toggles, energy) differ from
-# the first.  Only the result line's verdict is gated, not the timings.
+# Benchmark exactness: only each result line's verdict is gated, not the
+# timings.
+#  * gate-replay replays every captured layer stream through the three
+#    headline MACs many times over and reports "correct": false if any
+#    lane's accumulator disagrees with hw::MacReference or any pass's
+#    simulated statistics (pairs, toggles, energy) differ from the first.
+#  * trunk-mersit and mobile-int8 run the W8A8 layer code: "correct"
+#    includes the bitwise code-domain vs fake-quantized FP32 check and the
+#    int8 tolerance check.
+perfbench_exact() {
+  local out result
+  out="$(CARGO_TARGET_DIR=build/perfbench-ci python3 perfbench/run.py \
+    --workload "$1" --seed 1 --seconds 3 "${@:2}")"
+  result="${out##*$'\n'}"
+  printf '%s\n' "${out%$'\n'*}"
+  if [[ "${result}" != '{"correct": true,'* ]]; then
+    echo "==> CI FAIL: $1 result is not \"correct\": true:" >&2
+    printf '%s\n' "${result}" >&2
+    exit 1
+  fi
+}
 echo "==> gate-replay exactness (perfbench)"
-REPLAY_OUT="$(CARGO_TARGET_DIR=build/perfbench-ci python3 perfbench/run.py \
-  --workload gate-replay --seed 1 --seconds 3 --trace 1)"
-REPLAY_RESULT="${REPLAY_OUT##*$'\n'}"
-printf '%s\n' "${REPLAY_OUT%$'\n'*}"
-if [[ "${REPLAY_RESULT}" != '{"correct": true,'* ]]; then
-  echo "==> CI FAIL: gate-replay result is not \"correct\": true:" >&2
-  printf '%s\n' "${REPLAY_RESULT}" >&2
-  exit 1
-fi
+perfbench_exact gate-replay --trace 1
+for workload in trunk-mersit mobile-int8; do
+  echo "==> ${workload} exactness (perfbench)"
+  perfbench_exact "${workload}" --trace 0
+done
 
 # Sanitizer stages run the *default* dispatch under the forced scalar
 # reference backend (deterministic baseline codegen; the per-backend gates

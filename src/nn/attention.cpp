@@ -155,78 +155,43 @@ Tensor MultiHeadSelfAttention::forward(const Tensor& x, const Context& ctx) {
 
   Tensor attn({n * h_, t, t});
   Tensor ctx_out({n * t, d_});
-  if (gemm::enabled()) {
-    // Per (batch, head): scores = Q·Kᵀ (heads are strided d_-wide column
-    // slices, which sgemm's leading dims address directly), softmax rows,
-    // then context = attn·V.  The score and context sums run in the same
-    // ascending-k order as the naive loops, so outputs are bit-identical;
-    // head tasks are disjoint, so the fan-out is thread-count invariant.
-    core::global_pool().parallel_for(
-        static_cast<std::size_t>(n) * static_cast<std::size_t>(h_),
-        [&](std::size_t task) {
-          const int b = static_cast<int>(task) / h_;
-          const int hd = static_cast<int>(task) % h_;
-          const int off = hd * dh_;
-          float* a = attn.raw() + (static_cast<std::int64_t>(b) * h_ + hd) * t * t;
-          const float* qb = q.raw() + static_cast<std::int64_t>(b) * t * d_ + off;
-          const float* kb = k.raw() + static_cast<std::int64_t>(b) * t * d_ + off;
-          const float* vb = v.raw() + static_cast<std::int64_t>(b) * t * d_ + off;
-          gemm::sgemm(t, t, dh_, qb, d_, /*trans_a=*/false, kb, d_,
-                      /*trans_b=*/true, a, t);
-          for (int i = 0; i < t; ++i) {
-            float* ar = a + static_cast<std::int64_t>(i) * t;
-            float mx = -1e30f;
-            for (int j = 0; j < t; ++j) {
-              ar[j] *= scale;
-              mx = std::max(mx, ar[j]);
-            }
-            float denom = 0.f;
-            for (int j = 0; j < t; ++j) {
-              ar[j] = std::exp(ar[j] - mx);
-              denom += ar[j];
-            }
-            const float invd = 1.f / denom;
-            for (int j = 0; j < t; ++j) ar[j] *= invd;
-          }
-          gemm::sgemm(t, dh_, t, a, t, /*trans_a=*/false, vb, d_,
-                      /*trans_b=*/false,
-                      ctx_out.raw() + static_cast<std::int64_t>(b) * t * d_ + off,
-                      d_);
-        });
-  } else {
-    for (int b = 0; b < n; ++b) {
-      for (int hd = 0; hd < h_; ++hd) {
+  // Per (batch, head): scores = Q·Kᵀ (heads are strided d_-wide column
+  // slices, which sgemm's leading dims address directly), softmax rows,
+  // then context = attn·V.  The score and context sums run in the same
+  // ascending-k order as the naive loops, so outputs are bit-identical;
+  // head tasks are disjoint, so the fan-out is thread-count invariant.
+  core::global_pool().parallel_for(
+      static_cast<std::size_t>(n) * static_cast<std::size_t>(h_),
+      [&](std::size_t task) {
+        const int b = static_cast<int>(task) / h_;
+        const int hd = static_cast<int>(task) % h_;
         const int off = hd * dh_;
         float* a = attn.raw() + (static_cast<std::int64_t>(b) * h_ + hd) * t * t;
+        const float* qb = q.raw() + static_cast<std::int64_t>(b) * t * d_ + off;
+        const float* kb = k.raw() + static_cast<std::int64_t>(b) * t * d_ + off;
+        const float* vb = v.raw() + static_cast<std::int64_t>(b) * t * d_ + off;
+        gemm::sgemm(t, t, dh_, qb, d_, /*trans_a=*/false, kb, d_,
+                    /*trans_b=*/true, a, t);
         for (int i = 0; i < t; ++i) {
-          const float* qi = q.raw() + (static_cast<std::int64_t>(b) * t + i) * d_ + off;
+          float* ar = a + static_cast<std::int64_t>(i) * t;
           float mx = -1e30f;
           for (int j = 0; j < t; ++j) {
-            const float* kj = k.raw() + (static_cast<std::int64_t>(b) * t + j) * d_ + off;
-            float s = 0.f;
-            for (int d = 0; d < dh_; ++d) s += qi[d] * kj[d];
-            s *= scale;
-            a[i * t + j] = s;
-            mx = std::max(mx, s);
+            ar[j] *= scale;
+            mx = std::max(mx, ar[j]);
           }
           float denom = 0.f;
           for (int j = 0; j < t; ++j) {
-            a[i * t + j] = std::exp(a[i * t + j] - mx);
-            denom += a[i * t + j];
+            ar[j] = std::exp(ar[j] - mx);
+            denom += ar[j];
           }
           const float invd = 1.f / denom;
-          for (int j = 0; j < t; ++j) a[i * t + j] *= invd;
-          float* out = ctx_out.raw() + (static_cast<std::int64_t>(b) * t + i) * d_ + off;
-          for (int d = 0; d < dh_; ++d) out[d] = 0.f;
-          for (int j = 0; j < t; ++j) {
-            const float w = a[i * t + j];
-            const float* vj = v.raw() + (static_cast<std::int64_t>(b) * t + j) * d_ + off;
-            for (int d = 0; d < dh_; ++d) out[d] += w * vj[d];
-          }
+          for (int j = 0; j < t; ++j) ar[j] *= invd;
         }
-      }
-    }
-  }
+        gemm::sgemm(t, dh_, t, a, t, /*trans_a=*/false, vb, d_,
+                    /*trans_b=*/false,
+                    ctx_out.raw() + static_cast<std::int64_t>(b) * t * d_ + off,
+                    d_);
+      });
   Tensor y = wo_.forward(ctx_out, ctx);
   if (ctx.train) {
     n_ = n;

@@ -62,6 +62,7 @@ class MultiHeadSelfAttention final : public Module {
     return std::make_unique<MultiHeadSelfAttention>(*this);
   }
   [[nodiscard]] bool quant_point() const override { return true; }
+  [[nodiscard]] int heads() const { return h_; }
 
  private:
   int d_, h_, dh_;

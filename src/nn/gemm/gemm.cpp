@@ -1,11 +1,10 @@
-// The GEMM entry points: the naive-reference switch, epilogue formulas,
-// cache-blocked tiling, and the prepack machinery.  All register-tile work
-// — packing panels and the micro-kernel — dispatches through the active
-// SIMD backend (nn/gemm/backend.h); this TU stays ISA-agnostic.
+// The GEMM entry points: epilogue formulas, cache-blocked tiling, and the
+// prepack machinery.  All register-tile work — packing panels and the
+// micro-kernel — dispatches through the active SIMD backend
+// (nn/gemm/backend.h); this TU stays ISA-agnostic.
 #include "nn/gemm/gemm.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <stdexcept>
 #include <string>
@@ -19,9 +18,6 @@
 namespace mersit::nn::gemm {
 
 namespace {
-
-/// false selects the naive reference loops (set_enabled).
-std::atomic<bool> g_enabled{true};
 
 /// Row write-back of completed sums with the epilogue switch hoisted out of
 /// the element loop: each case instantiates epilogue_eval with a constant
@@ -241,12 +237,6 @@ PackedMatrix pack_generic(bool is_a, int other, int K, PackBlockFn&& pack_block)
 }
 
 }  // namespace
-
-bool enabled() { return g_enabled.load(std::memory_order_relaxed); }
-
-bool set_enabled(bool on) {
-  return g_enabled.exchange(on, std::memory_order_relaxed);
-}
 
 float epilogue_eval(Epilogue e, float x) {
   // These are the single definitions of the fusable activations; nn::act_eval

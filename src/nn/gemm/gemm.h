@@ -46,8 +46,8 @@
 //    core::ScratchArena instead of the heap, so steady-state inference
 //    allocates nothing.
 //
-// set_enabled(false) routes every layer back to its naive reference loops;
-// the equivalence tests and bench_inference compare the two paths.
+// The naive layer loops this engine reproduces bit for bit are the test
+// oracle in tests/nn/reference.h.
 #pragma once
 
 #include <cstdint>
@@ -57,15 +57,6 @@
 #include "core/thread_pool.h"
 
 namespace mersit::nn::gemm {
-
-/// GEMM dispatch: true (the default) runs the blocked GEMM with prepacked
-/// weights and fused epilogues; false selects the naive reference loops,
-/// module by module and unfused.
-[[nodiscard]] bool enabled();
-
-/// Selects the naive reference (false) or the GEMM (true) for the equivalence
-/// tests and bench_inference; returns the previous value.
-bool set_enabled(bool on);
 
 /// What each C element starts from before the k-summation.
 enum class Init {
@@ -168,7 +159,7 @@ struct PackedMatrix {
 /// float(lut[codes[i]] * scales[i / per_channel]) — the exact expression the
 /// code-domain packs evaluate per element, so a pack of `out` and a pack of
 /// the codes are byte-identical.  Feeds the paths that need raw float
-/// weights (depthwise/naive loops, the small-problem direct GEMM).
+/// weights (the depthwise loops, the small-problem direct GEMM).
 void decode_codes(const std::uint8_t* codes, std::size_t n, const double* lut,
                   const double* scales, std::size_t per_channel, float* out);
 

@@ -73,7 +73,7 @@ std::uint64_t int8_identity(const WeightCodes& wc) {
 bool kulisch_ok(const WeightCodes& wc, const Tensor& x) {
   return gemm::qgemm_mode() == gemm::QgemmMode::kKulisch &&
          wc.kulisch != nullptr && wc.kulisch->usable && wc.encode != nullptr &&
-         wc.nonfinite == 0 && x.quant_scale() > 0.0 && gemm::enabled();
+         wc.nonfinite == 0 && x.quant_scale() > 0.0;
 }
 
 /// Int8 eligibility for one forward: opt-in mode, an exactly affine decode
@@ -84,7 +84,7 @@ bool kulisch_ok(const WeightCodes& wc, const Tensor& x) {
 bool int8_ok(const WeightCodes& wc, const Tensor& x) {
   return gemm::qgemm_mode() == gemm::QgemmMode::kInt8 &&
          wc.affine != nullptr && wc.affine->usable && wc.nonfinite == 0 &&
-         x.quant_scale() > 0.0 && gemm::enabled();
+         x.quant_scale() > 0.0;
 }
 
 /// The fused-epilogue equivalent of an Act kind, or kNone when the kind has
@@ -103,7 +103,7 @@ gemm::Epilogue epilogue_for(Act a) {
 }  // namespace
 
 bool fuse_inference_ok(const Context& ctx) {
-  return !ctx.train && ctx.quant == nullptr && gemm::enabled();
+  return !ctx.train && ctx.quant == nullptr;
 }
 
 // ---------------------------------------------------------------- Linear ---
@@ -135,34 +135,22 @@ Tensor Linear::forward_fused(const Tensor& x, const Context& ctx,
   if (const auto wc = active_codes(*this, ctx); wc != nullptr)
     return forward_codes(x, wc, epi);
   Tensor y({n, out_});
-  if (gemm::enabled()) {
-    const gemm::PackedMatrix* pb = nullptr;
-    if (!ctx.train) {
-      const PackedWeights& cached = packs_.get(weight, float_pack_identity(), [&] {
-        PackedWeights pw;
-        pw.packs.push_back(gemm::pack_b_matrix(in_, out_, weight.value.raw(),
-                                               in_, /*trans_b=*/true));
-        return pw;
-      });
-      pb = cached.packs.data();
-    }
-    // y = x · Wᵀ + b; bias-first then ascending-k accumulation matches the
-    // naive loop's rounding sequence exactly.
-    gemm::sgemm(n, out_, in_, x.raw(), in_, /*trans_a=*/false,
-                weight.value.raw(), in_, /*trans_b=*/true, y.raw(), out_,
-                gemm::Init::kBiasCol, bias.value.raw(), nullptr, epi, nullptr,
-                pb);
-  } else {
-    for (int i = 0; i < n; ++i) {
-      const float* xi = x.raw() + static_cast<std::ptrdiff_t>(i) * in_;
-      for (int o = 0; o < out_; ++o) {
-        const float* w = weight.value.raw() + static_cast<std::ptrdiff_t>(o) * in_;
-        float acc = bias.value[o];
-        for (int j = 0; j < in_; ++j) acc += w[j] * xi[j];
-        y.at(i, o) = gemm::epilogue_eval(epi, acc);
-      }
-    }
+  const gemm::PackedMatrix* pb = nullptr;
+  if (!ctx.train) {
+    const PackedWeights& cached = packs_.get(weight, float_pack_identity(), [&] {
+      PackedWeights pw;
+      pw.packs.push_back(gemm::pack_b_matrix(in_, out_, weight.value.raw(),
+                                             in_, /*trans_b=*/true));
+      return pw;
+    });
+    pb = cached.packs.data();
   }
+  // y = x · Wᵀ + b; bias-first then ascending-k accumulation matches the
+  // naive loop's rounding sequence exactly.
+  gemm::sgemm(n, out_, in_, x.raw(), in_, /*trans_a=*/false,
+              weight.value.raw(), in_, /*trans_b=*/true, y.raw(), out_,
+              gemm::Init::kBiasCol, bias.value.raw(), nullptr, epi, nullptr,
+              pb);
   if (ctx.train) x_cache_ = x;
   return y;
 }
@@ -242,23 +230,11 @@ Tensor Linear::forward_codes(const Tensor& x,
                                           wc->scales.data()));
     return pw;
   });
-  const float* w = cached.decoded.data();
   Tensor y({n, out_});
-  if (gemm::enabled()) {
-    gemm::sgemm(n, out_, in_, x.raw(), in_, /*trans_a=*/false, w, in_,
-                /*trans_b=*/true, y.raw(), out_, gemm::Init::kBiasCol,
-                bias.value.raw(), nullptr, epi, nullptr, cached.packs.data());
-  } else {
-    for (int i = 0; i < n; ++i) {
-      const float* xi = x.raw() + static_cast<std::ptrdiff_t>(i) * in_;
-      for (int o = 0; o < out_; ++o) {
-        const float* wo = w + static_cast<std::ptrdiff_t>(o) * in_;
-        float acc = bias.value[o];
-        for (int j = 0; j < in_; ++j) acc += wo[j] * xi[j];
-        y.at(i, o) = gemm::epilogue_eval(epi, acc);
-      }
-    }
-  }
+  gemm::sgemm(n, out_, in_, x.raw(), in_, /*trans_a=*/false,
+              cached.decoded.data(), in_, /*trans_b=*/true, y.raw(), out_,
+              gemm::Init::kBiasCol, bias.value.raw(), nullptr, epi, nullptr,
+              cached.packs.data());
   return y;
 }
 
@@ -266,33 +242,16 @@ Tensor Linear::backward(const Tensor& grad_out) {
   const Tensor& x = x_cache_;
   const int n = x.dim(0);
   Tensor dx({n, in_});
-  if (gemm::enabled()) {
-    // dx = g · W;  dW += gᵀ · x;  db += column sums of g.
-    gemm::sgemm(n, in_, out_, grad_out.raw(), out_, /*trans_a=*/false,
-                weight.value.raw(), in_, /*trans_b=*/false, dx.raw(), in_);
-    gemm::sgemm(out_, in_, n, grad_out.raw(), out_, /*trans_a=*/true, x.raw(),
-                in_, /*trans_b=*/false, weight.grad.raw(), in_,
-                gemm::Init::kAccumulate);
-    for (int o = 0; o < out_; ++o) {
-      float s = bias.grad[o];
-      for (int i = 0; i < n; ++i) s += grad_out[static_cast<std::int64_t>(i) * out_ + o];
-      bias.grad[o] = s;
-    }
-  } else {
-    for (int i = 0; i < n; ++i) {
-      const float* xi = x.raw() + static_cast<std::ptrdiff_t>(i) * in_;
-      float* dxi = dx.raw() + static_cast<std::ptrdiff_t>(i) * in_;
-      for (int o = 0; o < out_; ++o) {
-        const float g = grad_out.at(i, o);
-        const float* w = weight.value.raw() + static_cast<std::ptrdiff_t>(o) * in_;
-        float* dw = weight.grad.raw() + static_cast<std::ptrdiff_t>(o) * in_;
-        bias.grad[o] += g;
-        for (int j = 0; j < in_; ++j) {
-          dw[j] += g * xi[j];
-          dxi[j] += g * w[j];
-        }
-      }
-    }
+  // dx = g · W;  dW += gᵀ · x;  db += column sums of g.
+  gemm::sgemm(n, in_, out_, grad_out.raw(), out_, /*trans_a=*/false,
+              weight.value.raw(), in_, /*trans_b=*/false, dx.raw(), in_);
+  gemm::sgemm(out_, in_, n, grad_out.raw(), out_, /*trans_a=*/true, x.raw(),
+              in_, /*trans_b=*/false, weight.grad.raw(), in_,
+              gemm::Init::kAccumulate);
+  for (int o = 0; o < out_; ++o) {
+    float s = bias.grad[o];
+    for (int i = 0; i < n; ++i) s += grad_out[static_cast<std::int64_t>(i) * out_ + o];
+    bias.grad[o] = s;
   }
   return dx;
 }
@@ -457,7 +416,7 @@ Tensor Conv2d::forward_affine(const Tensor& x, const Context& ctx,
     return forward_codes(x, ctx, wc, epi, bn_scale, bn_shift);
   const gemm::PackedMatrix* packs = nullptr;
   const bool depthwise = in_ch_ == groups_ && out_ch_ == groups_;
-  if (gemm::enabled() && !depthwise && !ctx.train) {
+  if (!depthwise && !ctx.train) {
     const int icg = in_ch_ / groups_;
     const int kdim = icg * k_ * k_;
     const int ocg = out_ch_ / groups_;
@@ -505,8 +464,8 @@ Tensor Conv2d::forward_codes(const Tensor& x, const Context& ctx,
     return run_conv_int8(x, *wc, cached, epi, bn_scale, bn_shift);
   }
   // Code mode: packs come straight from the codes; the decoded FP32 array
-  // (bit-identical to quantize→dequantize) feeds the depthwise/naive loops
-  // and the small-problem direct GEMM.  Depthwise convs run no GEMM, so
+  // (bit-identical to quantize→dequantize) feeds the depthwise loops and
+  // the small-problem direct GEMM.  Depthwise convs run no GEMM, so
   // they decode only.
   const PackedWeights& cached = packs_.get(weight, codes_identity(*wc), [&] {
     PackedWeights pw;
@@ -685,66 +644,37 @@ Tensor Conv2d::run_conv(const Tensor& x, const Context& ctx, const float* wt,
   const int icg = in_ch_ / groups_;
   const int ocg = out_ch_ / groups_;
   Tensor y({n, out_ch_, oh, ow});
-  if (gemm::enabled()) {
-    const ConvGeom g{n,  in_ch_,  out_ch_, h,       w,   oh,  ow,
-                     k_, stride_, pad_,    groups_, icg, ocg};
-    // Samples are independent; nested calls (e.g. from the parallel PTQ
-    // evaluators) run inline, and each sample is computed whole, so the
-    // output is invariant to the thread count.
-    core::global_pool().parallel_for(static_cast<std::size_t>(n), [&](std::size_t b) {
-      const float* xb = x.raw() + b * static_cast<std::size_t>(in_ch_) * h * w;
-      float* yb = y.raw() + b * static_cast<std::size_t>(out_ch_) * oh * ow;
-      if (g.depthwise()) {
-        conv_forward_depthwise(g, xb, wt, bs, yb);
-        if (bn_scale != nullptr || epi != gemm::Epilogue::kNone) {
-          // Channel-major second pass: the same elementwise ops the BN /
-          // Activation modules would apply, so still bit-identical.
-          for (int c = 0; c < g.out_ch; ++c) {
-            float* yp = yb + static_cast<std::size_t>(c) * g.osz();
-            if (bn_scale != nullptr) {
-              const float s = bn_scale[c], t = bn_shift[c];
-              for (int i = 0; i < g.osz(); ++i) yp[i] = s * yp[i] + t;
-            }
-            gemm::epilogue_apply(epi, yp, yp, g.osz());
+  const ConvGeom g{n,  in_ch_,  out_ch_, h,       w,   oh,  ow,
+                   k_, stride_, pad_,    groups_, icg, ocg};
+  // Samples are independent; nested calls (e.g. from the parallel PTQ
+  // evaluators) run inline, and each sample is computed whole, so the
+  // output is invariant to the thread count.
+  core::global_pool().parallel_for(static_cast<std::size_t>(n), [&](std::size_t b) {
+    const float* xb = x.raw() + b * static_cast<std::size_t>(in_ch_) * h * w;
+    float* yb = y.raw() + b * static_cast<std::size_t>(out_ch_) * oh * ow;
+    if (g.depthwise()) {
+      conv_forward_depthwise(g, xb, wt, bs, yb);
+      if (bn_scale != nullptr || epi != gemm::Epilogue::kNone) {
+        // Channel-major second pass: the same elementwise ops the BN /
+        // Activation modules would apply, so still bit-identical.
+        for (int c = 0; c < g.out_ch; ++c) {
+          float* yp = yb + static_cast<std::size_t>(c) * g.osz();
+          if (bn_scale != nullptr) {
+            const float s = bn_scale[c], t = bn_shift[c];
+            for (int i = 0; i < g.osz(); ++i) yp[i] = s * yp[i] + t;
           }
-        }
-        return;
-      }
-      core::ScratchArena& arena = core::ScratchArena::local();
-      const core::ScratchArena::Scope scope(arena);
-      float* col = g.unit() ? nullptr
-                            : arena.alloc(static_cast<std::size_t>(g.kdim()) * g.osz());
-      conv_forward_sample(g, xb, wt, bs, yb, col, group_packs, epi, bn_scale,
-                          bn_shift);
-    });
-  } else {
-    const int kk = k_ * k_;
-    for (int b = 0; b < n; ++b) {
-      for (int o = 0; o < out_ch_; ++o) {
-        const int g = o / ocg;
-        for (int i = 0; i < oh; ++i) {
-          for (int j = 0; j < ow; ++j) {
-            float acc = bs[o];
-            for (int c = 0; c < icg; ++c) {
-              const int ic = g * icg + c;
-              const float* wo = wt + (static_cast<std::size_t>(o) * icg + c) * kk;
-              for (int ki = 0; ki < k_; ++ki) {
-                const int yi = i * stride_ + ki - pad_;
-                if (yi < 0 || yi >= h) continue;
-                for (int kj = 0; kj < k_; ++kj) {
-                  const int xj = j * stride_ + kj - pad_;
-                  if (xj < 0 || xj >= w) continue;
-                  acc += wo[ki * k_ + kj] * x.at(b, ic, yi, xj);
-                }
-              }
-            }
-            if (bn_scale != nullptr) acc = bn_scale[o] * acc + bn_shift[o];
-            y.at(b, o, i, j) = gemm::epilogue_eval(epi, acc);
-          }
+          gemm::epilogue_apply(epi, yp, yp, g.osz());
         }
       }
+      return;
     }
-  }
+    core::ScratchArena& arena = core::ScratchArena::local();
+    const core::ScratchArena::Scope scope(arena);
+    float* col = g.unit() ? nullptr
+                          : arena.alloc(static_cast<std::size_t>(g.kdim()) * g.osz());
+    conv_forward_sample(g, xb, wt, bs, yb, col, group_packs, epi, bn_scale,
+                        bn_shift);
+  });
   if (ctx.train) x_cache_ = x;
   return y;
 }
@@ -756,83 +686,55 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
   const int icg = in_ch_ / groups_;
   const int ocg = out_ch_ / groups_;
   Tensor dx(x.shape());
-  if (gemm::enabled()) {
-    const ConvGeom g{n,  in_ch_,  out_ch_, h,       w,   oh,  ow,
-                     k_, stride_, pad_,    groups_, icg, ocg};
-    const int osz = g.osz(), kdim = g.kdim();
-    core::ScratchArena& arena = core::ScratchArena::local();
-    const core::ScratchArena::Scope scope(arena);
-    const std::size_t cn = g.unit() ? 0 : static_cast<std::size_t>(kdim) * osz;
-    float* col = arena.alloc(cn);
-    float* dcol = arena.alloc(cn);
-    // Serial over samples: gradient accumulation into weight.grad keeps the
-    // naive loop's batch-ascending add order (training is single-threaded).
-    for (int b = 0; b < n; ++b) {
-      const float* xb = x.raw() + static_cast<std::size_t>(b) * in_ch_ * h * w;
-      float* dxb = dx.raw() + static_cast<std::size_t>(b) * in_ch_ * h * w;
-      for (int grp = 0; grp < groups_; ++grp) {
-        const float* src = xb + static_cast<std::size_t>(grp) * icg * h * w;
-        const float* colp = src;
-        if (!g.unit()) {
-          gemm::im2col(src, icg, h, w, k_, stride_, pad_, col);
-          colp = col;
-        }
-        const float* gy = grad_out.raw() +
-                          (static_cast<std::size_t>(b) * out_ch_ +
-                           static_cast<std::size_t>(grp) * ocg) * osz;
-        // db: per-channel sums of gy, (i, j) ascending as in the naive loop.
-        for (int o = 0; o < ocg; ++o) {
-          float s = bias.grad[grp * ocg + o];
-          const float* row = gy + static_cast<std::size_t>(o) * osz;
-          for (int p = 0; p < osz; ++p) s += row[p];
-          bias.grad[grp * ocg + o] = s;
-        }
-        // dW += gy · colᵀ   ([ocg x osz] · [osz x kdim])
-        gemm::sgemm(ocg, kdim, osz, gy, osz, /*trans_a=*/false, colp, osz,
-                    /*trans_b=*/true,
-                    weight.grad.raw() + static_cast<std::size_t>(grp) * ocg * kdim,
-                    kdim, gemm::Init::kAccumulate);
-        // dcol = Wᵀ · gy   ([kdim x ocg] · [ocg x osz]), then fold back to
-        // image space.  Unit convs write the input-gradient slab directly.
-        float* dslab = dxb + static_cast<std::size_t>(grp) * icg * h * w;
-        if (g.unit()) {
-          gemm::sgemm(kdim, osz, ocg,
-                      weight.value.raw() + static_cast<std::size_t>(grp) * ocg * kdim,
-                      kdim, /*trans_a=*/true, gy, osz, /*trans_b=*/false, dslab,
-                      osz);
-        } else {
-          gemm::sgemm(kdim, osz, ocg,
-                      weight.value.raw() + static_cast<std::size_t>(grp) * ocg * kdim,
-                      kdim, /*trans_a=*/true, gy, osz, /*trans_b=*/false,
-                      dcol, osz);
-          gemm::col2im_add(dcol, icg, h, w, k_, stride_, pad_, dslab);
-        }
-      }
-    }
-    return dx;
-  }
+  const ConvGeom g{n,  in_ch_,  out_ch_, h,       w,   oh,  ow,
+                   k_, stride_, pad_,    groups_, icg, ocg};
+  const int osz = g.osz(), kdim = g.kdim();
+  core::ScratchArena& arena = core::ScratchArena::local();
+  const core::ScratchArena::Scope scope(arena);
+  const std::size_t cn = g.unit() ? 0 : static_cast<std::size_t>(kdim) * osz;
+  float* col = arena.alloc(cn);
+  float* dcol = arena.alloc(cn);
+  // Serial over samples: gradient accumulation into weight.grad keeps the
+  // naive loop's batch-ascending add order (training is single-threaded).
   for (int b = 0; b < n; ++b) {
-    for (int o = 0; o < out_ch_; ++o) {
-      const int g = o / ocg;
-      for (int i = 0; i < oh; ++i) {
-        for (int j = 0; j < ow; ++j) {
-          const float go = grad_out.at(b, o, i, j);
-          if (go == 0.f) continue;
-          bias.grad[o] += go;
-          for (int c = 0; c < icg; ++c) {
-            const int ic = g * icg + c;
-            for (int ki = 0; ki < k_; ++ki) {
-              const int yi = i * stride_ + ki - pad_;
-              if (yi < 0 || yi >= h) continue;
-              for (int kj = 0; kj < k_; ++kj) {
-                const int xj = j * stride_ + kj - pad_;
-                if (xj < 0 || xj >= w) continue;
-                weight.grad.at(o, c, ki, kj) += go * x.at(b, ic, yi, xj);
-                dx.at(b, ic, yi, xj) += go * weight.value.at(o, c, ki, kj);
-              }
-            }
-          }
-        }
+    const float* xb = x.raw() + static_cast<std::size_t>(b) * in_ch_ * h * w;
+    float* dxb = dx.raw() + static_cast<std::size_t>(b) * in_ch_ * h * w;
+    for (int grp = 0; grp < groups_; ++grp) {
+      const float* src = xb + static_cast<std::size_t>(grp) * icg * h * w;
+      const float* colp = src;
+      if (!g.unit()) {
+        gemm::im2col(src, icg, h, w, k_, stride_, pad_, col);
+        colp = col;
+      }
+      const float* gy = grad_out.raw() +
+                        (static_cast<std::size_t>(b) * out_ch_ +
+                         static_cast<std::size_t>(grp) * ocg) * osz;
+      // db: per-channel sums of gy, (i, j) ascending as in the naive loop.
+      for (int o = 0; o < ocg; ++o) {
+        float s = bias.grad[grp * ocg + o];
+        const float* row = gy + static_cast<std::size_t>(o) * osz;
+        for (int p = 0; p < osz; ++p) s += row[p];
+        bias.grad[grp * ocg + o] = s;
+      }
+      // dW += gy · colᵀ   ([ocg x osz] · [osz x kdim])
+      gemm::sgemm(ocg, kdim, osz, gy, osz, /*trans_a=*/false, colp, osz,
+                  /*trans_b=*/true,
+                  weight.grad.raw() + static_cast<std::size_t>(grp) * ocg * kdim,
+                  kdim, gemm::Init::kAccumulate);
+      // dcol = Wᵀ · gy   ([kdim x ocg] · [ocg x osz]), then fold back to
+      // image space.  Unit convs write the input-gradient slab directly.
+      float* dslab = dxb + static_cast<std::size_t>(grp) * icg * h * w;
+      if (g.unit()) {
+        gemm::sgemm(kdim, osz, ocg,
+                    weight.value.raw() + static_cast<std::size_t>(grp) * ocg * kdim,
+                    kdim, /*trans_a=*/true, gy, osz, /*trans_b=*/false, dslab,
+                    osz);
+      } else {
+        gemm::sgemm(kdim, osz, ocg,
+                    weight.value.raw() + static_cast<std::size_t>(grp) * ocg * kdim,
+                    kdim, /*trans_a=*/true, gy, osz, /*trans_b=*/false,
+                    dcol, osz);
+        gemm::col2im_add(dcol, icg, h, w, k_, stride_, pad_, dslab);
       }
     }
   }
@@ -1062,14 +964,20 @@ Tensor MaxPool2d::forward(const Tensor& x, const Context& ctx) {
     for (int ch = 0; ch < c; ++ch)
       for (int i = 0; i < oh; ++i)
         for (int j = 0; j < ow; ++j, ++oi) {
-          float best = -1e30f;
-          std::int64_t best_idx = 0;
+          // Seeded from the window's own first tap, so windows of huge
+          // negative values (fault-injected weights produce them) keep
+          // their true max and route the gradient inside the window.  A
+          // NaN seed yields to the first non-NaN tap; the strict > keeps
+          // the first of tied maxima.
+          std::int64_t best_idx =
+              ((static_cast<std::int64_t>(b) * c + ch) * h + 2 * i) * w + 2 * j;
+          float best = x[best_idx];
           for (int di = 0; di < 2; ++di)
             for (int dj = 0; dj < 2; ++dj) {
               const int yi = 2 * i + di, xj = 2 * j + dj;
               const std::int64_t idx =
                   ((static_cast<std::int64_t>(b) * c + ch) * h + yi) * w + xj;
-              if (x[idx] > best) {
+              if (x[idx] > best || (std::isnan(best) && !std::isnan(x[idx]))) {
                 best = x[idx];
                 best_idx = idx;
               }

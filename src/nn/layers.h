@@ -17,8 +17,8 @@ class BatchNorm2d;
 /// One prepacked-weight cache entry: the GEMM panel packs (one PackedMatrix
 /// per conv group; a single entry for Linear; empty for depthwise convs,
 /// which run no GEMM) plus, for code-domain entries, the eagerly decoded
-/// FP32 weights feeding the paths that read raw float pointers
-/// (depthwise/naive loops, the small-problem direct GEMM, sgemm's shape
+/// FP32 weights feeding the paths that read raw float pointers (the
+/// depthwise loops, the small-problem direct GEMM, sgemm's shape
 /// validation).
 struct PackedWeights {
   std::vector<gemm::PackedMatrix> packs;
@@ -74,10 +74,9 @@ class PackCache {
 };
 
 /// True when the container fusions (absorbing a following BN and
-/// Activation into the conv/linear write-back) are legal: inference only,
-/// no quant session — the PTQ hooks must observe every intermediate tensor
-/// a real accelerator would spill — and the GEMM path, so the naive
-/// reference stays module by module.  Weight prepacking alone is
+/// Activation into the conv/linear write-back) are legal: inference only
+/// and no quant session — the PTQ hooks must observe every intermediate
+/// tensor a real accelerator would spill.  Weight prepacking alone is
 /// value-preserving and stays active under quant sessions; this gate covers
 /// the structural fusions.
 [[nodiscard]] bool fuse_inference_ok(const Context& ctx);
@@ -144,7 +143,12 @@ class Conv2d final : public Module, public ChannelWeights {
   [[nodiscard]] std::span<float> channel_span(int c) override;
   [[nodiscard]] Param& weight_param() override { return weight; }
 
+  [[nodiscard]] int in_channels() const { return in_ch_; }
   [[nodiscard]] int out_channels() const { return out_ch_; }
+  [[nodiscard]] int kernel() const { return k_; }
+  [[nodiscard]] int stride() const { return stride_; }
+  [[nodiscard]] int pad() const { return pad_; }
+  [[nodiscard]] int groups() const { return groups_; }
 
   Param weight;  ///< [out, in/groups, k, k]
   Param bias;    ///< [out]

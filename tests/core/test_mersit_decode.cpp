@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <set>
 
 #include "core/mersit.h"
@@ -64,6 +66,28 @@ TEST(MersitDecode, Mersit83SpotValues) {
   EXPECT_DOUBLE_EQ(m.decode_value(0b01111000), 128.0);
   // s0 ks0 EC0=111 EC1=110 -> g=1, k=-2, exp=6 -> 2^(-14+6)=2^-8.
   EXPECT_DOUBLE_EQ(m.decode_value(0b00111110), std::ldexp(1.0, -8));
+}
+
+TEST(MersitDecode, AllCodesMatchGoldenDigest) {
+  // FNV-1a 64 over the IEEE-754 bit patterns of all 256 decoded values,
+  // recorded while a second, independent implementation of the decode rule
+  // still cross-checked this one code by code.  Any change to a decoded
+  // value of MERSIT(8,1), (8,2) or (8,3) moves its digest.
+  const std::uint64_t golden[] = {0x0a2c823a22d14105ull, 0x706e5db89bd2b1c5ull,
+                                  0xe500187273dec345ull};
+  for (const int es : {1, 2, 3}) {
+    const MersitFormat m(8, es);
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (int c = 0; c < 256; ++c) {
+      const auto bits =
+          std::bit_cast<std::uint64_t>(m.decode_value(static_cast<std::uint8_t>(c)));
+      for (int b = 0; b < 8; ++b) {
+        h ^= (bits >> (8 * b)) & 0xff;
+        h *= 0x100000001b3ull;
+      }
+    }
+    EXPECT_EQ(h, golden[es - 1]) << "es=" << es;
+  }
 }
 
 TEST(MersitDecode, FieldsPackRoundTripAllCodes) {

@@ -1,0 +1,280 @@
+// Test oracle for the nn layer contract: the naive loops that the GEMM
+// lowering of Conv2d, Linear and MultiHeadSelfAttention must reproduce,
+// plus the bitwise comparator the nn suites share.
+//
+// Every loop is the direct formula in the accumulation order the engine
+// promises: each output starts from its bias (or zero) and adds its
+// products in ascending input order (channel, kernel row, kernel column
+// for convs), with padding taps skipped.  A following BN affine and the
+// epilogue apply once, at the end.  Layer forwards must therefore match
+// bit for bit.  The one exception is the conv input gradient: col2im
+// regroups its sums, so callers compare it under a numeric tolerance.
+#pragma once
+
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <span>
+#include <utility>
+#include <vector>
+
+#include "nn/attention.h"
+#include "nn/gemm/gemm.h"
+#include "nn/layers.h"
+#include "nn/tensor.h"
+
+namespace mersit::nn::reference {
+
+// ------------------------------------------------------------ comparators --
+
+inline bool bitwise_equal(std::span<const float> a, std::span<const float> b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i)
+    if (std::bit_cast<std::uint32_t>(a[i]) != std::bit_cast<std::uint32_t>(b[i]))
+      return false;
+  return true;
+}
+
+inline bool bitwise_equal(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() && bitwise_equal(a.data(), b.data());
+}
+
+// ------------------------------------------------------------------- conv --
+
+struct ConvGeometry {
+  int in_ch, out_ch, k, stride, pad, groups;
+};
+
+inline ConvGeometry geometry_of(const Conv2d& conv) {
+  return {conv.in_channels(), conv.out_channels(), conv.kernel(),
+          conv.stride(),      conv.pad(),          conv.groups()};
+}
+
+/// Parameter gradients and input gradient of one backward pass, each
+/// accumulated from zero.
+struct Grads {
+  Tensor dx, dw, db;
+};
+
+/// y = epi(bn_scale*(bias + conv(x, w)) + bn_shift) over [n, in_ch, h, w];
+/// `w` is [out_ch, in_ch/groups, k, k], the BN affine (out_ch entries each)
+/// is optional.
+inline Tensor conv_forward(const Tensor& x, const float* w, const float* bias,
+                           const ConvGeometry& g,
+                           gemm::Epilogue epi = gemm::Epilogue::kNone,
+                           const float* bn_scale = nullptr,
+                           const float* bn_shift = nullptr) {
+  const int n = x.dim(0), h = x.dim(2), wd = x.dim(3);
+  const int oh = (h + 2 * g.pad - g.k) / g.stride + 1;
+  const int ow = (wd + 2 * g.pad - g.k) / g.stride + 1;
+  const int icg = g.in_ch / g.groups, ocg = g.out_ch / g.groups;
+  const int kk = g.k * g.k;
+  Tensor y({n, g.out_ch, oh, ow});
+  for (int b = 0; b < n; ++b) {
+    for (int o = 0; o < g.out_ch; ++o) {
+      const int grp = o / ocg;
+      for (int i = 0; i < oh; ++i) {
+        for (int j = 0; j < ow; ++j) {
+          float acc = bias[o];
+          for (int c = 0; c < icg; ++c) {
+            const int ic = grp * icg + c;
+            const float* wo = w + (static_cast<std::size_t>(o) * icg + c) * kk;
+            for (int ki = 0; ki < g.k; ++ki) {
+              const int yi = i * g.stride + ki - g.pad;
+              if (yi < 0 || yi >= h) continue;
+              for (int kj = 0; kj < g.k; ++kj) {
+                const int xj = j * g.stride + kj - g.pad;
+                if (xj < 0 || xj >= wd) continue;
+                acc += wo[ki * g.k + kj] * x.at(b, ic, yi, xj);
+              }
+            }
+          }
+          if (bn_scale != nullptr) acc = bn_scale[o] * acc + bn_shift[o];
+          y.at(b, o, i, j) = gemm::epilogue_eval(epi, acc);
+        }
+      }
+    }
+  }
+  return y;
+}
+
+inline Grads conv_backward(const Tensor& x, const Tensor& gy, const float* w,
+                           const ConvGeometry& g) {
+  const int n = x.dim(0), h = x.dim(2), wd = x.dim(3);
+  const int oh = gy.dim(2), ow = gy.dim(3);
+  const int icg = g.in_ch / g.groups, ocg = g.out_ch / g.groups;
+  const int kk = g.k * g.k;
+  Grads r{Tensor(x.shape()), Tensor({g.out_ch, icg, g.k, g.k}), Tensor({g.out_ch})};
+  for (int b = 0; b < n; ++b) {
+    for (int o = 0; o < g.out_ch; ++o) {
+      const int grp = o / ocg;
+      for (int i = 0; i < oh; ++i) {
+        for (int j = 0; j < ow; ++j) {
+          const float go = gy.at(b, o, i, j);
+          if (go == 0.f) continue;
+          r.db[o] += go;
+          for (int c = 0; c < icg; ++c) {
+            const int ic = grp * icg + c;
+            const float* wo = w + (static_cast<std::size_t>(o) * icg + c) * kk;
+            for (int ki = 0; ki < g.k; ++ki) {
+              const int yi = i * g.stride + ki - g.pad;
+              if (yi < 0 || yi >= h) continue;
+              for (int kj = 0; kj < g.k; ++kj) {
+                const int xj = j * g.stride + kj - g.pad;
+                if (xj < 0 || xj >= wd) continue;
+                r.dw.at(o, c, ki, kj) += go * x.at(b, ic, yi, xj);
+                r.dx.at(b, ic, yi, xj) += go * wo[ki * g.k + kj];
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  return r;
+}
+
+/// The per-channel (scale, shift) inference BatchNorm2d evaluates, in the
+/// module's own expressions.
+inline std::pair<std::vector<float>, std::vector<float>> bn_affine(
+    const BatchNorm2d& bn) {
+  std::vector<float> scale(static_cast<std::size_t>(bn.channels()));
+  std::vector<float> shift(scale.size());
+  for (int c = 0; c < bn.channels(); ++c) {
+    const float inv = 1.f / std::sqrt(bn.running_var[c] + bn.eps());
+    scale[static_cast<std::size_t>(c)] = bn.gamma.value[c] * inv;
+    shift[static_cast<std::size_t>(c)] =
+        bn.beta.value[c] - bn.running_mean[c] * scale[static_cast<std::size_t>(c)];
+  }
+  return {std::move(scale), std::move(shift)};
+}
+
+// ----------------------------------------------------------------- linear --
+
+/// y = epi(bias + x · wᵀ) for x [n, in], w [out, in].
+inline Tensor linear_forward(const Tensor& x, const float* w, const float* bias,
+                             int out, gemm::Epilogue epi = gemm::Epilogue::kNone) {
+  const int n = x.dim(0), in = x.dim(1);
+  Tensor y({n, out});
+  for (int i = 0; i < n; ++i) {
+    const float* xi = x.raw() + static_cast<std::ptrdiff_t>(i) * in;
+    for (int o = 0; o < out; ++o) {
+      const float* wo = w + static_cast<std::ptrdiff_t>(o) * in;
+      float acc = bias[o];
+      for (int j = 0; j < in; ++j) acc += wo[j] * xi[j];
+      y.at(i, o) = gemm::epilogue_eval(epi, acc);
+    }
+  }
+  return y;
+}
+
+inline Grads linear_backward(const Tensor& x, const Tensor& gy, const float* w,
+                             int out) {
+  const int n = x.dim(0), in = x.dim(1);
+  Grads r{Tensor({n, in}), Tensor({out, in}), Tensor({out})};
+  for (int i = 0; i < n; ++i) {
+    const float* xi = x.raw() + static_cast<std::ptrdiff_t>(i) * in;
+    float* dxi = r.dx.raw() + static_cast<std::ptrdiff_t>(i) * in;
+    for (int o = 0; o < out; ++o) {
+      const float g = gy.at(i, o);
+      const float* wo = w + static_cast<std::ptrdiff_t>(o) * in;
+      float* dw = r.dw.raw() + static_cast<std::ptrdiff_t>(o) * in;
+      r.db[o] += g;
+      for (int j = 0; j < in; ++j) {
+        dw[j] += g * xi[j];
+        dxi[j] += g * wo[j];
+      }
+    }
+  }
+  return r;
+}
+
+inline Tensor linear_forward(const Linear& lin, const Tensor& x) {
+  return linear_forward(x, lin.weight.value.raw(), lin.bias.value.raw(),
+                        lin.weight.value.dim(0));
+}
+
+// ------------------------------------------------------------------- MHSA --
+
+/// The attention core over projected q, k, v ([n*t, dim] each): per
+/// (batch, head) scaled dot-product scores, a max-shifted softmax per row,
+/// and the attention-weighted sum of v.  Returns the [n*t, dim] context.
+inline Tensor attention_context(const Tensor& q, const Tensor& k, const Tensor& v,
+                                int n, int t, int heads) {
+  const int d = q.dim(1), dh = d / heads;
+  const float scale = 1.f / std::sqrt(static_cast<float>(dh));
+  Tensor ctx_out({n * t, d});
+  std::vector<float> a(static_cast<std::size_t>(t) * t);
+  for (int b = 0; b < n; ++b) {
+    for (int hd = 0; hd < heads; ++hd) {
+      const int off = hd * dh;
+      for (int i = 0; i < t; ++i) {
+        const float* qi = q.raw() + (static_cast<std::int64_t>(b) * t + i) * d + off;
+        float* ai = a.data() + static_cast<std::size_t>(i) * t;
+        float mx = -1e30f;
+        for (int j = 0; j < t; ++j) {
+          const float* kj = k.raw() + (static_cast<std::int64_t>(b) * t + j) * d + off;
+          float s = 0.f;
+          for (int e = 0; e < dh; ++e) s += qi[e] * kj[e];
+          s *= scale;
+          ai[j] = s;
+          mx = std::max(mx, s);
+        }
+        float denom = 0.f;
+        for (int j = 0; j < t; ++j) {
+          ai[j] = std::exp(ai[j] - mx);
+          denom += ai[j];
+        }
+        const float invd = 1.f / denom;
+        for (int j = 0; j < t; ++j) ai[j] *= invd;
+        float* out = ctx_out.raw() + (static_cast<std::int64_t>(b) * t + i) * d + off;
+        for (int e = 0; e < dh; ++e) out[e] = 0.f;
+        for (int j = 0; j < t; ++j) {
+          const float* vj = v.raw() + (static_cast<std::int64_t>(b) * t + j) * d + off;
+          for (int e = 0; e < dh; ++e) out[e] += ai[j] * vj[e];
+        }
+      }
+    }
+  }
+  return ctx_out;
+}
+
+/// Whole MHSA forward over x [n, t, dim]: the four projections through
+/// linear_forward around attention_context.
+inline Tensor mhsa_forward(MultiHeadSelfAttention& attn, const Tensor& x) {
+  std::vector<NamedChild> proj;  // wq, wk, wv, wo
+  attn.collect_children(proj);
+  const auto lin = [&](int i) -> const Linear& {
+    return dynamic_cast<const Linear&>(*proj[static_cast<std::size_t>(i)].module);
+  };
+  const int n = x.dim(0), t = x.dim(1), d = x.dim(2);
+  const Tensor flat = x.reshaped({n * t, d});
+  const Tensor ctx_out =
+      attention_context(linear_forward(lin(0), flat), linear_forward(lin(1), flat),
+                        linear_forward(lin(2), flat), n, t, attn.heads());
+  return linear_forward(lin(3), ctx_out).reshaped({n, t, d});
+}
+
+// ------------------------------------------------------------ whole model --
+
+/// A quant session that leaves every activation untouched.  Its presence
+/// alone turns the structural fusions off (fuse_inference_ok needs
+/// ctx.quant == nullptr), so a forward under it runs module by module: the
+/// unfused reference the fused default forward must reproduce bit for bit.
+class PassThroughSession final : public QuantSession {
+ public:
+  void on_activation(const Module& layer, Tensor& t) override {
+    (void)layer;
+    (void)t;
+  }
+  [[nodiscard]] bool concurrent_safe() const override { return true; }
+};
+
+inline Tensor unfused_forward(Module& model, const Tensor& x) {
+  PassThroughSession pass;
+  const Context ctx{/*train=*/false, &pass};
+  return model.forward(x, ctx);
+}
+
+}  // namespace mersit::nn::reference

@@ -1,26 +1,31 @@
-// Equivalence of the GEMM-lowered inference paths against the naive
-// reference loops (selected with gemm::set_enabled(false)), layer by layer
-// and over whole zoo models, plus thread-count invariance of the blocked
-// kernel itself.
+// The GEMM engine and the layer contract built on it.
 //
-// The GEMM paths are designed to reproduce the naive rounding sequence
-// exactly (fixed ascending-k summation from the same initial value), so the
-// forward comparisons demand bitwise equality — stronger than the 4-ULP
-// acceptance bound.  Conv backward folds the input gradient through
-// col2im, which reassociates the per-element sums, so it gets a small
-// numeric tolerance instead.
+// Kernel level: sgemm against a triple loop, thread-count invariance, and
+// every SIMD backend bitwise against scalar.  Layer level: one table of
+// Conv2d / Linear / MHSA geometries checked against the naive loops of the
+// test oracle (tests/nn/reference.h).  Model level: the fused default
+// forward of every zoo model against its own module-by-module forward.
+//
+// The GEMM paths reproduce the naive rounding sequence exactly (fixed
+// ascending-k summation from the same initial value), so forwards and
+// gradients must match bitwise.  The conv input gradient is the exception:
+// col2im reassociates its per-element sums, so it gets a small numeric
+// tolerance instead.
 #include "nn/gemm/gemm.h"
 
 #include <gtest/gtest.h>
 
-#include <bit>
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <initializer_list>
 #include <random>
 #include <set>
+#include <sstream>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/thread_pool.h"
@@ -29,9 +34,12 @@
 #include "nn/gemm/im2col.h"
 #include "nn/layers.h"
 #include "nn/models.h"
+#include "reference.h"
 
 namespace mersit::nn {
 namespace {
+
+using reference::bitwise_equal;
 
 // Give the global pool real fan-out even on single-core CI (respects an
 // explicit MERSIT_THREADS from the environment).  Static init runs before
@@ -40,48 +48,6 @@ const bool kEnvReady = [] {
   setenv("MERSIT_THREADS", "4", /*overwrite=*/0);
   return true;
 }();
-
-/// Restores the GEMM dispatch switch on scope exit.
-struct GemmGuard {
-  explicit GemmGuard(bool on) : prev(gemm::set_enabled(on)) {}
-  ~GemmGuard() { gemm::set_enabled(prev); }
-  bool prev;
-};
-
-bool bitwise_equal(std::span<const float> a, std::span<const float> b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i)
-    if (std::bit_cast<std::uint32_t>(a[i]) != std::bit_cast<std::uint32_t>(b[i]))
-      return false;
-  return true;
-}
-
-/// ULP distance between two finite floats (monotone integer mapping).
-std::uint32_t ulp_distance(float a, float b) {
-  auto key = [](float v) {
-    const auto u = std::bit_cast<std::uint32_t>(v);
-    return (u & 0x8000'0000u) != 0 ? 0x8000'0000u - (u & 0x7fff'ffffu)
-                                   : 0x8000'0000u + u;
-  };
-  const std::uint32_t ka = key(a), kb = key(b);
-  return ka > kb ? ka - kb : kb - ka;
-}
-
-std::uint32_t max_ulp(std::span<const float> a, std::span<const float> b) {
-  EXPECT_EQ(a.size(), b.size());
-  std::uint32_t m = 0;
-  for (std::size_t i = 0; i < a.size(); ++i)
-    m = std::max(m, ulp_distance(a[i], b[i]));
-  return m;
-}
-
-float max_abs_diff(std::span<const float> a, std::span<const float> b) {
-  EXPECT_EQ(a.size(), b.size());
-  float m = 0.f;
-  for (std::size_t i = 0; i < a.size(); ++i)
-    m = std::max(m, std::fabs(a[i] - b[i]));
-  return m;
-}
 
 std::vector<float> random_vec(std::size_t n, std::mt19937& rng) {
   std::normal_distribution<float> dist(0.f, 1.f);
@@ -212,203 +178,6 @@ TEST(GemmThreads, ConvForwardSerialVsParallelBitwise) {
   core::global_pool().parallel_chunks(
       1, [&](std::size_t, std::size_t) { serial_y = conv.forward(x, ctx); });
   EXPECT_TRUE(bitwise_equal(serial_y.data(), parallel_y.data()));
-}
-
-// ------------------------------------------------------------------- conv --
-
-Tensor conv_forward_both_ways(Conv2d& conv, const Tensor& x, bool use_gemm) {
-  const GemmGuard guard(use_gemm);
-  const Context ctx;
-  return conv.forward(x, ctx);
-}
-
-TEST(GemmConv, ForwardMatchesNaiveBitwiseAcrossGeometries) {
-  std::mt19937 rng(23);
-  const int n = 2, h = 7, w = 5;
-  for (const int k : {1, 3, 5}) {
-    for (const int stride : {1, 2}) {
-      for (const int pad : {0, 1, 2}) {
-        if (h + 2 * pad < k || w + 2 * pad < k) continue;
-        for (const int groups : {1, 2, 4}) {
-          const int in_ch = 4;
-          const int out_ch = groups == 4 ? 4 : 6;  // groups==in==out: depthwise
-          Conv2d conv(in_ch, out_ch, k, stride, pad, groups, rng);
-          const Tensor x = Tensor::randn({n, in_ch, h, w}, rng, 1.f);
-          const Tensor naive = conv_forward_both_ways(conv, x, false);
-          const Tensor fast = conv_forward_both_ways(conv, x, true);
-          EXPECT_TRUE(bitwise_equal(fast.data(), naive.data()))
-              << "k=" << k << " stride=" << stride << " pad=" << pad
-              << " groups=" << groups;
-        }
-      }
-    }
-  }
-}
-
-TEST(GemmConv, ForwardMatchesNaiveOnDegenerateSpatialShapes) {
-  std::mt19937 rng(29);
-  struct Shape { int h, w, k, stride, pad; };
-  const Shape shapes[] = {{1, 9, 3, 1, 1}, {9, 1, 3, 1, 1}, {3, 3, 3, 1, 0},
-                          {4, 4, 1, 2, 0}, {6, 10, 5, 2, 2}};
-  for (const auto& s : shapes) {
-    Conv2d conv(3, 5, s.k, s.stride, s.pad, 1, rng);
-    const Tensor x = Tensor::randn({3, 3, s.h, s.w}, rng, 1.f);
-    const Tensor naive = conv_forward_both_ways(conv, x, false);
-    const Tensor fast = conv_forward_both_ways(conv, x, true);
-    EXPECT_TRUE(bitwise_equal(fast.data(), naive.data()))
-        << "h=" << s.h << " w=" << s.w << " k=" << s.k;
-  }
-}
-
-TEST(GemmConv, BackwardMatchesNaiveWithinTolerance) {
-  std::mt19937 rng(31);
-  for (const int groups : {1, 2, 4}) {
-    const int in_ch = 4, h = 7, w = 6;
-    const int out_ch = groups == 4 ? 4 : 6;
-    for (const int k : {1, 3}) {
-      const int stride = k == 1 ? 1 : 2, pad = k == 1 ? 0 : 1;
-      Conv2d conv(in_ch, out_ch, k, stride, pad, groups, rng);
-      const Tensor x = Tensor::randn({2, in_ch, h, w}, rng, 1.f);
-      Context train_ctx;
-      train_ctx.train = true;
-
-      const GemmGuard off(false);
-      const Tensor y = conv.forward(x, train_ctx);
-      const Tensor gy = Tensor::randn(y.shape(), rng, 1.f);
-      conv.zero_grad();
-      const Tensor naive_dx = conv.backward(gy);
-      const Tensor naive_dw = conv.weight.grad;
-      const Tensor naive_db = conv.bias.grad;
-
-      gemm::set_enabled(true);
-      (void)conv.forward(x, train_ctx);
-      conv.zero_grad();
-      const Tensor fast_dx = conv.backward(gy);
-
-      // dW/db reproduce the naive accumulation order; dx goes through
-      // col2im which regroups the sums, hence the numeric bound.
-      EXPECT_LE(max_ulp(conv.weight.grad.data(), naive_dw.data()), 4u)
-          << "groups=" << groups << " k=" << k;
-      EXPECT_LE(max_ulp(conv.bias.grad.data(), naive_db.data()), 4u);
-      EXPECT_LE(max_abs_diff(fast_dx.data(), naive_dx.data()),
-                1e-4f * std::max(1.f, naive_dx.abs_max()))
-          << "groups=" << groups << " k=" << k;
-    }
-  }
-}
-
-// ----------------------------------------------------------------- linear --
-
-TEST(GemmLinear, ForwardMatchesNaiveBitwise) {
-  std::mt19937 rng(37);
-  Linear lin(37, 19, rng);
-  std::normal_distribution<float> dist(0.f, 1.f);
-  for (auto& b : lin.bias.value.data()) b = dist(rng);
-  const Tensor x = Tensor::randn({11, 37}, rng, 1.f);
-  const Context ctx;
-  Tensor naive, fast;
-  {
-    const GemmGuard off(false);
-    naive = lin.forward(x, ctx);
-  }
-  {
-    const GemmGuard on(true);
-    fast = lin.forward(x, ctx);
-  }
-  EXPECT_TRUE(bitwise_equal(fast.data(), naive.data()));
-}
-
-TEST(GemmLinear, BackwardMatchesNaiveBitwise) {
-  std::mt19937 rng(41);
-  Linear lin(23, 15, rng);
-  const Tensor x = Tensor::randn({9, 23}, rng, 1.f);
-  const Tensor gy = Tensor::randn({9, 15}, rng, 1.f);
-  Context train_ctx;
-  train_ctx.train = true;
-
-  const GemmGuard off(false);
-  (void)lin.forward(x, train_ctx);
-  lin.zero_grad();
-  const Tensor naive_dx = lin.backward(gy);
-  const Tensor naive_dw = lin.weight.grad;
-  const Tensor naive_db = lin.bias.grad;
-
-  gemm::set_enabled(true);
-  (void)lin.forward(x, train_ctx);
-  lin.zero_grad();
-  const Tensor fast_dx = lin.backward(gy);
-
-  EXPECT_TRUE(bitwise_equal(fast_dx.data(), naive_dx.data()));
-  EXPECT_TRUE(bitwise_equal(lin.weight.grad.data(), naive_dw.data()));
-  EXPECT_TRUE(bitwise_equal(lin.bias.grad.data(), naive_db.data()));
-}
-
-// -------------------------------------------------------------- attention --
-
-TEST(GemmAttention, MhsaForwardMatchesNaiveBitwise) {
-  std::mt19937 rng(43);
-  MultiHeadSelfAttention attn(16, 4, rng);
-  const Tensor x = Tensor::randn({3, 7, 16}, rng, 1.f);
-  const Context ctx;
-  Tensor naive, fast;
-  {
-    const GemmGuard off(false);
-    naive = attn.forward(x, ctx);
-  }
-  {
-    const GemmGuard on(true);
-    fast = attn.forward(x, ctx);
-  }
-  EXPECT_TRUE(bitwise_equal(fast.data(), naive.data()));
-}
-
-TEST(GemmAttention, TransformerBlockForwardMatchesNaiveBitwise) {
-  std::mt19937 rng(47);
-  TransformerBlock block(16, 4, 32, rng);
-  const Tensor x = Tensor::randn({2, 9, 16}, rng, 1.f);
-  const Context ctx;
-  Tensor naive, fast;
-  {
-    const GemmGuard off(false);
-    naive = block.forward(x, ctx);
-  }
-  {
-    const GemmGuard on(true);
-    fast = block.forward(x, ctx);
-  }
-  EXPECT_TRUE(bitwise_equal(fast.data(), naive.data()));
-}
-
-TEST(GemmAttention, MhsaBackwardMatchesNaiveBitwise) {
-  std::mt19937 rng(53);
-  const Tensor x = Tensor::randn({2, 6, 16}, rng, 1.f);
-  const Tensor gy = Tensor::randn({2, 6, 16}, rng, 1.f);
-  Context train_ctx;
-  train_ctx.train = true;
-
-  // Two identically-seeded modules so each path owns its caches/grads.
-  std::mt19937 rng_a(59), rng_b(59);
-  MultiHeadSelfAttention naive_attn(16, 4, rng_a);
-  MultiHeadSelfAttention fast_attn(16, 4, rng_b);
-
-  Tensor naive_dx, fast_dx;
-  {
-    const GemmGuard off(false);
-    (void)naive_attn.forward(x, train_ctx);
-    naive_dx = naive_attn.backward(gy);
-  }
-  {
-    const GemmGuard on(true);
-    (void)fast_attn.forward(x, train_ctx);
-    fast_dx = fast_attn.backward(gy);
-  }
-  EXPECT_TRUE(bitwise_equal(fast_dx.data(), naive_dx.data()));
-  const auto naive_params = naive_attn.parameters();
-  const auto fast_params = fast_attn.parameters();
-  ASSERT_EQ(naive_params.size(), fast_params.size());
-  for (std::size_t i = 0; i < naive_params.size(); ++i)
-    EXPECT_TRUE(bitwise_equal(fast_params[i]->grad.data(),
-                              naive_params[i]->grad.data()));
 }
 
 // ---------------------------------------------------------------- im2col ---
@@ -665,29 +434,296 @@ TEST(GemmBackend, RejectsOperandsPackedForAForeignBackend) {
                std::invalid_argument);
 }
 
-// ------------------------------------------------------------ whole models --
+// ---------------------------------------------------------- layer contract --
+//
+// One table, one checker.  Each row is a Conv2d, Linear or MHSA geometry:
+// a hand-picked grid (every kernel x stride x pad x groups combination on a
+// ragged plane, degenerate planes, the unit and depthwise fast paths) plus
+// one row per distinct layer geometry in the vision zoo and BERT-mini, so
+// the zoo's shapes are covered by construction.  Every row runs at pool
+// widths 1 and 4 against the oracle: forwards (cold and warm pack cache)
+// over epilogue x BN affine, and backward.  Each test below checks one
+// slice of the table (a layer kind, a row group, forward or backward).
 
-// The whole-model contract: the default inference forward — prepacked
-// weights, BN and activations fused into the GEMM write-back — is bitwise
-// equal to the naive reference, which runs every module as its own unfused
-// pass.  Covers every vision-zoo model plus BERT-mini at pool widths 1 and 4.
-TEST(GemmZoo, DefaultForwardBitwiseMatchesNaiveModulePasses) {
+using gemm::Epilogue;
+
+constexpr Epilogue kEpilogues[] = {Epilogue::kNone,  Epilogue::kReLU,
+                                   Epilogue::kReLU6, Epilogue::kSiLU,
+                                   Epilogue::kHardSwish, Epilogue::kGELU};
+
+enum class Kind { kConv, kLinear, kMhsa };
+enum class Group { kGrid, kDegenerate, kPrepack, kZoo };
+enum Pass : unsigned { kForward = 1u, kBackward = 2u };
+
+struct LayerRow {
+  Kind kind;
+  Group group;
+  std::string where;               // grid label or zoo module path
+  reference::ConvGeometry conv{};  // kConv
+  int h = 0, w = 0;                // kConv input plane; kMhsa: h = tokens
+  int in = 0, out = 0;             // kLinear features; kMhsa: dim, heads
+  bool sweep = true;  // every epilogue x BN; zoo rows take two variants
+};
+
+std::vector<LayerRow> contract_rows() {
+  std::vector<LayerRow> rows;
+  for (const int k : {1, 3, 5})
+    for (const int stride : {1, 2})
+      for (const int pad : {0, 1, 2})
+        for (const int groups : {1, 2, 4}) {  // groups == in == out: depthwise
+          if (7 + 2 * pad < k || 5 + 2 * pad < k) continue;
+          rows.push_back({Kind::kConv, Group::kGrid, "grid",
+                          {4, groups == 4 ? 4 : 6, k, stride, pad, groups}, 7, 5});
+        }
+  const int degenerate[][5] = {{1, 9, 3, 1, 1}, {9, 1, 3, 1, 1}, {3, 3, 3, 1, 0},
+                               {4, 4, 1, 2, 0}, {6, 10, 5, 2, 2}};
+  for (const auto& d : degenerate)
+    rows.push_back({Kind::kConv, Group::kDegenerate, "degenerate", {3, 5, d[2], d[3], d[4], 1}, d[0], d[1]});
+  rows.push_back({Kind::kConv, Group::kPrepack, "3x3", {3, 16, 3, 1, 1, 1}, 12, 12});
+  rows.push_back({Kind::kConv, Group::kPrepack, "1x1-unit", {8, 16, 1, 1, 0, 1}, 12, 12});
+  rows.push_back({Kind::kConv, Group::kPrepack, "grouped", {8, 12, 3, 2, 1, 2}, 12, 12});
+  rows.push_back({Kind::kConv, Group::kPrepack, "depthwise", {8, 8, 3, 1, 1, 8}, 12, 12});
+  rows.push_back({Kind::kLinear, Group::kPrepack, "linear", {}, 0, 0, 48, 33});
+  for (const auto& [in, out] : {std::pair{37, 19}, {23, 15}})
+    rows.push_back({Kind::kLinear, Group::kGrid, "grid", {}, 0, 0, in, out});
+  rows.push_back({Kind::kMhsa, Group::kGrid, "grid", {}, 7, 0, 16, 4});
+
+  std::mt19937 rng(101);
+  std::vector<NamedModel> zoo = make_vision_zoo(3, 10, 101, 12);
+  zoo.push_back({"BERT-mini", make_bert_mini(50, 10, 32, 4, 2, 64, 4, rng)});
+  std::set<std::tuple<Kind, int, int, int, int, int, int, int, int>> seen;
+  for (NamedModel& entry : zoo)
+    for (Module* m : entry.model->modules()) {
+      LayerRow row{Kind::kConv, Group::kZoo, entry.name + ":" + m->path()};
+      row.sweep = false;
+      if (const auto* conv = dynamic_cast<const Conv2d*>(m)) {
+        row.conv = reference::geometry_of(*conv);
+        row.h = row.w = 7;
+      } else if (const auto* lin = dynamic_cast<const Linear*>(m)) {
+        row.kind = Kind::kLinear;
+        row.in = lin->weight.value.dim(1);
+        row.out = lin->weight.value.dim(0);
+      } else if (auto* attn = dynamic_cast<MultiHeadSelfAttention*>(m)) {
+        row.kind = Kind::kMhsa;
+        row.in = attn->parameters()[0]->value.dim(0);  // wq: [dim, dim]
+        row.out = attn->heads();
+        row.h = 8;
+      } else {
+        continue;
+      }
+      const reference::ConvGeometry& g = row.conv;
+      if (seen.emplace(row.kind, g.in_ch, g.out_ch, g.k, g.stride, g.pad,
+                       g.groups, row.in, row.out)
+              .second)
+        rows.push_back(std::move(row));
+    }
+  return rows;
+}
+
+void randomize(Tensor& t, std::mt19937& rng) {
+  std::normal_distribution<float> nd(0.f, 1.f);
+  for (auto& v : t.data()) v = nd(rng);
+}
+
+/// Non-trivial BN statistics, so the fused affine is not near-identity.
+void randomize_bn(BatchNorm2d& bn, std::mt19937& rng) {
+  std::normal_distribution<float> nd(0.f, 0.5f);
+  std::uniform_real_distribution<float> ud(0.5f, 2.f);
+  for (auto& v : bn.gamma.value.data()) v = 1.f + nd(rng);
+  for (auto& v : bn.beta.value.data()) v = nd(rng);
+  for (auto& v : bn.running_mean.data()) v = nd(rng);
+  for (auto& v : bn.running_var.data()) v = ud(rng);
+}
+
+/// (epilogue, BN affine) pairs a row runs: the full cross for grid rows;
+/// plain plus one rotating fused variant for zoo rows.
+std::vector<std::pair<Epilogue, bool>> variants(const LayerRow& row, std::size_t idx,
+                                                bool has_bn) {
+  if (!row.sweep) return {{Epilogue::kNone, false}, {kEpilogues[1 + idx % 5], has_bn}};
+  std::vector<std::pair<Epilogue, bool>> out;
+  for (const Epilogue epi : kEpilogues)
+    for (const bool bn : {false, true})
+      if (!bn || has_bn) out.emplace_back(epi, bn);
+  return out;
+}
+
+std::string describe(const LayerRow& row) {
+  const reference::ConvGeometry& g = row.conv;
+  std::ostringstream os;
+  os << row.where;
+  if (row.kind == Kind::kConv)
+    os << " conv " << g.in_ch << "->" << g.out_ch << " k=" << g.k << " stride=" << g.stride
+       << " pad=" << g.pad << " groups=" << g.groups << " plane=" << row.h << "x" << row.w;
+  else
+    os << (row.kind == Kind::kLinear ? " linear " : " mhsa ") << row.in << "/" << row.out;
+  return os.str();
+}
+
+float max_abs_diff(std::span<const float> a, std::span<const float> b) {
+  float m = 0.f;
+  for (std::size_t i = 0; i < a.size(); ++i) m = std::max(m, std::fabs(a[i] - b[i]));
+  return m;
+}
+
+void check_conv_row(const LayerRow& row, std::size_t idx, unsigned passes,
+                    std::mt19937& rng) {
+  const reference::ConvGeometry& g = row.conv;
+  Conv2d conv(g.in_ch, g.out_ch, g.k, g.stride, g.pad, g.groups, rng);
+  randomize(conv.bias.value, rng);
+  BatchNorm2d bn(g.out_ch);
+  randomize_bn(bn, rng);
+  const auto [scale, shift] = reference::bn_affine(bn);
+  const Tensor x = Tensor::randn({2, g.in_ch, row.h, row.w}, rng, 1.f);
+  const float* wt = conv.weight.value.raw();
+  const auto vs = variants(row, idx, /*has_bn=*/true);
+  std::vector<Tensor> want;
+  for (const auto& [epi, with_bn] : vs)
+    want.push_back(reference::conv_forward(x, wt, conv.bias.value.raw(), g, epi,
+                                           with_bn ? scale.data() : nullptr,
+                                           with_bn ? shift.data() : nullptr));
+  const Tensor gy = Tensor::randn(want[0].shape(), rng, 1.f);
+  const reference::Grads ref = reference::conv_backward(x, gy, wt, g);
+  for (const int width : {1, 4}) {
+    core::resize_global_pool(width);
+    SCOPED_TRACE("pool width " + std::to_string(width));
+    const Context ctx;
+    for (std::size_t v = 0; v < vs.size() && (passes & kForward); ++v) {
+      const auto [epi, with_bn] = vs[v];
+      const Tensor y = with_bn ? conv.forward_bn_fused(x, ctx, bn, epi)
+                               : conv.forward_fused(x, ctx, epi);
+      EXPECT_TRUE(bitwise_equal(y, want[v]))
+          << "epi=" << static_cast<int>(epi) << " bn=" << with_bn;
+    }
+    if (!(passes & kBackward)) continue;
+    const Context train{/*train=*/true};
+    (void)conv.forward(x, train);
+    conv.zero_grad();
+    const Tensor dx = conv.backward(gy);
+    EXPECT_TRUE(bitwise_equal(conv.weight.grad, ref.dw));
+    EXPECT_TRUE(bitwise_equal(conv.bias.grad, ref.db));
+    EXPECT_LE(max_abs_diff(dx.data(), ref.dx.data()),
+              1e-4f * std::max(1.f, ref.dx.abs_max()));
+  }
+}
+
+void check_linear_row(const LayerRow& row, std::size_t idx, unsigned passes,
+                      std::mt19937& rng) {
+  Linear lin(row.in, row.out, rng);
+  randomize(lin.bias.value, rng);
+  const Tensor x = Tensor::randn({11, row.in}, rng, 1.f);
+  const float* wt = lin.weight.value.raw();
+  const auto vs = variants(row, idx, /*has_bn=*/false);
+  std::vector<Tensor> want;
+  for (const auto& [epi, with_bn] : vs)
+    want.push_back(reference::linear_forward(x, wt, lin.bias.value.raw(), row.out, epi));
+  const Tensor gy = Tensor::randn(want[0].shape(), rng, 1.f);
+  const reference::Grads ref = reference::linear_backward(x, gy, wt, row.out);
+  for (const int width : {1, 4}) {
+    core::resize_global_pool(width);
+    SCOPED_TRACE("pool width " + std::to_string(width));
+    const Context ctx;
+    for (std::size_t v = 0; v < vs.size() && (passes & kForward); ++v)
+      EXPECT_TRUE(bitwise_equal(lin.forward_fused(x, ctx, vs[v].first), want[v]))
+          << "epi=" << static_cast<int>(vs[v].first);
+    if (!(passes & kBackward)) continue;
+    const Context train{/*train=*/true};
+    (void)lin.forward(x, train);
+    lin.zero_grad();
+    EXPECT_TRUE(bitwise_equal(lin.backward(gy), ref.dx));
+    EXPECT_TRUE(bitwise_equal(lin.weight.grad, ref.dw));
+    EXPECT_TRUE(bitwise_equal(lin.bias.grad, ref.db));
+  }
+}
+
+void check_mhsa_row(const LayerRow& row, std::mt19937& rng) {
+  MultiHeadSelfAttention attn(row.in, row.out, rng);
+  for (Param* p : attn.parameters())
+    if (p->value.ndim() == 1) randomize(p->value, rng);  // the four biases
+  const Tensor x = Tensor::randn({3, row.h, row.in}, rng, 1.f);
+  const Tensor want = reference::mhsa_forward(attn, x);
+  for (const int width : {1, 4}) {
+    core::resize_global_pool(width);
+    EXPECT_TRUE(bitwise_equal(attn.forward(x, Context{}), want))
+        << "pool width " << width;
+  }
+}
+
+constexpr std::initializer_list<Group> kAllGroups = {Group::kGrid, Group::kDegenerate,
+                                                     Group::kPrepack, Group::kZoo};
+
+/// Checks the rows of `kind` in `groups` for `passes`.  MHSA rows check the
+/// forward only.
+void check_rows(Kind kind, std::initializer_list<Group> groups, unsigned passes) {
+  ASSERT_TRUE(kEnvReady);
+  static const std::vector<LayerRow> rows = contract_rows();
+  std::mt19937 rng(23);
+  const int prev_width = core::global_pool().size();
+  int checked = 0;
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const LayerRow& row = rows[i];
+    if (row.kind != kind || std::find(groups.begin(), groups.end(), row.group) == groups.end())
+      continue;
+    SCOPED_TRACE(describe(row));
+    ++checked;
+    switch (row.kind) {
+      case Kind::kConv: check_conv_row(row, i, passes, rng); break;
+      case Kind::kLinear: check_linear_row(row, i, passes, rng); break;
+      case Kind::kMhsa: check_mhsa_row(row, rng); break;
+    }
+  }
+  core::resize_global_pool(prev_width);
+  EXPECT_GT(checked, 0);
+}
+
+TEST(GemmConv, ForwardMatchesNaiveBitwiseAcrossGeometries) {
+  check_rows(Kind::kConv, {Group::kGrid, Group::kZoo}, kForward);
+}
+
+TEST(GemmConv, ForwardMatchesNaiveOnDegenerateSpatialShapes) {
+  check_rows(Kind::kConv, {Group::kDegenerate}, kForward);
+}
+
+// dW/db bitwise; dx within 1e-4 relative (col2im regroups the sums).
+TEST(GemmConv, BackwardMatchesNaiveWithinTolerance) {
+  check_rows(Kind::kConv, kAllGroups, kBackward);
+}
+
+TEST(GemmLinear, ForwardMatchesNaiveBitwise) {
+  check_rows(Kind::kLinear, kAllGroups, kForward);
+}
+
+TEST(GemmLinear, BackwardMatchesNaiveBitwise) {
+  check_rows(Kind::kLinear, kAllGroups, kBackward);
+}
+
+TEST(GemmAttention, MhsaForwardMatchesNaiveBitwise) {
+  check_rows(Kind::kMhsa, kAllGroups, kForward);
+}
+
+// The conv cases where packing differs (plain, unit, grouped, depthwise)
+// and a Linear, each forward cold then warm from the pack cache.
+TEST(LayerPrepack, ConvAndLinearForwardsBitwiseAcrossPrepackModes) {
+  check_rows(Kind::kConv, {Group::kPrepack}, kForward);
+  check_rows(Kind::kLinear, {Group::kPrepack}, kForward);
+}
+
+// ---------------------------------------------------------- model contract --
+
+// The default inference forward — prepacked weights, BN and activations
+// fused into the GEMM write-back — is bitwise equal to the same model run
+// module by module under a pass-through quant session (no fusions).  With
+// the layer contract above, every zoo model's fused forward thus equals the
+// naive loops end to end.  Covers every vision-zoo model plus BERT-mini at
+// pool widths 1 and 4.
+TEST(GemmZoo, DefaultForwardBitwiseMatchesUnfusedModulePasses) {
   constexpr int kBatch = 2, kImg = 12, kSeq = 8, kVocab = 50;
   std::mt19937 rng(101);
   std::vector<NamedModel> zoo = make_vision_zoo(3, 10, 101, kImg);
   zoo.push_back({"BERT-mini",
                  make_bert_mini(kVocab, kSeq + 2, 32, 4, 2, 64, 4, rng)});
-  // Non-trivial BN statistics, so the fused affine is not near-identity.
-  std::normal_distribution<float> nd(0.f, 0.5f);
-  std::uniform_real_distribution<float> ud(0.5f, 2.f);
   for (NamedModel& entry : zoo)
     for (Module* m : entry.model->modules())
-      if (auto* bn = dynamic_cast<BatchNorm2d*>(m)) {
-        for (auto& v : bn->gamma.value.data()) v = 1.f + nd(rng);
-        for (auto& v : bn->beta.value.data()) v = nd(rng);
-        for (auto& v : bn->running_mean.data()) v = nd(rng);
-        for (auto& v : bn->running_var.data()) v = ud(rng);
-      }
+      if (auto* bn = dynamic_cast<BatchNorm2d*>(m)) randomize_bn(*bn, rng);
   const Tensor image = Tensor::randn({kBatch, 3, kImg, kImg}, rng, 1.f);
   Tensor tokens({kBatch, kSeq});
   std::uniform_int_distribution<int> tok(0, kVocab - 1);
@@ -699,26 +735,13 @@ TEST(GemmZoo, DefaultForwardBitwiseMatchesNaiveModulePasses) {
     core::resize_global_pool(width);
     for (NamedModel& entry : zoo) {
       const Tensor& x = entry.name == "BERT-mini" ? tokens : image;
-      Tensor naive;
-      {
-        const GemmGuard off(false);
-        naive = entry.model->forward(x, ctx);
-      }
-      const Tensor fast = entry.model->forward(x, ctx);
-      EXPECT_TRUE(bitwise_equal(fast.data(), naive.data()))
+      const Tensor unfused = reference::unfused_forward(*entry.model, x);
+      const Tensor fused = entry.model->forward(x, ctx);
+      EXPECT_TRUE(bitwise_equal(fused, unfused))
           << entry.name << " at pool width " << width;
     }
   }
   core::resize_global_pool(prev_width);
 }
-
-TEST(GemmEnv, SetEnabledReturnsPreviousValue) {
-  const bool was = gemm::enabled();
-  EXPECT_EQ(gemm::set_enabled(false), was);
-  EXPECT_FALSE(gemm::enabled());
-  EXPECT_FALSE(gemm::set_enabled(was));
-  EXPECT_EQ(gemm::enabled(), was);
-}
-
 }  // namespace
 }  // namespace mersit::nn

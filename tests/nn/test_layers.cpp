@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "core/registry.h"
@@ -212,6 +214,26 @@ TEST(MaxPool2d, ForwardAndGrad) {
   const Tensor y = pool.forward(x, {});
   EXPECT_EQ(y.shape(), (std::vector<int>{2, 3, 3, 3}));
   testing::check_gradients(pool, x, 20);
+}
+
+TEST(MaxPool2d, WindowBelowMinusHugeKeepsItsMaxAndRoutesGradInside) {
+  // Channel 0 is an ordinary window.  Channel 1 holds only values at or
+  // below -1e30 (a high-regime weight flip can produce them); its max is
+  // -2e30 and its gradient must land on that tap, not on element 0 of the
+  // tensor.  Channel 2 leads with a NaN, which yields to the real max.
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  Tensor x({1, 3, 2, 2});
+  const float taps[] = {1.f,   2.f,   3.f,   4.f,    -kInf, -2e30f,
+                        -kInf, -kInf, std::nanf(""), 1.f, 2.f, 0.f};
+  for (int i = 0; i < 12; ++i) x[i] = taps[i];
+  MaxPool2d pool;
+  const Tensor y = pool.forward(x, Context{/*train=*/true});
+  EXPECT_EQ(y[0], 4.f);
+  EXPECT_EQ(y[1], -2e30f);
+  EXPECT_EQ(y[2], 2.f);
+  const Tensor dx = pool.backward(Tensor({1, 3, 1, 1}, 1.f));
+  for (int i = 0; i < 12; ++i)
+    EXPECT_EQ(dx[i], i == 3 || i == 5 || i == 10 ? 1.f : 0.f) << "element " << i;
 }
 
 TEST(GlobalAvgPool, ForwardAndGrad) {

@@ -8,7 +8,6 @@
 // so every comparison here demands bitwise equality.
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
@@ -23,6 +22,7 @@
 #include "nn/module.h"
 #include "nn/train.h"
 #include "ptq/ptq.h"
+#include "reference.h"
 
 namespace mersit::nn {
 namespace {
@@ -34,20 +34,8 @@ const bool kEnvReady = [] {
   return true;
 }();
 
-/// Restores the GEMM dispatch switch on scope exit.
-struct GemmGuard {
-  explicit GemmGuard(bool on) : prev(gemm::set_enabled(on)) {}
-  ~GemmGuard() { gemm::set_enabled(prev); }
-  bool prev;
-};
-
-bool bitwise_equal(std::span<const float> a, std::span<const float> b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i)
-    if (std::bit_cast<std::uint32_t>(a[i]) != std::bit_cast<std::uint32_t>(b[i]))
-      return false;
-  return true;
-}
+using reference::bitwise_equal;
+using reference::unfused_forward;
 
 std::vector<float> random_vec(std::size_t n, std::mt19937& rng) {
   std::normal_distribution<float> dist(0.f, 1.f);
@@ -81,12 +69,11 @@ Tensor eval_forward(Module& m, const Tensor& x) {
   return m.forward(x, ctx);
 }
 
-/// The reference the fused paths must reproduce: the same module graph run
-/// through the naive loops (unpacked, with separate conv, BN and activation
-/// passes).
-Tensor unfused_forward(Module& m, const Tensor& x) {
-  const GemmGuard guard(false);
-  return eval_forward(m, x);
+/// The conv's current FP32 weights through the oracle's naive loops — no
+/// pack cache involved, so a stale pack cannot match it.
+Tensor oracle_forward(const Conv2d& conv, const Tensor& x) {
+  return reference::conv_forward(x, conv.weight.value.raw(), conv.bias.value.raw(),
+                                 reference::geometry_of(conv));
 }
 
 // ------------------------------------------------------------- the kernel --
@@ -245,33 +232,6 @@ TEST(PrepackKernel, InvalidCombinationsThrow) {
 
 // ------------------------------------------------------------- the layers --
 
-TEST(LayerPrepack, ConvAndLinearForwardsBitwiseAcrossPrepackModes) {
-  std::mt19937 rng(21);
-  struct Case {
-    const char* name;
-    int in, out, k, stride, pad, groups;
-  };
-  const Case cases[] = {
-      {"3x3", 3, 16, 3, 1, 1, 1},     {"1x1-unit", 8, 16, 1, 1, 0, 1},
-      {"grouped", 8, 12, 3, 2, 1, 2}, {"depthwise", 8, 8, 3, 1, 1, 8}};
-  for (const Case& c : cases) {
-    Conv2d conv(c.in, c.out, c.k, c.stride, c.pad, c.groups, rng);
-    const Tensor x = random_tensor({2, c.in, 12, 12}, rng);
-    const Tensor y_off = unfused_forward(conv, x);
-    const Tensor y_on = eval_forward(conv, x);
-    const Tensor y_warm = eval_forward(conv, x);  // served from the cache
-    EXPECT_TRUE(bitwise_equal(y_on.data(), y_off.data())) << c.name;
-    EXPECT_TRUE(bitwise_equal(y_on.data(), y_warm.data())) << c.name;
-  }
-  Linear lin(48, 33, rng);
-  const Tensor x = random_tensor({4, 48}, rng);
-  const Tensor y_off = unfused_forward(lin, x);
-  const Tensor y_on = eval_forward(lin, x);
-  const Tensor y_warm = eval_forward(lin, x);
-  EXPECT_TRUE(bitwise_equal(y_on.data(), y_off.data()));
-  EXPECT_TRUE(bitwise_equal(y_on.data(), y_warm.data()));
-}
-
 TEST(LayerPrepack, SequentialBnActFusionBitwiseMatchesModulePasses) {
   std::mt19937 rng(22);
   // Conv -> BN -> act chains covering every fusable activation plus one
@@ -322,7 +282,7 @@ TEST(LayerPrepack, QuantizeAndRestoreInvalidateStalePacks) {
   Conv2d conv(3, 16, 3, 1, 1, 1, rng);
   const Tensor x = random_tensor({2, 3, 12, 12}, rng);
   const Tensor y0 = eval_forward(conv, x);  // warms the pack cache
-  EXPECT_TRUE(bitwise_equal(y0.data(), unfused_forward(conv, x).data()));
+  EXPECT_TRUE(bitwise_equal(y0.data(), oracle_forward(conv, x).data()));
 
   const ptq::WeightSnapshot snap = ptq::snapshot_weights(conv);
   const auto fmt = core::make_format("MERSIT(8,2)");
@@ -332,7 +292,7 @@ TEST(LayerPrepack, QuantizeAndRestoreInvalidateStalePacks) {
   // repack of the quantized weights.
   const Tensor y_q = eval_forward(conv, x);
   EXPECT_FALSE(bitwise_equal(y_q.data(), y0.data()));
-  EXPECT_TRUE(bitwise_equal(y_q.data(), unfused_forward(conv, x).data()));
+  EXPECT_TRUE(bitwise_equal(y_q.data(), oracle_forward(conv, x).data()));
 
   ptq::restore_weights(conv, snap);
   const Tensor y_r = eval_forward(conv, x);
@@ -353,7 +313,7 @@ TEST(LayerPrepack, OptimizerStepInvalidatesStalePacks) {
 
   const Tensor y1 = eval_forward(conv, x);
   EXPECT_FALSE(bitwise_equal(y1.data(), y0.data()));
-  EXPECT_TRUE(bitwise_equal(y1.data(), unfused_forward(conv, x).data()));
+  EXPECT_TRUE(bitwise_equal(y1.data(), oracle_forward(conv, x).data()));
 }
 
 TEST(LayerPrepack, CloneDoesNotSharePacksWithItsSource) {
@@ -374,7 +334,7 @@ TEST(LayerPrepack, CloneDoesNotSharePacksWithItsSource) {
   const Tensor y_parent = eval_forward(conv, x);
   const Tensor y_clone = eval_forward(*copy, x);
   EXPECT_FALSE(bitwise_equal(y_parent.data(), y0.data()));
-  EXPECT_TRUE(bitwise_equal(y_parent.data(), unfused_forward(conv, x).data()));
+  EXPECT_TRUE(bitwise_equal(y_parent.data(), oracle_forward(conv, x).data()));
   EXPECT_TRUE(bitwise_equal(y_clone.data(), y0.data()));
 }
 

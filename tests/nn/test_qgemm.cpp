@@ -36,6 +36,7 @@
 #include "nn/train.h"
 #include "ptq/ptq.h"
 #include "ptq/serialize.h"
+#include "reference.h"
 
 namespace mersit::nn {
 namespace {
@@ -53,12 +54,6 @@ struct ModeGuard {
   gemm::QgemmMode prev;
 };
 
-struct GemmGuard {
-  explicit GemmGuard(bool on) : prev(gemm::set_enabled(on)) {}
-  ~GemmGuard() { gemm::set_enabled(prev); }
-  bool prev;
-};
-
 /// Restores the active GEMM backend on scope exit.
 struct BackendGuard {
   explicit BackendGuard(const gemm::Backend& be)
@@ -67,11 +62,7 @@ struct BackendGuard {
   const gemm::Backend* prev;
 };
 
-bool bitwise_equal(const Tensor& a, const Tensor& b) {
-  return a.shape() == b.shape() &&
-         std::memcmp(a.raw(), b.raw(),
-                     sizeof(float) * static_cast<std::size_t>(a.numel())) == 0;
-}
+using reference::bitwise_equal;
 
 // Byte-for-byte pack comparison: layout metadata, block offsets, and every
 // panel float (memcmp, so NaN payloads must match too).
@@ -280,8 +271,7 @@ std::unique_ptr<ptq::CalibrationTable> QgemmModelTest::table_;
 std::unique_ptr<Tensor> QgemmModelTest::probe_;
 
 // install_weight_codes + code mode reproduces the quantize→dequantize FP32
-// forward bit for bit — with the blocked GEMM and with the naive loops —
-// while leaving the FP32 weights untouched.
+// forward bit for bit while leaving the FP32 weights untouched.
 TEST_F(QgemmModelTest, CodeModeForwardBitIdenticalToQuantizedWeights) {
   for (const char* name : {"MERSIT(8,2)", "FP(8,4)", "Posit(8,1)", "INT8"}) {
     SCOPED_TRACE(name);
@@ -300,10 +290,6 @@ TEST_F(QgemmModelTest, CodeModeForwardBitIdenticalToQuantizedWeights) {
     {
       const ModeGuard mode(gemm::QgemmMode::kCode);
       EXPECT_TRUE(bitwise_equal(quant_forward(*code_model, *fmt), ref));
-      {
-        const GemmGuard nogemm(false);
-        EXPECT_TRUE(bitwise_equal(quant_forward(*code_model, *fmt), ref));
-      }
     }
     // FP32 weights untouched by the code-domain run.
     const ptq::WeightSnapshot after = ptq::snapshot_weights(*code_model);

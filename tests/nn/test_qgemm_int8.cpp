@@ -37,6 +37,7 @@
 #include "nn/train.h"
 #include "ptq/ptq.h"
 #include "ptq/serialize.h"
+#include "reference.h"
 #include "serve/engine.h"
 
 namespace mersit::nn {
@@ -60,11 +61,7 @@ struct BackendGuard {
   const gemm::Backend* prev;
 };
 
-bool bitwise_equal(const Tensor& a, const Tensor& b) {
-  return a.shape() == b.shape() &&
-         std::memcmp(a.raw(), b.raw(),
-                     sizeof(float) * static_cast<std::size_t>(a.numel())) == 0;
-}
+using reference::bitwise_equal;
 
 std::array<double, 256> decode_lut(const formats::Format& fmt) {
   const auto kernel = formats::kernels::kernel_for(fmt);
