@@ -17,11 +17,14 @@
 // bit-exact modes and multi-thread scaling of the prepacked path.
 //
 // A second column runs the code-domain quantized path (MERSIT_QGEMM=code):
-// weights stay 8-bit in memory (ptq::install_weight_codes) and the GEMM
-// pack step decodes them through the per-format LUT.  The decode is
-// bit-identical to quantize→dequantize, so the column is gated at max ULP 0
-// against an FP32 forward over the same fake-quantized weights, and the
-// report records the 4x weight-footprint reduction alongside the latency.
+// weights are installed as 8-bit codes (ptq::install_weight_codes), and
+// each layer decodes them once through the per-format LUT and packs the
+// decoded FP32 array.  The decode is bit-identical to quantize→dequantize,
+// so the column is gated at max ULP 0 against an FP32 forward over the same
+// fake-quantized weights.  The report records the code payload's size
+// (weight_bytes_codes, ~4x below FP32: what an artifact stores and a swap
+// ships) alongside the latency; a warm layer holds FP32 panels, so this is
+// not the in-process footprint or the forward-time weight traffic.
 // A one-shot Kulisch probe documents the exact-accumulator ULP contract by
 // measuring how far FP32 ascending-k accumulation drifts from the quire.
 //
@@ -104,7 +107,7 @@ constexpr const char* kCodeFormat = "MERSIT(8,2)";
 
 /// Weight format for the decode-free integer column: INT8 is the affine-LUT
 /// family the int8 path accepts (MERSIT/posit/FP8 LUTs are non-affine and
-/// fall back to decode-in-pack).
+/// fall back to code mode).
 constexpr const char* kInt8Format = "INT8";
 
 /// Single-thread speedup the integer path must clear over the code path on
@@ -177,11 +180,11 @@ struct Row {
   int batch = 0;
   bool vision = true;        ///< image input: runs the int8 column and gates
   double prepacked_ms = 0.0; ///< per forward batch: prepack + fused BN/epilogues
-  double code_ms = 0.0;      ///< 8-bit weight codes, decoded in the pack step
+  double code_ms = 0.0;      ///< 8-bit weight codes, decoded once and packed
   std::uint32_t prepacked_ulp = 0;  ///< vs the unfused module-by-module forward
   std::uint32_t code_ulp = 0;  ///< vs FP32 forward over fake-quantized weights
   std::uint64_t weight_bytes_fp32 = 0;   ///< FP32 footprint of coded weights
-  std::uint64_t weight_bytes_codes = 0;  ///< codes + per-channel scales
+  std::uint64_t weight_bytes_codes = 0;  ///< code payload: codes + scales
   // Decode-free integer column (vision models; INT8 weights, quant session
   // on both sides so the only difference is the GEMM path).
   bool int8_eligible = false;   ///< affine LUT detected for kInt8Format

@@ -7,8 +7,8 @@
 # parallel PTQ, serving engine + hot-swap; see tests/CMakeLists.txt for the
 # label registry).  Finally, guard against build artifacts leaking into the
 # work tree.  Between the default build and the sanitizers, the gate-replay,
-# trunk-mersit and mobile-int8 benchmark workloads must report their
-# outputs correct.
+# trunk-mersit, mobile-int8 and serve-swap benchmark workloads must report
+# their outputs correct.
 #
 # Usage: scripts/ci.sh [jobs]
 set -euo pipefail
@@ -41,11 +41,13 @@ run_suite build
 # otherwise), and the GEMM suites must pass under the forced scalar
 # reference as well as under the auto-detected backend (the per-backend
 # bitwise gates inside the suites cover every other compiled-in backend).
+# The test_qgemm filter includes QgemmModelTest so code-mode whole-model
+# bit identity also runs on the scalar packs.
 echo "==> SIMD backend self-check (--backends)"
 ./build/bench/bench_inference --backends
 echo "==> GEMM suites under MERSIT_BACKEND=scalar"
 MERSIT_BACKEND=scalar ./build/tests/test_concurrency --gtest_filter='Gemm*'
-MERSIT_BACKEND=scalar ./build/tests/test_qgemm --gtest_filter='QgemmPack.*:Int8*'
+MERSIT_BACKEND=scalar ./build/tests/test_qgemm --gtest_filter='QgemmPack*:QgemmModelTest.*:Int8*'
 
 # Perf smoke: the Release bench runs every model through all three modes
 # (prepacked+fused / code-domain MERSIT_QGEMM=code / decode-free
@@ -115,6 +117,8 @@ MERSIT_BENCH_FAST=1 ./build/bench/fig7_mac_area_power --json=build/BENCH_fig7.js
 #  * trunk-mersit and mobile-int8 run the W8A8 layer code: "correct"
 #    includes the bitwise code-domain vs fake-quantized FP32 check and the
 #    int8 tolerance check.
+#  * serve-swap drives the serving engine through MERSIT(8,2)/(8,3) hot
+#    swaps, so code-mode layers rebuild their packs under live traffic.
 perfbench_exact() {
   local out result
   out="$(CARGO_TARGET_DIR=build/perfbench-ci python3 perfbench/run.py \
@@ -129,7 +133,7 @@ perfbench_exact() {
 }
 echo "==> gate-replay exactness (perfbench)"
 perfbench_exact gate-replay --trace 1
-for workload in trunk-mersit mobile-int8; do
+for workload in trunk-mersit mobile-int8 serve-swap; do
   echo "==> ${workload} exactness (perfbench)"
   perfbench_exact "${workload}" --trace 0
 done
@@ -144,11 +148,11 @@ MERSIT_BACKEND=scalar run_suite build-sanitize -DMERSIT_SANITIZE=ON -DCMAKE_BUIL
 # TSan run of the training-heavy tests would dominate CI time).  Selection is
 # by ctest label, not name regex: tests/CMakeLists.txt labels the dedicated
 # test_concurrency executable (codec lazy init, kernel cache, thread pool,
-# GEMM, prepack/arena, parallel PTQ), test_qgemm (code-domain packs riding
-# the pool fan-out, identity-keyed pack cache, Kulisch accumulator), and
-# test_serve (engine admission / watchdog / drain races, hot-swap under
-# load) with `concurrency`, so new suites join the stage by adding a source
-# there instead of editing a pattern here.
+# GEMM, prepack/arena, a code swap racing forwards, parallel PTQ),
+# test_qgemm (code mode riding the pool fan-out, keyed pack cache, Kulisch
+# accumulator, int8 path), and test_serve (engine admission / watchdog /
+# drain races, hot-swap under load) with `concurrency`, so new suites join
+# the stage by adding a source there instead of editing a pattern here.
 # Force a multi-thread pool so parallel paths actually interleave on 1-core
 # runners.
 echo "==> configure build-tsan (MERSIT_SANITIZE=thread)"

@@ -1,21 +1,22 @@
 // Runtime-dispatched SIMD backend registry for the GEMM engine.
 //
 // One Backend descriptor per instruction set — scalar (the reference),
-// avx2, avx512 on x86-64, neon on aarch64 — each bundling the micro-kernel,
-// the four panel-pack routines (float and code-domain), and its tile
-// geometry (MR/NR register tile, MC/KC/NC cache blocks).  The registry is
-// CPUID-backed: auto-detection walks the compiled-in list best-first and
-// activates the first backend the host can execute; MERSIT_BACKEND forces a
-// specific one, strict-parsed (unknown names and backends the host cannot
-// run both throw).
+// avx2, avx512 on x86-64, neon on aarch64 — each bundling the float
+// micro-kernel and its two panel-pack routines, the int8 micro-kernel and
+// its three panel-pack routines, and its tile geometry (MR/NR register
+// tile, MC/KC/NC cache blocks).  The registry is CPUID-backed:
+// auto-detection walks the compiled-in list best-first and activates the
+// first backend the host can execute; MERSIT_BACKEND forces a specific one,
+// strict-parsed (unknown names and backends the host cannot run both
+// throw).
 //
 // The cross-backend contract is the engine's existing bit-identity tower:
 //
-//  * Packs are byte-identical.  Every backend's pack routines write the
-//    exact bytes the generic reference pack produces for that backend's
-//    tile geometry — same zero padding, and for the code-domain packs the
-//    same single double-multiply-then-float-cast per element.  test_qgemm
-//    gates this exhaustively over all 256 codes per compiled-in backend.
+//  * Packs are byte-identical.  Every backend's float pack routines write
+//    the exact bytes the generic reference pack produces for that backend's
+//    tile geometry — same values, same zero padding.  Code-mode weights
+//    are decoded once (decode_codes) and packed through these same
+//    routines, so there is no separate code-domain pack to gate.
 //
 //  * C panels are bit-identical to scalar.  Every backend accumulates each
 //    output element's K products in ascending k order with a separately
@@ -48,7 +49,7 @@ namespace mersit::nn::gemm {
 /// comparison (pointer equality) is meaningful.
 struct Backend {
   const char* name;  ///< registry / MERSIT_BACKEND name
-  int id;            ///< stable small unique id (< 16), joins pack-cache keys
+  int id;            ///< stable unique id; stamps packs, joins pack-cache keys
 
   int mr, nr;        ///< register tile: MR x NR accumulator block
   int mc, kc, nc;    ///< cache blocks: MC x KC A panels, KC x NC B panels
@@ -66,15 +67,6 @@ struct Backend {
   /// panel, zero-padded like pack_a.
   void (*pack_b)(const float* b, int ldb, bool trans, int k0, int kc, int n0,
                  int nc, float* dst);
-  /// pack_a over 8-bit codes: float(lut[code] * scales[m]) decoded at the
-  /// element read, byte-identical to pack_a over the eagerly decoded matrix.
-  void (*pack_a_codes)(const std::uint8_t* a, int lda, bool trans,
-                       const double* lut, const double* scales, int m0, int mc,
-                       int k0, int kc, float* dst);
-  /// pack_b over 8-bit codes (column scale scales[n]).
-  void (*pack_b_codes)(const std::uint8_t* b, int ldb, bool trans,
-                       const double* lut, const double* scales, int k0, int kc,
-                       int n0, int nc, float* dst);
 
   /// One (mr x nr) C tile: load C, accumulate kc products in ascending k
   /// order, write back with the optional per-row affine then epilogue.
@@ -124,13 +116,11 @@ struct Backend {
   /// fused into the panel distribution (one pass, no intermediate level
   /// buffer).  Same layout, padding, and byte bias rules as pack_a_int8, so
   /// panels are byte-identical to packing pre-quantized levels through the
-  /// identity map.
+  /// identity map.  A-side only: the int8 Linear quantizes its activation
+  /// rows here, while conv activations are lowered to levels by im2col_int8
+  /// before they reach the B pack.
   void (*pack_a_int8_f32)(const float* a, int lda, bool trans, double inv,
                           int lo, int hi, int m0, int mc, int k0, int kc,
-                          std::int8_t* dst);
-  /// pack_b_int8 over a float source, mirroring pack_a_int8_f32.
-  void (*pack_b_int8_f32)(const float* b, int ldb, bool trans, double inv,
-                          int lo, int hi, int k0, int kc, int n0, int nc,
                           std::int8_t* dst);
 };
 

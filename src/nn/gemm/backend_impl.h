@@ -5,18 +5,17 @@
 // blocking stays in the driver (gemm.cpp).  Each backend TU instantiates
 // them at its own tile geometry: the scalar backend uses them as its entire
 // implementation, the SIMD backends use them for the pack routines (the
-// compiler auto-vectorizes the copy/decode loops under the TU's -m flags —
+// compiler auto-vectorizes the copy loops under the TU's -m flags —
 // values are IEEE-identical at any vector width) and as the fallback for
-// edge tiles their intrinsic kernels do not cover.
+// edge tiles their intrinsic kernels do not cover.  The float packs copy
+// values and never decode: code-mode weights reach them already decoded
+// (gemm::decode_codes), so one pack routine per side serves both.
 //
 // Bit-identity rules baked in here, which every intrinsic kernel must also
 // obey:
 //  * ascending-k accumulation, one separately rounded multiply and add per
 //    step (backend TUs compile with -ffp-contract=off so neither the
 //    template loops nor adjacent mul/add intrinsics can fuse into FMA);
-//  * the code-domain element decode is exactly
-//    float(lut[code] * scale) — one double multiply, one float cast — the
-//    same expression decode_codes evaluates;
 //  * the per-row affine is v = scale[m]*v + shift[m] (two roundings), then
 //    the epilogue via the shared epilogue_apply.
 #pragma once
@@ -39,24 +38,6 @@ inline float a_elem(const float* a, int lda, bool trans, int m, int k) {
 inline float b_elem(const float* b, int ldb, bool trans, int k, int n) {
   return trans ? b[static_cast<std::size_t>(n) * ldb + k]
                : b[static_cast<std::size_t>(k) * ldb + n];
-}
-
-// Code-domain element access: decode float(lut[code] * scale) at the point
-// the pack reads the element.  The expression must stay textually identical
-// to decode_codes — one double multiply, one float cast — so code-domain
-// packs are byte-identical to float packs of the eagerly decoded matrix.
-inline float qa_elem(const std::uint8_t* a, int lda, bool trans,
-                     const double* lut, const double* scales, int m, int k) {
-  const std::uint8_t code = trans ? a[static_cast<std::size_t>(k) * lda + m]
-                                  : a[static_cast<std::size_t>(m) * lda + k];
-  return static_cast<float>(lut[code] * scales[m]);
-}
-
-inline float qb_elem(const std::uint8_t* b, int ldb, bool trans,
-                     const double* lut, const double* scales, int k, int n) {
-  const std::uint8_t code = trans ? b[static_cast<std::size_t>(n) * ldb + k]
-                                  : b[static_cast<std::size_t>(k) * ldb + n];
-  return static_cast<float>(lut[code] * scales[n]);
 }
 
 /// Pack an (mc x kc) block of op(A) into MR-row panels, k-major within a
@@ -86,41 +67,6 @@ void pack_b_block(const float* b, int ldb, bool trans, int k0, int kc, int n0,
     for (int k = 0; k < kc; ++k) {
       for (int n = 0; n < nr; ++n)
         dst[k * NR + n] = b_elem(b, ldb, trans, k0 + k, n0 + jp + n);
-      for (int n = nr; n < NR; ++n) dst[k * NR + n] = 0.f;
-    }
-    dst += static_cast<std::size_t>(kc) * NR;
-  }
-}
-
-/// pack_a_block over codes: same panel layout and zero padding, with the
-/// LUT decode inlined into the element read.
-template <int MR>
-void pack_a_codes_block(const std::uint8_t* a, int lda, bool trans,
-                        const double* lut, const double* scales, int m0, int mc,
-                        int k0, int kc, float* dst) {
-  for (int ip = 0; ip < mc; ip += MR) {
-    const int mr = std::min(MR, mc - ip);
-    for (int k = 0; k < kc; ++k) {
-      for (int m = 0; m < mr; ++m)
-        dst[k * MR + m] =
-            qa_elem(a, lda, trans, lut, scales, m0 + ip + m, k0 + k);
-      for (int m = mr; m < MR; ++m) dst[k * MR + m] = 0.f;
-    }
-    dst += static_cast<std::size_t>(kc) * MR;
-  }
-}
-
-/// pack_b_block over codes, mirroring pack_b_block the same way.
-template <int NR>
-void pack_b_codes_block(const std::uint8_t* b, int ldb, bool trans,
-                        const double* lut, const double* scales, int k0, int kc,
-                        int n0, int nc, float* dst) {
-  for (int jp = 0; jp < nc; jp += NR) {
-    const int nr = std::min(NR, nc - jp);
-    for (int k = 0; k < kc; ++k) {
-      for (int n = 0; n < nr; ++n)
-        dst[k * NR + n] =
-            qb_elem(b, ldb, trans, lut, scales, k0 + k, n0 + jp + n);
       for (int n = nr; n < NR; ++n) dst[k * NR + n] = 0.f;
     }
     dst += static_cast<std::size_t>(kc) * NR;
@@ -403,94 +349,6 @@ void pack_a_int8_f32_block(const float* a, int lda, bool trans, double inv,
             static_cast<std::int8_t>(XOR);  // zero level, biased like the rest
     }
     dst += static_cast<std::size_t>(groups) * MR * KG;
-  }
-}
-
-/// pack_b_int8_block over a float source (B panels are always plain
-/// two's-complement levels).  !trans is the hot orientation (conv im2col
-/// columns): row k of op(B) is contiguous, so one quantize_levels call per k
-/// covers every panel of the block.
-template <int NR, int KG>
-void pack_b_int8_f32_block(const float* b, int ldb, bool trans, double inv,
-                           int lo, int hi, int k0, int kc, int n0, int nc,
-                           std::int8_t* dst) {
-  const int groups = (kc + KG - 1) / KG;
-  const std::size_t panel = static_cast<std::size_t>(groups) * NR * KG;
-  // Zero every pad byte up front (the ragged last panel and the k tail
-  // group); the fill passes below then touch only real elements.
-  for (int jp = 0; jp < nc; jp += NR) {
-    std::int8_t* pd = dst + static_cast<std::size_t>(jp / NR) * panel;
-    if (nc - jp < NR) {
-      std::memset(pd, 0, panel);
-    } else if (kc < groups * KG) {
-      std::int8_t* pg = pd + static_cast<std::size_t>(groups - 1) * NR * KG;
-      const int j0 = kc - (groups - 1) * KG;
-      for (int n = 0; n < NR; ++n)
-        for (int j = j0; j < KG; ++j) pg[n * KG + j] = 0;
-    }
-  }
-  if (!trans) {
-    // Row k of op(B) is contiguous in `b`, so each of a group's KG source
-    // rows quantizes in one SIMD sweep; the interleave then composes every
-    // column's KG levels into a single word store (see pack_b_int8_block).
-    constexpr int kChunk = 1024;  // multiple of every NR (8/16)
-    std::int8_t qr[KG][kChunk];
-    for (int nb = 0; nb < nc; nb += kChunk) {
-      const int len = std::min(kChunk, nc - nb);
-      for (int g = 0; g < groups; ++g) {
-        for (int j = 0; j < KG; ++j) {
-          const int k = g * KG + j;
-          if (k < kc)
-            quantize_levels(b + static_cast<std::size_t>(k0 + k) * ldb + n0 +
-                                nb,
-                            static_cast<std::size_t>(len), inv, lo, hi, qr[j]);
-          else
-            std::memset(qr[j], 0, static_cast<std::size_t>(len));
-        }
-        for (int jpo = 0; jpo < len; jpo += NR) {
-          std::int8_t* dg = dst +
-                            static_cast<std::size_t>((nb + jpo) / NR) * panel +
-                            static_cast<std::size_t>(g) * NR * KG;
-          const int nr = std::min(NR, len - jpo);
-          if (nr == NR) {
-            // qr rows already hold levels — the full-panel interleave is the
-            // same byte shuffle the identity pack uses.
-            const std::uint8_t* rp[KG];
-            for (int j = 0; j < KG; ++j)
-              rp[j] = reinterpret_cast<const std::uint8_t*>(qr[j]) + jpo;
-            interleave_rows_i8<NR, KG>(rp, dg);
-            continue;
-          }
-          for (int n = 0; n < nr; ++n) {
-            std::uint32_t wv = 0;
-            for (int j = 0; j < KG; ++j)
-              wv |= static_cast<std::uint32_t>(
-                        static_cast<std::uint8_t>(qr[j][jpo + n]))
-                    << (8 * j);
-            std::memcpy(dg + n * KG, &wv, KG);
-          }
-        }
-      }
-    }
-  } else {
-    // op(B) column n is a contiguous k-row of `b`: quantize it whole, then
-    // distribute into the [group][n][j] layout.
-    constexpr int kChunk = 256;
-    std::int8_t q[kChunk];
-    for (int n = 0; n < nc; ++n) {
-      const float* src = b + static_cast<std::size_t>(n0 + n) * ldb + k0;
-      std::int8_t* dn = dst + static_cast<std::size_t>(n / NR) * panel +
-                        static_cast<std::size_t>(n % NR) * KG;
-      for (int kb = 0; kb < kc; kb += kChunk) {
-        const int len = std::min(kChunk, kc - kb);
-        quantize_levels(src + kb, static_cast<std::size_t>(len), inv, lo, hi,
-                        q);
-        for (int i = 0; i < len; ++i) {
-          const int k = kb + i;
-          dn[static_cast<std::size_t>(k / KG) * NR * KG + k % KG] = q[i];
-        }
-      }
-    }
   }
 }
 

@@ -40,20 +40,6 @@ void pack_b(const float* b, int ldb, bool trans, int k0, int kc, int n0,
   detail::pack_b_block<kNR>(b, ldb, trans, k0, kc, n0, nc, dst);
 }
 
-void pack_a_codes(const std::uint8_t* a, int lda, bool trans,
-                  const double* lut, const double* scales, int m0, int mc,
-                  int k0, int kc, float* dst) {
-  detail::pack_a_codes_block<kMR>(a, lda, trans, lut, scales, m0, mc, k0, kc,
-                                  dst);
-}
-
-void pack_b_codes(const std::uint8_t* b, int ldb, bool trans,
-                  const double* lut, const double* scales, int k0, int kc,
-                  int n0, int nc, float* dst) {
-  detail::pack_b_codes_block<kNR>(b, ldb, trans, lut, scales, k0, kc, n0, nc,
-                                  dst);
-}
-
 /// R x (4*C) tile with compile-time row count R and q-register column count
 /// C.  nr <= 4*C; partial widths stage the C row through a zero-padded
 /// stack buffer (NEON has no fault-suppressing masked loads), so lanes
@@ -229,19 +215,11 @@ void pack_a_int8_f32(const float* a, int lda, bool trans, double inv, int lo,
                                            k0, kc, dst);
 }
 
-void pack_b_int8_f32(const float* b, int ldb, bool trans, double inv, int lo,
-                     int hi, int k0, int kc, int n0, int nc,
-                     std::int8_t* dst) {
-  detail::pack_b_int8_f32_block<kNR, kKG8>(b, ldb, trans, inv, lo, hi, k0, kc,
-                                           n0, nc, dst);
-}
-
 constexpr Backend kNeon = {
     "neon", /*id=*/3, kMR,    kNR,    /*mc=*/120,   /*kc=*/256,
-    /*nc=*/1024,      supported,      pack_a,       pack_b,
-    pack_a_codes,     pack_b_codes,   micro,
+    /*nc=*/1024,      supported,      pack_a,       pack_b, micro,
     /*kg8=*/kKG8,     pack_a_int8,    pack_b_int8,  micro_int8,
-    pack_a_int8_f32,  pack_b_int8_f32,
+    pack_a_int8_f32,
 };
 
 }  // namespace

@@ -185,7 +185,7 @@ void run_tile(const TileArgs& t, int m0, int mc, int n0, int nc) {
   }
 }
 
-/// Shared skeleton of the four pack entry points: compute the block-offset
+/// Shared skeleton of the two pack entry points: compute the block-offset
 /// table for the active backend's tile geometry, then run `pack_block` per
 /// (outer, k) cache block.  Every block's float count is rounded up to a
 /// whole cache line so block starts stay 64-byte aligned inside the aligned
@@ -284,30 +284,6 @@ PackedMatrix pack_b_matrix(int K, int N, const float* B, int ldb, bool trans_b) 
                       [&](const Backend& be, int n0, int nc, int k0, int kc,
                           float* dst) {
                         be.pack_b(B, ldb, trans_b, k0, kc, n0, nc, dst);
-                      });
-}
-
-PackedMatrix pack_a_codes(int M, int K, const std::uint8_t* A, int lda,
-                          bool trans_a, const double* lut,
-                          const double* scales) {
-  if (M < 0 || K < 0) throw std::invalid_argument("pack_a_codes: negative dim");
-  return pack_generic(/*is_a=*/true, M, K,
-                      [&](const Backend& be, int m0, int mc, int k0, int kc,
-                          float* dst) {
-                        be.pack_a_codes(A, lda, trans_a, lut, scales, m0, mc,
-                                        k0, kc, dst);
-                      });
-}
-
-PackedMatrix pack_b_codes(int K, int N, const std::uint8_t* B, int ldb,
-                          bool trans_b, const double* lut,
-                          const double* scales) {
-  if (K < 0 || N < 0) throw std::invalid_argument("pack_b_codes: negative dim");
-  return pack_generic(/*is_a=*/false, N, K,
-                      [&](const Backend& be, int n0, int nc, int k0, int kc,
-                          float* dst) {
-                        be.pack_b_codes(B, ldb, trans_b, lut, scales, k0, kc,
-                                        n0, nc, dst);
                       });
 }
 

@@ -139,27 +139,13 @@ struct PackedMatrix {
 [[nodiscard]] PackedMatrix pack_b_matrix(int K, int N, const float* B, int ldb,
                                          bool trans_b);
 
-// Code-domain packing: the operand arrives as raw 8-bit code words plus a
-// 256-entry decode LUT and per-channel scales, and each element decodes as
-// float(lut[code] * scale) *inside* the panel pack — the pack step reads one
-// byte per weight instead of four.  Element (m,k) of op(A) takes row scale
-// scales[m]; element (k,n) of op(B) takes column scale scales[n] (rows of a
-// conv A-operand and columns of a linear Bᵀ-operand are output channels).
-// The result is byte-identical to pack_a_matrix / pack_b_matrix over the
-// eagerly decoded float matrix: same blocks, same zero padding, and the same
-// single double-multiply-then-float-cast per element.
-[[nodiscard]] PackedMatrix pack_a_codes(int M, int K, const std::uint8_t* A,
-                                        int lda, bool trans_a, const double* lut,
-                                        const double* scales);
-[[nodiscard]] PackedMatrix pack_b_codes(int K, int N, const std::uint8_t* B,
-                                        int ldb, bool trans_b, const double* lut,
-                                        const double* scales);
-
 /// Eager decode of a channel-major code array: out[i] =
-/// float(lut[codes[i]] * scales[i / per_channel]) — the exact expression the
-/// code-domain packs evaluate per element, so a pack of `out` and a pack of
-/// the codes are byte-identical.  Feeds the paths that need raw float
-/// weights (the depthwise loops, the small-problem direct GEMM).
+/// float(lut[codes[i]] * scales[i / per_channel]) — one double multiply,
+/// one float cast, exactly the quantize→dequantize value.  This is how
+/// code-mode weights enter the GEMM: layers decode their codes once per
+/// installed payload and pack the result with pack_a_matrix /
+/// pack_b_matrix like any FP32 weight, so the panels a code-mode forward
+/// reads are the panels of the dequantized weights.
 void decode_codes(const std::uint8_t* codes, std::size_t n, const double* lut,
                   const double* scales, std::size_t per_channel, float* out);
 

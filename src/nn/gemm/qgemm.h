@@ -6,12 +6,15 @@
 //
 //  * float   — ignore the codes; layers keep using their FP32 weights
 //              (the pre-code-domain behaviour, for A/B comparisons).
-//  * code    — the default.  Weights stay 8-bit in memory; the GEMM pack
-//              step decodes float(lut[code] * scale) per element
-//              (gemm::pack_a_codes / pack_b_codes), cutting weight-side
-//              bandwidth ~4x.  Decoded values are bit-identical to the
-//              quantize→dequantize FP32 path, so layer outputs are
-//              bit-identical too.
+//  * code    — the default.  The installed 8-bit codes are decoded once
+//              per payload, float(lut[code] * scale) per element
+//              (gemm::decode_codes), and packed like FP32 weights; the
+//              layer never reads its FP32 Param.  Decoded values are
+//              bit-identical to the quantize→dequantize FP32 path, so
+//              layer outputs are bit-identical too.  The 8-bit payload is
+//              what an artifact stores and a swap ships (~4x smaller than
+//              FP32); a warm layer holds FP32 panels, so the forward-time
+//              weight traffic is that of the FP32 path.
 //  * kulisch — opt-in exact-accumulation study mode mirroring the paper's
 //              §1.4 Kulisch MAC: both operands are 8-bit codes, every
 //              product is formed exactly as a dyadic rational
@@ -23,8 +26,8 @@
 //              q = code − z, activations are quantized per-tensor to the
 //              same level grid at the GEMM boundary, and the micro-kernel
 //              accumulates q_a·q_b in int32 — both operands move as 8-bit
-//              codes (≈4x less pack traffic than the float-decoding pack)
-//              and no float math happens until the epilogue.  Formats whose
+//              levels (≈4x less panel traffic than code mode's FP32
+//              panels) and no float math happens until the epilogue.  Formats whose
 //              LUT is not affine (MERSIT, posit, FP8) fall back to code
 //              mode per layer, silently, exactly like Kulisch fallback.
 //
@@ -54,10 +57,11 @@
 // instrument, not a fast path.
 //
 // Backend note: the float and code modes ride the SIMD backend registry
-// (nn/gemm/backend.h) — the code-domain packs are per-backend routines
-// gated byte-identical across backends.  qgemm_kulisch reads raw codes and
-// accumulates in integer arithmetic, so it is independent of the active
-// backend by construction and needs no per-backend gating.
+// (nn/gemm/backend.h) through the same float pack routines and sgemm —
+// code mode differs only in where the FP32 weights come from.
+// qgemm_kulisch reads raw codes and accumulates in integer arithmetic, so
+// it is independent of the active backend by construction and needs no
+// per-backend gating.
 #pragma once
 
 #include <cstdint>
@@ -71,7 +75,7 @@ namespace mersit::nn::gemm {
 /// Weight-path execution mode for layers that carry 8-bit codes.
 enum class QgemmMode {
   kFloat,    ///< MERSIT_QGEMM=float — ignore codes, use FP32 weights
-  kCode,     ///< MERSIT_QGEMM=code (default) — decode in the pack step
+  kCode,     ///< MERSIT_QGEMM=code (default) — decode once, pack as FP32
   kKulisch,  ///< MERSIT_QGEMM=kulisch — exact fixed-point accumulation
   kInt8,     ///< MERSIT_QGEMM=int8 — decode-free integer path (affine LUTs)
 };
@@ -190,15 +194,17 @@ void quantize_levels(const float* x, std::size_t n, double inv, int lo,
 /// activations, `qlut` is identity_qlut() and `uniform_scale` =
 /// AffineLut::scale · tensor quant_scale.
 ///
-/// Alternatively an operand may carry a *float* source (`fsrc` non-null):
-/// the pack step then quantizes elements straight onto the level grid —
-/// q = clamp(RNE(v·finv), flo, fhi), the exact quantize_levels computation —
-/// fused into the panel distribution, so per-call activations skip the
-/// intermediate level buffer entirely.  `ld`/`trans` address `fsrc` the same
-/// way they address `codes`; `codes`/`qlut` are ignored.  Because the
-/// quantization is elementwise and identical to quantize_levels, a float
-/// operand is bit-for-bit equivalent to pre-quantizing into a buffer and
-/// passing it with identity_qlut().
+/// Alternatively the *A* operand may carry a *float* source (`fsrc`
+/// non-null): the pack step then quantizes elements straight onto the level
+/// grid — q = clamp(RNE(v·finv), flo, fhi), the exact quantize_levels
+/// computation — fused into the panel distribution, so per-call activations
+/// skip the intermediate level buffer entirely.  `ld`/`trans` address
+/// `fsrc` the same way they address `codes`; `codes`/`qlut` are ignored.
+/// Because the quantization is elementwise and identical to
+/// quantize_levels, a float operand is bit-for-bit equivalent to
+/// pre-quantizing into a buffer and passing it with identity_qlut().
+/// qgemm_int8 rejects a B operand with `fsrc` set (conv activations, the
+/// only float B source, are lowered to levels by im2col_int8 instead).
 struct Int8Operand {
   const std::uint8_t* codes = nullptr;
   int ld = 0;
@@ -206,7 +212,7 @@ struct Int8Operand {
   const std::int8_t* qlut = nullptr;
   const double* channel_scales = nullptr;
   double uniform_scale = 1.0;
-  const float* fsrc = nullptr;  ///< quantize-on-pack float source (optional)
+  const float* fsrc = nullptr;  ///< quantize-on-pack float source (A only)
   double finv = 0.0;            ///< 1 / (AffineLut::scale · tensor scale)
   int flo = 0, fhi = 0;         ///< level clamp (AffineLut qmin/qmax)
 };

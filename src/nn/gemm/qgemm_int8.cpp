@@ -7,8 +7,9 @@
 //  * Pack.  Each operand's 8-bit codes go through a 256-byte code→level
 //    remap (AffineLut::q for weights, the identity map for pre-quantized
 //    activations) straight into the active backend's int8 panel layout —
-//    one byte moved per element on both sides, against four on the float
-//    side of the code-domain pack.
+//    one byte moved per element on both sides, against four for the FP32
+//    panels a code-mode forward streams.  An A operand may instead carry a
+//    float source that the pack quantizes onto the level grid.
 //  * Accumulate.  A per-tile int32 accumulator (mc x nc, thread-local
 //    scratch) is zeroed once, then every k-block's panels are fed through
 //    Backend::micro_int8, which adds exact integer level products.  The
@@ -165,9 +166,6 @@ void run_tile(const TileArgs& t, int m0, int mc, int n0, int nc) {
       bpack = t.pb->data.data() +
               t.pb->block_off[static_cast<std::size_t>(n0 / be.nc) * kblocks +
                               kb];
-    } else if (t.b->fsrc != nullptr) {
-      be.pack_b_int8_f32(t.b->fsrc, t.b->ld, t.b->trans, t.b->finv, t.b->flo,
-                         t.b->fhi, k0, kc, n0, nc, bbuf);
     } else {
       be.pack_b_int8(t.b->codes, t.b->ld, t.b->trans, t.b->qlut, k0, kc, n0,
                      nc, bbuf);
@@ -275,8 +273,11 @@ void qgemm_int8(int M, int N, int K, const Int8Operand& a,
   if (affine != nullptr &&
       (affine->scale == nullptr || affine->shift == nullptr))
     throw std::invalid_argument("qgemm_int8: affine with null scale/shift");
+  if (b.fsrc != nullptr)
+    throw std::invalid_argument(
+        "qgemm_int8: a float source is supported on the A operand only");
   if ((packed_a == nullptr && a.qlut == nullptr && a.fsrc == nullptr) ||
-      (packed_b == nullptr && b.qlut == nullptr && b.fsrc == nullptr))
+      (packed_b == nullptr && b.qlut == nullptr))
     throw std::invalid_argument(
         "qgemm_int8: operand without a level map or float source");
   if (packed_a != nullptr &&

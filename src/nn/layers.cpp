@@ -23,9 +23,10 @@ float sigmoidf(float x) { return 1.f / (1.f + std::exp(-x)); }
 
 /// The installed code-domain weights, when the layer should run from them:
 /// inference only and MERSIT_QGEMM != float.  The snapshot is taken once
-/// per forward; everything derived (decoded floats, packs, the cache
-/// identity) comes from this one instance, so a concurrent swap can only
-/// yield a fully-old or fully-new view, never a mix.
+/// per forward; everything derived (decoded floats, packs, the cache key)
+/// comes from this one instance, and the forward holds both the snapshot
+/// and its cache entry until it returns, so a concurrent swap can only
+/// yield a fully-old or fully-new view, never a mix or a freed one.
 std::shared_ptr<const WeightCodes> active_codes(const ChannelWeights& cw,
                                                 const Context& ctx) {
   if (ctx.train || gemm::qgemm_mode() == gemm::QgemmMode::kFloat)
@@ -42,27 +43,42 @@ void check_codes(const WeightCodes& wc, int channels, int per_channel,
                                 ": weight codes do not match the layer shape");
 }
 
-/// Cache identity of the float-weight path: just the active GEMM backend's
-/// id (< 16), so switching MERSIT_BACKEND rebuilds the entry instead of
-/// serving a foreign-layout pack (sgemm would reject it loudly).
-std::uint64_t float_pack_identity() {
-  return static_cast<std::uint64_t>(gemm::active_backend().id);
+/// Cache key of a layer's FP32-weight entry: built from the decoded codes
+/// `wc` when set, else from the live Param (codes id 0).
+PackKey float_key(const WeightCodes* wc) {
+  return {wc != nullptr ? wc->id : 0, PackKey::Kind::kFloat,
+          gemm::active_backend().id};
 }
 
-/// Cache identity of a code-domain entry: the process-unique WeightCodes id
-/// shifted past a two-bit entry kind (1 = code packs, 2 = int8 level packs
-/// — the two builds share a Param version, so the kind must be part of the
-/// key or a mode flip between code and int8 could serve the wrong panels)
-/// and four backend-id bits for the same foreign-layout reason as
-/// float_pack_identity.  Never collides with the float path's identities
-/// (< 16): the kind bits make these always >= 16.
-std::uint64_t codes_identity(const WeightCodes& wc) {
-  return (wc.id << 6) | (std::uint64_t{1} << 4) | float_pack_identity();
+/// Cache key of a layer's int8-path entry for codes `wc`.
+PackKey int8_key(const WeightCodes& wc) {
+  return {wc.id, PackKey::Kind::kInt8, gemm::active_backend().id};
 }
 
-/// Cache identity of an int8-path entry (kind 2; see codes_identity).
-std::uint64_t int8_identity(const WeightCodes& wc) {
-  return (wc.id << 6) | (std::uint64_t{2} << 4) | float_pack_identity();
+/// The one FP32-weight cache-entry builder: the source is the live Param
+/// `weight`, or — in code mode — `wc` decoded once into the entry's
+/// `decoded` array, bit-identical to the quantize→dequantize weights.
+/// `pack` turns the source array into the layer's panel packs, so code
+/// mode packs exactly what the FP32 path would pack for the same values.
+template <typename PackFn>
+std::shared_ptr<const PackedWeights> float_weights(PackCache& cache,
+                                                   const Param& weight,
+                                                   const WeightCodes* wc,
+                                                   PackFn&& pack) {
+  return cache.get(weight, float_key(wc), [&] {
+    PackedWeights pw;
+    const float* src = weight.value.raw();
+    if (wc != nullptr) {
+      pw.decoded.resize(wc->codes.size());
+      gemm::decode_codes(wc->codes.data(), wc->codes.size(), wc->lut,
+                         wc->scales.data(),
+                         static_cast<std::size_t>(wc->per_channel),
+                         pw.decoded.data());
+      src = pw.decoded.data();
+    }
+    pw.packs = pack(src);
+    return pw;
+  });
 }
 
 /// Kulisch eligibility for one forward: opt-in mode, exact table available,
@@ -132,35 +148,9 @@ Tensor Linear::forward_fused(const Tensor& x, const Context& ctx,
                              gemm::Epilogue epi) {
   const int n = x.dim(0);
   if (x.dim(1) != in_) throw std::invalid_argument("Linear: width mismatch");
-  if (const auto wc = active_codes(*this, ctx); wc != nullptr)
-    return forward_codes(x, wc, epi);
-  Tensor y({n, out_});
-  const gemm::PackedMatrix* pb = nullptr;
-  if (!ctx.train) {
-    const PackedWeights& cached = packs_.get(weight, float_pack_identity(), [&] {
-      PackedWeights pw;
-      pw.packs.push_back(gemm::pack_b_matrix(in_, out_, weight.value.raw(),
-                                             in_, /*trans_b=*/true));
-      return pw;
-    });
-    pb = cached.packs.data();
-  }
-  // y = x · Wᵀ + b; bias-first then ascending-k accumulation matches the
-  // naive loop's rounding sequence exactly.
-  gemm::sgemm(n, out_, in_, x.raw(), in_, /*trans_a=*/false,
-              weight.value.raw(), in_, /*trans_b=*/true, y.raw(), out_,
-              gemm::Init::kBiasCol, bias.value.raw(), nullptr, epi, nullptr,
-              pb);
-  if (ctx.train) x_cache_ = x;
-  return y;
-}
-
-Tensor Linear::forward_codes(const Tensor& x,
-                             const std::shared_ptr<const WeightCodes>& wc,
-                             gemm::Epilogue epi) {
-  const int n = x.dim(0);
-  check_codes(*wc, out_, in_, "Linear");
-  if (kulisch_ok(*wc, x)) {
+  const auto wc = active_codes(*this, ctx);
+  if (wc != nullptr) check_codes(*wc, out_, in_, "Linear");
+  if (wc != nullptr && kulisch_ok(*wc, x)) {
     // Exact path: recover the activation codes by re-encoding the already
     // fake-quantized values at their stamped scale (encode(v / scale) is
     // idempotent on decoded values), then run weight codes × activation
@@ -180,7 +170,7 @@ Tensor Linear::forward_codes(const Tensor& x,
                         epi);
     return y;
   }
-  if (int8_ok(*wc, x) && in_ <= gemm::kInt8MaxK) {
+  if (wc != nullptr && int8_ok(*wc, x) && in_ <= gemm::kInt8MaxK) {
     // Decode-free path: weight codes remap to int8 levels in the pack step,
     // activations quantize straight to the same level grid at the GEMM
     // boundary (exact on already-fake-quantized values), and the kernel
@@ -188,7 +178,7 @@ Tensor Linear::forward_codes(const Tensor& x,
     // codes and the only float math is the dequant write-back.
     const gemm::AffineLut& alut = *wc->affine;
     const double xscale = x.quant_scale();
-    const PackedWeights& cached = packs_.get(weight, int8_identity(*wc), [&] {
+    const auto cached = packs_.get(weight, int8_key(*wc), [&] {
       PackedWeights pw;
       pw.iscales.resize(wc->scales.size());
       for (std::size_t o = 0; o < wc->scales.size(); ++o)
@@ -209,32 +199,33 @@ Tensor Linear::forward_codes(const Tensor& x,
     a.flo = alut.qmin;
     a.fhi = alut.qmax;
     const gemm::Int8Operand b{wc->codes.data(), in_, /*trans=*/true, alut.q,
-                              cached.iscales.data(), 0.0};
+                              cached->iscales.data(), 0.0};
     gemm::qgemm_int8(n, out_, in_, a, b, gemm::Init::kBiasCol,
                      bias.value.raw(), y.raw(), out_, nullptr, epi, nullptr,
-                     cached.ipacks.data());
+                     cached->ipacks.data());
     return y;
   }
-  // Code mode: the GEMM operand is packed straight from the codes; the
-  // decoded FP32 array serves the paths that read raw float pointers and is
-  // bit-identical to the quantize→dequantize weights, so outputs match the
-  // float-path quantized forward exactly.
-  const PackedWeights& cached = packs_.get(weight, codes_identity(*wc), [&] {
-    PackedWeights pw;
-    pw.decoded.resize(wc->codes.size());
-    gemm::decode_codes(wc->codes.data(), wc->codes.size(), wc->lut,
-                       wc->scales.data(), static_cast<std::size_t>(in_),
-                       pw.decoded.data());
-    pw.packs.push_back(gemm::pack_b_codes(in_, out_, wc->codes.data(), in_,
-                                          /*trans_b=*/true, wc->lut,
-                                          wc->scales.data()));
-    return pw;
-  });
+  // FP32 weights: the live Param, or the decoded codes in code mode
+  // (inference only, so the entry always exists when wc is set).
+  const float* wt = weight.value.raw();
+  std::shared_ptr<const PackedWeights> cached;
+  if (!ctx.train) {
+    cached = float_weights(packs_, weight, wc.get(), [&](const float* w) {
+      std::vector<gemm::PackedMatrix> packs;
+      packs.push_back(
+          gemm::pack_b_matrix(in_, out_, w, in_, /*trans_b=*/true));
+      return packs;
+    });
+    if (wc != nullptr) wt = cached->decoded.data();
+  }
   Tensor y({n, out_});
-  gemm::sgemm(n, out_, in_, x.raw(), in_, /*trans_a=*/false,
-              cached.decoded.data(), in_, /*trans_b=*/true, y.raw(), out_,
-              gemm::Init::kBiasCol, bias.value.raw(), nullptr, epi, nullptr,
-              cached.packs.data());
+  // y = x · Wᵀ + b; bias-first then ascending-k accumulation matches the
+  // naive loop's rounding sequence exactly.
+  gemm::sgemm(n, out_, in_, x.raw(), in_, /*trans_a=*/false, wt, in_,
+              /*trans_b=*/true, y.raw(), out_, gemm::Init::kBiasCol,
+              bias.value.raw(), nullptr, epi, nullptr,
+              cached != nullptr ? cached->packs.data() : nullptr);
+  if (ctx.train) x_cache_ = x;
   return y;
 }
 
@@ -412,43 +403,22 @@ Tensor Conv2d::forward_bn_fused(const Tensor& x, const Context& ctx,
 Tensor Conv2d::forward_affine(const Tensor& x, const Context& ctx,
                               gemm::Epilogue epi, const float* bn_scale,
                               const float* bn_shift) {
-  if (const auto wc = active_codes(*this, ctx); wc != nullptr)
-    return forward_codes(x, ctx, wc, epi, bn_scale, bn_shift);
-  const gemm::PackedMatrix* packs = nullptr;
-  const bool depthwise = in_ch_ == groups_ && out_ch_ == groups_;
-  if (!depthwise && !ctx.train) {
-    const int icg = in_ch_ / groups_;
-    const int kdim = icg * k_ * k_;
-    const int ocg = out_ch_ / groups_;
-    const PackedWeights& cached = packs_.get(weight, float_pack_identity(), [&] {
-      PackedWeights pw;
-      pw.packs = pack_conv_weights(weight.value.raw(), groups_, ocg, kdim);
-      return pw;
-    });
-    packs = cached.packs.data();
-  }
-  return run_conv(x, ctx, weight.value.raw(), bias.value.raw(), packs, epi,
-                  bn_scale, bn_shift);
-}
-
-Tensor Conv2d::forward_codes(const Tensor& x, const Context& ctx,
-                             const std::shared_ptr<const WeightCodes>& wc,
-                             gemm::Epilogue epi, const float* bn_scale,
-                             const float* bn_shift) {
   const int icg = in_ch_ / groups_;
   const int kdim = icg * k_ * k_;
   const int ocg = out_ch_ / groups_;
-  check_codes(*wc, out_ch_, kdim, "Conv2d");
   const bool depthwise = in_ch_ == groups_ && out_ch_ == groups_;
-  if (bn_scale == nullptr && !depthwise && kulisch_ok(*wc, x))
+  const auto wc = active_codes(*this, ctx);
+  if (wc != nullptr) check_codes(*wc, out_ch_, kdim, "Conv2d");
+  if (wc != nullptr && bn_scale == nullptr && !depthwise && kulisch_ok(*wc, x))
     return run_conv_kulisch(x, *wc, epi);
-  if (!depthwise && int8_ok(*wc, x) && kdim <= gemm::kInt8MaxK) {
-    // Decode-free path (see Linear::forward_codes).  A fused inference BN
+  if (wc != nullptr && !depthwise && int8_ok(*wc, x) &&
+      kdim <= gemm::kInt8MaxK) {
+    // Decode-free path (see Linear::forward_fused).  A fused inference BN
     // rides the RowAffine write-back, identical to run_conv's fold, so the
     // Sequential fusion scan needs no special case.  Depthwise stays on the
     // direct float loops (no GEMM to run in the level domain).
     const gemm::AffineLut& alut = *wc->affine;
-    const PackedWeights& cached = packs_.get(weight, int8_identity(*wc), [&] {
+    const auto cached = packs_.get(weight, int8_key(*wc), [&] {
       PackedWeights pw;
       pw.iscales.resize(wc->scales.size());
       for (std::size_t o = 0; o < wc->scales.size(); ++o)
@@ -461,31 +431,21 @@ Tensor Conv2d::forward_codes(const Tensor& x, const Context& ctx,
             kdim, /*trans_a=*/false, alut.q));
       return pw;
     });
-    return run_conv_int8(x, *wc, cached, epi, bn_scale, bn_shift);
+    return run_conv_int8(x, *wc, *cached, epi, bn_scale, bn_shift);
   }
-  // Code mode: packs come straight from the codes; the decoded FP32 array
-  // (bit-identical to quantize→dequantize) feeds the depthwise loops and
-  // the small-problem direct GEMM.  Depthwise convs run no GEMM, so
-  // they decode only.
-  const PackedWeights& cached = packs_.get(weight, codes_identity(*wc), [&] {
-    PackedWeights pw;
-    pw.decoded.resize(wc->codes.size());
-    gemm::decode_codes(wc->codes.data(), wc->codes.size(), wc->lut,
-                       wc->scales.data(), static_cast<std::size_t>(kdim),
-                       pw.decoded.data());
-    if (!depthwise) {
-      pw.packs.reserve(static_cast<std::size_t>(groups_));
-      for (int grp = 0; grp < groups_; ++grp)
-        pw.packs.push_back(gemm::pack_a_codes(
-            ocg, kdim,
-            wc->codes.data() + static_cast<std::size_t>(grp) * ocg * kdim,
-            kdim, /*trans_a=*/false, wc->lut,
-            wc->scales.data() + static_cast<std::size_t>(grp) * ocg));
-    }
-    return pw;
-  });
-  return run_conv(x, ctx, cached.decoded.data(), bias.value.raw(),
-                  cached.packs.empty() ? nullptr : cached.packs.data(), epi,
+  // FP32 weights: the live Param, or the decoded codes in code mode.
+  // Depthwise convs run no GEMM, so their entries pack nothing.
+  const float* wt = weight.value.raw();
+  std::shared_ptr<const PackedWeights> cached;
+  if (!ctx.train) {
+    cached = float_weights(packs_, weight, wc.get(), [&](const float* w) {
+      return depthwise ? std::vector<gemm::PackedMatrix>{}
+                       : pack_conv_weights(w, groups_, ocg, kdim);
+    });
+    if (wc != nullptr) wt = cached->decoded.data();
+  }
+  return run_conv(x, ctx, wt, bias.value.raw(),
+                  cached != nullptr ? cached->packs.data() : nullptr, epi,
                   bn_scale, bn_shift);
 }
 

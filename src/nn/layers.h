@@ -4,7 +4,9 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <mutex>
+#include <vector>
 
 #include "nn/gemm/gemm.h"
 #include "nn/gemm/qgemm.h"
@@ -16,10 +18,12 @@ class BatchNorm2d;
 
 /// One prepacked-weight cache entry: the GEMM panel packs (one PackedMatrix
 /// per conv group; a single entry for Linear; empty for depthwise convs,
-/// which run no GEMM) plus, for code-domain entries, the eagerly decoded
-/// FP32 weights feeding the paths that read raw float pointers (the
-/// depthwise loops, the small-problem direct GEMM, sgemm's shape
-/// validation).
+/// which run no GEMM) plus, for entries built from weight codes, the FP32
+/// array the codes decode to.  That array is the packs' source and also
+/// feeds the paths that read raw float pointers (the depthwise loops, the
+/// small-problem direct GEMM, sgemm's shape validation).  A warm code-mode
+/// layer therefore holds its weights in FP32 (the decoded array plus the
+/// panels) next to the 1-byte payload.
 struct PackedWeights {
   std::vector<gemm::PackedMatrix> packs;
   std::vector<float> decoded;
@@ -32,16 +36,35 @@ struct PackedWeights {
   std::vector<double> iscales;
 };
 
+/// What a PackCache entry was built from and for.  Two entries with equal
+/// keys and equal Param versions hold the same panels.
+struct PackKey {
+  enum class Kind : std::uint8_t {
+    kFloat,  ///< FP32 panels (`packs` / `decoded`)
+    kInt8,   ///< int8 level panels (`ipacks` / `iscales`)
+  };
+  std::uint64_t codes_id = 0;  ///< WeightCodes::id; 0 = the live FP32 Param
+  Kind kind = Kind::kFloat;
+  int backend_id = 0;  ///< gemm::Backend::id the panels are laid out for
+
+  friend bool operator==(const PackKey&, const PackKey&) = default;
+};
+
 /// Cache of prepacked GEMM operands for one weight Param, keyed on the
-/// pair (Param version, source identity).  The version covers every seam
-/// that rewrites the FP32 value in place (optimizer steps, PTQ
-/// quantize/restore, artifact unpack, BN folding — all bump it).  The
-/// identity covers *which source* the entry was built from: the active GEMM
-/// backend's id for the FP32 value itself, or a key derived from the
-/// process-unique WeightCodes id for a code-domain build — so a hot-swap
-/// that installs new codes for the same shapes, racing a concurrent pack
-/// lookup, can never serve panels decoded with the old format's LUT: the
-/// old entry's identity no longer matches.
+/// pair (Param version, PackKey).  The version covers every seam that
+/// rewrites the FP32 value in place (optimizer steps, PTQ quantize/restore,
+/// artifact unpack, BN folding — all bump it).  The key covers *which
+/// source* the entry was built from and for which kernel: the process-unique
+/// WeightCodes id (so a hot-swap that installs new codes for the same
+/// shapes can never serve panels decoded with the old format's LUT), the
+/// entry kind (code and int8 builds share a Param version), and the active
+/// backend (so switching MERSIT_BACKEND never serves a foreign layout).
+///
+/// Entries are immutable and shared: get() hands each caller its own
+/// reference to the entry, which stays alive until the caller drops it.  A
+/// forward holds it for its whole duration, so a concurrent forward that
+/// rebuilds the cache under a different key (a code swap racing inference)
+/// never frees panels another forward is still reading.
 /// Copies start empty: a cloned module repacks from its own storage.
 class PackCache {
  public:
@@ -49,19 +72,20 @@ class PackCache {
   PackCache(const PackCache&) noexcept {}
   PackCache& operator=(const PackCache&) noexcept { return *this; }
 
-  /// The entry for `p.value` at its current version and the given source
-  /// identity; `build` runs under the cache lock when either is stale.
-  /// Weight mutation is never concurrent with inference forwards, so the
-  /// returned reference stays valid for the duration of the forward.
+  /// The entry for `p.value` at its current version and the given key;
+  /// `build` runs under the cache lock when either is stale.  FP32 weight
+  /// mutation (the version bumps above) is never concurrent with inference
+  /// forwards; code swaps may be, and the returned reference keeps the
+  /// entry a forward started with alive across them.
   template <typename BuildFn>
-  const PackedWeights& get(const Param& p, std::uint64_t identity,
-                           BuildFn&& build) {
+  std::shared_ptr<const PackedWeights> get(const Param& p, const PackKey& key,
+                                           BuildFn&& build) {
     const std::uint64_t v = p.version();
     const std::lock_guard<std::mutex> lock(mu_);
-    if (version_ != v || identity_ != identity) {
-      entry_ = build();
+    if (version_ != v || key_ != key) {
+      entry_ = std::make_shared<const PackedWeights>(build());
       version_ = v;
-      identity_ = identity;
+      key_ = key;
     }
     return entry_;
   }
@@ -69,8 +93,8 @@ class PackCache {
  private:
   std::mutex mu_;
   std::uint64_t version_ = 0;  // 0 = never built (Param versions start at 1)
-  std::uint64_t identity_ = 0;
-  PackedWeights entry_;
+  PackKey key_;
+  std::shared_ptr<const PackedWeights> entry_;
 };
 
 /// True when the container fusions (absorbing a following BN and
@@ -88,7 +112,9 @@ class Linear final : public Module, public ChannelWeights {
   [[nodiscard]] std::string name() const override { return "Linear"; }
   Tensor forward(const Tensor& x, const Context& ctx) override;
   /// forward() with a fused activation epilogue; `Epilogue::kNone` is plain
-  /// forward().  In inference the weight panel comes from the prepack cache.
+  /// forward().  In inference the weight panel comes from the prepack cache,
+  /// packed from the live Param or, when codes are installed, from their
+  /// decoded FP32 copy — unless the Kulisch or int8 mode takes the codes.
   Tensor forward_fused(const Tensor& x, const Context& ctx, gemm::Epilogue epi);
   Tensor backward(const Tensor& grad_out) override;
   void collect_params(std::vector<Param*>& out) override;
@@ -103,13 +129,6 @@ class Linear final : public Module, public ChannelWeights {
   Param bias;    ///< [out]
 
  private:
-  /// Code-domain forward: GEMM operands come from `wc` (packed straight
-  /// from the 8-bit codes); the FP32 weight Param is not read.  Dispatches
-  /// to the Kulisch accumulator when eligible under MERSIT_QGEMM=kulisch.
-  Tensor forward_codes(const Tensor& x,
-                       const std::shared_ptr<const WeightCodes>& wc,
-                       gemm::Epilogue epi);
-
   int in_, out_;
   Tensor x_cache_;
   PackCache packs_;
@@ -154,29 +173,21 @@ class Conv2d final : public Module, public ChannelWeights {
   Param bias;    ///< [out]
 
  private:
-  /// Body of forward_fused / forward_bn_fused: dispatches to the code-domain
-  /// path when codes are active, else runs the FP32 weights with their
-  /// prepacked panels (inference) and the optional fused BN affine.
+  /// Body of forward_fused / forward_bn_fused: dispatches to the Kulisch
+  /// or int8 path when installed codes qualify, else runs the FP32 weights
+  /// (the live Param, or the decoded codes in code mode) with their
+  /// prepacked panels (inference) and the optional fused BN affine
+  /// (bn_scale/bn_shift, out_ch entries each, applied before `epi` at
+  /// write-back).
   Tensor forward_affine(const Tensor& x, const Context& ctx,
                         gemm::Epilogue epi, const float* bn_scale,
                         const float* bn_shift);
-  /// Shared conv body: runs the conv with the given weight/bias arrays
-  /// (the live Params or the decoded code-domain weights), optional
-  /// per-group packs, and an optional fused per-channel affine
-  /// (bn_scale/bn_shift, out_ch entries each, applied before `epi` at
-  /// write-back).
+  /// Shared conv body: runs the conv with the given weight/bias arrays,
+  /// optional per-group packs, and the optional fused affine.
   Tensor run_conv(const Tensor& x, const Context& ctx, const float* wt,
                   const float* bs, const gemm::PackedMatrix* group_packs,
-                  gemm::Epilogue epi, const float* bn_scale = nullptr,
-                  const float* bn_shift = nullptr);
-
-  /// Code-domain forward (see Linear::forward_codes): decoded weights and
-  /// per-group packs come from `wc`; bn_scale/bn_shift carry a fused BN
-  /// affine when the caller is forward_bn_fused.
-  Tensor forward_codes(const Tensor& x, const Context& ctx,
-                       const std::shared_ptr<const WeightCodes>& wc,
-                       gemm::Epilogue epi, const float* bn_scale = nullptr,
-                       const float* bn_shift = nullptr);
+                  gemm::Epilogue epi, const float* bn_scale,
+                  const float* bn_shift);
   /// Exact-accumulation conv (MERSIT_QGEMM=kulisch): weight codes times
   /// re-encoded activation codes through the software quire.
   Tensor run_conv_kulisch(const Tensor& x, const WeightCodes& wc,

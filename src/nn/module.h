@@ -115,9 +115,10 @@ class ChannelWeights {
 
   /// Install / replace this module's 8-bit code-domain weights.  The
   /// payload is immutable; swapping in a new instance (new id) is what
-  /// invalidates code-domain pack caches — no version bump involved, so a
-  /// racing forward either keeps the complete old view or picks up the
-  /// complete new one.
+  /// invalidates the layer's pack-cache entry, whose key carries the id —
+  /// no version bump involved.  A racing forward either keeps the complete
+  /// old view (payload and cache entry, both held until it returns) or
+  /// picks up the complete new one.
   void set_weight_codes(std::shared_ptr<const WeightCodes> codes) {
     const std::lock_guard<std::mutex> lock(codes_mu_);
     codes_ = std::move(codes);

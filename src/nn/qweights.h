@@ -3,9 +3,12 @@
 // A WeightCodes instance is an immutable 8-bit view of one module's weight
 // tensor: channel-major code words, one scale per output channel, and the
 // 256-entry decode LUT the codes decode through.  Layers that find one
-// installed (and MERSIT_QGEMM != float) run their GEMMs from the codes —
-// the pack step decodes float(lut[code] * scale) per element — instead of
-// from the FP32 Param, which the code path then never reads.
+// installed (and MERSIT_QGEMM != float) run their GEMMs from the codes
+// instead of from the FP32 Param, which the code path then never reads: in
+// code mode the layer decodes float(lut[code] * scale) once per payload
+// into an FP32 copy and packs that, so a warm layer holds FP32 panels
+// (the 1-byte payload is the artifact and swap format, not the in-process
+// forward footprint); the int8 and Kulisch modes consume the codes as is.
 //
 // The struct is deliberately formats-agnostic (raw LUT + an encode
 // std::function) so mersit_nn does not grow a dependency on

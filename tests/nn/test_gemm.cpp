@@ -223,7 +223,6 @@ TEST(GemmBackend, RegistryListsScalarLastWithUniqueIdsAndNames) {
   std::set<int> ids;
   for (const gemm::Backend* be : list) {
     EXPECT_GE(be->id, 0) << be->name;
-    EXPECT_LT(be->id, 16) << be->name;  // ids join the pack-cache key bits
     EXPECT_TRUE(ids.insert(be->id).second) << "duplicate id: " << be->name;
     EXPECT_EQ(gemm::find_backend(be->name), be);
     EXPECT_EQ(be->mc % be->mr, 0) << be->name;  // full tiles inside a block

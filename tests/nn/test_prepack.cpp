@@ -1,6 +1,7 @@
 // The inference-runtime layer on top of the GEMM kernel: prepacked weight
 // operands, fused epilogues and the per-row BN affine, the version-stamped
-// pack caches behind Conv2d/Linear, and the thread-local scratch arena.
+// pack caches behind Conv2d/Linear (including a code swap racing
+// forwards), and the thread-local scratch arena.
 //
 // The contract under test is strict bit-identity: a prepacked operand is
 // byte-identical to what the per-call path packs, and the fused write-back
@@ -8,18 +9,22 @@
 // so every comparison here demands bitwise equality.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
 #include <random>
+#include <thread>
 #include <vector>
 
 #include "core/registry.h"
 #include "core/scratch_arena.h"
 #include "core/thread_pool.h"
 #include "nn/gemm/gemm.h"
+#include "nn/gemm/qgemm.h"
 #include "nn/layers.h"
 #include "nn/module.h"
+#include "nn/qweights.h"
 #include "nn/train.h"
 #include "ptq/ptq.h"
 #include "reference.h"
@@ -336,6 +341,83 @@ TEST(LayerPrepack, CloneDoesNotSharePacksWithItsSource) {
   EXPECT_FALSE(bitwise_equal(y_parent.data(), y0.data()));
   EXPECT_TRUE(bitwise_equal(y_parent.data(), oracle_forward(conv, x).data()));
   EXPECT_TRUE(bitwise_equal(y_clone.data(), y0.data()));
+}
+
+// ------------------------------------------------- code swap racing forwards --
+
+/// Forwards `layer` in code mode from two threads while a third alternates
+/// its installed codes between `a` and `b`.  set_weight_codes promises that
+/// a racing forward sees the whole old view or the whole new one, so every
+/// output must be bitwise equal to one of the two single-format references.
+/// The pack cache is where that promise can break: a forward under the
+/// other codes rebuilds the layer's cache entry while the first forward is
+/// still reading its panels (ASan reports heap-use-after-free when the
+/// rebuild frees them).
+template <typename Layer>
+void run_code_swap_race(Layer& layer, const Tensor& x,
+                        const std::shared_ptr<const WeightCodes>& a,
+                        const std::shared_ptr<const WeightCodes>& b) {
+  const gemm::QgemmMode prev = gemm::set_qgemm_mode(gemm::QgemmMode::kCode);
+  const Context ctx{};
+  layer.set_weight_codes(a);
+  const Tensor ya = layer.forward(x, ctx);
+  layer.set_weight_codes(b);
+  const Tensor yb = layer.forward(x, ctx);
+  EXPECT_FALSE(bitwise_equal(ya, yb));  // the two formats are told apart
+
+  constexpr int kForwards = 48;
+  std::atomic<int> running{2};
+  std::atomic<int> bad{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 2; ++t)
+    threads.emplace_back([&] {
+      for (int i = 0; i < kForwards; ++i) {
+        try {
+          const Tensor y = layer.forward(x, ctx);
+          if (!bitwise_equal(y, ya) && !bitwise_equal(y, yb)) bad.fetch_add(1);
+        } catch (...) {
+          bad.fetch_add(1);
+        }
+      }
+      running.fetch_sub(1);
+    });
+  threads.emplace_back([&] {
+    for (int i = 0; running.load() > 0; ++i) {
+      layer.set_weight_codes(i % 2 == 0 ? a : b);
+      std::this_thread::yield();
+    }
+  });
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(bad.load(), 0);
+  gemm::set_qgemm_mode(prev);
+}
+
+/// Installs `fmt` codes on `layer` and returns the installed payload.
+template <typename Layer>
+std::shared_ptr<const WeightCodes> codes_for(Layer& layer, const char* fmt) {
+  ptq::install_weight_codes(layer, *core::make_format(fmt),
+                            formats::ScalePolicy::kMaxToUnity);
+  return layer.weight_codes();
+}
+
+TEST(LayerPrepack, CodeSwapRacingForwardsServesOneWholeFormat) {
+  std::mt19937 rng(31);
+  {
+    SCOPED_TRACE("Linear 512x512");
+    Linear lin(512, 512, rng);
+    const Tensor x = random_tensor({8, 512}, rng);
+    const auto mersit = codes_for(lin, "MERSIT(8,2)");
+    const auto fp8 = codes_for(lin, "FP(8,4)");
+    run_code_swap_race(lin, x, mersit, fp8);
+  }
+  {
+    SCOPED_TRACE("grouped Conv2d");
+    Conv2d conv(32, 64, 3, 1, 1, /*groups=*/2, rng);
+    const Tensor x = random_tensor({2, 32, 16, 16}, rng);
+    const auto mersit = codes_for(conv, "MERSIT(8,2)");
+    const auto fp8 = codes_for(conv, "FP(8,4)");
+    run_code_swap_race(conv, x, mersit, fp8);
+  }
 }
 
 // -------------------------------------------------------------- the arena --

@@ -1,13 +1,14 @@
-// Code-domain quantized GEMM: the tentpole contract is that packing GEMM
-// operands straight from 8-bit weight codes is *bit-identical* to packing
-// the quantize→dequantized FP32 weights — for every registered format,
-// exhaustively over all 256 codes (ties, ±0, NaR/Inf/NaN, denormals) — and
-// that everything stacked on top (install_weight_codes /
-// install_code_weights, the identity-keyed pack cache, evaluate_with_table's
-// code mode) preserves that identity end to end.  The opt-in Kulisch mode
-// is held to its documented ULP contract instead.  Runs under the
-// `concurrency` TSan label: the GEMM fan-out and the code-pack caches are
-// hot concurrent paths.
+// Code-domain quantized GEMM: the contract is that running a layer from its
+// 8-bit weight codes is *bit-identical* to running the quantize→dequantized
+// FP32 weights.  Code mode decodes the codes once (gemm::decode_codes,
+// pinned here against the scalar codec for every registered format over all
+// 256 codes — ties, ±0, NaR/Inf/NaN, denormals) and packs the decoded array
+// through the FP32 pack routines, so everything stacked on top
+// (install_weight_codes / install_code_weights, the keyed pack cache,
+// evaluate_with_table's code mode) must preserve that identity end to end.
+// The opt-in Kulisch mode is held to its documented ULP contract instead.
+// Runs under the `concurrency` TSan label: the GEMM fan-out and the pack
+// caches are hot concurrent paths.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -26,6 +27,7 @@
 #include "fault/bitflip.h"
 #include "formats/corruption.h"
 #include "formats/kernels/kernel_cache.h"
+#include "formats/quantize.h"
 #include "nn/data.h"
 #include "nn/gemm/backend.h"
 #include "nn/gemm/gemm.h"
@@ -64,26 +66,6 @@ struct BackendGuard {
 
 using reference::bitwise_equal;
 
-// Byte-for-byte pack comparison: layout metadata, block offsets, and every
-// panel float (memcmp, so NaN payloads must match too).
-::testing::AssertionResult packs_identical(const gemm::PackedMatrix& p,
-                                           const gemm::PackedMatrix& q) {
-  if (p.is_a != q.is_a || p.other != q.other || p.k != q.k)
-    return ::testing::AssertionFailure() << "pack header mismatch";
-  if (p.mr != q.mr || p.nr != q.nr || p.oc != q.oc || p.kc != q.kc ||
-      p.backend_id != q.backend_id)
-    return ::testing::AssertionFailure() << "pack geometry mismatch";
-  if (p.block_off != q.block_off)
-    return ::testing::AssertionFailure() << "block offsets mismatch";
-  if (p.data.size() != q.data.size())
-    return ::testing::AssertionFailure()
-           << "pack sizes " << p.data.size() << " vs " << q.data.size();
-  if (std::memcmp(p.data.data(), q.data.data(),
-                  p.data.size() * sizeof(float)) != 0)
-    return ::testing::AssertionFailure() << "pack bytes differ";
-  return ::testing::AssertionSuccess();
-}
-
 std::array<double, 256> decode_lut(const formats::Format& fmt) {
   const auto kernel = formats::kernels::kernel_for(fmt);
   std::array<double, 256> lut;
@@ -92,100 +74,7 @@ std::array<double, 256> decode_lut(const formats::Format& fmt) {
   return lut;
 }
 
-// ------------------------------------------------- exhaustive pack identity --
-
-// The tentpole gate: for every registered format, a code matrix containing
-// every one of the 256 codes — NaR/Inf/NaN and denormal codes included —
-// packs byte-identically to the float pack of the eagerly decoded matrix,
-// for both operand sides, both storage orders, and dimensions that cross
-// the kernel's MC/KC block boundaries (odd remainders exercise the zero
-// padding).  Runs once per compiled-in SIMD backend the host supports:
-// each backend's pack routines must write the same bytes as the float pack
-// at that backend's tile geometry.
-void run_code_pack_identity_gate() {
-  constexpr int kM = 130;  // crosses the 120-row MC block, remainder 10
-  constexpr int kK = 300;  // crosses the 256-deep KC block, remainder 44
-  constexpr int kN = 37;   // ragged against every backend's NR panel
-  for (const std::string& name : core::all_format_names()) {
-    SCOPED_TRACE(name);
-    const auto fmt = core::make_format(name);
-    const auto lut = decode_lut(*fmt);
-
-    std::vector<std::uint8_t> a(static_cast<std::size_t>(kM) * kK);
-    for (std::size_t i = 0; i < a.size(); ++i)
-      a[i] = static_cast<std::uint8_t>((i * 7 + i / 256) & 0xFF);  // all codes
-    std::vector<double> row_scales(kM);
-    for (int m = 0; m < kM; ++m)
-      row_scales[static_cast<std::size_t>(m)] = 0.03125 * (m % 13 + 1);
-
-    std::vector<float> a_dec(a.size());
-    for (int m = 0; m < kM; ++m)
-      for (int k = 0; k < kK; ++k)
-        a_dec[static_cast<std::size_t>(m) * kK + k] = static_cast<float>(
-            lut[a[static_cast<std::size_t>(m) * kK + k]] *
-            row_scales[static_cast<std::size_t>(m)]);
-    EXPECT_TRUE(packs_identical(
-        gemm::pack_a_matrix(kM, kK, a_dec.data(), kK, false),
-        gemm::pack_a_codes(kM, kK, a.data(), kK, false, lut.data(),
-                           row_scales.data())));
-
-    // Transposed storage: op(A)(m,k) = A[k*lda + m], scale still per row m.
-    std::vector<std::uint8_t> at(a.size());
-    std::vector<float> at_dec(a.size());
-    for (int m = 0; m < kM; ++m)
-      for (int k = 0; k < kK; ++k) {
-        at[static_cast<std::size_t>(k) * kM + m] =
-            a[static_cast<std::size_t>(m) * kK + k];
-        at_dec[static_cast<std::size_t>(k) * kM + m] =
-            a_dec[static_cast<std::size_t>(m) * kK + k];
-      }
-    EXPECT_TRUE(packs_identical(
-        gemm::pack_a_matrix(kM, kK, at_dec.data(), kM, true),
-        gemm::pack_a_codes(kM, kK, at.data(), kM, true, lut.data(),
-                           row_scales.data())));
-
-    // B side: per-column scales, stored K x N and transposed N x K.
-    std::vector<std::uint8_t> b(static_cast<std::size_t>(kK) * kN);
-    for (std::size_t i = 0; i < b.size(); ++i)
-      b[i] = static_cast<std::uint8_t>((i * 11 + i / 256) & 0xFF);
-    std::vector<double> col_scales(kN);
-    for (int n = 0; n < kN; ++n)
-      col_scales[static_cast<std::size_t>(n)] = 0.25 * (n % 7 + 1);
-    std::vector<float> b_dec(b.size());
-    for (int k = 0; k < kK; ++k)
-      for (int n = 0; n < kN; ++n)
-        b_dec[static_cast<std::size_t>(k) * kN + n] = static_cast<float>(
-            lut[b[static_cast<std::size_t>(k) * kN + n]] *
-            col_scales[static_cast<std::size_t>(n)]);
-    EXPECT_TRUE(packs_identical(
-        gemm::pack_b_matrix(kK, kN, b_dec.data(), kN, false),
-        gemm::pack_b_codes(kK, kN, b.data(), kN, false, lut.data(),
-                           col_scales.data())));
-
-    std::vector<std::uint8_t> bt(b.size());
-    std::vector<float> bt_dec(b.size());
-    for (int k = 0; k < kK; ++k)
-      for (int n = 0; n < kN; ++n) {
-        bt[static_cast<std::size_t>(n) * kK + k] =
-            b[static_cast<std::size_t>(k) * kN + n];
-        bt_dec[static_cast<std::size_t>(n) * kK + k] =
-            b_dec[static_cast<std::size_t>(k) * kN + n];
-      }
-    EXPECT_TRUE(packs_identical(
-        gemm::pack_b_matrix(kK, kN, bt_dec.data(), kK, true),
-        gemm::pack_b_codes(kK, kN, bt.data(), kK, true, lut.data(),
-                           col_scales.data())));
-  }
-}
-
-TEST(QgemmPack, CodePackBitIdenticalToFloatPackAllFormatsAllCodes) {
-  for (const gemm::Backend* be : gemm::backends()) {
-    if (!be->supported()) continue;
-    SCOPED_TRACE(be->name);
-    const BackendGuard guard(*be);
-    run_code_pack_identity_gate();
-  }
-}
+// ------------------------------------------------------------ code decode --
 
 // decode_codes must match the scalar codec path byte for byte — the exact
 // expression unpack_weights evaluates per element — for all 256 codes and
@@ -422,38 +311,84 @@ TEST_F(QgemmModelTest, LoadArtifactPairRejectsShapeMismatchByPath) {
   }
 }
 
-// ------------------------------------------------ pack-cache identity (bug) --
+// ------------------------------------------------------ pack-cache key (bug) --
 
-// Regression for the stale-pack hole: installing new codes does not bump
-// the Param version (the FP32 weights are untouched), so a cache keyed on
-// version alone would keep serving panels packed from the *previous* codes
-// — across generations and across formats.  The identity-keyed cache must
-// rebuild, making the second forward bit-identical to a never-cached layer.
+// Regression for stale-pack holes.  A pack-cache entry is reused only when
+// the Param version and all three PackKey fields match, and a change to any
+// one field leaves the version alone: installing new codes does not touch
+// the FP32 weights, a backend switch changes only the panel layout, and a
+// mode flip between code and int8 changes only which panels the forward
+// reads.  Each block below changes one field on a warm layer and requires
+// the next forward to be bitwise equal to a never-cached layer's.  Sized so
+// the GEMM reads the packed panels (M·N·K above sgemm's direct-loop
+// cutoff).
 TEST(QgemmPackCache, RebuildsWhenCodesChangeWithoutVersionBump) {
-  const ModeGuard mode(gemm::QgemmMode::kCode);
-  std::mt19937 rng_a(5), rng_b(5);
-  Linear cached(24, 12, rng_a);
-  Linear fresh(24, 12, rng_b);  // identical weights, never forwards format A
-
-  std::mt19937 xrng(9);
-  const Tensor x = Tensor::randn({6, 24}, xrng, 1.f);
+  constexpr int kIn = 64, kOut = 48, kBatch = 8;
   const Context ctx{/*train=*/false, nullptr};
+  const auto mersit = core::make_format("MERSIT(8,2)");
+  const auto fp84 = core::make_format("FP(8,4)");
+  const auto int8 = core::make_format("INT8");
 
-  const auto fmt_a = core::make_format("MERSIT(8,2)");
-  const auto fmt_b = core::make_format("FP(8,4)");
-  ptq::install_weight_codes(cached, *fmt_a, formats::ScalePolicy::kMaxToUnity);
-  (void)cached.forward(x, ctx);  // warms the pack cache with format A panels
+  // Activations on the INT8 grid with a stamped scale, so int8-mode
+  // forwards take the integer path.
+  std::mt19937 xrng(9);
+  Tensor x = Tensor::randn({kBatch, kIn}, xrng, 1.f);
+  const double xscale = formats::scale_for_absmax(
+      *int8, x.abs_max(), formats::ScalePolicy::kMaxToUnity);
+  formats::kernels::kernel_for(*int8)->fake_quantize(x.data(), xscale);
+  x.set_quant_scale(xscale);
 
-  ptq::install_weight_codes(cached, *fmt_b, formats::ScalePolicy::kMaxToUnity);
-  ptq::install_weight_codes(fresh, *fmt_b, formats::ScalePolicy::kMaxToUnity);
-  const Tensor got = cached.forward(x, ctx);
-  const Tensor want = fresh.forward(x, ctx);
-  EXPECT_TRUE(bitwise_equal(got, want));
-  // Sanity: the two formats actually produce different outputs, so a stale
-  // format-A pack could not have passed the check above by coincidence.
-  ptq::clear_weight_codes(fresh);
-  ptq::install_weight_codes(fresh, *fmt_a, formats::ScalePolicy::kMaxToUnity);
-  EXPECT_FALSE(bitwise_equal(fresh.forward(x, ctx), want));
+  // Every layer comes from the same seed, so only the codes differ.
+  const auto make = [&](const formats::Format& fmt) {
+    std::mt19937 rng(5);
+    auto lin = std::make_unique<Linear>(kIn, kOut, rng);
+    ptq::install_weight_codes(*lin, fmt, formats::ScalePolicy::kMaxToUnity);
+    return lin;
+  };
+  const auto run = [&](Linear& lin, gemm::QgemmMode mode) {
+    const ModeGuard guard(mode);
+    return lin.forward(x, ctx);
+  };
+  constexpr auto kCode = gemm::QgemmMode::kCode;
+  constexpr auto kInt8 = gemm::QgemmMode::kInt8;
+
+  {
+    SCOPED_TRACE("key field: codes id");
+    auto cached = make(*mersit);
+    const Tensor old = run(*cached, kCode);  // warms MERSIT panels
+    ptq::install_weight_codes(*cached, *fp84,
+                              formats::ScalePolicy::kMaxToUnity);
+    const Tensor want = run(*make(*fp84), kCode);
+    EXPECT_TRUE(bitwise_equal(run(*cached, kCode), want));
+    // Sanity: the two formats produce different outputs, so stale MERSIT
+    // panels could not have passed the check above by coincidence.
+    EXPECT_FALSE(bitwise_equal(old, want));
+  }
+  {
+    SCOPED_TRACE("key field: backend");
+    const gemm::Backend* best = nullptr;  // the detected (best) backend
+    for (const gemm::Backend* be : gemm::backends())
+      if (best == nullptr && be->supported()) best = be;
+    ASSERT_NE(best, nullptr);
+    auto cached = make(*mersit);
+    {
+      const BackendGuard guard(*best);
+      (void)run(*cached, kCode);  // warms panels in `best`'s layout
+    }
+    const BackendGuard scalar(gemm::scalar_backend());
+    Tensor got;
+    EXPECT_NO_THROW(got = run(*cached, kCode));
+    EXPECT_TRUE(bitwise_equal(got, run(*make(*mersit), kCode)));
+  }
+  {
+    SCOPED_TRACE("key field: kind");
+    auto cached = make(*int8);
+    ASSERT_NE(cached->weight_codes()->affine, nullptr);
+    const Tensor code_want = run(*make(*int8), kCode);
+    EXPECT_TRUE(bitwise_equal(run(*cached, kCode), code_want));  // FP32 entry
+    EXPECT_TRUE(bitwise_equal(run(*cached, kInt8), run(*make(*int8), kInt8)));
+    EXPECT_TRUE(bitwise_equal(run(*cached, kCode), code_want));
+  }
 }
 
 // ------------------------------------------------------------ Kulisch mode --

@@ -433,6 +433,16 @@ TEST(Int8Kernel, RejectsUnsafeCallsAndStaysThreadCountInvariant) {
   EXPECT_THROW(gemm::qgemm_int8(kM, kN, kK, no_lut, opb, gemm::Init::kZero,
                                 nullptr, c.data(), kN),
                std::invalid_argument);
+  // A float source is an A-operand feature; B must arrive as levels.
+  const std::vector<float> bf(b.size(), 1.f);
+  gemm::Int8Operand fsrc_b = opb;
+  fsrc_b.fsrc = bf.data();
+  fsrc_b.finv = 1.0;
+  fsrc_b.flo = alut.qmin;
+  fsrc_b.fhi = alut.qmax;
+  EXPECT_THROW(gemm::qgemm_int8(kM, kN, kK, opa, fsrc_b, gemm::Init::kZero,
+                                nullptr, c.data(), kN),
+               std::invalid_argument);
 
   gemm::qgemm_int8(kM, kN, kK, opa, opb, gemm::Init::kZero, nullptr, c.data(),
                    kN);
