@@ -6,9 +6,10 @@
 # labelled suites (codec lazy init, kernel cache, thread pool, GEMM,
 # parallel PTQ, serving engine + hot-swap; see tests/CMakeLists.txt for the
 # label registry).  Finally, guard against build artifacts leaking into the
-# work tree.  Between the default build and the sanitizers, the gate-replay,
-# trunk-mersit, mobile-int8 and serve-swap benchmark workloads must report
-# their outputs correct.
+# work tree.  Between the default build and the sanitizers, the GEMM
+# library must export no weak gemm::detail template symbols, and the
+# gate-replay, trunk-mersit, mobile-int8 and serve-swap benchmark workloads
+# must report their outputs correct.
 #
 # Usage: scripts/ci.sh [jobs]
 set -euo pipefail
@@ -35,6 +36,20 @@ run_suite() {
 }
 
 run_suite build
+
+# Linkage guard: the GEMM templates in nn/gemm/backend_impl.h are compiled
+# into TUs with different -m flags, so they must have internal linkage.  A
+# weak (W/V) gemm::detail symbol means the linker keeps one TU's copy for
+# every caller, and an unoptimized build could then run -mavx512f code
+# inside the AVX2 backend or the baseline-flag driver.
+echo "==> GEMM template linkage check (nm)"
+WEAK="$(nm -C --defined-only build/src/nn/libmersit_nn.a |
+  grep -E ' [WV] .*gemm::detail::' || true)"
+if [[ -n "${WEAK}" ]]; then
+  echo "==> CI FAIL: weak gemm::detail symbols in libmersit_nn.a:" >&2
+  echo "${WEAK}" >&2
+  exit 1
+fi
 
 # SIMD backend self-check: the registry's CPUID detection must activate a
 # backend this host can actually execute (--backends exits nonzero

@@ -3,7 +3,7 @@
 // One Backend descriptor per instruction set — scalar (the reference),
 // avx2, avx512 on x86-64, neon on aarch64 — each bundling the float
 // micro-kernel and its two panel-pack routines, the int8 micro-kernel and
-// its three panel-pack routines, and its tile geometry (MR/NR register
+// its two panel-pack routines, and its tile geometry (MR/NR register
 // tile, MC/KC/NC cache blocks).  The registry is CPUID-backed:
 // auto-detection walks the compiled-in list best-first and activates the
 // first backend the host can execute; MERSIT_BACKEND forces a specific one,
@@ -29,10 +29,11 @@
 //    compiled-in backend bitwise against scalar across the full shape/
 //    transpose/strided-C/thread-count matrix.
 //
-// Because pack layouts differ across tile geometries, a PackedMatrix
-// records the backend it was packed for, sgemm rejects operands packed for
-// a foreign backend, and the layer-side pack caches key on the backend id —
-// switching MERSIT_BACKEND can never serve a foreign-layout pack.
+// Because pack layouts differ across tile geometries, a pack (PackedMatrix
+// or PackedInt8) records the backend it was packed for, sgemm and
+// qgemm_int8 reject operands packed for a foreign backend, and the
+// layer-side pack caches key on the backend id — switching MERSIT_BACKEND
+// can never serve a foreign-layout pack.
 #pragma once
 
 #include <cstdint>
@@ -87,6 +88,8 @@ struct Backend {
   // bytes are backend-private (the AVX-512 pack biases A levels by 128 for
   // vpdpbusd's u8 operand); a pack is only valid for the backend that made
   // it, enforced exactly like PackedMatrix via PackedInt8::backend_id.
+  // Activations reach these packs as levels already (im2col_int8 for conv,
+  // quantize_levels for Linear), passed through the identity map.
 
   /// K-group width of this backend's int8 panel layout (1, 2, or 4).
   int kg8;
@@ -110,18 +113,6 @@ struct Backend {
   /// real acc entries.
   void (*micro_int8)(int kc, const std::int8_t* ap, const std::int8_t* bp,
                      std::int32_t* acc, int ldacc, int mr, int nr);
-
-  /// pack_a_int8 over a *float* source: each element quantizes onto the
-  /// level grid — q = clamp(RNE(v·inv), lo, hi), exactly quantize_levels —
-  /// fused into the panel distribution (one pass, no intermediate level
-  /// buffer).  Same layout, padding, and byte bias rules as pack_a_int8, so
-  /// panels are byte-identical to packing pre-quantized levels through the
-  /// identity map.  A-side only: the int8 Linear quantizes its activation
-  /// rows here, while conv activations are lowered to levels by im2col_int8
-  /// before they reach the B pack.
-  void (*pack_a_int8_f32)(const float* a, int lda, bool trans, double inv,
-                          int lo, int hi, int m0, int mc, int k0, int kc,
-                          std::int8_t* dst);
 };
 
 /// Compiled-in backends in detection order: best first, scalar last (scalar

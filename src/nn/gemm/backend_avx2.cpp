@@ -38,16 +38,6 @@ constexpr int kNR = 16;
 
 bool supported() { return core::cpu_features().avx2; }
 
-void pack_a(const float* a, int lda, bool trans, int m0, int mc, int k0,
-            int kc, float* dst) {
-  detail::pack_a_block<kMR>(a, lda, trans, m0, mc, k0, kc, dst);
-}
-
-void pack_b(const float* b, int ldb, bool trans, int k0, int kc, int n0,
-            int nc, float* dst) {
-  detail::pack_b_block<kNR>(b, ldb, trans, k0, kc, n0, nc, dst);
-}
-
 /// R x (8*C) tile with compile-time row count R and ymm column count C
 /// (full unroll keeps the accumulators in registers across the k-loop).
 /// nr <= 8*C; when nr is partial, fault-suppressing maskload/maskstore
@@ -141,20 +131,6 @@ void micro(int kc, const float* ap, const float* bp, float* c, int ldc,
 // variant of the same idea.  12 accumulators + 2 B + 1 A broadcast = 15 ymm.
 constexpr int kKG8 = 2;
 
-void pack_a_int8(const std::uint8_t* a, int lda, bool trans,
-                 const std::int8_t* qlut, int m0, int mc, int k0, int kc,
-                 std::int8_t* dst) {
-  detail::pack_a_int8_block<kMR, kKG8>(a, lda, trans, qlut, m0, mc, k0, kc,
-                                       dst);
-}
-
-void pack_b_int8(const std::uint8_t* b, int ldb, bool trans,
-                 const std::int8_t* qlut, int k0, int kc, int n0, int nc,
-                 std::int8_t* dst) {
-  detail::pack_b_int8_block<kNR, kKG8>(b, ldb, trans, qlut, k0, kc, n0, nc,
-                                       dst);
-}
-
 template <int R>
 void kernel_int8_rows(int kc, const std::int8_t* ap, const std::int8_t* bp,
                       std::int32_t* acc, int ldacc, int nr) {
@@ -214,18 +190,14 @@ void micro_int8(int kc, const std::int8_t* ap, const std::int8_t* bp,
   }
 }
 
-void pack_a_int8_f32(const float* a, int lda, bool trans, double inv, int lo,
-                     int hi, int m0, int mc, int k0, int kc,
-                     std::int8_t* dst) {
-  detail::pack_a_int8_f32_block<kMR, kKG8>(a, lda, trans, inv, lo, hi, m0, mc,
-                                           k0, kc, dst);
-}
-
 constexpr Backend kAvx2 = {
-    "avx2", /*id=*/1, kMR,    kNR,    /*mc=*/120,   /*kc=*/256,
-    /*nc=*/1024,      supported,      pack_a,       pack_b, micro,
-    /*kg8=*/kKG8,     pack_a_int8,    pack_b_int8,  micro_int8,
-    pack_a_int8_f32,
+    "avx2", /*id=*/1, kMR, kNR, /*mc=*/120, /*kc=*/256, /*nc=*/1024,
+    supported,
+    detail::pack_a_block<kMR>, detail::pack_b_block<kNR>,
+    micro,
+    kKG8,
+    detail::pack_a_int8_block<kMR, kKG8>, detail::pack_b_int8_block<kNR, kKG8>,
+    micro_int8,
 };
 
 }  // namespace

@@ -31,16 +31,6 @@ constexpr int kNR = 16;
 
 bool supported() { return core::cpu_features().avx512f; }
 
-void pack_a(const float* a, int lda, bool trans, int m0, int mc, int k0,
-            int kc, float* dst) {
-  detail::pack_a_block<kMR>(a, lda, trans, m0, mc, k0, kc, dst);
-}
-
-void pack_b(const float* b, int ldb, bool trans, int k0, int kc, int n0,
-            int nc, float* dst) {
-  detail::pack_b_block<kNR>(b, ldb, trans, k0, kc, n0, nc, dst);
-}
-
 /// R x nr tile with R a compile-time row count; `mask` selects the live
 /// n-lanes (0xFFFF on full tiles).  Masked-off accumulator lanes start at
 /// zero and only ever add a*0 from the zero-padded panel, so they stay
@@ -124,13 +114,6 @@ void pack_a_int8(const std::uint8_t* a, int lda, bool trans,
                                          dst);
 }
 
-void pack_b_int8(const std::uint8_t* b, int ldb, bool trans,
-                 const std::int8_t* qlut, int k0, int kc, int n0, int nc,
-                 std::int8_t* dst) {
-  detail::pack_b_int8_block<kNR, kKG8>(b, ldb, trans, qlut, k0, kc, n0, nc,
-                                       dst);
-}
-
 template <int R>
 __attribute__((target("avx512vnni"))) void kernel_int8_vnni(
     int kc, const std::int8_t* ap, const std::int8_t* bp, std::int32_t* acc,
@@ -181,24 +164,14 @@ void micro_int8(int kc, const std::int8_t* ap, const std::int8_t* bp,
   detail::micro_int8_generic<kMR, kNR, kKG8>(kc, ap, bp, acc, ldacc, mr, nr);
 }
 
-void pack_a_int8_f32(const float* a, int lda, bool trans, double inv, int lo,
-                     int hi, int m0, int mc, int k0, int kc,
-                     std::int8_t* dst) {
-  // Same VNNI bias rule as pack_a_int8: the pack and the kernel test the
-  // same process-constant CPUID bit, so they always agree on the layout.
-  if (core::cpu_features().avx512vnni)
-    detail::pack_a_int8_f32_block<kMR, kKG8, 0x80>(a, lda, trans, inv, lo, hi,
-                                                   m0, mc, k0, kc, dst);
-  else
-    detail::pack_a_int8_f32_block<kMR, kKG8>(a, lda, trans, inv, lo, hi, m0,
-                                             mc, k0, kc, dst);
-}
-
 constexpr Backend kAvx512 = {
-    "avx512", /*id=*/2, kMR,    kNR,    /*mc=*/120,   /*kc=*/256,
-    /*nc=*/1024,        supported,      pack_a,       pack_b, micro,
-    /*kg8=*/kKG8,       pack_a_int8,    pack_b_int8,  micro_int8,
-    pack_a_int8_f32,
+    "avx512", /*id=*/2, kMR, kNR, /*mc=*/120, /*kc=*/256, /*nc=*/1024,
+    supported,
+    detail::pack_a_block<kMR>, detail::pack_b_block<kNR>,
+    micro,
+    kKG8,
+    pack_a_int8, detail::pack_b_int8_block<kNR, kKG8>,
+    micro_int8,
 };
 
 }  // namespace

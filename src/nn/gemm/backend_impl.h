@@ -7,9 +7,19 @@
 // implementation, the SIMD backends use them for the pack routines (the
 // compiler auto-vectorizes the copy loops under the TU's -m flags —
 // values are IEEE-identical at any vector width) and as the fallback for
-// edge tiles their intrinsic kernels do not cover.  The float packs copy
-// values and never decode: code-mode weights reach them already decoded
+// edge tiles their intrinsic kernels do not cover.  Backend descriptors
+// point straight at the instantiations.  The float packs copy values and
+// never decode: code-mode weights reach them already decoded
 // (gemm::decode_codes), so one pack routine per side serves both.
+//
+// Everything here has internal linkage (an unnamed namespace inside
+// `detail`).  The backend TUs compile under different -m flags, and
+// templates or inline functions with ordinary linkage would be emitted as
+// weak symbols in each of them; the linker keeps one copy, so an
+// unoptimized build could run the -mavx512f copy of a shared instantiation
+// (say pack_b_block<16>) inside the AVX2 backend, or inside gemm.cpp's
+// baseline-flag small-problem loop.  Internal linkage gives every TU its
+// own copy, built with its own flags.
 //
 // Bit-identity rules baked in here, which every intrinsic kernel must also
 // obey:
@@ -29,6 +39,7 @@
 #include "nn/gemm/qgemm.h"
 
 namespace mersit::nn::gemm::detail {
+namespace {
 
 inline float a_elem(const float* a, int lda, bool trans, int m, int k) {
   return trans ? a[static_cast<std::size_t>(k) * lda + m]
@@ -291,67 +302,6 @@ void pack_b_int8_block(const std::uint8_t* b, int ldb, bool trans,
   }
 }
 
-/// pack_a_int8_block over a float source: quantize_levels runs on each
-/// contiguous run of the source (a whole k-row when !trans; a gathered
-/// column otherwise) through a small stack buffer, and the resulting levels
-/// distribute into the same [group][m][j] layout with the same XOR and
-/// padding rules.  quantize_levels is elementwise, so panels are
-/// byte-identical to pack_a_int8_block over pre-quantized levels.
-template <int MR, int KG, int XOR = 0>
-void pack_a_int8_f32_block(const float* a, int lda, bool trans, double inv,
-                           int lo, int hi, int m0, int mc, int k0, int kc,
-                           std::int8_t* dst) {
-  constexpr int kChunk = 256;  // multiple of every KG (1/2/4)
-  const int groups = (kc + KG - 1) / KG;
-  for (int ip = 0; ip < mc; ip += MR) {
-    const int mr = std::min(MR, mc - ip);
-    for (int m = 0; m < MR; ++m) {
-      std::int8_t* dm = dst + static_cast<std::size_t>(m) * KG;
-      if (m < mr) {
-        float tmp[kChunk];
-        std::int8_t q[kChunk];
-        for (int kb = 0; kb < kc; kb += kChunk) {
-          const int len = std::min(kChunk, kc - kb);
-          const float* src;
-          if (!trans) {
-            src = a + static_cast<std::size_t>(m0 + ip + m) * lda + k0 + kb;
-          } else {
-            for (int i = 0; i < len; ++i)
-              tmp[i] =
-                  a[static_cast<std::size_t>(k0 + kb + i) * lda + m0 + ip + m];
-            src = tmp;
-          }
-          quantize_levels(src, static_cast<std::size_t>(len), inv, lo, hi, q);
-          // A group's KG levels are contiguous at dm + g*MR*KG: compose them
-          // (with the byte bias) into one word and store it whole.
-          constexpr std::uint32_t xmask = 0x01010101u * XOR;
-          int i = 0;
-          for (; i + KG <= len; i += KG) {
-            std::uint32_t wv = 0;
-            for (int j = 0; j < KG; ++j)
-              wv |= static_cast<std::uint32_t>(
-                        static_cast<std::uint8_t>(q[i + j]))
-                    << (8 * j);
-            wv ^= xmask;
-            std::memcpy(
-                dm + static_cast<std::size_t>((kb + i) / KG) * MR * KG, &wv,
-                KG);
-          }
-          for (; i < len; ++i) {
-            const int k = kb + i;
-            dm[static_cast<std::size_t>(k / KG) * MR * KG + k % KG] =
-                static_cast<std::int8_t>(q[i] ^ XOR);
-          }
-        }
-      }
-      for (int k = m < mr ? kc : 0; k < groups * KG; ++k)
-        dm[static_cast<std::size_t>(k / KG) * MR * KG + k % KG] =
-            static_cast<std::int8_t>(XOR);  // zero level, biased like the rest
-    }
-    dst += static_cast<std::size_t>(groups) * MR * KG;
-  }
-}
-
 /// Generic int8 micro-kernel over the [group][row/col][j] panel layout:
 /// acc[m][n] += Σ qa·qb in int32.  Exact integer arithmetic, so this is the
 /// reference every intrinsic kernel must match bitwise (and trivially does —
@@ -438,4 +388,5 @@ void micro_generic(int kc, const float* ap, const float* bp, float* c, int ldc,
   }
 }
 
+}  // namespace
 }  // namespace mersit::nn::gemm::detail

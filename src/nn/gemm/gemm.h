@@ -100,36 +100,40 @@ struct RowAffine {
 };
 
 /// A GEMM operand packed once into the active backend's panel layout, for
-/// reuse across many sgemm calls over frozen data (layer weights).
-/// Produced by pack_a_matrix / pack_b_matrix; the fields are internal to
-/// the engine — treat instances as opaque tokens.
+/// reuse across many calls over frozen data (layer weights).  One template
+/// serves both element types: PackedMatrix holds FP32 panels (from
+/// pack_a_matrix / pack_b_matrix, read by sgemm) and PackedInt8 holds int8
+/// level panels (from pack_{a,b}_int8_matrix in qgemm.h, read by
+/// qgemm_int8).  The fields are internal to the engine — treat instances as
+/// opaque tokens.
 ///
 /// The layout is self-describing: the tile geometry it was packed for
-/// (mr/nr register tile, oc/kc cache blocks) and the owning backend's id
-/// are recorded, and sgemm rejects a pack whose backend is not the active
-/// one — panel layouts differ across tile geometries, so a foreign-layout
-/// pack must never be consumed silently.  Panel storage is 64-byte aligned
-/// (core::AlignedVector) and every block offset is rounded to a whole cache
-/// line, so SIMD backends read panels with aligned loads; the rounding gaps
-/// are zero-filled, keeping packs byte-comparable.
-struct PackedMatrix {
+/// (mr/nr register tile, kg k-group width, oc/kc cache blocks) and the
+/// owning backend's id are recorded, and both drivers reject a pack whose
+/// backend is not the active one — panel layouts differ across tile
+/// geometries, so a foreign-layout pack must never be consumed silently.
+/// Panel storage is 64-byte aligned (core::AlignedVector) and every block
+/// offset is rounded to a whole cache line, so SIMD backends read panels
+/// with aligned loads; the rounding gaps are zero-filled, keeping packs
+/// byte-comparable.
+template <typename T>
+struct PackedPanels {
   bool is_a = false;  ///< A-operand (mr-row panels) vs B (nr-col panels)
   int other = 0;      ///< M for an A-pack, N for a B-pack
   int k = 0;          ///< shared K extent
   int mr = 0;         ///< register-tile rows (A panels) of the packing backend
   int nr = 0;         ///< register-tile cols (B panels) of the packing backend
+  int kg = 1;         ///< k-group width: 1 for FP32, Backend::kg8 for int8
   int oc = 0;         ///< outer cache block: MC for an A-pack, NC for a B-pack
   int kc = 0;         ///< K cache block of the packing backend
-  int backend_id = 0; ///< Backend::id this pack was built for
-  core::AlignedVector<float> data;      ///< all blocks, contiguous, 64B-aligned
-  std::vector<std::size_t> block_off;   ///< [outer_block * kblocks + kblock]
+  int backend_id = -1;  ///< Backend::id this pack was built for
+  core::AlignedVector<T> data;         ///< all blocks, contiguous, 64B-aligned
+  std::vector<std::size_t> block_off;  ///< [outer_block * kblocks + kblock]
 
   [[nodiscard]] bool empty() const { return data.empty(); }
-  /// Heap footprint (bench/monitoring).
-  [[nodiscard]] std::size_t byte_size() const {
-    return data.size() * sizeof(float);
-  }
 };
+
+using PackedMatrix = PackedPanels<float>;
 
 /// Pack op(A) (M x K; trans_a reads A[k*lda + m]) into the kernel's A-panel
 /// layout — byte-identical to what the per-call path packs, block by block.

@@ -67,7 +67,6 @@
 #include <cstdint>
 #include <string>
 
-#include "core/aligned.h"
 #include "nn/gemm/gemm.h"
 
 namespace mersit::nn::gemm {
@@ -191,20 +190,9 @@ void quantize_levels(const float* x, std::size_t n, double inv, int lo,
 /// remap to apply in the pack step and the operand's dequant scales.
 /// Addressing follows QOperand.  For weights, `qlut` is AffineLut::q and
 /// `channel_scales[ch]` = AffineLut::scale · WeightCodes::scales[ch]; for
-/// activations, `qlut` is identity_qlut() and `uniform_scale` =
+/// activations, `codes` holds levels already (quantize_levels for Linear,
+/// im2col_int8 for conv), `qlut` is identity_qlut() and `uniform_scale` =
 /// AffineLut::scale · tensor quant_scale.
-///
-/// Alternatively the *A* operand may carry a *float* source (`fsrc`
-/// non-null): the pack step then quantizes elements straight onto the level
-/// grid — q = clamp(RNE(v·finv), flo, fhi), the exact quantize_levels
-/// computation — fused into the panel distribution, so per-call activations
-/// skip the intermediate level buffer entirely.  `ld`/`trans` address
-/// `fsrc` the same way they address `codes`; `codes`/`qlut` are ignored.
-/// Because the quantization is elementwise and identical to
-/// quantize_levels, a float operand is bit-for-bit equivalent to
-/// pre-quantizing into a buffer and passing it with identity_qlut().
-/// qgemm_int8 rejects a B operand with `fsrc` set (conv activations, the
-/// only float B source, are lowered to levels by im2col_int8 instead).
 struct Int8Operand {
   const std::uint8_t* codes = nullptr;
   int ld = 0;
@@ -212,30 +200,14 @@ struct Int8Operand {
   const std::int8_t* qlut = nullptr;
   const double* channel_scales = nullptr;
   double uniform_scale = 1.0;
-  const float* fsrc = nullptr;  ///< quantize-on-pack float source (A only)
-  double finv = 0.0;            ///< 1 / (AffineLut::scale · tensor scale)
-  int flo = 0, fhi = 0;         ///< level clamp (AffineLut qmin/qmax)
 };
 
 /// A fully packed int8 operand (all k-blocks), for prepacking weights once
-/// and reusing across calls — the int8 analogue of PackedMatrix.  Panel
-/// bytes are backend-specific (the AVX-512 kernel stores A biased by 128
-/// for vpdpbusd); a pack is only valid for the backend that produced it,
-/// enforced via backend_id.
-struct PackedInt8 {
-  bool is_a = false;    ///< packed as op(A) (true) or op(B) (false)
-  int other = 0;        ///< M for A-packs, N for B-packs
-  int k = 0;            ///< shared K extent
-  int mr = 0, nr = 0;   ///< panel shape of the producing backend
-  int kg = 0;           ///< k-group width of the panel layout
-  int oc = 0, kc = 0;   ///< cache-block shape used at pack time
-  int backend_id = -1;  ///< producing backend (Backend::id)
-  core::AlignedVector<std::int8_t> data;
-  std::vector<std::size_t> block_off;  ///< per (oc-block, kc-block) offset
-
-  [[nodiscard]] bool empty() const { return data.empty(); }
-  [[nodiscard]] std::size_t byte_size() const { return data.size(); }
-};
+/// and reusing across calls — PackedPanels over int8 levels, with
+/// kg = Backend::kg8.  Panel bytes are backend-specific (the AVX-512 kernel
+/// stores A biased by 128 for vpdpbusd); a pack is only valid for the
+/// backend that produced it, enforced via backend_id.
+using PackedInt8 = PackedPanels<std::int8_t>;
 
 /// Pack all of op(A) (M x K) / op(B) (K x N) int8 levels for the active
 /// backend.  `codes` + `qlut` follow Int8Operand conventions.

@@ -172,10 +172,10 @@ Tensor Linear::forward_fused(const Tensor& x, const Context& ctx,
   }
   if (wc != nullptr && int8_ok(*wc, x) && in_ <= gemm::kInt8MaxK) {
     // Decode-free path: weight codes remap to int8 levels in the pack step,
-    // activations quantize straight to the same level grid at the GEMM
-    // boundary (exact on already-fake-quantized values), and the kernel
-    // accumulates level products in int32 — both operands move as 8-bit
-    // codes and the only float math is the dequant write-back.
+    // activations quantize to the same level grid before the GEMM (exact on
+    // already-fake-quantized values), as conv's im2col_int8 does, and the
+    // kernel accumulates level products in int32 — both operands move as
+    // 8-bit levels and the only float math is the dequant write-back.
     const gemm::AffineLut& alut = *wc->affine;
     const double xscale = x.quant_scale();
     const auto cached = packs_.get(weight, int8_key(*wc), [&] {
@@ -188,16 +188,16 @@ Tensor Linear::forward_fused(const Tensor& x, const Context& ctx,
       return pw;
     });
     Tensor y({n, out_});
-    // Activations ride as a float-source operand: the backend pack fuses the
-    // level quantization into the panel distribution (bit-identical to a
-    // separate quantize_levels pass, no intermediate buffer).
-    gemm::Int8Operand a;
-    a.ld = in_;
-    a.uniform_scale = alut.scale * xscale;
-    a.fsrc = x.raw();
-    a.finv = 1.0 / (alut.scale * xscale);
-    a.flo = alut.qmin;
-    a.fhi = alut.qmax;
+    core::ScratchArena& arena = core::ScratchArena::local();
+    const core::ScratchArena::Scope scope(arena);
+    // The level buffer reinterprets arena floats (4 int8 levels per slot).
+    const std::size_t nx = static_cast<std::size_t>(n) * in_;
+    std::int8_t* xq = reinterpret_cast<std::int8_t*>(arena.alloc((nx + 3) / 4));
+    gemm::quantize_levels(x.raw(), nx, 1.0 / (alut.scale * xscale), alut.qmin,
+                          alut.qmax, xq);
+    const gemm::Int8Operand a{reinterpret_cast<const std::uint8_t*>(xq), in_,
+                              /*trans=*/false, gemm::identity_qlut(), nullptr,
+                              alut.scale * xscale};
     const gemm::Int8Operand b{wc->codes.data(), in_, /*trans=*/true, alut.q,
                               cached->iscales.data(), 0.0};
     gemm::qgemm_int8(n, out_, in_, a, b, gemm::Init::kBiasCol,

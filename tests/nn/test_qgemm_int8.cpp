@@ -433,16 +433,34 @@ TEST(Int8Kernel, RejectsUnsafeCallsAndStaysThreadCountInvariant) {
   EXPECT_THROW(gemm::qgemm_int8(kM, kN, kK, no_lut, opb, gemm::Init::kZero,
                                 nullptr, c.data(), kN),
                std::invalid_argument);
-  // A float source is an A-operand feature; B must arrive as levels.
-  const std::vector<float> bf(b.size(), 1.f);
-  gemm::Int8Operand fsrc_b = opb;
-  fsrc_b.fsrc = bf.data();
-  fsrc_b.finv = 1.0;
-  fsrc_b.flo = alut.qmin;
-  fsrc_b.fhi = alut.qmax;
-  EXPECT_THROW(gemm::qgemm_int8(kM, kN, kK, opa, fsrc_b, gemm::Init::kZero,
-                                nullptr, c.data(), kN),
+  // A prepacked operand must match the call shape...
+  const gemm::PackedInt8 wrong_m =
+      gemm::pack_a_int8_matrix(kM - 1, kK, a.data(), kK, false, alut.q);
+  EXPECT_THROW(gemm::qgemm_int8(kM, kN, kK, opa, opb, gemm::Init::kZero,
+                                nullptr, c.data(), kN, nullptr,
+                                gemm::Epilogue::kNone, &wrong_m),
                std::invalid_argument);
+  // ...and the active backend: panels packed under scalar are misindexed by
+  // any other backend.
+  for (const gemm::Backend* be : gemm::backends()) {
+    if (be == &gemm::scalar_backend() || !be->supported()) continue;
+    SCOPED_TRACE(be->name);
+    gemm::PackedInt8 pa, pb;
+    {
+      const BackendGuard guard(gemm::scalar_backend());
+      pa = gemm::pack_a_int8_matrix(kM, kK, a.data(), kK, false, alut.q);
+      pb = gemm::pack_b_int8_matrix(kK, kN, b.data(), kN, false, alut.q);
+    }
+    const BackendGuard guard(*be);
+    EXPECT_THROW(gemm::qgemm_int8(kM, kN, kK, opa, opb, gemm::Init::kZero,
+                                  nullptr, c.data(), kN, nullptr,
+                                  gemm::Epilogue::kNone, &pa, nullptr),
+                 std::invalid_argument);
+    EXPECT_THROW(gemm::qgemm_int8(kM, kN, kK, opa, opb, gemm::Init::kZero,
+                                  nullptr, c.data(), kN, nullptr,
+                                  gemm::Epilogue::kNone, nullptr, &pb),
+                 std::invalid_argument);
+  }
 
   gemm::qgemm_int8(kM, kN, kK, opa, opb, gemm::Init::kZero, nullptr, c.data(),
                    kN);
@@ -461,62 +479,80 @@ TEST(Int8Kernel, RejectsUnsafeCallsAndStaysThreadCountInvariant) {
 // ----------------------------------------------------------- layer dispatch --
 
 // A Linear under MERSIT_QGEMM=int8 with INT8 codes and a stamped activation
-// scale takes the integer path — bit-identical to calling qgemm_int8
-// directly with the layer's operands — and stays within
-// the documented K·2^-24-order tolerance of the code-mode result.  A
-// non-affine format under the same mode falls back to code mode bitwise.
+// scale takes the integer path — on every supported backend, bit-identical
+// to quantizing the activations with quantize_levels and calling
+// qgemm_int8 directly (under the scalar reference backend) with
+// identity_qlut() and the layer's weight operand — and stays within the
+// documented K·2^-24-order tolerance of the code-mode result.  The second
+// shape crosses a kc block and leaves ragged row and column panels, so the
+// identity-map A pack (and its AVX-512 VNNI bias) runs on edge panels too.
+// A non-affine format under the same mode falls back to code mode bitwise.
 TEST(Int8Layer, LinearForwardTakesIntegerPathAndFallsBackPerFormat) {
   const auto fmt = core::make_format("INT8");
   const auto kernel = formats::kernels::kernel_for(*fmt);
-  std::mt19937 rng(11);
-  Linear lin(32, 7, rng);
-  for (int o = 0; o < 7; ++o) lin.bias.value[o] = 0.01f * static_cast<float>(o);
-  ptq::install_weight_codes(lin, *fmt, formats::ScalePolicy::kMaxToUnity);
-  const auto wc = lin.weight_codes();
-  ASSERT_NE(wc, nullptr);
-  ASSERT_NE(wc->affine, nullptr);
-  ASSERT_TRUE(wc->affine->usable);
-  const gemm::AffineLut& alut = *wc->affine;
-
-  std::mt19937 xrng(23);
-  Tensor x = Tensor::randn({5, 32}, xrng, 1.f);
-  const double xscale = formats::scale_for_absmax(
-      *fmt, x.abs_max(), formats::ScalePolicy::kMaxToUnity);
-  kernel->fake_quantize(x.data(), xscale);
-  x.set_quant_scale(xscale);
-
-  Tensor y_int8, y_code;
   const Context ctx{/*train=*/false, nullptr};
-  {
-    const ModeGuard mode(gemm::QgemmMode::kInt8);
-    y_int8 = lin.forward(x, ctx);
-  }
-  {
-    const ModeGuard mode(gemm::QgemmMode::kCode);
-    y_code = lin.forward(x, ctx);
-  }
+  std::mt19937 rng(11);
+  std::mt19937 xrng(23);
+  for (const auto [n, in, out] : {std::array{5, 32, 7}, std::array{13, 300, 19}}) {
+    SCOPED_TRACE("n=" + std::to_string(n) + " K=" + std::to_string(in));
+    Linear lin(in, out, rng);
+    for (int o = 0; o < out; ++o)
+      lin.bias.value[o] = 0.01f * static_cast<float>(o);
+    ptq::install_weight_codes(lin, *fmt, formats::ScalePolicy::kMaxToUnity);
+    const auto wc = lin.weight_codes();
+    ASSERT_NE(wc, nullptr);
+    ASSERT_NE(wc->affine, nullptr);
+    ASSERT_TRUE(wc->affine->usable);
+    const gemm::AffineLut& alut = *wc->affine;
 
-  // Direct integer reference with the layer's exact operands.
-  std::vector<std::int8_t> xq(static_cast<std::size_t>(5) * 32);
-  gemm::quantize_levels(x.raw(), xq.size(), 1.0 / (alut.scale * xscale),
-                        alut.qmin, alut.qmax, xq.data());
-  std::vector<double> iscales(wc->scales.size());
-  for (std::size_t o = 0; o < iscales.size(); ++o)
-    iscales[o] = alut.scale * wc->scales[o];
-  Tensor y_direct({5, 7});
-  const gemm::Int8Operand a{reinterpret_cast<const std::uint8_t*>(xq.data()),
-                            32, false, gemm::identity_qlut(), nullptr,
-                            alut.scale * xscale};
-  const gemm::Int8Operand b{wc->codes.data(), 32, true, alut.q,
-                            iscales.data(), 0.0};
-  gemm::qgemm_int8(5, 7, 32, a, b, gemm::Init::kBiasCol, lin.bias.value.raw(),
-                   y_direct.raw(), 7);
-  EXPECT_TRUE(bitwise_equal(y_int8, y_direct));
+    Tensor x = Tensor::randn({n, in}, xrng, 1.f);
+    const double xscale = formats::scale_for_absmax(
+        *fmt, x.abs_max(), formats::ScalePolicy::kMaxToUnity);
+    kernel->fake_quantize(x.data(), xscale);
+    x.set_quant_scale(xscale);
 
-  // Same values as code mode, K=32 float roundings apart at most.
-  for (std::int64_t i = 0; i < y_code.numel(); ++i)
-    EXPECT_NEAR(y_int8[i], y_code[i], 1e-4f * (1.f + std::fabs(y_code[i])))
-        << i;
+    // Direct integer reference, built from the layer's codes.
+    std::vector<std::int8_t> xq(static_cast<std::size_t>(n) * in);
+    gemm::quantize_levels(x.raw(), xq.size(), 1.0 / (alut.scale * xscale),
+                          alut.qmin, alut.qmax, xq.data());
+    std::vector<double> iscales(wc->scales.size());
+    for (std::size_t o = 0; o < iscales.size(); ++o)
+      iscales[o] = alut.scale * wc->scales[o];
+    const gemm::Int8Operand a{reinterpret_cast<const std::uint8_t*>(xq.data()),
+                              in, false, gemm::identity_qlut(), nullptr,
+                              alut.scale * xscale};
+    const gemm::Int8Operand b{wc->codes.data(), in, true, alut.q,
+                              iscales.data(), 0.0};
+
+    Tensor y_direct({n, out});
+    {
+      const BackendGuard guard(gemm::scalar_backend());
+      gemm::qgemm_int8(n, out, in, a, b, gemm::Init::kBiasCol,
+                       lin.bias.value.raw(), y_direct.raw(), out);
+    }
+
+    Tensor y_int8;
+    for (const gemm::Backend* be : gemm::backends()) {
+      if (!be->supported()) continue;
+      SCOPED_TRACE(be->name);
+      const BackendGuard guard(*be);
+      {
+        const ModeGuard mode(gemm::QgemmMode::kInt8);
+        y_int8 = lin.forward(x, ctx);
+      }
+      EXPECT_TRUE(bitwise_equal(y_int8, y_direct));
+    }
+
+    // Same values as code mode, K float roundings apart at most.
+    Tensor y_code;
+    {
+      const ModeGuard mode(gemm::QgemmMode::kCode);
+      y_code = lin.forward(x, ctx);
+    }
+    for (std::int64_t i = 0; i < y_code.numel(); ++i)
+      EXPECT_NEAR(y_int8[i], y_code[i], 1e-4f * (1.f + std::fabs(y_code[i])))
+          << i;
+  }
 
   // MERSIT is not affine: under int8 mode the layer must fall back to the
   // code path, bit for bit.
