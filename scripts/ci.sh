@@ -7,7 +7,8 @@
 # parallel PTQ, serving engine + hot-swap; see tests/CMakeLists.txt for the
 # label registry).  Finally, guard against build artifacts leaking into the
 # work tree.  Between the default build and the sanitizers, the GEMM
-# library must export no weak gemm::detail template symbols, and the
+# library must export no weak gemm::detail template symbols, the GEMM and
+# layer suites must pass again when built with -mfma, and the
 # gate-replay, trunk-mersit, mobile-int8 and serve-swap benchmark workloads
 # must report their outputs correct.
 #
@@ -63,6 +64,24 @@ echo "==> SIMD backend self-check (--backends)"
 echo "==> GEMM suites under MERSIT_BACKEND=scalar"
 MERSIT_BACKEND=scalar ./build/tests/test_concurrency --gtest_filter='Gemm*'
 MERSIT_BACKEND=scalar ./build/tests/test_qgemm --gtest_filter='QgemmPack*:QgemmModelTest.*:Int8*'
+
+# FMA contraction guard: rebuild the GEMM and layer suites with -mfma, so
+# the compiler may fuse any a*b + c it sees, and rerun them.  They pass
+# only if -ffp-contract=off (src/CMakeLists.txt, tests/CMakeLists.txt)
+# reaches every TU on the bit-identity path; aarch64 has FMA in its
+# baseline ISA, so this is what every build there relies on.  Hosts that
+# cannot run FMA code skip the stage.
+if [[ "$(uname -m)" == x86_64 ]] && grep -qw fma /proc/cpuinfo; then
+  echo "==> configure build-fma (-mfma)"
+  cmake -B build-fma -S . "${CACHE_ARGS[@]}" -DCMAKE_CXX_FLAGS=-mfma
+  echo "==> build build-fma (test_concurrency, test_qgemm)"
+  cmake --build build-fma -j "${JOBS}" --target test_concurrency test_qgemm
+  echo "==> GEMM and layer suites under -mfma"
+  ./build-fma/tests/test_concurrency --gtest_filter='Gemm*:Layer*'
+  ./build-fma/tests/test_qgemm
+else
+  echo "==> skip the -mfma stage: this host cannot execute x86-64 FMA code"
+fi
 
 # Perf smoke: the Release bench runs every model through all three modes
 # (prepacked+fused / code-domain MERSIT_QGEMM=code / decode-free
@@ -194,4 +213,4 @@ if [[ -n "${UNIGNORED}" ]]; then
   exit 1
 fi
 
-echo "==> CI OK (default + ASan/UBSan + TSan + artifact guard)"
+echo "==> CI OK (default + -mfma + ASan/UBSan + TSan + artifact guard)"

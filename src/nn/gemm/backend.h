@@ -1,10 +1,11 @@
 // Runtime-dispatched SIMD backend registry for the GEMM engine.
 //
 // One Backend descriptor per instruction set — scalar (the reference),
-// avx2, avx512 on x86-64, neon on aarch64 — each bundling the float
-// micro-kernel and its two panel-pack routines, the int8 micro-kernel and
-// its two panel-pack routines, and its tile geometry (MR/NR register
-// tile, MC/KC/NC cache blocks).  The registry is CPUID-backed:
+// avx2, avx512 on x86-64, neon on aarch64 — each bundling eight entry
+// points: the float micro-kernel and its two panel-pack routines, the int8
+// micro-kernel and its two panel-pack routines, the depthwise conv kernel,
+// and the supported() probe; plus its tile geometry (MR/NR register tile,
+// MC/KC/NC cache blocks).  The registry is CPUID-backed:
 // auto-detection walks the compiled-in list best-first and activates the
 // first backend the host can execute; MERSIT_BACKEND forces a specific one,
 // strict-parsed (unknown names and backends the host cannot run both
@@ -22,12 +23,23 @@
 //    output element's K products in ascending k order with a separately
 //    rounded multiply and add per step (no fused multiply-add anywhere —
 //    FMA skips the product rounding and would break ULP 0 against the
-//    scalar reference; the backend TUs also compile with -ffp-contract=off
+//    scalar reference; every library TU compiles with -ffp-contract=off
 //    so the compiler cannot fuse behind the intrinsics).  Tile geometry may
 //    differ per backend because the per-element rounding sequence depends
 //    only on k order, never on MR/NR/cache blocking — test_gemm gates every
 //    compiled-in backend bitwise against scalar across the full shape/
 //    transpose/strided-C/thread-count matrix.
+//
+//  * Depthwise outputs are bit-identical to the naive conv loop.  Each
+//    output starts from its bias and adds the taps that are in bounds at
+//    that output pixel, in ascending (ki, kj) order, one separately
+//    rounded multiply and add per tap; out-of-bounds taps are skipped, not
+//    multiplied by a padded zero (an Inf weight times a padded 0 would give
+//    NaN, and -0 + +0 would give +0).  The write-back then applies the
+//    optional affine s*v + t and the epilogue per element, the same
+//    operations the BatchNorm2d and Activation modules apply.  Backends
+//    differ only in how many channels share one vector (the lane block),
+//    which never changes a rounding sequence.
 //
 // Because pack layouts differ across tile geometries, a pack (PackedMatrix
 // or PackedInt8) records the backend it was packed for, sgemm and
@@ -36,6 +48,7 @@
 // can never serve a foreign-layout pack.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -44,6 +57,25 @@
 #include "nn/gemm/gemm.h"
 
 namespace mersit::nn::gemm {
+
+/// One sample's depthwise conv (groups == in == out channels): `channels`
+/// input planes of h x w, one k x k filter per channel, output planes of
+/// oh x ow.  All planes are contiguous and channel-major.
+struct DepthwiseShape {
+  int channels, h, w, oh, ow, k, stride, pad;
+};
+
+/// Widest channel block any backend's depthwise kernel uses.
+inline constexpr int kMaxDepthwiseLanes = 16;
+
+/// Floats of scratch a depthwise entry needs for `s` on any backend: the
+/// input, output and filter taps of one channel block, transposed.
+[[nodiscard]] constexpr std::size_t depthwise_scratch(const DepthwiseShape& s) {
+  return (static_cast<std::size_t>(s.h) * s.w +
+          static_cast<std::size_t>(s.oh) * s.ow +
+          static_cast<std::size_t>(s.k) * s.k) *
+         kMaxDepthwiseLanes;
+}
 
 /// One SIMD backend: tile geometry plus the kernel entry points.  All
 /// instances are immutable statics with process lifetime; identity
@@ -113,6 +145,17 @@ struct Backend {
   /// real acc entries.
   void (*micro_int8)(int kc, const std::int8_t* ap, const std::int8_t* bp,
                      std::int32_t* acc, int ldacc, int mr, int nr);
+
+  // --- Depthwise conv ------------------------------------------------------
+
+  /// One sample's depthwise forward: y[c] = epi(asc[c]*(bias[c] + taps) +
+  /// ash[c]) per output pixel, taps as in the contract above.  `wt` holds
+  /// channels x k x k weights, `asc`/`ash` are null or hold `channels`
+  /// entries each.  `scratch` holds depthwise_scratch(s) floats (callers
+  /// take it from their ScratchArena; backend TUs allocate nothing).
+  void (*depthwise)(const DepthwiseShape& s, const float* x, const float* wt,
+                    const float* bias, float* y, Epilogue epi,
+                    const float* asc, const float* ash, float* scratch);
 };
 
 /// Compiled-in backends in detection order: best first, scalar last (scalar

@@ -190,6 +190,9 @@ void micro_int8(int kc, const std::int8_t* ap, const std::int8_t* bp,
   }
 }
 
+// Depthwise: 8 channels per lane block, one ymm.
+constexpr int kDwLanes = 8;
+
 constexpr Backend kAvx2 = {
     "avx2", /*id=*/1, kMR, kNR, /*mc=*/120, /*kc=*/256, /*nc=*/1024,
     supported,
@@ -198,6 +201,7 @@ constexpr Backend kAvx2 = {
     kKG8,
     detail::pack_a_int8_block<kMR, kKG8>, detail::pack_b_int8_block<kNR, kKG8>,
     micro_int8,
+    detail::depthwise_block<kDwLanes>,
 };
 
 }  // namespace

@@ -24,16 +24,22 @@
 // Bit-identity rules baked in here, which every intrinsic kernel must also
 // obey:
 //  * ascending-k accumulation, one separately rounded multiply and add per
-//    step (backend TUs compile with -ffp-contract=off so neither the
-//    template loops nor adjacent mul/add intrinsics can fuse into FMA);
+//    step (every library TU compiles with -ffp-contract=off, see
+//    src/CMakeLists.txt, so neither the template loops nor adjacent mul/add
+//    intrinsics can fuse into FMA);
 //  * the per-row affine is v = scale[m]*v + shift[m] (two roundings), then
 //    the epilogue via the shared epilogue_apply.
+//
+// depthwise_block<L> is the one depthwise kernel: every backend
+// instantiates it at its own lane count L, and the TU's -m flags turn the
+// L-lane inner loops into whole-vector multiplies and adds.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <utility>
 
 #include "nn/gemm/backend.h"
 #include "nn/gemm/qgemm.h"
@@ -385,6 +391,143 @@ void micro_generic(int kc, const float* ap, const float* bp, float* c, int ldc,
       for (int n = 0; n < nr; ++n) acc[m][n] = s * acc[m][n] + t;
     }
     epilogue_apply(epi, acc[m], c + static_cast<std::size_t>(m) * ldc, nr);
+  }
+}
+
+/// L floats as one GCC vector: the lane block of the depthwise kernel.
+template <int L>
+struct Lanes {
+  typedef float V __attribute__((vector_size(L * sizeof(float))));
+};
+template <int L>
+using LaneVec = typename Lanes<L>::V;
+
+/// Interleave the low (H = 0) or high (H = 1) halves of a and b:
+/// a[h], b[h], a[h+1], b[h+1], ... from h = H*L/2.
+template <int L, int H, std::size_t... J>
+inline LaneVec<L> interleave(LaneVec<L> a, LaneVec<L> b,
+                             std::index_sequence<J...>) {
+  return __builtin_shufflevector(a, b, (H * L / 2 + J / 2 + (J % 2) * L)...);
+}
+
+/// In-register L x L transpose (r[i][j] -> r[j][i]) in log2(L) perfect-
+/// shuffle stages: each stage rotates the (row, column) bit string of an
+/// element's index left by one bit, so log2(L) stages swap the halves.
+/// Target-independent vector code; each TU lowers it to its own shuffles.
+template <int L>
+inline void transpose_lanes(LaneVec<L> (&r)[L]) {
+  constexpr auto seq = std::make_index_sequence<L>{};
+  for (int stage = 1; stage < L; stage *= 2) {
+    LaneVec<L> t[L];
+    for (int i = 0; i < L / 2; ++i) {
+      t[2 * i] = interleave<L, 0>(r[i], r[i + L / 2], seq);
+      t[2 * i + 1] = interleave<L, 1>(r[i], r[i + L / 2], seq);
+    }
+    for (int i = 0; i < L; ++i) r[i] = t[i];
+  }
+}
+
+/// acc[l] += w[t][l] * x[t][l] for the n consecutive taps of one filter
+/// row, t ascending; w and x are [tap][L].
+template <int L>
+inline void depthwise_taps(float (&acc)[L], const float* w, const float* x,
+                           int n) {
+  for (int t = 0; t < n; ++t)
+    for (int l = 0; l < L; ++l) acc[l] += w[t * L + l] * x[t * L + l];
+}
+
+/// Depthwise forward of one sample, L channels at a time.  Each block's
+/// input planes are transposed to [pixel][L] (the tail lanes of a short
+/// block zero-filled and never stored), so one output pixel of L channels
+/// is one L-wide vector: it starts from the bias and adds, in ascending
+/// (ki, kj) order, exactly the taps in bounds at that pixel — the set is
+/// the same for every lane, so no padded input is ever read.  The affine
+/// applies to the finished vector, the epilogue to the whole [pixel][L]
+/// block (one epilogue_apply call; the same per-element formula), and the
+/// block transposes back to channel planes.  `scratch` is caller-provided
+/// (see Backend::depthwise).
+template <int L>
+void depthwise_block(const DepthwiseShape& s, const float* x, const float* wt,
+                     const float* bias, float* y, Epilogue epi,
+                     const float* asc, const float* ash, float* scratch) {
+  static_assert(L <= kMaxDepthwiseLanes, "depthwise_scratch sizes the lanes");
+  using V = LaneVec<L>;
+  const std::size_t hw = static_cast<std::size_t>(s.h) * s.w;
+  const std::size_t osz = static_cast<std::size_t>(s.oh) * s.ow;
+  const int kk = s.k * s.k;
+  float* xt = scratch;
+  float* yt = xt + hw * L;
+  float* wl = yt + osz * L;
+  float bl[L], sl[L], hl[L];
+  for (int c0 = 0; c0 < s.channels; c0 += L) {
+    const int nc = std::min(L, s.channels - c0);
+    const float* planes[L];
+    for (int l = 0; l < L; ++l) {
+      const bool live = l < nc;
+      planes[l] = live ? x + static_cast<std::size_t>(c0 + l) * hw : nullptr;
+      bl[l] = live ? bias[c0 + l] : 0.f;
+      sl[l] = live && asc != nullptr ? asc[c0 + l] : 0.f;
+      hl[l] = live && asc != nullptr ? ash[c0 + l] : 0.f;
+      for (int t = 0; t < kk; ++t)
+        wl[static_cast<std::size_t>(t) * L + l] =
+            live ? wt[static_cast<std::size_t>(c0 + l) * kk + t] : 0.f;
+    }
+    std::size_t p = 0;
+    for (; p + L <= hw; p += L) {
+      V r[L];
+      for (int l = 0; l < L; ++l) {
+        r[l] = V{};
+        if (l < nc) std::memcpy(&r[l], planes[l] + p, sizeof(V));
+      }
+      transpose_lanes<L>(r);
+      for (int q = 0; q < L; ++q) std::memcpy(xt + (p + q) * L, &r[q], sizeof(V));
+    }
+    for (; p < hw; ++p)
+      for (int l = 0; l < L; ++l) xt[p * L + l] = l < nc ? planes[l][p] : 0.f;
+
+    for (int i = 0; i < s.oh; ++i) {
+      const int r0 = i * s.stride - s.pad;
+      const int ki_lo = std::max(0, -r0), ki_hi = std::min(s.k, s.h - r0);
+      float* yrow = yt + static_cast<std::size_t>(i) * s.ow * L;
+      for (int j = 0; j < s.ow; ++j) {
+        const int q0 = j * s.stride - s.pad;
+        const int kj_lo = std::max(0, -q0), kj_hi = std::min(s.k, s.w - q0);
+        float acc[L];
+        for (int l = 0; l < L; ++l) acc[l] = bl[l];
+        if (s.k == 3 && ki_lo == 0 && ki_hi == 3 && kj_lo == 0 && kj_hi == 3) {
+          // Interior pixel of a 3x3 filter (every depthwise conv in the
+          // zoo): constant trip counts unroll all nine taps.
+          for (int ki = 0; ki < 3; ++ki)
+            depthwise_taps<L>(acc, wl + static_cast<std::size_t>(ki) * 3 * L,
+                              xt + (static_cast<std::size_t>(r0 + ki) * s.w + q0) * L,
+                              3);
+        } else {
+          for (int ki = ki_lo; ki < ki_hi; ++ki)
+            depthwise_taps<L>(
+                acc, wl + (static_cast<std::size_t>(ki) * s.k + kj_lo) * L,
+                xt + (static_cast<std::size_t>(r0 + ki) * s.w + q0 + kj_lo) * L,
+                kj_hi - kj_lo);
+        }
+        if (asc != nullptr)
+          for (int l = 0; l < L; ++l) acc[l] = sl[l] * acc[l] + hl[l];
+        // An element loop, not memcpy: memcpy would pin acc to memory.
+        for (int l = 0; l < L; ++l) yrow[static_cast<std::size_t>(j) * L + l] = acc[l];
+      }
+    }
+    if (epi != Epilogue::kNone)
+      epilogue_apply(epi, yt, yt, static_cast<int>(osz * L));
+
+    p = 0;
+    for (; p + L <= osz; p += L) {
+      V r[L];
+      for (int q = 0; q < L; ++q) std::memcpy(&r[q], yt + (p + q) * L, sizeof(V));
+      transpose_lanes<L>(r);
+      for (int l = 0; l < nc; ++l)
+        std::memcpy(y + static_cast<std::size_t>(c0 + l) * osz + p, &r[l], sizeof(V));
+    }
+    for (; p < osz; ++p)
+      for (int l = 0; l < nc; ++l)
+        y[static_cast<std::size_t>(c0 + l) * osz + p] = yt[p * L + l];
   }
 }
 

@@ -184,6 +184,9 @@ void micro_int8(int kc, const std::int8_t* ap, const std::int8_t* bp,
   }
 }
 
+// Depthwise: 4 channels per lane block, one q register.
+constexpr int kDwLanes = 4;
+
 constexpr Backend kNeon = {
     "neon", /*id=*/3, kMR, kNR, /*mc=*/120, /*kc=*/256, /*nc=*/1024,
     supported,
@@ -192,6 +195,7 @@ constexpr Backend kNeon = {
     kKG8,
     detail::pack_a_int8_block<kMR, kKG8>, detail::pack_b_int8_block<kNR, kKG8>,
     micro_int8,
+    detail::depthwise_block<kDwLanes>,
 };
 
 }  // namespace

@@ -24,6 +24,9 @@ bool supported() { return true; }
 // SIMD int8 kernels are gated bitwise against.
 constexpr int kKG8 = 1;
 
+// Depthwise: 4 channels per lane block, one SSE2 register.
+constexpr int kDwLanes = 4;
+
 constexpr Backend kScalar = {
     "scalar", /*id=*/0, kMR, kNR, /*mc=*/120, /*kc=*/256, /*nc=*/1024,
     supported,
@@ -32,6 +35,7 @@ constexpr Backend kScalar = {
     kKG8,
     detail::pack_a_int8_block<kMR, kKG8>, detail::pack_b_int8_block<kNR, kKG8>,
     detail::micro_int8_generic<kMR, kNR, kKG8>,
+    detail::depthwise_block<kDwLanes>,
 };
 
 }  // namespace

@@ -21,6 +21,19 @@ namespace {
 
 float sigmoidf(float x) { return 1.f / (1.f + std::exp(-x)); }
 
+/// out[p] = (sum of plane p's hw elements, ascending) * (1 / hw) over
+/// `planes` contiguous planes: the global average pool of GlobalAvgPool
+/// and SEBlock.
+void plane_means(const float* x, int planes, int hw, float* out) {
+  const float inv = 1.f / static_cast<float>(hw);
+  for (int p = 0; p < planes; ++p) {
+    const float* xp = x + static_cast<std::size_t>(p) * hw;
+    float acc = 0.f;
+    for (int i = 0; i < hw; ++i) acc += xp[i];
+    out[p] = acc * inv;
+  }
+}
+
 /// The installed code-domain weights, when the layer should run from them:
 /// inference only and MERSIT_QGEMM != float.  The snapshot is taken once
 /// per forward; everything derived (decoded floats, packs, the cache key)
@@ -290,39 +303,6 @@ struct ConvGeom {
   [[nodiscard]] bool depthwise() const { return icg == 1 && ocg == 1; }
 };
 
-/// Depthwise forward: kernel-taps-outer / output-x-inner direct loops.  The
-/// inner j loop is contiguous (vectorizable at stride 1) and the per-output
-/// accumulation order — bias, then (ki, kj) ascending with out-of-bounds
-/// taps skipped — is exactly the naive loop's, so results are bit-identical.
-void conv_forward_depthwise(const ConvGeom& g, const float* xb, const float* wt,
-                            const float* bias, float* yb) {
-  const int kk = g.k * g.k;
-  for (int c = 0; c < g.out_ch; ++c) {
-    const float* plane = xb + static_cast<std::size_t>(c) * g.h * g.w;
-    const float* wk = wt + static_cast<std::size_t>(c) * kk;
-    float* yp = yb + static_cast<std::size_t>(c) * g.osz();
-    for (int i = 0; i < g.oh; ++i) {
-      float* yrow = yp + static_cast<std::size_t>(i) * g.ow;
-      const float b0 = bias[c];
-      for (int j = 0; j < g.ow; ++j) yrow[j] = b0;
-      for (int ki = 0; ki < g.k; ++ki) {
-        const int yi = i * g.stride + ki - g.pad;
-        if (yi < 0 || yi >= g.h) continue;
-        const float* xrow = plane + static_cast<std::size_t>(yi) * g.w;
-        for (int kj = 0; kj < g.k; ++kj) {
-          const int lo = g.pad - kj;
-          const int jb = lo > 0 ? (lo + g.stride - 1) / g.stride : 0;
-          const int hi = g.w - 1 + g.pad - kj;
-          const int je = hi < 0 ? 0 : std::min(g.ow, hi / g.stride + 1);
-          const float wv = wk[ki * g.k + kj];
-          const float* src = xrow + kj - g.pad;
-          for (int j = jb; j < je; ++j) yrow[j] += wv * src[j * g.stride];
-        }
-      }
-    }
-  }
-}
-
 /// One sample's grouped-conv forward as per-group GEMMs over an im2col
 /// buffer (`col` is caller-provided scratch of kdim x osz floats, unused
 /// for unit convs).  `packs`, when non-null, holds one prepacked A operand
@@ -434,7 +414,8 @@ Tensor Conv2d::forward_affine(const Tensor& x, const Context& ctx,
     return run_conv_int8(x, *wc, *cached, epi, bn_scale, bn_shift);
   }
   // FP32 weights: the live Param, or the decoded codes in code mode.
-  // Depthwise convs run no GEMM, so their entries pack nothing.
+  // Depthwise convs run the backend's depthwise kernel, not a GEMM, so
+  // their entries pack nothing.
   const float* wt = weight.value.raw();
   std::shared_ptr<const PackedWeights> cached;
   if (!ctx.train) {
@@ -606,30 +587,21 @@ Tensor Conv2d::run_conv(const Tensor& x, const Context& ctx, const float* wt,
   Tensor y({n, out_ch_, oh, ow});
   const ConvGeom g{n,  in_ch_,  out_ch_, h,       w,   oh,  ow,
                    k_, stride_, pad_,    groups_, icg, ocg};
+  const gemm::Backend& be = gemm::active_backend();
+  const gemm::DepthwiseShape dw{out_ch_, h, w, oh, ow, k_, stride_, pad_};
   // Samples are independent; nested calls (e.g. from the parallel PTQ
   // evaluators) run inline, and each sample is computed whole, so the
   // output is invariant to the thread count.
   core::global_pool().parallel_for(static_cast<std::size_t>(n), [&](std::size_t b) {
     const float* xb = x.raw() + b * static_cast<std::size_t>(in_ch_) * h * w;
     float* yb = y.raw() + b * static_cast<std::size_t>(out_ch_) * oh * ow;
-    if (g.depthwise()) {
-      conv_forward_depthwise(g, xb, wt, bs, yb);
-      if (bn_scale != nullptr || epi != gemm::Epilogue::kNone) {
-        // Channel-major second pass: the same elementwise ops the BN /
-        // Activation modules would apply, so still bit-identical.
-        for (int c = 0; c < g.out_ch; ++c) {
-          float* yp = yb + static_cast<std::size_t>(c) * g.osz();
-          if (bn_scale != nullptr) {
-            const float s = bn_scale[c], t = bn_shift[c];
-            for (int i = 0; i < g.osz(); ++i) yp[i] = s * yp[i] + t;
-          }
-          gemm::epilogue_apply(epi, yp, yp, g.osz());
-        }
-      }
-      return;
-    }
     core::ScratchArena& arena = core::ScratchArena::local();
     const core::ScratchArena::Scope scope(arena);
+    if (g.depthwise()) {
+      be.depthwise(dw, xb, wt, bs, yb, epi, bn_scale, bn_shift,
+                   arena.alloc(gemm::depthwise_scratch(dw)));
+      return;
+    }
     float* col = g.unit() ? nullptr
                           : arena.alloc(static_cast<std::size_t>(g.kdim()) * g.osz());
     conv_forward_sample(g, xb, wt, bs, yb, col, group_packs, epi, bn_scale,
@@ -959,14 +931,7 @@ Tensor GlobalAvgPool::forward(const Tensor& x, const Context& ctx) {
   const int n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
   if (ctx.train) x_shape_ = x.shape();
   Tensor y({n, c});
-  const float inv = 1.f / static_cast<float>(h * w);
-  for (int b = 0; b < n; ++b)
-    for (int ch = 0; ch < c; ++ch) {
-      float acc = 0.f;
-      for (int i = 0; i < h; ++i)
-        for (int j = 0; j < w; ++j) acc += x.at(b, ch, i, j);
-      y.at(b, ch) = acc * inv;
-    }
+  plane_means(x.raw(), n * c, h * w, y.raw());
   return y;
 }
 
@@ -1157,16 +1122,10 @@ Tensor SEBlock::forward(const Tensor& x, const Context& ctx) {
   // Computed in locals so concurrent inference forwards on a shared model
   // (parallel PTQ calibration/eval) don't race; caches move into members
   // only under ctx.train, where runs are single-threaded.
-  const int n = x.dim(0), h = x.dim(2), w = x.dim(3);
+  if (x.dim(1) != c_) throw std::invalid_argument("SEBlock: channel mismatch");
+  const int n = x.dim(0), hw = x.dim(2) * x.dim(3);
   Tensor pooled({n, c_});
-  const float inv = 1.f / static_cast<float>(h * w);
-  for (int b = 0; b < n; ++b)
-    for (int c = 0; c < c_; ++c) {
-      float acc = 0.f;
-      for (int i = 0; i < h; ++i)
-        for (int j = 0; j < w; ++j) acc += x.at(b, c, i, j);
-      pooled.at(b, c) = acc * inv;
-    }
+  plane_means(x.raw(), n * c_, hw, pooled.raw());
   // fc1's ReLU is applied by SEBlock itself (no Activation module and no
   // intermediate quant hook), so fusing it into fc1's GEMM write-back is
   // legal even under a quant session; backward needs nothing from z1 either,
@@ -1183,12 +1142,12 @@ Tensor SEBlock::forward(const Tensor& x, const Context& ctx) {
   Tensor gate(z2.shape());
   for (std::int64_t i = 0; i < z2.numel(); ++i) gate[i] = sigmoidf(z2[i]);
   Tensor y(x.shape());
-  for (int b = 0; b < n; ++b)
-    for (int c = 0; c < c_; ++c) {
-      const float g = gate.at(b, c);
-      for (int i = 0; i < h; ++i)
-        for (int j = 0; j < w; ++j) y.at(b, c, i, j) = x.at(b, c, i, j) * g;
-    }
+  for (std::int64_t p = 0; p < gate.numel(); ++p) {
+    const float g = gate[p];
+    const float* xp = x.raw() + p * hw;
+    float* yp = y.raw() + p * hw;
+    for (int i = 0; i < hw; ++i) yp[i] = xp[i] * g;
+  }
   if (ctx.train) {
     x_cache_ = x;
     h1_ = std::move(h1);

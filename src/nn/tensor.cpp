@@ -32,32 +32,6 @@ Tensor Tensor::randn(std::vector<int> shape, std::mt19937& rng, float stddev) {
   return t;
 }
 
-float& Tensor::at(int a, int b) {
-  return data_[static_cast<std::size_t>(a) * static_cast<std::size_t>(shape_[1]) +
-               static_cast<std::size_t>(b)];
-}
-float& Tensor::at(int a, int b, int c) {
-  return data_[(static_cast<std::size_t>(a) * static_cast<std::size_t>(shape_[1]) +
-                static_cast<std::size_t>(b)) *
-                   static_cast<std::size_t>(shape_[2]) +
-               static_cast<std::size_t>(c)];
-}
-float& Tensor::at(int a, int b, int c, int d) {
-  return data_[((static_cast<std::size_t>(a) * static_cast<std::size_t>(shape_[1]) +
-                 static_cast<std::size_t>(b)) *
-                    static_cast<std::size_t>(shape_[2]) +
-                static_cast<std::size_t>(c)) *
-                   static_cast<std::size_t>(shape_[3]) +
-               static_cast<std::size_t>(d)];
-}
-float Tensor::at(int a, int b) const { return const_cast<Tensor*>(this)->at(a, b); }
-float Tensor::at(int a, int b, int c) const {
-  return const_cast<Tensor*>(this)->at(a, b, c);
-}
-float Tensor::at(int a, int b, int c, int d) const {
-  return const_cast<Tensor*>(this)->at(a, b, c, d);
-}
-
 Tensor Tensor::reshaped(std::vector<int> shape) const& {
   if (static_cast<std::int64_t>(shape_numel(shape)) != numel())
     throw std::invalid_argument("Tensor::reshaped: numel mismatch");

@@ -5,6 +5,7 @@
 // small models, not a BLAS.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <random>
 #include <span>
@@ -38,13 +39,17 @@ class Tensor {
   [[nodiscard]] float& operator[](std::int64_t i) { return data_[static_cast<std::size_t>(i)]; }
   [[nodiscard]] float operator[](std::int64_t i) const { return data_[static_cast<std::size_t>(i)]; }
 
-  // Indexed access (2-4D convenience).
-  [[nodiscard]] float& at(int a, int b);
-  [[nodiscard]] float& at(int a, int b, int c);
-  [[nodiscard]] float& at(int a, int b, int c, int d);
-  [[nodiscard]] float at(int a, int b) const;
-  [[nodiscard]] float at(int a, int b, int c) const;
-  [[nodiscard]] float at(int a, int b, int c, int d) const;
+  // Indexed access (2-4D convenience), row-major over the leading dims.
+  [[nodiscard]] float& at(int a, int b) { return data_[offset(a, b)]; }
+  [[nodiscard]] float& at(int a, int b, int c) { return data_[offset(a, b, c)]; }
+  [[nodiscard]] float& at(int a, int b, int c, int d) {
+    return data_[offset(a, b, c, d)];
+  }
+  [[nodiscard]] float at(int a, int b) const { return data_[offset(a, b)]; }
+  [[nodiscard]] float at(int a, int b, int c) const { return data_[offset(a, b, c)]; }
+  [[nodiscard]] float at(int a, int b, int c, int d) const {
+    return data_[offset(a, b, c, d)];
+  }
 
   /// Same data, new shape (numel must match).  The lvalue overload deep-
   /// copies; the rvalue overload steals the buffer, so hot paths that
@@ -68,6 +73,19 @@ class Tensor {
   void set_quant_scale(double s) { qscale_ = s; }
 
  private:
+  [[nodiscard]] std::size_t offset(int a, int b) const {
+    return static_cast<std::size_t>(a) * static_cast<std::size_t>(shape_[1]) +
+           static_cast<std::size_t>(b);
+  }
+  [[nodiscard]] std::size_t offset(int a, int b, int c) const {
+    return offset(a, b) * static_cast<std::size_t>(shape_[2]) +
+           static_cast<std::size_t>(c);
+  }
+  [[nodiscard]] std::size_t offset(int a, int b, int c, int d) const {
+    return offset(a, b, c) * static_cast<std::size_t>(shape_[3]) +
+           static_cast<std::size_t>(d);
+  }
+
   std::vector<int> shape_;
   std::vector<float> data_;
   double qscale_ = 0.0;

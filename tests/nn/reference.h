@@ -1,6 +1,7 @@
 // Test oracle for the nn layer contract: the naive loops that the GEMM
-// lowering of Conv2d, Linear and MultiHeadSelfAttention must reproduce,
-// plus the bitwise comparator the nn suites share.
+// lowering of Conv2d, Linear and MultiHeadSelfAttention, the depthwise
+// backend kernel, and the plane loops of GlobalAvgPool and SEBlock must
+// reproduce, plus the bitwise comparator the nn suites share.
 //
 // Every loop is the direct formula in the accumulation order the engine
 // promises: each output starts from its bias (or zero) and adds its
@@ -193,6 +194,45 @@ inline Grads linear_backward(const Tensor& x, const Tensor& gy, const float* w,
 inline Tensor linear_forward(const Linear& lin, const Tensor& x) {
   return linear_forward(x, lin.weight.value.raw(), lin.bias.value.raw(),
                         lin.weight.value.dim(0));
+}
+
+// ------------------------------------------------------- pooling and SE --
+
+/// y[b, c] = (x[b, c, i, j] summed over (i, j) row-major ascending) *
+/// (1 / (h*w)): GlobalAvgPool's forward.
+inline Tensor global_avg_pool(const Tensor& x) {
+  const int n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
+  const float inv = 1.f / static_cast<float>(h * w);
+  Tensor y({n, c});
+  for (int b = 0; b < n; ++b)
+    for (int ch = 0; ch < c; ++ch) {
+      float acc = 0.f;
+      for (int i = 0; i < h; ++i)
+        for (int j = 0; j < w; ++j) acc += x.at(b, ch, i, j);
+      y.at(b, ch) = acc * inv;
+    }
+  return y;
+}
+
+/// SEBlock's forward: global average pool, fc1 + ReLU, fc2, a sigmoid
+/// gate per (sample, channel), then y = x * gate over the channel plane.
+inline Tensor se_forward(SEBlock& se, const Tensor& x) {
+  std::vector<NamedChild> fc;  // fc1, fc2
+  se.collect_children(fc);
+  const auto& fc1 = dynamic_cast<const Linear&>(*fc[0].module);
+  const auto& fc2 = dynamic_cast<const Linear&>(*fc[1].module);
+  const Tensor h1 = linear_forward(global_avg_pool(x), fc1.weight.value.raw(),
+                                   fc1.bias.value.raw(), fc1.weight.value.dim(0),
+                                   gemm::Epilogue::kReLU);
+  const Tensor z2 = linear_forward(fc2, h1);
+  Tensor y(x.shape());
+  for (int b = 0; b < x.dim(0); ++b)
+    for (int c = 0; c < x.dim(1); ++c) {
+      const float g = 1.f / (1.f + std::exp(-z2.at(b, c)));
+      for (int i = 0; i < x.dim(2); ++i)
+        for (int j = 0; j < x.dim(3); ++j) y.at(b, c, i, j) = x.at(b, c, i, j) * g;
+    }
+  return y;
 }
 
 // ------------------------------------------------------------------- MHSA --

@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <initializer_list>
+#include <limits>
 #include <random>
 #include <set>
 #include <sstream>
@@ -474,6 +475,13 @@ std::vector<LayerRow> contract_rows() {
           rows.push_back({Kind::kConv, Group::kGrid, "grid",
                           {4, groups == 4 ? 4 : 6, k, stride, pad, groups}, 7, 5});
         }
+  // Depthwise rows that leave tail lanes in every backend's channel block
+  // (17 and 33 channels against blocks of 4, 8 and 16) and a plane wider
+  // than 16 output columns.
+  for (const auto& [c, k, stride, pad, h, w] :
+       {std::tuple{17, 3, 1, 1, 7, 5}, {33, 5, 2, 2, 9, 8}, {17, 3, 2, 0, 7, 5},
+        {5, 3, 1, 1, 19, 23}, {5, 5, 1, 2, 19, 23}, {5, 3, 2, 1, 19, 23}})
+    rows.push_back({Kind::kConv, Group::kGrid, "depthwise", {c, c, k, stride, pad, c}, h, w});
   const int degenerate[][5] = {{1, 9, 3, 1, 1}, {9, 1, 3, 1, 1}, {3, 3, 3, 1, 0},
                                {4, 4, 1, 2, 0}, {6, 10, 5, 2, 2}};
   for (const auto& d : degenerate)
@@ -564,6 +572,22 @@ float max_abs_diff(std::span<const float> a, std::span<const float> b) {
   return m;
 }
 
+bool is_depthwise(const reference::ConvGeometry& g) {
+  return g.groups == g.in_ch && g.groups == g.out_ch;
+}
+
+/// The backends a conv row's forwards run under: every backend the host
+/// can execute for depthwise rows (each has its own depthwise lane block),
+/// else only the active one (the GEMM kernels are gated against scalar in
+/// the GemmBackend tests above).
+std::vector<const gemm::Backend*> forward_backends(const reference::ConvGeometry& g) {
+  if (!is_depthwise(g)) return {&gemm::active_backend()};
+  std::vector<const gemm::Backend*> out;
+  for (const gemm::Backend* be : gemm::backends())
+    if (be->supported()) out.push_back(be);
+  return out;
+}
+
 void check_conv_row(const LayerRow& row, std::size_t idx, unsigned passes,
                     std::mt19937& rng) {
   const reference::ConvGeometry& g = row.conv;
@@ -586,12 +610,15 @@ void check_conv_row(const LayerRow& row, std::size_t idx, unsigned passes,
     core::resize_global_pool(width);
     SCOPED_TRACE("pool width " + std::to_string(width));
     const Context ctx;
-    for (std::size_t v = 0; v < vs.size() && (passes & kForward); ++v) {
-      const auto [epi, with_bn] = vs[v];
-      const Tensor y = with_bn ? conv.forward_bn_fused(x, ctx, bn, epi)
-                               : conv.forward_fused(x, ctx, epi);
-      EXPECT_TRUE(bitwise_equal(y, want[v]))
-          << "epi=" << static_cast<int>(epi) << " bn=" << with_bn;
+    for (const gemm::Backend* be : forward_backends(g)) {
+      const BackendGuard guard(*be);
+      for (std::size_t v = 0; v < vs.size() && (passes & kForward); ++v) {
+        const auto [epi, with_bn] = vs[v];
+        const Tensor y = with_bn ? conv.forward_bn_fused(x, ctx, bn, epi)
+                                 : conv.forward_fused(x, ctx, epi);
+        EXPECT_TRUE(bitwise_equal(y, want[v]))
+            << be->name << " epi=" << static_cast<int>(epi) << " bn=" << with_bn;
+      }
     }
     if (!(passes & kBackward)) continue;
     const Context train{/*train=*/true};
@@ -697,6 +724,136 @@ TEST(GemmLinear, BackwardMatchesNaiveBitwise) {
 
 TEST(GemmAttention, MhsaForwardMatchesNaiveBitwise) {
   check_rows(Kind::kMhsa, kAllGroups, kForward);
+}
+
+// Depthwise special values, on every backend: ±0, ±Inf and NaN in the
+// input at border pixels, an Inf weight on a tap that is out of bounds at
+// the plane edge, a -0 bias over an all -0 plane and one over an all +0
+// plane.  A kernel that padded the input with zeros instead of skipping
+// out-of-bounds taps would turn the Inf tap into NaN at the edge and
+// -0 + +0 into +0.  The NaN is the host's default NaN (what Inf - Inf
+// yields), the one every NaN-producing step here yields too, so results
+// never hinge on which NaN operand an add propagates (IEEE leaves that
+// open, and compilers may commute the operands).
+TEST(GemmConv, DepthwiseSpecialValuesMatchNaiveBitwisePerBackend) {
+  ASSERT_TRUE(kEnvReady);
+  constexpr int kC = 17, kH = 6, kW = 7;
+  std::mt19937 rng(31);
+  Conv2d conv(kC, kC, 3, 1, 1, kC, rng);
+  randomize(conv.bias.value, rng);
+  BatchNorm2d bn(kC);
+  randomize_bn(bn, rng);
+  const auto [scale, shift] = reference::bn_affine(bn);
+  volatile float inf_v = std::numeric_limits<float>::infinity();
+  const float inf = inf_v, nan = inf_v - inf_v;
+  Tensor x = Tensor::randn({2, kC, kH, kW}, rng, 1.f);
+  const float border[] = {0.f, -0.f, inf, -inf, nan};
+  for (int b = 0; b < 2; ++b)
+    for (int c = 0; c < kC; ++c) {
+      const int s = b + c;
+      x.at(b, c, 0, s % kW) = border[s % 5];
+      x.at(b, c, kH - 1, (s + 2) % kW) = border[(s + 1) % 5];
+      x.at(b, c, (s + 1) % kH, 0) = border[(s + 2) % 5];
+      x.at(b, c, (s + 3) % kH, kW - 1) = border[(s + 3) % 5];
+    }
+  // Channel 1: an all -0 plane under a -0 bias (every output -0); channel 2:
+  // an all +0 plane under a -0 bias (every output +0).
+  for (int b = 0; b < 2; ++b)
+    for (int i = 0; i < kH; ++i)
+      for (int j = 0; j < kW; ++j) {
+        x.at(b, 1, i, j) = -0.f;
+        x.at(b, 2, i, j) = 0.f;
+      }
+  conv.bias.value[1] = -0.f;
+  conv.bias.value[2] = -0.f;
+  for (int t = 0; t < 9; ++t) {
+    conv.weight.value.at(1, 0, t / 3, t % 3) = std::fabs(conv.weight.value.at(1, 0, t / 3, t % 3));
+    conv.weight.value.at(2, 0, t / 3, t % 3) = std::fabs(conv.weight.value.at(2, 0, t / 3, t % 3));
+  }
+  // Inf weights on taps that fall outside the plane at the top-left and
+  // bottom-right edges.
+  conv.weight.value.at(0, 0, 0, 0) = inf;
+  conv.weight.value.at(3, 0, 2, 2) = -inf;
+  conv.weight.value.at(kC - 1, 0, 0, 2) = inf;
+  const reference::ConvGeometry g = reference::geometry_of(conv);
+  const int prev_width = core::global_pool().size();
+  for (const int width : {1, 4}) {
+    core::resize_global_pool(width);
+    SCOPED_TRACE("pool width " + std::to_string(width));
+    const Context ctx;
+    for (const Epilogue epi : kEpilogues)
+      for (const bool with_bn : {false, true}) {
+        const Tensor want = reference::conv_forward(
+            x, conv.weight.value.raw(), conv.bias.value.raw(), g, epi,
+            with_bn ? scale.data() : nullptr, with_bn ? shift.data() : nullptr);
+        for (const gemm::Backend* be : forward_backends(g)) {
+          const BackendGuard guard(*be);
+          const Tensor y = with_bn ? conv.forward_bn_fused(x, ctx, bn, epi)
+                                   : conv.forward_fused(x, ctx, epi);
+          EXPECT_TRUE(bitwise_equal(y, want))
+              << be->name << " epi=" << static_cast<int>(epi) << " bn=" << with_bn;
+        }
+      }
+  }
+  core::resize_global_pool(prev_width);
+}
+
+// GlobalAvgPool and SEBlock run over contiguous channel planes; both must
+// equal the naive indexed loops bit for bit.  SE covers every distinct
+// (channels, reduced) geometry of the vision zoo, in inference mode and
+// under a pass-through quant session, on a square and a ragged plane.
+TEST(LayerSE, ForwardMatchesNaiveBitwiseForEveryZooGeometry) {
+  ASSERT_TRUE(kEnvReady);
+  std::mt19937 rng(41);
+  std::set<std::pair<int, int>> geoms;
+  for (NamedModel& entry : make_vision_zoo(3, 10, 101, 12))
+    for (Module* m : entry.model->modules())
+      if (auto* se = dynamic_cast<SEBlock*>(m)) {
+        std::vector<NamedChild> fc;
+        se->collect_children(fc);
+        const auto& fc1 = dynamic_cast<const Linear&>(*fc[0].module);
+        geoms.emplace(fc1.weight.value.dim(1), fc1.weight.value.dim(0));
+      }
+  ASSERT_FALSE(geoms.empty());
+  reference::PassThroughSession pass;
+  const int prev_width = core::global_pool().size();
+  for (const auto& [channels, reduced] : geoms) {
+    SEBlock se(channels, reduced, rng);
+    for (Param* p : se.parameters())
+      if (p->value.ndim() == 1) randomize(p->value, rng);  // fc biases
+    for (const auto& [h, w] : {std::pair{7, 7}, {5, 3}}) {
+      const Tensor x = Tensor::randn({3, channels, h, w}, rng, 1.f);
+      const Tensor want = reference::se_forward(se, x);
+      for (const int width : {1, 4}) {
+        core::resize_global_pool(width);
+        SCOPED_TRACE("SE " + std::to_string(channels) + "/" + std::to_string(reduced) +
+                     " plane " + std::to_string(h) + "x" + std::to_string(w) +
+                     " pool width " + std::to_string(width));
+        EXPECT_TRUE(bitwise_equal(se.forward(x, Context{}), want));
+        EXPECT_TRUE(bitwise_equal(se.run(x, Context{false, &pass}), want));
+      }
+    }
+  }
+  core::resize_global_pool(prev_width);
+}
+
+TEST(LayerGlobalAvgPool, ForwardMatchesNaiveBitwise) {
+  ASSERT_TRUE(kEnvReady);
+  std::mt19937 rng(43);
+  reference::PassThroughSession pass;
+  GlobalAvgPool pool;
+  const int prev_width = core::global_pool().size();
+  for (const auto& [c, h, w] : {std::tuple{16, 7, 7}, {33, 5, 3}, {8, 1, 1}, {3, 19, 23}}) {
+    const Tensor x = Tensor::randn({3, c, h, w}, rng, 1.f);
+    const Tensor want = reference::global_avg_pool(x);
+    for (const int width : {1, 4}) {
+      core::resize_global_pool(width);
+      EXPECT_TRUE(bitwise_equal(pool.forward(x, Context{}), want)) << c << " " << h << "x" << w;
+      EXPECT_TRUE(bitwise_equal(pool.run(x, Context{false, &pass}), want))
+          << c << " " << h << "x" << w;
+    }
+  }
+  core::resize_global_pool(prev_width);
 }
 
 // The conv cases where packing differs (plain, unit, grouped, depthwise)

@@ -10,10 +10,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <memory>
 #include <random>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -185,19 +188,49 @@ TEST(PrepackKernel, FusedEpilogueAndAffineBitwiseMatchSeparatePasses) {
   }
 }
 
+// The bulk write-back (vectorized; gemm.cpp compiles with
+// -fno-trapping-math so the compares and the divide if-convert) against the
+// per-element formula: random normals plus every special value and both
+// neighbours of each clamp boundary, at lengths that exercise the vector
+// body, its remainder, and a lone element.
 TEST(PrepackKernel, EpilogueApplyMatchesPerElementEval) {
   std::mt19937 rng(14);
-  const auto src = random_vec(257, rng);
+  std::vector<float> pool = random_vec(257, rng);
+  const float inf = std::numeric_limits<float>::infinity();
+  const float fmax = std::numeric_limits<float>::max();
+  const float fmin = std::numeric_limits<float>::min();
+  for (const float v : {std::numeric_limits<float>::quiet_NaN(), inf, -inf,
+                        0.f, -0.f, 3.f, -3.f, 6.f, fmin, -fmin,
+                        std::numeric_limits<float>::denorm_min(), -fmin / 2.f,
+                        fmax, -fmax})
+    pool.push_back(v);
+  for (const float edge : {0.f, 3.f, -3.f, 6.f}) {
+    pool.push_back(std::nextafter(edge, -inf));
+    pool.push_back(std::nextafter(edge, inf));
+  }
   using gemm::Epilogue;
   for (const Epilogue epi : {Epilogue::kNone, Epilogue::kReLU, Epilogue::kReLU6,
                              Epilogue::kSiLU, Epilogue::kHardSwish,
                              Epilogue::kGELU}) {
-    std::vector<float> dst(src.size());
-    gemm::epilogue_apply(epi, src.data(), dst.data(), static_cast<int>(src.size()));
-    std::vector<float> ref(src.size());
-    for (std::size_t i = 0; i < src.size(); ++i)
-      ref[i] = gemm::epilogue_eval(epi, src[i]);
-    EXPECT_TRUE(bitwise_equal(dst, ref)) << static_cast<int>(epi);
+    for (const std::size_t len : {std::size_t{1}, std::size_t{7}, std::size_t{257}}) {
+      // Windows that slide the special values (the tail of `pool`) through
+      // every position of the vector body and remainder.
+      for (std::size_t start = 0; start + len <= pool.size(); ++start) {
+        const std::span<const float> src(pool.data() + start, len);
+        std::vector<float> dst(len);
+        gemm::epilogue_apply(epi, src.data(), dst.data(), static_cast<int>(len));
+        std::vector<float> ref(len);
+        for (std::size_t i = 0; i < len; ++i) ref[i] = gemm::epilogue_eval(epi, src[i]);
+        EXPECT_TRUE(bitwise_equal(dst, ref))
+            << "epi=" << static_cast<int>(epi) << " len=" << len << " start=" << start;
+      }
+      // In place, as the layer write-backs call it.
+      std::vector<float> inplace(pool.end() - static_cast<std::ptrdiff_t>(len), pool.end());
+      std::vector<float> ref(len);
+      for (std::size_t i = 0; i < len; ++i) ref[i] = gemm::epilogue_eval(epi, inplace[i]);
+      gemm::epilogue_apply(epi, inplace.data(), inplace.data(), static_cast<int>(len));
+      EXPECT_TRUE(bitwise_equal(inplace, ref)) << "in place epi=" << static_cast<int>(epi);
+    }
   }
 }
 
