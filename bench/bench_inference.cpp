@@ -262,7 +262,7 @@ Row measure(const std::string& name, nn::Module& model, const nn::Tensor& x,
       auto* cw = dynamic_cast<nn::ChannelWeights*>(m);
       if (cw == nullptr) continue;
       if (const auto wc = cw->weight_codes();
-          wc != nullptr && wc->affine != nullptr && wc->affine->usable)
+          wc != nullptr && wc->book->affine != nullptr)
         row.int8_eligible = true;
     }
 
@@ -314,16 +314,15 @@ struct KulischProbe {
 
 KulischProbe kulisch_probe() {
   KulischProbe probe;
-  const auto fmt = core::make_format(kCodeFormat);
-  double lut[256];
+  const auto book = ptq::make_code_book(*core::make_format(kCodeFormat),
+                                        formats::CorruptionPolicy::kPropagate);
+  probe.usable = book->kulisch != nullptr;
+  if (!probe.usable) return probe;
+  const nn::gemm::KulischTable& tab = *book->kulisch;
+  const double* lut = book->value;
   std::vector<std::uint8_t> finite;
-  for (int c = 0; c < 256; ++c) {
-    lut[c] = fmt->decode_value(static_cast<std::uint8_t>(c));
-    if (std::isfinite(lut[c])) finite.push_back(static_cast<std::uint8_t>(c));
-  }
-  const nn::gemm::KulischTable tab = nn::gemm::build_kulisch_table(lut);
-  probe.usable = tab.usable;
-  if (!tab.usable) return probe;
+  for (int c = 0; c < 256; ++c)
+    if (book->finite[c]) finite.push_back(static_cast<std::uint8_t>(c));
 
   constexpr int M = 8, K = 256, N = 16;
   probe.m = M, probe.k = K, probe.n = N;

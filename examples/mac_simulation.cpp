@@ -87,6 +87,14 @@ int main(int argc, char** argv) {
               name.c_str(), mac.cfg.spec.p, mac.cfg.spec.m, mac.cfg.w, mac.cfg.v,
               mac.cfg.acc_width, nl.cell_count());
 
+  if (mac.cfg.acc_width > hw::MacReference::kMaxAccWidth) {
+    std::fprintf(stderr,
+                 "%s: the %d-bit accumulator is wider than the %d-bit "
+                 "reference model\n",
+                 name.c_str(), mac.cfg.acc_width, hw::MacReference::kMaxAccWidth);
+    return 1;
+  }
+
   // 2. Drive a small dot product through it.
   rtl::Simulator sim(nl);
   hw::MacReference ref(*ef);

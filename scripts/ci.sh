@@ -8,7 +8,8 @@
 # label registry).  Finally, guard against build artifacts leaking into the
 # work tree.  Between the default build and the sanitizers, the GEMM
 # library must export no weak gemm::detail template symbols, the GEMM and
-# layer suites must pass again when built with -mfma, and the
+# layer suites must pass again when built with -mfma, the examples must
+# run to a clean exit, and the
 # gate-replay, trunk-mersit, mobile-int8 and serve-swap benchmark workloads
 # must report their outputs correct.
 #
@@ -82,6 +83,14 @@ if [[ "$(uname -m)" == x86_64 ]] && grep -qw fma /proc/cpuinfo; then
 else
   echo "==> skip the -mfma stage: this host cannot execute x86-64 FMA code"
 fi
+
+# Example smoke: the walkthroughs drive the artifact pack/save/load/unpack
+# round trip, the code-weight paths, kulisch_dot and hw::MacReference end
+# to end; each must exit 0 with its default arguments.
+for example in deploy_quantized fault_campaign mac_simulation quickstart; do
+  echo "==> example ${example}"
+  "./build/examples/${example}"
+done
 
 # Perf smoke: the Release bench runs every model through all three modes
 # (prepacked+fused / code-domain MERSIT_QGEMM=code / decode-free

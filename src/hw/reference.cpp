@@ -3,6 +3,7 @@
 #include <cassert>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace mersit::hw {
@@ -24,6 +25,11 @@ DecodedFields decode_fields(const formats::ExponentCodedFormat& fmt,
 
 MacReference::MacReference(const formats::ExponentCodedFormat& fmt, int v_margin)
     : cfg_(mac_config(fmt, v_margin)) {
+  if (cfg_.acc_width > kMaxAccWidth)  // the register and 2^width are int64
+    throw std::invalid_argument(
+        "MacReference: " + fmt.name() + " needs a " +
+        std::to_string(cfg_.acc_width) + "-bit accumulator; the model holds " +
+        std::to_string(kMaxAccWidth));
   auto fields = std::make_shared<FieldTable>();
   for (int c = 0; c < 256; ++c)
     (*fields)[static_cast<std::size_t>(c)] =

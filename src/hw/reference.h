@@ -38,6 +38,10 @@ struct DecodedFields {
 /// reused).
 class MacReference {
  public:
+  /// Widest accumulator (W + V bits) the int64 model can hold and wrap;
+  /// the constructor throws std::invalid_argument above it.
+  static constexpr int kMaxAccWidth = 62;
+
   explicit MacReference(const formats::ExponentCodedFormat& fmt, int v_margin = 6);
 
   /// One MAC step: acc += value(w_code) * value(a_code), exactly.

@@ -159,7 +159,7 @@ QgemmMode set_qgemm_mode(QgemmMode mode) {
 
 AffineLut build_affine_lut(const double* lut) {
   AffineLut t;
-  for (int c = 0; c < 256; ++c) t.bad[c] = !std::isfinite(lut[c]);
+  const auto bad = [lut](int c) { return !std::isfinite(lut[c]); };
   // Two code interpretations: signed (INT8-family two's-complement codes,
   // zero level at code 0x00) then unsigned (zero-point layouts, e.g.
   // s·(c − 128)).  A code's level is fixed by the interpretation; the zero
@@ -173,7 +173,7 @@ AffineLut build_affine_lut(const double* lut) {
                        : c;
     };
     for (int zc = 0; zc < 256; ++zc) {
-      if (t.bad[zc] || lut[zc] != 0.0) continue;
+      if (bad(zc) || lut[zc] != 0.0) continue;
       const int z = level(zc);
       // Derive s from a nonzero entry, preferring |level − z| a power of
       // two so the division itself is exact; the exhaustive verification
@@ -181,7 +181,7 @@ AffineLut build_affine_lut(const double* lut) {
       int ref = -1;
       unsigned ref_pow2 = 0;
       for (int c = 0; c < 256; ++c) {
-        if (t.bad[c] || lut[c] == 0.0) continue;
+        if (bad(c) || lut[c] == 0.0) continue;
         const int q = level(c) - z;
         const unsigned aq = static_cast<unsigned>(q < 0 ? -q : q);
         const bool pow2 = (aq & (aq - 1)) == 0;
@@ -197,7 +197,7 @@ AffineLut build_affine_lut(const double* lut) {
       int qmin = 127, qmax = -128;
       std::int8_t q[256] = {};
       for (int c = 0; c < 256 && ok; ++c) {
-        if (t.bad[c]) continue;
+        if (bad(c)) continue;
         int lv;
         if (lut[c] == 0.0) {
           lv = 0;  // exact regardless of level (covers policy-zeroed codes)

@@ -6,30 +6,27 @@
 //
 //  * float   — ignore the codes; layers keep using their FP32 weights
 //              (the pre-code-domain behaviour, for A/B comparisons).
-//  * code    — the default.  The installed 8-bit codes are decoded once
-//              per payload, float(lut[code] * scale) per element
-//              (gemm::decode_codes), and packed like FP32 weights; the
-//              layer never reads its FP32 Param.  Decoded values are
-//              bit-identical to the quantize→dequantize FP32 path, so
-//              layer outputs are bit-identical too.  The 8-bit payload is
-//              what an artifact stores and a swap ships (~4x smaller than
-//              FP32); a warm layer holds FP32 panels, so the forward-time
-//              weight traffic is that of the FP32 path.
+//  * code    — the default.  Each payload's codes are decoded once,
+//              float(value[code] * scale) through the install's shared
+//              code book (gemm::decode_codes), and packed like FP32
+//              weights, so layer outputs are bit-identical to the
+//              quantize→dequantize FP32 path.  The 8-bit payload is what
+//              an artifact stores and a swap ships; a warm layer holds
+//              FP32 panels and reads FP32-path weight traffic.
 //  * kulisch — opt-in exact-accumulation study mode mirroring the paper's
 //              §1.4 Kulisch MAC: both operands are 8-bit codes, every
 //              product is formed exactly as a dyadic rational
 //              (mant_a·mant_b, 2^(exp_a+exp_b)) and summed into a wide
 //              fixed-point quire with no intermediate rounding.
-//  * int8    — decode-free integer fast path for formats whose decode LUT
-//              is exactly affine, lut[code] == s·(code − z) (the INT8
-//              family).  Weight codes are remapped once to int8 levels
-//              q = code − z, activations are quantized per-tensor to the
-//              same level grid at the GEMM boundary, and the micro-kernel
-//              accumulates q_a·q_b in int32 — both operands move as 8-bit
-//              levels (≈4x less panel traffic than code mode's FP32
-//              panels) and no float math happens until the epilogue.  Formats whose
-//              LUT is not affine (MERSIT, posit, FP8) fall back to code
-//              mode per layer, silently, exactly like Kulisch fallback.
+//  * int8    — decode-free path for formats whose values are exactly
+//              affine, value[code] == s·(code − z) (the INT8 family):
+//              weight codes remap once to int8 levels q = code − z,
+//              activations quantize to the same grid at the GEMM boundary,
+//              and the micro-kernel accumulates q_a·q_b in int32, so both
+//              operands move as bytes (≈4x less panel traffic than code
+//              mode) and float math waits for the epilogue.  Other formats
+//              (MERSIT, posit, FP8) fall back to code mode per layer,
+//              silently, as Kulisch does.
 //
 // Int8 ULP contract: each output element is computed as
 //   float( double(bias) + double(acc) · (s_a · s_b) )
@@ -95,7 +92,8 @@ QgemmMode set_qgemm_mode(QgemmMode mode);
 /// lut[c] == mant[c] · 2^exp[c] exactly, with mant odd (or 0) and
 /// |mant| < 2^30.  Non-finite LUT entries get mant = 0 — callers must
 /// guarantee such codes never reach the accumulator (the layer plumbing
-/// gates Kulisch on a zero non-finite-code count).
+/// gates Kulisch on a zero count of codes whose book value is non-finite).
+/// mant[a]·mant[b]·2^(exp[a]+exp[b]) is hw::MacReference's product.
 struct KulischTable {
   std::int64_t mant[256] = {};
   int exp[256] = {};
@@ -150,12 +148,11 @@ void qgemm_kulisch(int M, int N, int K, const QOperand& a, const QOperand& b,
 /// (level = int8(c), the INT8-family layout), then unsigned (level = c, for
 /// zero-point LUTs such as s·(c − 128)).  Finite entries that are exactly
 /// 0.0 map to q = 0 regardless of level, so artifact LUTs whose non-finite
-/// codes were policy-zeroed still qualify.  Non-finite entries get bad[c];
+/// codes were policy-zeroed still qualify.  Non-finite entries get q = 0;
 /// they never reach the kernel (the layer plumbing gates int8 on a zero
-/// non-finite-code count, same as Kulisch).
+/// count of codes whose book value is non-finite, same as Kulisch).
 struct AffineLut {
   std::int8_t q[256] = {};   ///< code → int8 level, lut[c] == scale·q[c]
-  bool bad[256] = {};        ///< non-finite decode entry
   double scale = 0.0;        ///< exact affine step s
   std::int8_t qmin = 0;      ///< smallest finite level (activation clamp)
   std::int8_t qmax = 0;      ///< largest finite level (activation clamp)

@@ -49,23 +49,12 @@ std::shared_ptr<const WeightCodes> active_codes(const ChannelWeights& cw,
 
 void check_codes(const WeightCodes& wc, int channels, int per_channel,
                  const char* who) {
-  if (wc.channels != channels || wc.per_channel != per_channel ||
+  if (wc.book == nullptr || wc.channels != channels ||
+      wc.per_channel != per_channel ||
       wc.codes.size() != static_cast<std::size_t>(channels) * per_channel ||
       wc.scales.size() != static_cast<std::size_t>(channels))
     throw std::invalid_argument(std::string(who) +
                                 ": weight codes do not match the layer shape");
-}
-
-/// Cache key of a layer's FP32-weight entry: built from the decoded codes
-/// `wc` when set, else from the live Param (codes id 0).
-PackKey float_key(const WeightCodes* wc) {
-  return {wc != nullptr ? wc->id : 0, PackKey::Kind::kFloat,
-          gemm::active_backend().id};
-}
-
-/// Cache key of a layer's int8-path entry for codes `wc`.
-PackKey int8_key(const WeightCodes& wc) {
-  return {wc.id, PackKey::Kind::kInt8, gemm::active_backend().id};
 }
 
 /// The one FP32-weight cache-entry builder: the source is the live Param
@@ -78,12 +67,14 @@ std::shared_ptr<const PackedWeights> float_weights(PackCache& cache,
                                                    const Param& weight,
                                                    const WeightCodes* wc,
                                                    PackFn&& pack) {
-  return cache.get(weight, float_key(wc), [&] {
+  const PackKey key{wc != nullptr ? wc->id : 0, PackKey::Kind::kFloat,
+                    gemm::active_backend().id};
+  return cache.get(weight, key, [&] {
     PackedWeights pw;
     const float* src = weight.value.raw();
     if (wc != nullptr) {
       pw.decoded.resize(wc->codes.size());
-      gemm::decode_codes(wc->codes.data(), wc->codes.size(), wc->lut,
+      gemm::decode_codes(wc->codes.data(), wc->codes.size(), wc->book->value,
                          wc->scales.data(),
                          static_cast<std::size_t>(wc->per_channel),
                          pw.decoded.data());
@@ -94,25 +85,38 @@ std::shared_ptr<const PackedWeights> float_weights(PackCache& cache,
   });
 }
 
-/// Kulisch eligibility for one forward: opt-in mode, exact table available,
-/// an encode hook to recover activation codes, a stamped activation scale,
-/// and no non-finite weight codes (their products are undefined in fixed
-/// point).  Anything missing falls back to code mode, which is
+/// The one int8-path cache-entry builder: the channel scales folded with
+/// the affine step, and `pack`'s level panels from the book's remap.
+template <typename PackFn>
+std::shared_ptr<const PackedWeights> int8_weights(PackCache& cache,
+                                                  const Param& weight,
+                                                  const WeightCodes& wc,
+                                                  PackFn&& pack) {
+  const PackKey key{wc.id, PackKey::Kind::kInt8, gemm::active_backend().id};
+  return cache.get(weight, key, [&] {
+    PackedWeights pw;
+    for (const double s : wc.scales)
+      pw.iscales.push_back(wc.book->affine->scale * s);
+    pw.ipacks = pack(wc.book->affine->q);
+    return pw;
+  });
+}
+
+/// Kulisch / int8 eligibility for one forward: the opt-in mode, that mode's
+/// table in the book, a stamped activation scale, and no weight code whose
+/// book value is non-finite (it has no fixed-point or integer value).  Int8
+/// callers also bound K ≤ gemm::kInt8MaxK (exact int32 accumulation).
+/// Anything missing falls back to code mode, silently; code mode is
 /// bit-identical to the FP32 default anyway.
 bool kulisch_ok(const WeightCodes& wc, const Tensor& x) {
   return gemm::qgemm_mode() == gemm::QgemmMode::kKulisch &&
-         wc.kulisch != nullptr && wc.kulisch->usable && wc.encode != nullptr &&
-         wc.nonfinite == 0 && x.quant_scale() > 0.0;
+         wc.book->kulisch != nullptr && wc.nonfinite == 0 &&
+         x.quant_scale() > 0.0;
 }
 
-/// Int8 eligibility for one forward: opt-in mode, an exactly affine decode
-/// LUT, a stamped activation scale to quantize against, and no non-finite
-/// weight codes (a NaR level has no integer value).  Callers additionally
-/// bound K ≤ gemm::kInt8MaxK (exact int32 accumulation).  Anything missing
-/// falls back to code mode, silently — same contract as Kulisch fallback.
 bool int8_ok(const WeightCodes& wc, const Tensor& x) {
   return gemm::qgemm_mode() == gemm::QgemmMode::kInt8 &&
-         wc.affine != nullptr && wc.affine->usable && wc.nonfinite == 0 &&
+         wc.book->affine != nullptr && wc.nonfinite == 0 &&
          x.quant_scale() > 0.0;
 }
 
@@ -173,12 +177,12 @@ Tensor Linear::forward_fused(const Tensor& x, const Context& ctx,
     std::vector<std::uint8_t> xcodes(static_cast<std::size_t>(n) * in_);
     const float* xd = x.raw();
     for (std::size_t i = 0; i < xcodes.size(); ++i)
-      xcodes[i] = wc->encode(static_cast<double>(xd[i]) * xinv);
+      xcodes[i] = wc->book->encode(static_cast<double>(xd[i]) * xinv);
     Tensor y({n, out_});
     const gemm::QOperand a{xcodes.data(), in_, /*trans=*/false, nullptr, xscale};
     const gemm::QOperand b{wc->codes.data(), in_, /*trans=*/true,
                            wc->scales.data(), 0.0};
-    gemm::qgemm_kulisch(n, out_, in_, a, b, *wc->kulisch,
+    gemm::qgemm_kulisch(n, out_, in_, a, b, *wc->book->kulisch,
                         gemm::Init::kBiasCol, bias.value.raw(), y.raw(), out_,
                         epi);
     return y;
@@ -189,17 +193,13 @@ Tensor Linear::forward_fused(const Tensor& x, const Context& ctx,
     // already-fake-quantized values), as conv's im2col_int8 does, and the
     // kernel accumulates level products in int32 — both operands move as
     // 8-bit levels and the only float math is the dequant write-back.
-    const gemm::AffineLut& alut = *wc->affine;
+    const gemm::AffineLut& alut = *wc->book->affine;
     const double xscale = x.quant_scale();
-    const auto cached = packs_.get(weight, int8_key(*wc), [&] {
-      PackedWeights pw;
-      pw.iscales.resize(wc->scales.size());
-      for (std::size_t o = 0; o < wc->scales.size(); ++o)
-        pw.iscales[o] = alut.scale * wc->scales[o];
-      pw.ipacks.push_back(gemm::pack_b_int8_matrix(
-          in_, out_, wc->codes.data(), in_, /*trans_b=*/true, alut.q));
-      return pw;
-    });
+    const auto cached =
+        int8_weights(packs_, weight, *wc, [&](const std::int8_t* q) {
+          return std::vector<gemm::PackedInt8>{gemm::pack_b_int8_matrix(
+              in_, out_, wc->codes.data(), in_, /*trans_b=*/true, q)};
+        });
     Tensor y({n, out_});
     core::ScratchArena& arena = core::ScratchArena::local();
     const core::ScratchArena::Scope scope(arena);
@@ -397,20 +397,16 @@ Tensor Conv2d::forward_affine(const Tensor& x, const Context& ctx,
     // rides the RowAffine write-back, identical to run_conv's fold, so the
     // Sequential fusion scan needs no special case.  Depthwise stays on the
     // direct float loops (no GEMM to run in the level domain).
-    const gemm::AffineLut& alut = *wc->affine;
-    const auto cached = packs_.get(weight, int8_key(*wc), [&] {
-      PackedWeights pw;
-      pw.iscales.resize(wc->scales.size());
-      for (std::size_t o = 0; o < wc->scales.size(); ++o)
-        pw.iscales[o] = alut.scale * wc->scales[o];
-      pw.ipacks.reserve(static_cast<std::size_t>(groups_));
-      for (int grp = 0; grp < groups_; ++grp)
-        pw.ipacks.push_back(gemm::pack_a_int8_matrix(
-            ocg, kdim,
-            wc->codes.data() + static_cast<std::size_t>(grp) * ocg * kdim,
-            kdim, /*trans_a=*/false, alut.q));
-      return pw;
-    });
+    const auto cached =
+        int8_weights(packs_, weight, *wc, [&](const std::int8_t* q) {
+          std::vector<gemm::PackedInt8> packs;
+          for (int grp = 0; grp < groups_; ++grp)
+            packs.push_back(gemm::pack_a_int8_matrix(
+                ocg, kdim,
+                wc->codes.data() + static_cast<std::size_t>(grp) * ocg * kdim,
+                kdim, /*trans_a=*/false, q));
+          return packs;
+        });
     return run_conv_int8(x, *wc, *cached, epi, bn_scale, bn_shift);
   }
   // FP32 weights: the live Param, or the decoded codes in code mode.
@@ -462,14 +458,14 @@ Tensor Conv2d::run_conv_kulisch(const Tensor& x, const WeightCodes& wc,
         colp = col.data();
       }
       for (std::size_t i = 0; i < ccodes.size(); ++i)
-        ccodes[i] = wc.encode(static_cast<double>(colp[i]) * xinv);
+        ccodes[i] = wc.book->encode(static_cast<double>(colp[i]) * xinv);
       const gemm::QOperand a{
           wc.codes.data() + static_cast<std::size_t>(grp) * ocg * kdim, kdim,
           /*trans=*/false, wc.scales.data() + static_cast<std::size_t>(grp) * ocg,
           0.0};
       const gemm::QOperand bop{ccodes.data(), osz, /*trans=*/false, nullptr,
                                xscale};
-      gemm::qgemm_kulisch(ocg, osz, kdim, a, bop, *wc.kulisch,
+      gemm::qgemm_kulisch(ocg, osz, kdim, a, bop, *wc.book->kulisch,
                           gemm::Init::kBiasRow,
                           bias.value.raw() + static_cast<std::size_t>(grp) * ocg,
                           yb + static_cast<std::size_t>(grp) * ocg * osz, osz,
@@ -490,7 +486,7 @@ Tensor Conv2d::run_conv_int8(const Tensor& x, const WeightCodes& wc,
   const int ocg = out_ch_ / groups_;
   const int kdim = icg * k_ * k_;
   const int osz = oh * ow;
-  const gemm::AffineLut& alut = *wc.affine;
+  const gemm::AffineLut& alut = *wc.book->affine;
   const double xscale = x.quant_scale();
   const double xinv = 1.0 / (alut.scale * xscale);
   Tensor y({n, out_ch_, oh, ow});

@@ -56,7 +56,7 @@ struct PackKey {
 /// artifact unpack, BN folding — all bump it).  The key covers *which
 /// source* the entry was built from and for which kernel: the process-unique
 /// WeightCodes id (so a hot-swap that installs new codes for the same
-/// shapes can never serve panels decoded with the old format's LUT), the
+/// shapes can never serve panels decoded with the old format's book), the
 /// entry kind (code and int8 builds share a Param version), and the active
 /// backend (so switching MERSIT_BACKEND never serves a foreign layout).
 ///

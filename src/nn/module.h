@@ -25,6 +25,7 @@ namespace mersit::nn {
 
 class Module;
 struct WeightCodes;  // nn/qweights.h — 8-bit code-domain weight view
+struct CodeBook;     // nn/qweights.h — one format's 256-code view
 
 /// PTQ hook: observes / rewrites activations at quant points.
 class QuantSession {

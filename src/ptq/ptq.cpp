@@ -258,33 +258,40 @@ void quantize_weights_per_channel(Module& model, const Format& fmt,
       cw->weight_param().bump_version();
 }
 
+std::shared_ptr<const nn::CodeBook> make_code_book(
+    const Format& fmt, formats::CorruptionPolicy policy) {
+  auto book = std::make_shared<nn::CodeBook>();
+  for (int c = 0; c < 256; ++c) {
+    const auto code = static_cast<std::uint8_t>(c);
+    book->finite[c] = std::isfinite(fmt.decode_value(code));
+    book->value[c] = formats::decode_with_policy(fmt, code, policy);
+  }
+  const auto kernel = formats::kernels::kernel_for(fmt);
+  book->encode = [kernel](double v) { return kernel->encode(v); };
+  if (auto k = nn::gemm::build_kulisch_table(book->value); k.usable)
+    book->kulisch = std::make_unique<const nn::gemm::KulischTable>(k);
+  if (auto a = nn::gemm::build_affine_lut(book->value); a.usable)
+    book->affine = std::make_unique<const nn::gemm::AffineLut>(a);
+  return book;
+}
+
 void install_weight_codes(Module& model, const Format& fmt,
                           ScalePolicy policy) {
   const auto kernel = formats::kernels::kernel_for(fmt);
-  // The decode LUT and its Kulisch decomposition depend only on the format;
-  // build them once and share across every module's WeightCodes.
-  double lut[256];
-  for (int c = 0; c < 256; ++c) lut[c] = kernel->decode(static_cast<std::uint8_t>(c));
-  auto kulisch = std::make_shared<nn::gemm::KulischTable>(
-      nn::gemm::build_kulisch_table(lut));
-  const std::shared_ptr<const nn::gemm::KulischTable> shared_kulisch =
-      kulisch->usable ? kulisch : nullptr;
-  auto affine = std::make_shared<nn::gemm::AffineLut>(
-      nn::gemm::build_affine_lut(lut));
-  const std::shared_ptr<const nn::gemm::AffineLut> shared_affine =
-      affine->usable ? affine : nullptr;
+  // Encode saturates and maps NaN to the zero code, so no code is
+  // non-finite and `nonfinite` stays 0.
+  const auto book = make_code_book(fmt, formats::CorruptionPolicy::kPropagate);
   for (Module* m : model.modules()) {
     auto* cw = dynamic_cast<nn::ChannelWeights*>(m);
     if (cw == nullptr) continue;
     const int channels = cw->weight_channels();
     if (channels <= 0) continue;
     auto wc = std::make_shared<nn::WeightCodes>();
-    wc->format_name = fmt.name();
     wc->channels = channels;
     wc->per_channel = static_cast<int>(cw->channel_span(0).size());
     wc->codes.reserve(static_cast<std::size_t>(channels) * wc->per_channel);
     wc->scales.reserve(static_cast<std::size_t>(channels));
-    for (int c = 0; c < 256; ++c) wc->lut[c] = lut[c];
+    wc->book = book;
     for (int c = 0; c < channels; ++c) {
       const std::span<const float> w = cw->channel_span(c);
       float mx = 0.f;
@@ -295,16 +302,12 @@ void install_weight_codes(Module& model, const Format& fmt,
           mx > 0.f ? formats::scale_for_absmax(fmt, mx, policy) : 1.0;
       wc->scales.push_back(scale);
       // encode(v * (1/scale)) is exactly the argument fake_quantize feeds
-      // the codec, so decode(code) * scale reproduces its output bit for
+      // the codec, so value[code] * scale reproduces its output bit for
       // bit.
       const double inv = 1.0 / scale;
       for (const float v : w)
         wc->codes.push_back(kernel->encode(static_cast<double>(v) * inv));
     }
-    wc->encode = [kernel](double v) { return kernel->encode(v); };
-    wc->kulisch = shared_kulisch;
-    wc->affine = shared_affine;
-    wc->nonfinite = 0;  // encode saturates; it never emits non-finite codes
     cw->set_weight_codes(std::move(wc));
   }
 }

@@ -24,6 +24,7 @@
 #include <span>
 #include <string>
 
+#include "formats/corruption.h"
 #include "formats/kernels/quant_kernel.h"
 #include "formats/quantize.h"
 #include "nn/models.h"
@@ -158,6 +159,11 @@ void restore_weights(nn::Module& model, const WeightSnapshot& snap);
 /// Per-output-channel fake quantization of every ChannelWeights module.
 void quantize_weights_per_channel(nn::Module& model, const formats::Format& fmt,
                                   formats::ScalePolicy policy);
+
+/// The code book of `fmt` under `policy` (see nn/qweights.h); each table
+/// is set only when its builder reports it usable.
+[[nodiscard]] std::shared_ptr<const nn::CodeBook> make_code_book(
+    const formats::Format& fmt, formats::CorruptionPolicy policy);
 
 /// Code-domain equivalent of quantize_weights_per_channel: instead of
 /// rewriting the FP32 weights with their quantize→dequantize images, encode

@@ -9,8 +9,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "formats/kernels/kernel_cache.h"
-#include "nn/gemm/qgemm.h"
 #include "nn/qweights.h"
 #include "ptq/ptq.h"
 
@@ -343,6 +341,7 @@ void unpack_weights(nn::Module& model, const QuantizedModel& qm,
   // the model half-overwritten.
   const auto targets = validated_targets(model, qm, "unpack_weights");
   // Pass 2: decode.
+  const auto book = make_code_book(fmt, policy);
   for (std::size_t i = 0; i < targets.size(); ++i) {
     const QuantizedTensor& t = qm.tensors[i];
     nn::ChannelWeights* cw = targets[i].second;
@@ -350,9 +349,11 @@ void unpack_weights(nn::Module& model, const QuantizedModel& qm,
     for (int c = 0; c < t.channels; ++c) {
       const std::span<float> w = cw->channel_span(c);
       const double scale = t.scales[static_cast<std::size_t>(c)];
-      for (float& v : w)
-        v = static_cast<float>(
-            formats::decode_with_policy(fmt, t.codes[k++], policy, stats) * scale);
+      for (float& v : w) {
+        const std::uint8_t code = t.codes[k++];
+        if (stats != nullptr && !book->finite[code]) ++stats->non_finite;
+        v = static_cast<float>(book->value[code] * scale);
+      }
     }
     cw->weight_param().bump_version();  // invalidate prepacked-weight caches
   }
@@ -366,49 +367,26 @@ void install_code_weights(nn::Module& model, const QuantizedModel& qm,
     throw std::invalid_argument("install_code_weights: format mismatch (" +
                                 fmt.name() + " vs " + qm.format_name + ")");
   const auto targets = validated_targets(model, qm, "install_code_weights");
-  const auto kernel = formats::kernels::kernel_for(fmt);
-  // Policy-applied decode LUT: lut[code] * scale is exactly the value
-  // unpack_weights writes for that code, IEEE specials or zero-substitutions
-  // included.  The pre-policy finiteness table drives the corruption
-  // counters, which — like decode_with_policy's — count every non-finite
-  // code regardless of policy.
-  double lut[256];
-  bool finite[256];
-  for (int c = 0; c < 256; ++c) {
-    finite[c] = std::isfinite(fmt.decode_value(static_cast<std::uint8_t>(c)));
-    lut[c] = formats::decode_with_policy(fmt, static_cast<std::uint8_t>(c),
-                                         policy, nullptr);
-  }
-  auto kulisch = std::make_shared<nn::gemm::KulischTable>(
-      nn::gemm::build_kulisch_table(lut));
-  const std::shared_ptr<const nn::gemm::KulischTable> shared_kulisch =
-      kulisch->usable ? kulisch : nullptr;
-  // The affine remap sees the *policy-applied* LUT: a zeroed NaR entry maps
-  // to level 0, so INT8-family artifacts stay int8-eligible under kZero.
-  auto affine = std::make_shared<nn::gemm::AffineLut>(
-      nn::gemm::build_affine_lut(lut));
-  const std::shared_ptr<const nn::gemm::AffineLut> shared_affine =
-      affine->usable ? affine : nullptr;
+  // value[code] * scale is exactly the value unpack_weights writes.  The
+  // corruption counters count pre-policy non-finite codes, the layer's
+  // `nonfinite` only those the policy left non-finite.
+  const auto book = make_code_book(fmt, policy);
   for (std::size_t i = 0; i < targets.size(); ++i) {
     const QuantizedTensor& t = qm.tensors[i];
     nn::ChannelWeights* cw = targets[i].second;
     auto wc = std::make_shared<nn::WeightCodes>();
-    wc->format_name = qm.format_name;
     wc->channels = t.channels;
     wc->per_channel = static_cast<int>(cw->channel_span(0).size());
     wc->codes = t.codes;
     wc->scales.reserve(t.scales.size());
-    // Scales widen float→double here, then decode as lut[code] * scale —
-    // the same arithmetic (and therefore the same bits) as unpack_weights'
-    // static_cast<float>(decode_with_policy(...) * double(scale)).
+    // Scales widen float→double here, then decode as value[code] * scale —
+    // the same arithmetic (and therefore the same bits) as unpack_weights.
     for (const float s : t.scales) wc->scales.push_back(static_cast<double>(s));
-    for (int c = 0; c < 256; ++c) wc->lut[c] = lut[c];
-    for (const std::uint8_t code : t.codes)
-      if (!finite[code]) ++wc->nonfinite;
-    if (stats != nullptr) stats->non_finite += wc->nonfinite;
-    wc->encode = [kernel](double v) { return kernel->encode(v); };
-    wc->kulisch = shared_kulisch;
-    wc->affine = shared_affine;
+    wc->book = book;
+    for (const std::uint8_t code : t.codes) {
+      if (stats != nullptr && !book->finite[code]) ++stats->non_finite;
+      if (!std::isfinite(book->value[code])) ++wc->nonfinite;
+    }
     cw->set_weight_codes(std::move(wc));
   }
 }
@@ -436,15 +414,13 @@ ArtifactPair load_artifact_pair(std::istream& mct1, std::istream& mqt1,
 
 std::uint64_t count_nonfinite_codes(const QuantizedModel& qm,
                                     const formats::Format& fmt) {
-  // One 256-entry finiteness table, then a linear scan — cheap enough to run
+  // The pre-policy finite mask, then a linear scan — cheap enough to run
   // on every hot-swap without perturbing serving latency.
-  bool finite[256];
-  for (int code = 0; code < 256; ++code)
-    finite[code] = std::isfinite(fmt.decode_value(static_cast<std::uint8_t>(code)));
+  const auto book = make_code_book(fmt, formats::CorruptionPolicy::kPropagate);
   std::uint64_t n = 0;
   for (const QuantizedTensor& t : qm.tensors)
     for (const std::uint8_t code : t.codes)
-      if (!finite[code]) ++n;
+      if (!book->finite[code]) ++n;
   return n;
 }
 

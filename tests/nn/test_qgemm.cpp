@@ -383,7 +383,7 @@ TEST(QgemmPackCache, RebuildsWhenCodesChangeWithoutVersionBump) {
   {
     SCOPED_TRACE("key field: kind");
     auto cached = make(*int8);
-    ASSERT_NE(cached->weight_codes()->affine, nullptr);
+    ASSERT_NE(cached->weight_codes()->book->affine, nullptr);
     const Tensor code_want = run(*make(*int8), kCode);
     EXPECT_TRUE(bitwise_equal(run(*cached, kCode), code_want));  // FP32 entry
     EXPECT_TRUE(bitwise_equal(run(*cached, kInt8), run(*make(*int8), kInt8)));
@@ -506,8 +506,8 @@ TEST(QgemmKulisch, LinearForwardTakesQuirePath) {
   ptq::install_weight_codes(lin, *fmt, formats::ScalePolicy::kMaxToUnity);
   const auto wc = lin.weight_codes();
   ASSERT_NE(wc, nullptr);
-  ASSERT_NE(wc->kulisch, nullptr);
-  ASSERT_TRUE(wc->kulisch->usable);
+  ASSERT_NE(wc->book->kulisch, nullptr);
+  ASSERT_TRUE(wc->book->kulisch->usable);
 
   // Fake-quantized activations at a stamped scale, exactly as the PTQ
   // hooks would leave them.
@@ -537,7 +537,7 @@ TEST(QgemmKulisch, LinearForwardTakesQuirePath) {
   Tensor y_direct({5, 7});
   const gemm::QOperand a{xcodes.data(), 32, false, nullptr, xscale};
   const gemm::QOperand b{wc->codes.data(), 32, true, wc->scales.data(), 0.0};
-  gemm::qgemm_kulisch(5, 7, 32, a, b, *wc->kulisch, gemm::Init::kBiasCol,
+  gemm::qgemm_kulisch(5, 7, 32, a, b, *wc->book->kulisch, gemm::Init::kBiasCol,
                       lin.bias.value.raw(), y_direct.raw(), 7);
   EXPECT_TRUE(bitwise_equal(y_kulisch, y_direct));
 

@@ -75,8 +75,8 @@ std::array<double, 256> decode_lut(const formats::Format& fmt) {
 
 // Exhaustive 256-code gate over every registered format: a usable AffineLut
 // must reproduce each finite LUT entry *exactly* (double ==, no tolerance)
-// as scale·q[c] with q[c] within [qmin, qmax], and flag each non-finite
-// entry; INT8 must be detected and the non-affine families must be
+// as scale·q[c] with q[c] within [qmin, qmax], and map each non-finite
+// entry to level 0; INT8 must be detected and the non-affine families must be
 // rejected, never silently mis-detected.
 TEST(Int8Affine, DetectsExactlyTheAffineFamilyAllFormatsAllCodes) {
   bool any_usable = false;
@@ -91,10 +91,9 @@ TEST(Int8Affine, DetectsExactlyTheAffineFamilyAllFormatsAllCodes) {
     for (int c = 0; c < 256; ++c) {
       const double v = lut[static_cast<std::size_t>(c)];
       if (!std::isfinite(v)) {
-        EXPECT_TRUE(alut.bad[c]) << "code " << c;
+        EXPECT_EQ(alut.q[c], 0) << "code " << c;
         continue;
       }
-      EXPECT_FALSE(alut.bad[c]) << "code " << c;
       EXPECT_EQ(alut.scale * static_cast<double>(alut.q[c]), v) << "code " << c;
       EXPECT_GE(alut.q[c], alut.qmin) << "code " << c;
       EXPECT_LE(alut.q[c], alut.qmax) << "code " << c;
@@ -150,7 +149,6 @@ TEST(Int8Affine, ZeroPointDenormalAndPolicyZeroedLutsQualify) {
   alut = gemm::build_affine_lut(lut);
   ASSERT_TRUE(alut.usable);
   for (int c = 0; c < 256; ++c) {
-    EXPECT_FALSE(alut.bad[c]) << "code " << c;
     if (lut[c] == 0.0) {
       EXPECT_EQ(alut.q[c], 0) << "code " << c;
     }
@@ -501,9 +499,9 @@ TEST(Int8Layer, LinearForwardTakesIntegerPathAndFallsBackPerFormat) {
     ptq::install_weight_codes(lin, *fmt, formats::ScalePolicy::kMaxToUnity);
     const auto wc = lin.weight_codes();
     ASSERT_NE(wc, nullptr);
-    ASSERT_NE(wc->affine, nullptr);
-    ASSERT_TRUE(wc->affine->usable);
-    const gemm::AffineLut& alut = *wc->affine;
+    ASSERT_NE(wc->book->affine, nullptr);
+    ASSERT_TRUE(wc->book->affine->usable);
+    const gemm::AffineLut& alut = *wc->book->affine;
 
     Tensor x = Tensor::randn({n, in}, xrng, 1.f);
     const double xscale = formats::scale_for_absmax(
@@ -563,7 +561,7 @@ TEST(Int8Layer, LinearForwardTakesIntegerPathAndFallsBackPerFormat) {
   const auto mersit = core::make_format("MERSIT(8,2)");
   ptq::install_weight_codes(lin_mersit, *mersit,
                             formats::ScalePolicy::kMaxToUnity);
-  ASSERT_EQ(lin_mersit.weight_codes()->affine, nullptr);
+  ASSERT_EQ(lin_mersit.weight_codes()->book->affine, nullptr);
   const auto mkernel = formats::kernels::kernel_for(*mersit);
   Tensor xm = Tensor::randn({5, 32}, xrng, 1.f);
   const double mscale = formats::scale_for_absmax(
@@ -596,9 +594,9 @@ TEST(Int8Layer, ConvForwardTakesIntegerPathWithBnAffineAndEpilogue) {
   ptq::install_weight_codes(conv, *fmt, formats::ScalePolicy::kMaxToUnity);
   const auto wc = conv.weight_codes();
   ASSERT_NE(wc, nullptr);
-  ASSERT_NE(wc->affine, nullptr);
-  ASSERT_TRUE(wc->affine->usable);
-  const gemm::AffineLut& alut = *wc->affine;
+  ASSERT_NE(wc->book->affine, nullptr);
+  ASSERT_TRUE(wc->book->affine->usable);
+  const gemm::AffineLut& alut = *wc->book->affine;
 
   BatchNorm2d bn(6);
   for (int c = 0; c < 6; ++c) {
@@ -662,6 +660,64 @@ TEST(Int8Layer, ConvForwardTakesIntegerPathWithBnAffineAndEpilogue) {
   }
   EXPECT_TRUE(bitwise_equal(y_plain, want_plain));
   EXPECT_TRUE(bitwise_equal(y_bn, want_bn));
+}
+
+// An INT8 artifact with one corrupted code (0x80, the NaR code) installed
+// under kZeroSubstitute stays on the integer path: its book maps the code
+// to 0.0, level 0, so the int8 output is bitwise the int8 output of the
+// same artifact with that code set to 0x00, for Linear and Conv2d.  The
+// corruption counter still sees the code.  Under kPropagate the code stays
+// NaR and the layer declines to code mode.
+TEST(Int8Layer, ZeroSubstitutedArtifactStaysOnIntegerPath) {
+  using formats::CorruptionPolicy;
+  const auto fmt = core::make_format("INT8");
+  ASSERT_FALSE(std::isfinite(fmt->decode_value(0x80)));
+  const auto kernel = formats::kernels::kernel_for(*fmt);
+  const Context ctx{/*train=*/false, nullptr};
+  const auto check = [&](Module& layer, Tensor x) {
+    const double xscale = formats::scale_for_absmax(
+        *fmt, x.abs_max(), formats::ScalePolicy::kMaxToUnity);
+    kernel->fake_quantize(x.data(), xscale);
+    x.set_quant_scale(xscale);
+    ptq::QuantizedModel corrupt = ptq::pack_weights(layer, *fmt);
+    ptq::QuantizedModel clean = corrupt;
+    corrupt.tensors.front().codes[3] = 0x80;
+    clean.tensors.front().codes[3] = 0x00;
+    const auto run = [&](const ptq::QuantizedModel& qm, CorruptionPolicy policy,
+                         gemm::QgemmMode mode) {
+      ptq::install_code_weights(layer, qm, *fmt, policy);
+      const ModeGuard guard(mode);
+      return layer.forward(x, ctx);
+    };
+    const Tensor want = run(clean, CorruptionPolicy::kZeroSubstitute,
+                            gemm::QgemmMode::kInt8);
+    // The int8 and code outputs differ, so the comparison below tells the
+    // two paths apart.
+    ASSERT_FALSE(bitwise_equal(want, run(clean, CorruptionPolicy::kZeroSubstitute,
+                                         gemm::QgemmMode::kCode)));
+    EXPECT_TRUE(bitwise_equal(
+        run(corrupt, CorruptionPolicy::kZeroSubstitute, gemm::QgemmMode::kInt8),
+        want));
+    formats::CorruptionStats stats;
+    ptq::install_code_weights(layer, corrupt, *fmt,
+                              CorruptionPolicy::kZeroSubstitute, &stats);
+    EXPECT_EQ(stats.non_finite, 1u);
+    EXPECT_TRUE(bitwise_equal(
+        run(corrupt, CorruptionPolicy::kPropagate, gemm::QgemmMode::kInt8),
+        run(corrupt, CorruptionPolicy::kPropagate, gemm::QgemmMode::kCode)));
+  };
+  std::mt19937 rng(41);
+  std::mt19937 xrng(43);
+  {
+    SCOPED_TRACE("Linear(64,16)");
+    Linear lin(64, 16, rng);
+    check(lin, Tensor::randn({4, 64}, xrng, 1.f));
+  }
+  {
+    SCOPED_TRACE("Conv2d 3x3");
+    Conv2d conv(4, 6, 3, 1, 1, 1, rng);
+    check(conv, Tensor::randn({2, 4, 6, 6}, xrng, 1.f));
+  }
 }
 
 // ------------------------------------------------------------- end to end --
