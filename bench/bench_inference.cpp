@@ -59,7 +59,9 @@
 // backend the host cannot execute (the CI self-check).
 //
 // Perf gates: on ResNet18-mini the code-domain path must not regress
-// against prepacked FP32 (with a measurement-noise allowance); the detected
+// against prepacked FP32 (with a measurement-noise allowance; the two
+// forwards are timed in alternating pairs and their medians compared, so
+// host noise hits both sides alike); the detected
 // backend must not lose to scalar on the sweep geomean; and in full sizing
 // at least one vision model must clear a 1.5x single-thread best-vs-scalar
 // speedup (the SIMD backends must pay for their dispatch).  A regression
@@ -75,6 +77,8 @@
 #include <random>
 #include <sstream>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "bench_common.h"
@@ -101,6 +105,11 @@ constexpr double kPerfSlack = 1.02;
 /// margin between two near-equal timings is all noise, hence the wider
 /// slack than kPerfSlack.
 constexpr double kCodeSlack = 1.10;
+
+/// The model the code-domain gate runs on, and how many alternating
+/// (prepacked, code) forward pairs its medians take.
+constexpr const char* kCodeGateModel = "ResNet18-mini";
+constexpr int kCodeGatePairs = 25;
 
 /// Weight format for the code-domain column and the Kulisch probe.
 constexpr const char* kCodeFormat = "MERSIT(8,2)";
@@ -175,6 +184,33 @@ double time_forward_ms(nn::Module& model, const nn::Tensor& x, int reps,
   return best;
 }
 
+/// Median wall times of forwards `a` and `b`, in milliseconds, timed in
+/// `pairs` alternating pairs whose order flips every pair, after one
+/// untimed warm-up of each.  Both medians sample the same stretch of host
+/// time, so a ratio of the two is not decided by when each side ran.
+template <typename A, typename B>
+std::pair<double, double> paired_median_ms(A&& a, B&& b, int pairs) {
+  a();
+  b();
+  const auto time_ms = [](auto&& f) {
+    const auto t0 = std::chrono::steady_clock::now();
+    f();
+    return std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0)
+        .count();
+  };
+  std::vector<double> ta, tb;
+  for (int p = 0; p < pairs; ++p) {
+    if (p % 2 == 0) ta.push_back(time_ms(a));
+    tb.push_back(time_ms(b));
+    if (p % 2 == 1) ta.push_back(time_ms(a));
+  }
+  const auto median = [](std::vector<double>& v) {
+    std::sort(v.begin(), v.end());
+    return v[v.size() / 2];
+  };
+  return {median(ta), median(tb)};
+}
+
 struct Row {
   std::string model;
   int batch = 0;
@@ -183,6 +219,8 @@ struct Row {
   double code_ms = 0.0;      ///< 8-bit weight codes, decoded once and packed
   std::uint32_t prepacked_ulp = 0;  ///< vs the unfused module-by-module forward
   std::uint32_t code_ulp = 0;  ///< vs FP32 forward over fake-quantized weights
+  /// Medians of alternating (prepacked, code) pairs; kCodeGateModel only.
+  double gate_prepacked_ms = 0.0, gate_code_ms = 0.0;
   std::uint64_t weight_bytes_fp32 = 0;   ///< FP32 footprint of coded weights
   std::uint64_t weight_bytes_codes = 0;  ///< code payload: codes + scales
   // Decode-free integer column (vision models; INT8 weights, quant session
@@ -229,11 +267,16 @@ Row measure(const std::string& name, nn::Module& model, const nn::Tensor& x,
       nn::gemm::set_qgemm_mode(nn::gemm::QgemmMode::kFloat);
   const nn::Tensor ref_q = model.forward(x, ctx);
   ptq::restore_weights(model, snap);
+  const nn::ModulePtr plain = model.clone();  // FP32, no codes: the gate's baseline
 
   ptq::install_weight_codes(model, *fmt, formats::ScalePolicy::kMaxToUnity);
   nn::gemm::set_qgemm_mode(nn::gemm::QgemmMode::kCode);
   row.code_ulp = max_ulp(ref_q, model.forward(x, ctx));
   row.code_ms = time_forward_ms(model, x, reps);
+  if (name == kCodeGateModel)
+    std::tie(row.gate_prepacked_ms, row.gate_code_ms) = paired_median_ms(
+        [&] { (void)plain->forward(x, ctx); }, [&] { (void)model.forward(x, ctx); },
+        kCodeGatePairs);
   for (nn::Module* m : model.modules()) {
     auto* cw = dynamic_cast<nn::ChannelWeights*>(m);
     if (cw == nullptr) continue;
@@ -470,6 +513,12 @@ void print_run(const RunReport& run) {
                 r.int8_ms, r.speedup_int8_vs_code(), r.prepacked_ulp,
                 r.code_ulp,
                 static_cast<double>(r.weight_bytes_codes) / (1024.0 * 1024.0));
+  for (const Row& r : run.rows)
+    if (r.model == kCodeGateModel)
+      std::printf("code gate on %s, medians of %d alternating pairs: code %.3f ms vs "
+                  "prepacked %.3f ms (%.2fx, bound %.2fx)\n",
+                  r.model.c_str(), kCodeGatePairs, r.gate_code_ms, r.gate_prepacked_ms,
+                  r.gate_code_ms / r.gate_prepacked_ms, kCodeSlack);
 }
 
 int write_json(const char* path, const bench::Sizes& sizes,
@@ -697,7 +746,8 @@ int main(int argc, char** argv) {
   //    the code-domain path must reproduce the fake-quantized FP32 forward
   //    to the last bit;
   //  * perf — on ResNet18-mini the code-domain path must not lose to
-  //    prepacked FP32 (CI perf-smoke regression gate);
+  //    prepacked FP32 (CI perf-smoke regression gate; medians of
+  //    alternating pairs);
   //  * the Kulisch probe must find a usable table for the code format.
   int bad = 0;
   const bool simd_active =
@@ -726,12 +776,14 @@ int main(int argc, char** argv) {
                      r.model.c_str(), run.threads, r.code_ulp);
         ++bad;
       }
-      if (r.model == "ResNet18-mini" &&
-          r.code_ms > r.prepacked_ms * kCodeSlack) {
+      if (r.model == kCodeGateModel &&
+          r.gate_code_ms > r.gate_prepacked_ms * kCodeSlack) {
         std::fprintf(stderr,
                      "bench_inference: code-domain slower than prepacked "
-                     "FP32 on %s at %d thread(s) (%.3f ms vs %.3f ms)\n",
-                     r.model.c_str(), run.threads, r.code_ms, r.prepacked_ms);
+                     "FP32 on %s at %d thread(s) (median of %d alternating "
+                     "pairs: %.3f ms vs %.3f ms)\n",
+                     r.model.c_str(), run.threads, kCodeGatePairs,
+                     r.gate_code_ms, r.gate_prepacked_ms);
         ++bad;
       }
       // Integer-path gates.  Every vision model must be int8-eligible

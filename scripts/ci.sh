@@ -58,16 +58,19 @@ fi
 # otherwise), and the GEMM suites must pass under the forced scalar
 # reference as well as under the auto-detected backend (the per-backend
 # bitwise gates inside the suites cover every other compiled-in backend).
-# The test_qgemm filter includes QgemmModelTest so code-mode whole-model
-# bit identity also runs on the scalar packs.
+# `Gemm*` takes in the contract matrix (test_gemm.cpp): the weight-path
+# column Gemm/LayerPath, the model table Gemm/ModelPath and the
+# benchmark-shaped GemmBenchCell cells, whose references and pool widths 2
+# and 13 then run on the scalar packs.
 echo "==> SIMD backend self-check (--backends)"
 ./build/bench/bench_inference --backends
 echo "==> GEMM suites under MERSIT_BACKEND=scalar"
 MERSIT_BACKEND=scalar ./build/tests/test_concurrency --gtest_filter='Gemm*'
 MERSIT_BACKEND=scalar ./build/tests/test_qgemm --gtest_filter='QgemmPack*:QgemmModelTest.*:Int8*'
 
-# FMA contraction guard: rebuild the GEMM and layer suites with -mfma, so
-# the compiler may fuse any a*b + c it sees, and rerun them.  They pass
+# FMA contraction guard: rebuild the GEMM and layer suites (the contract
+# matrix included) with -mfma, so the compiler may fuse any a*b + c it
+# sees, and rerun them.  They pass
 # only if -ffp-contract=off (src/CMakeLists.txt, tests/CMakeLists.txt)
 # reaches every TU on the bit-identity path; aarch64 has FMA in its
 # baseline ISA, so this is what every build there relies on.  Hosts that
@@ -100,9 +103,10 @@ done
 #    module under a pass-through quant session, on every model at pool
 #    widths 1 and 4 (the whole-model bit-identity contract; the layer-level
 #    contract against the naive loops is GemmConv/GemmLinear/GemmAttention
-#    in test_gemm),
+#    in test_gemm, and every weight path's is the contract matrix there),
 #  * ULP > 0 for the code-domain forward vs the fake-quantized FP32 path,
-#  * code-domain slower than prepacked FP32 on ResNet18-mini,
+#  * code-domain slower than prepacked FP32 on ResNet18-mini (medians of
+#    alternating pairs),
 #  * a vision model with no usable affine LUT for INT8 (int8 path never
 #    engaged), int8 logits outside the grid-flip tolerance of the code
 #    path, or any batch top-1 flip between the int8 and code paths (the
@@ -189,22 +193,26 @@ MERSIT_BACKEND=scalar run_suite build-sanitize -DMERSIT_SANITIZE=ON -DCMAKE_BUIL
 
 # TSan stage: rebuild and run only the concurrency-sensitive suites (a full
 # TSan run of the training-heavy tests would dominate CI time).  Selection is
-# by ctest label, not name regex: tests/CMakeLists.txt labels the dedicated
+# by ctest label: tests/CMakeLists.txt labels the dedicated
 # test_concurrency executable (codec lazy init, kernel cache, thread pool,
-# GEMM, prepack/arena, a code swap racing forwards, parallel PTQ),
-# test_qgemm (code mode riding the pool fan-out, keyed pack cache, Kulisch
-# accumulator, int8 path), and test_serve (engine admission / watchdog /
-# drain races, hot-swap under load) with `concurrency`, so new suites join
-# the stage by adding a source there instead of editing a pattern here.
-# Force a multi-thread pool so parallel paths actually interleave on 1-core
-# runners.
+# GEMM, the contract matrix, prepack/arena, a code swap racing forwards,
+# parallel PTQ), test_qgemm (code mode riding the pool fan-out, keyed pack
+# cache, Kulisch accumulator, int8 path), and test_serve (engine admission /
+# watchdog / drain races, hot-swap under load) with `concurrency`, so new
+# suites join the stage by adding a source there instead of editing a
+# pattern here.  The one name filter slices the contract matrix: the model
+# table (Gemm/ModelPath) and the weight-path column at pool width 4 stay
+# out; the two benchmark-shaped models (GemmBenchCell) and the column at
+# width 1 run.  Force a multi-thread pool so parallel paths actually
+# interleave on 1-core runners.
 echo "==> configure build-tsan (MERSIT_SANITIZE=thread)"
 cmake -B build-tsan -S . "${CACHE_ARGS[@]}" -DMERSIT_SANITIZE=thread -DCMAKE_BUILD_TYPE=RelWithDebInfo
 echo "==> build build-tsan"
 cmake --build build-tsan -j "${JOBS}" --target test_concurrency test_qgemm test_serve
 echo "==> ctest build-tsan (-L concurrency)"
 MERSIT_BACKEND=scalar MERSIT_THREADS=4 ctest --test-dir build-tsan \
-  --output-on-failure -j "${JOBS}" -L concurrency
+  --output-on-failure -j "${JOBS}" -L concurrency \
+  -E 'Gemm/ModelPath\.|Gemm/LayerPath\..*/width4'
 
 # Committed build trees have bitten this repo before (a stale build-sanitize/
 # was checked in); fail if any build artifact is tracked by git or shows up

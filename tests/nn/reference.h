@@ -1,7 +1,8 @@
 // Test oracle for the nn layer contract: the naive loops that the GEMM
 // lowering of Conv2d, Linear and MultiHeadSelfAttention, the depthwise
 // backend kernel, and the plane loops of GlobalAvgPool and SEBlock must
-// reproduce, plus the bitwise comparator the nn suites share.
+// reproduce; the direct kernel calls the int8 and Kulisch weight paths
+// must reproduce; plus the comparator and scope guards the nn suites share.
 //
 // Every loop is the direct formula in the accumulation order the engine
 // promises: each output starts from its bias (or zero) and adds its
@@ -13,19 +14,95 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
+#include <random>
 #include <span>
 #include <utility>
 #include <vector>
 
+#include "core/thread_pool.h"
+#include "formats/kernels/kernel_cache.h"
 #include "nn/attention.h"
+#include "nn/gemm/backend.h"
 #include "nn/gemm/gemm.h"
+#include "nn/gemm/im2col.h"
+#include "nn/gemm/qgemm.h"
 #include "nn/layers.h"
+#include "nn/qweights.h"
 #include "nn/tensor.h"
 
 namespace mersit::nn::reference {
+
+// Give the global pool real fan-out even on single-core CI (respects an
+// explicit MERSIT_THREADS from the environment).  Static init runs before
+// main(), which is before the pool's first use can construct it.
+inline const bool kEnvReady = [] {
+  setenv("MERSIT_THREADS", "4", /*overwrite=*/0);
+  return true;
+}();
+
+// ----------------------------------------------------------------- guards --
+
+/// Restores the weight-path mode (MERSIT_QGEMM) on scope exit.
+struct ModeGuard {
+  explicit ModeGuard(gemm::QgemmMode m) : prev(gemm::set_qgemm_mode(m)) {}
+  ~ModeGuard() { gemm::set_qgemm_mode(prev); }
+  gemm::QgemmMode prev;
+};
+
+/// Restores the active GEMM backend on scope exit.
+struct BackendGuard {
+  explicit BackendGuard(const gemm::Backend& be) : prev(gemm::set_backend(&be)) {}
+  ~BackendGuard() { gemm::set_backend(prev); }
+  const gemm::Backend* prev;
+};
+
+/// Resizes the global pool, and restores the width it had on scope exit.
+struct PoolWidthGuard {
+  explicit PoolWidthGuard(int width) : prev(core::global_pool().size()) {
+    core::resize_global_pool(width);
+  }
+  ~PoolWidthGuard() { core::resize_global_pool(prev); }
+  int prev;
+};
+
+/// Every compiled-in backend the host can execute.
+inline std::vector<const gemm::Backend*> supported_backends() {
+  std::vector<const gemm::Backend*> out;
+  for (const gemm::Backend* be : gemm::backends())
+    if (be->supported()) out.push_back(be);
+  return out;
+}
+
+// ------------------------------------------------------------- test data --
+
+inline std::vector<float> random_vec(std::size_t n, std::mt19937& rng) {
+  std::normal_distribution<float> dist(0.f, 1.f);
+  std::vector<float> v(n);
+  for (auto& x : v) x = dist(rng);
+  return v;
+}
+
+inline void randomize(Tensor& t, std::mt19937& rng) {
+  std::normal_distribution<float> nd(0.f, 1.f);
+  for (auto& v : t.data()) v = nd(rng);
+}
+
+/// Non-trivial BN statistics, so the fused affine is not near-identity.
+inline void randomize_bn(BatchNorm2d& bn, std::mt19937& rng) {
+  std::normal_distribution<float> nd(0.f, 0.5f);
+  std::uniform_real_distribution<float> ud(0.5f, 2.f);
+  for (auto& v : bn.gamma.value.data()) v = 1.f + nd(rng);
+  for (auto& v : bn.beta.value.data()) v = nd(rng);
+  for (auto& v : bn.running_mean.data()) v = nd(rng);
+  for (auto& v : bn.running_var.data()) v = ud(rng);
+  bn.gamma.bump_version();
+  bn.beta.bump_version();
+}
 
 // ------------------------------------------------------------ comparators --
 
@@ -170,30 +247,109 @@ inline Tensor linear_forward(const Tensor& x, const float* w, const float* bias,
   return y;
 }
 
-inline Grads linear_backward(const Tensor& x, const Tensor& gy, const float* w,
-                             int out) {
-  const int n = x.dim(0), in = x.dim(1);
-  Grads r{Tensor({n, in}), Tensor({out, in}), Tensor({out})};
-  for (int i = 0; i < n; ++i) {
-    const float* xi = x.raw() + static_cast<std::ptrdiff_t>(i) * in;
-    float* dxi = r.dx.raw() + static_cast<std::ptrdiff_t>(i) * in;
-    for (int o = 0; o < out; ++o) {
-      const float g = gy.at(i, o);
-      const float* wo = w + static_cast<std::ptrdiff_t>(o) * in;
-      float* dw = r.dw.raw() + static_cast<std::ptrdiff_t>(o) * in;
-      r.db[o] += g;
-      for (int j = 0; j < in; ++j) {
-        dw[j] += g * xi[j];
-        dxi[j] += g * wo[j];
-      }
-    }
-  }
-  return r;
-}
-
 inline Tensor linear_forward(const Linear& lin, const Tensor& x) {
   return linear_forward(x, lin.weight.value.raw(), lin.bias.value.raw(),
                         lin.weight.value.dim(0));
+}
+
+// ----------------------------------------------------------- weight paths --
+//
+// What a layer with installed codes computes under each MERSIT_QGEMM path,
+// from the public kernels rather than the layer code.  code: the naive
+// loops above over decoded_weights.  int8 and kulisch: per sample and
+// group, im2col the input, turn the columns into levels or codes at the
+// input's stamped scale, and call qgemm_int8 (under the scalar backend) or
+// qgemm_kulisch.  A Linear is the 1x1 conv over [n, in, 1, 1]: both
+// kernels' write-back is float(bias + acc * (s_a * s_b)), so the operand
+// orientation does not change a bit.
+
+/// The 256-code decode of `fmt` through its quant kernel.
+inline std::array<double, 256> decode_lut(const formats::Format& fmt) {
+  const auto kernel = formats::kernels::kernel_for(fmt);
+  std::array<double, 256> lut;
+  for (int c = 0; c < 256; ++c)
+    lut[static_cast<std::size_t>(c)] = kernel->decode(static_cast<std::uint8_t>(c));
+  return lut;
+}
+
+/// float(book value x channel scale): the weights code mode decodes.
+inline std::vector<float> decoded_weights(const WeightCodes& wc) {
+  std::vector<float> w(wc.codes.size());
+  for (std::size_t i = 0; i < w.size(); ++i)
+    w[i] = static_cast<float>(wc.book->value[wc.codes[i]] *
+                              wc.scales[i / static_cast<std::size_t>(wc.per_channel)]);
+  return w;
+}
+
+/// Calls group_gemm(o0, col, osz, out) per sample and group of a conv over
+/// x: `col` is the group's im2col buffer [kdim x osz], `o0` its first
+/// output channel and `out` its [ocg x osz] output block.
+template <typename GroupGemm>
+Tensor lowered_conv(const Tensor& x, const ConvGeometry& g, GroupGemm&& group_gemm) {
+  const int n = x.dim(0), h = x.dim(2), wd = x.dim(3);
+  const int oh = (h + 2 * g.pad - g.k) / g.stride + 1;
+  const int ow = (wd + 2 * g.pad - g.k) / g.stride + 1;
+  const int icg = g.in_ch / g.groups, ocg = g.out_ch / g.groups, osz = oh * ow;
+  Tensor y({n, g.out_ch, oh, ow});
+  std::vector<float> col(static_cast<std::size_t>(icg) * g.k * g.k * osz);
+  for (int b = 0; b < n; ++b)
+    for (int grp = 0; grp < g.groups; ++grp) {
+      const std::size_t o0 = static_cast<std::size_t>(grp) * ocg;
+      gemm::im2col(x.raw() + (static_cast<std::size_t>(b) * g.in_ch +
+                              static_cast<std::size_t>(grp) * icg) * h * wd,
+                   icg, h, wd, g.k, g.stride, g.pad, col.data());
+      group_gemm(o0, col.data(), osz,
+                 y.raw() + (static_cast<std::size_t>(b) * g.out_ch + o0) * osz);
+    }
+  return y;
+}
+
+/// The int8 path over x (stamped scale `xscale`): quantize_levels on the
+/// book's affine grid, then qgemm_int8 with the BN affine (when given)
+/// and the epilogue.
+inline Tensor int8_forward(const Tensor& x, double xscale, const WeightCodes& wc,
+                           const float* bias, const ConvGeometry& g,
+                           gemm::Epilogue epi, const float* bn_scale = nullptr,
+                           const float* bn_shift = nullptr) {
+  const gemm::AffineLut& alut = *wc.book->affine;
+  const int kdim = wc.per_channel, ocg = g.out_ch / g.groups;
+  std::vector<double> iscales;
+  for (const double s : wc.scales) iscales.push_back(alut.scale * s);
+  const BackendGuard scalar(gemm::scalar_backend());
+  return lowered_conv(x, g, [&](std::size_t o0, const float* col, int osz, float* out) {
+    std::vector<std::int8_t> q(static_cast<std::size_t>(kdim) * osz);
+    gemm::quantize_levels(col, q.size(), 1.0 / (alut.scale * xscale), alut.qmin,
+                          alut.qmax, q.data());
+    const gemm::Int8Operand a{wc.codes.data() + o0 * kdim, kdim, false, alut.q,
+                              iscales.data() + o0, 0.0};
+    const gemm::Int8Operand b{reinterpret_cast<const std::uint8_t*>(q.data()), osz,
+                              false, gemm::identity_qlut(), nullptr,
+                              alut.scale * xscale};
+    const gemm::RowAffine aff{bn_scale != nullptr ? bn_scale + o0 : nullptr,
+                              bn_shift != nullptr ? bn_shift + o0 : nullptr};
+    gemm::qgemm_int8(ocg, osz, kdim, a, b, gemm::Init::kBiasRow, bias + o0, out, osz,
+                     nullptr, epi, nullptr, nullptr, bn_scale != nullptr ? &aff : nullptr);
+  });
+}
+
+/// The Kulisch path over x (stamped scale `xscale`): each column value
+/// re-encoded as encode(v / xscale), then qgemm_kulisch on the book's
+/// table with the epilogue.
+template <typename Encode>
+Tensor kulisch_forward(const Tensor& x, double xscale, const WeightCodes& wc,
+                       const float* bias, const ConvGeometry& g, gemm::Epilogue epi,
+                       Encode&& encode) {
+  const int kdim = wc.per_channel, ocg = g.out_ch / g.groups;
+  return lowered_conv(x, g, [&](std::size_t o0, const float* col, int osz, float* out) {
+    std::vector<std::uint8_t> codes(static_cast<std::size_t>(kdim) * osz);
+    for (std::size_t i = 0; i < codes.size(); ++i)
+      codes[i] = encode(static_cast<double>(col[i]) * (1.0 / xscale));
+    const gemm::QOperand a{wc.codes.data() + o0 * kdim, kdim, false,
+                           wc.scales.data() + o0, 0.0};
+    const gemm::QOperand b{codes.data(), osz, false, nullptr, xscale};
+    gemm::qgemm_kulisch(ocg, osz, kdim, a, b, *wc.book->kulisch, gemm::Init::kBiasRow,
+                        bias + o0, out, osz, epi);
+  });
 }
 
 // ------------------------------------------------------- pooling and SE --

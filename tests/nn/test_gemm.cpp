@@ -1,10 +1,12 @@
-// The GEMM engine and the layer contract built on it.
+// The GEMM engine and the contract matrix built on it.
 //
 // Kernel level: sgemm against a triple loop, thread-count invariance, and
 // every SIMD backend bitwise against scalar.  Layer level: one table of
 // Conv2d / Linear / MHSA geometries checked against the naive loops of the
-// test oracle (tests/nn/reference.h).  Model level: the fused default
-// forward of every zoo model against its own module-by-module forward.
+// test oracle (tests/nn/reference.h), in FP32 and, as a weight-path column,
+// with installed codes under the code, int8 and Kulisch paths.  Model level:
+// every zoo model under every path, against its reference, across backends
+// and pool widths.
 //
 // The GEMM paths reproduce the naive rounding sequence exactly (fixed
 // ascending-k summation from the same initial value), so forwards and
@@ -18,9 +20,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
 #include <initializer_list>
 #include <limits>
+#include <memory>
+#include <optional>
 #include <random>
 #include <set>
 #include <sstream>
@@ -29,33 +32,30 @@
 #include <tuple>
 #include <vector>
 
+#include "core/registry.h"
 #include "core/thread_pool.h"
+#include "formats/kernels/kernel_cache.h"
+#include "formats/quantize.h"
 #include "nn/attention.h"
 #include "nn/gemm/backend.h"
 #include "nn/gemm/im2col.h"
+#include "nn/gemm/qgemm.h"
 #include "nn/layers.h"
 #include "nn/models.h"
+#include "nn/qweights.h"
+#include "ptq/ptq.h"
 #include "reference.h"
 
 namespace mersit::nn {
 namespace {
 
+using reference::BackendGuard;
 using reference::bitwise_equal;
-
-// Give the global pool real fan-out even on single-core CI (respects an
-// explicit MERSIT_THREADS from the environment).  Static init runs before
-// main(), which is before the pool's first use can construct it.
-const bool kEnvReady = [] {
-  setenv("MERSIT_THREADS", "4", /*overwrite=*/0);
-  return true;
-}();
-
-std::vector<float> random_vec(std::size_t n, std::mt19937& rng) {
-  std::normal_distribution<float> dist(0.f, 1.f);
-  std::vector<float> v(n);
-  for (auto& x : v) x = dist(rng);
-  return v;
-}
+using reference::ModeGuard;
+using reference::PoolWidthGuard;
+using reference::random_vec;
+using reference::randomize;
+using reference::randomize_bn;
 
 /// Naive triple loop with the contract sgemm promises to reproduce: each
 /// element starts from its init value and accumulates k-ascending.
@@ -86,7 +86,7 @@ void ref_gemm(int M, int N, int K, const float* A, int lda, bool ta,
 // ------------------------------------------------------------- the kernel --
 
 TEST(GemmKernel, MatchesReferenceAcrossShapesTransposesAndInits) {
-  ASSERT_TRUE(kEnvReady);
+  ASSERT_TRUE(reference::kEnvReady);
   std::mt19937 rng(7);
   // Shapes straddle the register tile (6x8), its edges, and a few larger
   // panels; every (trans_a, trans_b, init) combination runs on each.
@@ -206,14 +206,6 @@ TEST(GemmIm2col, RoundTripAccumulatesEveryTapOnce)
 // holds because every backend accumulates ascending-k with a separately
 // rounded multiply and add per step (no FMA) — tile geometry may differ.
 
-/// Restores the active GEMM backend on scope exit.
-struct BackendGuard {
-  explicit BackendGuard(const gemm::Backend& be)
-      : prev(gemm::set_backend(&be)) {}
-  ~BackendGuard() { gemm::set_backend(prev); }
-  const gemm::Backend* prev;
-};
-
 TEST(GemmBackend, RegistryListsScalarLastWithUniqueIdsAndNames) {
   const auto list = gemm::backends();
   ASSERT_FALSE(list.empty());
@@ -256,7 +248,7 @@ TEST(GemmBackend, SetBackendRoundTripsAndRejectsNull) {
 }
 
 TEST(GemmBackend, EveryBackendBitIdenticalToScalarAcrossShapesAndInits) {
-  ASSERT_TRUE(kEnvReady);
+  ASSERT_TRUE(reference::kEnvReady);
   std::mt19937 rng(67);
   // All shapes exceed the direct-path cutoff so the packed kernels actually
   // run; they are ragged against every backend's register tile (4x8, 6x16,
@@ -442,8 +434,9 @@ TEST(GemmBackend, RejectsOperandsPackedForAForeignBackend) {
 // one row per distinct layer geometry in the vision zoo and BERT-mini, so
 // the zoo's shapes are covered by construction.  Every row runs at pool
 // widths 1 and 4 against the oracle: forwards (cold and warm pack cache)
-// over epilogue x BN affine, and backward.  Each test below checks one
-// slice of the table (a layer kind, a row group, forward or backward).
+// over epilogue x BN affine on every supported backend, and backward.
+// Each test below checks one slice of the table (a layer kind, a row
+// group, forward or backward).
 
 using gemm::Epilogue;
 
@@ -453,7 +446,6 @@ constexpr Epilogue kEpilogues[] = {Epilogue::kNone,  Epilogue::kReLU,
 
 enum class Kind { kConv, kLinear, kMhsa };
 enum class Group { kGrid, kDegenerate, kPrepack, kZoo };
-enum Pass : unsigned { kForward = 1u, kBackward = 2u };
 
 struct LayerRow {
   Kind kind;
@@ -491,7 +483,8 @@ std::vector<LayerRow> contract_rows() {
   rows.push_back({Kind::kConv, Group::kPrepack, "grouped", {8, 12, 3, 2, 1, 2}, 12, 12});
   rows.push_back({Kind::kConv, Group::kPrepack, "depthwise", {8, 8, 3, 1, 1, 8}, 12, 12});
   rows.push_back({Kind::kLinear, Group::kPrepack, "linear", {}, 0, 0, 48, 33});
-  for (const auto& [in, out] : {std::pair{37, 19}, {23, 15}})
+  // 300 inputs cross a 256-deep k block with ragged row and column panels.
+  for (const auto& [in, out] : {std::pair{37, 19}, {23, 15}, {300, 19}})
     rows.push_back({Kind::kLinear, Group::kGrid, "grid", {}, 0, 0, in, out});
   rows.push_back({Kind::kMhsa, Group::kGrid, "grid", {}, 7, 0, 16, 4});
 
@@ -525,21 +518,6 @@ std::vector<LayerRow> contract_rows() {
         rows.push_back(std::move(row));
     }
   return rows;
-}
-
-void randomize(Tensor& t, std::mt19937& rng) {
-  std::normal_distribution<float> nd(0.f, 1.f);
-  for (auto& v : t.data()) v = nd(rng);
-}
-
-/// Non-trivial BN statistics, so the fused affine is not near-identity.
-void randomize_bn(BatchNorm2d& bn, std::mt19937& rng) {
-  std::normal_distribution<float> nd(0.f, 0.5f);
-  std::uniform_real_distribution<float> ud(0.5f, 2.f);
-  for (auto& v : bn.gamma.value.data()) v = 1.f + nd(rng);
-  for (auto& v : bn.beta.value.data()) v = nd(rng);
-  for (auto& v : bn.running_mean.data()) v = nd(rng);
-  for (auto& v : bn.running_var.data()) v = ud(rng);
 }
 
 /// (epilogue, BN affine) pairs a row runs: the full cross for grid rows;
@@ -576,99 +554,175 @@ bool is_depthwise(const reference::ConvGeometry& g) {
   return g.groups == g.in_ch && g.groups == g.out_ch;
 }
 
-/// The backends a conv row's forwards run under: every backend the host
-/// can execute for depthwise rows (each has its own depthwise lane block),
-/// else only the active one (the GEMM kernels are gated against scalar in
-/// the GemmBackend tests above).
-std::vector<const gemm::Backend*> forward_backends(const reference::ConvGeometry& g) {
-  if (!is_depthwise(g)) return {&gemm::active_backend()};
-  std::vector<const gemm::Backend*> out;
-  for (const gemm::Backend* be : gemm::backends())
-    if (be->supported()) out.push_back(be);
-  return out;
+/// The geometry the oracle checks a row as: a Linear is the 1x1 conv over
+/// [n, in, 1, 1] (same products in the same order, so the same bits).
+reference::ConvGeometry geometry(const LayerRow& row) {
+  return row.kind == Kind::kConv ? row.conv
+                                 : reference::ConvGeometry{row.in, row.out, 1, 1, 0, 1};
 }
 
-void check_conv_row(const LayerRow& row, std::size_t idx, unsigned passes,
-                    std::mt19937& rng) {
-  const reference::ConvGeometry& g = row.conv;
-  Conv2d conv(g.in_ch, g.out_ch, g.k, g.stride, g.pad, g.groups, rng);
-  randomize(conv.bias.value, rng);
+/// `t` in the oracle's [n, c, h, w] layout, and back in the layout of `like`.
+Tensor as_conv(const Tensor& t) {
+  return t.ndim() == 4 ? t : t.reshaped({t.dim(0), t.dim(1), 1, 1});
+}
+Tensor as_layer(const Tensor& t, const Tensor& like) {
+  return like.ndim() == 4 ? t : t.reshaped({t.dim(0), t.dim(1)});
+}
+
+/// The row's Conv2d or Linear, with a random bias; parameters() is
+/// {weight, bias}.
+ModulePtr make_layer(const LayerRow& row, std::mt19937& rng) {
+  const reference::ConvGeometry g = geometry(row);
+  ModulePtr layer;
+  if (row.kind == Kind::kConv)
+    layer = std::make_unique<Conv2d>(g.in_ch, g.out_ch, g.k, g.stride, g.pad, g.groups, rng);
+  else
+    layer = std::make_unique<Linear>(row.in, row.out, rng);
+  randomize(layer->parameters()[1]->value, rng);
+  return layer;
+}
+
+Tensor row_input(const LayerRow& row, std::mt19937& rng) {
+  return row.kind == Kind::kConv ? Tensor::randn({2, row.conv.in_ch, row.h, row.w}, rng, 1.f)
+                                 : Tensor::randn({11, row.in}, rng, 1.f);
+}
+
+Tensor layer_forward(Module& layer, const Tensor& x, Epilogue epi, const BatchNorm2d* bn) {
+  const Context ctx;
+  if (auto* conv = dynamic_cast<Conv2d*>(&layer))
+    return bn != nullptr ? conv->forward_bn_fused(x, ctx, *bn, epi) : conv->forward_fused(x, ctx, epi);
+  return dynamic_cast<Linear&>(layer).forward_fused(x, ctx, epi);
+}
+
+// A weight path and format under test.  Without a format the layer keeps
+// its FP32 weights; with one it gets installed codes (see the weight-path
+// column below).
+using gemm::QgemmMode;
+constexpr auto kPolicy = formats::ScalePolicy::kMaxToUnity;
+
+struct PathCell {
+  QgemmMode mode;
+  const char* path;    // the mode's MERSIT_QGEMM name
+  const char* format;  // nullptr: FP32 weights
+  bool own_kernel;     // the format's book has the path's table
+};
+
+constexpr PathCell kFp32[] = {{QgemmMode::kFloat, "float", nullptr, false}};
+
+/// Fake-quantizes x onto `fmt`'s grid at its own absmax and stamps the scale.
+void fake_quantize(Tensor& x, const formats::Format& fmt) {
+  const double scale = formats::scale_for_absmax(fmt, x.abs_max(), kPolicy);
+  formats::kernels::kernel_for(fmt)->fake_quantize(x.data(), scale);
+  x.set_quant_scale(scale);
+}
+
+/// The row's forwards under each cell and variant, at each pool width, on
+/// every supported backend, against the cell's expected output.
+void check_forward(const LayerRow& row, std::size_t idx, std::span<const PathCell> cells,
+                   std::initializer_list<int> widths, std::mt19937& rng) {
+  const reference::ConvGeometry g = geometry(row);
+  const bool depthwise = row.kind == Kind::kConv && is_depthwise(g);
+  const ModulePtr layer = make_layer(row, rng);
+  const float* bias = layer->parameters()[1]->value.raw();
   BatchNorm2d bn(g.out_ch);
   randomize_bn(bn, rng);
   const auto [scale, shift] = reference::bn_affine(bn);
-  const Tensor x = Tensor::randn({2, g.in_ch, row.h, row.w}, rng, 1.f);
-  const float* wt = conv.weight.value.raw();
-  const auto vs = variants(row, idx, /*has_bn=*/true);
-  std::vector<Tensor> want;
-  for (const auto& [epi, with_bn] : vs)
-    want.push_back(reference::conv_forward(x, wt, conv.bias.value.raw(), g, epi,
-                                           with_bn ? scale.data() : nullptr,
-                                           with_bn ? shift.data() : nullptr));
-  const Tensor gy = Tensor::randn(want[0].shape(), rng, 1.f);
-  const reference::Grads ref = reference::conv_backward(x, gy, wt, g);
-  for (const int width : {1, 4}) {
-    core::resize_global_pool(width);
-    SCOPED_TRACE("pool width " + std::to_string(width));
-    const Context ctx;
-    for (const gemm::Backend* be : forward_backends(g)) {
-      const BackendGuard guard(*be);
-      for (std::size_t v = 0; v < vs.size() && (passes & kForward); ++v) {
-        const auto [epi, with_bn] = vs[v];
-        const Tensor y = with_bn ? conv.forward_bn_fused(x, ctx, bn, epi)
-                                 : conv.forward_fused(x, ctx, epi);
-        EXPECT_TRUE(bitwise_equal(y, want[v]))
-            << be->name << " epi=" << static_cast<int>(epi) << " bn=" << with_bn;
+  const Tensor x0 = row_input(row, rng);
+  const auto vs = variants(row, idx, row.kind == Kind::kConv);
+  for (const PathCell& cell : cells) {
+    const std::string where = std::string("path=") + cell.path +
+                              " format=" + (cell.format != nullptr ? cell.format : "FP32");
+    SCOPED_TRACE(where);
+    const auto fmt = cell.format != nullptr ? core::make_format(cell.format) : nullptr;
+    Tensor x = x0;
+    const std::span<float> live = layer->parameters()[0]->value.data();
+    std::vector<float> w(live.begin(), live.end());
+    std::shared_ptr<const WeightCodes> wc;
+    if (fmt != nullptr) {
+      ptq::install_weight_codes(*layer, *fmt, kPolicy);
+      wc = dynamic_cast<ChannelWeights&>(*layer).weight_codes();
+      ASSERT_TRUE(!cell.own_kernel || (cell.mode == QgemmMode::kInt8
+                                           ? wc->book->affine != nullptr
+                                           : wc->book->kulisch != nullptr))
+          << where << ": the book lacks the path's table";
+      fake_quantize(x, *fmt);
+      w = reference::decoded_weights(*wc);
+    }
+    const Tensor xc = as_conv(x);
+    std::vector<Tensor> want;
+    for (const auto& [epi, with_bn] : vs) {
+      const float* s = with_bn ? scale.data() : nullptr;
+      const float* t = with_bn ? shift.data() : nullptr;
+      Tensor y = reference::conv_forward(xc, w.data(), bias, g, epi, s, t);
+      if (cell.own_kernel && !depthwise && !(cell.mode == QgemmMode::kKulisch && with_bn)) {
+        const double xs = x.quant_scale();
+        const auto encode = [&](double v) { return fmt->encode(v); };
+        const Tensor k = cell.mode == QgemmMode::kInt8
+                             ? reference::int8_forward(xc, xs, *wc, bias, g, epi, s, t)
+                             : reference::kulisch_forward(xc, xs, *wc, bias, g, epi, encode);
+        for (std::int64_t i = 0; i < y.numel(); ++i)
+          EXPECT_NEAR(k[i], y[i], 1e-4f * (1.f + std::fabs(y[i])))
+              << where << " epi=" << static_cast<int>(epi) << " bn=" << with_bn
+              << ": kernel vs code at " << i;
+        y = k;
+      }
+      want.push_back(as_layer(y, x));
+    }
+    const ModeGuard mode(cell.mode);
+    for (const int width : widths) {
+      const PoolWidthGuard pool(width);
+      for (const gemm::Backend* be : reference::supported_backends()) {
+        const BackendGuard guard(*be);
+        for (std::size_t v = 0; v < vs.size(); ++v) {
+          const auto [epi, with_bn] = vs[v];
+          EXPECT_TRUE(bitwise_equal(layer_forward(*layer, x, epi, with_bn ? &bn : nullptr), want[v]))
+              << where << " backend=" << be->name << " width=" << width
+              << " epi=" << static_cast<int>(epi) << " bn=" << with_bn;
+        }
       }
     }
-    if (!(passes & kBackward)) continue;
-    const Context train{/*train=*/true};
-    (void)conv.forward(x, train);
-    conv.zero_grad();
-    const Tensor dx = conv.backward(gy);
-    EXPECT_TRUE(bitwise_equal(conv.weight.grad, ref.dw));
-    EXPECT_TRUE(bitwise_equal(conv.bias.grad, ref.db));
-    EXPECT_LE(max_abs_diff(dx.data(), ref.dx.data()),
-              1e-4f * std::max(1.f, ref.dx.abs_max()));
   }
 }
 
-void check_linear_row(const LayerRow& row, std::size_t idx, unsigned passes,
-                      std::mt19937& rng) {
-  Linear lin(row.in, row.out, rng);
-  randomize(lin.bias.value, rng);
-  const Tensor x = Tensor::randn({11, row.in}, rng, 1.f);
-  const float* wt = lin.weight.value.raw();
-  const auto vs = variants(row, idx, /*has_bn=*/false);
-  std::vector<Tensor> want;
-  for (const auto& [epi, with_bn] : vs)
-    want.push_back(reference::linear_forward(x, wt, lin.bias.value.raw(), row.out, epi));
-  const Tensor gy = Tensor::randn(want[0].shape(), rng, 1.f);
-  const reference::Grads ref = reference::linear_backward(x, gy, wt, row.out);
+/// The FP32 forwards at pool widths 1 and 4; the second width reads the
+/// packs the first one cached.
+void check_fp32_forward(const LayerRow& row, std::size_t idx, std::mt19937& rng) {
+  check_forward(row, idx, kFp32, {1, 4}, rng);
+}
+
+/// dW/db bitwise at pool widths 1 and 4; dx bitwise for Linear and within
+/// 1e-4 relative for Conv2d (col2im regroups the sums).
+void check_backward(const LayerRow& row, std::size_t /*idx*/, std::mt19937& rng) {
+  const ModulePtr layer = make_layer(row, rng);
+  const Param& weight = *layer->parameters()[0];
+  const Param& bias = *layer->parameters()[1];
+  const Tensor x = row_input(row, rng);
+  const Tensor gy = Tensor::randn(layer->forward(x, Context{}).shape(), rng, 1.f);
+  const reference::Grads ref =
+      reference::conv_backward(as_conv(x), as_conv(gy), weight.value.raw(), geometry(row));
   for (const int width : {1, 4}) {
-    core::resize_global_pool(width);
+    const PoolWidthGuard pool(width);
     SCOPED_TRACE("pool width " + std::to_string(width));
-    const Context ctx;
-    for (std::size_t v = 0; v < vs.size() && (passes & kForward); ++v)
-      EXPECT_TRUE(bitwise_equal(lin.forward_fused(x, ctx, vs[v].first), want[v]))
-          << "epi=" << static_cast<int>(vs[v].first);
-    if (!(passes & kBackward)) continue;
-    const Context train{/*train=*/true};
-    (void)lin.forward(x, train);
-    lin.zero_grad();
-    EXPECT_TRUE(bitwise_equal(lin.backward(gy), ref.dx));
-    EXPECT_TRUE(bitwise_equal(lin.weight.grad, ref.dw));
-    EXPECT_TRUE(bitwise_equal(lin.bias.grad, ref.db));
+    (void)layer->forward(x, Context{/*train=*/true});
+    layer->zero_grad();
+    const Tensor dx = layer->backward(gy);
+    EXPECT_TRUE(bitwise_equal(weight.grad.data(), ref.dw.data()));
+    EXPECT_TRUE(bitwise_equal(bias.grad.data(), ref.db.data()));
+    if (row.kind == Kind::kConv)
+      EXPECT_LE(max_abs_diff(dx.data(), ref.dx.data()), 1e-4f * std::max(1.f, ref.dx.abs_max()));
+    else
+      EXPECT_TRUE(bitwise_equal(dx.data(), ref.dx.data()));
   }
 }
 
-void check_mhsa_row(const LayerRow& row, std::mt19937& rng) {
+void check_mhsa_row(const LayerRow& row, std::size_t /*idx*/, std::mt19937& rng) {
   MultiHeadSelfAttention attn(row.in, row.out, rng);
   for (Param* p : attn.parameters())
     if (p->value.ndim() == 1) randomize(p->value, rng);  // the four biases
   const Tensor x = Tensor::randn({3, row.h, row.in}, rng, 1.f);
   const Tensor want = reference::mhsa_forward(attn, x);
   for (const int width : {1, 4}) {
-    core::resize_global_pool(width);
+    const PoolWidthGuard pool(width);
     EXPECT_TRUE(bitwise_equal(attn.forward(x, Context{}), want))
         << "pool width " << width;
   }
@@ -677,13 +731,13 @@ void check_mhsa_row(const LayerRow& row, std::mt19937& rng) {
 constexpr std::initializer_list<Group> kAllGroups = {Group::kGrid, Group::kDegenerate,
                                                      Group::kPrepack, Group::kZoo};
 
-/// Checks the rows of `kind` in `groups` for `passes`.  MHSA rows check the
-/// forward only.
-void check_rows(Kind kind, std::initializer_list<Group> groups, unsigned passes) {
-  ASSERT_TRUE(kEnvReady);
+/// Calls check(row, index, rng) on each row of `kind` in `groups`, under a
+/// trace naming the row.
+template <typename Check>
+void for_each_row(Kind kind, std::initializer_list<Group> groups, Check&& check) {
+  ASSERT_TRUE(reference::kEnvReady);
   static const std::vector<LayerRow> rows = contract_rows();
   std::mt19937 rng(23);
-  const int prev_width = core::global_pool().size();
   int checked = 0;
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const LayerRow& row = rows[i];
@@ -691,39 +745,33 @@ void check_rows(Kind kind, std::initializer_list<Group> groups, unsigned passes)
       continue;
     SCOPED_TRACE(describe(row));
     ++checked;
-    switch (row.kind) {
-      case Kind::kConv: check_conv_row(row, i, passes, rng); break;
-      case Kind::kLinear: check_linear_row(row, i, passes, rng); break;
-      case Kind::kMhsa: check_mhsa_row(row, rng); break;
-    }
+    check(row, i, rng);
   }
-  core::resize_global_pool(prev_width);
   EXPECT_GT(checked, 0);
 }
 
 TEST(GemmConv, ForwardMatchesNaiveBitwiseAcrossGeometries) {
-  check_rows(Kind::kConv, {Group::kGrid, Group::kZoo}, kForward);
+  for_each_row(Kind::kConv, {Group::kGrid, Group::kZoo}, check_fp32_forward);
 }
 
 TEST(GemmConv, ForwardMatchesNaiveOnDegenerateSpatialShapes) {
-  check_rows(Kind::kConv, {Group::kDegenerate}, kForward);
+  for_each_row(Kind::kConv, {Group::kDegenerate}, check_fp32_forward);
 }
 
-// dW/db bitwise; dx within 1e-4 relative (col2im regroups the sums).
 TEST(GemmConv, BackwardMatchesNaiveWithinTolerance) {
-  check_rows(Kind::kConv, kAllGroups, kBackward);
+  for_each_row(Kind::kConv, kAllGroups, check_backward);
 }
 
 TEST(GemmLinear, ForwardMatchesNaiveBitwise) {
-  check_rows(Kind::kLinear, kAllGroups, kForward);
+  for_each_row(Kind::kLinear, kAllGroups, check_fp32_forward);
 }
 
 TEST(GemmLinear, BackwardMatchesNaiveBitwise) {
-  check_rows(Kind::kLinear, kAllGroups, kBackward);
+  for_each_row(Kind::kLinear, kAllGroups, check_backward);
 }
 
 TEST(GemmAttention, MhsaForwardMatchesNaiveBitwise) {
-  check_rows(Kind::kMhsa, kAllGroups, kForward);
+  for_each_row(Kind::kMhsa, kAllGroups, check_mhsa_row);
 }
 
 // Depthwise special values, on every backend: ±0, ±Inf and NaN in the
@@ -736,7 +784,7 @@ TEST(GemmAttention, MhsaForwardMatchesNaiveBitwise) {
 // never hinge on which NaN operand an add propagates (IEEE leaves that
 // open, and compilers may commute the operands).
 TEST(GemmConv, DepthwiseSpecialValuesMatchNaiveBitwisePerBackend) {
-  ASSERT_TRUE(kEnvReady);
+  ASSERT_TRUE(reference::kEnvReady);
   constexpr int kC = 17, kH = 6, kW = 7;
   std::mt19937 rng(31);
   Conv2d conv(kC, kC, 3, 1, 1, kC, rng);
@@ -776,9 +824,8 @@ TEST(GemmConv, DepthwiseSpecialValuesMatchNaiveBitwisePerBackend) {
   conv.weight.value.at(3, 0, 2, 2) = -inf;
   conv.weight.value.at(kC - 1, 0, 0, 2) = inf;
   const reference::ConvGeometry g = reference::geometry_of(conv);
-  const int prev_width = core::global_pool().size();
   for (const int width : {1, 4}) {
-    core::resize_global_pool(width);
+    const PoolWidthGuard pool(width);
     SCOPED_TRACE("pool width " + std::to_string(width));
     const Context ctx;
     for (const Epilogue epi : kEpilogues)
@@ -786,7 +833,7 @@ TEST(GemmConv, DepthwiseSpecialValuesMatchNaiveBitwisePerBackend) {
         const Tensor want = reference::conv_forward(
             x, conv.weight.value.raw(), conv.bias.value.raw(), g, epi,
             with_bn ? scale.data() : nullptr, with_bn ? shift.data() : nullptr);
-        for (const gemm::Backend* be : forward_backends(g)) {
+        for (const gemm::Backend* be : reference::supported_backends()) {
           const BackendGuard guard(*be);
           const Tensor y = with_bn ? conv.forward_bn_fused(x, ctx, bn, epi)
                                    : conv.forward_fused(x, ctx, epi);
@@ -795,7 +842,6 @@ TEST(GemmConv, DepthwiseSpecialValuesMatchNaiveBitwisePerBackend) {
         }
       }
   }
-  core::resize_global_pool(prev_width);
 }
 
 // GlobalAvgPool and SEBlock run over contiguous channel planes; both must
@@ -803,7 +849,7 @@ TEST(GemmConv, DepthwiseSpecialValuesMatchNaiveBitwisePerBackend) {
 // (channels, reduced) geometry of the vision zoo, in inference mode and
 // under a pass-through quant session, on a square and a ragged plane.
 TEST(LayerSE, ForwardMatchesNaiveBitwiseForEveryZooGeometry) {
-  ASSERT_TRUE(kEnvReady);
+  ASSERT_TRUE(reference::kEnvReady);
   std::mt19937 rng(41);
   std::set<std::pair<int, int>> geoms;
   for (NamedModel& entry : make_vision_zoo(3, 10, 101, 12))
@@ -816,7 +862,6 @@ TEST(LayerSE, ForwardMatchesNaiveBitwiseForEveryZooGeometry) {
       }
   ASSERT_FALSE(geoms.empty());
   reference::PassThroughSession pass;
-  const int prev_width = core::global_pool().size();
   for (const auto& [channels, reduced] : geoms) {
     SEBlock se(channels, reduced, rng);
     for (Param* p : se.parameters())
@@ -825,7 +870,7 @@ TEST(LayerSE, ForwardMatchesNaiveBitwiseForEveryZooGeometry) {
       const Tensor x = Tensor::randn({3, channels, h, w}, rng, 1.f);
       const Tensor want = reference::se_forward(se, x);
       for (const int width : {1, 4}) {
-        core::resize_global_pool(width);
+        const PoolWidthGuard pool(width);
         SCOPED_TRACE("SE " + std::to_string(channels) + "/" + std::to_string(reduced) +
                      " plane " + std::to_string(h) + "x" + std::to_string(w) +
                      " pool width " + std::to_string(width));
@@ -834,70 +879,299 @@ TEST(LayerSE, ForwardMatchesNaiveBitwiseForEveryZooGeometry) {
       }
     }
   }
-  core::resize_global_pool(prev_width);
 }
 
 TEST(LayerGlobalAvgPool, ForwardMatchesNaiveBitwise) {
-  ASSERT_TRUE(kEnvReady);
+  ASSERT_TRUE(reference::kEnvReady);
   std::mt19937 rng(43);
   reference::PassThroughSession pass;
   GlobalAvgPool pool;
-  const int prev_width = core::global_pool().size();
   for (const auto& [c, h, w] : {std::tuple{16, 7, 7}, {33, 5, 3}, {8, 1, 1}, {3, 19, 23}}) {
     const Tensor x = Tensor::randn({3, c, h, w}, rng, 1.f);
     const Tensor want = reference::global_avg_pool(x);
     for (const int width : {1, 4}) {
-      core::resize_global_pool(width);
+      const PoolWidthGuard guard(width);
       EXPECT_TRUE(bitwise_equal(pool.forward(x, Context{}), want)) << c << " " << h << "x" << w;
       EXPECT_TRUE(bitwise_equal(pool.run(x, Context{false, &pass}), want))
           << c << " " << h << "x" << w;
     }
   }
-  core::resize_global_pool(prev_width);
 }
 
 // The conv cases where packing differs (plain, unit, grouped, depthwise)
 // and a Linear, each forward cold then warm from the pack cache.
 TEST(LayerPrepack, ConvAndLinearForwardsBitwiseAcrossPrepackModes) {
-  check_rows(Kind::kConv, {Group::kPrepack}, kForward);
-  check_rows(Kind::kLinear, {Group::kPrepack}, kForward);
+  for_each_row(Kind::kConv, {Group::kPrepack}, check_fp32_forward);
+  for_each_row(Kind::kLinear, {Group::kPrepack}, check_fp32_forward);
 }
 
-// ---------------------------------------------------------- model contract --
+// ------------------------------------------------------- weight-path column --
+//
+// The conv and Linear rows again, now with installed weight codes, under
+// each (path, format) cell below.  Inputs are fake-quantized onto the
+// format's grid with a stamped scale, as the PTQ session leaves them.  A
+// cell must equal its path's direct reference (reference.h) where the path
+// runs its own kernel, and the code path's oracle over the decoded weights
+// where the layer falls back:
+//   code    x MERSIT(8,2), FP(8,4), Posit(8,1), INT8: every row and variant;
+//   int8    x INT8: non-depthwise rows (all within kInt8MaxK); MERSIT(8,2)
+//             has no affine book, so it is the fallback cell;
+//   kulisch x MERSIT(8,2), FP(8,4), Posit(8,1): non-depthwise rows without
+//             BN.
+// A kernel that runs must also stay within 1e-4·(1+|y|) of the code path
+// (K float roundings apart at most).  Every cell runs on every supported
+// backend; the pool width is the test parameter.
 
-// The default inference forward — prepacked weights, BN and activations
-// fused into the GEMM write-back — is bitwise equal to the same model run
-// module by module under a pass-through quant session (no fusions).  With
-// the layer contract above, every zoo model's fused forward thus equals the
-// naive loops end to end.  Covers every vision-zoo model plus BERT-mini at
-// pool widths 1 and 4.
-TEST(GemmZoo, DefaultForwardBitwiseMatchesUnfusedModulePasses) {
-  constexpr int kBatch = 2, kImg = 12, kSeq = 8, kVocab = 50;
-  std::mt19937 rng(101);
-  std::vector<NamedModel> zoo = make_vision_zoo(3, 10, 101, kImg);
-  zoo.push_back({"BERT-mini",
-                 make_bert_mini(kVocab, kSeq + 2, 32, 4, 2, 64, 4, rng)});
-  for (NamedModel& entry : zoo)
-    for (Module* m : entry.model->modules())
-      if (auto* bn = dynamic_cast<BatchNorm2d*>(m)) randomize_bn(*bn, rng);
-  const Tensor image = Tensor::randn({kBatch, 3, kImg, kImg}, rng, 1.f);
-  Tensor tokens({kBatch, kSeq});
-  std::uniform_int_distribution<int> tok(0, kVocab - 1);
-  for (auto& t : tokens.data()) t = static_cast<float>(tok(rng));
+constexpr PathCell kPathCells[] = {
+    {QgemmMode::kCode, "code", "MERSIT(8,2)", false},
+    {QgemmMode::kCode, "code", "FP(8,4)", false},
+    {QgemmMode::kCode, "code", "Posit(8,1)", false},
+    {QgemmMode::kCode, "code", "INT8", false},
+    {QgemmMode::kInt8, "int8", "INT8", true},
+    {QgemmMode::kInt8, "int8", "MERSIT(8,2)", false},
+    {QgemmMode::kKulisch, "kulisch", "MERSIT(8,2)", true},
+    {QgemmMode::kKulisch, "kulisch", "FP(8,4)", true},
+    {QgemmMode::kKulisch, "kulisch", "Posit(8,1)", true}};
 
-  const int prev_width = core::global_pool().size();
-  const Context ctx;
-  for (const int width : {1, 4}) {
-    core::resize_global_pool(width);
-    for (NamedModel& entry : zoo) {
-      const Tensor& x = entry.name == "BERT-mini" ? tokens : image;
-      const Tensor unfused = reference::unfused_forward(*entry.model, x);
-      const Tensor fused = entry.model->forward(x, ctx);
-      EXPECT_TRUE(bitwise_equal(fused, unfused))
-          << entry.name << " at pool width " << width;
-    }
+class LayerPath : public ::testing::TestWithParam<int> {  // pool width
+ protected:
+  void check(Kind kind) {
+    for_each_row(kind, kAllGroups, [&](const LayerRow& row, std::size_t i, std::mt19937& rng) {
+      check_forward(row, i, kPathCells, {GetParam()}, rng);
+    });
   }
-  core::resize_global_pool(prev_width);
+};
+
+TEST_P(LayerPath, ConvCellsMatchTheirPathReference) { check(Kind::kConv); }
+
+TEST_P(LayerPath, LinearCellsMatchTheirPathReference) { check(Kind::kLinear); }
+
+INSTANTIATE_TEST_SUITE_P(Gemm, LayerPath, ::testing::Values(1, 4),
+                         [](const ::testing::TestParamInfo<int>& info) {
+                           return "width" + std::to_string(info.param);
+                         });
+
+// ------------------------------------------------------------ model table --
+//
+// Every zoo model (the eight vision rows and BERT-mini) with randomized BN
+// statistics, BN folded (as perfbench, table2_ptq_accuracy and
+// bench_serving deploy it) and unfolded.  Each weight path runs under a
+// FakeQuantizer calibrated on the model's own input batch (input
+// quantization for images); float runs without one:
+//   float   the fused default equals the module-by-module forward;
+//   code    x 4 formats: bitwise equal to the FP32 forward over
+//           quantize_weights_per_channel weights in float mode; the FP32
+//           Params stay untouched, and clearing the codes restores FP32;
+//   int8    x INT8: within 2e-3·(1+|code|) of code (one logit grid step on
+//           the grid-flip cells below), tie-aware top-1 unchanged;
+//   kulisch x 3 formats: no bound against code (the layer column gates its
+//           numerics).
+// Each path must be bitwise invariant across every supported backend at
+// pool widths 1 and 4, and across widths 2 and 13 on the detected backend.
+// int8 and code logits mostly agree bitwise (each quant point snaps the
+// accumulation noise back to the grid): only the layer column can tell
+// that the integer path ran.
+
+constexpr int kModelBatch = 4, kImg = 12, kSeq = 8, kVocab = 50;
+constexpr const char* kCodeFormats[] = {"MERSIT(8,2)", "FP(8,4)", "Posit(8,1)", "INT8"};
+constexpr const char* kKulischFormats[] = {"MERSIT(8,2)", "FP(8,4)", "Posit(8,1)"};
+
+/// int8 logits stay within kInt8Tol·(1+|code|) of code, except on the
+/// grid-flip cells: there exact int32 and FP32 accumulation straddle a
+/// fake-quant rounding boundary, one activation flips by a whole grid step,
+/// and the logits it reaches land one step of the output quant point away.
+/// Those are bounded by that step instead.  ResNet101-mini with BN
+/// unfolded moves 5 of 40 logits by exactly one step (0.448, logit absmax
+/// 56.9; 0.309 relative, above even kInt8RelTol = 0.15), and the exact
+/// Kulisch path moves the same logits the same way.
+constexpr float kInt8Tol = 2e-3f;
+const std::set<std::pair<std::string, bool>> kGridFlipCells = {
+    {"ResNet101-mini", false}};  // (model, BN folded)
+
+/// A model set up as the PTQ paths run it.
+struct Deployed {
+  std::string name;
+  bool folded = false;
+  ModulePtr model;
+  Tensor x;
+  ptq::CalibrationTable table;
+
+  /// m's forward of x under a FakeQuantizer for `fmt` (the replica path).
+  Tensor quant_forward(Module& m, const formats::Format& fmt) const {
+    ptq::FakeQuantizer fq(table, fmt, kPolicy);
+    fq.set_input_quantization(x.ndim() == 4);
+    Tensor in = x;
+    fq.on_input(in);
+    return m.run(in, Context{/*train=*/false, &fq});
+  }
+  [[nodiscard]] std::string cell(const char* path, const char* format) const {
+    return name + (folded ? " BN folded" : " BN unfolded") + " path=" + path +
+           " format=" + format;
+  }
+};
+
+Deployed deploy(const std::string& name, bool folded, int batch) {
+  std::mt19937 rng(101);
+  Deployed d{name, folded, nullptr, {}, {}};
+  if (name == "BERT-mini") {
+    d.model = make_bert_mini(kVocab, kSeq + 2, 32, 4, 2, 64, 4, rng);
+    d.x = Tensor({batch, kSeq});
+    std::uniform_int_distribution<int> tok(0, kVocab - 1);
+    for (auto& t : d.x.data()) t = static_cast<float>(tok(rng));
+  } else {
+    for (NamedModel& entry : make_vision_zoo(3, 10, 101, kImg))
+      if (entry.name == name) d.model = std::move(entry.model);
+    d.x = Tensor::randn({batch, 3, kImg, kImg}, rng, 1.f);
+  }
+  for (Module* m : d.model->modules())
+    if (auto* bn = dynamic_cast<BatchNorm2d*>(m)) randomize_bn(*bn, rng);
+  if (folded) fold_all_batchnorms(*d.model);
+  d.table = ptq::calibrate_model(*d.model, Dataset{d.x, std::vector<int>(batch, 0), 10},
+                                 /*observe_input=*/d.x.ndim() == 4);
+  return d;
+}
+
+using Configs = std::vector<std::pair<const gemm::Backend*, int>>;  // (backend, width)
+
+Configs matrix_configs() {
+  Configs out;
+  for (const gemm::Backend* be : reference::supported_backends())
+    for (const int width : {1, 4}) out.emplace_back(be, width);
+  for (const int width : {2, 13}) out.emplace_back(&gemm::active_backend(), width);
+  return out;
+}
+
+/// Runs forward() under each configuration and expects every output
+/// bitwise equal to *want, or to the first configuration's output when
+/// `want` is null.  Returns that output.
+template <typename Forward>
+Tensor expect_invariant(const std::string& cell, const Configs& configs, Forward&& forward,
+                        const Tensor* want = nullptr) {
+  std::optional<Tensor> base;
+  if (want != nullptr) base = *want;
+  for (const auto& [be, width] : configs) {
+    const BackendGuard guard(*be);
+    const PoolWidthGuard pool(width);
+    Tensor y = forward();
+    if (!base) base = std::move(y);
+    else
+      EXPECT_TRUE(bitwise_equal(y, *base)) << cell << " backend=" << be->name << " width=" << width;
+  }
+  return *base;
+}
+
+void check_code_cell(const Deployed& d, const char* format, const Configs& configs) {
+  const std::string cell = d.cell("code", format);
+  const auto fmt = core::make_format(format);
+  const ModulePtr ref_model = d.model->clone();
+  ptq::quantize_weights_per_channel(*ref_model, *fmt, kPolicy);
+  Tensor want;
+  {
+    const ModeGuard mode(QgemmMode::kFloat);
+    want = d.quant_forward(*ref_model, *fmt);
+  }
+  const ModulePtr model = d.model->clone();
+  const ptq::WeightSnapshot before = ptq::snapshot_weights(*model);
+  ptq::install_weight_codes(*model, *fmt, kPolicy);
+  const ModeGuard mode(QgemmMode::kCode);
+  expect_invariant(cell, configs, [&] { return d.quant_forward(*model, *fmt); }, &want);
+  const ptq::WeightSnapshot after = ptq::snapshot_weights(*model);
+  for (std::size_t i = 0; i < before.values.size(); ++i)
+    EXPECT_TRUE(bitwise_equal(before.values[i], after.values[i])) << cell << ": Param " << i;
+  ptq::clear_weight_codes(*model);
+  EXPECT_TRUE(bitwise_equal(d.quant_forward(*model, *fmt), d.quant_forward(*d.model, *fmt)))
+      << cell << ": codes cleared";
+}
+
+/// Each row's reference top-1 class attains the row maximum of `got`:
+/// fake-quantized logits can tie exactly, and argmax then picks by index.
+bool top1_kept(const Tensor& got, const Tensor& ref) {
+  const int classes = ref.dim(1);
+  for (int r = 0; r < ref.dim(0); ++r) {
+    const float* g = got.raw() + static_cast<std::size_t>(r) * classes;
+    const float* e = ref.raw() + static_cast<std::size_t>(r) * classes;
+    if (g[std::max_element(e, e + classes) - e] != *std::max_element(g, g + classes))
+      return false;
+  }
+  return true;
+}
+
+void check_int8_cell(const Deployed& d, const Configs& configs) {
+  const std::string cell = d.cell("int8", "INT8");
+  const auto fmt = core::make_format("INT8");
+  const ModulePtr model = d.model->clone();
+  ptq::install_weight_codes(*model, *fmt, kPolicy);
+  Tensor code;
+  {
+    const ModeGuard mode(QgemmMode::kCode);
+    code = d.quant_forward(*model, *fmt);
+  }
+  const ModeGuard mode(QgemmMode::kInt8);
+  const Tensor y = expect_invariant(cell, configs, [&] { return d.quant_forward(*model, *fmt); });
+  const bool flips = kGridFlipCells.count({d.name, d.folded}) != 0;
+  // One grid step of the output quant point: the affine pitch at its scale.
+  const double step =
+      ptq::make_code_book(*fmt, formats::CorruptionPolicy::kPropagate)->affine->scale *
+      code.quant_scale();
+  for (std::int64_t i = 0; i < y.numel(); ++i) {
+    const double bound = flips ? step * (1.0 + 1e-5) : kInt8Tol * (1.f + std::fabs(code[i]));
+    EXPECT_LE(std::fabs(y[i] - code[i]), bound) << cell << ": logit " << i;
+  }
+  EXPECT_TRUE(top1_kept(y, code)) << cell << ": top-1 changed";
+}
+
+std::vector<std::string> zoo_names() {
+  std::vector<std::string> names;
+  for (const NamedModel& entry : make_vision_zoo(3, 10, 101, kImg)) names.push_back(entry.name);
+  names.push_back("BERT-mini");
+  return names;
+}
+
+class ModelPath : public ::testing::TestWithParam<std::tuple<std::string, bool>> {
+ protected:  // (model, BN folded)
+  const Deployed d = deploy(std::get<0>(GetParam()), std::get<1>(GetParam()), kModelBatch);
+};
+
+TEST_P(ModelPath, FloatFusedDefaultMatchesModulePasses) {
+  const Tensor want = reference::unfused_forward(*d.model, d.x);
+  expect_invariant(d.cell("float", "FP32"), matrix_configs(),
+                   [&] { return d.model->forward(d.x, Context{}); }, &want);
+}
+
+TEST_P(ModelPath, CodeEqualsFp32OverFakeQuantizedWeights) {
+  for (const char* format : kCodeFormats) check_code_cell(d, format, matrix_configs());
+}
+
+TEST_P(ModelPath, Int8WithinToleranceOfCodeAndTop1Kept) { check_int8_cell(d, matrix_configs()); }
+
+TEST_P(ModelPath, KulischInvariantAcrossBackendsAndWidths) {
+  for (const char* format : kKulischFormats) {
+    const auto fmt = core::make_format(format);
+    const ModulePtr model = d.model->clone();
+    ptq::install_weight_codes(*model, *fmt, kPolicy);
+    const ModeGuard mode(QgemmMode::kKulisch);
+    expect_invariant(d.cell("kulisch", format), matrix_configs(),
+                     [&] { return d.quant_forward(*model, *fmt); });
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Gemm, ModelPath, ::testing::Combine(::testing::ValuesIn(zoo_names()), ::testing::Bool()),
+    [](const ::testing::TestParamInfo<std::tuple<std::string, bool>>& info) {
+      std::string id = std::get<0>(info.param) + (std::get<1>(info.param) ? "_folded" : "");
+      std::replace(id.begin(), id.end(), '-', '_');
+      return id;
+    });
+
+// The benchmark's own cells (BENCHMARK.json): trunk-mersit and mobile-int8
+// at their batch and pool width, BN folded, on the detected backend.
+TEST(GemmBenchCell, TrunkMersitResNet18CodeBatch32Width2) {
+  check_code_cell(deploy("ResNet18-mini", true, 32), "MERSIT(8,2)",
+                  {{&gemm::active_backend(), 2}});
+}
+
+TEST(GemmBenchCell, MobileInt8MobileNetV3Int8Batch32Width1) {
+  check_int8_cell(deploy("MobileNet_v3-mini", true, 32), {{&gemm::active_backend(), 1}});
 }
 }  // namespace
 }  // namespace mersit::nn

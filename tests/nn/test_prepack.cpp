@@ -11,8 +11,6 @@
 
 #include <atomic>
 #include <cmath>
-#include <cstdint>
-#include <cstdlib>
 #include <limits>
 #include <memory>
 #include <random>
@@ -35,42 +33,10 @@
 namespace mersit::nn {
 namespace {
 
-// Give the global pool real fan-out even on single-core CI (respects an
-// explicit MERSIT_THREADS from the environment).
-const bool kEnvReady = [] {
-  setenv("MERSIT_THREADS", "4", /*overwrite=*/0);
-  return true;
-}();
-
 using reference::bitwise_equal;
+using reference::random_vec;
+using reference::randomize_bn;
 using reference::unfused_forward;
-
-std::vector<float> random_vec(std::size_t n, std::mt19937& rng) {
-  std::normal_distribution<float> dist(0.f, 1.f);
-  std::vector<float> v(n);
-  for (auto& x : v) x = dist(rng);
-  return v;
-}
-
-Tensor random_tensor(std::vector<int> shape, std::mt19937& rng) {
-  Tensor t(std::move(shape));
-  std::normal_distribution<float> dist(0.f, 1.f);
-  for (auto& x : t.data()) x = dist(rng);
-  return t;
-}
-
-/// Give a BN non-trivial inference behaviour: randomized affine parameters
-/// and running statistics (variance kept well positive).
-void randomize_bn(BatchNorm2d& bn, std::mt19937& rng) {
-  std::normal_distribution<float> nd(0.f, 0.7f);
-  std::uniform_real_distribution<float> ud(0.4f, 2.5f);
-  for (auto& v : bn.gamma.value.data()) v = 1.f + 0.3f * nd(rng);
-  for (auto& v : bn.beta.value.data()) v = nd(rng);
-  for (auto& v : bn.running_mean.data()) v = nd(rng);
-  for (auto& v : bn.running_var.data()) v = ud(rng);
-  bn.gamma.bump_version();
-  bn.beta.bump_version();
-}
 
 Tensor eval_forward(Module& m, const Tensor& x) {
   const Context ctx{};
@@ -87,7 +53,7 @@ Tensor oracle_forward(const Conv2d& conv, const Tensor& x) {
 // ------------------------------------------------------------- the kernel --
 
 TEST(PrepackKernel, PackedOperandsBitwiseMatchPerCallPacking) {
-  ASSERT_TRUE(kEnvReady);
+  ASSERT_TRUE(reference::kEnvReady);
   std::mt19937 rng(11);
   // Small shapes take the direct path (which ignores the packs); the larger
   // ones cross the blocking thresholds (kMC=120 rows, kNC=1024 columns) so
@@ -293,7 +259,7 @@ TEST(LayerPrepack, SequentialBnActFusionBitwiseMatchesModulePasses) {
     seq->add(std::string(l.prefix) + "_bn", std::move(bn));
     seq->add(std::string(l.prefix) + "_act", std::make_unique<Activation>(l.a));
   }
-  const Tensor x = random_tensor({2, 3, 10, 10}, rng);
+  const Tensor x = Tensor::randn({2, 3, 10, 10}, rng, 1.f);
   const Tensor y_ref = unfused_forward(*seq, x);
   const Tensor y_fused = eval_forward(*seq, x);
   const Tensor y_warm = eval_forward(*seq, x);
@@ -304,7 +270,7 @@ TEST(LayerPrepack, SequentialBnActFusionBitwiseMatchesModulePasses) {
 TEST(LayerPrepack, BnFusedForwardRejectsFoldedAndMismatchedBn) {
   std::mt19937 rng(24);
   Conv2d conv(3, 8, 3, 1, 1, 1, rng);
-  const Tensor x = random_tensor({1, 3, 8, 8}, rng);
+  const Tensor x = Tensor::randn({1, 3, 8, 8}, rng, 1.f);
   const Context ctx{};
   BatchNorm2d mismatched(4);
   EXPECT_THROW(conv.forward_bn_fused(x, ctx, mismatched, gemm::Epilogue::kNone),
@@ -318,7 +284,7 @@ TEST(LayerPrepack, BnFusedForwardRejectsFoldedAndMismatchedBn) {
 TEST(LayerPrepack, QuantizeAndRestoreInvalidateStalePacks) {
   std::mt19937 rng(25);
   Conv2d conv(3, 16, 3, 1, 1, 1, rng);
-  const Tensor x = random_tensor({2, 3, 12, 12}, rng);
+  const Tensor x = Tensor::randn({2, 3, 12, 12}, rng, 1.f);
   const Tensor y0 = eval_forward(conv, x);  // warms the pack cache
   EXPECT_TRUE(bitwise_equal(y0.data(), oracle_forward(conv, x).data()));
 
@@ -340,7 +306,7 @@ TEST(LayerPrepack, QuantizeAndRestoreInvalidateStalePacks) {
 TEST(LayerPrepack, OptimizerStepInvalidatesStalePacks) {
   std::mt19937 rng(26);
   Conv2d conv(3, 12, 3, 1, 1, 1, rng);
-  const Tensor x = random_tensor({2, 3, 12, 12}, rng);
+  const Tensor x = Tensor::randn({2, 3, 12, 12}, rng, 1.f);
   const Tensor y0 = eval_forward(conv, x);  // warms the pack cache
 
   const Context train_ctx{/*train=*/true};
@@ -357,7 +323,7 @@ TEST(LayerPrepack, OptimizerStepInvalidatesStalePacks) {
 TEST(LayerPrepack, CloneDoesNotSharePacksWithItsSource) {
   std::mt19937 rng(27);
   Conv2d conv(3, 12, 3, 1, 1, 1, rng);
-  const Tensor x = random_tensor({2, 3, 12, 12}, rng);
+  const Tensor x = Tensor::randn({2, 3, 12, 12}, rng, 1.f);
   const Tensor y0 = eval_forward(conv, x);  // parent cache is warm
 
   const ModulePtr copy = conv.clone();
@@ -390,7 +356,7 @@ template <typename Layer>
 void run_code_swap_race(Layer& layer, const Tensor& x,
                         const std::shared_ptr<const WeightCodes>& a,
                         const std::shared_ptr<const WeightCodes>& b) {
-  const gemm::QgemmMode prev = gemm::set_qgemm_mode(gemm::QgemmMode::kCode);
+  const reference::ModeGuard mode(gemm::QgemmMode::kCode);
   const Context ctx{};
   layer.set_weight_codes(a);
   const Tensor ya = layer.forward(x, ctx);
@@ -422,7 +388,6 @@ void run_code_swap_race(Layer& layer, const Tensor& x,
   });
   for (std::thread& t : threads) t.join();
   EXPECT_EQ(bad.load(), 0);
-  gemm::set_qgemm_mode(prev);
 }
 
 /// Installs `fmt` codes on `layer` and returns the installed payload.
@@ -438,7 +403,7 @@ TEST(LayerPrepack, CodeSwapRacingForwardsServesOneWholeFormat) {
   {
     SCOPED_TRACE("Linear 512x512");
     Linear lin(512, 512, rng);
-    const Tensor x = random_tensor({8, 512}, rng);
+    const Tensor x = Tensor::randn({8, 512}, rng, 1.f);
     const auto mersit = codes_for(lin, "MERSIT(8,2)");
     const auto fp8 = codes_for(lin, "FP(8,4)");
     run_code_swap_race(lin, x, mersit, fp8);
@@ -446,7 +411,7 @@ TEST(LayerPrepack, CodeSwapRacingForwardsServesOneWholeFormat) {
   {
     SCOPED_TRACE("grouped Conv2d");
     Conv2d conv(32, 64, 3, 1, 1, /*groups=*/2, rng);
-    const Tensor x = random_tensor({2, 32, 16, 16}, rng);
+    const Tensor x = Tensor::randn({2, 32, 16, 16}, rng, 1.f);
     const auto mersit = codes_for(conv, "MERSIT(8,2)");
     const auto fp8 = codes_for(conv, "FP(8,4)");
     run_code_swap_race(conv, x, mersit, fp8);

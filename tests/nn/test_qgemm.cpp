@@ -4,17 +4,16 @@
 // pinned here against the scalar codec for every registered format over all
 // 256 codes — ties, ±0, NaR/Inf/NaN, denormals) and packs the decoded array
 // through the FP32 pack routines, so everything stacked on top
-// (install_weight_codes / install_code_weights, the keyed pack cache,
-// evaluate_with_table's code mode) must preserve that identity end to end.
-// The opt-in Kulisch mode is held to its documented ULP contract instead.
-// Runs under the `concurrency` TSan label: the GEMM fan-out and the pack
-// caches are hot concurrent paths.
+// (install_code_weights, the keyed pack cache, evaluate_with_table's code
+// mode) must preserve that identity end to end.  The opt-in Kulisch mode is
+// held to its documented ULP contract instead.  Layer and whole-model
+// forwards on every path are the contract matrix in test_gemm.cpp
+// (Gemm/LayerPath, Gemm/ModelPath).  Runs under the `concurrency` TSan
+// label: the GEMM fan-out and the pack caches are hot concurrent paths.
 #include <gtest/gtest.h>
 
-#include <array>
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <random>
@@ -43,36 +42,10 @@
 namespace mersit::nn {
 namespace {
 
-// Give the global pool real fan-out even on single-core CI (respects an
-// explicit MERSIT_THREADS from the environment).
-const bool kEnvReady = [] {
-  setenv("MERSIT_THREADS", "4", /*overwrite=*/0);
-  return true;
-}();
-
-struct ModeGuard {
-  explicit ModeGuard(gemm::QgemmMode m) : prev(gemm::set_qgemm_mode(m)) {}
-  ~ModeGuard() { gemm::set_qgemm_mode(prev); }
-  gemm::QgemmMode prev;
-};
-
-/// Restores the active GEMM backend on scope exit.
-struct BackendGuard {
-  explicit BackendGuard(const gemm::Backend& be)
-      : prev(gemm::set_backend(&be)) {}
-  ~BackendGuard() { gemm::set_backend(prev); }
-  const gemm::Backend* prev;
-};
-
+using reference::BackendGuard;
 using reference::bitwise_equal;
-
-std::array<double, 256> decode_lut(const formats::Format& fmt) {
-  const auto kernel = formats::kernels::kernel_for(fmt);
-  std::array<double, 256> lut;
-  for (int c = 0; c < 256; ++c)
-    lut[static_cast<std::size_t>(c)] = kernel->decode(static_cast<std::uint8_t>(c));
-  return lut;
-}
+using reference::decode_lut;
+using reference::ModeGuard;
 
 // ------------------------------------------------------------ code decode --
 
@@ -120,18 +93,14 @@ class QgemmModelTest : public ::testing::Test {
   static void SetUpTestSuite() {
     std::mt19937 rng(42);
     proto_ = make_resnet_mini(3, 10, 1, rng);
-    calib_ = std::make_unique<Dataset>(make_vision_dataset(8, 3, 8, /*seed=*/3));
     test_ = std::make_unique<Dataset>(make_vision_dataset(12, 3, 8, /*seed=*/4));
     table_ = std::make_unique<ptq::CalibrationTable>(
-        ptq::calibrate_model(*proto_, *calib_));
-    probe_ = std::make_unique<Tensor>(Tensor({2, 3, 8, 8}));
+        ptq::calibrate_model(*proto_, make_vision_dataset(8, 3, 8, /*seed=*/3)));
     std::mt19937 prng(17);
-    std::normal_distribution<float> nd(0.f, 1.f);
-    for (std::int64_t i = 0; i < probe_->numel(); ++i) (*probe_)[i] = nd(prng);
+    probe_ = std::make_unique<Tensor>(Tensor::randn({2, 3, 8, 8}, prng, 1.f));
   }
   static void TearDownTestSuite() {
     proto_.reset();
-    calib_.reset();
     test_.reset();
     table_.reset();
     probe_.reset();
@@ -149,50 +118,15 @@ class QgemmModelTest : public ::testing::Test {
   }
 
   static ModulePtr proto_;
-  static std::unique_ptr<Dataset> calib_, test_;
+  static std::unique_ptr<Dataset> test_;
   static std::unique_ptr<ptq::CalibrationTable> table_;
   static std::unique_ptr<Tensor> probe_;
 };
 
 ModulePtr QgemmModelTest::proto_;
-std::unique_ptr<Dataset> QgemmModelTest::calib_, QgemmModelTest::test_;
+std::unique_ptr<Dataset> QgemmModelTest::test_;
 std::unique_ptr<ptq::CalibrationTable> QgemmModelTest::table_;
 std::unique_ptr<Tensor> QgemmModelTest::probe_;
-
-// install_weight_codes + code mode reproduces the quantize→dequantize FP32
-// forward bit for bit while leaving the FP32 weights untouched.
-TEST_F(QgemmModelTest, CodeModeForwardBitIdenticalToQuantizedWeights) {
-  for (const char* name : {"MERSIT(8,2)", "FP(8,4)", "Posit(8,1)", "INT8"}) {
-    SCOPED_TRACE(name);
-    const auto fmt = core::make_format(name);
-
-    const ModulePtr ref_model = proto_->clone();
-    ptq::quantize_weights_per_channel(*ref_model, *fmt,
-                                      formats::ScalePolicy::kMaxToUnity);
-    const ModeGuard ref_mode(gemm::QgemmMode::kFloat);
-    const Tensor ref = quant_forward(*ref_model, *fmt);
-
-    const ModulePtr code_model = proto_->clone();
-    const ptq::WeightSnapshot before = ptq::snapshot_weights(*code_model);
-    ptq::install_weight_codes(*code_model, *fmt,
-                              formats::ScalePolicy::kMaxToUnity);
-    {
-      const ModeGuard mode(gemm::QgemmMode::kCode);
-      EXPECT_TRUE(bitwise_equal(quant_forward(*code_model, *fmt), ref));
-    }
-    // FP32 weights untouched by the code-domain run.
-    const ptq::WeightSnapshot after = ptq::snapshot_weights(*code_model);
-    ASSERT_EQ(before.values.size(), after.values.size());
-    for (std::size_t i = 0; i < before.values.size(); ++i)
-      EXPECT_TRUE(bitwise_equal(before.values[i], after.values[i])) << i;
-    // Clearing the codes restores the FP32 forward even in code mode.
-    ptq::clear_weight_codes(*code_model);
-    const ModeGuard cleared_mode(gemm::QgemmMode::kCode);
-    const ModulePtr fp32 = proto_->clone();
-    EXPECT_TRUE(
-        bitwise_equal(quant_forward(*code_model, *fmt), quant_forward(*fp32, *fmt)));
-  }
-}
 
 // evaluate_with_table under code mode returns the identical metric to the
 // float-path snapshot/quantize/restore pipeline, and leaves the weights
@@ -221,22 +155,6 @@ TEST_F(QgemmModelTest, EvaluateWithTableCodeModeMatchesFloatMode) {
       EXPECT_EQ(cw->weight_codes(), nullptr);
     }
   }
-}
-
-// Code-domain GEMM is thread-count invariant, like the float kernel.
-TEST_F(QgemmModelTest, CodeModeForwardThreadCountInvariant) {
-  const auto fmt = core::make_format("MERSIT(8,2)");
-  const ModulePtr model = proto_->clone();
-  ptq::install_weight_codes(*model, *fmt, formats::ScalePolicy::kMaxToUnity);
-  const ModeGuard mode(gemm::QgemmMode::kCode);
-  core::resize_global_pool(1);
-  const Tensor base = quant_forward(*model, *fmt);
-  for (const int threads : {4, 13}) {
-    core::resize_global_pool(threads);
-    EXPECT_TRUE(bitwise_equal(quant_forward(*model, *fmt), base))
-        << "threads=" << threads;
-  }
-  core::resize_global_pool(4);  // suite default
 }
 
 // --------------------------------------------------------- artifact installs --
@@ -491,61 +409,6 @@ TEST(QgemmKulisch, CancellationRecoversTinyAddendExactly) {
   fp32 += static_cast<float>(vmin);
   fp32 += static_cast<float>(-vmax);
   EXPECT_EQ(fp32, 0.f);
-}
-
-// End-to-end: a Linear under MERSIT_QGEMM=kulisch with a stamped activation
-// scale takes the quire path — bit-identical to calling qgemm_kulisch
-// directly with the layer's operands — and stays within accumulation noise
-// of the code-mode result.
-TEST(QgemmKulisch, LinearForwardTakesQuirePath) {
-  const auto fmt = core::make_format("MERSIT(8,2)");
-  const auto kernel = formats::kernels::kernel_for(*fmt);
-  std::mt19937 rng(11);
-  Linear lin(32, 7, rng);
-  for (int o = 0; o < 7; ++o) lin.bias.value[o] = 0.01f * static_cast<float>(o);
-  ptq::install_weight_codes(lin, *fmt, formats::ScalePolicy::kMaxToUnity);
-  const auto wc = lin.weight_codes();
-  ASSERT_NE(wc, nullptr);
-  ASSERT_NE(wc->book->kulisch, nullptr);
-  ASSERT_TRUE(wc->book->kulisch->usable);
-
-  // Fake-quantized activations at a stamped scale, exactly as the PTQ
-  // hooks would leave them.
-  std::mt19937 xrng(23);
-  Tensor x = Tensor::randn({5, 32}, xrng, 1.f);
-  const double xscale = formats::scale_for_absmax(*fmt, x.abs_max(),
-                                                  formats::ScalePolicy::kMaxToUnity);
-  kernel->fake_quantize(x.data(), xscale);
-  x.set_quant_scale(xscale);
-
-  Tensor y_kulisch, y_code;
-  const Context ctx{/*train=*/false, nullptr};
-  {
-    const ModeGuard mode(gemm::QgemmMode::kKulisch);
-    y_kulisch = lin.forward(x, ctx);
-  }
-  {
-    const ModeGuard mode(gemm::QgemmMode::kCode);
-    y_code = lin.forward(x, ctx);
-  }
-
-  // Direct quire reference with the layer's exact operands.
-  std::vector<std::uint8_t> xcodes(static_cast<std::size_t>(5) * 32);
-  const double xinv = 1.0 / xscale;
-  for (std::size_t i = 0; i < xcodes.size(); ++i)
-    xcodes[i] = kernel->encode(static_cast<double>(x.raw()[i]) * xinv);
-  Tensor y_direct({5, 7});
-  const gemm::QOperand a{xcodes.data(), 32, false, nullptr, xscale};
-  const gemm::QOperand b{wc->codes.data(), 32, true, wc->scales.data(), 0.0};
-  gemm::qgemm_kulisch(5, 7, 32, a, b, *wc->book->kulisch, gemm::Init::kBiasCol,
-                      lin.bias.value.raw(), y_direct.raw(), 7);
-  EXPECT_TRUE(bitwise_equal(y_kulisch, y_direct));
-
-  // Exact vs FP32-accumulated: same values, K=32 roundings apart at most.
-  for (std::int64_t i = 0; i < y_code.numel(); ++i)
-    EXPECT_NEAR(y_kulisch[i], y_code[i],
-                1e-4f * (1.f + std::fabs(y_code[i])))
-        << i;
 }
 
 }  // namespace

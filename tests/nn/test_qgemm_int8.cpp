@@ -4,16 +4,16 @@
 // FP8); the integer micro-kernel must be bitwise identical to the scalar
 // integer reference on every compiled-in backend, prepacked or not, at any
 // thread count (integer accumulation is associative, so this is ULP 0 by
-// construction, not tolerance); and the end-to-end wiring — layer dispatch,
-// ptq::evaluate_with_table, serve::Engine hot-swap — must hold the
-// documented ULP contract vs the float code path.  Runs under the
+// construction, not tolerance); and the end-to-end wiring —
+// ptq::evaluate_with_table, serve::Engine hot-swap, a corrupted artifact —
+// must hold the documented ULP contract vs the float code path.  Layer
+// dispatch and whole-model forwards are the contract matrix in
+// test_gemm.cpp (Gemm/LayerPath, Gemm/ModelPath).  Runs under the
 // `concurrency` TSan label with the rest of the qgemm suite.
 #include <gtest/gtest.h>
 
-#include <array>
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <memory>
@@ -43,33 +43,10 @@
 namespace mersit::nn {
 namespace {
 
-const bool kEnvReady = [] {
-  setenv("MERSIT_THREADS", "4", /*overwrite=*/0);
-  return true;
-}();
-
-struct ModeGuard {
-  explicit ModeGuard(gemm::QgemmMode m) : prev(gemm::set_qgemm_mode(m)) {}
-  ~ModeGuard() { gemm::set_qgemm_mode(prev); }
-  gemm::QgemmMode prev;
-};
-
-struct BackendGuard {
-  explicit BackendGuard(const gemm::Backend& be)
-      : prev(gemm::set_backend(&be)) {}
-  ~BackendGuard() { gemm::set_backend(prev); }
-  const gemm::Backend* prev;
-};
-
+using reference::BackendGuard;
 using reference::bitwise_equal;
-
-std::array<double, 256> decode_lut(const formats::Format& fmt) {
-  const auto kernel = formats::kernels::kernel_for(fmt);
-  std::array<double, 256> lut;
-  for (int c = 0; c < 256; ++c)
-    lut[static_cast<std::size_t>(c)] = kernel->decode(static_cast<std::uint8_t>(c));
-  return lut;
-}
+using reference::decode_lut;
+using reference::ModeGuard;
 
 // ------------------------------------------------------- affine detection --
 
@@ -464,202 +441,13 @@ TEST(Int8Kernel, RejectsUnsafeCallsAndStaysThreadCountInvariant) {
                    kN);
   const std::vector<float> base = c;
   for (const int threads : {1, 13}) {
-    core::resize_global_pool(threads);
+    const reference::PoolWidthGuard pool(threads);
     std::fill(c.begin(), c.end(), -1.f);
     gemm::qgemm_int8(kM, kN, kK, opa, opb, gemm::Init::kZero, nullptr,
                      c.data(), kN);
     EXPECT_EQ(std::memcmp(c.data(), base.data(), c.size() * sizeof(float)), 0)
         << "threads=" << threads;
   }
-  core::resize_global_pool(4);  // suite default
-}
-
-// ----------------------------------------------------------- layer dispatch --
-
-// A Linear under MERSIT_QGEMM=int8 with INT8 codes and a stamped activation
-// scale takes the integer path — on every supported backend, bit-identical
-// to quantizing the activations with quantize_levels and calling
-// qgemm_int8 directly (under the scalar reference backend) with
-// identity_qlut() and the layer's weight operand — and stays within the
-// documented K·2^-24-order tolerance of the code-mode result.  The second
-// shape crosses a kc block and leaves ragged row and column panels, so the
-// identity-map A pack (and its AVX-512 VNNI bias) runs on edge panels too.
-// A non-affine format under the same mode falls back to code mode bitwise.
-TEST(Int8Layer, LinearForwardTakesIntegerPathAndFallsBackPerFormat) {
-  const auto fmt = core::make_format("INT8");
-  const auto kernel = formats::kernels::kernel_for(*fmt);
-  const Context ctx{/*train=*/false, nullptr};
-  std::mt19937 rng(11);
-  std::mt19937 xrng(23);
-  for (const auto [n, in, out] : {std::array{5, 32, 7}, std::array{13, 300, 19}}) {
-    SCOPED_TRACE("n=" + std::to_string(n) + " K=" + std::to_string(in));
-    Linear lin(in, out, rng);
-    for (int o = 0; o < out; ++o)
-      lin.bias.value[o] = 0.01f * static_cast<float>(o);
-    ptq::install_weight_codes(lin, *fmt, formats::ScalePolicy::kMaxToUnity);
-    const auto wc = lin.weight_codes();
-    ASSERT_NE(wc, nullptr);
-    ASSERT_NE(wc->book->affine, nullptr);
-    ASSERT_TRUE(wc->book->affine->usable);
-    const gemm::AffineLut& alut = *wc->book->affine;
-
-    Tensor x = Tensor::randn({n, in}, xrng, 1.f);
-    const double xscale = formats::scale_for_absmax(
-        *fmt, x.abs_max(), formats::ScalePolicy::kMaxToUnity);
-    kernel->fake_quantize(x.data(), xscale);
-    x.set_quant_scale(xscale);
-
-    // Direct integer reference, built from the layer's codes.
-    std::vector<std::int8_t> xq(static_cast<std::size_t>(n) * in);
-    gemm::quantize_levels(x.raw(), xq.size(), 1.0 / (alut.scale * xscale),
-                          alut.qmin, alut.qmax, xq.data());
-    std::vector<double> iscales(wc->scales.size());
-    for (std::size_t o = 0; o < iscales.size(); ++o)
-      iscales[o] = alut.scale * wc->scales[o];
-    const gemm::Int8Operand a{reinterpret_cast<const std::uint8_t*>(xq.data()),
-                              in, false, gemm::identity_qlut(), nullptr,
-                              alut.scale * xscale};
-    const gemm::Int8Operand b{wc->codes.data(), in, true, alut.q,
-                              iscales.data(), 0.0};
-
-    Tensor y_direct({n, out});
-    {
-      const BackendGuard guard(gemm::scalar_backend());
-      gemm::qgemm_int8(n, out, in, a, b, gemm::Init::kBiasCol,
-                       lin.bias.value.raw(), y_direct.raw(), out);
-    }
-
-    Tensor y_int8;
-    for (const gemm::Backend* be : gemm::backends()) {
-      if (!be->supported()) continue;
-      SCOPED_TRACE(be->name);
-      const BackendGuard guard(*be);
-      {
-        const ModeGuard mode(gemm::QgemmMode::kInt8);
-        y_int8 = lin.forward(x, ctx);
-      }
-      EXPECT_TRUE(bitwise_equal(y_int8, y_direct));
-    }
-
-    // Same values as code mode, K float roundings apart at most.
-    Tensor y_code;
-    {
-      const ModeGuard mode(gemm::QgemmMode::kCode);
-      y_code = lin.forward(x, ctx);
-    }
-    for (std::int64_t i = 0; i < y_code.numel(); ++i)
-      EXPECT_NEAR(y_int8[i], y_code[i], 1e-4f * (1.f + std::fabs(y_code[i])))
-          << i;
-  }
-
-  // MERSIT is not affine: under int8 mode the layer must fall back to the
-  // code path, bit for bit.
-  std::mt19937 rng2(11);
-  Linear lin_mersit(32, 7, rng2);
-  for (int o = 0; o < 7; ++o)
-    lin_mersit.bias.value[o] = 0.01f * static_cast<float>(o);
-  const auto mersit = core::make_format("MERSIT(8,2)");
-  ptq::install_weight_codes(lin_mersit, *mersit,
-                            formats::ScalePolicy::kMaxToUnity);
-  ASSERT_EQ(lin_mersit.weight_codes()->book->affine, nullptr);
-  const auto mkernel = formats::kernels::kernel_for(*mersit);
-  Tensor xm = Tensor::randn({5, 32}, xrng, 1.f);
-  const double mscale = formats::scale_for_absmax(
-      *mersit, xm.abs_max(), formats::ScalePolicy::kMaxToUnity);
-  mkernel->fake_quantize(xm.data(), mscale);
-  xm.set_quant_scale(mscale);
-  Tensor ym_int8, ym_code;
-  {
-    const ModeGuard mode(gemm::QgemmMode::kInt8);
-    ym_int8 = lin_mersit.forward(xm, ctx);
-  }
-  {
-    const ModeGuard mode(gemm::QgemmMode::kCode);
-    ym_code = lin_mersit.forward(xm, ctx);
-  }
-  EXPECT_TRUE(bitwise_equal(ym_int8, ym_code));
-}
-
-// A Conv2d under int8 mode takes the integer path — bit-identical to the
-// direct qgemm_int8 computation with the layer's operands — including with
-// a fused inference BN riding the RowAffine write-back plus an activation
-// epilogue (the combination Kulisch mode cannot fuse).
-TEST(Int8Layer, ConvForwardTakesIntegerPathWithBnAffineAndEpilogue) {
-  const auto fmt = core::make_format("INT8");
-  const auto kernel = formats::kernels::kernel_for(*fmt);
-  std::mt19937 rng(31);
-  Conv2d conv(4, 6, 1, 1, 0, 1, rng);  // unit conv: the col buffer is the slab
-  for (int o = 0; o < 6; ++o)
-    conv.bias.value[o] = 0.02f * static_cast<float>(o - 3);
-  ptq::install_weight_codes(conv, *fmt, formats::ScalePolicy::kMaxToUnity);
-  const auto wc = conv.weight_codes();
-  ASSERT_NE(wc, nullptr);
-  ASSERT_NE(wc->book->affine, nullptr);
-  ASSERT_TRUE(wc->book->affine->usable);
-  const gemm::AffineLut& alut = *wc->book->affine;
-
-  BatchNorm2d bn(6);
-  for (int c = 0; c < 6; ++c) {
-    bn.gamma.value[c] = 0.8f + 0.05f * static_cast<float>(c);
-    bn.beta.value[c] = 0.1f * static_cast<float>(c) - 0.2f;
-    bn.running_mean[c] = 0.05f * static_cast<float>(c);
-    bn.running_var[c] = 1.f + 0.1f * static_cast<float>(c);
-  }
-
-  std::mt19937 xrng(37);
-  Tensor x = Tensor::randn({2, 4, 5, 5}, xrng, 1.f);
-  const double xscale = formats::scale_for_absmax(
-      *fmt, x.abs_max(), formats::ScalePolicy::kMaxToUnity);
-  kernel->fake_quantize(x.data(), xscale);
-  x.set_quant_scale(xscale);
-
-  Tensor y_plain, y_bn;
-  const Context ctx{/*train=*/false, nullptr};
-  {
-    const ModeGuard mode(gemm::QgemmMode::kInt8);
-    y_plain = conv.forward_fused(x, ctx, gemm::Epilogue::kReLU);
-    y_bn = conv.forward_bn_fused(x, ctx, bn, gemm::Epilogue::kReLU);
-  }
-
-  // Direct reference with the layer's exact operands: per-sample GEMM over
-  // the input slab (kdim = 4, osz = 25), weights as the channel-scaled A
-  // operand, quantized activation levels as the uniform-scaled B operand.
-  constexpr int kOsz = 25, kKdim = 4, kOc = 6;
-  std::vector<double> iscales(wc->scales.size());
-  for (std::size_t o = 0; o < iscales.size(); ++o)
-    iscales[o] = alut.scale * wc->scales[o];
-  std::vector<float> sc(kOc), sh(kOc);
-  for (int c = 0; c < kOc; ++c) {
-    const float inv = 1.f / std::sqrt(bn.running_var[c] + bn.eps());
-    sc[static_cast<std::size_t>(c)] = bn.gamma.value[c] * inv;
-    sh[static_cast<std::size_t>(c)] =
-        bn.beta.value[c] - bn.running_mean[c] * sc[static_cast<std::size_t>(c)];
-  }
-  Tensor want_plain({2, kOc, 5, 5}), want_bn({2, kOc, 5, 5});
-  std::vector<std::int8_t> qcol(static_cast<std::size_t>(kKdim) * kOsz);
-  for (int b = 0; b < 2; ++b) {
-    const float* slab =
-        x.raw() + static_cast<std::size_t>(b) * kKdim * kOsz;
-    gemm::quantize_levels(slab, qcol.size(), 1.0 / (alut.scale * xscale),
-                          alut.qmin, alut.qmax, qcol.data());
-    const gemm::Int8Operand a{wc->codes.data(), kKdim, /*trans=*/false,
-                              alut.q, iscales.data(), 0.0};
-    const gemm::Int8Operand bop{
-        reinterpret_cast<const std::uint8_t*>(qcol.data()), kOsz,
-        /*trans=*/false, gemm::identity_qlut(), nullptr, alut.scale * xscale};
-    gemm::qgemm_int8(kOc, kOsz, kKdim, a, bop, gemm::Init::kBiasRow,
-                     conv.bias.value.raw(),
-                     want_plain.raw() + static_cast<std::size_t>(b) * kOc * kOsz,
-                     kOsz, nullptr, gemm::Epilogue::kReLU);
-    const gemm::RowAffine aff{sc.data(), sh.data()};
-    gemm::qgemm_int8(kOc, kOsz, kKdim, a, bop, gemm::Init::kBiasRow,
-                     conv.bias.value.raw(),
-                     want_bn.raw() + static_cast<std::size_t>(b) * kOc * kOsz,
-                     kOsz, nullptr, gemm::Epilogue::kReLU, nullptr, nullptr,
-                     &aff);
-  }
-  EXPECT_TRUE(bitwise_equal(y_plain, want_plain));
-  EXPECT_TRUE(bitwise_equal(y_bn, want_bn));
 }
 
 // An INT8 artifact with one corrupted code (0x80, the NaR code) installed
@@ -728,86 +516,32 @@ class Int8ModelTest : public ::testing::Test {
     fmt_ = core::make_format("INT8");
     std::mt19937 rng(42);
     proto_ = make_resnet_mini(3, 10, 1, rng);
-    calib_ = std::make_unique<Dataset>(make_vision_dataset(8, 3, 8, /*seed=*/3));
     test_ = std::make_unique<Dataset>(make_vision_dataset(12, 3, 8, /*seed=*/4));
     table_ = std::make_unique<ptq::CalibrationTable>(
-        ptq::calibrate_model(*proto_, *calib_));
-    probe_ = std::make_unique<Tensor>(Tensor({2, 3, 8, 8}));
+        ptq::calibrate_model(*proto_, make_vision_dataset(8, 3, 8, /*seed=*/3)));
     std::mt19937 prng(17);
-    std::normal_distribution<float> nd(0.f, 1.f);
-    for (std::int64_t i = 0; i < probe_->numel(); ++i) (*probe_)[i] = nd(prng);
+    probe_ = std::make_unique<Tensor>(Tensor::randn({2, 3, 8, 8}, prng, 1.f));
   }
   static void TearDownTestSuite() {
     proto_.reset();
-    calib_.reset();
     test_.reset();
     table_.reset();
     probe_.reset();
     fmt_.reset();
   }
 
-  static Tensor quant_forward(Module& model) {
-    ptq::FakeQuantizer fq(*table_, *fmt_, formats::ScalePolicy::kMaxToUnity);
-    fq.set_input_quantization(true);
-    Tensor x = *probe_;
-    fq.on_input(x);
-    const Context ctx{/*train=*/false, &fq};
-    return model.run(x, ctx);
-  }
-
   static std::shared_ptr<const formats::Format> fmt_;
   static ModulePtr proto_;
-  static std::unique_ptr<Dataset> calib_, test_;
+  static std::unique_ptr<Dataset> test_;
   static std::unique_ptr<ptq::CalibrationTable> table_;
   static std::unique_ptr<Tensor> probe_;
 };
 
 std::shared_ptr<const formats::Format> Int8ModelTest::fmt_;
 ModulePtr Int8ModelTest::proto_;
-std::unique_ptr<Dataset> Int8ModelTest::calib_, Int8ModelTest::test_;
+std::unique_ptr<Dataset> Int8ModelTest::test_;
 std::unique_ptr<ptq::CalibrationTable> Int8ModelTest::table_;
 std::unique_ptr<Tensor> Int8ModelTest::probe_;
-
-// The full conv/BN-fused/linear network under int8 mode: outputs stay
-// within the documented per-element tolerance of the code-mode forward
-// (shared values, K float roundings apart), the result is invariant to
-// thread count, and the FP32 weights are never touched.
-TEST_F(Int8ModelTest, ForwardWithinContractToleranceOfCodeMode) {
-  const ModulePtr model = proto_->clone();
-  const ptq::WeightSnapshot before = ptq::snapshot_weights(*model);
-  ptq::install_weight_codes(*model, *fmt_, formats::ScalePolicy::kMaxToUnity);
-
-  Tensor y_code;
-  {
-    const ModeGuard mode(gemm::QgemmMode::kCode);
-    y_code = quant_forward(*model);
-  }
-  Tensor y_int8, y_t1, y_t13;
-  {
-    const ModeGuard mode(gemm::QgemmMode::kInt8);
-    y_int8 = quant_forward(*model);
-    core::resize_global_pool(1);
-    y_t1 = quant_forward(*model);
-    core::resize_global_pool(13);
-    y_t13 = quant_forward(*model);
-    core::resize_global_pool(4);
-  }
-  EXPECT_TRUE(bitwise_equal(y_int8, y_t1));
-  EXPECT_TRUE(bitwise_equal(y_int8, y_t13));
-  // Note: the quant hooks re-quantize every intermediate activation to the
-  // 8-bit grid, which usually snaps the int8-vs-code accumulation noise
-  // back to identical codes — so the outputs here are often bit-equal, and
-  // the proof that the integer path actually runs is the direct
-  // qgemm_int8-vs-layer bitwise gates in Int8Layer.*.
-  for (std::int64_t i = 0; i < y_code.numel(); ++i)
-    EXPECT_NEAR(y_int8[i], y_code[i], 2e-3f * (1.f + std::fabs(y_code[i])))
-        << i;
-
-  const ptq::WeightSnapshot after = ptq::snapshot_weights(*model);
-  ASSERT_EQ(before.values.size(), after.values.size());
-  for (std::size_t i = 0; i < before.values.size(); ++i)
-    EXPECT_TRUE(bitwise_equal(before.values[i], after.values[i])) << i;
-}
 
 // evaluate_with_table under int8 mode: same pipeline as code mode, metric
 // within the documented tolerance (the bounded per-element error can flip
