@@ -4,9 +4,10 @@
 //
 // Protocol (ResNet18-mini serving MERSIT(8,2) artifacts, pool pinned to one
 // worker thread so all parallelism comes from engine replicas):
-//  1. saturation probe — closed-loop clients measure the sustainable QPS
-//     (the median of three probes, so one low reading cannot put the "2x"
-//     rung below capacity);
+//  1. saturation probe — closed-loop clients, one per batch slot of every
+//     replica (replicas x max_batch) so the batcher fills as it does under
+//     open-loop load, measure the sustainable QPS (the median of three
+//     probes, so one low reading cannot put the "2x" rung below capacity);
 //  2. open-loop runs at 0.5x / 1x / 2x of saturation (bursty arrivals,
 //     generator never waits on responses): p50/p99 latency of served
 //     requests, served QPS, and the shed rate by typed reason;
@@ -374,14 +375,19 @@ int main(int argc, char** argv) {
               static_cast<std::size_t>(probe.numel()) * sizeof(float));
 
   // --- 1. saturation probe ----------------------------------------------
+  // Fewer clients than batch slots leave batches part-empty, so the probe
+  // would read the batcher's closed-loop rate rather than its capacity and
+  // the "2x" rung could land at capacity.
+  const int probe_clients = opt.replicas * opt.max_batch;
   std::vector<double> sat_probes;
   for (int i = 0; i < kSaturationProbes; ++i)
-    sat_probes.push_back(saturation_probe(engine, probe, /*threads=*/8, probe_s));
+    sat_probes.push_back(saturation_probe(engine, probe, probe_clients, probe_s));
   std::sort(sat_probes.begin(), sat_probes.end());
   const double sat_qps = sat_probes[sat_probes.size() / 2];
-  std::printf("saturation (closed-loop, 8 clients, median of %d probes %.0f..%.0f): "
+  std::printf("saturation (closed-loop, %d clients, median of %d probes %.0f..%.0f): "
               "%.0f req/s\n\n",
-              kSaturationProbes, sat_probes.front(), sat_probes.back(), sat_qps);
+              probe_clients, kSaturationProbes, sat_probes.front(), sat_probes.back(),
+              sat_qps);
   gate(sat_qps > 0.0, "saturation probe served nothing");
 
   // --- 2. open-loop 0.5x / 1x / 2x --------------------------------------

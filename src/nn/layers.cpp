@@ -200,7 +200,7 @@ Tensor Linear::forward_fused(const Tensor& x, const Context& ctx,
           return std::vector<gemm::PackedInt8>{gemm::pack_b_int8_matrix(
               in_, out_, wc->codes.data(), in_, /*trans_b=*/true, q)};
         });
-    Tensor y({n, out_});
+    Tensor y = Tensor::uninitialized({n, out_});
     core::ScratchArena& arena = core::ScratchArena::local();
     const core::ScratchArena::Scope scope(arena);
     // The level buffer reinterprets arena floats (4 int8 levels per slot).
@@ -231,7 +231,7 @@ Tensor Linear::forward_fused(const Tensor& x, const Context& ctx,
     });
     if (wc != nullptr) wt = cached->decoded.data();
   }
-  Tensor y({n, out_});
+  Tensor y = Tensor::uninitialized({n, out_});
   // y = x · Wᵀ + b; bias-first then ascending-k accumulation matches the
   // naive loop's rounding sequence exactly.
   gemm::sgemm(n, out_, in_, x.raw(), in_, /*trans_a=*/false, wt, in_,
@@ -489,7 +489,7 @@ Tensor Conv2d::run_conv_int8(const Tensor& x, const WeightCodes& wc,
   const gemm::AffineLut& alut = *wc.book->affine;
   const double xscale = x.quant_scale();
   const double xinv = 1.0 / (alut.scale * xscale);
-  Tensor y({n, out_ch_, oh, ow});
+  Tensor y = Tensor::uninitialized({n, out_ch_, oh, ow});
   // Batched lowering: sample chunks share one wide column buffer (sample i's
   // columns at offset i*osz, row stride chunk·osz), so each group runs ONE
   // qgemm_int8 of N = chunk·osz columns instead of a per-sample GEMM —
@@ -580,7 +580,7 @@ Tensor Conv2d::run_conv(const Tensor& x, const Context& ctx, const float* wt,
   const int ow = (w + 2 * pad_ - k_) / stride_ + 1;
   const int icg = in_ch_ / groups_;
   const int ocg = out_ch_ / groups_;
-  Tensor y({n, out_ch_, oh, ow});
+  Tensor y = Tensor::uninitialized({n, out_ch_, oh, ow});
   const ConvGeom g{n,  in_ch_,  out_ch_, h,       w,   oh,  ow,
                    k_, stride_, pad_,    groups_, icg, ocg};
   const gemm::Backend& be = gemm::active_backend();
@@ -687,7 +687,7 @@ Tensor BatchNorm2d::forward(const Tensor& x, const Context& ctx) {
   if (folded_) return x;
   const int n = x.dim(0), h = x.dim(2), w = x.dim(3);
   const float count = static_cast<float>(n * h * w);
-  Tensor y(x.shape());
+  Tensor y = Tensor::uninitialized(x.shape());  // both branches write all of it
   if (ctx.train) {
     x_shape_ = x.shape();
     x_hat_ = Tensor(x.shape());
@@ -853,7 +853,7 @@ float act_grad(Act a, float x) {
 }  // namespace
 
 Tensor Activation::forward(const Tensor& x, const Context& ctx) {
-  Tensor y(x.shape());
+  Tensor y = Tensor::uninitialized(x.shape());
   // act_eval delegates the fusable kinds to epilogue_eval, so the bulk
   // epilogue loop (constant-epilogue body, auto-vectorized) computes the
   // identical value per element — just without the per-element kind switch.
@@ -882,7 +882,7 @@ Tensor Activation::backward(const Tensor& grad_out) {
 Tensor MaxPool2d::forward(const Tensor& x, const Context& ctx) {
   const int n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
   const int oh = h / 2, ow = w / 2;
-  Tensor y({n, c, oh, ow});
+  Tensor y = Tensor::uninitialized({n, c, oh, ow});
   if (ctx.train) {
     x_cache_ = x;
     argmax_.assign(static_cast<std::size_t>(y.numel()), 0);
@@ -926,7 +926,7 @@ Tensor MaxPool2d::backward(const Tensor& grad_out) {
 Tensor GlobalAvgPool::forward(const Tensor& x, const Context& ctx) {
   const int n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
   if (ctx.train) x_shape_ = x.shape();
-  Tensor y({n, c});
+  Tensor y = Tensor::uninitialized({n, c});
   plane_means(x.raw(), n * c, h * w, y.raw());
   return y;
 }
@@ -972,9 +972,21 @@ void Sequential::add(std::string child_name, ModulePtr m) {
 }
 
 Tensor Sequential::forward(const Tensor& x, const Context& ctx) {
+  // `in` is the current input: the caller's x until the first child has
+  // run, so x is read in place rather than copied.
+  const Tensor* in = &x;
+  Tensor cur;
   if (!fuse_inference_ok(ctx)) {
-    Tensor cur = x;
-    for (auto& m : mods_) cur = m->run(cur, ctx);
+    for (auto& m : mods_) {
+      // A folded BN is the identity and no quant point: skipping it keeps
+      // every hook and saves its copy of the activation.
+      if (const auto* bn = dynamic_cast<const BatchNorm2d*>(m.get());
+          bn != nullptr && bn->folded())
+        continue;
+      cur = m->run(*in, ctx);
+      in = &cur;
+    }
+    if (in == &x) return x;  // no children
     return cur;
   }
   // Inference-only fusion scan (no quant session, so run() == forward() and
@@ -983,8 +995,7 @@ Tensor Sequential::forward(const Tensor& x, const Context& ctx) {
   // unfolded channel-matched BN as the bit-identical per-channel affine
   // write-back, and a trailing fusable Activation (bit-identical fused
   // epilogue).
-  Tensor cur = x;
-  for (std::size_t i = 0; i < mods_.size();) {
+  for (std::size_t i = 0; i < mods_.size(); in = &cur) {
     Module* m = mods_[i].get();
     if (auto* conv = dynamic_cast<Conv2d*>(m)) {
       std::size_t j = i + 1;
@@ -1010,8 +1021,8 @@ Tensor Sequential::forward(const Tensor& x, const Context& ctx) {
         }
       }
       cur = affine_bn != nullptr
-                ? conv->forward_bn_fused(cur, ctx, *affine_bn, epi)
-                : conv->forward_fused(cur, ctx, epi);
+                ? conv->forward_bn_fused(*in, ctx, *affine_bn, epi)
+                : conv->forward_fused(*in, ctx, epi);
       i = j;
       continue;
     }
@@ -1027,13 +1038,14 @@ Tensor Sequential::forward(const Tensor& x, const Context& ctx) {
           }
         }
       }
-      cur = lin->forward_fused(cur, ctx, epi);
+      cur = lin->forward_fused(*in, ctx, epi);
       i = j;
       continue;
     }
-    cur = m->run(cur, ctx);
+    cur = m->run(*in, ctx);
     ++i;
   }
+  if (in == &x) return x;
   return cur;
 }
 
@@ -1064,7 +1076,9 @@ ModulePtr Sequential::clone() const {
 
 Tensor ResidualBlock::forward(const Tensor& x, const Context& ctx) {
   Tensor main = body_->run(x, ctx);
-  Tensor skip = shortcut_ ? shortcut_->run(x, ctx) : x;
+  Tensor shortcut_out;
+  if (shortcut_) shortcut_out = shortcut_->run(x, ctx);
+  const Tensor& skip = shortcut_ ? shortcut_out : x;
   if (main.numel() != skip.numel())
     throw std::invalid_argument("ResidualBlock: branch shape mismatch");
   for (std::int64_t i = 0; i < main.numel(); ++i) main[i] += skip[i];
@@ -1120,7 +1134,7 @@ Tensor SEBlock::forward(const Tensor& x, const Context& ctx) {
   // only under ctx.train, where runs are single-threaded.
   if (x.dim(1) != c_) throw std::invalid_argument("SEBlock: channel mismatch");
   const int n = x.dim(0), hw = x.dim(2) * x.dim(3);
-  Tensor pooled({n, c_});
+  Tensor pooled = Tensor::uninitialized({n, c_});
   plane_means(x.raw(), n * c_, hw, pooled.raw());
   // fc1's ReLU is applied by SEBlock itself (no Activation module and no
   // intermediate quant hook), so fusing it into fc1's GEMM write-back is
@@ -1135,9 +1149,9 @@ Tensor SEBlock::forward(const Tensor& x, const Context& ctx) {
     h1 = fc1_.forward_fused(pooled, ctx, gemm::Epilogue::kReLU);
   }
   Tensor z2 = fc2_.forward(h1, ctx);
-  Tensor gate(z2.shape());
+  Tensor gate = Tensor::uninitialized(z2.shape());
   for (std::int64_t i = 0; i < z2.numel(); ++i) gate[i] = sigmoidf(z2[i]);
-  Tensor y(x.shape());
+  Tensor y = Tensor::uninitialized(x.shape());
   for (std::int64_t p = 0; p < gate.numel(); ++p) {
     const float g = gate[p];
     const float* xp = x.raw() + p * hw;

@@ -7,20 +7,86 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <new>
 #include <random>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace mersit::nn {
 
+/// Counters of the process-wide storage pool behind Tensor (see
+/// storage_pool_stats).  Only requests of at least detail::kPooledBytes are
+/// counted, and every block at its full size.
+struct StoragePoolStats {
+  std::uint64_t hits = 0;           ///< requests served from the cache
+  std::uint64_t misses = 0;         ///< requests that went to malloc
+  std::size_t cached_bytes = 0;     ///< freed blocks held for reuse
+  std::size_t live_bytes = 0;       ///< blocks handed out, not yet freed
+  std::size_t live_high_water = 0;  ///< max live_bytes so far
+};
+
+/// Snapshot of the storage pool's counters.  The pool's invariant is
+/// cached_bytes + live_bytes <= live_high_water at every point.
+[[nodiscard]] StoragePoolStats storage_pool_stats();
+
+/// Returns every cached block to malloc (live blocks are untouched).
+void release_cached_storage() noexcept;
+
+namespace detail {
+
+/// Blocks at least this large recycle through the storage pool (best fit
+/// over the freed blocks, see tensor.cpp); smaller ones go straight to
+/// malloc.
+inline constexpr std::size_t kPooledBytes = std::size_t{64} << 10;
+
+void* storage_alloc(std::size_t bytes);
+void storage_free(void* p, std::size_t bytes) noexcept;
+
+/// std::vector allocator over the storage pool.  Value-less construction
+/// default-initialises, so a vector sized without a fill value is left
+/// unwritten (Tensor::uninitialized); every other constructor writes.
+template <class T>
+struct StorageAllocator {
+  using value_type = T;
+  StorageAllocator() = default;
+  template <class U>
+  StorageAllocator(const StorageAllocator<U>& /*other*/) noexcept {}
+
+  [[nodiscard]] T* allocate(std::size_t n) {
+    return static_cast<T*>(storage_alloc(n * sizeof(T)));
+  }
+  void deallocate(T* p, std::size_t n) noexcept { storage_free(p, n * sizeof(T)); }
+
+  template <class U>
+  void construct(U* p) noexcept {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <class U, class... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+
+  friend bool operator==(const StorageAllocator&, const StorageAllocator&) {
+    return true;
+  }
+};
+
+}  // namespace detail
+
 class Tensor {
  public:
   Tensor() = default;
+  /// Zero-filled.
   explicit Tensor(std::vector<int> shape);
   Tensor(std::vector<int> shape, float fill);
 
   [[nodiscard]] static Tensor zeros(std::vector<int> shape) { return Tensor(std::move(shape)); }
+  /// Unwritten storage, for producers that write every element before any
+  /// read.  Address-sanitized builds fill it with NaN, so a read before the
+  /// write shows up in the outputs.
+  [[nodiscard]] static Tensor uninitialized(std::vector<int> shape);
   /// Gaussian init with the given standard deviation.
   [[nodiscard]] static Tensor randn(std::vector<int> shape, std::mt19937& rng,
                                     float stddev);
@@ -87,7 +153,7 @@ class Tensor {
   }
 
   std::vector<int> shape_;
-  std::vector<float> data_;
+  std::vector<float, detail::StorageAllocator<float>> data_;
   double qscale_ = 0.0;
 };
 

@@ -86,6 +86,10 @@ struct Engine::ModelEntry {
 // ----------------------------------------------------------- construction --
 
 Engine::Engine(EngineOptions opt) : opt_(std::move(opt)) {
+  // Serving starts a new phase: the tensor blocks the process cached for
+  // offline work (calibration, training batches) are sized for batches the
+  // engine will not run, so hand them back for the serving heap to reuse.
+  nn::release_cached_storage();
   clock_ = opt_.clock ? opt_.clock : core::ClockFn(&core::mono_now_ns);
   watchdog_ = std::thread([this] { watchdog_loop(); });
 }

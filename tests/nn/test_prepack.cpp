@@ -13,6 +13,7 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <mutex>
 #include <random>
 #include <span>
 #include <thread>
@@ -483,6 +484,52 @@ TEST(ScratchArena, NestedParallelForKeepsPerTaskBuffersDisjoint) {
       if (buf[i] != tag) errors.fetch_add(1);
   });
   EXPECT_EQ(errors.load(), 0);
+}
+
+TEST(StoragePool, TensorsAllocatedOnOneThreadAreFreedOnAnother) {
+  // A serving replica produces outputs its caller frees on another thread:
+  // the pool's lists and counters must stay consistent when blocks cross
+  // threads while both sides allocate.
+  constexpr int kFloats = static_cast<int>(detail::kPooledBytes / sizeof(float));
+  const StoragePoolStats before = storage_pool_stats();
+  std::mutex mu;
+  std::vector<Tensor> handoff;
+  std::atomic<bool> done{false};
+  std::atomic<int> errors{0};
+  std::thread consumer([&] {
+    std::mt19937 rng(2);
+    for (;;) {
+      std::vector<Tensor> got;
+      {
+        const std::lock_guard<std::mutex> lock(mu);
+        got.swap(handoff);
+      }
+      for (const Tensor& t : got)
+        for (std::int64_t i = 0; i < t.numel(); i += 997)
+          if (t[i] != static_cast<float>(t.dim(0))) errors.fetch_add(1);
+      got.clear();
+      // Allocate and free locally too, racing the producer.
+      const Tensor local({1 + static_cast<int>(rng() % 3), kFloats});
+      if (done.load()) {
+        const std::lock_guard<std::mutex> lock(mu);
+        if (handoff.empty()) return;
+      }
+    }
+  });
+  std::mt19937 rng(1);
+  for (int i = 0; i < 500; ++i) {
+    const int rows = 1 + static_cast<int>(rng() % 4);
+    Tensor t({rows, kFloats}, static_cast<float>(rows));
+    const std::lock_guard<std::mutex> lock(mu);
+    handoff.push_back(std::move(t));
+  }
+  done.store(true);
+  consumer.join();
+  EXPECT_EQ(errors.load(), 0);
+  const StoragePoolStats after = storage_pool_stats();
+  EXPECT_EQ(after.live_bytes, before.live_bytes);
+  EXPECT_LE(after.cached_bytes + after.live_bytes, after.live_high_water);
+  EXPECT_GT(after.hits, before.hits);
 }
 
 }  // namespace

@@ -147,6 +147,15 @@ TEST(ServeEngine, EchoServesAndRoutesRows) {
   EXPECT_EQ(s.served, 8u);
 }
 
+TEST(ServeEngine, StartReleasesCachedTensorStorage) {
+  // Blocks cached by offline work (here: one freed batch activation) are
+  // sized for batches the engine will not run; starting it hands them back.
+  { const nn::Tensor offline({32, 16, 12, 12}); }
+  ASSERT_GT(nn::storage_pool_stats().cached_bytes, 0u);
+  const Engine engine(fast_options());
+  EXPECT_EQ(nn::storage_pool_stats().cached_bytes, 0u);
+}
+
 TEST(ServeEngine, MicroBatchCoalescesUpToMaxBatch) {
   EngineOptions o = fast_options();
   o.max_batch = 4;
