@@ -1,5 +1,5 @@
 // Inference-runtime benchmark across the model zoo for the default
-// inference path (persistent prepacked-weight cache, BN and activations
+// inference path (each layer's compiled weight plan, BN and activations
 // fused into the GEMM write-back).
 //
 // For every vision model (and BERT-mini) this times a full forward batch
@@ -16,7 +16,7 @@
 // core::resize_global_pool) to demonstrate thread-count invariance of the
 // bit-exact modes and multi-thread scaling of the prepacked path.
 //
-// A second column runs the code-domain quantized path (MERSIT_QGEMM=code):
+// A second column runs the code-domain quantized path (QgemmMode::kCode):
 // weights are installed as 8-bit codes (ptq::install_weight_codes), and
 // each layer decodes them once through the per-format LUT and packs the
 // decoded FP32 array.  The decode is bit-identical to quantize→dequantize,
@@ -28,7 +28,7 @@
 // A one-shot Kulisch probe documents the exact-accumulator ULP contract by
 // measuring how far FP32 ascending-k accumulation drifts from the quire.
 //
-// A third column runs the decode-free integer path (MERSIT_QGEMM=int8,
+// A third column runs the decode-free integer path (QgemmMode::kInt8,
 // INT8 weights): codes are remapped to int8 levels through the affine LUT,
 // activations are quantized to levels at each GEMM boundary, and the
 // accumulation runs in int32 (nn/gemm/qgemm.h documents the ULP contract).
@@ -88,6 +88,7 @@
 #include "nn/gemm/backend.h"
 #include "nn/gemm/gemm.h"
 #include "nn/gemm/qgemm.h"
+#include "nn/layers.h"
 #include "nn/models.h"
 #include "nn/qweights.h"
 #include "ptq/ptq.h"
@@ -100,7 +101,7 @@ namespace {
 constexpr double kPerfSlack = 1.02;
 
 /// Allowance for the code-domain >= prepacked-FP32 gate.  Both paths serve
-/// steady-state forwards from the same prepacked-weight cache (the LUT
+/// steady-state forwards from their compiled weight plans (the LUT
 /// decode happens once, in the warm-up pack), so they should tie — but the
 /// margin between two near-equal timings is all noise, hence the wider
 /// slack than kPerfSlack.
@@ -115,8 +116,8 @@ constexpr int kCodeGatePairs = 25;
 constexpr const char* kCodeFormat = "MERSIT(8,2)";
 
 /// Weight format for the decode-free integer column: INT8 is the affine-LUT
-/// family the int8 path accepts (MERSIT/posit/FP8 LUTs are non-affine and
-/// fall back to code mode).
+/// family the int8 path accepts (MERSIT/posit/FP8 LUTs are non-affine, so
+/// their plans run the FP32 kernel).
 constexpr const char* kInt8Format = "INT8";
 
 /// Single-thread speedup the integer path must clear over the code path on
@@ -221,13 +222,16 @@ struct Row {
   std::uint32_t code_ulp = 0;  ///< vs FP32 forward over fake-quantized weights
   /// Medians of alternating (prepacked, code) pairs; kCodeGateModel only.
   double gate_prepacked_ms = 0.0, gate_code_ms = 0.0;
+  /// kCodeGateModel only: empty when both timed models ran the FP32 kernel
+  /// on every layer (plan_fault), else what differed.
+  std::string gate_plan_fault;
   std::uint64_t weight_bytes_fp32 = 0;   ///< FP32 footprint of coded weights
   std::uint64_t weight_bytes_codes = 0;  ///< code payload: codes + scales
   // Decode-free integer column (vision models; INT8 weights, quant session
   // on both sides so the only difference is the GEMM path).
   bool int8_eligible = false;   ///< affine LUT detected for kInt8Format
-  double int8_code_ms = 0.0;    ///< quant-session forward, MERSIT_QGEMM=code
-  double int8_ms = 0.0;         ///< quant-session forward, MERSIT_QGEMM=int8
+  double int8_code_ms = 0.0;    ///< quant-session forward, code path
+  double int8_ms = 0.0;         ///< quant-session forward, int8 path
   float int8_max_rel = 0.f;     ///< max |int8-code| / max(1,|code|) on logits
   int int8_top1_delta = 0;      ///< batch argmax disagreements vs code
   [[nodiscard]] double speedup_code_vs_prepacked() const {
@@ -240,6 +244,31 @@ struct Row {
     return prepacked_ms > 0.0 ? 1e3 * batch / prepacked_ms : 0.0;
   }
 };
+
+/// Empty when every ChannelWeights layer of `model` last ran the FP32
+/// kernel with no fallback on the active backend, from installed codes
+/// exactly when `coded`; else the first layer that did not.
+std::string plan_fault(nn::Module& model, bool coded) {
+  std::size_t layers = 0;
+  for (nn::Module* m : model.modules())
+    if (dynamic_cast<nn::ChannelWeights*>(m) != nullptr) ++layers;
+  const std::vector<nn::LayerPlan> plans = nn::weight_plans(model);
+  if (plans.size() != layers)
+    return std::to_string(plans.size()) + " of " + std::to_string(layers) +
+           " layers compiled a plan";
+  const nn::gemm::Backend& be = nn::gemm::active_backend();
+  for (const nn::LayerPlan& lp : plans) {
+    const nn::WeightPlan& p = *lp.plan;
+    if (p.kernel != nn::WeightKernel::kFp32 || p.reason != nn::PlanFallback::kNone ||
+        p.backend_id != be.id || (p.codes != nullptr) != coded)
+      return lp.layer + " ran " + nn::kernel_name(p.kernel) + " (fallback: " +
+             nn::fallback_name(p.reason) + ", " +
+             (p.codes != nullptr ? "codes" : "FP32 weights") + ") on backend id " +
+             std::to_string(p.backend_id) + ", expected fp32 from " +
+             (coded ? "codes" : "FP32 weights") + " on " + be.name;
+  }
+  return {};
+}
 
 Row measure(const std::string& name, nn::Module& model, const nn::Tensor& x,
             int reps, bool vision) {
@@ -273,10 +302,17 @@ Row measure(const std::string& name, nn::Module& model, const nn::Tensor& x,
   nn::gemm::set_qgemm_mode(nn::gemm::QgemmMode::kCode);
   row.code_ulp = max_ulp(ref_q, model.forward(x, ctx));
   row.code_ms = time_forward_ms(model, x, reps);
-  if (name == kCodeGateModel)
+  if (name == kCodeGateModel) {
     std::tie(row.gate_prepacked_ms, row.gate_code_ms) = paired_median_ms(
         [&] { (void)plain->forward(x, ctx); }, [&] { (void)model.forward(x, ctx); },
         kCodeGatePairs);
+    // The fact the timing gate rests on: both models ran the same kernel
+    // on every layer.
+    if (const std::string f = plan_fault(model, /*coded=*/true); !f.empty())
+      row.gate_plan_fault = "code model: " + f;
+    else if (const std::string g = plan_fault(*plain, /*coded=*/false); !g.empty())
+      row.gate_plan_fault = "prepacked model: " + g;
+  }
   for (nn::Module* m : model.modules()) {
     auto* cw = dynamic_cast<nn::ChannelWeights*>(m);
     if (cw == nullptr) continue;
@@ -416,9 +452,9 @@ struct BackendSweep {
 
 /// Times the prepacked FP32 forward of each vision model once per
 /// compiled-in backend the host supports, single-threaded, cross-checking
-/// logits bitwise against the scalar backend.  The prepacked-weight cache
-/// keys on the backend id, so switching backends rebuilds the panels in the
-/// untimed warm-up pass — exactly the hot-swap path serving exercises.
+/// logits bitwise against the scalar backend.  A layer's weight plan is
+/// compiled for one backend, so switching backends repacks the panels in
+/// the untimed warm-up pass — exactly the hot-swap path serving exercises.
 template <typename Zoo>
 BackendSweep backend_sweep(Zoo& zoo, const nn::Tensor& x, int reps) {
   BackendSweep sweep;
@@ -747,7 +783,8 @@ int main(int argc, char** argv) {
   //    to the last bit;
   //  * perf — on ResNet18-mini the code-domain path must not lose to
   //    prepacked FP32 (CI perf-smoke regression gate; medians of
-  //    alternating pairs);
+  //    alternating pairs), and the plan report must show both models ran
+  //    the FP32 kernel with no fallback on every layer;
   //  * the Kulisch probe must find a usable table for the code format.
   int bad = 0;
   const bool simd_active =
@@ -774,6 +811,13 @@ int main(int argc, char** argv) {
                      "the fake-quantized FP32 path at %d thread(s) "
                      "(max ULP %u; must be 0)\n",
                      r.model.c_str(), run.threads, r.code_ulp);
+        ++bad;
+      }
+      if (!r.gate_plan_fault.empty()) {
+        std::fprintf(stderr,
+                     "bench_inference: the code gate's models on %s at %d "
+                     "thread(s) did not both run the FP32 kernel: %s\n",
+                     r.model.c_str(), run.threads, r.gate_plan_fault.c_str());
         ++bad;
       }
       if (r.model == kCodeGateModel &&

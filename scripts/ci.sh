@@ -66,7 +66,7 @@ echo "==> SIMD backend self-check (--backends)"
 ./build/bench/bench_inference --backends
 echo "==> GEMM suites under MERSIT_BACKEND=scalar"
 MERSIT_BACKEND=scalar ./build/tests/test_concurrency --gtest_filter='Gemm*'
-MERSIT_BACKEND=scalar ./build/tests/test_qgemm --gtest_filter='QgemmPack*:QgemmModelTest.*:Int8*'
+MERSIT_BACKEND=scalar ./build/tests/test_qgemm --gtest_filter='QgemmPack*:QgemmWeightPlan.*:QgemmModelTest.*:Int8*'
 
 # FMA contraction guard: rebuild the GEMM and layer suites (the contract
 # matrix included) with -mfma, so the compiler may fuse any a*b + c it
@@ -95,9 +95,9 @@ for example in deploy_quantized fault_campaign mac_simulation quickstart; do
   "./build/examples/${example}"
 done
 
-# Perf smoke: the Release bench runs every model through all three modes
-# (prepacked+fused / code-domain MERSIT_QGEMM=code / decode-free
-# MERSIT_QGEMM=int8) and enforces its gates internally, exiting nonzero
+# Perf smoke: the Release bench runs every model through all three paths
+# (prepacked+fused / code-domain / decode-free int8, picked with
+# gemm::set_qgemm_mode) and enforces its gates internally, exiting nonzero
 # when any fails:
 #  * ULP > 0 for the fused default forward vs the same model run module by
 #    module under a pass-through quant session, on every model at pool
@@ -106,7 +106,8 @@ done
 #    in test_gemm, and every weight path's is the contract matrix there),
 #  * ULP > 0 for the code-domain forward vs the fake-quantized FP32 path,
 #  * code-domain slower than prepacked FP32 on ResNet18-mini (medians of
-#    alternating pairs),
+#    alternating pairs), or either of those two models' plan report showing
+#    a layer that did not run the FP32 kernel with no fallback,
 #  * a vision model with no usable affine LUT for INT8 (int8 path never
 #    engaged), int8 logits outside the grid-flip tolerance of the code
 #    path, or any batch top-1 flip between the int8 and code paths (the
@@ -165,7 +166,8 @@ MERSIT_BENCH_FAST=1 ./build/bench/fig7_mac_area_power --json=build/BENCH_fig7.js
 #    includes the bitwise code-domain vs fake-quantized FP32 check and the
 #    int8 tolerance check.
 #  * serve-swap drives the serving engine through MERSIT(8,2)/(8,3) hot
-#    swaps, so code-mode layers rebuild their packs under live traffic.
+#    swaps, so code-path layers recompile their weight plans under live
+#    traffic.
 perfbench_exact() {
   local out result
   out="$(CARGO_TARGET_DIR=build/perfbench-ci python3 perfbench/run.py \
@@ -196,8 +198,8 @@ MERSIT_BACKEND=scalar run_suite build-sanitize -DMERSIT_SANITIZE=ON -DCMAKE_BUIL
 # by ctest label: tests/CMakeLists.txt labels the dedicated
 # test_concurrency executable (codec lazy init, kernel cache, thread pool,
 # GEMM, the contract matrix, prepack/arena, a code swap racing forwards,
-# parallel PTQ), test_qgemm (code mode riding the pool fan-out, keyed pack
-# cache, Kulisch accumulator, int8 path), and test_serve (engine admission /
+# parallel PTQ), test_qgemm (the code path riding the pool fan-out, weight
+# plan recompiles, Kulisch accumulator, int8 path), and test_serve (engine admission /
 # watchdog / drain races, hot-swap under load) with `concurrency`, so new
 # suites join the stage by adding a source there instead of editing a
 # pattern here.  The one name filter slices the contract matrix: the model

@@ -41,7 +41,7 @@ namespace mersit::core {
 /// caller — which knows the accepted value set — and must follow the same
 /// loud-beats-lucky rule: an unrecognized value throws naming the variable,
 /// the value, and the accepted set (see gemm::parse_backend for the
-/// MERSIT_BACKEND instance, qgemm's parse_mode for MERSIT_QGEMM).
+/// MERSIT_BACKEND instance).
 [[nodiscard]] inline const char* env_str(const char* name) {
   const char* env = std::getenv(name);
   return (env == nullptr || env[0] == '\0') ? nullptr : env;

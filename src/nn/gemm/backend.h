@@ -44,7 +44,7 @@
 // Because pack layouts differ across tile geometries, a pack (PackedMatrix
 // or PackedInt8) records the backend it was packed for, sgemm and
 // qgemm_int8 reject operands packed for a foreign backend, and the
-// layer-side pack caches key on the backend id — switching MERSIT_BACKEND
+// layer weight plans are compiled for one backend id — switching backends
 // can never serve a foreign-layout pack.
 #pragma once
 
@@ -110,7 +110,7 @@ struct Backend {
                 int mr, int nr, Epilogue epi, const float* asc,
                 const float* ash);
 
-  // --- Decode-free int8 path (MERSIT_QGEMM=int8) ---------------------------
+  // --- Decode-free int8 path (QgemmMode::kInt8) ----------------------------
   // The int8 kernels accumulate level products in int32, which is exact and
   // associative, so the bit-identity contract holds across backends with no
   // ordering rules at all — any k order, any widening scheme, FMA-free by
@@ -171,7 +171,7 @@ struct Backend {
 /// Strict MERSIT_BACKEND parsing: unknown names throw listing the
 /// compiled-in backends; a known backend the host cannot execute throws
 /// naming the missing capability.  Same loud-beats-lucky policy as
-/// core::env_int and MERSIT_QGEMM.
+/// core::env_int.
 [[nodiscard]] const Backend& parse_backend(const std::string& value);
 
 /// The active backend: MERSIT_BACKEND when set (strict-parsed once), else

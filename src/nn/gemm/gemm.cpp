@@ -521,7 +521,7 @@ void sgemm(int M, int N, int K, const float* A, int lda, bool trans_a,
 }
 
 // ---------------------------------------------------------------------------
-// Decode-free int8 driver (MERSIT_QGEMM=int8)
+// Decode-free int8 driver (QgemmMode::kInt8)
 //
 // Mirrors the sgemm driver's cache-blocked tiling, prepack machinery, and
 // thread-pool fan-out (the same pack_panels, check_packed and

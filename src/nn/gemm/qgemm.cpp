@@ -4,28 +4,18 @@
 #include <atomic>
 #include <cmath>
 #include <stdexcept>
-#include <string>
 
 #if defined(__x86_64__) || defined(_M_X64)
 #include <immintrin.h>
 #endif
 
 #include "core/cpu.h"
-#include "core/env.h"
 
 namespace mersit::nn::gemm {
 
 namespace {
 
-std::atomic<QgemmMode>& qgemm_flag() {
-  static std::atomic<QgemmMode> flag = [] {
-    // Same strict env layer as MERSIT_BACKEND: unset/empty means the
-    // default, anything else must parse or throws.
-    const char* env = core::env_str("MERSIT_QGEMM");
-    return env != nullptr ? parse_qgemm_mode(env) : QgemmMode::kCode;
-  }();
-  return flag;
-}
+std::atomic<QgemmMode> g_qgemm_mode{QgemmMode::kCode};
 
 // 512-bit two's-complement fixed-point accumulator ("quire").  Bit i holds
 // weight 2^(base + i); products are exact dyadic integers shifted into
@@ -141,20 +131,10 @@ bool decompose(double v, std::int64_t& mant, int& exp) {
 
 }  // namespace
 
-QgemmMode parse_qgemm_mode(const std::string& value) {
-  if (value == "float") return QgemmMode::kFloat;
-  if (value == "code") return QgemmMode::kCode;
-  if (value == "kulisch") return QgemmMode::kKulisch;
-  if (value == "int8") return QgemmMode::kInt8;
-  throw std::runtime_error(
-      "MERSIT_QGEMM must be one of float|code|kulisch|int8, got \"" + value +
-      "\"");
-}
-
-QgemmMode qgemm_mode() { return qgemm_flag().load(std::memory_order_relaxed); }
+QgemmMode qgemm_mode() { return g_qgemm_mode.load(std::memory_order_relaxed); }
 
 QgemmMode set_qgemm_mode(QgemmMode mode) {
-  return qgemm_flag().exchange(mode, std::memory_order_relaxed);
+  return g_qgemm_mode.exchange(mode, std::memory_order_relaxed);
 }
 
 AffineLut build_affine_lut(const double* lut) {

@@ -1,11 +1,14 @@
-// Code-domain quantized GEMM modes and the exact Kulisch-style accumulator.
+// Code-domain quantized GEMM paths and the exact Kulisch-style accumulator.
 //
 // Once a layer carries 8-bit weight codes (nn::WeightCodes, installed by the
-// PTQ layer or from an MQT1 artifact), inference can run in one of four
-// modes, selected by MERSIT_QGEMM:
+// PTQ layer or from an MQT1 artifact), inference can run one of four weight
+// paths, selected in-process with set_qgemm_mode.  Each layer compiles the
+// requested path into its weight plan (nn/qweights.h), which records the
+// kernel that runs and, when an int8 / Kulisch request is declined, the
+// typed reason (nn::weight_plans reports both):
 //
 //  * float   — ignore the codes; layers keep using their FP32 weights
-//              (the pre-code-domain behaviour, for A/B comparisons).
+//              (the reference the code path is checked against).
 //  * code    — the default.  Each payload's codes are decoded once,
 //              float(value[code] * scale) through the install's shared
 //              code book (gemm::decode_codes), and packed like FP32
@@ -13,7 +16,7 @@
 //              quantize→dequantize FP32 path.  The 8-bit payload is what
 //              an artifact stores and a swap ships; a warm layer holds
 //              FP32 panels and reads FP32-path weight traffic.
-//  * kulisch — opt-in exact-accumulation study mode mirroring the paper's
+//  * kulisch — opt-in exact-accumulation study path mirroring the paper's
 //              §1.4 Kulisch MAC: both operands are 8-bit codes, every
 //              product is formed exactly as a dyadic rational
 //              (mant_a·mant_b, 2^(exp_a+exp_b)) and summed into a wide
@@ -23,10 +26,11 @@
 //              weight codes remap once to int8 levels q = code − z,
 //              activations quantize to the same grid at the GEMM boundary,
 //              and the micro-kernel accumulates q_a·q_b in int32, so both
-//              operands move as bytes (≈4x less panel traffic than code
-//              mode) and float math waits for the epilogue.  Other formats
-//              (MERSIT, posit, FP8) fall back to code mode per layer,
-//              silently, as Kulisch does.
+//              operands move as bytes (≈4x less panel traffic than the
+//              code path) and float math waits for the epilogue.  Other
+//              formats (MERSIT, posit, FP8) have no affine table; their
+//              plans run the code path's FP32 kernel, as Kulisch plans do
+//              on formats that do not decompose.
 //
 // Int8 ULP contract: each output element is computed as
 //   float( double(bias) + double(acc) · (s_a · s_b) )
@@ -48,44 +52,39 @@
 // rounded, ≤ 0.5 ulp), (2) the double scale product, (3) the final fused
 // multiply/add chain and float cast — a fixed, K-independent number of
 // roundings.  FP32 ascending-k accumulation performs K data-dependent
-// roundings instead, so the Kulisch result is the reference the FP32 mode
-// drifts from, not vice versa.  This mode trades throughput for exactness
+// roundings instead, so the Kulisch result is the reference the FP32 path
+// drifts from, not vice versa.  This path trades throughput for exactness
 // (a software 512-bit quire per output element); it is a numerics
 // instrument, not a fast path.
 //
-// Backend note: the float and code modes ride the SIMD backend registry
+// Backend note: the float and code paths ride the SIMD backend registry
 // (nn/gemm/backend.h) through the same float pack routines and sgemm —
-// code mode differs only in where the FP32 weights come from.
+// the code path differs only in where the FP32 weights come from.
 // qgemm_kulisch reads raw codes and accumulates in integer arithmetic, so
 // it is independent of the active backend by construction and needs no
 // per-backend gating.
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 #include "nn/gemm/gemm.h"
 
 namespace mersit::nn::gemm {
 
-/// Weight-path execution mode for layers that carry 8-bit codes.
+/// Weight path for layers that carry 8-bit codes.
 enum class QgemmMode {
-  kFloat,    ///< MERSIT_QGEMM=float — ignore codes, use FP32 weights
-  kCode,     ///< MERSIT_QGEMM=code (default) — decode once, pack as FP32
-  kKulisch,  ///< MERSIT_QGEMM=kulisch — exact fixed-point accumulation
-  kInt8,     ///< MERSIT_QGEMM=int8 — decode-free integer path (affine LUTs)
+  kFloat,    ///< ignore codes, use the FP32 weights
+  kCode,     ///< the default — decode once, pack as FP32
+  kKulisch,  ///< exact fixed-point accumulation
+  kInt8,     ///< decode-free integer path (affine LUTs)
 };
 
-/// Strict parse of a MERSIT_QGEMM value; throws std::runtime_error with a
-/// message enumerating all valid values on anything else.  Exposed so tests
-/// can exercise rejection without re-running static env initialisation.
-[[nodiscard]] QgemmMode parse_qgemm_mode(const std::string& value);
-
-/// Current mode; first call parses MERSIT_QGEMM (strict: any value other
-/// than float/code/kulisch/int8 throws, consistent with core/env.h).
+/// The process-wide requested path; every inference forward of a layer
+/// with a weight plan reads it once.  Starts at kCode.
 [[nodiscard]] QgemmMode qgemm_mode();
 
-/// Programmatic override (tests, benches); returns the previous mode.
+/// Sets the requested path (tests, benches); returns the previous one.
+/// Layers recompile their plan on the next forward under a new path.
 QgemmMode set_qgemm_mode(QgemmMode mode);
 
 /// Per-code exact dyadic decomposition of a 256-entry decode LUT:
@@ -101,14 +100,15 @@ struct KulischTable {
   /// a non-negative int.
   int base = 0;
   /// False when a finite entry is not exactly representable in the scheme
-  /// or the format's dynamic range exceeds the quire — Kulisch mode then
-  /// falls back to code mode for layers using this table.
+  /// or the format's dynamic range exceeds the quire — the code book then
+  /// holds no table and Kulisch plans report PlanFallback::kNoTable.
   bool usable = false;
 };
 
 /// Build the table from a decode LUT.  Verifies each decomposition by exact
 /// reconstruction and checks the quire range budget; failures clear
-/// `usable` instead of throwing (Kulisch is opt-in, fallback is silent).
+/// `usable` instead of throwing (Kulisch is opt-in; plans on such a format
+/// run the FP32 kernel and report why).
 [[nodiscard]] KulischTable build_kulisch_table(const double* lut);
 
 /// One code-domain GEMM operand: an 8-bit code matrix plus its scales.
@@ -139,7 +139,7 @@ void qgemm_kulisch(int M, int N, int K, const QOperand& a, const QOperand& b,
                    float* c, int ldc, Epilogue epi = Epilogue::kNone);
 
 // ---------------------------------------------------------------------------
-// Decode-free int8 path (MERSIT_QGEMM=int8)
+// Decode-free int8 path (QgemmMode::kInt8)
 // ---------------------------------------------------------------------------
 
 /// Exact affine remap of a 256-entry decode LUT: for every finite entry,
@@ -149,20 +149,20 @@ void qgemm_kulisch(int M, int N, int K, const QOperand& a, const QOperand& b,
 /// zero-point LUTs such as s·(c − 128)).  Finite entries that are exactly
 /// 0.0 map to q = 0 regardless of level, so artifact LUTs whose non-finite
 /// codes were policy-zeroed still qualify.  Non-finite entries get q = 0;
-/// they never reach the kernel (the layer plumbing gates int8 on a zero
+/// they never reach the kernel (weight plans gate int8 on a zero
 /// count of codes whose book value is non-finite, same as Kulisch).
 struct AffineLut {
   std::int8_t q[256] = {};   ///< code → int8 level, lut[c] == scale·q[c]
   double scale = 0.0;        ///< exact affine step s
   std::int8_t qmin = 0;      ///< smallest finite level (activation clamp)
   std::int8_t qmax = 0;      ///< largest finite level (activation clamp)
-  bool usable = false;       ///< false → layers fall back to code mode
+  bool usable = false;       ///< false → int8 plans run the FP32 kernel
 };
 
 /// Build the remap from a decode LUT.  The 256-code verification is
 /// exhaustive and exact; any mismatch (MERSIT, posit, FP8, or a level that
 /// does not fit int8) clears `usable` instead of throwing — int8 is opt-in
-/// and fallback is silent, mirroring build_kulisch_table.
+/// and its plans report the fallback, mirroring build_kulisch_table.
 [[nodiscard]] AffineLut build_affine_lut(const double* lut);
 
 /// The identity level map q[c] = int8(c), for operands whose bytes already

@@ -4,7 +4,9 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <optional>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/scratch_arena.h"
@@ -34,90 +36,28 @@ void plane_means(const float* x, int planes, int hw, float* out) {
   }
 }
 
-/// The installed code-domain weights, when the layer should run from them:
-/// inference only and MERSIT_QGEMM != float.  The snapshot is taken once
-/// per forward; everything derived (decoded floats, packs, the cache key)
-/// comes from this one instance, and the forward holds both the snapshot
-/// and its cache entry until it returns, so a concurrent swap can only
-/// yield a fully-old or fully-new view, never a mix or a freed one.
-std::shared_ptr<const WeightCodes> active_codes(const ChannelWeights& cw,
-                                                const Context& ctx) {
-  if (ctx.train || gemm::qgemm_mode() == gemm::QgemmMode::kFloat)
-    return nullptr;
-  return cw.weight_codes();
+/// The path one inference forward asks for — the one read of the
+/// process-wide gemm::qgemm_mode() — and, for the int8 and Kulisch paths,
+/// the decline the call decides itself.  Training asks for no plan: it
+/// runs the live Param unpacked.
+std::optional<PlanRequest> resolve_path(const Context& ctx, const Tensor& x,
+                                        bool depthwise, bool fused_affine) {
+  if (ctx.train) return std::nullopt;
+  PlanRequest req{gemm::qgemm_mode()};
+  const bool kulisch = req.path == gemm::QgemmMode::kKulisch;
+  if (kulisch || req.path == gemm::QgemmMode::kInt8)
+    req.declined = depthwise                  ? PlanFallback::kDepthwise
+                   : !(x.quant_scale() > 0.0) ? PlanFallback::kUnstampedInput
+                   : fused_affine && kulisch  ? PlanFallback::kFusedAffine
+                                              : PlanFallback::kNone;
+  return req;
 }
 
-void check_codes(const WeightCodes& wc, int channels, int per_channel,
-                 const char* who) {
-  if (wc.book == nullptr || wc.channels != channels ||
-      wc.per_channel != per_channel ||
-      wc.codes.size() != static_cast<std::size_t>(channels) * per_channel ||
-      wc.scales.size() != static_cast<std::size_t>(channels))
-    throw std::invalid_argument(std::string(who) +
-                                ": weight codes do not match the layer shape");
-}
-
-/// The one FP32-weight cache-entry builder: the source is the live Param
-/// `weight`, or — in code mode — `wc` decoded once into the entry's
-/// `decoded` array, bit-identical to the quantize→dequantize weights.
-/// `pack` turns the source array into the layer's panel packs, so code
-/// mode packs exactly what the FP32 path would pack for the same values.
-template <typename PackFn>
-std::shared_ptr<const PackedWeights> float_weights(PackCache& cache,
-                                                   const Param& weight,
-                                                   const WeightCodes* wc,
-                                                   PackFn&& pack) {
-  const PackKey key{wc != nullptr ? wc->id : 0, PackKey::Kind::kFloat,
-                    gemm::active_backend().id};
-  return cache.get(weight, key, [&] {
-    PackedWeights pw;
-    const float* src = weight.value.raw();
-    if (wc != nullptr) {
-      pw.decoded.resize(wc->codes.size());
-      gemm::decode_codes(wc->codes.data(), wc->codes.size(), wc->book->value,
-                         wc->scales.data(),
-                         static_cast<std::size_t>(wc->per_channel),
-                         pw.decoded.data());
-      src = pw.decoded.data();
-    }
-    pw.packs = pack(src);
-    return pw;
-  });
-}
-
-/// The one int8-path cache-entry builder: the channel scales folded with
-/// the affine step, and `pack`'s level panels from the book's remap.
-template <typename PackFn>
-std::shared_ptr<const PackedWeights> int8_weights(PackCache& cache,
-                                                  const Param& weight,
-                                                  const WeightCodes& wc,
-                                                  PackFn&& pack) {
-  const PackKey key{wc.id, PackKey::Kind::kInt8, gemm::active_backend().id};
-  return cache.get(weight, key, [&] {
-    PackedWeights pw;
-    for (const double s : wc.scales)
-      pw.iscales.push_back(wc.book->affine->scale * s);
-    pw.ipacks = pack(wc.book->affine->q);
-    return pw;
-  });
-}
-
-/// Kulisch / int8 eligibility for one forward: the opt-in mode, that mode's
-/// table in the book, a stamped activation scale, and no weight code whose
-/// book value is non-finite (it has no fixed-point or integer value).  Int8
-/// callers also bound K ≤ gemm::kInt8MaxK (exact int32 accumulation).
-/// Anything missing falls back to code mode, silently; code mode is
-/// bit-identical to the FP32 default anyway.
-bool kulisch_ok(const WeightCodes& wc, const Tensor& x) {
-  return gemm::qgemm_mode() == gemm::QgemmMode::kKulisch &&
-         wc.book->kulisch != nullptr && wc.nonfinite == 0 &&
-         x.quant_scale() > 0.0;
-}
-
-bool int8_ok(const WeightCodes& wc, const Tensor& x) {
-  return gemm::qgemm_mode() == gemm::QgemmMode::kInt8 &&
-         wc.book->affine != nullptr && wc.nonfinite == 0 &&
-         x.quant_scale() > 0.0;
+/// The FP32 weights a forward reads: the plan's decoded codes, else the
+/// live Param (training, no codes installed, or the kFloat path).
+const float* fp32_weights(const WeightPlan* plan, const Param& weight) {
+  return plan != nullptr && plan->codes != nullptr ? plan->decoded.data()
+                                                   : weight.value.raw();
 }
 
 /// The fused-epilogue equivalent of an Act kind, or kNone when the kind has
@@ -133,10 +73,283 @@ gemm::Epilogue epilogue_for(Act a) {
   }
 }
 
+/// Static geometry of one conv application, shared by the GEMM-lowered
+/// forward and backward.
+struct ConvGeom {
+  int n, in_ch, out_ch, h, w, oh, ow, k, stride, pad, groups, icg, ocg;
+  [[nodiscard]] int osz() const { return oh * ow; }
+  [[nodiscard]] int kdim() const { return icg * k * k; }
+  /// 1x1/stride-1/no-pad convs read the input slab as the column buffer
+  /// directly — no im2col copy.
+  [[nodiscard]] bool unit() const { return k == 1 && stride == 1 && pad == 0; }
+  [[nodiscard]] bool depthwise() const { return icg == 1 && ocg == 1; }
+};
+
+/// `c` applied to `x`; throws on a channel mismatch.
+ConvGeom conv_geom(const Conv2d& c, const Tensor& x) {
+  if (x.dim(1) != c.in_channels()) throw std::invalid_argument("Conv2d: channel mismatch");
+  const int h = x.dim(2), w = x.dim(3), k = c.kernel(), s = c.stride(), p = c.pad();
+  return {x.dim(0), c.in_channels(), c.out_channels(), h, w, (h + 2 * p - k) / s + 1,
+          (w + 2 * p - k) / s + 1, k, s, p, c.groups(), c.in_channels() / c.groups(),
+          c.out_channels() / c.groups()};
+}
+
+/// Exact-accumulation conv (the Kulisch path) over `x` laid out as g's
+/// input: weight codes times re-encoded activation codes through the
+/// software quire.
+Tensor conv_kulisch(const ConvGeom& g, const Tensor& x, const WeightCodes& wc,
+                    const float* bias, gemm::Epilogue epi) {
+  const int n = g.n, h = g.h, w = g.w, icg = g.icg, ocg = g.ocg, kdim = g.kdim(), osz = g.osz();
+  const double xscale = x.quant_scale();
+  const double xinv = 1.0 / xscale;
+  Tensor y({n, g.out_ch, g.oh, g.ow});
+  core::global_pool().parallel_for(static_cast<std::size_t>(n), [&](std::size_t b) {
+    const float* xb = x.raw() + b * static_cast<std::size_t>(g.in_ch) * h * w;
+    float* yb = y.raw() + b * static_cast<std::size_t>(g.out_ch) * osz;
+    // The quire path re-reads every element once to encode; plain vectors
+    // instead of the float-only ScratchArena (exactness mode, not a hot
+    // path).
+    std::vector<float> col;
+    if (!g.unit()) col.resize(static_cast<std::size_t>(kdim) * osz);
+    std::vector<std::uint8_t> ccodes(static_cast<std::size_t>(kdim) * osz);
+    for (int grp = 0; grp < g.groups; ++grp) {
+      const float* src = xb + static_cast<std::size_t>(grp) * icg * h * w;
+      const float* colp = src;
+      if (!g.unit()) {
+        gemm::im2col(src, icg, h, w, g.k, g.stride, g.pad, col.data());
+        colp = col.data();
+      }
+      for (std::size_t i = 0; i < ccodes.size(); ++i)
+        ccodes[i] = wc.book->encode(static_cast<double>(colp[i]) * xinv);
+      const gemm::QOperand a{
+          wc.codes.data() + static_cast<std::size_t>(grp) * ocg * kdim, kdim,
+          /*trans=*/false, wc.scales.data() + static_cast<std::size_t>(grp) * ocg,
+          0.0};
+      const gemm::QOperand bop{ccodes.data(), osz, /*trans=*/false, nullptr,
+                               xscale};
+      gemm::qgemm_kulisch(ocg, osz, kdim, a, bop, *wc.book->kulisch,
+                          gemm::Init::kBiasRow,
+                          bias + static_cast<std::size_t>(grp) * ocg,
+                          yb + static_cast<std::size_t>(grp) * ocg * osz, osz,
+                          epi);
+    }
+  });
+  return y;
+}
+
+/// Decode-free conv (the int8 path on an affine-LUT format) over `x` laid
+/// out as g's input: weight levels times activation levels in int32,
+/// dequant at write-back.  `plan` carries the codes, the per-group level
+/// packs and the fused dequant scales; bn_scale/bn_shift fuse a following
+/// inference BN exactly as the FP32 conv does.
+Tensor conv_int8(const ConvGeom& g, const Tensor& x, const WeightPlan& plan,
+                 const float* bias, gemm::Epilogue epi, const float* bn_scale,
+                 const float* bn_shift) {
+  const WeightCodes& wc = *plan.codes;
+  const int n = g.n, h = g.h, w = g.w, icg = g.icg, ocg = g.ocg, kdim = g.kdim(), osz = g.osz();
+  const gemm::AffineLut& alut = *wc.book->affine;
+  const double xscale = x.quant_scale();
+  const double xinv = 1.0 / (alut.scale * xscale);
+  Tensor y = Tensor::uninitialized({n, g.out_ch, g.oh, g.ow});
+  // Batched lowering: sample chunks share one wide column buffer (sample i's
+  // columns at offset i*osz, row stride chunk·osz), so each group runs ONE
+  // qgemm_int8 of N = chunk·osz columns instead of a per-sample GEMM —
+  // per-call pack/driver overhead amortizes across the batch, which is what
+  // makes int8 win at small-channel shapes (M = ocg as low as 14 in the
+  // mini models).  The lowering itself is the fused im2col_int8: columns are
+  // written directly as int8 levels (one pass, 4x smaller buffer, and the
+  // separate quantize sweep disappears).  Chunk boundaries are a function of
+  // the shape only, every output element's integer accumulation is exact,
+  // and the dequant expression is per-element — so results are invariant to
+  // chunking, tiling, thread count, and backend, exactly like the
+  // per-sample formulation this replaces.
+  const std::size_t col_bytes = static_cast<std::size_t>(kdim) * osz;
+  constexpr std::size_t kColBudget = std::size_t{8} << 20;
+  const int chunk = static_cast<int>(std::clamp<std::size_t>(
+      kColBudget / (col_bytes != 0 ? col_bytes : 1), 1,
+      static_cast<std::size_t>(n)));
+  core::ScratchArena& arena = core::ScratchArena::local();
+  const core::ScratchArena::Scope scope(arena);
+  // The level buffer reinterprets arena floats (4 int8 levels per slot);
+  // the arena's 64-byte slot alignment carries over.
+  std::int8_t* qcol = reinterpret_cast<std::int8_t*>(
+      arena.alloc((static_cast<std::size_t>(kdim) * chunk * osz + 3) / 4));
+  // Batched C rows interleave samples ([m][sample][osz]), so the GEMM lands
+  // in scratch and scatters to y's [sample][channel][osz] layout after.
+  float* cbuf = chunk > 1
+                    ? arena.alloc(static_cast<std::size_t>(ocg) * chunk * osz)
+                    : nullptr;
+  for (int b0 = 0; b0 < n; b0 += chunk) {
+    const int bn = std::min(chunk, n - b0);
+    const int ncols = bn * osz;
+    for (int grp = 0; grp < g.groups; ++grp) {
+      core::global_pool().parallel_for(
+          static_cast<std::size_t>(bn), [&](std::size_t bi) {
+            gemm::im2col_int8(
+                x.raw() + (static_cast<std::size_t>(b0 + bi) * g.in_ch +
+                           static_cast<std::size_t>(grp) * icg) *
+                              h * w,
+                icg, h, w, g.k, g.stride, g.pad, xinv, alut.qmin, alut.qmax,
+                qcol + bi * static_cast<std::size_t>(osz), ncols);
+          });
+      gemm::RowAffine aff;
+      if (bn_scale != nullptr) {
+        aff.scale = bn_scale + static_cast<std::size_t>(grp) * ocg;
+        aff.shift = bn_shift + static_cast<std::size_t>(grp) * ocg;
+      }
+      const gemm::Int8Operand a{
+          wc.codes.data() + static_cast<std::size_t>(grp) * ocg * kdim, kdim,
+          /*trans=*/false, alut.q,
+          plan.iscales.data() + static_cast<std::size_t>(grp) * ocg, 0.0};
+      const gemm::Int8Operand bop{reinterpret_cast<const std::uint8_t*>(qcol),
+                                  ncols, /*trans=*/false, gemm::identity_qlut(),
+                                  nullptr, alut.scale * xscale};
+      float* cdst = bn == 1
+                        ? y.raw() + (static_cast<std::size_t>(b0) * g.out_ch +
+                                     static_cast<std::size_t>(grp) * ocg) *
+                                        osz
+                        : cbuf;
+      gemm::qgemm_int8(ocg, ncols, kdim, a, bop, gemm::Init::kBiasRow,
+                       bias + static_cast<std::size_t>(grp) * ocg,
+                       cdst, ncols, &core::global_pool(), epi,
+                       &plan.ipacks[grp], nullptr,
+                       bn_scale != nullptr ? &aff : nullptr);
+      if (bn > 1) {
+        for (int m = 0; m < ocg; ++m) {
+          const float* crow = cbuf + static_cast<std::size_t>(m) * ncols;
+          for (int bi = 0; bi < bn; ++bi)
+            std::memcpy(y.raw() + ((static_cast<std::size_t>(b0 + bi) *
+                                        g.out_ch +
+                                    static_cast<std::size_t>(grp) * ocg + m)) *
+                                      osz,
+                        crow + static_cast<std::size_t>(bi) * osz,
+                        static_cast<std::size_t>(osz) * sizeof(float));
+        }
+      }
+    }
+  }
+  return y;
+}
+
 }  // namespace
 
 bool fuse_inference_ok(const Context& ctx) {
   return !ctx.train && ctx.quant == nullptr;
+}
+
+const char* kernel_name(WeightKernel k) {
+  static constexpr const char* kNames[] = {"fp32", "int8", "kulisch"};
+  return kNames[static_cast<int>(k)];
+}
+
+const char* fallback_name(PlanFallback f) {
+  static constexpr const char* kNames[] = {
+      "none",            "no weight codes",       "depthwise",        "unstamped input",
+      "fused BN affine", "no table for the path", "non-finite codes", "K above kInt8MaxK"};
+  return kNames[static_cast<int>(f)];
+}
+
+std::vector<LayerPlan> weight_plans(Module& model) {
+  std::vector<LayerPlan> out;
+  for (Module* m : model.modules())
+    if (const auto* cw = dynamic_cast<const ChannelWeights*>(m))
+      if (auto plan = cw->weight_plan())
+        out.push_back({m->path().empty() ? m->name() : m->path(), std::move(plan)});
+  return out;
+}
+
+// -------------------------------------------------------- ChannelWeights ---
+
+void ChannelWeights::set_weight_codes(std::shared_ptr<const WeightCodes> codes) {
+  const auto channels = static_cast<std::size_t>(weight_channels());
+  const std::size_t per = weight_param().value.data().size() / std::max<std::size_t>(channels, 1);
+  if (codes != nullptr &&
+      (codes->book == nullptr || static_cast<std::size_t>(codes->channels) != channels ||
+       static_cast<std::size_t>(codes->per_channel) != per ||
+       codes->codes.size() != channels * per || codes->scales.size() != channels)) {
+    const auto& m = dynamic_cast<const Module&>(*this);
+    throw std::invalid_argument(m.name() + " '" + m.path() +
+                                "': weight codes do not match the layer shape (" +
+                                std::to_string(channels) + " channels x " +
+                                std::to_string(per) + " weights, one scale each)");
+  }
+  const std::lock_guard<std::mutex> lock(mu_);
+  codes_ = std::move(codes);
+  plan_ = nullptr;
+}
+
+std::shared_ptr<const WeightCodes> ChannelWeights::weight_codes() const {
+  const std::lock_guard<std::mutex> lock(mu_);
+  return codes_;
+}
+
+std::shared_ptr<const WeightPlan> ChannelWeights::weight_plan() const {
+  const std::lock_guard<std::mutex> lock(mu_);
+  return plan_;
+}
+
+// The one plan compiler.  Picks the kernel — the requested int8 / Kulisch
+// path when the call did not decline it and the payload qualifies (the
+// path's table in the book, no non-finite code, and for int8 an exact int32
+// K), else FP32 with the typed reason — and builds what that kernel reads:
+// FP32 panels of the live Param or of the codes decoded once (bit-identical
+// to the quantize→dequantize weights), or int8 level panels with the
+// channel scales folded into the affine step.  The kFloat path ignores the
+// codes.
+std::shared_ptr<const WeightPlan> ChannelWeights::plan_for(const PlanRequest& req,
+                                                           const WeightLayout& layout) {
+  const Param& weight = weight_param();
+  const std::uint64_t version = weight.version();
+  const int backend = gemm::active_backend().id;
+  const std::lock_guard<std::mutex> lock(mu_);
+  if (plan_ != nullptr && plan_->request == req && plan_->version == version &&
+      plan_->backend_id == backend)
+    return plan_;
+  auto plan = std::make_shared<WeightPlan>();
+  plan->request = req;
+  plan->reason = req.declined;
+  if (req.path != gemm::QgemmMode::kFloat) plan->codes = codes_;
+  plan->version = version;
+  plan->backend_id = backend;
+  const WeightCodes* wc = plan->codes.get();
+  const bool int8 = req.path == gemm::QgemmMode::kInt8;
+  if ((int8 || req.path == gemm::QgemmMode::kKulisch) && plan->reason == PlanFallback::kNone) {
+    if (wc == nullptr)
+      plan->reason = PlanFallback::kNoCodes;
+    else if (int8 ? wc->book->affine == nullptr : wc->book->kulisch == nullptr)
+      plan->reason = PlanFallback::kNoTable;
+    else if (wc->nonfinite != 0)
+      plan->reason = PlanFallback::kNonFinite;
+    else if (int8 && layout.k > gemm::kInt8MaxK)
+      plan->reason = PlanFallback::kKTooLarge;
+    else
+      plan->kernel = int8 ? WeightKernel::kInt8 : WeightKernel::kKulisch;
+  }
+  const std::size_t block = static_cast<std::size_t>(layout.rows) * layout.k;
+  if (plan->kernel == WeightKernel::kInt8) {
+    const gemm::AffineLut& alut = *wc->book->affine;
+    for (const double s : wc->scales) plan->iscales.push_back(alut.scale * s);
+    for (int grp = 0; grp < layout.groups; ++grp)
+      plan->ipacks.push_back(gemm::pack_a_int8_matrix(
+          layout.rows, layout.k, wc->codes.data() + grp * block, layout.k, false, alut.q));
+  } else if (plan->kernel == WeightKernel::kFp32) {
+    const float* src = weight.value.raw();
+    if (wc != nullptr) {
+      plan->decoded.resize(wc->codes.size());
+      gemm::decode_codes(wc->codes.data(), wc->codes.size(), wc->book->value,
+                         wc->scales.data(), static_cast<std::size_t>(wc->per_channel),
+                         plan->decoded.data());
+      src = plan->decoded.data();
+    }
+    for (int grp = 0; grp < layout.groups; ++grp) {
+      const float* w = src + grp * block;
+      plan->packs.push_back(
+          layout.b_operand ? gemm::pack_b_matrix(layout.k, layout.rows, w, layout.k, true)
+                           : gemm::pack_a_matrix(layout.rows, layout.k, w, layout.k, false));
+    }
+  }
+  plan_ = std::move(plan);
+  return plan_;
 }
 
 // ---------------------------------------------------------------- Linear ---
@@ -165,79 +378,30 @@ Tensor Linear::forward_fused(const Tensor& x, const Context& ctx,
                              gemm::Epilogue epi) {
   const int n = x.dim(0);
   if (x.dim(1) != in_) throw std::invalid_argument("Linear: width mismatch");
-  const auto wc = active_codes(*this, ctx);
-  if (wc != nullptr) check_codes(*wc, out_, in_, "Linear");
-  if (wc != nullptr && kulisch_ok(*wc, x)) {
-    // Exact path: recover the activation codes by re-encoding the already
-    // fake-quantized values at their stamped scale (encode(v / scale) is
-    // idempotent on decoded values), then run weight codes × activation
-    // codes through the software quire.
-    const double xscale = x.quant_scale();
-    const double xinv = 1.0 / xscale;
-    std::vector<std::uint8_t> xcodes(static_cast<std::size_t>(n) * in_);
-    const float* xd = x.raw();
-    for (std::size_t i = 0; i < xcodes.size(); ++i)
-      xcodes[i] = wc->book->encode(static_cast<double>(xd[i]) * xinv);
-    Tensor y({n, out_});
-    const gemm::QOperand a{xcodes.data(), in_, /*trans=*/false, nullptr, xscale};
-    const gemm::QOperand b{wc->codes.data(), in_, /*trans=*/true,
-                           wc->scales.data(), 0.0};
-    gemm::qgemm_kulisch(n, out_, in_, a, b, *wc->book->kulisch,
-                        gemm::Init::kBiasCol, bias.value.raw(), y.raw(), out_,
-                        epi);
-    return y;
-  }
-  if (wc != nullptr && int8_ok(*wc, x) && in_ <= gemm::kInt8MaxK) {
-    // Decode-free path: weight codes remap to int8 levels in the pack step,
-    // activations quantize to the same level grid before the GEMM (exact on
-    // already-fake-quantized values), as conv's im2col_int8 does, and the
-    // kernel accumulates level products in int32 — both operands move as
-    // 8-bit levels and the only float math is the dequant write-back.
-    const gemm::AffineLut& alut = *wc->book->affine;
-    const double xscale = x.quant_scale();
-    const auto cached =
-        int8_weights(packs_, weight, *wc, [&](const std::int8_t* q) {
-          return std::vector<gemm::PackedInt8>{gemm::pack_b_int8_matrix(
-              in_, out_, wc->codes.data(), in_, /*trans_b=*/true, q)};
-        });
-    Tensor y = Tensor::uninitialized({n, out_});
-    core::ScratchArena& arena = core::ScratchArena::local();
-    const core::ScratchArena::Scope scope(arena);
-    // The level buffer reinterprets arena floats (4 int8 levels per slot).
-    const std::size_t nx = static_cast<std::size_t>(n) * in_;
-    std::int8_t* xq = reinterpret_cast<std::int8_t*>(arena.alloc((nx + 3) / 4));
-    gemm::quantize_levels(x.raw(), nx, 1.0 / (alut.scale * xscale), alut.qmin,
-                          alut.qmax, xq);
-    const gemm::Int8Operand a{reinterpret_cast<const std::uint8_t*>(xq), in_,
-                              /*trans=*/false, gemm::identity_qlut(), nullptr,
-                              alut.scale * xscale};
-    const gemm::Int8Operand b{wc->codes.data(), in_, /*trans=*/true, alut.q,
-                              cached->iscales.data(), 0.0};
-    gemm::qgemm_int8(n, out_, in_, a, b, gemm::Init::kBiasCol,
-                     bias.value.raw(), y.raw(), out_, nullptr, epi, nullptr,
-                     cached->ipacks.data());
-    return y;
-  }
-  // FP32 weights: the live Param, or the decoded codes in code mode
-  // (inference only, so the entry always exists when wc is set).
-  const float* wt = weight.value.raw();
-  std::shared_ptr<const PackedWeights> cached;
-  if (!ctx.train) {
-    cached = float_weights(packs_, weight, wc.get(), [&](const float* w) {
-      std::vector<gemm::PackedMatrix> packs;
-      packs.push_back(
-          gemm::pack_b_matrix(in_, out_, w, in_, /*trans_b=*/true));
-      return packs;
-    });
-    if (wc != nullptr) wt = cached->decoded.data();
+  const auto req = resolve_path(ctx, x, /*depthwise=*/false, /*fused_affine=*/false);
+  const auto plan = req ? plan_for(*req, {1, out_, in_, /*b_operand=*/true}) : nullptr;
+  switch (plan != nullptr ? plan->kernel : WeightKernel::kFp32) {
+    case WeightKernel::kKulisch:
+    case WeightKernel::kInt8: {
+      // The 1x1 conv over [n, in, 1, 1]: the same products, and both
+      // kernels' write-back float(bias + acc·(s_a·s_b)) is symmetric in the
+      // operands, so the conv kernels give the Linear's bits.
+      const ConvGeom g{n, in_, out_, 1, 1, 1, 1, 1, 1, 0, 1, in_, out_};
+      Tensor y = plan->kernel == WeightKernel::kInt8
+                     ? conv_int8(g, x, *plan, bias.value.raw(), epi, nullptr, nullptr)
+                     : conv_kulisch(g, x, *plan->codes, bias.value.raw(), epi);
+      return std::move(y).reshaped({n, out_});
+    }
+    case WeightKernel::kFp32:
+      break;
   }
   Tensor y = Tensor::uninitialized({n, out_});
   // y = x · Wᵀ + b; bias-first then ascending-k accumulation matches the
   // naive loop's rounding sequence exactly.
-  gemm::sgemm(n, out_, in_, x.raw(), in_, /*trans_a=*/false, wt, in_,
-              /*trans_b=*/true, y.raw(), out_, gemm::Init::kBiasCol,
-              bias.value.raw(), nullptr, epi, nullptr,
-              cached != nullptr ? cached->packs.data() : nullptr);
+  gemm::sgemm(n, out_, in_, x.raw(), in_, /*trans_a=*/false,
+              fp32_weights(plan.get(), weight), in_, /*trans_b=*/true, y.raw(),
+              out_, gemm::Init::kBiasCol, bias.value.raw(), nullptr, epi, nullptr,
+              plan != nullptr ? plan->packs.data() : nullptr);
   if (ctx.train) x_cache_ = x;
   return y;
 }
@@ -291,18 +455,6 @@ std::span<float> Conv2d::channel_span(int c) {
 
 namespace {
 
-/// Static geometry of one conv application, shared by the GEMM-lowered
-/// forward and backward.
-struct ConvGeom {
-  int n, in_ch, out_ch, h, w, oh, ow, k, stride, pad, groups, icg, ocg;
-  [[nodiscard]] int osz() const { return oh * ow; }
-  [[nodiscard]] int kdim() const { return icg * k * k; }
-  /// 1x1/stride-1/no-pad convs read the input slab as the column buffer
-  /// directly — no im2col copy.
-  [[nodiscard]] bool unit() const { return k == 1 && stride == 1 && pad == 0; }
-  [[nodiscard]] bool depthwise() const { return icg == 1 && ocg == 1; }
-};
-
 /// One sample's grouped-conv forward as per-group GEMMs over an im2col
 /// buffer (`col` is caller-provided scratch of kdim x osz floats, unused
 /// for unit convs).  `packs`, when non-null, holds one prepacked A operand
@@ -333,18 +485,6 @@ void conv_forward_sample(const ConvGeom& g, const float* xb, const float* wt,
                 nullptr, epi, packs != nullptr ? &packs[grp] : nullptr, nullptr,
                 bn_scale != nullptr ? &aff : nullptr);
   }
-}
-
-/// Per-group A-operand packs of a conv weight array ([groups x ocg x kdim]).
-std::vector<gemm::PackedMatrix> pack_conv_weights(const float* wt, int groups,
-                                                  int ocg, int kdim) {
-  std::vector<gemm::PackedMatrix> packs;
-  packs.reserve(static_cast<std::size_t>(groups));
-  for (int grp = 0; grp < groups; ++grp)
-    packs.push_back(gemm::pack_a_matrix(
-        ocg, kdim, wt + static_cast<std::size_t>(grp) * ocg * kdim, kdim,
-        /*trans_a=*/false));
-  return packs;
 }
 
 }  // namespace
@@ -383,214 +523,37 @@ Tensor Conv2d::forward_bn_fused(const Tensor& x, const Context& ctx,
 Tensor Conv2d::forward_affine(const Tensor& x, const Context& ctx,
                               gemm::Epilogue epi, const float* bn_scale,
                               const float* bn_shift) {
-  const int icg = in_ch_ / groups_;
-  const int kdim = icg * k_ * k_;
-  const int ocg = out_ch_ / groups_;
   const bool depthwise = in_ch_ == groups_ && out_ch_ == groups_;
-  const auto wc = active_codes(*this, ctx);
-  if (wc != nullptr) check_codes(*wc, out_ch_, kdim, "Conv2d");
-  if (wc != nullptr && bn_scale == nullptr && !depthwise && kulisch_ok(*wc, x))
-    return run_conv_kulisch(x, *wc, epi);
-  if (wc != nullptr && !depthwise && int8_ok(*wc, x) &&
-      kdim <= gemm::kInt8MaxK) {
-    // Decode-free path (see Linear::forward_fused).  A fused inference BN
-    // rides the RowAffine write-back, identical to run_conv's fold, so the
-    // Sequential fusion scan needs no special case.  Depthwise stays on the
-    // direct float loops (no GEMM to run in the level domain).
-    const auto cached =
-        int8_weights(packs_, weight, *wc, [&](const std::int8_t* q) {
-          std::vector<gemm::PackedInt8> packs;
-          for (int grp = 0; grp < groups_; ++grp)
-            packs.push_back(gemm::pack_a_int8_matrix(
-                ocg, kdim,
-                wc->codes.data() + static_cast<std::size_t>(grp) * ocg * kdim,
-                kdim, /*trans_a=*/false, q));
-          return packs;
-        });
-    return run_conv_int8(x, *wc, *cached, epi, bn_scale, bn_shift);
+  const auto req = resolve_path(ctx, x, depthwise, bn_scale != nullptr);
+  const WeightLayout layout{depthwise ? 0 : groups_, out_ch_ / groups_,
+                            (in_ch_ / groups_) * k_ * k_, /*b_operand=*/false};
+  const auto plan = req ? plan_for(*req, layout) : nullptr;
+  switch (plan != nullptr ? plan->kernel : WeightKernel::kFp32) {
+    case WeightKernel::kKulisch:
+      return conv_kulisch(conv_geom(*this, x), x, *plan->codes, bias.value.raw(), epi);
+    case WeightKernel::kInt8:
+      // A fused inference BN rides the RowAffine write-back, identical to
+      // the FP32 kernel's fold, so the Sequential fusion scan needs no
+      // special case.
+      return conv_int8(conv_geom(*this, x), x, *plan, bias.value.raw(), epi, bn_scale,
+                       bn_shift);
+    case WeightKernel::kFp32:
+      break;
   }
-  // FP32 weights: the live Param, or the decoded codes in code mode.
-  // Depthwise convs run the backend's depthwise kernel, not a GEMM, so
-  // their entries pack nothing.
-  const float* wt = weight.value.raw();
-  std::shared_ptr<const PackedWeights> cached;
-  if (!ctx.train) {
-    cached = float_weights(packs_, weight, wc.get(), [&](const float* w) {
-      return depthwise ? std::vector<gemm::PackedMatrix>{}
-                       : pack_conv_weights(w, groups_, ocg, kdim);
-    });
-    if (wc != nullptr) wt = cached->decoded.data();
-  }
-  return run_conv(x, ctx, wt, bias.value.raw(),
-                  cached != nullptr ? cached->packs.data() : nullptr, epi,
-                  bn_scale, bn_shift);
-}
-
-Tensor Conv2d::run_conv_kulisch(const Tensor& x, const WeightCodes& wc,
-                                gemm::Epilogue epi) {
-  const int n = x.dim(0), h = x.dim(2), w = x.dim(3);
-  if (x.dim(1) != in_ch_) throw std::invalid_argument("Conv2d: channel mismatch");
-  const int oh = (h + 2 * pad_ - k_) / stride_ + 1;
-  const int ow = (w + 2 * pad_ - k_) / stride_ + 1;
-  const int icg = in_ch_ / groups_;
-  const int ocg = out_ch_ / groups_;
-  const int kdim = icg * k_ * k_;
-  const int osz = oh * ow;
-  const double xscale = x.quant_scale();
-  const double xinv = 1.0 / xscale;
-  Tensor y({n, out_ch_, oh, ow});
-  const ConvGeom g{n,  in_ch_,  out_ch_, h,       w,   oh,  ow,
-                   k_, stride_, pad_,    groups_, icg, ocg};
-  core::global_pool().parallel_for(static_cast<std::size_t>(n), [&](std::size_t b) {
-    const float* xb = x.raw() + b * static_cast<std::size_t>(in_ch_) * h * w;
-    float* yb = y.raw() + b * static_cast<std::size_t>(out_ch_) * oh * ow;
-    // The quire path re-reads every element once to encode; plain vectors
-    // instead of the float-only ScratchArena (exactness mode, not a hot
-    // path).
-    std::vector<float> col;
-    if (!g.unit()) col.resize(static_cast<std::size_t>(kdim) * osz);
-    std::vector<std::uint8_t> ccodes(static_cast<std::size_t>(kdim) * osz);
-    for (int grp = 0; grp < groups_; ++grp) {
-      const float* src = xb + static_cast<std::size_t>(grp) * icg * h * w;
-      const float* colp = src;
-      if (!g.unit()) {
-        gemm::im2col(src, icg, h, w, k_, stride_, pad_, col.data());
-        colp = col.data();
-      }
-      for (std::size_t i = 0; i < ccodes.size(); ++i)
-        ccodes[i] = wc.book->encode(static_cast<double>(colp[i]) * xinv);
-      const gemm::QOperand a{
-          wc.codes.data() + static_cast<std::size_t>(grp) * ocg * kdim, kdim,
-          /*trans=*/false, wc.scales.data() + static_cast<std::size_t>(grp) * ocg,
-          0.0};
-      const gemm::QOperand bop{ccodes.data(), osz, /*trans=*/false, nullptr,
-                               xscale};
-      gemm::qgemm_kulisch(ocg, osz, kdim, a, bop, *wc.book->kulisch,
-                          gemm::Init::kBiasRow,
-                          bias.value.raw() + static_cast<std::size_t>(grp) * ocg,
-                          yb + static_cast<std::size_t>(grp) * ocg * osz, osz,
-                          epi);
-    }
-  });
-  return y;
-}
-
-Tensor Conv2d::run_conv_int8(const Tensor& x, const WeightCodes& wc,
-                             const PackedWeights& cached, gemm::Epilogue epi,
-                             const float* bn_scale, const float* bn_shift) {
-  const int n = x.dim(0), h = x.dim(2), w = x.dim(3);
-  if (x.dim(1) != in_ch_) throw std::invalid_argument("Conv2d: channel mismatch");
-  const int oh = (h + 2 * pad_ - k_) / stride_ + 1;
-  const int ow = (w + 2 * pad_ - k_) / stride_ + 1;
-  const int icg = in_ch_ / groups_;
-  const int ocg = out_ch_ / groups_;
-  const int kdim = icg * k_ * k_;
-  const int osz = oh * ow;
-  const gemm::AffineLut& alut = *wc.book->affine;
-  const double xscale = x.quant_scale();
-  const double xinv = 1.0 / (alut.scale * xscale);
-  Tensor y = Tensor::uninitialized({n, out_ch_, oh, ow});
-  // Batched lowering: sample chunks share one wide column buffer (sample i's
-  // columns at offset i*osz, row stride chunk·osz), so each group runs ONE
-  // qgemm_int8 of N = chunk·osz columns instead of a per-sample GEMM —
-  // per-call pack/driver overhead amortizes across the batch, which is what
-  // makes int8 win at small-channel shapes (M = ocg as low as 14 in the
-  // mini models).  The lowering itself is the fused im2col_int8: columns are
-  // written directly as int8 levels (one pass, 4x smaller buffer, and the
-  // separate quantize sweep disappears).  Chunk boundaries are a function of
-  // the shape only, every output element's integer accumulation is exact,
-  // and the dequant expression is per-element — so results are invariant to
-  // chunking, tiling, thread count, and backend, exactly like the
-  // per-sample formulation this replaces.
-  const std::size_t col_bytes = static_cast<std::size_t>(kdim) * osz;
-  constexpr std::size_t kColBudget = std::size_t{8} << 20;
-  const int chunk = static_cast<int>(std::clamp<std::size_t>(
-      kColBudget / (col_bytes != 0 ? col_bytes : 1), 1,
-      static_cast<std::size_t>(n)));
-  core::ScratchArena& arena = core::ScratchArena::local();
-  const core::ScratchArena::Scope scope(arena);
-  // The level buffer reinterprets arena floats (4 int8 levels per slot);
-  // the arena's 64-byte slot alignment carries over.
-  std::int8_t* qcol = reinterpret_cast<std::int8_t*>(
-      arena.alloc((static_cast<std::size_t>(kdim) * chunk * osz + 3) / 4));
-  // Batched C rows interleave samples ([m][sample][osz]), so the GEMM lands
-  // in scratch and scatters to y's [sample][channel][osz] layout after.
-  float* cbuf = chunk > 1
-                    ? arena.alloc(static_cast<std::size_t>(ocg) * chunk * osz)
-                    : nullptr;
-  for (int b0 = 0; b0 < n; b0 += chunk) {
-    const int bn = std::min(chunk, n - b0);
-    const int ncols = bn * osz;
-    for (int grp = 0; grp < groups_; ++grp) {
-      core::global_pool().parallel_for(
-          static_cast<std::size_t>(bn), [&](std::size_t bi) {
-            gemm::im2col_int8(
-                x.raw() + (static_cast<std::size_t>(b0 + bi) * in_ch_ +
-                           static_cast<std::size_t>(grp) * icg) *
-                              h * w,
-                icg, h, w, k_, stride_, pad_, xinv, alut.qmin, alut.qmax,
-                qcol + bi * static_cast<std::size_t>(osz), ncols);
-          });
-      gemm::RowAffine aff;
-      if (bn_scale != nullptr) {
-        aff.scale = bn_scale + static_cast<std::size_t>(grp) * ocg;
-        aff.shift = bn_shift + static_cast<std::size_t>(grp) * ocg;
-      }
-      const gemm::Int8Operand a{
-          wc.codes.data() + static_cast<std::size_t>(grp) * ocg * kdim, kdim,
-          /*trans=*/false, alut.q,
-          cached.iscales.data() + static_cast<std::size_t>(grp) * ocg, 0.0};
-      const gemm::Int8Operand bop{reinterpret_cast<const std::uint8_t*>(qcol),
-                                  ncols, /*trans=*/false, gemm::identity_qlut(),
-                                  nullptr, alut.scale * xscale};
-      float* cdst = bn == 1
-                        ? y.raw() + (static_cast<std::size_t>(b0) * out_ch_ +
-                                     static_cast<std::size_t>(grp) * ocg) *
-                                        osz
-                        : cbuf;
-      gemm::qgemm_int8(ocg, ncols, kdim, a, bop, gemm::Init::kBiasRow,
-                       bias.value.raw() + static_cast<std::size_t>(grp) * ocg,
-                       cdst, ncols, &core::global_pool(), epi,
-                       &cached.ipacks[grp], nullptr,
-                       bn_scale != nullptr ? &aff : nullptr);
-      if (bn > 1) {
-        for (int m = 0; m < ocg; ++m) {
-          const float* crow = cbuf + static_cast<std::size_t>(m) * ncols;
-          for (int bi = 0; bi < bn; ++bi)
-            std::memcpy(y.raw() + ((static_cast<std::size_t>(b0 + bi) *
-                                        out_ch_ +
-                                    static_cast<std::size_t>(grp) * ocg + m)) *
-                                      osz,
-                        crow + static_cast<std::size_t>(bi) * osz,
-                        static_cast<std::size_t>(osz) * sizeof(float));
-        }
-      }
-    }
-  }
-  return y;
-}
-
-Tensor Conv2d::run_conv(const Tensor& x, const Context& ctx, const float* wt,
-                        const float* bs, const gemm::PackedMatrix* group_packs,
-                        gemm::Epilogue epi, const float* bn_scale,
-                        const float* bn_shift) {
-  const int n = x.dim(0), h = x.dim(2), w = x.dim(3);
-  if (x.dim(1) != in_ch_) throw std::invalid_argument("Conv2d: channel mismatch");
-  const int oh = (h + 2 * pad_ - k_) / stride_ + 1;
-  const int ow = (w + 2 * pad_ - k_) / stride_ + 1;
-  const int icg = in_ch_ / groups_;
-  const int ocg = out_ch_ / groups_;
-  Tensor y = Tensor::uninitialized({n, out_ch_, oh, ow});
-  const ConvGeom g{n,  in_ch_,  out_ch_, h,       w,   oh,  ow,
-                   k_, stride_, pad_,    groups_, icg, ocg};
+  // The FP32 kernel over the live Param or the decoded codes.  Samples are
+  // independent; nested calls (e.g. from the parallel PTQ evaluators) run
+  // inline, and each sample is computed whole, so the output is invariant
+  // to the thread count.
+  const float* wt = fp32_weights(plan.get(), weight);
+  const float* bs = bias.value.raw();
+  const gemm::PackedMatrix* group_packs = plan != nullptr ? plan->packs.data() : nullptr;
+  const ConvGeom g = conv_geom(*this, x);
+  Tensor y = Tensor::uninitialized({g.n, out_ch_, g.oh, g.ow});
   const gemm::Backend& be = gemm::active_backend();
-  const gemm::DepthwiseShape dw{out_ch_, h, w, oh, ow, k_, stride_, pad_};
-  // Samples are independent; nested calls (e.g. from the parallel PTQ
-  // evaluators) run inline, and each sample is computed whole, so the
-  // output is invariant to the thread count.
-  core::global_pool().parallel_for(static_cast<std::size_t>(n), [&](std::size_t b) {
-    const float* xb = x.raw() + b * static_cast<std::size_t>(in_ch_) * h * w;
-    float* yb = y.raw() + b * static_cast<std::size_t>(out_ch_) * oh * ow;
+  const gemm::DepthwiseShape dw{out_ch_, g.h, g.w, g.oh, g.ow, k_, stride_, pad_};
+  core::global_pool().parallel_for(static_cast<std::size_t>(g.n), [&](std::size_t b) {
+    const float* xb = x.raw() + b * static_cast<std::size_t>(in_ch_) * g.h * g.w;
+    float* yb = y.raw() + b * static_cast<std::size_t>(out_ch_) * g.osz();
     core::ScratchArena& arena = core::ScratchArena::local();
     const core::ScratchArena::Scope scope(arena);
     if (g.depthwise()) {
@@ -609,14 +572,9 @@ Tensor Conv2d::run_conv(const Tensor& x, const Context& ctx, const float* wt,
 
 Tensor Conv2d::backward(const Tensor& grad_out) {
   const Tensor& x = x_cache_;
-  const int n = x.dim(0), h = x.dim(2), w = x.dim(3);
-  const int oh = grad_out.dim(2), ow = grad_out.dim(3);
-  const int icg = in_ch_ / groups_;
-  const int ocg = out_ch_ / groups_;
+  const ConvGeom g = conv_geom(*this, x);
+  const int n = g.n, h = g.h, w = g.w, icg = g.icg, ocg = g.ocg, kdim = g.kdim(), osz = g.osz();
   Tensor dx(x.shape());
-  const ConvGeom g{n,  in_ch_,  out_ch_, h,       w,   oh,  ow,
-                   k_, stride_, pad_,    groups_, icg, ocg};
-  const int osz = g.osz(), kdim = g.kdim();
   core::ScratchArena& arena = core::ScratchArena::local();
   const core::ScratchArena::Scope scope(arena);
   const std::size_t cn = g.unit() ? 0 : static_cast<std::size_t>(kdim) * osz;

@@ -5,97 +5,17 @@
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
+#include <string>
 #include <vector>
 
 #include "nn/gemm/gemm.h"
 #include "nn/gemm/qgemm.h"
 #include "nn/module.h"
+#include "nn/qweights.h"
 
 namespace mersit::nn {
 
 class BatchNorm2d;
-
-/// One prepacked-weight cache entry: the GEMM panel packs (one PackedMatrix
-/// per conv group; a single entry for Linear; empty for depthwise convs,
-/// which run no GEMM) plus, for entries built from weight codes, the FP32
-/// array the codes decode to.  That array is the packs' source and also
-/// feeds the paths that read raw float pointers (the depthwise loops, the
-/// small-problem direct GEMM, sgemm's shape validation).  A warm code-mode
-/// layer therefore holds its weights in FP32 (the decoded array plus the
-/// panels) next to the 1-byte payload.
-struct PackedWeights {
-  std::vector<gemm::PackedMatrix> packs;
-  std::vector<float> decoded;
-  /// Int8-path variants (MERSIT_QGEMM=int8 on an affine-LUT format): the
-  /// level-domain weight panels (one PackedInt8 per conv group; a single
-  /// entry for Linear) and the fused per-channel dequant scales
-  /// AffineLut::scale * WeightCodes::scales[ch].  The int8 path never
-  /// decodes floats, so `decoded`/`packs` stay empty in these entries.
-  std::vector<gemm::PackedInt8> ipacks;
-  std::vector<double> iscales;
-};
-
-/// What a PackCache entry was built from and for.  Two entries with equal
-/// keys and equal Param versions hold the same panels.
-struct PackKey {
-  enum class Kind : std::uint8_t {
-    kFloat,  ///< FP32 panels (`packs` / `decoded`)
-    kInt8,   ///< int8 level panels (`ipacks` / `iscales`)
-  };
-  std::uint64_t codes_id = 0;  ///< WeightCodes::id; 0 = the live FP32 Param
-  Kind kind = Kind::kFloat;
-  int backend_id = 0;  ///< gemm::Backend::id the panels are laid out for
-
-  friend bool operator==(const PackKey&, const PackKey&) = default;
-};
-
-/// Cache of prepacked GEMM operands for one weight Param, keyed on the
-/// pair (Param version, PackKey).  The version covers every seam that
-/// rewrites the FP32 value in place (optimizer steps, PTQ quantize/restore,
-/// artifact unpack, BN folding — all bump it).  The key covers *which
-/// source* the entry was built from and for which kernel: the process-unique
-/// WeightCodes id (so a hot-swap that installs new codes for the same
-/// shapes can never serve panels decoded with the old format's book), the
-/// entry kind (code and int8 builds share a Param version), and the active
-/// backend (so switching MERSIT_BACKEND never serves a foreign layout).
-///
-/// Entries are immutable and shared: get() hands each caller its own
-/// reference to the entry, which stays alive until the caller drops it.  A
-/// forward holds it for its whole duration, so a concurrent forward that
-/// rebuilds the cache under a different key (a code swap racing inference)
-/// never frees panels another forward is still reading.
-/// Copies start empty: a cloned module repacks from its own storage.
-class PackCache {
- public:
-  PackCache() = default;
-  PackCache(const PackCache&) noexcept {}
-  PackCache& operator=(const PackCache&) noexcept { return *this; }
-
-  /// The entry for `p.value` at its current version and the given key;
-  /// `build` runs under the cache lock when either is stale.  FP32 weight
-  /// mutation (the version bumps above) is never concurrent with inference
-  /// forwards; code swaps may be, and the returned reference keeps the
-  /// entry a forward started with alive across them.
-  template <typename BuildFn>
-  std::shared_ptr<const PackedWeights> get(const Param& p, const PackKey& key,
-                                           BuildFn&& build) {
-    const std::uint64_t v = p.version();
-    const std::lock_guard<std::mutex> lock(mu_);
-    if (version_ != v || key_ != key) {
-      entry_ = std::make_shared<const PackedWeights>(build());
-      version_ = v;
-      key_ = key;
-    }
-    return entry_;
-  }
-
- private:
-  std::mutex mu_;
-  std::uint64_t version_ = 0;  // 0 = never built (Param versions start at 1)
-  PackKey key_;
-  std::shared_ptr<const PackedWeights> entry_;
-};
 
 /// True when the container fusions (absorbing a following BN and
 /// Activation into the conv/linear write-back) are legal: inference only
@@ -105,6 +25,18 @@ class PackCache {
 /// the structural fusions.
 [[nodiscard]] bool fuse_inference_ok(const Context& ctx);
 
+/// One layer's compiled weight plan, as weight_plans() reports it.
+struct LayerPlan {
+  std::string layer;  ///< the module's path (its name() when unassigned)
+  std::shared_ptr<const WeightPlan> plan;
+};
+
+/// The plan each ChannelWeights module of `model` last ran, in module
+/// order, for every module whose plan is compiled: the requested path,
+/// the kernel, the typed fallback reason, the backend and whether it ran
+/// from codes.  Read-only; compiles nothing.
+[[nodiscard]] std::vector<LayerPlan> weight_plans(Module& model);
+
 class Linear final : public Module, public ChannelWeights {
  public:
   Linear(int in, int out, std::mt19937& rng);
@@ -112,9 +44,9 @@ class Linear final : public Module, public ChannelWeights {
   [[nodiscard]] std::string name() const override { return "Linear"; }
   Tensor forward(const Tensor& x, const Context& ctx) override;
   /// forward() with a fused activation epilogue; `Epilogue::kNone` is plain
-  /// forward().  In inference the weight panel comes from the prepack cache,
-  /// packed from the live Param or, when codes are installed, from their
-  /// decoded FP32 copy — unless the Kulisch or int8 mode takes the codes.
+  /// forward().  In inference it runs the layer's weight plan: the FP32
+  /// GEMM over panels packed from the live Param or the decoded codes, or
+  /// the int8 / Kulisch kernel over the codes.
   Tensor forward_fused(const Tensor& x, const Context& ctx, gemm::Epilogue epi);
   Tensor backward(const Tensor& grad_out) override;
   void collect_params(std::vector<Param*>& out) override;
@@ -131,7 +63,6 @@ class Linear final : public Module, public ChannelWeights {
  private:
   int in_, out_;
   Tensor x_cache_;
-  PackCache packs_;
 };
 
 class Conv2d final : public Module, public ChannelWeights {
@@ -173,36 +104,15 @@ class Conv2d final : public Module, public ChannelWeights {
   Param bias;    ///< [out]
 
  private:
-  /// Body of forward_fused / forward_bn_fused: dispatches to the Kulisch
-  /// or int8 path when installed codes qualify, else runs the FP32 weights
-  /// (the live Param, or the decoded codes in code mode) with their
-  /// prepacked panels (inference) and the optional fused BN affine
-  /// (bn_scale/bn_shift, out_ch entries each, applied before `epi` at
-  /// write-back).
+  /// Body of forward_fused / forward_bn_fused: runs the layer's weight
+  /// plan with the optional fused BN affine (bn_scale/bn_shift, out_ch
+  /// entries each, applied before `epi` at write-back).
   Tensor forward_affine(const Tensor& x, const Context& ctx,
                         gemm::Epilogue epi, const float* bn_scale,
                         const float* bn_shift);
-  /// Shared conv body: runs the conv with the given weight/bias arrays,
-  /// optional per-group packs, and the optional fused affine.
-  Tensor run_conv(const Tensor& x, const Context& ctx, const float* wt,
-                  const float* bs, const gemm::PackedMatrix* group_packs,
-                  gemm::Epilogue epi, const float* bn_scale,
-                  const float* bn_shift);
-  /// Exact-accumulation conv (MERSIT_QGEMM=kulisch): weight codes times
-  /// re-encoded activation codes through the software quire.
-  Tensor run_conv_kulisch(const Tensor& x, const WeightCodes& wc,
-                          gemm::Epilogue epi);
-  /// Decode-free conv (MERSIT_QGEMM=int8 on an affine-LUT format): weight
-  /// levels times activation levels in int32, dequant at write-back.
-  /// `cached` carries the per-group level packs and fused dequant scales;
-  /// bn_scale/bn_shift fuse a following inference BN exactly as run_conv.
-  Tensor run_conv_int8(const Tensor& x, const WeightCodes& wc,
-                       const PackedWeights& cached, gemm::Epilogue epi,
-                       const float* bn_scale, const float* bn_shift);
 
   int in_ch_, out_ch_, k_, stride_, pad_, groups_;
   Tensor x_cache_;
-  PackCache packs_;
 };
 
 /// Batch normalization over [N,C,H,W] (per-channel).  Training uses batch

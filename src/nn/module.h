@@ -8,7 +8,9 @@
 //    quantizes every tensor an accelerator would spill to 8-bit memory;
 //  * weight quantization: Conv2d/Linear expose per-output-channel weight
 //    spans via the ChannelWeights interface (the paper quantizes weights
-//    per channel, activations per layer).
+//    per channel, activations per layer).  The same interface holds a
+//    layer's installed 8-bit weight codes and the weight plan its inference
+//    forwards compile from them (nn/qweights.h).
 #pragma once
 
 #include <atomic>
@@ -26,6 +28,9 @@ namespace mersit::nn {
 class Module;
 struct WeightCodes;  // nn/qweights.h — 8-bit code-domain weight view
 struct CodeBook;     // nn/qweights.h — one format's 256-code view
+struct WeightPlan;   // nn/qweights.h — one layer's compiled inference plan
+struct PlanRequest;  // nn/qweights.h — what one forward asks of its plan
+struct WeightLayout; // nn/qweights.h — how a layer's weights pack
 
 /// PTQ hook: observes / rewrites activations at quant points.
 class QuantSession {
@@ -54,12 +59,11 @@ struct Context {
 ///
 /// The version counter stamps the value tensor's mutation history: every
 /// seam that rewrites `value` in place (optimizer steps, per-channel weight
-/// quantization, restore/unpack, BN folding) calls bump_version(), and
-/// derived caches (prepacked GEMM panels, folded-BN weights) record the
-/// version they were built from and rebuild on mismatch.  Reads/writes are
-/// atomic so concurrent inference threads may validate a cache while a
-/// (serial) mutator is absent; mutation itself is never concurrent with
-/// forwards.
+/// quantization, restore/unpack, BN folding) calls bump_version(), and a
+/// layer's weight plan (nn/qweights.h) records the version it was compiled
+/// against and recompiles on mismatch.  Reads/writes are atomic so
+/// concurrent inference threads may validate a plan while a (serial)
+/// mutator is absent; mutation itself is never concurrent with forwards.
 struct Param {
   Tensor value;
   Tensor grad;
@@ -80,8 +84,7 @@ struct Param {
 
   void zero_grad() { grad.zero(); }
 
-  /// Current mutation stamp of `value` (starts at 1; never 0, so caches can
-  /// use 0 as "never built").
+  /// Current mutation stamp of `value` (starts at 1; never 0).
   [[nodiscard]] std::uint64_t version() const {
     return version_.load(std::memory_order_acquire);
   }
@@ -93,13 +96,15 @@ struct Param {
 };
 
 /// Implemented by modules with per-output-channel quantizable weights.
+/// Holds the module's installed weight codes and the plan compiled from
+/// them in one slot, under one lock.
 class ChannelWeights {
  public:
   virtual ~ChannelWeights() = default;
   ChannelWeights() = default;
   // Codes are an immutable shared payload; a copied module (clone, value
-  // copy) shares the installed instance — it stays valid for both, and the
-  // per-instance id keys each module's own pack cache.
+  // copy) shares the installed instance and starts with no plan, so it
+  // compiles its own from its own storage.
   ChannelWeights(const ChannelWeights& other) : codes_(other.weight_codes()) {}
   ChannelWeights& operator=(const ChannelWeights& other) {
     if (this != &other) set_weight_codes(other.weight_codes());
@@ -110,30 +115,37 @@ class ChannelWeights {
   /// Mutable view of all weights feeding output channel `c`.
   [[nodiscard]] virtual std::span<float> channel_span(int c) = 0;
   /// The Param owning the storage channel_span views into.  Callers that
-  /// mutate spans must bump_version() on it afterwards so prepacked-weight
-  /// caches notice.
+  /// mutate spans must bump_version() on it afterwards so the layer's plan
+  /// notices.
   [[nodiscard]] virtual Param& weight_param() = 0;
 
-  /// Install / replace this module's 8-bit code-domain weights.  The
-  /// payload is immutable; swapping in a new instance (new id) is what
-  /// invalidates the layer's pack-cache entry, whose key carries the id —
-  /// no version bump involved.  A racing forward either keeps the complete
-  /// old view (payload and cache entry, both held until it returns) or
-  /// picks up the complete new one.
-  void set_weight_codes(std::shared_ptr<const WeightCodes> codes) {
-    const std::lock_guard<std::mutex> lock(codes_mu_);
-    codes_ = std::move(codes);
-  }
+  /// Install / replace this module's 8-bit code-domain weights and drop
+  /// its plan.  Throws std::invalid_argument naming the layer when the
+  /// payload's channel count, per-channel length or scale count does not
+  /// match the layer; the previous codes and plan then stay.  A racing
+  /// forward runs either the whole old plan or the whole new one.
+  void set_weight_codes(std::shared_ptr<const WeightCodes> codes);
   void clear_weight_codes() { set_weight_codes(nullptr); }
   /// Snapshot of the installed codes (null when running pure FP32).
-  [[nodiscard]] std::shared_ptr<const WeightCodes> weight_codes() const {
-    const std::lock_guard<std::mutex> lock(codes_mu_);
-    return codes_;
-  }
+  [[nodiscard]] std::shared_ptr<const WeightCodes> weight_codes() const;
+  /// The plan the last inference forward ran; null until one runs after
+  /// construction, a copy or an install.
+  [[nodiscard]] std::shared_ptr<const WeightPlan> weight_plan() const;
+
+ protected:
+  /// The plan for `req`: the held one when it was compiled for `req`, the
+  /// weight Param's current version and the active backend, else one
+  /// compiled now from the installed codes with the weights packed as
+  /// `layout`, which replaces it.  Codes and plan are read and replaced
+  /// under the one lock; the caller's reference keeps the plan (and its
+  /// codes) alive for the whole forward.
+  [[nodiscard]] std::shared_ptr<const WeightPlan> plan_for(const PlanRequest& req,
+                                                           const WeightLayout& layout);
 
  private:
-  mutable std::mutex codes_mu_;
+  mutable std::mutex mu_;
   std::shared_ptr<const WeightCodes> codes_;
+  std::shared_ptr<const WeightPlan> plan_;
 };
 
 class Module;

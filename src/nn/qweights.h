@@ -1,23 +1,29 @@
-// Code-domain weight storage for ChannelWeights modules.
+// Code-domain weight storage for ChannelWeights modules, and the weight
+// plan a layer compiles from it.
 //
 // A CodeBook is one registered format's 256 codes under one corruption
 // policy: each code's policy-applied value, which codes are non-finite
 // before the policy, the format's encode, and the exact tables the Kulisch
-// and int8 modes run from.  ptq::make_code_book builds it (the one loop
+// and int8 paths run from.  ptq::make_code_book builds it (the one loop
 // over the 256 codes in src/nn and src/ptq), once per install call, and
 // every layer of that install shares it.
 //
 // A WeightCodes instance is an immutable 8-bit view of one module's weight
 // tensor: channel-major code words, one scale per output channel, and the
-// shared book.  Layers that find one installed (and MERSIT_QGEMM != float)
-// run their GEMMs from the codes instead of from the FP32 Param, which the
-// code path then never reads: in code mode the layer decodes
-// float(book->value[code] * scale) once per payload into an FP32 copy and
-// packs that, so a warm layer holds FP32 panels (the 1-byte payload is the
-// artifact and swap format, not the in-process forward footprint); the
-// int8 and Kulisch modes consume the codes as is.
+// shared book.  ChannelWeights::set_weight_codes checks it against the
+// layer's shape once, at install.
 //
-// Both structs are formats-agnostic (raw values + an encode std::function)
+// A WeightPlan is what an inference forward runs: the kernel (FP32 GEMM,
+// int8 or Kulisch), the typed reason when a requested int8/Kulisch path was
+// declined, the codes snapshot it was built from and its packs.  Under the
+// code path the plan decodes float(book->value[code] * scale) once into an
+// FP32 copy and packs that, so a warm layer holds FP32 panels (the 1-byte
+// payload is the artifact and swap format, not the in-process forward
+// footprint); the int8 and Kulisch kernels consume the codes as is.  A
+// layer keeps one plan, next to its codes, and compiles a new one when the
+// payload, the Param version, the requested path or the backend changes.
+//
+// The structs are formats-agnostic (raw values + an encode std::function)
 // so mersit_nn does not depend on mersit_formats; the PTQ layer owns the
 // two installers:
 //
@@ -29,13 +35,11 @@
 //    stored float scales + the policy-applied book, so decoded values are
 //    bit-identical to ptq::unpack_weights output.
 //
-// Instances are shared immutably (shared_ptr<const WeightCodes>); a swap
-// installs a *new* instance rather than mutating, and the process-unique
-// `id` feeds the prepacked-weight cache key so a racing pack lookup can
-// never pair old codes with a new book (or vice versa).
+// Payloads and plans are shared immutably (shared_ptr<const ...>); a swap
+// installs a *new* payload rather than mutating and drops the layer's plan,
+// and a forward holds the plan it took (with its codes) until it returns.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -51,8 +55,8 @@ struct CodeBook {
   /// Format encode (value → code), bit-identical to the scalar codec; used
   /// to re-encode already-fake-quantized activations for Kulisch mode.
   std::function<std::uint8_t(double)> encode;
-  /// Exact tables of `value` for the Kulisch and int8 modes; null when not
-  /// usable (layers then fall back to code mode).
+  /// Exact tables of `value` for the Kulisch and int8 paths; null when not
+  /// usable (plans then fall back to the FP32 kernel, PlanFallback::kNoTable).
   std::unique_ptr<const gemm::KulischTable> kulisch;
   std::unique_ptr<const gemm::AffineLut> affine;
 };
@@ -64,18 +68,76 @@ struct WeightCodes {
   std::vector<double> scales;       ///< per-channel dequant scale
   std::shared_ptr<const CodeBook> book;
 
-  /// Codes whose *book* value is non-finite.  The Kulisch and int8 modes
-  /// require 0; code mode handles any value.  kZeroSubstitute books map
-  /// every non-finite code to 0.0, so corrupted artifacts keep both modes.
+  /// Codes whose *book* value is non-finite.  The Kulisch and int8 paths
+  /// require 0; the code path handles any value.  kZeroSubstitute books map
+  /// every non-finite code to 0.0, so corrupted artifacts keep both paths.
   std::uint64_t nonfinite = 0;
+};
 
-  /// Process-unique identity for the prepacked-weight cache keys; never 0.
-  std::uint64_t id = next_id();
+/// The kernel a weight plan runs.
+enum class WeightKernel : std::uint8_t {
+  kFp32,     ///< sgemm / depthwise over FP32 weights (live or decoded)
+  kInt8,     ///< gemm::qgemm_int8 over int8 level panels
+  kKulisch,  ///< gemm::qgemm_kulisch over the raw codes
+};
 
-  static std::uint64_t next_id() {
-    static std::atomic<std::uint64_t> counter{0};
-    return counter.fetch_add(1, std::memory_order_relaxed) + 1;
-  }
+/// Why a requested int8 or Kulisch path runs the FP32 kernel instead.
+enum class PlanFallback : std::uint8_t {
+  kNone,
+  kNoCodes,         ///< the layer has no weight codes installed
+  kDepthwise,       ///< depthwise convs run only the FP32 depthwise kernel
+  kUnstampedInput,  ///< the input tensor carries no quant scale
+  kFusedAffine,     ///< a fused BN affine under Kulisch
+  kNoTable,         ///< the book has no affine / Kulisch table for the format
+  kNonFinite,       ///< the payload has codes whose book value is non-finite
+  kKTooLarge,       ///< K > gemm::kInt8MaxK (int32 accumulation not exact)
+};
+
+[[nodiscard]] const char* kernel_name(WeightKernel k);
+[[nodiscard]] const char* fallback_name(PlanFallback f);
+
+/// What one forward asks of its layer: the requested path and the decline
+/// the call itself decided (depthwise layer, unstamped input, fused BN).
+struct PlanRequest {
+  gemm::QgemmMode path = gemm::QgemmMode::kCode;
+  PlanFallback declined = PlanFallback::kNone;
+
+  friend bool operator==(const PlanRequest&, const PlanRequest&) = default;
+};
+
+/// How a layer's weights split into GEMM operands: `groups` channel-major
+/// blocks of rows x k.  FP32 panels pack them as op(A) (conv) or as the
+/// transposed op(B) (Linear); int8 level panels always as op(A), since
+/// the int8 and Kulisch kernels run a Linear as the 1x1 conv.  A depthwise
+/// conv runs no GEMM: 0 groups.
+struct WeightLayout {
+  int groups = 1;
+  int rows = 0;
+  int k = 0;
+  bool b_operand = false;
+};
+
+/// One layer's compiled inference plan; immutable once built.
+struct WeightPlan {
+  PlanRequest request;
+  WeightKernel kernel = WeightKernel::kFp32;
+  PlanFallback reason = PlanFallback::kNone;  ///< kNone when nothing declined
+  /// The payload the plan runs from; null when it runs the live Param (no
+  /// codes installed, or the kFloat path).
+  std::shared_ptr<const WeightCodes> codes;
+  std::uint64_t version = 0;  ///< weight Param version compiled against
+  int backend_id = 0;         ///< gemm::Backend::id the packs are laid out for
+
+  /// kFp32 from codes: the decoded weights, the packs' source and what the
+  /// raw-pointer paths (depthwise, the small-problem direct GEMM) read.
+  std::vector<float> decoded;
+  /// kFp32: the panel packs (one per conv group, one for Linear; none for
+  /// depthwise convs, which run no GEMM).
+  std::vector<gemm::PackedMatrix> packs;
+  /// kInt8: the level panels (one per conv group, one for Linear) and the
+  /// fused per-channel dequant scales AffineLut::scale * scales[ch].
+  std::vector<gemm::PackedInt8> ipacks;
+  std::vector<double> iscales;
 };
 
 }  // namespace mersit::nn

@@ -169,8 +169,8 @@ void quantize_weights_per_channel(nn::Module& model, const formats::Format& fmt,
 /// rewriting the FP32 weights with their quantize→dequantize images, encode
 /// them into 8-bit codes (same per-channel scales, same encode arithmetic as
 /// QuantKernel::fake_quantize) and install a nn::WeightCodes view on every
-/// ChannelWeights module.  Under MERSIT_QGEMM=code the layers then decode
-/// the codes once and pack the decoded weights; the decoded values — and
+/// ChannelWeights module.  On the code path each layer's weight plan then
+/// decodes the codes once and packs the decoded weights; the decoded values — and
 /// therefore every layer output — are bit-identical to the
 /// quantize→dequantize path.
 /// The FP32 weights are left untouched (no snapshot/restore needed).

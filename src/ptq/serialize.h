@@ -99,14 +99,14 @@ void validate_weight_shapes(nn::Module& model, const QuantizedModel& qm);
 /// Code-domain twin of unpack_weights: instead of decoding the artifact
 /// into the FP32 weights, install a nn::WeightCodes view (artifact codes,
 /// double-widened per-channel scales, one policy-applied code book shared
-/// by every layer) on every ChannelWeights module.  Under MERSIT_QGEMM=code
-/// the layers then pack GEMM operands straight from the codes; the decoded
+/// by every layer) on every ChannelWeights module.  On the code path each
+/// layer's weight plan then decodes and packs the codes once; the decoded
 /// values are bit-identical to what unpack_weights would have written, so
 /// layer outputs match the unpack path exactly.  The FP32 weights are left
 /// untouched.  Validates like unpack_weights before installing anything.
 /// Non-finite codes are counted into `stats` regardless of policy; with
 /// kZeroSubstitute the book maps them to 0.0, so the GEMM never sees an
-/// IEEE special and the Kulisch and int8 modes stay available.
+/// IEEE special and the Kulisch and int8 paths stay available.
 void install_code_weights(nn::Module& model, const QuantizedModel& qm,
                           const formats::Format& fmt,
                           formats::CorruptionPolicy policy = formats::CorruptionPolicy::kPropagate,

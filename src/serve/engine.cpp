@@ -379,8 +379,8 @@ void Engine::swap_artifacts(const std::string& name, std::istream& mct1,
     // serving its old weights.  The checks are deterministic in (structure,
     // artifact) and the replicas are identical clones, so once replica 0
     // passes, all replicas pass — cross-replica divergence is impossible.
-    // The GEMM mode is sampled once so one swap installs one representation
-    // on every replica even if MERSIT_QGEMM-driven state changes mid-swap.
+    // The weight path is sampled once so one swap installs one
+    // representation on every replica even if set_qgemm_mode runs mid-swap.
     const bool code_mode =
         nn::gemm::qgemm_mode() != nn::gemm::QgemmMode::kFloat;
     const std::uint64_t seq = m.seq.load(std::memory_order_relaxed) + 1;

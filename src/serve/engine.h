@@ -32,11 +32,13 @@
 //      generation.  Each forward runs entirely under one artifact
 //      generation (replica leases), so responses under a concurrent swap
 //      are bit-identical to a quiesced swap's before/after outputs.
-//      Under MERSIT_QGEMM=code|kulisch|int8 the swap installs the
-//      artifact's 8-bit codes directly (ptq::install_code_weights) instead
-//      of decoding into FP32 — decodes are bit-identical, so responses
-//      match the float path exactly while weights stay in 1-byte form
-//      (int8 additionally remaps affine-LUT codes to integer levels and
+//      Under the code, kulisch and int8 paths (gemm::set_qgemm_mode) the
+//      swap installs the artifact's 8-bit codes directly
+//      (ptq::install_code_weights) instead of decoding into FP32, which
+//      drops each layer's weight plan; the next forward compiles a new one
+//      from the new codes.  Decodes are bit-identical, so responses match
+//      the float path exactly while weights stay in 1-byte form (int8
+//      additionally remaps affine-LUT codes to integer levels and
 //      accumulates in int32; see nn/gemm/qgemm.h for its ULP contract).
 #pragma once
 

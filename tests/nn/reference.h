@@ -26,6 +26,7 @@
 
 #include "core/thread_pool.h"
 #include "formats/kernels/kernel_cache.h"
+#include "formats/quantize.h"
 #include "nn/attention.h"
 #include "nn/gemm/backend.h"
 #include "nn/gemm/gemm.h"
@@ -47,7 +48,7 @@ inline const bool kEnvReady = [] {
 
 // ----------------------------------------------------------------- guards --
 
-/// Restores the weight-path mode (MERSIT_QGEMM) on scope exit.
+/// Restores the requested weight path (gemm::set_qgemm_mode) on scope exit.
 struct ModeGuard {
   explicit ModeGuard(gemm::QgemmMode m) : prev(gemm::set_qgemm_mode(m)) {}
   ~ModeGuard() { gemm::set_qgemm_mode(prev); }
@@ -102,6 +103,15 @@ inline void randomize_bn(BatchNorm2d& bn, std::mt19937& rng) {
   for (auto& v : bn.running_var.data()) v = ud(rng);
   bn.gamma.bump_version();
   bn.beta.bump_version();
+}
+
+/// Fake-quantizes x onto `fmt`'s grid at its own absmax and stamps the
+/// scale, as a PTQ session leaves an activation.
+inline void fake_quantize(Tensor& x, const formats::Format& fmt) {
+  const double scale =
+      formats::scale_for_absmax(fmt, x.abs_max(), formats::ScalePolicy::kMaxToUnity);
+  formats::kernels::kernel_for(fmt)->fake_quantize(x.data(), scale);
+  x.set_quant_scale(scale);
 }
 
 // ------------------------------------------------------------ comparators --
@@ -254,7 +264,7 @@ inline Tensor linear_forward(const Linear& lin, const Tensor& x) {
 
 // ----------------------------------------------------------- weight paths --
 //
-// What a layer with installed codes computes under each MERSIT_QGEMM path,
+// What a layer with installed codes computes under each weight path,
 // from the public kernels rather than the layer code.  code: the naive
 // loops above over decoded_weights.  int8 and kulisch: per sample and
 // group, im2col the input, turn the columns into levels or codes at the

@@ -433,7 +433,7 @@ TEST(GemmBackend, RejectsOperandsPackedForAForeignBackend) {
 // ragged plane, degenerate planes, the unit and depthwise fast paths) plus
 // one row per distinct layer geometry in the vision zoo and BERT-mini, so
 // the zoo's shapes are covered by construction.  Every row runs at pool
-// widths 1 and 4 against the oracle: forwards (cold and warm pack cache)
+// widths 1 and 4 against the oracle: forwards (cold and warm weight plan)
 // over epilogue x BN affine on every supported backend, and backward.
 // Each test below checks one slice of the table (a layer kind, a row
 // group, forward or backward).
@@ -602,22 +602,39 @@ constexpr auto kPolicy = formats::ScalePolicy::kMaxToUnity;
 
 struct PathCell {
   QgemmMode mode;
-  const char* path;    // the mode's MERSIT_QGEMM name
+  const char* path;    // the path's name in failure traces
   const char* format;  // nullptr: FP32 weights
-  bool own_kernel;     // the format's book has the path's table
+  /// The plan's reason on a non-depthwise row with a stamped input and no
+  /// fused BN: kNone where the path runs its own kernel (and on the float
+  /// and code paths), kNoTable where the book lacks the path's table.
+  PlanFallback reason = PlanFallback::kNone;
+  bool stamped = true;  // false: the input's quant scale is cleared
 };
 
-constexpr PathCell kFp32[] = {{QgemmMode::kFloat, "float", nullptr, false}};
+constexpr PathCell kFp32[] = {{QgemmMode::kFloat, "float", nullptr}};
 
-/// Fake-quantizes x onto `fmt`'s grid at its own absmax and stamps the scale.
-void fake_quantize(Tensor& x, const formats::Format& fmt) {
-  const double scale = formats::scale_for_absmax(fmt, x.abs_max(), kPolicy);
-  formats::kernels::kernel_for(fmt)->fake_quantize(x.data(), scale);
-  x.set_quant_scale(scale);
+/// The reason a cell's plan must report for one row variant, in the
+/// layer's precedence (depthwise, unstamped input, fused BN under Kulisch,
+/// then the payload), and the kernel it then runs.
+std::pair<PlanFallback, WeightKernel> expected_plan(const PathCell& cell, bool depthwise,
+                                                    bool with_bn) {
+  const bool int8 = cell.mode == QgemmMode::kInt8;
+  if (!int8 && cell.mode != QgemmMode::kKulisch) return {PlanFallback::kNone, WeightKernel::kFp32};
+  const PlanFallback reason = depthwise       ? PlanFallback::kDepthwise
+                              : !cell.stamped ? PlanFallback::kUnstampedInput
+                              : !int8 && with_bn ? PlanFallback::kFusedAffine
+                                                 : cell.reason;
+  return {reason, reason != PlanFallback::kNone ? WeightKernel::kFp32
+                  : int8                        ? WeightKernel::kInt8
+                                                : WeightKernel::kKulisch};
 }
 
 /// The row's forwards under each cell and variant, at each pool width, on
-/// every supported backend, against the cell's expected output.
+/// every supported backend.  Each forward's plan must report the cell's
+/// kernel and reason, and its output must equal that kernel's reference:
+/// the path's direct reference for int8 / Kulisch (itself within
+/// 1e-4·(1+|y|) of the code oracle), else the oracle over the FP32 or
+/// decoded weights.
 void check_forward(const LayerRow& row, std::size_t idx, std::span<const PathCell> cells,
                    std::initializer_list<int> widths, std::mt19937& rng) {
   const reference::ConvGeometry g = geometry(row);
@@ -630,8 +647,9 @@ void check_forward(const LayerRow& row, std::size_t idx, std::span<const PathCel
   const Tensor x0 = row_input(row, rng);
   const auto vs = variants(row, idx, row.kind == Kind::kConv);
   for (const PathCell& cell : cells) {
-    const std::string where = std::string("path=") + cell.path +
-                              " format=" + (cell.format != nullptr ? cell.format : "FP32");
+    const std::string where = std::string("path=") + cell.path + " format=" +
+                              (cell.format != nullptr ? cell.format : "FP32") +
+                              (cell.stamped ? "" : " unstamped");
     SCOPED_TRACE(where);
     const auto fmt = cell.format != nullptr ? core::make_format(cell.format) : nullptr;
     Tensor x = x0;
@@ -641,11 +659,8 @@ void check_forward(const LayerRow& row, std::size_t idx, std::span<const PathCel
     if (fmt != nullptr) {
       ptq::install_weight_codes(*layer, *fmt, kPolicy);
       wc = dynamic_cast<ChannelWeights&>(*layer).weight_codes();
-      ASSERT_TRUE(!cell.own_kernel || (cell.mode == QgemmMode::kInt8
-                                           ? wc->book->affine != nullptr
-                                           : wc->book->kulisch != nullptr))
-          << where << ": the book lacks the path's table";
-      fake_quantize(x, *fmt);
+      reference::fake_quantize(x, *fmt);
+      if (!cell.stamped) x.set_quant_scale(0.0);
       w = reference::decoded_weights(*wc);
     }
     const Tensor xc = as_conv(x);
@@ -654,10 +669,11 @@ void check_forward(const LayerRow& row, std::size_t idx, std::span<const PathCel
       const float* s = with_bn ? scale.data() : nullptr;
       const float* t = with_bn ? shift.data() : nullptr;
       Tensor y = reference::conv_forward(xc, w.data(), bias, g, epi, s, t);
-      if (cell.own_kernel && !depthwise && !(cell.mode == QgemmMode::kKulisch && with_bn)) {
+      const WeightKernel kernel = expected_plan(cell, depthwise, with_bn).second;
+      if (kernel != WeightKernel::kFp32) {
         const double xs = x.quant_scale();
         const auto encode = [&](double v) { return fmt->encode(v); };
-        const Tensor k = cell.mode == QgemmMode::kInt8
+        const Tensor k = kernel == WeightKernel::kInt8
                              ? reference::int8_forward(xc, xs, *wc, bias, g, epi, s, t)
                              : reference::kulisch_forward(xc, xs, *wc, bias, g, epi, encode);
         for (std::int64_t i = 0; i < y.numel(); ++i)
@@ -678,6 +694,11 @@ void check_forward(const LayerRow& row, std::size_t idx, std::span<const PathCel
           EXPECT_TRUE(bitwise_equal(layer_forward(*layer, x, epi, with_bn ? &bn : nullptr), want[v]))
               << where << " backend=" << be->name << " width=" << width
               << " epi=" << static_cast<int>(epi) << " bn=" << with_bn;
+          const auto plan = dynamic_cast<ChannelWeights&>(*layer).weight_plan();
+          const auto [reason, kernel] = expected_plan(cell, depthwise, with_bn);
+          EXPECT_EQ(plan->kernel, kernel) << "bn=" << with_bn << " " << kernel_name(plan->kernel);
+          EXPECT_EQ(plan->reason, reason) << "bn=" << with_bn << " " << fallback_name(plan->reason);
+          EXPECT_EQ(plan->codes, wc);
         }
       }
     }
@@ -899,7 +920,7 @@ TEST(LayerGlobalAvgPool, ForwardMatchesNaiveBitwise) {
 }
 
 // The conv cases where packing differs (plain, unit, grouped, depthwise)
-// and a Linear, each forward cold then warm from the pack cache.
+// and a Linear, each forward cold then warm from the compiled plan.
 TEST(LayerPrepack, ConvAndLinearForwardsBitwiseAcrossPrepackModes) {
   for_each_row(Kind::kConv, {Group::kPrepack}, check_fp32_forward);
   for_each_row(Kind::kLinear, {Group::kPrepack}, check_fp32_forward);
@@ -909,29 +930,32 @@ TEST(LayerPrepack, ConvAndLinearForwardsBitwiseAcrossPrepackModes) {
 //
 // The conv and Linear rows again, now with installed weight codes, under
 // each (path, format) cell below.  Inputs are fake-quantized onto the
-// format's grid with a stamped scale, as the PTQ session leaves them.  A
-// cell must equal its path's direct reference (reference.h) where the path
-// runs its own kernel, and the code path's oracle over the decoded weights
-// where the layer falls back:
-//   code    x MERSIT(8,2), FP(8,4), Posit(8,1), INT8: every row and variant;
-//   int8    x INT8: non-depthwise rows (all within kInt8MaxK); MERSIT(8,2)
-//             has no affine book, so it is the fallback cell;
-//   kulisch x MERSIT(8,2), FP(8,4), Posit(8,1): non-depthwise rows without
-//             BN.
-// A kernel that runs must also stay within 1e-4·(1+|y|) of the code path
-// (K float roundings apart at most).  Every cell runs on every supported
-// backend; the pool width is the test parameter.
+// format's grid with a stamped scale, as the PTQ session leaves them (one
+// cell clears it).  Each forward's plan report names the kernel that ran
+// and, for a declined int8 / Kulisch request, the typed reason:
+//   code    x MERSIT(8,2), FP(8,4), Posit(8,1), INT8: FP32 kernel;
+//   int8    x INT8: int8 kernel, except depthwise rows (kDepthwise); with
+//             the input's scale cleared, FP32 (kUnstampedInput); MERSIT(8,2)
+//             has no affine table (kNoTable);
+//   kulisch x MERSIT(8,2), FP(8,4), Posit(8,1): Kulisch kernel, except
+//             depthwise rows and fused-BN variants (kFusedAffine).
+// The output must equal the direct reference (reference.h) of the kernel
+// the plan ran, or the code path's oracle over the decoded weights where
+// it ran FP32; a direct reference must stay within 1e-4·(1+|y|) of that
+// oracle (K float roundings apart at most).  Every cell runs on every
+// supported backend; the pool width is the test parameter.
 
 constexpr PathCell kPathCells[] = {
-    {QgemmMode::kCode, "code", "MERSIT(8,2)", false},
-    {QgemmMode::kCode, "code", "FP(8,4)", false},
-    {QgemmMode::kCode, "code", "Posit(8,1)", false},
-    {QgemmMode::kCode, "code", "INT8", false},
-    {QgemmMode::kInt8, "int8", "INT8", true},
-    {QgemmMode::kInt8, "int8", "MERSIT(8,2)", false},
-    {QgemmMode::kKulisch, "kulisch", "MERSIT(8,2)", true},
-    {QgemmMode::kKulisch, "kulisch", "FP(8,4)", true},
-    {QgemmMode::kKulisch, "kulisch", "Posit(8,1)", true}};
+    {QgemmMode::kCode, "code", "MERSIT(8,2)"},
+    {QgemmMode::kCode, "code", "FP(8,4)"},
+    {QgemmMode::kCode, "code", "Posit(8,1)"},
+    {QgemmMode::kCode, "code", "INT8"},
+    {QgemmMode::kInt8, "int8", "INT8"},
+    {QgemmMode::kInt8, "int8", "INT8", PlanFallback::kNone, /*stamped=*/false},
+    {QgemmMode::kInt8, "int8", "MERSIT(8,2)", PlanFallback::kNoTable},
+    {QgemmMode::kKulisch, "kulisch", "MERSIT(8,2)"},
+    {QgemmMode::kKulisch, "kulisch", "FP(8,4)"},
+    {QgemmMode::kKulisch, "kulisch", "Posit(8,1)"}};
 
 class LayerPath : public ::testing::TestWithParam<int> {  // pool width
  protected:

@@ -1,7 +1,7 @@
 // The inference-runtime layer on top of the GEMM kernel: prepacked weight
 // operands, fused epilogues and the per-row BN affine, the version-stamped
-// pack caches behind Conv2d/Linear (including a code swap racing
-// forwards), and the thread-local scratch arena.
+// weight plans behind Conv2d/Linear (including a code swap racing forwards
+// that switch paths), and the thread-local scratch arena.
 //
 // The contract under test is strict bit-identity: a prepacked operand is
 // byte-identical to what the per-call path packs, and the fused write-back
@@ -9,8 +9,10 @@
 // so every comparison here demands bitwise equality.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <initializer_list>
 #include <limits>
 #include <memory>
 #include <mutex>
@@ -45,7 +47,7 @@ Tensor eval_forward(Module& m, const Tensor& x) {
 }
 
 /// The conv's current FP32 weights through the oracle's naive loops — no
-/// pack cache involved, so a stale pack cannot match it.
+/// weight plan involved, so a stale pack cannot match it.
 Tensor oracle_forward(const Conv2d& conv, const Tensor& x) {
   return reference::conv_forward(x, conv.weight.value.raw(), conv.bias.value.raw(),
                                  reference::geometry_of(conv));
@@ -286,7 +288,7 @@ TEST(LayerPrepack, QuantizeAndRestoreInvalidateStalePacks) {
   std::mt19937 rng(25);
   Conv2d conv(3, 16, 3, 1, 1, 1, rng);
   const Tensor x = Tensor::randn({2, 3, 12, 12}, rng, 1.f);
-  const Tensor y0 = eval_forward(conv, x);  // warms the pack cache
+  const Tensor y0 = eval_forward(conv, x);  // compiles the plan
   EXPECT_TRUE(bitwise_equal(y0.data(), oracle_forward(conv, x).data()));
 
   const ptq::WeightSnapshot snap = ptq::snapshot_weights(conv);
@@ -308,7 +310,7 @@ TEST(LayerPrepack, OptimizerStepInvalidatesStalePacks) {
   std::mt19937 rng(26);
   Conv2d conv(3, 12, 3, 1, 1, 1, rng);
   const Tensor x = Tensor::randn({2, 3, 12, 12}, rng, 1.f);
-  const Tensor y0 = eval_forward(conv, x);  // warms the pack cache
+  const Tensor y0 = eval_forward(conv, x);  // compiles the plan
 
   const Context train_ctx{/*train=*/true};
   const Tensor y_train = conv.forward(x, train_ctx);
@@ -325,7 +327,7 @@ TEST(LayerPrepack, CloneDoesNotSharePacksWithItsSource) {
   std::mt19937 rng(27);
   Conv2d conv(3, 12, 3, 1, 1, 1, rng);
   const Tensor x = Tensor::randn({2, 3, 12, 12}, rng, 1.f);
-  const Tensor y0 = eval_forward(conv, x);  // parent cache is warm
+  const Tensor y0 = eval_forward(conv, x);  // the parent's plan is compiled
 
   const ModulePtr copy = conv.clone();
   // Mutate the parent's weights in place through the quantization seam.
@@ -345,36 +347,45 @@ TEST(LayerPrepack, CloneDoesNotSharePacksWithItsSource) {
 
 // ------------------------------------------------- code swap racing forwards --
 
-/// Forwards `layer` in code mode from two threads while a third alternates
-/// its installed codes between `a` and `b`.  set_weight_codes promises that
-/// a racing forward sees the whole old view or the whole new one, so every
-/// output must be bitwise equal to one of the two single-format references.
-/// The pack cache is where that promise can break: a forward under the
-/// other codes rebuilds the layer's cache entry while the first forward is
-/// still reading its panels (ASan reports heap-use-after-free when the
-/// rebuild frees them).
+/// Forwards `layer` from two threads while a third alternates its
+/// installed codes between `a` and `b`.  Before each forward a thread
+/// requests the next of `paths`; the request is process-wide, so a forward
+/// may run under the other thread's path.  set_weight_codes promises that a
+/// racing forward runs one whole plan, old or new, so every output must be
+/// bitwise equal to one payload's output under one path.  The plan slot is
+/// where that promise can break: a forward under other codes or another
+/// path recompiles the layer's plan while the first forward is still
+/// reading its panels (ASan reports heap-use-after-free when the recompile
+/// frees them).
 template <typename Layer>
 void run_code_swap_race(Layer& layer, const Tensor& x,
                         const std::shared_ptr<const WeightCodes>& a,
-                        const std::shared_ptr<const WeightCodes>& b) {
-  const reference::ModeGuard mode(gemm::QgemmMode::kCode);
+                        const std::shared_ptr<const WeightCodes>& b,
+                        std::initializer_list<gemm::QgemmMode> paths) {
+  const reference::ModeGuard restore(gemm::qgemm_mode());
   const Context ctx{};
-  layer.set_weight_codes(a);
-  const Tensor ya = layer.forward(x, ctx);
-  layer.set_weight_codes(b);
-  const Tensor yb = layer.forward(x, ctx);
-  EXPECT_FALSE(bitwise_equal(ya, yb));  // the two formats are told apart
+  std::vector<Tensor> refs;
+  for (const gemm::QgemmMode path : paths)
+    for (const auto& codes : {a, b}) {
+      gemm::set_qgemm_mode(path);
+      layer.set_weight_codes(codes);
+      refs.push_back(layer.forward(x, ctx));
+    }
+  EXPECT_FALSE(bitwise_equal(refs[0], refs[1]));  // the two payloads are told apart
 
   constexpr int kForwards = 48;
   std::atomic<int> running{2};
   std::atomic<int> bad{0};
   std::vector<std::thread> threads;
   for (int t = 0; t < 2; ++t)
-    threads.emplace_back([&] {
+    threads.emplace_back([&, t] {
       for (int i = 0; i < kForwards; ++i) {
+        gemm::set_qgemm_mode(paths.begin()[(t + i) % paths.size()]);
         try {
           const Tensor y = layer.forward(x, ctx);
-          if (!bitwise_equal(y, ya) && !bitwise_equal(y, yb)) bad.fetch_add(1);
+          if (std::none_of(refs.begin(), refs.end(),
+                           [&](const Tensor& r) { return bitwise_equal(y, r); }))
+            bad.fetch_add(1);
         } catch (...) {
           bad.fetch_add(1);
         }
@@ -407,7 +418,7 @@ TEST(LayerPrepack, CodeSwapRacingForwardsServesOneWholeFormat) {
     const Tensor x = Tensor::randn({8, 512}, rng, 1.f);
     const auto mersit = codes_for(lin, "MERSIT(8,2)");
     const auto fp8 = codes_for(lin, "FP(8,4)");
-    run_code_swap_race(lin, x, mersit, fp8);
+    run_code_swap_race(lin, x, mersit, fp8, {gemm::QgemmMode::kCode});
   }
   {
     SCOPED_TRACE("grouped Conv2d");
@@ -415,7 +426,20 @@ TEST(LayerPrepack, CodeSwapRacingForwardsServesOneWholeFormat) {
     const Tensor x = Tensor::randn({2, 32, 16, 16}, rng, 1.f);
     const auto mersit = codes_for(conv, "MERSIT(8,2)");
     const auto fp8 = codes_for(conv, "FP(8,4)");
-    run_code_swap_race(conv, x, mersit, fp8);
+    run_code_swap_race(conv, x, mersit, fp8, {gemm::QgemmMode::kCode});
+  }
+  {
+    // An INT8 payload runs the int8 kernel under the int8 path and the
+    // FP32 kernel under the code path; the MERSIT payload has no affine
+    // table, so both paths run it on FP32.  Inputs on the INT8 grid with
+    // a stamped scale.
+    SCOPED_TRACE("Linear 512x512, INT8 payload, code and int8 paths");
+    Linear lin(512, 512, rng);
+    Tensor x = Tensor::randn({8, 512}, rng, 1.f);
+    reference::fake_quantize(x, *core::make_format("INT8"));
+    const auto i8 = codes_for(lin, "INT8");
+    const auto mersit = codes_for(lin, "MERSIT(8,2)");
+    run_code_swap_race(lin, x, i8, mersit, {gemm::QgemmMode::kCode, gemm::QgemmMode::kInt8});
   }
 }
 

@@ -4,17 +4,18 @@
 // pinned here against the scalar codec for every registered format over all
 // 256 codes — ties, ±0, NaR/Inf/NaN, denormals) and packs the decoded array
 // through the FP32 pack routines, so everything stacked on top
-// (install_code_weights, the keyed pack cache, evaluate_with_table's code
-// mode) must preserve that identity end to end.  The opt-in Kulisch mode is
+// (install_code_weights, the layer weight plans, evaluate_with_table's code
+// path) must preserve that identity end to end.  The opt-in Kulisch mode is
 // held to its documented ULP contract instead.  Layer and whole-model
 // forwards on every path are the contract matrix in test_gemm.cpp
 // (Gemm/LayerPath, Gemm/ModelPath).  Runs under the `concurrency` TSan
-// label: the GEMM fan-out and the pack caches are hot concurrent paths.
+// label: the GEMM fan-out and the weight plans are hot concurrent paths.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <random>
 #include <sstream>
@@ -191,6 +192,25 @@ TEST_F(QgemmModelTest, ArtifactCodesBitIdenticalToUnpackEvenWhenCorrupted) {
       EXPECT_TRUE(bitwise_equal(quant_forward(*coded, *fmt), ref));
     }
   }
+
+  // Under Kulisch, a kPropagate payload that keeps a non-finite code runs
+  // the FP32 kernel on that layer and says why; the other layers run the
+  // quire.
+  std::uint8_t nar = 0;  // the first non-finite code
+  while (std::isfinite(fmt->decode_value(nar))) ++nar;
+  ptq::QuantizedModel poisoned = clean;
+  poisoned.tensors.front().codes.front() = nar;
+  const ModulePtr coded = proto_->clone();
+  ptq::install_code_weights(*coded, poisoned, *fmt, formats::CorruptionPolicy::kPropagate);
+  const ModeGuard kmode(gemm::QgemmMode::kKulisch);
+  (void)quant_forward(*coded, *fmt);
+  const std::vector<LayerPlan> plans = weight_plans(*coded);
+  ASSERT_EQ(plans.size(), poisoned.tensors.size());
+  for (std::size_t i = 0; i < plans.size(); ++i) {
+    EXPECT_EQ(plans[i].plan->kernel, i == 0 ? WeightKernel::kFp32 : WeightKernel::kKulisch)
+        << plans[i].layer;
+    EXPECT_EQ(plans[i].plan->reason, i == 0 ? PlanFallback::kNonFinite : PlanFallback::kNone);
+  }
 }
 
 // The model-aware load_artifact_pair overload rejects an artifact whose
@@ -229,32 +249,30 @@ TEST_F(QgemmModelTest, LoadArtifactPairRejectsShapeMismatchByPath) {
   }
 }
 
-// ------------------------------------------------------ pack-cache key (bug) --
+// ------------------------------------------------------------ weight plans --
 
-// Regression for stale-pack holes.  A pack-cache entry is reused only when
-// the Param version and all three PackKey fields match, and a change to any
-// one field leaves the version alone: installing new codes does not touch
-// the FP32 weights, a backend switch changes only the panel layout, and a
-// mode flip between code and int8 changes only which panels the forward
-// reads.  Each block below changes one field on a warm layer and requires
-// the next forward to be bitwise equal to a never-cached layer's.  Sized so
+// Regression for stale-plan holes.  A layer's plan is reused only when it
+// was compiled for the installed payload, the Param version, the requested
+// path and the active backend, and three of those change without touching
+// the version: installing new codes leaves the FP32 weights alone, a
+// backend switch changes only the panel layout, and a path flip between
+// code and int8 changes only which kernel and panels the forward reads.
+// Each block below changes one of them on a warm layer and requires the
+// next forward to be bitwise equal to a never-compiled layer's.  Sized so
 // the GEMM reads the packed panels (M·N·K above sgemm's direct-loop
 // cutoff).
-TEST(QgemmPackCache, RebuildsWhenCodesChangeWithoutVersionBump) {
+TEST(QgemmWeightPlan, RecompilesOnNewPayloadBackendOrPath) {
   constexpr int kIn = 64, kOut = 48, kBatch = 8;
   const Context ctx{/*train=*/false, nullptr};
   const auto mersit = core::make_format("MERSIT(8,2)");
   const auto fp84 = core::make_format("FP(8,4)");
   const auto int8 = core::make_format("INT8");
 
-  // Activations on the INT8 grid with a stamped scale, so int8-mode
-  // forwards take the integer path.
+  // Activations on the INT8 grid with a stamped scale, so int8-path
+  // forwards take the integer kernel.
   std::mt19937 xrng(9);
   Tensor x = Tensor::randn({kBatch, kIn}, xrng, 1.f);
-  const double xscale = formats::scale_for_absmax(
-      *int8, x.abs_max(), formats::ScalePolicy::kMaxToUnity);
-  formats::kernels::kernel_for(*int8)->fake_quantize(x.data(), xscale);
-  x.set_quant_scale(xscale);
+  reference::fake_quantize(x, *int8);
 
   // Every layer comes from the same seed, so only the codes differ.
   const auto make = [&](const formats::Format& fmt) {
@@ -271,11 +289,12 @@ TEST(QgemmPackCache, RebuildsWhenCodesChangeWithoutVersionBump) {
   constexpr auto kInt8 = gemm::QgemmMode::kInt8;
 
   {
-    SCOPED_TRACE("key field: codes id");
+    SCOPED_TRACE("new payload");
     auto cached = make(*mersit);
     const Tensor old = run(*cached, kCode);  // warms MERSIT panels
     ptq::install_weight_codes(*cached, *fp84,
                               formats::ScalePolicy::kMaxToUnity);
+    EXPECT_EQ(cached->weight_plan(), nullptr);  // the install drops the plan
     const Tensor want = run(*make(*fp84), kCode);
     EXPECT_TRUE(bitwise_equal(run(*cached, kCode), want));
     // Sanity: the two formats produce different outputs, so stale MERSIT
@@ -283,7 +302,7 @@ TEST(QgemmPackCache, RebuildsWhenCodesChangeWithoutVersionBump) {
     EXPECT_FALSE(bitwise_equal(old, want));
   }
   {
-    SCOPED_TRACE("key field: backend");
+    SCOPED_TRACE("backend switch");
     const gemm::Backend* best = nullptr;  // the detected (best) backend
     for (const gemm::Backend* be : gemm::backends())
       if (best == nullptr && be->supported()) best = be;
@@ -297,15 +316,54 @@ TEST(QgemmPackCache, RebuildsWhenCodesChangeWithoutVersionBump) {
     Tensor got;
     EXPECT_NO_THROW(got = run(*cached, kCode));
     EXPECT_TRUE(bitwise_equal(got, run(*make(*mersit), kCode)));
+    EXPECT_EQ(cached->weight_plan()->backend_id, gemm::scalar_backend().id);
   }
   {
-    SCOPED_TRACE("key field: kind");
+    SCOPED_TRACE("path switch");
     auto cached = make(*int8);
-    ASSERT_NE(cached->weight_codes()->book->affine, nullptr);
     const Tensor code_want = run(*make(*int8), kCode);
-    EXPECT_TRUE(bitwise_equal(run(*cached, kCode), code_want));  // FP32 entry
+    EXPECT_TRUE(bitwise_equal(run(*cached, kCode), code_want));  // FP32 plan
+    EXPECT_EQ(cached->weight_plan()->kernel, WeightKernel::kFp32);
     EXPECT_TRUE(bitwise_equal(run(*cached, kInt8), run(*make(*int8), kInt8)));
+    EXPECT_EQ(cached->weight_plan()->kernel, WeightKernel::kInt8);
     EXPECT_TRUE(bitwise_equal(run(*cached, kCode), code_want));
+  }
+}
+
+// set_weight_codes checks a payload against the layer once, at install: a
+// wrong channel count, per-channel length or scale count throws naming the
+// layer, and the previous codes and plan keep serving — the next forward
+// is bitwise the one before the attempt, with no recompile.
+TEST(QgemmWeightPlan, MismatchedPayloadThrowsNamingTheLayerAndKeepsServing) {
+  std::mt19937 rng(13);
+  Conv2d conv(4, 6, 3, 1, 1, 1, rng);
+  conv.set_path("net/stem/conv");
+  ptq::install_weight_codes(conv, *core::make_format("MERSIT(8,2)"),
+                            formats::ScalePolicy::kMaxToUnity);
+  const Tensor x = Tensor::randn({2, 4, 6, 6}, rng, 1.f);
+  const ModeGuard mode(gemm::QgemmMode::kCode);
+  const Tensor before = conv.forward(x, Context{});
+  const auto codes = conv.weight_codes();
+  const auto plan = conv.weight_plan();
+  const std::function<void(WeightCodes&)> mismatches[] = {
+      [](WeightCodes& wc) { --wc.channels; },  // channel count
+      [](WeightCodes& wc) {                    // per-channel length
+        wc.codes.resize(wc.codes.size() + static_cast<std::size_t>(wc.channels));
+        ++wc.per_channel;
+      },
+      [](WeightCodes& wc) { wc.scales.pop_back(); }};  // scale count
+  for (const auto& mismatch : mismatches) {
+    auto wc = std::make_shared<WeightCodes>(*codes);
+    mismatch(*wc);
+    try {
+      conv.set_weight_codes(wc);
+      ADD_FAILURE() << "mismatched payload accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("net/stem/conv"), std::string::npos) << e.what();
+    }
+    EXPECT_EQ(conv.weight_codes(), codes);
+    EXPECT_TRUE(bitwise_equal(conv.forward(x, Context{}), before));
+    EXPECT_EQ(conv.weight_plan(), plan);
   }
 }
 

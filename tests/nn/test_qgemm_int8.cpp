@@ -1,4 +1,4 @@
-// Decode-free int8 path (MERSIT_QGEMM=int8): affine-LUT detection must
+// Decode-free int8 path (QgemmMode::kInt8): affine-LUT detection must
 // accept exactly the affine family (INT8 — exhaustively over all 256
 // codes) and reject every non-affine registered format (MERSIT, posit,
 // FP8); the integer micro-kernel must be bitwise identical to the scalar
@@ -136,28 +136,6 @@ TEST(Int8Affine, ZeroPointDenormalAndPolicyZeroedLutsQualify) {
     lut[c] = 0.25 * static_cast<double>(static_cast<std::int8_t>(c));
   lut[17] = std::nextafter(lut[17], 1.0);
   EXPECT_FALSE(gemm::build_affine_lut(lut).usable);
-}
-
-// --------------------------------------------------------- strict env parse --
-
-TEST(Int8Mode, StrictParseAcceptsExactlyTheFourModes) {
-  EXPECT_EQ(gemm::parse_qgemm_mode("float"), gemm::QgemmMode::kFloat);
-  EXPECT_EQ(gemm::parse_qgemm_mode("code"), gemm::QgemmMode::kCode);
-  EXPECT_EQ(gemm::parse_qgemm_mode("kulisch"), gemm::QgemmMode::kKulisch);
-  EXPECT_EQ(gemm::parse_qgemm_mode("int8"), gemm::QgemmMode::kInt8);
-  for (const char* bad : {"int-8", "INT8", "in8t", "quire", "", "codes"}) {
-    SCOPED_TRACE(bad);
-    try {
-      (void)gemm::parse_qgemm_mode(bad);
-      FAIL() << "accepted \"" << bad << "\"";
-    } catch (const std::runtime_error& e) {
-      // The message must enumerate every valid value and echo the input.
-      const std::string what = e.what();
-      EXPECT_NE(what.find("float|code|kulisch|int8"), std::string::npos) << what;
-      EXPECT_NE(what.find(std::string("\"") + bad + "\""), std::string::npos)
-          << what;
-    }
-  }
 }
 
 // ------------------------------------------------------- activation levels --
@@ -455,44 +433,32 @@ TEST(Int8Kernel, RejectsUnsafeCallsAndStaysThreadCountInvariant) {
 // to 0.0, level 0, so the int8 output is bitwise the int8 output of the
 // same artifact with that code set to 0x00, for Linear and Conv2d.  The
 // corruption counter still sees the code.  Under kPropagate the code stays
-// NaR and the layer declines to code mode.
+// NaR and the plan runs the FP32 kernel, reporting the non-finite code.
 TEST(Int8Layer, ZeroSubstitutedArtifactStaysOnIntegerPath) {
   using formats::CorruptionPolicy;
   const auto fmt = core::make_format("INT8");
   ASSERT_FALSE(std::isfinite(fmt->decode_value(0x80)));
-  const auto kernel = formats::kernels::kernel_for(*fmt);
   const Context ctx{/*train=*/false, nullptr};
-  const auto check = [&](Module& layer, Tensor x) {
-    const double xscale = formats::scale_for_absmax(
-        *fmt, x.abs_max(), formats::ScalePolicy::kMaxToUnity);
-    kernel->fake_quantize(x.data(), xscale);
-    x.set_quant_scale(xscale);
+  const ModeGuard mode(gemm::QgemmMode::kInt8);
+  const auto check = [&](auto& layer, Tensor x) {
+    reference::fake_quantize(x, *fmt);
     ptq::QuantizedModel corrupt = ptq::pack_weights(layer, *fmt);
     ptq::QuantizedModel clean = corrupt;
     corrupt.tensors.front().codes[3] = 0x80;
     clean.tensors.front().codes[3] = 0x00;
-    const auto run = [&](const ptq::QuantizedModel& qm, CorruptionPolicy policy,
-                         gemm::QgemmMode mode) {
-      ptq::install_code_weights(layer, qm, *fmt, policy);
-      const ModeGuard guard(mode);
-      return layer.forward(x, ctx);
+    const auto run = [&](const ptq::QuantizedModel& qm, CorruptionPolicy policy) {
+      formats::CorruptionStats stats;
+      ptq::install_code_weights(layer, qm, *fmt, policy, &stats);
+      const Tensor y = layer.forward(x, ctx);
+      EXPECT_EQ(stats.non_finite, &qm == &corrupt ? 1u : 0u);
+      return y;
     };
-    const Tensor want = run(clean, CorruptionPolicy::kZeroSubstitute,
-                            gemm::QgemmMode::kInt8);
-    // The int8 and code outputs differ, so the comparison below tells the
-    // two paths apart.
-    ASSERT_FALSE(bitwise_equal(want, run(clean, CorruptionPolicy::kZeroSubstitute,
-                                         gemm::QgemmMode::kCode)));
-    EXPECT_TRUE(bitwise_equal(
-        run(corrupt, CorruptionPolicy::kZeroSubstitute, gemm::QgemmMode::kInt8),
-        want));
-    formats::CorruptionStats stats;
-    ptq::install_code_weights(layer, corrupt, *fmt,
-                              CorruptionPolicy::kZeroSubstitute, &stats);
-    EXPECT_EQ(stats.non_finite, 1u);
-    EXPECT_TRUE(bitwise_equal(
-        run(corrupt, CorruptionPolicy::kPropagate, gemm::QgemmMode::kInt8),
-        run(corrupt, CorruptionPolicy::kPropagate, gemm::QgemmMode::kCode)));
+    const Tensor want = run(clean, CorruptionPolicy::kZeroSubstitute);
+    EXPECT_TRUE(bitwise_equal(run(corrupt, CorruptionPolicy::kZeroSubstitute), want));
+    EXPECT_EQ(layer.weight_plan()->kernel, WeightKernel::kInt8);
+    (void)run(corrupt, CorruptionPolicy::kPropagate);
+    EXPECT_EQ(layer.weight_plan()->kernel, WeightKernel::kFp32);
+    EXPECT_EQ(layer.weight_plan()->reason, PlanFallback::kNonFinite);
   };
   std::mt19937 rng(41);
   std::mt19937 xrng(43);
@@ -567,7 +533,7 @@ TEST_F(Int8ModelTest, EvaluateWithTableInt8WithinToleranceOfCodeMetric) {
 }
 
 // Serving e2e: an engine hot-swapped to an INT8 artifact under
-// MERSIT_QGEMM=int8 serves responses bit-identical to the quiesced replica
+// the int8 path serves responses bit-identical to the quiesced replica
 // path (install_code_weights + quantized forward) under the same mode.
 TEST_F(Int8ModelTest, EngineHotSwapServesIntegerPathBitIdentically) {
   const ModeGuard mode(gemm::QgemmMode::kInt8);

@@ -211,10 +211,10 @@ TEST_F(HotSwapTest, SwapUnderLoadBitIdenticalToQuiescedSwap) {
 
 // ------------------------------------------- stale packs / format identity --
 
-// Regression for the prepacked-cache identity hole: under code-domain
-// serving (MERSIT_QGEMM=code, the default) a swap installs new 8-bit codes
+// Regression for the prepacked-weight identity hole: under code-domain
+// serving (the code path, the default) a swap installs new 8-bit codes
 // WITHOUT touching the FP32 weights, so the per-Param version counters do
-// not move — a pack cache keyed on version alone would keep serving GEMM
+// not move — a weight plan keyed on version alone would keep serving GEMM
 // panels decoded from the previous generation's codes, or from a different
 // *format's* codes entirely.  Hammering requests while swapping between a
 // MERSIT artifact and an FP(8,4) artifact of the same weights must only
@@ -247,7 +247,7 @@ TEST_F(HotSwapTest, CrossFormatSwapUnderLoadNeverServesStalePacks) {
   Engine engine(serve_options());
   register_m(engine);
   swap(engine, art_a_);
-  // Warm every replica's pack caches on generation A before swapping.
+  // Compile every replica's weight plans on generation A before swapping.
   for (int i = 0; i < 4; ++i) {
     Response r = engine.submit("m", *probe_).get();
     ASSERT_TRUE(r.ok) << r.error;
