@@ -29,7 +29,7 @@
 // measuring how far FP32 ascending-k accumulation drifts from the quire.
 //
 // A third column runs the decode-free integer path (QgemmMode::kInt8,
-// INT8 weights): codes are remapped to int8 levels through the affine LUT,
+// INT8 weights): codes are remapped to the levels of the format's int8 grid,
 // activations are quantized to levels at each GEMM boundary, and the
 // accumulation runs in int32 (nn/gemm/qgemm.h documents the ULP contract).
 // Because the integer path needs quantization scales on its activations,
@@ -115,9 +115,10 @@ constexpr int kCodeGatePairs = 25;
 /// Weight format for the code-domain column and the Kulisch probe.
 constexpr const char* kCodeFormat = "MERSIT(8,2)";
 
-/// Weight format for the decode-free integer column: INT8 is the affine-LUT
-/// family the int8 path accepts (MERSIT/posit/FP8 LUTs are non-affine, so
-/// their plans run the FP32 kernel).
+/// Weight format for the decode-free integer column: INT8 is the one format
+/// with a usable int8 grid (MERSIT/posit/FP8 grids are non-uniform, so
+/// their plans run the FP32 kernel).  The text output prints the column's
+/// plan census per vision model.
 constexpr const char* kInt8Format = "INT8";
 
 /// Single-thread speedup the integer path must clear over the code path on
@@ -212,6 +213,31 @@ std::pair<double, double> paired_median_ms(A&& a, B&& b, int pairs) {
   return {median(ta), median(tb)};
 }
 
+/// The layers of `model` per plan kernel, then the declined requests per
+/// fallback reason, e.g. "int8 13, fp32 15 (depthwise 5, unstamped input
+/// 10)".
+std::string plan_census(nn::Module& model) {
+  constexpr int kKernels = static_cast<int>(nn::WeightKernel::kKulisch) + 1;
+  constexpr int kReasons = static_cast<int>(nn::PlanFallback::kKTooLarge) + 1;
+  int kernels[kKernels] = {}, reasons[kReasons] = {};
+  for (const nn::LayerPlan& lp : nn::weight_plans(model)) {
+    ++kernels[static_cast<int>(lp.plan->kernel)];
+    ++reasons[static_cast<int>(lp.plan->reason)];
+  }
+  std::string out, why;
+  for (int k = 0; k < kKernels; ++k)
+    if (kernels[k] > 0)
+      out += (out.empty() ? "" : ", ") +
+             std::string(nn::kernel_name(static_cast<nn::WeightKernel>(k))) + " " +
+             std::to_string(kernels[k]);
+  for (int r = 1; r < kReasons; ++r)  // 0 is PlanFallback::kNone
+    if (reasons[r] > 0)
+      why += (why.empty() ? "" : ", ") +
+             std::string(nn::fallback_name(static_cast<nn::PlanFallback>(r))) + " " +
+             std::to_string(reasons[r]);
+  return why.empty() ? out : out + " (" + why + ")";
+}
+
 struct Row {
   std::string model;
   int batch = 0;
@@ -229,11 +255,12 @@ struct Row {
   std::uint64_t weight_bytes_codes = 0;  ///< code payload: codes + scales
   // Decode-free integer column (vision models; INT8 weights, quant session
   // on both sides so the only difference is the GEMM path).
-  bool int8_eligible = false;   ///< affine LUT detected for kInt8Format
+  bool int8_eligible = false;   ///< kInt8Format has a usable int8 grid
   double int8_code_ms = 0.0;    ///< quant-session forward, code path
   double int8_ms = 0.0;         ///< quant-session forward, int8 path
   float int8_max_rel = 0.f;     ///< max |int8-code| / max(1,|code|) on logits
   int int8_top1_delta = 0;      ///< batch argmax disagreements vs code
+  std::string int8_census;      ///< int8 column's plans (text output only)
   [[nodiscard]] double speedup_code_vs_prepacked() const {
     return code_ms > 0.0 ? prepacked_ms / code_ms : 0.0;
   }
@@ -337,13 +364,7 @@ Row measure(const std::string& name, nn::Module& model, const nn::Tensor& x,
 
     ptq::install_weight_codes(model, *fmt8,
                               formats::ScalePolicy::kMaxToUnity);
-    for (nn::Module* m : model.modules()) {
-      auto* cw = dynamic_cast<nn::ChannelWeights*>(m);
-      if (cw == nullptr) continue;
-      if (const auto wc = cw->weight_codes();
-          wc != nullptr && wc->book->affine != nullptr)
-        row.int8_eligible = true;
-    }
+    row.int8_eligible = fmt8->codec().int8_grid().usable;
 
     ptq::FakeQuantizer fq(cal.table, *fmt8, formats::ScalePolicy::kMaxToUnity);
     nn::Tensor xq = x;
@@ -356,6 +377,7 @@ Row measure(const std::string& name, nn::Module& model, const nn::Tensor& x,
 
     nn::gemm::set_qgemm_mode(nn::gemm::QgemmMode::kInt8);
     const nn::Tensor y_int8 = model.forward(xq, qctx);
+    row.int8_census = plan_census(model);
     row.int8_ms = time_forward_ms(model, xq, reps, qctx);
 
     const auto dc = y_code.data(), di = y_int8.data();
@@ -393,15 +415,16 @@ struct KulischProbe {
 
 KulischProbe kulisch_probe() {
   KulischProbe probe;
-  const auto book = ptq::make_code_book(*core::make_format(kCodeFormat),
-                                        formats::CorruptionPolicy::kPropagate);
-  probe.usable = book->kulisch != nullptr;
+  const auto fmt = core::make_format(kCodeFormat);
+  const formats::TableCodec& tab = fmt->codec();
+  probe.usable = nn::gemm::kulisch_fits(tab);
   if (!probe.usable) return probe;
-  const nn::gemm::KulischTable& tab = *book->kulisch;
-  const double* lut = book->value;
+  double lut[256];
   std::vector<std::uint8_t> finite;
-  for (int c = 0; c < 256; ++c)
-    if (book->finite[c]) finite.push_back(static_cast<std::uint8_t>(c));
+  for (int c = 0; c < 256; ++c) {
+    lut[c] = tab.decode(static_cast<std::uint8_t>(c));
+    if (tab.finite(static_cast<std::uint8_t>(c))) finite.push_back(static_cast<std::uint8_t>(c));
+  }
 
   constexpr int M = 8, K = 256, N = 16;
   probe.m = M, probe.k = K, probe.n = N;
@@ -549,6 +572,9 @@ void print_run(const RunReport& run) {
                 r.int8_ms, r.speedup_int8_vs_code(), r.prepacked_ulp,
                 r.code_ulp,
                 static_cast<double>(r.weight_bytes_codes) / (1024.0 * 1024.0));
+  for (const Row& r : run.rows)
+    if (!r.int8_census.empty())
+      std::printf("int8 plans on %s: %s\n", r.model.c_str(), r.int8_census.c_str());
   for (const Row& r : run.rows)
     if (r.model == kCodeGateModel)
       std::printf("code gate on %s, medians of %d alternating pairs: code %.3f ms vs "
@@ -831,14 +857,14 @@ int main(int argc, char** argv) {
         ++bad;
       }
       // Integer-path gates.  Every vision model must be int8-eligible
-      // (INT8's LUT is affine by construction), stay within the contract
+      // (INT8's values are a uniform int8 grid by construction), stay within the contract
       // logit tolerance of the code path, and keep the batch top-1
       // unchanged; the 1.3x speedup bar applies single-threaded in full
       // sizing on a SIMD host (like the backend-sweep speedup gate, the
       // fast-sizing shapes are too small for a stable kernel-bound ratio).
       if (r.vision && !r.int8_eligible) {
         std::fprintf(stderr,
-                     "bench_inference: %s has no usable affine LUT for %s — "
+                     "bench_inference: %s has no usable int8 grid for %s — "
                      "the int8 path never engaged\n",
                      r.model.c_str(), kInt8Format);
         ++bad;

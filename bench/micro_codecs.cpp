@@ -26,7 +26,7 @@
 #include "core/mersit.h"
 #include "core/registry.h"
 #include "core/thread_pool.h"
-#include "formats/kernels/kernel_cache.h"
+#include "formats/kernels/quant_kernel.h"
 #include "formats/quantize.h"
 #include "hw/mac.h"
 #include "hw/reference.h"
@@ -105,7 +105,7 @@ void BM_QuantizeBufferScalar(benchmark::State& state, const char* name) {
 
 void BM_QuantizeBufferKernel(benchmark::State& state, const char* name) {
   const auto fmt = core::make_format(name);
-  (void)formats::kernels::kernel_for(*fmt);  // build LUTs outside the loop
+  (void)fmt->kernel();  // build LUTs outside the loop
   const std::vector<float> buf =
       random_floats(static_cast<std::size_t>(state.range(0)));
   const double scale = ptq_scale(*fmt, buf);
@@ -186,8 +186,7 @@ int write_codec_json(const char* path) {
   int mismatches = 0;
   for (const std::string& name : core::all_format_names()) {
     const auto fmt = core::make_format(name);
-    (void)fmt->codec();
-    const auto kernel = formats::kernels::kernel_for(*fmt);
+    const auto kernel = fmt->kernel();
     for (const auto& b : buffers) {
       const double scale = ptq_scale(*fmt, b.data);
       std::vector<float> want = b.data;
@@ -228,9 +227,7 @@ int write_codec_json(const char* path) {
     std::fprintf(stderr, "micro_codecs: cannot open %s\n", path);
     return 1;
   }
-  const Loop dispatched = formats::kernels::kernel_for(*core::make_format(
-                                                           "MERSIT(8,2)"))
-                              ->loop();
+  const Loop dispatched = core::make_format("MERSIT(8,2)")->kernel()->loop();
   std::fprintf(f, "{\n  \"bench\": \"micro_codecs/fake_quantize\",\n");
   std::fprintf(f, "  \"elements\": %zu,\n  \"dispatched_loop\": \"%s\",\n",
                kElems, QuantKernel::loop_name(dispatched));
@@ -319,23 +316,21 @@ void BM_MacNetlistCycle64(benchmark::State& state, const char* name) {
 }
 
 /// Raw decode-free int8 micro-kernel rate on a 256^3 GEMM: both operands
-/// prepacked (the steady-state layer shape), single-threaded, INT8's affine
-/// LUT.  items_per_second counts multiply-adds as 2 ops, so the reported
+/// prepacked (the steady-state layer shape), single-threaded, INT8's int8
+/// grid.  items_per_second counts multiply-adds as 2 ops, so the reported
 /// rate reads directly as GOP/s — the headline number EXPERIMENTS.md quotes
 /// for the integer path.
 void BM_QgemmInt8Kernel256(benchmark::State& state) {
   constexpr int kDim = 256;
   core::resize_global_pool(1);  // raw single-thread kernel rate
   const auto fmt = core::make_format("INT8");
-  double lut[256];
+  const formats::TableCodec& table = fmt->codec();
   std::vector<std::uint8_t> finite;
-  for (int c = 0; c < 256; ++c) {
-    lut[c] = fmt->decode_value(static_cast<std::uint8_t>(c));
-    if (std::isfinite(lut[c])) finite.push_back(static_cast<std::uint8_t>(c));
-  }
-  const nn::gemm::AffineLut alut = nn::gemm::build_affine_lut(lut);
-  if (!alut.usable) {
-    state.SkipWithError("INT8 LUT is not affine");
+  for (int c = 0; c < 256; ++c)
+    if (table.finite(static_cast<std::uint8_t>(c))) finite.push_back(static_cast<std::uint8_t>(c));
+  const formats::TableCodec::Int8Grid& grid = table.int8_grid();
+  if (!grid.usable) {
+    state.SkipWithError("INT8 has no usable int8 grid");
     return;
   }
   std::mt19937 rng(9);
@@ -343,14 +338,14 @@ void BM_QgemmInt8Kernel256(benchmark::State& state) {
   std::vector<std::uint8_t> ac(kDim * kDim), bc(kDim * kDim);
   for (auto& c : ac) c = finite[pick(rng)];
   for (auto& c : bc) c = finite[pick(rng)];
-  const nn::gemm::Int8Operand a{ac.data(), kDim, false, alut.q, nullptr,
-                                alut.scale};
-  const nn::gemm::Int8Operand b{bc.data(), kDim, false, alut.q, nullptr,
-                                alut.scale};
+  const nn::gemm::Int8Operand a{ac.data(), kDim, false, grid.level, nullptr,
+                                grid.pitch};
+  const nn::gemm::Int8Operand b{bc.data(), kDim, false, grid.level, nullptr,
+                                grid.pitch};
   const nn::gemm::PackedInt8 pa =
-      nn::gemm::pack_a_int8_matrix(kDim, kDim, ac.data(), kDim, false, alut.q);
+      nn::gemm::pack_a_int8_matrix(kDim, kDim, ac.data(), kDim, false, grid.level);
   const nn::gemm::PackedInt8 pb =
-      nn::gemm::pack_b_int8_matrix(kDim, kDim, bc.data(), kDim, false, alut.q);
+      nn::gemm::pack_b_int8_matrix(kDim, kDim, bc.data(), kDim, false, grid.level);
   std::vector<float> out(static_cast<std::size_t>(kDim) * kDim);
   for (auto _ : state) {
     nn::gemm::qgemm_int8(kDim, kDim, kDim, a, b, nn::gemm::Init::kZero,

@@ -3,15 +3,15 @@
 # build, an Address+UB-sanitized build (MERSIT_SANITIZE=ON) over the full
 # suite (including the serialization fuzz tests and fault campaigns), and a
 # ThreadSanitizer build (MERSIT_SANITIZE=thread) over the `concurrency`-
-# labelled suites (codec lazy init, kernel cache, thread pool, GEMM,
+# labelled suites (codec lazy init, format kernels, thread pool, GEMM,
 # parallel PTQ, serving engine + hot-swap; see tests/CMakeLists.txt for the
 # label registry).  Finally, guard against build artifacts leaking into the
 # work tree.  Between the default build and the sanitizers, the GEMM
 # library must export no weak gemm::detail template symbols, the GEMM and
 # layer suites must pass again when built with -mfma, the examples must
-# run to a clean exit, and the
-# gate-replay, trunk-mersit, mobile-int8 and serve-swap benchmark workloads
-# must report their outputs correct.
+# run to a clean exit, the paper's deterministic outputs must match
+# bench/golden/, and the gate-replay, trunk-mersit, mobile-int8 and
+# serve-swap benchmark workloads must report their outputs correct.
 #
 # Usage: scripts/ci.sh [jobs]
 set -euo pipefail
@@ -108,12 +108,12 @@ done
 #  * code-domain slower than prepacked FP32 on ResNet18-mini (medians of
 #    alternating pairs), or either of those two models' plan report showing
 #    a layer that did not run the FP32 kernel with no fallback,
-#  * a vision model with no usable affine LUT for INT8 (int8 path never
+#  * a vision model with no usable int8 grid for INT8 (int8 path never
 #    engaged), int8 logits outside the grid-flip tolerance of the code
 #    path, or any batch top-1 flip between the int8 and code paths (the
 #    1.3x int8-over-code single-thread speedup bar on ResNet18-mini and
 #    VGG16-mini additionally applies in full sizing),
-#  * no usable Kulisch table for the code format,
+#  * the code format not fitting the Kulisch quire,
 #  * a SIMD backend diverging bitwise from scalar in the backend sweep, or
 #    the detected backend losing to scalar on the sweep geomean (the 1.5x
 #    single-model speedup bar additionally applies in full sizing).
@@ -156,6 +156,17 @@ echo "==> hardware smoke (fig7_mac_area_power, fast sizing)"
 MERSIT_BENCH_FAST=1 ./build/bench/fig7_mac_area_power --json=build/BENCH_fig7.json
 ./build/bench/fig7_mac_area_power --check_json=BENCH_fig7.json
 
+# Paper goldens: the deterministic outputs behind Table 1 (MERSIT codes),
+# Fig. 2 (MAC parameters), Fig. 4 (range/precision) and Fig. 6 (RMSE, fast
+# sizing) must match the committed text under bench/golden/ byte for byte.
+# Every decode, table and kernel they read is seeded and thread-count
+# invariant, so any diff is a change in a paper number.
+echo "==> paper goldens (bench/golden)"
+for b in table1_mersit_codes fig2_mac_params fig4_range_precision; do
+  ./build/bench/"${b}" | diff -u "bench/golden/${b}.txt" -
+done
+MERSIT_BENCH_FAST=1 ./build/bench/fig6_rmse 2>/dev/null | diff -u bench/golden/fig6_rmse.txt -
+
 # Benchmark exactness: only each result line's verdict is gated, not the
 # timings.
 #  * gate-replay replays every captured layer stream through the three
@@ -196,7 +207,7 @@ MERSIT_BACKEND=scalar run_suite build-sanitize -DMERSIT_SANITIZE=ON -DCMAKE_BUIL
 # TSan stage: rebuild and run only the concurrency-sensitive suites (a full
 # TSan run of the training-heavy tests would dominate CI time).  Selection is
 # by ctest label: tests/CMakeLists.txt labels the dedicated
-# test_concurrency executable (codec lazy init, kernel cache, thread pool,
+# test_concurrency executable (codec lazy init, format kernels, thread pool,
 # GEMM, the contract matrix, prepack/arena, a code swap racing forwards,
 # parallel PTQ), test_qgemm (the code path riding the pool fan-out, weight
 # plan recompiles, Kulisch accumulator, int8 path), and test_serve (engine admission /

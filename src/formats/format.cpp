@@ -1,20 +1,33 @@
 #include "formats/format.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <map>
 #include <stdexcept>
 
+#include "formats/kernels/quant_kernel.h"
+
 namespace mersit::formats {
 
 Format::~Format() = default;
 
-const TableCodec& Format::codec() const {
-  std::call_once(codec_once_, [this] {
-    codec_ = std::make_unique<TableCodec>(*this, underflows_to_zero());
+void Format::build_tables() const {
+  std::call_once(tables_once_, [this] {
+    codec_ = std::make_shared<const TableCodec>(*this, underflows_to_zero());
+    kernel_ = std::make_shared<const kernels::QuantKernel>(name(), codec_);
   });
+}
+
+const TableCodec& Format::codec() const {
+  build_tables();
   return *codec_;
+}
+
+std::shared_ptr<const kernels::QuantKernel> Format::kernel() const {
+  build_tables();
+  return kernel_;
 }
 
 std::uint8_t Format::encode(double x) const { return codec().encode(x); }
@@ -68,8 +81,9 @@ TableCodec::TableCodec(const Format& fmt, bool underflows_to_zero)
     const auto code = static_cast<std::uint8_t>(c);
     const double v = fmt.decode_value(code);
     values_[c] = v;
+    class_[c] = fmt.classify(code);
     negate_[c] = code;
-    switch (fmt.classify(code)) {
+    switch (class_[c]) {
       case ValueClass::kZero:
         if (!have_zero) {
           zero_code_ = code;
@@ -108,6 +122,74 @@ TableCodec::TableCodec(const Format& fmt, bool underflows_to_zero)
       throw std::logic_error(fmt.name() + ": value set is not sign-symmetric");
     negate_[e.code] = it->second;
   }
+  build_dyadic();
+  build_int8_grid();
+}
+
+namespace {
+
+/// v -> (mant, exp) with v == mant · 2^exp exactly, mant odd (0 for zero).
+/// Returns false for non-finite v or |mant| >= 2^30.
+bool dyadic_pair(double v, std::int64_t& mant, int& exp) {
+  if (v == 0.0) {
+    mant = 0;
+    exp = 0;
+    return true;
+  }
+  if (!std::isfinite(v)) return false;
+  int e = 0;
+  const double frac = std::frexp(v, &e);      // v = frac · 2^e, |frac| ∈ [0.5, 1)
+  const double scaled = std::ldexp(frac, 53);  // integer: |scaled| ∈ (2^52, 2^53]
+  std::int64_t m = static_cast<std::int64_t>(std::llround(scaled));
+  int x = e - 53;
+  while ((m & 1) == 0) {
+    m >>= 1;
+    ++x;
+  }
+  if (m >= (std::int64_t{1} << 30) || m <= -(std::int64_t{1} << 30)) return false;
+  mant = m;
+  exp = x;
+  return std::ldexp(static_cast<double>(m), x) == v;
+}
+
+}  // namespace
+
+void TableCodec::build_dyadic() {
+  bool any = false;
+  for (int c = 0; c < 256; ++c) {
+    if (!finite(static_cast<std::uint8_t>(c))) continue;  // stays (0, 0)
+    if (!dyadic_pair(values_[c], mant_[c], exp_[c])) return;  // not exact
+    if (mant_[c] == 0) continue;
+    min_exp_ = any ? std::min(min_exp_, exp_[c]) : exp_[c];
+    max_exp_ = any ? std::max(max_exp_, exp_[c]) : exp_[c];
+    any = true;
+  }
+  dyadic_exact_ = true;
+}
+
+void TableCodec::build_int8_grid() {
+  if (!underflows_to_zero_) return;
+  if (std::bit_cast<std::uint64_t>(values_[zero_code_]) != 0) return;
+  if (positives_.size() > 127) return;  // levels must fit int8
+  const double pitch = positives_.front().value;
+  int e = 0;
+  if (std::frexp(pitch, &e) != 0.5) return;  // power-of-two pitch only
+  for (std::size_t i = 0; i < positives_.size(); ++i) {
+    if (positives_[i].value != pitch * static_cast<double>(i + 1)) return;
+    if ((positives_[i].code & 1u) != ((i + 1) & 1u)) return;
+  }
+  const auto qmax = static_cast<double>(positives_.size());
+  Int8Grid g;
+  for (int c = 0; c < 256; ++c) {
+    if (!finite(static_cast<std::uint8_t>(c))) continue;
+    const double l = values_[c] / pitch;  // exact: power-of-two pitch
+    if (l != std::trunc(l) || std::fabs(l) > qmax) return;
+    g.level[c] = static_cast<std::int8_t>(l);
+  }
+  g.usable = true;
+  g.pitch = pitch;
+  g.qmax = static_cast<int>(positives_.size());
+  grid_ = g;
 }
 
 std::uint8_t TableCodec::encode_magnitude(double x) const {

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <utility>
 
 #include "core/cpu.h"
 
@@ -20,49 +21,39 @@
 
 namespace mersit::formats::kernels {
 
-QuantKernel::QuantKernel(const Format& fmt) : name_(fmt.name()) {
-  const TableCodec& codec = fmt.codec();
-  underflows_to_zero_ = fmt.underflows_to_zero();
-  zero_code_ = codec.zero_code();
-  for (int c = 0; c < 256; ++c) {
-    values_[c] = codec.decode(static_cast<std::uint8_t>(c));
-    negate_[c] = codec.negate(static_cast<std::uint8_t>(c));
-  }
+QuantKernel::QuantKernel(std::string name,
+                         std::shared_ptr<const TableCodec> codec)
+    : name_(std::move(name)), codec_(std::move(codec)) {
+  const TableCodec& t = *codec_;
+  zero_code_ = t.zero_code();
 
-  const std::vector<TableCodec::Entry>& pos = codec.positives();
+  const std::vector<TableCodec::Entry>& pos = t.positives();
   const std::size_t n = pos.size();
-  pos_value_.resize(n);
-  pos_code_.resize(n);
   mid_.resize(n + 1);
   cand_code_.resize(n + 1);
   cand_value_.resize(n + 1);
   cand_code_[0] = zero_code_;
-  cand_value_[0] = values_[zero_code_];
+  cand_value_[0] = t.decode(zero_code_);
   for (std::size_t i = 0; i < n; ++i) {
-    pos_value_[i] = pos[i].value;
-    pos_code_[i] = pos[i].code;
     cand_code_[i + 1] = pos[i].code;
-    cand_value_[i + 1] = values_[pos[i].code];
+    cand_value_[i + 1] = t.decode(pos[i].code);
     // Same expression the scalar reference evaluates per element, so an
     // exact midpoint compares identically here.
-    if (i > 0) mid_[i] = 0.5 * (pos_value_[i - 1] + pos_value_[i]);
+    if (i > 0) mid_[i] = 0.5 * (pos[i - 1].value + pos[i].value);
   }
 
-  min_pos_ = pos_value_.front();
-  max_finite_ = pos_value_.back();
-  min_code_ = pos_code_.front();
-  max_code_ = pos_code_.back();
-  underflow_half_ = min_pos_ * 0.5;
-  under_tie_code_ = (min_code_ & 1u) == 0 ? min_code_ : zero_code_;
-  zero_value_ = values_[zero_code_];
+  const double min_pos = pos.front().value;
+  const std::uint8_t min_code = pos.front().code;
+  under_tie_code_ = (min_code & 1u) == 0 ? min_code : zero_code_;
+  zero_value_ = t.decode(zero_code_);
   for (const Loop l : kLoops)
     if (loop_supported(l)) loop_ = l;  // kLoops is narrowest first
   // Sentinel boundaries: below the smallest value, the RNE underflow
   // threshold when small magnitudes round to zero, or unreachable (-1 <
-  // every magnitude) when the format clamps up to min_pos_ (posit
+  // every magnitude) when the format clamps up to its smallest value (posit
   // semantics); above the largest value, NaN (compares false), so the pick
-  // arithmetic saturates at the max code for any x from max_finite_ to +inf.
-  mid_[0] = underflows_to_zero_ ? underflow_half_ : -1.0;
+  // arithmetic saturates at the max code for any x from max_finite to +inf.
+  mid_[0] = t.underflows_to_zero() ? min_pos * 0.5 : -1.0;
   mid_[n] = std::numeric_limits<double>::quiet_NaN();
 
   // quantize_value's integer sign restore assumes that, for every code the
@@ -72,8 +63,8 @@ QuantKernel::QuantKernel(const Format& fmt) : name_(fmt.name()) {
   // batch path rides on it.  (Unreachable codes — e.g. INT8's -128, whose
   // negation saturates — are allowed to break the symmetry.)
   for (const std::uint8_t c : cand_code_) {
-    const double v = values_[c];
-    const double nv = values_[negate_[c]];
+    const double v = t.decode(c);
+    const double nv = t.decode(t.negate(c));
     const bool ok =
         v == 0.0
             ? std::bit_cast<std::uint64_t>(nv) == std::bit_cast<std::uint64_t>(v)
@@ -98,8 +89,8 @@ QuantKernel::QuantKernel(const Format& fmt) : name_(fmt.name()) {
     const auto bucket_start = [this](std::uint64_t key) {
       return std::bit_cast<double>(key << shift_);
     };
-    key_base_ = key_of(min_pos_);
-    const std::uint64_t key_max = key_of(max_finite_);
+    key_base_ = key_of(min_pos);
+    const std::uint64_t key_max = key_of(pos.back().value);
     const std::size_t buckets =
         static_cast<std::size_t>(key_max - key_base_) + 1;
     key_top_ = buckets - 1;
@@ -108,11 +99,13 @@ QuantKernel::QuantKernel(const Format& fmt) : name_(fmt.name()) {
     for (std::size_t k = 0; k < buckets; ++k) {
       const double start = bucket_start(key_base_ + k);
       const double next = bucket_start(key_base_ + k + 1);  // +inf past top
-      const auto first =
-          std::lower_bound(pos_value_.begin(), pos_value_.end(), start);
-      const auto last = std::lower_bound(first, pos_value_.end(), next);
+      const auto below = [](const TableCodec::Entry& e, double v) {
+        return e.value < v;
+      };
+      const auto first = std::lower_bound(pos.begin(), pos.end(), start, below);
+      const auto last = std::lower_bound(first, pos.end(), next, below);
       max_span = std::max(max_span, static_cast<std::size_t>(last - first));
-      bucket_[k] = static_cast<std::uint32_t>(first - pos_value_.begin());
+      bucket_[k] = static_cast<std::uint32_t>(first - pos.begin());
     }
     if (max_span <= 1) return;
   }

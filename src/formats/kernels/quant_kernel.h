@@ -7,10 +7,9 @@
 // designs of Murillo et al. ("Template-Based Posit Multiplication") and Deep
 // Positron (see PAPERS.md), QuantKernel precomputes, once per format:
 //
-//  * the full 256-entry decode table and sign-symmetry (negate) table;
-//  * the finite positive values as a dense ascending double array plus the
-//    rounding midpoints between neighbours (slot 0 holds the underflow
-//    boundary, so round-to-zero rides the same arrays);
+//  * the candidate values (the zero code's, then the finite positive values
+//    ascending) plus the rounding midpoints between neighbours (slot 0
+//    holds the underflow boundary, so round-to-zero rides the same arrays);
 //  * a bucketed float→candidate-index LUT keyed on the high bits (exponent +
 //    top mantissa bits) of the positive double under encode.  Because IEEE
 //    doubles order like their bit patterns, each bucket pins the RNE answer
@@ -38,8 +37,10 @@
 // fake_quantize_with runs a named loop, so tests and benches can pin each
 // one against the scalar reference on any host that can execute it.
 //
-// The kernel is immutable after construction and safe for concurrent use
-// from any number of threads.  Scale is a per-call parameter: the tables are
+// The decode and negate tables stay in the format's TableCodec, which the
+// kernel shares; Format::kernel() builds the kernel once per format, next to
+// the codec.  The kernel is immutable after construction and safe for
+// concurrent use from any number of threads.  Scale is a per-call parameter: the tables are
 // scale-independent (the scalar reference divides by `scale` before the
 // search and multiplies after), so one kernel serves every channel scale.
 //
@@ -53,6 +54,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -63,11 +65,14 @@ namespace mersit::formats::kernels {
 
 class QuantKernel {
  public:
-  /// Builds every table from `fmt` (forces fmt.codec() once; the format
-  /// object is not retained).
-  explicit QuantKernel(const Format& fmt);
+  /// Builds the search tables from the codec of the format named `name`
+  /// and keeps a share of it.  Format::kernel() is the one caller.
+  QuantKernel(std::string name, std::shared_ptr<const TableCodec> codec);
 
   [[nodiscard]] const std::string& format_name() const { return name_; }
+
+  /// The format's code table this kernel searches.
+  [[nodiscard]] const TableCodec& codec() const { return *codec_; }
 
   /// Bit-identical to fmt.encode(x).
   [[nodiscard]] std::uint8_t encode(double x) const {
@@ -77,21 +82,21 @@ class QuantKernel {
     const double mag = std::fabs(x);
     if (!(mag > 0.0)) return zero_code_;
     const std::uint8_t pos = encode_magnitude(mag);
-    const std::uint8_t neg = negate_[pos];
+    const std::uint8_t neg = codec_->negate(pos);
     return x < 0.0 ? neg : pos;
   }
 
   /// Bit-identical to fmt.decode_value(code) (as cached by TableCodec).
-  [[nodiscard]] double decode(std::uint8_t code) const { return values_[code]; }
+  [[nodiscard]] double decode(std::uint8_t code) const { return codec_->decode(code); }
 
   /// Bit-identical to fmt.quantize(x).
-  [[nodiscard]] double quantize(double x) const { return values_[encode(x)]; }
+  [[nodiscard]] double quantize(double x) const { return decode(encode(x)); }
 
   /// Value-direct twin of quantize(): skips the code/negate table hops the
   /// batch loops don't need (one candidate-value load instead of three
   /// dependent byte-table loads).  The sign restore is pure integer ALU:
   /// nonzero magnitudes take m's sign bit — exact, because the constructor
-  /// verifies values_[negate_[c]] is the bitwise negation of values_[c] —
+  /// verifies decode(negate(c)) is the bitwise negation of decode(c) —
   /// while zero results keep the zero code's own sign, exactly like the
   /// scalar negate table (zero codes are their own negation).
   [[nodiscard]] double quantize_value(double m) const {
@@ -174,35 +179,27 @@ class QuantKernel {
   /// boundary mid_[j] (the tie between candidate slots j and j+1).
   [[nodiscard]] std::size_t tie_pick(std::size_t j) const {
     if (j == 0) return under_tie_code_ == zero_code_ ? 0 : 1;
-    return (pos_code_[j - 1] & 1u) == 0 ? j : j + 1;
+    return (cand_code_[j] & 1u) == 0 ? j : j + 1;
   }
 
   std::string name_;
-  bool underflows_to_zero_ = false;
+  std::shared_ptr<const TableCodec> codec_;
   std::uint8_t zero_code_ = 0;
-  double values_[256];
-  std::uint8_t negate_[256];
 
-  // Finite positive values ascending and their codes.  mid_[j] is the lower
-  // rounding boundary of value j: 0.5 * (pos_value_[j-1] + pos_value_[j])
-  // for 1 <= j < n (the exact expression the scalar reference evaluates);
-  // mid_[0] is the underflow boundary — min_pos_ / 2 when the format rounds
+  // Over the codec's n finite positive values p[0..n-1], ascending: mid_[j]
+  // is the lower rounding boundary of value j, 0.5 * (p[j-1] + p[j]) for
+  // 1 <= j < n (the exact expression the scalar reference evaluates);
+  // mid_[0] is the underflow boundary — p[0] / 2 when the format rounds
   // small magnitudes to zero, or an unreachable -1 when it clamps up (posit
   // semantics) — and mid_[n] is a NaN sentinel (compares false against
   // everything, so the pick arithmetic saturates at the top value).
-  // cand_code_[0] is the zero code; cand_code_[k+1] is the code of positive
-  // value k.
-  std::vector<double> pos_value_;
-  std::vector<std::uint8_t> pos_code_;
+  // cand_code_[0] is the zero code; cand_code_[k+1] is the code of p[k].
   std::vector<double> mid_;
   std::vector<std::uint8_t> cand_code_;
-  std::vector<double> cand_value_;  // values_[cand_code_[k]], same slots
+  std::vector<double> cand_value_;  // decode(cand_code_[k]), same slots
 
-  double min_pos_ = 0.0, max_finite_ = 0.0;
-  std::uint8_t min_code_ = 0, max_code_ = 0;
-  double underflow_half_ = 0.0;      // min_pos_ * 0.5 (RNE boundary to zero)
   std::uint8_t under_tie_code_ = 0;  // even-code winner of an exact tie
-  double zero_value_ = 0.0;          // values_[zero_code_] (keeps ±0 sign)
+  double zero_value_ = 0.0;          // decode(zero_code_) (keeps ±0 sign)
 
   // Bucket LUT: for positive x, key(x) = clamp((bits(x) >> shift_) -
   // key_base_, 0, key_top_) maps to the index of the first positive value >=

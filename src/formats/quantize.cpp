@@ -3,7 +3,7 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "formats/kernels/kernel_cache.h"
+#include "formats/kernels/quant_kernel.h"
 
 namespace mersit::formats {
 
@@ -22,12 +22,12 @@ double scale_for_absmax(const Format& fmt, double absmax, ScalePolicy policy) {
 }
 
 void fake_quantize(std::span<float> data, const Format& fmt, double scale) {
-  kernels::kernel_for(fmt)->fake_quantize(data, scale);
+  fmt.kernel()->fake_quantize(data, scale);
 }
 
 double quantization_rmse(std::span<const float> data, const Format& fmt,
                          double scale) {
-  return kernels::kernel_for(fmt)->quantization_rmse(data, scale);
+  return fmt.kernel()->quantization_rmse(data, scale);
 }
 
 // ------------------------------------------------------ scalar reference --

@@ -37,8 +37,8 @@ enum class ScalePolicy {
   return fmt.quantize(x / scale) * scale;
 }
 
-/// In-place fake quantization of a buffer.  Runs on the cached LUT kernel
-/// for `fmt` (formats/kernels) — bit-identical to the scalar reference
+/// In-place fake quantization of a buffer.  Runs on the format's LUT kernel
+/// (Format::kernel, formats/kernels) — bit-identical to the scalar reference
 /// below, an order of magnitude faster, and safe to call concurrently.
 void fake_quantize(std::span<float> data, const Format& fmt, double scale);
 

@@ -529,7 +529,7 @@ void sgemm(int M, int N, int K, const float* A, int lda, bool trans_a,
 // in int32:
 //
 //  * Pack.  Each operand's 8-bit codes go through a 256-byte code→level
-//    remap (AffineLut::q for weights, the identity map for activations,
+//    remap (Int8Grid::level for weights, the identity map for activations,
 //    which arrive as levels) straight into the active backend's int8 panel
 //    layout — one byte moved per element on both sides, against four for
 //    the FP32 panels a code-mode forward streams.

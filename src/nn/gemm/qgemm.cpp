@@ -19,10 +19,10 @@ std::atomic<QgemmMode> g_qgemm_mode{QgemmMode::kCode};
 
 // 512-bit two's-complement fixed-point accumulator ("quire").  Bit i holds
 // weight 2^(base + i); products are exact dyadic integers shifted into
-// place, so the running sum never rounds.  The table builder budgets the
+// place, so the running sum never rounds.  kulisch_fits budgets the
 // width: max product magnitude < 2^(max_shift + kProductBits), and up to
 // 2^32 addends may accumulate, so max_shift + kProductBits + 32 + 1 sign
-// bit must fit in 512 (checked in build_kulisch_table).
+// bit must fit in 512.
 struct Quire {
   static constexpr int kLimbs = 8;
   std::uint64_t limb[kLimbs] = {};
@@ -105,104 +105,12 @@ struct Quire {
   }
 };
 
-/// v -> (mant, exp) with v == mant · 2^exp exactly, mant odd.  Returns
-/// false for non-finite v or |mant| >= 2^30.
-bool decompose(double v, std::int64_t& mant, int& exp) {
-  if (v == 0.0) {
-    mant = 0;
-    exp = 0;
-    return true;
-  }
-  if (!std::isfinite(v)) return false;
-  int e = 0;
-  const double frac = std::frexp(v, &e);      // v = frac · 2^e, |frac| ∈ [0.5, 1)
-  const double scaled = std::ldexp(frac, 53);  // integer: |scaled| ∈ (2^52, 2^53]
-  std::int64_t m = static_cast<std::int64_t>(std::llround(scaled));
-  int x = e - 53;
-  while ((m & 1) == 0) {
-    m >>= 1;
-    ++x;
-  }
-  if (m >= (std::int64_t{1} << 30) || m <= -(std::int64_t{1} << 30)) return false;
-  mant = m;
-  exp = x;
-  return std::ldexp(static_cast<double>(m), x) == v;
-}
-
 }  // namespace
 
 QgemmMode qgemm_mode() { return g_qgemm_mode.load(std::memory_order_relaxed); }
 
 QgemmMode set_qgemm_mode(QgemmMode mode) {
   return g_qgemm_mode.exchange(mode, std::memory_order_relaxed);
-}
-
-AffineLut build_affine_lut(const double* lut) {
-  AffineLut t;
-  const auto bad = [lut](int c) { return !std::isfinite(lut[c]); };
-  // Two code interpretations: signed (INT8-family two's-complement codes,
-  // zero level at code 0x00) then unsigned (zero-point layouts, e.g.
-  // s·(c − 128)).  A code's level is fixed by the interpretation; the zero
-  // point z is read off a code that decodes to exactly 0.0.  Policy-zeroed
-  // non-finite codes can add extra 0.0 entries whose level is not z, so
-  // every zero-valued code is tried as the anchor.
-  for (int pass = 0; pass < 2; ++pass) {
-    const auto level = [pass](int c) {
-      return pass == 0 ? static_cast<int>(static_cast<std::int8_t>(
-                             static_cast<std::uint8_t>(c)))
-                       : c;
-    };
-    for (int zc = 0; zc < 256; ++zc) {
-      if (bad(zc) || lut[zc] != 0.0) continue;
-      const int z = level(zc);
-      // Derive s from a nonzero entry, preferring |level − z| a power of
-      // two so the division itself is exact; the exhaustive verification
-      // below catches a mis-rounded s either way.
-      int ref = -1;
-      unsigned ref_pow2 = 0;
-      for (int c = 0; c < 256; ++c) {
-        if (bad(c) || lut[c] == 0.0) continue;
-        const int q = level(c) - z;
-        const unsigned aq = static_cast<unsigned>(q < 0 ? -q : q);
-        const bool pow2 = (aq & (aq - 1)) == 0;
-        if (ref < 0 || (pow2 && (ref_pow2 == 0 || aq < ref_pow2))) {
-          ref = c;
-          ref_pow2 = pow2 ? aq : 0;
-        }
-      }
-      if (ref < 0) break;  // all-zero LUT: nothing to gain, stay unusable
-      const double s = lut[ref] / static_cast<double>(level(ref) - z);
-      if (!std::isfinite(s) || s == 0.0) continue;
-      bool ok = true;
-      int qmin = 127, qmax = -128;
-      std::int8_t q[256] = {};
-      for (int c = 0; c < 256 && ok; ++c) {
-        if (bad(c)) continue;
-        int lv;
-        if (lut[c] == 0.0) {
-          lv = 0;  // exact regardless of level (covers policy-zeroed codes)
-        } else {
-          lv = level(c) - z;
-          if (lv < -128 || lv > 127 ||
-              lut[c] != s * static_cast<double>(lv)) {
-            ok = false;
-            break;
-          }
-        }
-        q[c] = static_cast<std::int8_t>(lv);
-        qmin = lv < qmin ? lv : qmin;
-        qmax = lv > qmax ? lv : qmax;
-      }
-      if (!ok) continue;
-      for (int c = 0; c < 256; ++c) t.q[c] = q[c];
-      t.scale = s;
-      t.qmin = static_cast<std::int8_t>(qmin);
-      t.qmax = static_cast<std::int8_t>(qmax);
-      t.usable = true;
-      return t;
-    }
-  }
-  return t;
 }
 
 const std::int8_t* identity_qlut() {
@@ -326,45 +234,31 @@ void quantize_levels(const float* x, std::size_t n, double inv, int lo,
   fn(x, n, inv, lo, hi, out);
 }
 
-KulischTable build_kulisch_table(const double* lut) {
-  KulischTable t;
-  int emin = 0, emax = 0;
-  bool any = false;
-  for (int c = 0; c < 256; ++c) {
-    if (!std::isfinite(lut[c])) continue;  // mant stays 0; gated by callers
-    std::int64_t m = 0;
-    int e = 0;
-    if (!decompose(lut[c], m, e)) return t;  // usable stays false
-    t.mant[c] = m;
-    t.exp[c] = e;
-    if (m != 0) {
-      emin = any ? (e < emin ? e : emin) : e;
-      emax = any ? (e > emax ? e : emax) : e;
-      any = true;
-    }
-  }
-  if (!any) return t;  // all-zero LUT: nothing to accumulate
+bool kulisch_fits(const formats::TableCodec& table) {
   // Products span shifts [0, 2·(emax−emin)] above base = 2·emin, each at
   // most kProductBits = 60 bits wide (|mant| < 2^30), and up to 2^32 of
   // them may sum — budget against the 512-bit quire with a sign bit spare.
-  if (2 * (emax - emin) + 60 + 32 + 1 > Quire::kLimbs * 64 - 1) return t;
-  t.base = 2 * emin;
-  t.usable = true;
-  return t;
+  return table.dyadic_exact() &&
+         2 * (table.dyadic_max_exp() - table.dyadic_min_exp()) + 60 + 32 + 1 <=
+             Quire::kLimbs * 64 - 1;
 }
 
 void qgemm_kulisch(int M, int N, int K, const QOperand& a, const QOperand& b,
-                   const KulischTable& tab, Init init, const float* bias,
-                   float* c, int ldc, Epilogue epi) {
+                   const formats::TableCodec& table, Init init,
+                   const float* bias, float* c, int ldc, Epilogue epi) {
   if (M < 0 || N < 0 || K < 0)
     throw std::invalid_argument("qgemm_kulisch: negative dim");
-  if (!tab.usable)
-    throw std::invalid_argument("qgemm_kulisch: table not usable");
+  if (!kulisch_fits(table))
+    throw std::invalid_argument("qgemm_kulisch: format does not fit the quire");
   if (init == Init::kAccumulate)
     throw std::invalid_argument(
         "qgemm_kulisch: cannot accumulate into a rounded partial");
   if ((init == Init::kBiasRow || init == Init::kBiasCol) && bias == nullptr)
     throw std::invalid_argument("qgemm_kulisch: bias init without bias pointer");
+  const std::int64_t* mant = table.dyadic_mant();
+  const int* exp = table.dyadic_exp();
+  // Quire LSB exponent: 2·min exponent, so every product shift is >= 0.
+  const int base = 2 * table.dyadic_min_exp();
   for (int m = 0; m < M; ++m) {
     const double sa = a.channel_scales != nullptr ? a.channel_scales[m]
                                                   : a.uniform_scale;
@@ -378,9 +272,9 @@ void qgemm_kulisch(int M, int N, int K, const QOperand& a, const QOperand& b,
         const std::uint8_t cb =
             b.trans ? b.codes[static_cast<std::size_t>(n) * b.ld + k]
                     : b.codes[static_cast<std::size_t>(k) * b.ld + n];
-        const std::int64_t p = tab.mant[ca] * tab.mant[cb];
+        const std::int64_t p = mant[ca] * mant[cb];
         if (p == 0) continue;
-        q.add(p, tab.exp[ca] + tab.exp[cb] - tab.base);
+        q.add(p, exp[ca] + exp[cb] - base);
       }
       const double sb = b.channel_scales != nullptr ? b.channel_scales[n]
                                                     : b.uniform_scale;
@@ -389,7 +283,7 @@ void qgemm_kulisch(int M, int N, int K, const QOperand& a, const QOperand& b,
           : init == Init::kBiasCol ? static_cast<double>(bias[n])
                                    : 0.0;
       const float v =
-          static_cast<float>(init_v + q.to_double(tab.base) * (sa * sb));
+          static_cast<float>(init_v + q.to_double(base) * (sa * sb));
       row[n] = epilogue_eval(epi, v);
     }
   }

@@ -21,16 +21,16 @@
 //              product is formed exactly as a dyadic rational
 //              (mant_a·mant_b, 2^(exp_a+exp_b)) and summed into a wide
 //              fixed-point quire with no intermediate rounding.
-//  * int8    — decode-free path for formats whose values are exactly
-//              affine, value[code] == s·(code − z) (the INT8 family):
-//              weight codes remap once to int8 levels q = code − z,
-//              activations quantize to the same grid at the GEMM boundary,
-//              and the micro-kernel accumulates q_a·q_b in int32, so both
-//              operands move as bytes (≈4x less panel traffic than the
-//              code path) and float math waits for the epilogue.  Other
-//              formats (MERSIT, posit, FP8) have no affine table; their
-//              plans run the code path's FP32 kernel, as Kulisch plans do
-//              on formats that do not decompose.
+//  * int8    — decode-free path for formats whose values lie on a
+//              uniform int8 grid, value[code] == pitch·level[code] (the
+//              format's TableCodec::Int8Grid; INT8): weight codes remap
+//              once to their int8 levels, activations quantize to the same
+//              grid at the GEMM boundary, and the micro-kernel accumulates
+//              q_a·q_b in int32, so both operands move as bytes (≈4x less
+//              panel traffic than the code path) and float math waits for
+//              the epilogue.  Other formats (MERSIT, posit, FP8) have no
+//              usable grid; their plans run the code path's FP32 kernel,
+//              as Kulisch plans do on formats that do not fit the quire.
 //
 // Int8 ULP contract: each output element is computed as
 //   float( double(bias) + double(acc) · (s_a · s_b) )
@@ -67,6 +67,7 @@
 
 #include <cstdint>
 
+#include "formats/format.h"
 #include "nn/gemm/gemm.h"
 
 namespace mersit::nn::gemm {
@@ -76,7 +77,7 @@ enum class QgemmMode {
   kFloat,    ///< ignore codes, use the FP32 weights
   kCode,     ///< the default — decode once, pack as FP32
   kKulisch,  ///< exact fixed-point accumulation
-  kInt8,     ///< decode-free integer path (affine LUTs)
+  kInt8,     ///< decode-free integer path (uniform int8 grids)
 };
 
 /// The process-wide requested path; every inference forward of a layer
@@ -87,29 +88,11 @@ enum class QgemmMode {
 /// Layers recompile their plan on the next forward under a new path.
 QgemmMode set_qgemm_mode(QgemmMode mode);
 
-/// Per-code exact dyadic decomposition of a 256-entry decode LUT:
-/// lut[c] == mant[c] · 2^exp[c] exactly, with mant odd (or 0) and
-/// |mant| < 2^30.  Non-finite LUT entries get mant = 0 — callers must
-/// guarantee such codes never reach the accumulator (the layer plumbing
-/// gates Kulisch on a zero count of codes whose book value is non-finite).
-/// mant[a]·mant[b]·2^(exp[a]+exp[b]) is hw::MacReference's product.
-struct KulischTable {
-  std::int64_t mant[256] = {};
-  int exp[256] = {};
-  /// Quire LSB exponent: 2·min finite exponent, so every product shift is
-  /// a non-negative int.
-  int base = 0;
-  /// False when a finite entry is not exactly representable in the scheme
-  /// or the format's dynamic range exceeds the quire — the code book then
-  /// holds no table and Kulisch plans report PlanFallback::kNoTable.
-  bool usable = false;
-};
-
-/// Build the table from a decode LUT.  Verifies each decomposition by exact
-/// reconstruction and checks the quire range budget; failures clear
-/// `usable` instead of throwing (Kulisch is opt-in; plans on such a format
-/// run the FP32 kernel and report why).
-[[nodiscard]] KulischTable build_kulisch_table(const double* lut);
+/// True when the Kulisch path can run the format of `table`: every finite
+/// value has its exact dyadic pair (TableCodec::dyadic_exact) and the
+/// format's dynamic range fits the 512-bit quire.  Plans on other formats
+/// run the FP32 kernel and report PlanFallback::kNoTable.
+[[nodiscard]] bool kulisch_fits(const formats::TableCodec& table);
 
 /// One code-domain GEMM operand: an 8-bit code matrix plus its scales.
 /// op(A) element (m,k) is codes[m*ld + k] (codes[k*ld + m] when trans);
@@ -127,43 +110,21 @@ struct QOperand {
 
 /// C (M x N, row-major, ldc) = epi(init + exact(op(A)·op(B)) · scales),
 /// with the k-summation of each element performed exactly in a software
-/// quire (see the ULP contract above).  Both operands must decode through
-/// the same registered-format LUT family as `tab` (weights and activations
-/// may use different tables only if their LUTs coincide — the layer
-/// plumbing passes the weight table and re-encodes activations through the
-/// same format, so they do).  Init::kAccumulate is rejected: the exact sum
-/// cannot continue a rounded partial.  Runs the M·N element grid serially
-/// per call; callers parallelize over samples.
+/// quire (see the ULP contract above).  Both operands are codes of the
+/// format of `table`, whose dyadic pairs form each product
+/// mant_a·mant_b·2^(exp_a+exp_b); codes with a non-finite value must not
+/// occur (their pair is (0, 0)).  `table` must pass kulisch_fits.
+/// Init::kAccumulate is rejected: the exact sum cannot continue a rounded
+/// partial.  Runs the M·N element grid serially per call; callers
+/// parallelize over samples.
 void qgemm_kulisch(int M, int N, int K, const QOperand& a, const QOperand& b,
-                   const KulischTable& tab, Init init, const float* bias,
-                   float* c, int ldc, Epilogue epi = Epilogue::kNone);
+                   const formats::TableCodec& table, Init init,
+                   const float* bias, float* c, int ldc,
+                   Epilogue epi = Epilogue::kNone);
 
 // ---------------------------------------------------------------------------
 // Decode-free int8 path (QgemmMode::kInt8)
 // ---------------------------------------------------------------------------
-
-/// Exact affine remap of a 256-entry decode LUT: for every finite entry,
-/// lut[c] == scale · q[c] exactly (double compare, no tolerance), with q an
-/// int8 level.  Detection tries the signed code interpretation first
-/// (level = int8(c), the INT8-family layout), then unsigned (level = c, for
-/// zero-point LUTs such as s·(c − 128)).  Finite entries that are exactly
-/// 0.0 map to q = 0 regardless of level, so artifact LUTs whose non-finite
-/// codes were policy-zeroed still qualify.  Non-finite entries get q = 0;
-/// they never reach the kernel (weight plans gate int8 on a zero
-/// count of codes whose book value is non-finite, same as Kulisch).
-struct AffineLut {
-  std::int8_t q[256] = {};   ///< code → int8 level, lut[c] == scale·q[c]
-  double scale = 0.0;        ///< exact affine step s
-  std::int8_t qmin = 0;      ///< smallest finite level (activation clamp)
-  std::int8_t qmax = 0;      ///< largest finite level (activation clamp)
-  bool usable = false;       ///< false → int8 plans run the FP32 kernel
-};
-
-/// Build the remap from a decode LUT.  The 256-code verification is
-/// exhaustive and exact; any mismatch (MERSIT, posit, FP8, or a level that
-/// does not fit int8) clears `usable` instead of throwing — int8 is opt-in
-/// and its plans report the fallback, mirroring build_kulisch_table.
-[[nodiscard]] AffineLut build_affine_lut(const double* lut);
 
 /// The identity level map q[c] = int8(c), for operands whose bytes already
 /// are int8 levels (activations quantized by quantize_levels below).
@@ -174,8 +135,8 @@ struct AffineLut {
 /// exact.  (2^31 / 2^14 = 2^17; one spare bit for safety.)
 inline constexpr int kInt8MaxK = 1 << 16;
 
-/// Quantize a float tensor straight to int8 levels on the affine grid:
-/// out[i] = clamp(RNE(x[i] · inv), lo, hi) with inv = 1/(alut.scale ·
+/// Quantize a float tensor straight to int8 levels on the uniform grid:
+/// out[i] = clamp(RNE(x[i] · inv), lo, hi) with inv = 1/(grid.pitch ·
 /// tensor_scale).  For activations already fake-quantized onto the grid
 /// (the PTQ eval and serving paths) the rounding is exact, so this matches
 /// the format's own encode kernel code-for-code (pinned by test).
@@ -185,11 +146,11 @@ void quantize_levels(const float* x, std::size_t n, double inv, int lo,
 
 /// One int8-path GEMM operand: an 8-bit code matrix plus the code→level
 /// remap to apply in the pack step and the operand's dequant scales.
-/// Addressing follows QOperand.  For weights, `qlut` is AffineLut::q and
-/// `channel_scales[ch]` = AffineLut::scale · WeightCodes::scales[ch]; for
+/// Addressing follows QOperand.  For weights, `qlut` is Int8Grid::level and
+/// `channel_scales[ch]` = Int8Grid::pitch · WeightCodes::scales[ch]; for
 /// activations, `codes` holds levels already (quantize_levels for Linear,
 /// im2col_int8 for conv), `qlut` is identity_qlut() and `uniform_scale` =
-/// AffineLut::scale · tensor quant_scale.
+/// Int8Grid::pitch · tensor quant_scale.
 struct Int8Operand {
   const std::uint8_t* codes = nullptr;
   int ld = 0;

@@ -120,14 +120,14 @@ Tensor conv_kulisch(const ConvGeom& g, const Tensor& x, const WeightCodes& wc,
         colp = col.data();
       }
       for (std::size_t i = 0; i < ccodes.size(); ++i)
-        ccodes[i] = wc.book->encode(static_cast<double>(colp[i]) * xinv);
+        ccodes[i] = wc.book->kernel->encode(static_cast<double>(colp[i]) * xinv);
       const gemm::QOperand a{
           wc.codes.data() + static_cast<std::size_t>(grp) * ocg * kdim, kdim,
           /*trans=*/false, wc.scales.data() + static_cast<std::size_t>(grp) * ocg,
           0.0};
       const gemm::QOperand bop{ccodes.data(), osz, /*trans=*/false, nullptr,
                                xscale};
-      gemm::qgemm_kulisch(ocg, osz, kdim, a, bop, *wc.book->kulisch,
+      gemm::qgemm_kulisch(ocg, osz, kdim, a, bop, wc.book->table(),
                           gemm::Init::kBiasRow,
                           bias + static_cast<std::size_t>(grp) * ocg,
                           yb + static_cast<std::size_t>(grp) * ocg * osz, osz,
@@ -137,7 +137,7 @@ Tensor conv_kulisch(const ConvGeom& g, const Tensor& x, const WeightCodes& wc,
   return y;
 }
 
-/// Decode-free conv (the int8 path on an affine-LUT format) over `x` laid
+/// Decode-free conv (the int8 path on a uniform-grid format) over `x` laid
 /// out as g's input: weight levels times activation levels in int32,
 /// dequant at write-back.  `plan` carries the codes, the per-group level
 /// packs and the fused dequant scales; bn_scale/bn_shift fuse a following
@@ -147,9 +147,9 @@ Tensor conv_int8(const ConvGeom& g, const Tensor& x, const WeightPlan& plan,
                  const float* bn_shift) {
   const WeightCodes& wc = *plan.codes;
   const int n = g.n, h = g.h, w = g.w, icg = g.icg, ocg = g.ocg, kdim = g.kdim(), osz = g.osz();
-  const gemm::AffineLut& alut = *wc.book->affine;
+  const formats::TableCodec::Int8Grid& grid = wc.book->table().int8_grid();
   const double xscale = x.quant_scale();
-  const double xinv = 1.0 / (alut.scale * xscale);
+  const double xinv = 1.0 / (grid.pitch * xscale);
   Tensor y = Tensor::uninitialized({n, g.out_ch, g.oh, g.ow});
   // Batched lowering: sample chunks share one wide column buffer (sample i's
   // columns at offset i*osz, row stride chunk·osz), so each group runs ONE
@@ -189,7 +189,7 @@ Tensor conv_int8(const ConvGeom& g, const Tensor& x, const WeightPlan& plan,
                 x.raw() + (static_cast<std::size_t>(b0 + bi) * g.in_ch +
                            static_cast<std::size_t>(grp) * icg) *
                               h * w,
-                icg, h, w, g.k, g.stride, g.pad, xinv, alut.qmin, alut.qmax,
+                icg, h, w, g.k, g.stride, g.pad, xinv, -grid.qmax, grid.qmax,
                 qcol + bi * static_cast<std::size_t>(osz), ncols);
           });
       gemm::RowAffine aff;
@@ -199,11 +199,11 @@ Tensor conv_int8(const ConvGeom& g, const Tensor& x, const WeightPlan& plan,
       }
       const gemm::Int8Operand a{
           wc.codes.data() + static_cast<std::size_t>(grp) * ocg * kdim, kdim,
-          /*trans=*/false, alut.q,
+          /*trans=*/false, grid.level,
           plan.iscales.data() + static_cast<std::size_t>(grp) * ocg, 0.0};
       const gemm::Int8Operand bop{reinterpret_cast<const std::uint8_t*>(qcol),
                                   ncols, /*trans=*/false, gemm::identity_qlut(),
-                                  nullptr, alut.scale * xscale};
+                                  nullptr, grid.pitch * xscale};
       float* cdst = bn == 1
                         ? y.raw() + (static_cast<std::size_t>(b0) * g.out_ch +
                                      static_cast<std::size_t>(grp) * ocg) *
@@ -290,11 +290,12 @@ std::shared_ptr<const WeightPlan> ChannelWeights::weight_plan() const {
 
 // The one plan compiler.  Picks the kernel — the requested int8 / Kulisch
 // path when the call did not decline it and the payload qualifies (the
-// path's table in the book, no non-finite code, and for int8 an exact int32
-// K), else FP32 with the typed reason — and builds what that kernel reads:
+// format has an int8 grid / fits the quire, no non-finite code, and for
+// int8 an exact int32 K), else FP32 with the typed reason — and builds
+// what that kernel reads:
 // FP32 panels of the live Param or of the codes decoded once (bit-identical
 // to the quantize→dequantize weights), or int8 level panels with the
-// channel scales folded into the affine step.  The kFloat path ignores the
+// channel scales folded into the grid pitch.  The kFloat path ignores the
 // codes.
 std::shared_ptr<const WeightPlan> ChannelWeights::plan_for(const PlanRequest& req,
                                                            const WeightLayout& layout) {
@@ -316,7 +317,8 @@ std::shared_ptr<const WeightPlan> ChannelWeights::plan_for(const PlanRequest& re
   if ((int8 || req.path == gemm::QgemmMode::kKulisch) && plan->reason == PlanFallback::kNone) {
     if (wc == nullptr)
       plan->reason = PlanFallback::kNoCodes;
-    else if (int8 ? wc->book->affine == nullptr : wc->book->kulisch == nullptr)
+    else if (int8 ? !wc->book->table().int8_grid().usable
+                  : !gemm::kulisch_fits(wc->book->table()))
       plan->reason = PlanFallback::kNoTable;
     else if (wc->nonfinite != 0)
       plan->reason = PlanFallback::kNonFinite;
@@ -327,11 +329,11 @@ std::shared_ptr<const WeightPlan> ChannelWeights::plan_for(const PlanRequest& re
   }
   const std::size_t block = static_cast<std::size_t>(layout.rows) * layout.k;
   if (plan->kernel == WeightKernel::kInt8) {
-    const gemm::AffineLut& alut = *wc->book->affine;
-    for (const double s : wc->scales) plan->iscales.push_back(alut.scale * s);
+    const formats::TableCodec::Int8Grid& grid = wc->book->table().int8_grid();
+    for (const double s : wc->scales) plan->iscales.push_back(grid.pitch * s);
     for (int grp = 0; grp < layout.groups; ++grp)
       plan->ipacks.push_back(gemm::pack_a_int8_matrix(
-          layout.rows, layout.k, wc->codes.data() + grp * block, layout.k, false, alut.q));
+          layout.rows, layout.k, wc->codes.data() + grp * block, layout.k, false, grid.level));
   } else if (plan->kernel == WeightKernel::kFp32) {
     const float* src = weight.value.raw();
     if (wc != nullptr) {

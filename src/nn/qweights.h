@@ -2,11 +2,15 @@
 // plan a layer compiles from it.
 //
 // A CodeBook is one registered format's 256 codes under one corruption
-// policy: each code's policy-applied value, which codes are non-finite
-// before the policy, the format's encode, and the exact tables the Kulisch
-// and int8 paths run from.  ptq::make_code_book builds it (the one loop
-// over the 256 codes in src/nn and src/ptq), once per install call, and
-// every layer of that install shares it.
+// policy: each code's policy-applied value, and a share of the format's
+// quant kernel, which holds its code table (formats::TableCodec: classes
+// before the policy, encode, the dyadic pairs the Kulisch path runs from
+// and the int8 grid the int8 path runs from).  Non-finite codes hold the
+// pair (0, 0) and level 0 in that table, which is what a kZeroSubstitute
+// value of 0.0 gives, so one table serves both policies.
+// ptq::make_code_book builds the book (the one loop over the 256 codes in
+// src/nn and src/ptq), once per install call, and every layer of that
+// install shares it.
 //
 // A WeightCodes instance is an immutable 8-bit view of one module's weight
 // tensor: channel-major code words, one scale per output channel, and the
@@ -23,9 +27,7 @@
 // layer keeps one plan, next to its codes, and compiles a new one when the
 // payload, the Param version, the requested path or the backend changes.
 //
-// The structs are formats-agnostic (raw values + an encode std::function)
-// so mersit_nn does not depend on mersit_formats; the PTQ layer owns the
-// two installers:
+// The PTQ layer owns the two installers:
 //
 //  * ptq::install_weight_codes  — in-process: encodes the live FP32
 //    weights exactly as QuantKernel::fake_quantize would (multiply by the
@@ -41,24 +43,22 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
+#include "formats/kernels/quant_kernel.h"
 #include "nn/gemm/qgemm.h"
 
 namespace mersit::nn {
 
 struct CodeBook {
   double value[256] = {};  ///< decode_with_policy(code): policy applied
-  bool finite[256] = {};   ///< code is finite *before* the policy
-  /// Format encode (value → code), bit-identical to the scalar codec; used
-  /// to re-encode already-fake-quantized activations for Kulisch mode.
-  std::function<std::uint8_t(double)> encode;
-  /// Exact tables of `value` for the Kulisch and int8 paths; null when not
-  /// usable (plans then fall back to the FP32 kernel, PlanFallback::kNoTable).
-  std::unique_ptr<const gemm::KulischTable> kulisch;
-  std::unique_ptr<const gemm::AffineLut> affine;
+  /// The format's kernel: its encode re-encodes already-fake-quantized
+  /// activations for Kulisch mode, bit-identical to the scalar codec.
+  std::shared_ptr<const formats::kernels::QuantKernel> kernel;
+
+  /// The format's code table (pre-policy classes, dyadic pairs, int8 grid).
+  [[nodiscard]] const formats::TableCodec& table() const { return kernel->codec(); }
 };
 
 struct WeightCodes {
@@ -88,7 +88,7 @@ enum class PlanFallback : std::uint8_t {
   kDepthwise,       ///< depthwise convs run only the FP32 depthwise kernel
   kUnstampedInput,  ///< the input tensor carries no quant scale
   kFusedAffine,     ///< a fused BN affine under Kulisch
-  kNoTable,         ///< the book has no affine / Kulisch table for the format
+  kNoTable,         ///< the format has no int8 grid / does not fit the quire
   kNonFinite,       ///< the payload has codes whose book value is non-finite
   kKTooLarge,       ///< K > gemm::kInt8MaxK (int32 accumulation not exact)
 };
@@ -135,7 +135,7 @@ struct WeightPlan {
   /// depthwise convs, which run no GEMM).
   std::vector<gemm::PackedMatrix> packs;
   /// kInt8: the level panels (one per conv group, one for Linear) and the
-  /// fused per-channel dequant scales AffineLut::scale * scales[ch].
+  /// fused per-channel dequant scales Int8Grid::pitch * scales[ch].
   std::vector<gemm::PackedInt8> ipacks;
   std::vector<double> iscales;
 };

@@ -1,7 +1,6 @@
 #include "ptq/ptq.h"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <mutex>
 #include <sstream>
@@ -10,7 +9,6 @@
 #include <vector>
 
 #include "core/thread_pool.h"
-#include "formats/kernels/kernel_cache.h"
 #include "nn/gemm/qgemm.h"
 #include "nn/qweights.h"
 
@@ -48,63 +46,13 @@ void MaxCalibrator::observe_input(const Tensor& t) {
   table.input_absmax = std::max(table.input_absmax, t.abs_max());
 }
 
-namespace {
-
-// Uniform-grid detector for the fake-quantize fast path.  The codec kernel
-// rounds a magnitude to the nearest positive value with ties to the even
-// CODE; the SIMD level quantizer (nn::gemm::quantize_levels) rounds to the
-// nearest integer LEVEL with ties to the even level.  The two agree
-// bit-for-bit iff:
-//   - the positive values are exactly pitch·{1..qmax} (contiguous grid), so
-//     nearest-value == nearest-level;
-//   - pitch is a power of two, so the grid midpoints pitch·(l+0.5) are exact
-//     doubles and dividing the scaled element by the pitch commutes with
-//     double rounding (pure exponent shift);
-//   - each positive level's code has the level's parity, so "even code" is
-//     "even level" (this also forces level 1's code odd, making the
-//     underflow tie at pitch/2 round to zero — RNE's choice);
-//   - magnitudes below pitch/2 round to zero (underflows_to_zero), and the
-//     zero code decodes to +0.0 so the zero level's output matches exactly.
-// INT8 passes; MERSIT/posit/FP8 grids are non-uniform and fall out at the
-// contiguity check.
-struct UniformGrid {
-  bool usable = false;
-  double pitch = 0.0;
-  int qmax = 0;
-};
-
-UniformGrid detect_uniform_grid(const Format& fmt) {
-  UniformGrid g;
-  if (!fmt.underflows_to_zero()) return g;
-  const formats::TableCodec& codec = fmt.codec();
-  if (std::bit_cast<std::uint64_t>(codec.decode(codec.zero_code())) != 0)
-    return g;
-  const std::vector<formats::TableCodec::Entry>& pos = codec.positives();
-  if (pos.empty() || pos.size() > 127) return g;  // levels must fit int8
-  const double s = pos.front().value;
-  int exp = 0;
-  if (std::frexp(s, &exp) != 0.5) return g;  // power-of-two pitch only
-  for (std::size_t i = 0; i < pos.size(); ++i) {
-    if (pos[i].value != s * static_cast<double>(i + 1)) return g;
-    if ((pos[i].code & 1u) != ((i + 1) & 1u)) return g;
-  }
-  g.usable = true;
-  g.pitch = s;
-  g.qmax = static_cast<int>(pos.size());
-  return g;
-}
-
-}  // namespace
-
 FakeQuantizer::FakeQuantizer(const CalibrationTable& table, const Format& fmt,
                              ScalePolicy policy)
-    : table_(table), fmt_(fmt), policy_(policy) {
-  const UniformGrid g = detect_uniform_grid(fmt);
-  grid_usable_ = g.usable;
-  grid_pitch_ = g.pitch;
-  grid_qmax_ = g.qmax;
-  if (!grid_usable_) kernel_ = formats::kernels::kernel_for(fmt);
-}
+    : table_(table),
+      fmt_(fmt),
+      policy_(policy),
+      kernel_(fmt.kernel()),
+      grid_(kernel_->codec().int8_grid()) {}
 
 void FakeQuantizer::fake_quantize_grid(std::span<float> x,
                                        double scale) const {
@@ -112,15 +60,15 @@ void FakeQuantizer::fake_quantize_grid(std::span<float> x,
   // two pitch, |l| <= 127) and equals the codec's stored value for level l,
   // so this is the same double product + float cast the codec kernel
   // evaluates per element — computed once per level instead.
-  const int qmax = grid_qmax_;
+  const int qmax = grid_.qmax;
   float out[255];
   for (int l = -qmax; l <= qmax; ++l)
     out[l + qmax] =
-        static_cast<float>((grid_pitch_ * static_cast<double>(l)) * scale);
+        static_cast<float>((grid_.pitch * static_cast<double>(l)) * scale);
   // (1/scale)/pitch is exact (exponent shift), so the single fused product
   // x·inv_lvl rounds to the same double as the kernel's x·(1/scale) scaled
   // down by the pitch — the rounding decision, ties included, is identical.
-  const double inv_lvl = (1.0 / scale) / grid_pitch_;
+  const double inv_lvl = (1.0 / scale) / grid_.pitch;
   constexpr std::size_t kChunk = 4096;
   std::int8_t lv[kChunk];
   for (std::size_t i = 0; i < x.size(); i += kChunk) {
@@ -143,7 +91,7 @@ void FakeQuantizer::fake_quantize_tensor(Tensor& t, double scale) const {
         const std::size_t begin = b0 * kBlock;
         const std::span<float> part =
             x.subspan(begin, std::min(x.size(), b1 * kBlock) - begin);
-        if (grid_usable_)
+        if (grid_.usable)
           fake_quantize_grid(part, scale);
         else
           kernel_->fake_quantize(part, scale);
@@ -241,7 +189,7 @@ void quantize_weights_per_channel(Module& model, const Format& fmt,
   const auto jobs = channel_jobs(model);
   // Channels are disjoint spans, so they quantize independently across the
   // pool; the kernel is fetched once instead of per channel.
-  const auto kernel = formats::kernels::kernel_for(fmt);
+  const auto kernel = fmt.kernel();
   core::global_pool().parallel_for(jobs.size(), [&](std::size_t i) {
     const std::span<float> w = jobs[i].first->channel_span(jobs[i].second);
     float mx = 0.f;
@@ -261,26 +209,19 @@ void quantize_weights_per_channel(Module& model, const Format& fmt,
 std::shared_ptr<const nn::CodeBook> make_code_book(
     const Format& fmt, formats::CorruptionPolicy policy) {
   auto book = std::make_shared<nn::CodeBook>();
-  for (int c = 0; c < 256; ++c) {
-    const auto code = static_cast<std::uint8_t>(c);
-    book->finite[c] = std::isfinite(fmt.decode_value(code));
-    book->value[c] = formats::decode_with_policy(fmt, code, policy);
-  }
-  const auto kernel = formats::kernels::kernel_for(fmt);
-  book->encode = [kernel](double v) { return kernel->encode(v); };
-  if (auto k = nn::gemm::build_kulisch_table(book->value); k.usable)
-    book->kulisch = std::make_unique<const nn::gemm::KulischTable>(k);
-  if (auto a = nn::gemm::build_affine_lut(book->value); a.usable)
-    book->affine = std::make_unique<const nn::gemm::AffineLut>(a);
+  for (int c = 0; c < 256; ++c)
+    book->value[c] =
+        formats::decode_with_policy(fmt, static_cast<std::uint8_t>(c), policy);
+  book->kernel = fmt.kernel();
   return book;
 }
 
 void install_weight_codes(Module& model, const Format& fmt,
                           ScalePolicy policy) {
-  const auto kernel = formats::kernels::kernel_for(fmt);
   // Encode saturates and maps NaN to the zero code, so no code is
   // non-finite and `nonfinite` stays 0.
   const auto book = make_code_book(fmt, formats::CorruptionPolicy::kPropagate);
+  const formats::kernels::QuantKernel& kernel = *book->kernel;
   for (Module* m : model.modules()) {
     auto* cw = dynamic_cast<nn::ChannelWeights*>(m);
     if (cw == nullptr) continue;
@@ -306,7 +247,7 @@ void install_weight_codes(Module& model, const Format& fmt,
       // bit.
       const double inv = 1.0 / scale;
       for (const float v : w)
-        wc->codes.push_back(kernel->encode(static_cast<double>(v) * inv));
+        wc->codes.push_back(kernel.encode(static_cast<double>(v) * inv));
     }
     cw->set_weight_codes(std::move(wc));
   }
@@ -503,7 +444,7 @@ RmseReport measure_ptq_rmse(Module& model, const Dataset& calib, const Format& f
   // Weights: per-channel squared errors computed across the pool, reduced in
   // channel order so the report is independent of the thread count.
   const auto jobs = channel_jobs(model);
-  const auto kernel = formats::kernels::kernel_for(fmt);
+  const auto kernel = fmt.kernel();
   std::vector<std::pair<double, double>> per_channel(jobs.size(), {0.0, 0.0});
   core::global_pool().parallel_for(jobs.size(), [&](std::size_t i) {
     const std::span<const float> w = jobs[i].first->channel_span(jobs[i].second);

@@ -113,10 +113,11 @@ class FakeQuantizer final : public nn::QuantSession {
   [[nodiscard]] std::set<std::string> uncalibrated_paths() const;
 
   /// True when the format's value set is a uniform grid the SIMD level
-  /// quantizer reproduces bit-for-bit, so fake quantization takes the fast
-  /// path (see fake_quantize_grid in ptq.cpp).  INT8 qualifies; MERSIT /
-  /// posit / FP8 grids are non-uniform and ride the codec kernel.
-  [[nodiscard]] bool uniform_grid_fast_path() const { return grid_usable_; }
+  /// quantizer reproduces bit-for-bit (formats::TableCodec::Int8Grid), so
+  /// fake quantization takes the fast path (see fake_quantize_grid in
+  /// ptq.cpp).  INT8 qualifies; MERSIT / posit / FP8 grids are non-uniform
+  /// and ride the codec kernel.
+  [[nodiscard]] bool uniform_grid_fast_path() const { return grid_.usable; }
 
  private:
   /// Block fan-out over the pool, then the grid or kernel path per block;
@@ -127,13 +128,8 @@ class FakeQuantizer final : public nn::QuantSession {
   const CalibrationTable& table_;
   const formats::Format& fmt_;
   formats::ScalePolicy policy_;
-  std::shared_ptr<const formats::kernels::QuantKernel> kernel_;  // non-grid
-  // Uniform-grid fast path: values are ±pitch·{0..qmax} with pitch = 2^e and
-  // code parity == level parity (the tie conditions; derivation at the
-  // detector in ptq.cpp).
-  bool grid_usable_ = false;
-  double grid_pitch_ = 0.0;
-  int grid_qmax_ = 0;
+  std::shared_ptr<const formats::kernels::QuantKernel> kernel_;
+  const formats::TableCodec::Int8Grid& grid_;  // kernel_'s codec holds it
   bool quantize_inputs_ = false;
   std::atomic<int> uncalibrated_ = 0;
   mutable std::mutex miss_mu_;

@@ -342,6 +342,7 @@ void unpack_weights(nn::Module& model, const QuantizedModel& qm,
   const auto targets = validated_targets(model, qm, "unpack_weights");
   // Pass 2: decode.
   const auto book = make_code_book(fmt, policy);
+  const formats::TableCodec& table = book->table();
   for (std::size_t i = 0; i < targets.size(); ++i) {
     const QuantizedTensor& t = qm.tensors[i];
     nn::ChannelWeights* cw = targets[i].second;
@@ -351,7 +352,7 @@ void unpack_weights(nn::Module& model, const QuantizedModel& qm,
       const double scale = t.scales[static_cast<std::size_t>(c)];
       for (float& v : w) {
         const std::uint8_t code = t.codes[k++];
-        if (stats != nullptr && !book->finite[code]) ++stats->non_finite;
+        if (stats != nullptr && !table.finite(code)) ++stats->non_finite;
         v = static_cast<float>(book->value[code] * scale);
       }
     }
@@ -371,6 +372,7 @@ void install_code_weights(nn::Module& model, const QuantizedModel& qm,
   // corruption counters count pre-policy non-finite codes, the layer's
   // `nonfinite` only those the policy left non-finite.
   const auto book = make_code_book(fmt, policy);
+  const formats::TableCodec& table = book->table();
   for (std::size_t i = 0; i < targets.size(); ++i) {
     const QuantizedTensor& t = qm.tensors[i];
     nn::ChannelWeights* cw = targets[i].second;
@@ -384,7 +386,7 @@ void install_code_weights(nn::Module& model, const QuantizedModel& qm,
     for (const float s : t.scales) wc->scales.push_back(static_cast<double>(s));
     wc->book = book;
     for (const std::uint8_t code : t.codes) {
-      if (stats != nullptr && !book->finite[code]) ++stats->non_finite;
+      if (stats != nullptr && !table.finite(code)) ++stats->non_finite;
       if (!std::isfinite(book->value[code])) ++wc->nonfinite;
     }
     cw->set_weight_codes(std::move(wc));
@@ -414,13 +416,13 @@ ArtifactPair load_artifact_pair(std::istream& mct1, std::istream& mqt1,
 
 std::uint64_t count_nonfinite_codes(const QuantizedModel& qm,
                                     const formats::Format& fmt) {
-  // The pre-policy finite mask, then a linear scan — cheap enough to run
-  // on every hot-swap without perturbing serving latency.
-  const auto book = make_code_book(fmt, formats::CorruptionPolicy::kPropagate);
+  // A linear scan over the format's class table — cheap enough to run on
+  // every hot-swap without perturbing serving latency.
+  const formats::TableCodec& table = fmt.codec();
   std::uint64_t n = 0;
   for (const QuantizedTensor& t : qm.tensors)
     for (const std::uint8_t code : t.codes)
-      if (!book->finite[code]) ++n;
+      if (!table.finite(code)) ++n;
   return n;
 }
 

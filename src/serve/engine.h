@@ -38,8 +38,9 @@
 //      drops each layer's weight plan; the next forward compiles a new one
 //      from the new codes.  Decodes are bit-identical, so responses match
 //      the float path exactly while weights stay in 1-byte form (int8
-//      additionally remaps affine-LUT codes to integer levels and
-//      accumulates in int32; see nn/gemm/qgemm.h for its ULP contract).
+//      additionally remaps the codes of a uniform-grid format to integer
+//      levels and accumulates in int32; see nn/gemm/qgemm.h for its ULP
+//      contract).
 #pragma once
 
 #include <atomic>

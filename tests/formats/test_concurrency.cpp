@@ -1,6 +1,6 @@
 // Concurrency regression tests, designed to run under TSan
-// (MERSIT_SANITIZE=thread): hammer the lazily-initialized codec and the
-// kernel cache from many threads starting on fresh objects.  Before
+// (MERSIT_SANITIZE=thread): hammer the lazily-initialized codec and
+// quant kernel from many threads starting on fresh objects.  Before
 // Format::codec() used std::call_once, the first-use race here produced a
 // torn unique_ptr publish that TSan flags deterministically.
 #include <gtest/gtest.h>
@@ -13,7 +13,7 @@
 
 #include "core/registry.h"
 #include "formats/format.h"
-#include "formats/kernels/kernel_cache.h"
+#include "formats/kernels/quant_kernel.h"
 
 namespace mersit::formats {
 namespace {
@@ -86,11 +86,10 @@ TEST(CodecInit, AllRegisteredFormatsSurviveConcurrentFirstEncode) {
   }
 }
 
-TEST(KernelCache, ConcurrentLookupsConvergeOnOneKernel) {
-  kernels::clear_kernel_cache();
-  const auto fmt = core::make_format("Posit(8,1)");
+TEST(FormatKernel, ConcurrentFirstCallsBuildOneKernel) {
   for (int round = 0; round < 4; ++round) {
-    kernels::clear_kernel_cache();
+    // Fresh instance per round, so the first kernel() calls race the build.
+    const auto fmt = core::make_format("Posit(8,1)");
     SpinBarrier barrier(kThreads);
     std::vector<std::shared_ptr<const kernels::QuantKernel>> seen(kThreads);
     std::vector<std::thread> threads;
@@ -98,26 +97,22 @@ TEST(KernelCache, ConcurrentLookupsConvergeOnOneKernel) {
     for (int t = 0; t < kThreads; ++t) {
       threads.emplace_back([&, t] {
         barrier.arrive_and_wait();
-        seen[static_cast<std::size_t>(t)] = kernels::kernel_for(*fmt);
+        seen[static_cast<std::size_t>(t)] = fmt->kernel();
       });
     }
     for (auto& th : threads) th.join();
-    // Racing builders are allowed, but every later lookup must converge on
-    // the single cached instance.
-    const auto cached = kernels::kernel_for(*fmt);
+    // The kernel is built exactly once, with the codec it shares.
+    const auto built = fmt->kernel();
+    ASSERT_NE(built, nullptr);
+    EXPECT_EQ(&built->codec(), &fmt->codec());
     for (const auto& k : seen) {
-      ASSERT_NE(k, nullptr);
-      EXPECT_EQ(k->encode(0.31), cached->encode(0.31));
+      EXPECT_EQ(k.get(), built.get());
+      EXPECT_EQ(k->encode(0.31), fmt->encode(0.31));
     }
-    int matches = 0;
-    for (const auto& k : seen)
-      if (k.get() == cached.get()) ++matches;
-    EXPECT_GE(matches, 1);
   }
 }
 
-TEST(KernelCache, ConcurrentMixedFormatsAreIsolated) {
-  kernels::clear_kernel_cache();
+TEST(FormatKernel, ConcurrentMixedFormatsAreIsolated) {
   const auto names = core::all_format_names();
   SpinBarrier barrier(static_cast<int>(names.size()));
   std::vector<std::thread> threads;
@@ -127,7 +122,7 @@ TEST(KernelCache, ConcurrentMixedFormatsAreIsolated) {
     threads.emplace_back([&, name] {
       const auto fmt = core::make_format(name);
       barrier.arrive_and_wait();
-      const auto kernel = kernels::kernel_for(*fmt);
+      const auto kernel = fmt->kernel();
       if (kernel->format_name() != name)
         mismatches.fetch_add(1, std::memory_order_relaxed);
     });

@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "core/registry.h"
-#include "formats/kernels/kernel_cache.h"
 #include "formats/quantize.h"
 
 namespace mersit::formats::kernels {
@@ -111,7 +110,7 @@ const std::vector<double> kScales = {1.0, 0.25, 7.5, 1e-3, 64.0};
 TEST(KernelEquivalence, DecodeTableMatchesCodec) {
   for (const auto& name : core::all_format_names()) {
     const auto fmt = core::make_format(name);
-    const auto kernel = kernel_for(*fmt);
+    const auto kernel = fmt->kernel();
     for (int c = 0; c < 256; ++c) {
       const double a = kernel->decode(static_cast<std::uint8_t>(c));
       const double b = fmt->codec().decode(static_cast<std::uint8_t>(c));
@@ -124,7 +123,7 @@ TEST(KernelEquivalence, DecodeTableMatchesCodec) {
 TEST(KernelEquivalence, EncodeMatchesFormatOnAdversarialProbes) {
   for (const auto& name : core::all_format_names()) {
     const auto fmt = core::make_format(name);
-    const auto kernel = kernel_for(*fmt);
+    const auto kernel = fmt->kernel();
     for (const double x : double_probes(*fmt)) {
       EXPECT_EQ(kernel->encode(x), fmt->encode(x))
           << name << " x=" << std::hexfloat << x;
@@ -135,7 +134,7 @@ TEST(KernelEquivalence, EncodeMatchesFormatOnAdversarialProbes) {
 TEST(KernelEquivalence, QuantizeMatchesFormatBitForBit) {
   for (const auto& name : core::all_format_names()) {
     const auto fmt = core::make_format(name);
-    const auto kernel = kernel_for(*fmt);
+    const auto kernel = fmt->kernel();
     for (const double x : double_probes(*fmt)) {
       const double a = kernel->quantize(x);
       const double b = fmt->quantize(x);
@@ -242,7 +241,7 @@ TEST(KernelLoops, EveryHostLoopMatchesScalarReference) {
     ++loops_run;
     for (const auto& name : core::all_format_names()) {
       const auto fmt = core::make_format(name);
-      const auto kernel = kernel_for(*fmt);
+      const auto kernel = fmt->kernel();
       for (const double scale : kScales) {
         const std::vector<float> specials = special_floats(*fmt, scale);
         // Specials, then random data.  Running the whole buffer at start
@@ -280,7 +279,7 @@ TEST(KernelLoops, EveryHostLoopMatchesScalarReference) {
 }
 
 TEST(KernelLoops, DispatchPicksTheWidestHostLoop) {
-  const auto kernel = kernel_for(*core::make_format("MERSIT(8,2)"));
+  const auto kernel = core::make_format("MERSIT(8,2)")->kernel();
   QuantKernel::Loop widest = QuantKernel::Loop::kScalar;
   for (const QuantKernel::Loop loop : QuantKernel::kLoops)
     if (QuantKernel::loop_supported(loop)) widest = loop;
@@ -295,16 +294,25 @@ TEST(KernelLoops, DispatchPicksTheWidestHostLoop) {
   }
 }
 
-TEST(KernelCache, ReturnsSameInstanceAndClearResets) {
+TEST(FormatKernel, OneInstancePerFormatThatOutlivesIt) {
   const auto fmt = core::make_format("MERSIT(8,2)");
-  const auto a = kernel_for(*fmt);
-  const auto b = kernel_for(*fmt);
-  EXPECT_EQ(a.get(), b.get());
-  clear_kernel_cache();
-  const auto c = kernel_for(*fmt);
-  EXPECT_NE(a.get(), c.get());
-  // Old handles stay valid after a clear (shared ownership).
-  EXPECT_EQ(a->format_name(), c->format_name());
+  const auto a = fmt->kernel();
+  EXPECT_EQ(a.get(), fmt->kernel().get());
+  EXPECT_EQ(&a->codec(), &fmt->codec());
+  // Another instance of the same format builds its own tables.
+  const auto other = core::make_format("MERSIT(8,2)");
+  EXPECT_NE(a.get(), other->kernel().get());
+  // A kernel taken from a temporary format stays valid (it shares the
+  // codec), and agrees with a live instance bit for bit.
+  const auto orphan = core::make_format("MERSIT(8,2)")->kernel();
+  EXPECT_EQ(orphan->format_name(), "MERSIT(8,2)");
+  for (int c = 0; c < 256; ++c) {
+    const auto code = static_cast<std::uint8_t>(c);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(orphan->decode(code)),
+              std::bit_cast<std::uint64_t>(a->decode(code)))
+        << "code " << c;
+  }
+  EXPECT_EQ(orphan->encode(0.31), a->encode(0.31));
 }
 
 }  // namespace

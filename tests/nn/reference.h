@@ -25,7 +25,7 @@
 #include <vector>
 
 #include "core/thread_pool.h"
-#include "formats/kernels/kernel_cache.h"
+#include "formats/kernels/quant_kernel.h"
 #include "formats/quantize.h"
 #include "nn/attention.h"
 #include "nn/gemm/backend.h"
@@ -110,7 +110,7 @@ inline void randomize_bn(BatchNorm2d& bn, std::mt19937& rng) {
 inline void fake_quantize(Tensor& x, const formats::Format& fmt) {
   const double scale =
       formats::scale_for_absmax(fmt, x.abs_max(), formats::ScalePolicy::kMaxToUnity);
-  formats::kernels::kernel_for(fmt)->fake_quantize(x.data(), scale);
+  fmt.kernel()->fake_quantize(x.data(), scale);
   x.set_quant_scale(scale);
 }
 
@@ -275,7 +275,7 @@ inline Tensor linear_forward(const Linear& lin, const Tensor& x) {
 
 /// The 256-code decode of `fmt` through its quant kernel.
 inline std::array<double, 256> decode_lut(const formats::Format& fmt) {
-  const auto kernel = formats::kernels::kernel_for(fmt);
+  const auto kernel = fmt.kernel();
   std::array<double, 256> lut;
   for (int c = 0; c < 256; ++c)
     lut[static_cast<std::size_t>(c)] = kernel->decode(static_cast<std::uint8_t>(c));
@@ -315,26 +315,26 @@ Tensor lowered_conv(const Tensor& x, const ConvGeometry& g, GroupGemm&& group_ge
 }
 
 /// The int8 path over x (stamped scale `xscale`): quantize_levels on the
-/// book's affine grid, then qgemm_int8 with the BN affine (when given)
+/// format's int8 grid, then qgemm_int8 with the BN affine (when given)
 /// and the epilogue.
 inline Tensor int8_forward(const Tensor& x, double xscale, const WeightCodes& wc,
                            const float* bias, const ConvGeometry& g,
                            gemm::Epilogue epi, const float* bn_scale = nullptr,
                            const float* bn_shift = nullptr) {
-  const gemm::AffineLut& alut = *wc.book->affine;
+  const formats::TableCodec::Int8Grid& grid = wc.book->table().int8_grid();
   const int kdim = wc.per_channel, ocg = g.out_ch / g.groups;
   std::vector<double> iscales;
-  for (const double s : wc.scales) iscales.push_back(alut.scale * s);
+  for (const double s : wc.scales) iscales.push_back(grid.pitch * s);
   const BackendGuard scalar(gemm::scalar_backend());
   return lowered_conv(x, g, [&](std::size_t o0, const float* col, int osz, float* out) {
     std::vector<std::int8_t> q(static_cast<std::size_t>(kdim) * osz);
-    gemm::quantize_levels(col, q.size(), 1.0 / (alut.scale * xscale), alut.qmin,
-                          alut.qmax, q.data());
-    const gemm::Int8Operand a{wc.codes.data() + o0 * kdim, kdim, false, alut.q,
+    gemm::quantize_levels(col, q.size(), 1.0 / (grid.pitch * xscale), -grid.qmax,
+                          grid.qmax, q.data());
+    const gemm::Int8Operand a{wc.codes.data() + o0 * kdim, kdim, false, grid.level,
                               iscales.data() + o0, 0.0};
     const gemm::Int8Operand b{reinterpret_cast<const std::uint8_t*>(q.data()), osz,
                               false, gemm::identity_qlut(), nullptr,
-                              alut.scale * xscale};
+                              grid.pitch * xscale};
     const gemm::RowAffine aff{bn_scale != nullptr ? bn_scale + o0 : nullptr,
                               bn_shift != nullptr ? bn_shift + o0 : nullptr};
     gemm::qgemm_int8(ocg, osz, kdim, a, b, gemm::Init::kBiasRow, bias + o0, out, osz,
@@ -357,7 +357,7 @@ Tensor kulisch_forward(const Tensor& x, double xscale, const WeightCodes& wc,
     const gemm::QOperand a{wc.codes.data() + o0 * kdim, kdim, false,
                            wc.scales.data() + o0, 0.0};
     const gemm::QOperand b{codes.data(), osz, false, nullptr, xscale};
-    gemm::qgemm_kulisch(ocg, osz, kdim, a, b, *wc.book->kulisch, gemm::Init::kBiasRow,
+    gemm::qgemm_kulisch(ocg, osz, kdim, a, b, wc.book->table(), gemm::Init::kBiasRow,
                         bias + o0, out, osz, epi);
   });
 }

@@ -1,10 +1,11 @@
 // The shared code book (nn::CodeBook, built by ptq::make_code_book): each
 // entry is the per-code decode it replaces, bit for bit, for every
-// registered format under both corruption policies; the Kulisch and affine
-// tables are present exactly when usable; both installers hand every layer
-// one shared book; and the book's Kulisch product of every code pair is the
-// value hw::MacReference accumulates for it, so the software numerics and
-// the netlist's reference cannot drift apart unnoticed.
+// registered format under both corruption policies; the format's one code
+// table (dyadic pairs, int8 grid) agrees with the book's values under both
+// policies; both installers hand every layer one shared book; and the
+// table's Kulisch product of every code pair is the value hw::MacReference
+// accumulates for it, so the software numerics and the netlist's reference
+// cannot drift apart unnoticed.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,7 +21,7 @@
 
 #include "core/registry.h"
 #include "formats/corruption.h"
-#include "formats/kernels/kernel_cache.h"
+#include "formats/kernels/quant_kernel.h"
 #include "hw/mac.h"
 #include "hw/reference.h"
 #include "nn/gemm/qgemm.h"
@@ -42,50 +43,61 @@ TEST(CodeBook, EntriesMatchPerCodeDecodeEveryFormatBothPolicies) {
   for (const std::string& name : core::all_format_names()) {
     SCOPED_TRACE(name);
     const auto fmt = core::make_format(name);
-    const auto kernel = formats::kernels::kernel_for(*fmt);
+    const auto kernel = fmt->kernel();
+    const formats::TableCodec& table = fmt->codec();
+    const formats::TableCodec::Int8Grid& grid = table.int8_grid();
     for (const auto policy : kPolicies) {
       SCOPED_TRACE(policy == formats::CorruptionPolicy::kPropagate ? "propagate"
                                                                    : "zero");
       const auto book = ptq::make_code_book(*fmt, policy);
       ASSERT_NE(book, nullptr);
-      ASSERT_TRUE(static_cast<bool>(book->encode));
+      // The book holds the format's own kernel and table, whatever the policy.
+      ASSERT_EQ(book->kernel, kernel);
+      ASSERT_EQ(&book->table(), &table);
       for (int c = 0; c < 256; ++c) {
         const auto code = static_cast<std::uint8_t>(c);
-        EXPECT_TRUE(same_bits(book->value[c],
-                              formats::decode_with_policy(*fmt, code, policy)))
+        const double v = book->value[c];
+        EXPECT_TRUE(same_bits(v, formats::decode_with_policy(*fmt, code, policy)))
             << "code " << c;
         const formats::ValueClass cls = fmt->classify(code);
-        EXPECT_EQ(book->finite[c], cls != formats::ValueClass::kInf &&
-                                       cls != formats::ValueClass::kNaN)
+        EXPECT_EQ(table.classify(code), cls) << "code " << c;
+        EXPECT_EQ(table.finite(code), cls != formats::ValueClass::kInf &&
+                                          cls != formats::ValueClass::kNaN)
             << "code " << c;
-        EXPECT_EQ(book->finite[c], std::isfinite(fmt->decode_value(code)))
+        EXPECT_EQ(table.finite(code), std::isfinite(fmt->decode_value(code)))
             << "code " << c;
         // The in-process installer used the kernel's decode table; the
         // book must give the same bits.
         if (policy == formats::CorruptionPolicy::kPropagate) {
-          EXPECT_TRUE(same_bits(book->value[c], kernel->decode(code)))
-              << "code " << c;
+          EXPECT_TRUE(same_bits(v, kernel->decode(code))) << "code " << c;
         }
-        if (book->finite[c]) {
-          EXPECT_EQ(book->encode(book->value[c]), kernel->encode(book->value[c]))
-              << "code " << c;
+        if (table.finite(code)) {
+          EXPECT_EQ(kernel->encode(v), fmt->encode(v)) << "code " << c;
+        }
+        // The Kulisch and int8 tables the plans read hold for the book's
+        // values under either policy: a policy-zeroed code is on both, as
+        // pair (0, 0) and level 0; a propagated non-finite code never
+        // reaches a kernel (plans decline it) and holds the same.
+        const std::int64_t mant = table.dyadic_mant()[c];
+        const int exp = table.dyadic_exp()[c];
+        if (std::isfinite(v)) {
+          if (table.dyadic_exact()) {
+            EXPECT_EQ(std::ldexp(static_cast<double>(mant), exp), v) << "code " << c;
+          }
+          if (grid.usable) {
+            EXPECT_EQ(grid.pitch * static_cast<double>(grid.level[c]), v) << "code " << c;
+          }
+        } else {
+          EXPECT_EQ(mant, 0) << "code " << c;
+          EXPECT_EQ(exp, 0) << "code " << c;
+          EXPECT_EQ(grid.level[c], 0) << "code " << c;
         }
       }
-      EXPECT_EQ(book->kulisch != nullptr,
-                gemm::build_kulisch_table(book->value).usable);
-      EXPECT_EQ(book->affine != nullptr,
-                gemm::build_affine_lut(book->value).usable);
     }
   }
-  // The flagship format runs exactly; the INT8 family runs decode-free,
-  // also with its NaR code zeroed by the policy.
-  EXPECT_NE(ptq::make_code_book(*core::make_format("MERSIT(8,2)"),
-                                formats::CorruptionPolicy::kPropagate)
-                ->kulisch,
-            nullptr);
-  for (const auto policy : kPolicies)
-    EXPECT_NE(ptq::make_code_book(*core::make_format("INT8"), policy)->affine,
-              nullptr);
+  // The flagship format runs exactly; the INT8 family runs decode-free.
+  EXPECT_TRUE(gemm::kulisch_fits(core::make_format("MERSIT(8,2)")->codec()));
+  EXPECT_TRUE(core::make_format("INT8")->codec().int8_grid().usable);
 }
 
 /// The distinct books installed on `model`'s ChannelWeights layers, and how
@@ -129,7 +141,7 @@ TEST(CodeBook, BothInstallersShareOneBookAcrossLayers) {
 
 // For every exponent-coded format whose accumulator fits the reference
 // model, a single MacReference step over each of the 65,536 code pairs
-// holds the book's Kulisch product mant_w·mant_a·2^(exp_w+exp_a−2·emin)
+// holds the table's Kulisch product mant_w·mant_a·2^(exp_w+exp_a−2·emin)
 // (0 for special codes), and the widest product is W+1 bits for the FP
 // rows and W bits for the posit and MERSIT rows.  Wider formats throw.
 TEST(CodeBookHw, KulischProductMatchesMacReferenceAllCodePairs) {
@@ -144,10 +156,10 @@ TEST(CodeBookHw, KulischProductMatchesMacReferenceAllCodePairs) {
       EXPECT_THROW((void)hw::MacReference(*ef), std::invalid_argument);
       continue;
     }
-    const auto book =
-        ptq::make_code_book(*fmt, formats::CorruptionPolicy::kPropagate);
-    ASSERT_NE(book->kulisch, nullptr);
-    const gemm::KulischTable& tab = *book->kulisch;
+    const formats::TableCodec& table = fmt->codec();
+    ASSERT_TRUE(gemm::kulisch_fits(table));
+    const std::int64_t* mant = table.dyadic_mant();
+    const int* exp = table.dyadic_exp();
     hw::MacReference ref(*ef);
     int widest = 0;
     int mismatches = 0;
@@ -156,13 +168,14 @@ TEST(CodeBookHw, KulischProductMatchesMacReferenceAllCodePairs) {
         ref.reset();
         ref.accumulate(static_cast<std::uint8_t>(w), static_cast<std::uint8_t>(a));
         std::int64_t want = 0;
-        if (book->finite[w] && book->finite[a]) {
-          const int shift = tab.exp[w] + tab.exp[a] - 2 * cfg.spec.emin;
+        if (table.finite(static_cast<std::uint8_t>(w)) &&
+            table.finite(static_cast<std::uint8_t>(a))) {
+          const int shift = exp[w] + exp[a] - 2 * cfg.spec.emin;
           ASSERT_GE(shift, 0) << "codes " << w << "," << a;
           ASSERT_LT(shift, 62) << "codes " << w << "," << a;
-          want = tab.mant[w] * tab.mant[a] * (std::int64_t{1} << shift);
+          want = mant[w] * mant[a] * (std::int64_t{1} << shift);
         } else {
-          EXPECT_EQ(tab.mant[w] * tab.mant[a], 0) << "codes " << w << "," << a;
+          EXPECT_EQ(mant[w] * mant[a], 0) << "codes " << w << "," << a;
         }
         if (ref.acc_raw() != want || ref.overflowed()) ++mismatches;
         const std::uint64_t mag = static_cast<std::uint64_t>(want < 0 ? -want : want);

@@ -34,7 +34,6 @@
 
 #include "core/registry.h"
 #include "core/thread_pool.h"
-#include "formats/kernels/kernel_cache.h"
 #include "formats/quantize.h"
 #include "nn/attention.h"
 #include "nn/gemm/backend.h"
@@ -936,7 +935,7 @@ TEST(LayerPrepack, ConvAndLinearForwardsBitwiseAcrossPrepackModes) {
 //   code    x MERSIT(8,2), FP(8,4), Posit(8,1), INT8: FP32 kernel;
 //   int8    x INT8: int8 kernel, except depthwise rows (kDepthwise); with
 //             the input's scale cleared, FP32 (kUnstampedInput); MERSIT(8,2)
-//             has no affine table (kNoTable);
+//             has no int8 grid (kNoTable);
 //   kulisch x MERSIT(8,2), FP(8,4), Posit(8,1): Kulisch kernel, except
 //             depthwise rows and fused-BN variants (kFusedAffine).
 // The output must equal the direct reference (reference.h) of the kernel
@@ -1133,10 +1132,8 @@ void check_int8_cell(const Deployed& d, const Configs& configs) {
   const ModeGuard mode(QgemmMode::kInt8);
   const Tensor y = expect_invariant(cell, configs, [&] { return d.quant_forward(*model, *fmt); });
   const bool flips = kGridFlipCells.count({d.name, d.folded}) != 0;
-  // One grid step of the output quant point: the affine pitch at its scale.
-  const double step =
-      ptq::make_code_book(*fmt, formats::CorruptionPolicy::kPropagate)->affine->scale *
-      code.quant_scale();
+  // One grid step of the output quant point: the int8 grid pitch at its scale.
+  const double step = fmt->codec().int8_grid().pitch * code.quant_scale();
   for (std::int64_t i = 0; i < y.numel(); ++i) {
     const double bound = flips ? step * (1.0 + 1e-5) : kInt8Tol * (1.f + std::fabs(code[i]));
     EXPECT_LE(std::fabs(y[i] - code[i]), bound) << cell << ": logit " << i;

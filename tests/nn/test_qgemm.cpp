@@ -14,10 +14,12 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <functional>
 #include <memory>
 #include <random>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -26,7 +28,7 @@
 #include "core/thread_pool.h"
 #include "fault/bitflip.h"
 #include "formats/corruption.h"
-#include "formats/kernels/kernel_cache.h"
+#include "formats/kernels/quant_kernel.h"
 #include "formats/quantize.h"
 #include "nn/data.h"
 #include "nn/gemm/backend.h"
@@ -369,33 +371,39 @@ TEST(QgemmWeightPlan, MismatchedPayloadThrowsNamingTheLayerAndKeepsServing) {
 
 // ------------------------------------------------------------ Kulisch mode --
 
-// Every registered format's decode LUT either decomposes exactly —
-// lut[c] == mant[c]·2^exp[c] for all finite codes, mant 0 for non-finite —
-// or is marked unusable; never a silently wrong table.
+// Every registered format's code table holds each finite value's exact
+// dyadic pair — value == mant·2^exp bit for bit, mant odd (0 only for zero
+// codes), |mant| < 2^30, (0, 0) for non-finite codes — and the Kulisch
+// path runs exactly the formats whose range fits the quire.
 TEST(QgemmKulisch, TableDecomposesEveryRegisteredFormatExactly) {
-  bool any_usable = false;
+  std::set<std::string> fits;
   for (const std::string& name : core::all_format_names()) {
     SCOPED_TRACE(name);
     const auto fmt = core::make_format(name);
-    const auto lut = decode_lut(*fmt);
-    const gemm::KulischTable tab = gemm::build_kulisch_table(lut.data());
-    if (!tab.usable) continue;
-    any_usable = true;
+    const formats::TableCodec& table = fmt->codec();
+    ASSERT_TRUE(table.dyadic_exact());
+    const std::int64_t* mant = table.dyadic_mant();
+    const int* exp = table.dyadic_exp();
     for (int c = 0; c < 256; ++c) {
-      if (!std::isfinite(lut[static_cast<std::size_t>(c)])) {
-        EXPECT_EQ(tab.mant[c], 0) << "code " << c;
+      const double v = table.decode(static_cast<std::uint8_t>(c));
+      if (!std::isfinite(v) || v == 0.0) {
+        EXPECT_EQ(mant[c], 0) << "code " << c;
+        EXPECT_EQ(exp[c], 0) << "code " << c;
         continue;
       }
-      EXPECT_EQ(std::ldexp(static_cast<double>(tab.mant[c]), tab.exp[c]),
-                lut[static_cast<std::size_t>(c)])
-          << "code " << c;
-      EXPECT_GE(tab.exp[c] + tab.exp[c] - tab.base, 0) << "code " << c;
+      const double rebuilt = std::ldexp(static_cast<double>(mant[c]), exp[c]);
+      EXPECT_EQ(std::memcmp(&rebuilt, &v, sizeof v), 0) << "code " << c;
+      EXPECT_NE(mant[c] & 1, 0) << "code " << c;
+      EXPECT_LT(std::llabs(mant[c]), std::int64_t{1} << 30) << "code " << c;
+      EXPECT_GE(exp[c], table.dyadic_min_exp()) << "code " << c;
+      EXPECT_LE(exp[c], table.dyadic_max_exp()) << "code " << c;
     }
+    if (gemm::kulisch_fits(table)) fits.insert(name);
   }
-  EXPECT_TRUE(any_usable);
-  // The paper's flagship format must take the exact path.
-  const auto lut = decode_lut(*core::make_format("MERSIT(8,2)"));
-  EXPECT_TRUE(gemm::build_kulisch_table(lut.data()).usable);
+  // The paper's flagship format must take the exact path; the widest-range
+  // posits overflow the quire budget.
+  EXPECT_EQ(fits.count("MERSIT(8,2)"), 1u);
+  EXPECT_GT(fits.size(), 1u);
 }
 
 // K=1 products admit a closed-form reference (the quire holds one exact
@@ -405,8 +413,8 @@ TEST(QgemmKulisch, TableDecomposesEveryRegisteredFormatExactly) {
 TEST(QgemmKulisch, SingleProductMatchesContractFormulaExactly) {
   const auto fmt = core::make_format("MERSIT(8,2)");
   const auto lut = decode_lut(*fmt);
-  const gemm::KulischTable tab = gemm::build_kulisch_table(lut.data());
-  ASSERT_TRUE(tab.usable);
+  const formats::TableCodec& tab = fmt->codec();
+  ASSERT_TRUE(gemm::kulisch_fits(tab));
   const double sa = 0.375, sb = 1.625;
   const float bias = 0.125f;
   for (int ca = 0; ca < 256; ++ca) {
@@ -437,10 +445,10 @@ TEST(QgemmKulisch, CancellationRecoversTinyAddendExactly) {
   // Posit(8,3): ~2^±48 dynamic range, far beyond the float mantissa — the
   // tapered-precision case Kulisch accumulation exists for.
   const auto fmt = core::make_format("Posit(8,3)");
-  const auto kernel = formats::kernels::kernel_for(*fmt);
+  const auto kernel = fmt->kernel();
   const auto lut = decode_lut(*fmt);
-  const gemm::KulischTable tab = gemm::build_kulisch_table(lut.data());
-  ASSERT_TRUE(tab.usable);
+  const formats::TableCodec& tab = fmt->codec();
+  ASSERT_TRUE(gemm::kulisch_fits(tab));
 
   double vmax = 0.0, vmin = 0.0;
   for (int c = 0; c < 256; ++c) {

@@ -1,7 +1,7 @@
-// Decode-free int8 path (QgemmMode::kInt8): affine-LUT detection must
-// accept exactly the affine family (INT8 — exhaustively over all 256
-// codes) and reject every non-affine registered format (MERSIT, posit,
-// FP8); the integer micro-kernel must be bitwise identical to the scalar
+// Decode-free int8 path (QgemmMode::kInt8): the codec's int8 grid must be
+// usable for exactly the affine family (INT8 — exhaustively over all 256
+// codes) and for no non-affine registered format (MERSIT, posit, FP8); the
+// integer micro-kernel must be bitwise identical to the scalar
 // integer reference on every compiled-in backend, prepacked or not, at any
 // thread count (integer accumulation is associative, so this is ULP 0 by
 // construction, not tolerance); and the end-to-end wiring —
@@ -14,10 +14,12 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <memory>
 #include <random>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -26,7 +28,7 @@
 #include "core/registry.h"
 #include "core/thread_pool.h"
 #include "formats/corruption.h"
-#include "formats/kernels/kernel_cache.h"
+#include "formats/kernels/quant_kernel.h"
 #include "nn/data.h"
 #include "nn/gemm/backend.h"
 #include "nn/gemm/gemm.h"
@@ -50,93 +52,45 @@ using reference::ModeGuard;
 
 // ------------------------------------------------------- affine detection --
 
-// Exhaustive 256-code gate over every registered format: a usable AffineLut
-// must reproduce each finite LUT entry *exactly* (double ==, no tolerance)
-// as scale·q[c] with q[c] within [qmin, qmax], and map each non-finite
-// entry to level 0; INT8 must be detected and the non-affine families must be
-// rejected, never silently mis-detected.
+// Exhaustive 256-code gate over every registered format: a usable int8 grid
+// must reproduce each finite value *exactly* (double ==, no tolerance) as
+// pitch·level[c] with |level| <= qmax, and map each non-finite code to level
+// 0; INT8 (pitch 1, levels -127..127) must be the one usable grid, and the
+// non-affine families must never be silently mis-detected.
 TEST(Int8Affine, DetectsExactlyTheAffineFamilyAllFormatsAllCodes) {
-  bool any_usable = false;
+  std::set<std::string> usable;
   for (const std::string& name : core::all_format_names()) {
     SCOPED_TRACE(name);
     const auto fmt = core::make_format(name);
-    const auto lut = decode_lut(*fmt);
-    const gemm::AffineLut alut = gemm::build_affine_lut(lut.data());
-    if (!alut.usable) continue;
-    any_usable = true;
-    EXPECT_GT(alut.scale, 0.0);
+    const formats::TableCodec::Int8Grid& grid = fmt->codec().int8_grid();
+    if (!grid.usable) {
+      for (int c = 0; c < 256; ++c) EXPECT_EQ(grid.level[c], 0) << "code " << c;
+      continue;
+    }
+    usable.insert(name);
     for (int c = 0; c < 256; ++c) {
-      const double v = lut[static_cast<std::size_t>(c)];
+      const double v = fmt->decode_value(static_cast<std::uint8_t>(c));
       if (!std::isfinite(v)) {
-        EXPECT_EQ(alut.q[c], 0) << "code " << c;
+        EXPECT_EQ(grid.level[c], 0) << "code " << c;
         continue;
       }
-      EXPECT_EQ(alut.scale * static_cast<double>(alut.q[c]), v) << "code " << c;
-      EXPECT_GE(alut.q[c], alut.qmin) << "code " << c;
-      EXPECT_LE(alut.q[c], alut.qmax) << "code " << c;
+      EXPECT_EQ(grid.pitch * static_cast<double>(grid.level[c]), v) << "code " << c;
+      EXPECT_EQ(static_cast<double>(grid.level[c]), v / grid.pitch) << "code " << c;
+      EXPECT_LE(std::abs(grid.level[c]), grid.qmax) << "code " << c;
     }
   }
-  EXPECT_TRUE(any_usable);
-  EXPECT_TRUE(
-      gemm::build_affine_lut(decode_lut(*core::make_format("INT8")).data())
-          .usable);
-  for (const char* name : {"MERSIT(8,2)", "FP(8,4)", "Posit(8,1)"}) {
-    SCOPED_TRACE(name);
-    EXPECT_FALSE(
-        gemm::build_affine_lut(decode_lut(*core::make_format(name)).data())
-            .usable);
-  }
+  EXPECT_EQ(usable, std::set<std::string>{"INT8"});
+  const auto int8 = core::make_format("INT8");
+  EXPECT_EQ(int8->codec().int8_grid().pitch, 1.0);
+  EXPECT_EQ(int8->codec().int8_grid().qmax, 127);
 }
 
-// Synthetic edge cases: an unsigned zero-point LUT (s·(c − 128)), a
-// denormal-scale LUT (exactness must survive subnormal products), and a
-// policy-zeroed NaR entry (the kZero corruption policy maps the non-finite
-// code to 0.0, which is on every affine grid).
-TEST(Int8Affine, ZeroPointDenormalAndPolicyZeroedLutsQualify) {
-  double lut[256];
-
-  // Unsigned interpretation with zero point 128.
-  for (int c = 0; c < 256; ++c) lut[c] = 0.125 * (c - 128);
-  gemm::AffineLut alut = gemm::build_affine_lut(lut);
-  ASSERT_TRUE(alut.usable);
-  EXPECT_EQ(alut.scale, 0.125);
-  for (int c = 0; c < 256; ++c)
-    EXPECT_EQ(static_cast<int>(alut.q[c]), c - 128) << "code " << c;
-  EXPECT_EQ(alut.qmin, -128);
-  EXPECT_EQ(alut.qmax, 127);
-
-  // Denormal scale: 2^-1060 · q reaches into the subnormal range but every
-  // product is still exact (|q| < 2^8 and 1060 + 8 < 1074).
-  const double tiny = std::ldexp(1.0, -1060);
-  for (int c = 0; c < 256; ++c)
-    lut[c] = tiny * static_cast<double>(static_cast<std::int8_t>(c));
-  alut = gemm::build_affine_lut(lut);
-  ASSERT_TRUE(alut.usable);
-  EXPECT_EQ(alut.scale, tiny);
-  for (int c = 0; c < 256; ++c)
-    EXPECT_EQ(alut.q[c], static_cast<std::int8_t>(c)) << "code " << c;
-
-  // INT8 under the zero-substitute policy: the NaR code decodes to 0.0 and
-  // must map to level 0 with the LUT still usable.
-  const auto fmt = core::make_format("INT8");
-  for (int c = 0; c < 256; ++c)
-    lut[c] = formats::decode_with_policy(
-        *fmt, static_cast<std::uint8_t>(c),
-        formats::CorruptionPolicy::kZeroSubstitute);
-  alut = gemm::build_affine_lut(lut);
-  ASSERT_TRUE(alut.usable);
-  for (int c = 0; c < 256; ++c) {
-    if (lut[c] == 0.0) {
-      EXPECT_EQ(alut.q[c], 0) << "code " << c;
-    }
-  }
-
-  // Non-affine spot check: one perturbed entry must clear usable.
-  for (int c = 0; c < 256; ++c)
-    lut[c] = 0.25 * static_cast<double>(static_cast<std::int8_t>(c));
-  lut[17] = std::nextafter(lut[17], 1.0);
-  EXPECT_FALSE(gemm::build_affine_lut(lut).usable);
-}
+/// A synthetic all-finite grid for the kernel gates: every code is its own
+/// two's-complement level (gemm::identity_qlut), so all 256 levels appear.
+struct SyntheticGrid {
+  const std::int8_t* q;
+  double scale;
+};
 
 // ------------------------------------------------------- activation levels --
 
@@ -146,19 +100,20 @@ TEST(Int8Affine, ZeroPointDenormalAndPolicyZeroedLutsQualify) {
 // already-fake-quantized tensors.
 TEST(Int8Levels, QuantizeLevelsMatchesFormatEncodeAllCodes) {
   const auto fmt = core::make_format("INT8");
-  const auto kernel = formats::kernels::kernel_for(*fmt);
+  const auto kernel = fmt->kernel();
   const auto lut = decode_lut(*fmt);
-  const gemm::AffineLut alut = gemm::build_affine_lut(lut.data());
-  ASSERT_TRUE(alut.usable);
+  const formats::TableCodec::Int8Grid& grid = fmt->codec().int8_grid();
+  ASSERT_TRUE(grid.usable);
+  const int qmin = -grid.qmax, qmax = grid.qmax;
   const double wscale = 0.375;  // arbitrary stamped tensor scale
-  const double inv = 1.0 / (alut.scale * wscale);
+  const double inv = 1.0 / (grid.pitch * wscale);
   for (int c = 0; c < 256; ++c) {
     if (!std::isfinite(lut[static_cast<std::size_t>(c)])) continue;
     const float x =
         static_cast<float>(lut[static_cast<std::size_t>(c)] * wscale);
     std::int8_t level = 99;
-    gemm::quantize_levels(&x, 1, inv, alut.qmin, alut.qmax, &level);
-    EXPECT_EQ(level, alut.q[c]) << "code " << c;
+    gemm::quantize_levels(&x, 1, inv, qmin, qmax, &level);
+    EXPECT_EQ(level, grid.level[c]) << "code " << c;
     // And the format's encoder agrees the value belongs to this code.
     EXPECT_EQ(kernel->encode(lut[static_cast<std::size_t>(c)]),
               static_cast<std::uint8_t>(c))
@@ -168,11 +123,11 @@ TEST(Int8Levels, QuantizeLevelsMatchesFormatEncodeAllCodes) {
   // NaN → 0 (matches the encode kernels' NaN policy of a zero level).
   const float big = 1e30f, neg = -1e30f, nan = std::numeric_limits<float>::quiet_NaN();
   std::int8_t out[3];
-  gemm::quantize_levels(&big, 1, inv, alut.qmin, alut.qmax, out);
-  gemm::quantize_levels(&neg, 1, inv, alut.qmin, alut.qmax, out + 1);
-  gemm::quantize_levels(&nan, 1, inv, alut.qmin, alut.qmax, out + 2);
-  EXPECT_EQ(out[0], alut.qmax);
-  EXPECT_EQ(out[1], alut.qmin);
+  gemm::quantize_levels(&big, 1, inv, qmin, qmax, out);
+  gemm::quantize_levels(&neg, 1, inv, qmin, qmax, out + 1);
+  gemm::quantize_levels(&nan, 1, inv, qmin, qmax, out + 2);
+  EXPECT_EQ(out[0], qmax);
+  EXPECT_EQ(out[1], qmin);
   EXPECT_EQ(out[2], 0);
 }
 
@@ -191,16 +146,15 @@ TEST(Int8Levels, FakeQuantizerGridPathBitIdenticalToScalarReference) {
     table.input_absmax = static_cast<float>(fmt->calibration_target());
     const ptq::FakeQuantizer fq(table, *fmt,
                                 formats::ScalePolicy::kMaxToUnity);
-    const auto lut = decode_lut(*fmt);
-    const gemm::AffineLut alut = gemm::build_affine_lut(lut.data());
-    if (!alut.usable) {
+    const formats::TableCodec::Int8Grid& grid = fmt->codec().int8_grid();
+    if (!grid.usable) {
       EXPECT_FALSE(fq.uniform_grid_fast_path());
       continue;
     }
     ASSERT_TRUE(fq.uniform_grid_fast_path());
-    const double pitch = alut.scale;
+    const double pitch = grid.pitch;
     std::vector<float> vals;
-    for (int l = alut.qmin; l <= alut.qmax; ++l) {
+    for (int l = -grid.qmax; l <= grid.qmax; ++l) {
       vals.push_back(static_cast<float>(pitch * l));  // exact grid points
       vals.push_back(
           static_cast<float>(pitch * (l + 0.5)));  // exact RNE tie points
@@ -214,8 +168,8 @@ TEST(Int8Levels, FakeQuantizerGridPathBitIdenticalToScalarReference) {
                  -1e30f, std::numeric_limits<float>::max()});
     std::mt19937 rng(5);
     std::uniform_real_distribution<float> ud(
-        -2.f * static_cast<float>(pitch * alut.qmax),
-        2.f * static_cast<float>(pitch * alut.qmax));
+        -2.f * static_cast<float>(pitch * grid.qmax),
+        2.f * static_cast<float>(pitch * grid.qmax));
     for (int i = 0; i < 4096; ++i) vals.push_back(ud(rng));
 
     Tensor t({1, static_cast<int>(vals.size())});
@@ -269,12 +223,7 @@ void int8_reference(int M, int N, int K, const std::int8_t* qa, double ua,
 // the MC/KC/NC cache blocks and leave ragged panel remainders.
 TEST(Int8Kernel, AllBackendsBitwiseIdenticalToScalarIntegerReference) {
   constexpr int kM = 130, kK = 300, kN = 37;
-  // Synthetic all-finite affine LUT so every one of the 256 codes appears.
-  double lut[256];
-  for (int c = 0; c < 256; ++c)
-    lut[c] = 0.0625 * static_cast<double>(static_cast<std::int8_t>(c));
-  const gemm::AffineLut alut = gemm::build_affine_lut(lut);
-  ASSERT_TRUE(alut.usable);
+  const SyntheticGrid alut{gemm::identity_qlut(), 0.0625};
 
   std::vector<std::uint8_t> a(static_cast<std::size_t>(kM) * kK);
   for (std::size_t i = 0; i < a.size(); ++i)
@@ -356,11 +305,7 @@ TEST(Int8Kernel, AllBackendsBitwiseIdenticalToScalarIntegerReference) {
 // invariant to the worker count (tiles are computed whole, integer
 // accumulation is exact).
 TEST(Int8Kernel, RejectsUnsafeCallsAndStaysThreadCountInvariant) {
-  double lut[256];
-  for (int c = 0; c < 256; ++c)
-    lut[c] = 0.5 * static_cast<double>(static_cast<std::int8_t>(c));
-  const gemm::AffineLut alut = gemm::build_affine_lut(lut);
-  ASSERT_TRUE(alut.usable);
+  const SyntheticGrid alut{gemm::identity_qlut(), 0.5};
   constexpr int kM = 45, kK = 267, kN = 129;
   std::vector<std::uint8_t> a(static_cast<std::size_t>(kM) * kK);
   std::vector<std::uint8_t> b(static_cast<std::size_t>(kK) * kN);
