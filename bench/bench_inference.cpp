@@ -73,9 +73,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <random>
-#include <sstream>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -659,19 +657,9 @@ int write_json(const char* path, const bench::Sizes& sizes,
 }
 
 /// Staleness guard for the committed BENCH_inference.json: every field the
-/// current bench emits must appear in the file, so adding a column (like
-/// the code-domain set) forces the report to be regenerated instead of
-/// silently drifting from the schema EXPERIMENTS.md describes.
+/// current bench emits.
 int check_json(const char* path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) {
-    std::fprintf(stderr, "bench_inference: cannot read %s\n", path);
-    return 1;
-  }
-  std::ostringstream buf;
-  buf << is.rdbuf();
-  const std::string s = buf.str();
-  const char* required[] = {
+  return bench::check_report(path, "bench_inference", {
       "\"bench\": \"bench_inference/forward\"",
       "\"mode\"",
       "\"backend\"",
@@ -698,16 +686,7 @@ int check_json(const char* path) {
       "\"speedup_int8_vs_code\"",
       "\"int8_max_rel_vs_code\"",
       "\"int8_top1_delta\"",
-  };
-  int missing = 0;
-  for (const char* key : required)
-    if (s.find(key) == std::string::npos) {
-      std::fprintf(stderr, "bench_inference: %s is stale: missing %s\n", path,
-                   key);
-      ++missing;
-    }
-  if (missing == 0) std::printf("%s matches the current schema\n", path);
-  return missing == 0 ? 0 : 1;
+  });
 }
 
 /// --backends: list the registry with the host's support verdict and fail

@@ -33,17 +33,15 @@
 //    re-swap restores clean accuracy exactly.
 //
 // Flags: --json=PATH writes the report consumed by EXPERIMENTS.md and the
-// committed BENCH_serving.json; --fast forces smoke sizing (same as
-// MERSIT_BENCH_FAST=1); --check_json=PATH validates that a committed report
-// still matches this bench's schema (staleness guard).
+// committed BENCH_serving.json; --check_json=PATH validates that a
+// committed report still matches this bench's schema (staleness guard).
+// MERSIT_BENCH_FAST=1 selects smoke sizing.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <future>
 #include <random>
 #include <sstream>
@@ -265,17 +263,9 @@ struct SwapStageReport {
 };
 
 int check_json(const char* path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) {
-    std::fprintf(stderr, "bench_serving: cannot read %s\n", path);
-    return 1;
-  }
-  std::ostringstream buf;
-  buf << is.rdbuf();
-  const std::string s = buf.str();
   // Schema staleness guard: the committed report must carry every section
   // and gate marker this bench version writes.
-  const char* required[] = {
+  return bench::check_report(path, "bench_serving", {
       "\"bench\": \"bench_serving/engine\"",
       "\"saturation_qps\"",
       "\"open_loop\"",
@@ -288,15 +278,7 @@ int check_json(const char* path) {
       "\"fault_campaign\"",
       "\"corrupt_container_rejected\": true",
       "\"recovery_matches_clean\": true",
-  };
-  int missing = 0;
-  for (const char* key : required)
-    if (s.find(key) == std::string::npos) {
-      std::fprintf(stderr, "bench_serving: %s is stale: missing %s\n", path, key);
-      ++missing;
-    }
-  if (missing == 0) std::printf("%s matches the current schema\n", path);
-  return missing == 0 ? 0 : 1;
+  });
 }
 
 }  // namespace
@@ -306,12 +288,10 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--json=", 7) == 0) {
       json_path = argv[i] + 7;
-    } else if (std::strcmp(argv[i], "--fast") == 0) {
-      setenv("MERSIT_BENCH_FAST", "1", 1);
     } else if (std::strncmp(argv[i], "--check_json=", 13) == 0) {
       return check_json(argv[i] + 13);
     } else {
-      std::fprintf(stderr, "usage: %s [--fast] [--json=PATH] [--check_json=PATH]\n",
+      std::fprintf(stderr, "usage: %s [--json=PATH] [--check_json=PATH]\n",
                    argv[0]);
       return 2;
     }
@@ -363,7 +343,7 @@ int main(int argc, char** argv) {
 
   serve::Engine engine(opt);
   engine.register_model(kModel, *model,
-                        serve::ModelConfig{{3, sizes.img, sizes.img}, true});
+                        serve::ModelConfig{{3, sizes.img, sizes.img}});
   auto swap_to = [&](const std::string& mqt1_bytes, const auto& fmt) {
     std::istringstream t(mct1), w(mqt1_bytes);
     engine.swap_artifacts(kModel, t, w, fmt);

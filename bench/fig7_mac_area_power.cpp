@@ -27,9 +27,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <random>
-#include <sstream>
 
 #include "bench_common.h"
 #include "core/registry.h"
@@ -177,18 +175,10 @@ int write_json(const char* path, const bench::Sizes& sizes,
   return 0;
 }
 
-/// Staleness guard for the committed BENCH_fig7.json (same convention as
-/// bench_inference): every field the current bench emits must appear.
+/// Staleness guard for the committed BENCH_fig7.json: every field the
+/// current bench emits.
 int check_json(const char* path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) {
-    std::fprintf(stderr, "fig7_mac_area_power: cannot read %s\n", path);
-    return 1;
-  }
-  std::ostringstream buf;
-  buf << is.rdbuf();
-  const std::string s = buf.str();
-  const char* required[] = {
+  return bench::check_report(path, "fig7_mac_area_power", {
       "\"bench\": \"fig7_mac_area_power/full_trace\"",
       "\"mode\"",
       "\"replay\"",
@@ -202,16 +192,7 @@ int check_json(const char* path) {
       "\"components\"",
       "\"per_layer_fj_per_mac\"",
       "\"fj_per_mac\"",
-  };
-  int missing = 0;
-  for (const char* key : required)
-    if (s.find(key) == std::string::npos) {
-      std::fprintf(stderr, "fig7_mac_area_power: %s is stale: missing %s\n",
-                   path, key);
-      ++missing;
-    }
-  if (missing == 0) std::printf("%s matches the current schema\n", path);
-  return missing == 0 ? 0 : 1;
+  });
 }
 
 double now_ms() {

@@ -8,7 +8,6 @@
 //  * FP(8,5) and Posit(8,3) (2-bit fractions) degrade noticeably;
 //  * INT8 drops on the hard models and on CoLA.
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "bench_common.h"
@@ -40,12 +39,6 @@ int main() {
   const auto sizes = bench::Sizes::from_env();
   const auto fmts = core::table2_formats();
 
-  // MERSIT_SWEEP_CHECKPOINT=<dir> makes every cell resumable: a rerun after
-  // a crash recomputes only the cells whose files are missing or corrupt.
-  // Keys carry the sizing mode so fast-smoke cells never resume a full run.
-  const char* ckpt_env = std::getenv("MERSIT_SWEEP_CHECKPOINT");
-  const std::string ckpt_dir = ckpt_env != nullptr ? ckpt_env : "";
-
   std::printf("=== Table 2: PTQ accuracy (synthetic-task analogues; percent) ===\n");
   std::printf("(thread pool: %d worker(s); override with MERSIT_THREADS)\n\n",
               core::global_pool().size());
@@ -59,21 +52,17 @@ int main() {
 
   // Rows run across the pool (each owns its model); results keep zoo order.
   ptq::SweepRunner vision;
-  vision.set_checkpoint_dir(ckpt_dir);
   auto zoo = nn::make_vision_zoo(3, 10, 2024, sizes.img);
   for (auto& entry : zoo) {
-    vision.add_row(
-        std::string("table2_vision_") + entry.name + "_" + sizes.mode(),
-        [&entry, &train, &test, &calib, &fmts, &sizes] {
-          bench::train_vision_model(*entry.model, train, sizes.epochs, 55);
-          nn::fold_all_batchnorms(*entry.model);
-          ptq::SweepRowResult row;
-          row.name = entry.name;
-          row.fp32 =
-              ptq::evaluate_fp32(*entry.model, test, ptq::Metric::kAccuracy);
-          row.metrics = ptq::run_format_sweep(*entry.model, calib, test, fmts);
-          return row;
-        });
+    vision.add_row([&entry, &train, &test, &calib, &fmts, &sizes] {
+      bench::train_vision_model(*entry.model, train, sizes.epochs, 55);
+      nn::fold_all_batchnorms(*entry.model);
+      ptq::SweepRowResult row;
+      row.name = entry.name;
+      row.fp32 = ptq::evaluate_fp32(*entry.model, test, ptq::Metric::kAccuracy);
+      row.metrics = ptq::run_format_sweep(*entry.model, calib, test, fmts);
+      return row;
+    });
   }
   // Progress goes to stderr: rows complete in pool order, and stdout (the
   // table artifact) must diff clean run to run.
@@ -89,13 +78,10 @@ int main() {
               sizes.bert_train, sizes.bert_test);
 
   ptq::SweepRunner glue;
-  glue.set_checkpoint_dir(ckpt_dir);
   const nn::GlueTask tasks[] = {nn::GlueTask::kCola, nn::GlueTask::kMnliMM,
                                 nn::GlueTask::kMrpc, nn::GlueTask::kSst2};
   for (const auto task : tasks) {
-    glue.add_row(
-        std::string("table2_glue_") + nn::glue_task_name(task) + "_" + sizes.mode(),
-        [task, &fmts, &sizes] {
+    glue.add_row([task, &fmts, &sizes] {
       const nn::Dataset btrain =
           nn::make_glue_dataset(task, sizes.bert_train, sizes.vocab, sizes.seq, 201);
       const nn::Dataset btest =

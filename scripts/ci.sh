@@ -37,6 +37,18 @@ run_suite() {
   ctest --test-dir "${build_dir}" --output-on-failure -j "${JOBS}"
 }
 
+# One place reads the environment: src/core/env.h parses every MERSIT_*
+# variable strictly (a malformed value throws instead of falling back to a
+# default), so a raw getenv anywhere else in the library, the benches or
+# the examples would bring back a knob that a typo silently ignores.
+echo "==> environment reads only through src/core/env.h"
+RAW_GETENV="$(grep -rn 'getenv(' src bench examples | grep -v '^src/core/env\.h:' || true)"
+if [[ -n "${RAW_GETENV}" ]]; then
+  echo "==> CI FAIL: getenv outside src/core/env.h:" >&2
+  echo "${RAW_GETENV}" >&2
+  exit 1
+fi
+
 run_suite build
 
 # Linkage guard: the GEMM templates in nn/gemm/backend_impl.h are compiled
@@ -142,7 +154,7 @@ echo "==> codec loop smoke (micro_codecs --codec_json)"
 # The --check_json pass guards the committed BENCH_serving.json against
 # schema drift (stale committed reports have bitten this repo before).
 echo "==> serving smoke (bench_serving, fast sizing)"
-MERSIT_BENCH_FAST=1 ./build/bench/bench_serving --fast --json=build/BENCH_serving.json
+MERSIT_BENCH_FAST=1 ./build/bench/bench_serving --json=build/BENCH_serving.json
 ./build/bench/bench_serving --check_json=BENCH_serving.json
 
 # Hardware smoke: fig7_mac_area_power replays entire per-layer PTQ code
@@ -166,6 +178,15 @@ for b in table1_mersit_codes fig2_mac_params fig4_range_precision; do
   ./build/bench/"${b}" | diff -u "bench/golden/${b}.txt" -
 done
 MERSIT_BENCH_FAST=1 ./build/bench/fig6_rmse 2>/dev/null | diff -u bench/golden/fig6_rmse.txt -
+
+# Sizing knob: MERSIT_BENCH_FAST takes only 0 or 1 (unset and empty mean
+# full), and anything else must stop a bench before it runs at a sizing
+# nobody asked for.  fig6_rmse reads its sizes first, so it fails at once.
+echo "==> malformed MERSIT_BENCH_FAST exits nonzero"
+if MERSIT_BENCH_FAST=yes ./build/bench/fig6_rmse >/dev/null 2>&1; then
+  echo "==> CI FAIL: fig6_rmse accepted MERSIT_BENCH_FAST=yes" >&2
+  exit 1
+fi
 
 # Benchmark exactness: only each result line's verdict is gated, not the
 # timings.

@@ -1,10 +1,11 @@
-// Strict environment-variable parsing shared by every MERSIT_* knob.
+// Strict environment-variable parsing shared by every MERSIT_* knob
+// (MERSIT_THREADS, MERSIT_BACKEND, MERSIT_BENCH_FAST).  This header is the
+// only place the library, the benches and the examples read the
+// environment; scripts/ci.sh fails on a getenv anywhere else.
 //
-// The old behaviour — silently falling back to a default when MERSIT_THREADS
-// held garbage — turned typos ("MERSIT_THREADS=eight", "MERSIT_THREADS=0")
-// into mysterious perf or correctness differences.  Serving config makes
-// this worse: a fat-fingered MERSIT_SERVE_QUEUE must not quietly size a
-// production queue to a default.  Policy, therefore:
+// Silently falling back to a default when a variable holds garbage turns
+// typos ("MERSIT_THREADS=eight", "MERSIT_BENCH_FAST=true") into mysterious
+// perf differences or runs at a sizing nobody asked for.  Policy, therefore:
 //
 //   * variable unset, or set to the empty string  -> caller's fallback
 //     (the empty string is how shells "unset" a var for one command);

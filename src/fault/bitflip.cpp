@@ -14,9 +14,17 @@ void check_index(const ptq::QuantizedModel& qm, std::size_t tensor_idx) {
                             std::to_string(qm.tensors.size()) + " tensors)");
 }
 
+/// `!(p >= 0 && p <= 1)` also rejects NaN, which compares false both ways.
+void check_probability(const char* what, double p) {
+  if (!(p >= 0.0 && p <= 1.0))
+    throw std::invalid_argument(std::string("BitFlipInjector: ") + what + " " +
+                                std::to_string(p) + " outside [0, 1]");
+}
+
 }  // namespace
 
 InjectionReport BitFlipInjector::inject_ber(ptq::QuantizedModel& qm, double ber) {
+  check_probability("ber", ber);
   InjectionReport rep;
   for (ptq::QuantizedTensor& t : qm.tensors) corrupt_tensor_ber(t, ber, rep);
   return rep;
@@ -26,6 +34,7 @@ InjectionReport BitFlipInjector::inject_ber_tensor(ptq::QuantizedModel& qm,
                                                    std::size_t tensor_idx,
                                                    double ber) {
   check_index(qm, tensor_idx);
+  check_probability("ber", ber);
   InjectionReport rep;
   corrupt_tensor_ber(qm.tensors[tensor_idx], ber, rep);
   return rep;
@@ -33,17 +42,13 @@ InjectionReport BitFlipInjector::inject_ber_tensor(ptq::QuantizedModel& qm,
 
 InjectionReport BitFlipInjector::inject_bit_position(ptq::QuantizedModel& qm,
                                                      int bit, double rate) {
+  if (bit < 0 || bit > 7)
+    throw std::invalid_argument("BitFlipInjector: bit " + std::to_string(bit) +
+                                " outside [0, 7]");
+  check_probability("rate", rate);
   InjectionReport rep;
   for (ptq::QuantizedTensor& t : qm.tensors)
     corrupt_tensor_bit(t, bit, rate, rep);
-  return rep;
-}
-
-InjectionReport BitFlipInjector::inject_bit_position_tensor(
-    ptq::QuantizedModel& qm, std::size_t tensor_idx, int bit, double rate) {
-  check_index(qm, tensor_idx);
-  InjectionReport rep;
-  corrupt_tensor_bit(qm.tensors[tensor_idx], bit, rate, rep);
   return rep;
 }
 
@@ -64,7 +69,7 @@ void BitFlipInjector::corrupt_tensor_ber(ptq::QuantizedTensor& t, double ber,
 
 void BitFlipInjector::corrupt_tensor_bit(ptq::QuantizedTensor& t, int bit,
                                          double rate, InjectionReport& rep) {
-  const auto mask = static_cast<std::uint8_t>(1u << (bit & 7));
+  const auto mask = static_cast<std::uint8_t>(1u << bit);
   rep.total_codes += t.codes.size();
   for (std::uint8_t& code : t.codes) {
     if (rng_.next_unit() < rate) {

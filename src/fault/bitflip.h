@@ -56,7 +56,8 @@ class BitFlipInjector {
   explicit BitFlipInjector(std::uint64_t seed) : rng_(seed) {}
 
   /// Flip every bit of every code word independently with probability
-  /// `ber` (bit-error rate in [0,1]).
+  /// `ber` (bit-error rate in [0,1]).  Throws std::invalid_argument on a
+  /// NaN or out-of-range `ber`.
   InjectionReport inject_ber(ptq::QuantizedModel& qm, double ber);
 
   /// Same, but restricted to one tensor (`tensor_idx` into qm.tensors) —
@@ -66,14 +67,10 @@ class BitFlipInjector {
                                     std::size_t tensor_idx, double ber);
 
   /// Flip bit `bit` (0 = LSB .. 7 = MSB) of each code word independently
-  /// with probability `rate`.
+  /// with probability `rate` in [0,1].  Throws std::invalid_argument on a
+  /// bit outside [0,7] or a NaN or out-of-range `rate`.
   InjectionReport inject_bit_position(ptq::QuantizedModel& qm, int bit,
                                       double rate);
-
-  /// Same, restricted to one tensor.
-  InjectionReport inject_bit_position_tensor(ptq::QuantizedModel& qm,
-                                             std::size_t tensor_idx, int bit,
-                                             double rate);
 
  private:
   void corrupt_tensor_ber(ptq::QuantizedTensor& t, double ber,

@@ -4,6 +4,7 @@
 #include <span>
 #include <stdexcept>
 
+#include "formats/corruption.h"
 #include "hw/mac.h"
 #include "hw/reference.h"
 #include "ptq/ptq.h"
@@ -15,30 +16,10 @@ namespace mersit::fault {
 
 namespace {
 
-/// Resolve cfg.target_layers against the paths pack_weights recorded.
-/// Returns tensor indices in artifact order; empty when untargeted.
-std::vector<std::size_t> resolve_targets(const ptq::QuantizedModel& qm,
-                                         const ArtifactCampaignConfig& cfg) {
-  std::vector<std::size_t> idx;
-  for (const std::string& want : cfg.target_layers) {
-    bool found = false;
-    for (std::size_t i = 0; i < qm.tensors.size(); ++i) {
-      if (qm.tensors[i].path == want) {
-        idx.push_back(i);
-        found = true;
-        break;
-      }
-    }
-    if (!found) {
-      std::string msg = "run_artifact_campaign: target layer '" + want +
-                        "' not in artifact; packed layers are:";
-      for (const ptq::QuantizedTensor& t : qm.tensors)
-        msg += " '" + t.path + "'";
-      throw std::invalid_argument(msg);
-    }
-  }
-  return idx;
-}
+/// Decode policy for every unpack: a flipped bit that lands on a NaR/Inf
+/// code zeroes that weight instead of NaN-poisoning the whole evaluation.
+constexpr formats::CorruptionPolicy kPolicy =
+    formats::CorruptionPolicy::kZeroSubstitute;
 
 }  // namespace
 
@@ -51,28 +32,17 @@ ArtifactCampaignResult run_artifact_campaign(nn::Module& model,
 
   const ptq::WeightSnapshot snap = ptq::snapshot_weights(model);
   const ptq::QuantizedModel clean = ptq::pack_weights(model, fmt);
-  const std::vector<std::size_t> targets = resolve_targets(clean, cfg);
 
-  ptq::unpack_weights(model, clean, fmt, cfg.policy);
+  ptq::unpack_weights(model, clean, fmt, kPolicy);
   res.clean_accuracy = ptq::evaluate_fp32(model, test, ptq::Metric::kAccuracy);
 
   std::uint64_t point = 0;
   for (const double ber : cfg.bers) {
     ptq::QuantizedModel corrupt = clean;
     BitFlipInjector inj(derive_seed(cfg.seed, ++point));
-    InjectionReport rep;
-    if (targets.empty()) {
-      rep = inj.inject_ber(corrupt, ber);
-    } else {
-      for (const std::size_t t : targets) {
-        const InjectionReport r = inj.inject_ber_tensor(corrupt, t, ber);
-        rep.total_codes += r.total_codes;
-        rep.codes_touched += r.codes_touched;
-        rep.bits_flipped += r.bits_flipped;
-      }
-    }
+    const InjectionReport rep = inj.inject_ber(corrupt, ber);
     formats::CorruptionStats stats;
-    ptq::unpack_weights(model, corrupt, fmt, cfg.policy, &stats);
+    ptq::unpack_weights(model, corrupt, fmt, kPolicy, &stats);
     BerPoint p;
     p.ber = ber;
     p.bits_flipped = rep.bits_flipped;
@@ -84,20 +54,9 @@ ArtifactCampaignResult run_artifact_campaign(nn::Module& model,
   for (int bit = 0; cfg.bit_rate > 0.0 && bit < 8; ++bit) {
     ptq::QuantizedModel corrupt = clean;
     BitFlipInjector inj(derive_seed(cfg.seed, 0x100u + static_cast<unsigned>(bit)));
-    InjectionReport rep;
-    if (targets.empty()) {
-      rep = inj.inject_bit_position(corrupt, bit, cfg.bit_rate);
-    } else {
-      for (const std::size_t t : targets) {
-        const InjectionReport r =
-            inj.inject_bit_position_tensor(corrupt, t, bit, cfg.bit_rate);
-        rep.total_codes += r.total_codes;
-        rep.codes_touched += r.codes_touched;
-        rep.bits_flipped += r.bits_flipped;
-      }
-    }
+    const InjectionReport rep = inj.inject_bit_position(corrupt, bit, cfg.bit_rate);
     formats::CorruptionStats stats;
-    ptq::unpack_weights(model, corrupt, fmt, cfg.policy, &stats);
+    ptq::unpack_weights(model, corrupt, fmt, kPolicy, &stats);
     BitPositionPoint p;
     p.bit = bit;
     p.bits_flipped = rep.bits_flipped;
@@ -114,7 +73,7 @@ ArtifactCampaignResult run_artifact_campaign(nn::Module& model,
       BitFlipInjector inj(derive_seed(cfg.seed, 0x200u + t));
       const InjectionReport rep = inj.inject_ber_tensor(corrupt, t, cfg.layer_ber);
       formats::CorruptionStats stats;
-      ptq::unpack_weights(model, corrupt, fmt, cfg.policy, &stats);
+      ptq::unpack_weights(model, corrupt, fmt, kPolicy, &stats);
       LayerSensitivityPoint p;
       p.path = clean.tensors[t].path.empty() ? "tensor" + std::to_string(t)
                                              : clean.tensors[t].path;

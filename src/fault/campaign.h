@@ -1,8 +1,9 @@
 // Resilience-measurement campaigns over formats, netlists, and artifacts.
 //
 // Artifact level: corrupt a packed QuantizedModel at a bit-error rate (or a
-// targeted bit position), unpack under a CorruptionPolicy, re-run the PTQ
-// evaluation, and report accuracy-vs-BER plus per-bit-position sensitivity.
+// targeted bit position), unpack with zero-substitution of non-finite codes
+// (formats::CorruptionPolicy::kZeroSubstitute), re-run the PTQ evaluation,
+// and report accuracy-vs-BER plus per-bit-position sensitivity.
 //
 // Gate level: superimpose stuck-at faults (and optionally transients) on
 // the FP8/Posit/MERSIT MAC netlists via rtl::FaultPlan, replay a fixed
@@ -22,7 +23,6 @@
 #include <vector>
 
 #include "fault/bitflip.h"
-#include "formats/corruption.h"
 #include "nn/train.h"
 #include "ptq/serialize.h"
 
@@ -58,14 +58,6 @@ struct ArtifactCampaignConfig {
   /// (e.g. when only the per-layer pass below is wanted).
   double bit_rate = 0.02;
   std::uint64_t seed = 2024;
-  formats::CorruptionPolicy policy = formats::CorruptionPolicy::kZeroSubstitute;
-
-  /// When non-empty, BER and bit-position corruption hits only the tensors
-  /// of the layers whose module paths are listed here (exact match against
-  /// the paths pack_weights records).  An unknown path throws
-  /// std::invalid_argument naming the available layers.  Empty (default):
-  /// corrupt the whole artifact — bit-identical to the untargeted campaign.
-  std::vector<std::string> target_layers;
 
   /// When > 0, additionally corrupt each packed tensor *alone* at this BER
   /// and evaluate, producing ArtifactCampaignResult::layer_profile (the

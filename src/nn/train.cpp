@@ -45,8 +45,8 @@ float softmax_cross_entropy(const Tensor& logits, std::span<const int> labels,
   return loss / static_cast<float>(n);
 }
 
-Adam::Adam(std::vector<Param*> params, float lr, float weight_decay)
-    : params_(std::move(params)), lr_(lr), wd_(weight_decay) {
+Adam::Adam(std::vector<Param*> params, float lr)
+    : params_(std::move(params)), lr_(lr) {
   for (const Param* p : params_) {
     m_.emplace_back(p->value.shape());
     v_.emplace_back(p->value.shape());
@@ -60,7 +60,7 @@ void Adam::step() {
   for (std::size_t k = 0; k < params_.size(); ++k) {
     Param& p = *params_[k];
     for (std::int64_t i = 0; i < p.value.numel(); ++i) {
-      float g = p.grad[i] + wd_ * p.value[i];
+      const float g = p.grad[i];
       m_[k][i] = beta1_ * m_[k][i] + (1.f - beta1_) * g;
       v_[k][i] = beta2_ * v_[k][i] + (1.f - beta2_) * g * g;
       const float mhat = m_[k][i] / bc1;
@@ -72,7 +72,7 @@ void Adam::step() {
 }
 
 float train_classifier(Module& model, const Dataset& data, const TrainOptions& opt) {
-  Adam optim(model.parameters(), opt.lr, opt.weight_decay);
+  Adam optim(model.parameters(), opt.lr);
   std::mt19937 rng(opt.shuffle_seed);
   std::vector<int> order(static_cast<std::size_t>(data.size()));
   std::iota(order.begin(), order.end(), 0);

@@ -27,14 +27,14 @@ struct Dataset {
 
 class Adam {
  public:
-  Adam(std::vector<Param*> params, float lr, float weight_decay = 0.f);
+  Adam(std::vector<Param*> params, float lr);
   void step();
   void set_lr(float lr) { lr_ = lr; }
 
  private:
   std::vector<Param*> params_;
   std::vector<Tensor> m_, v_;
-  float lr_, wd_;
+  float lr_;
   float beta1_ = 0.9f, beta2_ = 0.999f, eps_ = 1e-8f;
   int t_ = 0;
 };
@@ -43,7 +43,6 @@ struct TrainOptions {
   int epochs = 8;
   int batch = 32;
   float lr = 1e-3f;
-  float weight_decay = 0.f;
   unsigned shuffle_seed = 1;
   bool verbose = false;
 };

@@ -1,15 +1,6 @@
 #include "ptq/sweep.h"
 
-#include <cerrno>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <filesystem>
-#include <fstream>
 #include <mutex>
-#include <optional>
-#include <sstream>
-#include <utility>
 
 #include "core/thread_pool.h"
 
@@ -30,195 +21,15 @@ std::vector<float> run_format_sweep(
   return metrics;
 }
 
-// -------------------------------------------------------- cell checkpoints --
-//
-// One JSON object per cell: {"key":"...","name":"...","fp32":F,"metrics":[..]}
-// Floats print with %.9g (round-trip exact for float32), so a resumed table
-// is bit-identical to the table of an uninterrupted run.
-
-namespace {
-
-std::string sanitize_key(const std::string& key) {
-  std::string s = key;
-  for (char& c : s) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                    (c >= '0' && c <= '9') || c == '.' || c == '_' || c == '-';
-    if (!ok) c = '_';
-  }
-  return s;
-}
-
-std::filesystem::path cell_path(const std::string& dir, const std::string& key) {
-  return std::filesystem::path(dir) / (sanitize_key(key) + ".json");
-}
-
-void append_json_string(std::string& out, const std::string& s) {
-  out += '"';
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  out += '"';
-}
-
-std::string encode_cell(const std::string& key, const SweepRowResult& row) {
-  std::string out = "{\"key\":";
-  append_json_string(out, key);
-  out += ",\"name\":";
-  append_json_string(out, row.name);
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), ",\"fp32\":%.9g,\"metrics\":[", row.fp32);
-  out += buf;
-  for (std::size_t i = 0; i < row.metrics.size(); ++i) {
-    std::snprintf(buf, sizeof(buf), i ? ",%.9g" : "%.9g", row.metrics[i]);
-    out += buf;
-  }
-  out += "]}\n";
-  return out;
-}
-
-/// Strict parser for exactly the shape encode_cell writes (field order
-/// fixed).  Anything else — truncation, corruption, a foreign file — yields
-/// nullopt and the cell recomputes.
-std::optional<SweepRowResult> decode_cell(const std::string& bytes,
-                                          const std::string& expect_key) {
-  std::size_t pos = 0;
-  auto lit = [&](const char* s) {
-    const std::size_t n = std::strlen(s);
-    if (bytes.compare(pos, n, s) != 0) return false;
-    pos += n;
-    return true;
-  };
-  auto str = [&]() -> std::optional<std::string> {
-    if (pos >= bytes.size() || bytes[pos] != '"') return std::nullopt;
-    ++pos;
-    std::string s;
-    while (pos < bytes.size() && bytes[pos] != '"') {
-      if (bytes[pos] == '\\') {
-        ++pos;
-        if (pos >= bytes.size()) return std::nullopt;
-      }
-      s += bytes[pos++];
-    }
-    if (pos >= bytes.size()) return std::nullopt;
-    ++pos;  // closing quote
-    return s;
-  };
-  auto num = [&]() -> std::optional<float> {
-    errno = 0;
-    char* end = nullptr;
-    const double v = std::strtod(bytes.c_str() + pos, &end);
-    if (end == bytes.c_str() + pos || errno == ERANGE) return std::nullopt;
-    pos = static_cast<std::size_t>(end - bytes.c_str());
-    return static_cast<float>(v);
-  };
-
-  SweepRowResult row;
-  if (!lit("{\"key\":")) return std::nullopt;
-  const auto key = str();
-  if (!key || *key != expect_key) return std::nullopt;
-  if (!lit(",\"name\":")) return std::nullopt;
-  const auto name = str();
-  if (!name) return std::nullopt;
-  row.name = *name;
-  if (!lit(",\"fp32\":")) return std::nullopt;
-  const auto fp32 = num();
-  if (!fp32) return std::nullopt;
-  row.fp32 = *fp32;
-  if (!lit(",\"metrics\":[")) return std::nullopt;
-  if (pos < bytes.size() && bytes[pos] != ']') {
-    while (true) {
-      const auto m = num();
-      if (!m) return std::nullopt;
-      row.metrics.push_back(*m);
-      if (pos < bytes.size() && bytes[pos] == ',') {
-        ++pos;
-        continue;
-      }
-      break;
-    }
-  }
-  if (!lit("]}")) return std::nullopt;
-  while (pos < bytes.size() && (bytes[pos] == '\n' || bytes[pos] == '\r')) ++pos;
-  if (pos != bytes.size()) return std::nullopt;  // trailing junk
-  return row;
-}
-
-std::optional<SweepRowResult> load_cell(const std::filesystem::path& path,
-                                        const std::string& key) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) return std::nullopt;  // missing: plain cache miss, no note
-  std::ostringstream buf;
-  buf << is.rdbuf();
-  auto row = decode_cell(buf.str(), key);
-  if (!row)
-    std::fprintf(stderr,
-                 "[sweep] checkpoint %s is corrupt or stale; recomputing\n",
-                 path.string().c_str());
-  return row;
-}
-
-void store_cell(const std::filesystem::path& path, const std::string& key,
-                const SweepRowResult& row) {
-  // tmp + rename: a cell file either exists complete or not at all.
-  const std::filesystem::path tmp = path.string() + ".tmp";
-  {
-    std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-    if (!os) {
-      std::fprintf(stderr, "[sweep] cannot write checkpoint %s\n",
-                   tmp.string().c_str());
-      return;
-    }
-    os << encode_cell(key, row);
-    if (!os.good()) {
-      std::fprintf(stderr, "[sweep] short write on checkpoint %s\n",
-                   tmp.string().c_str());
-      return;
-    }
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec)
-    std::fprintf(stderr, "[sweep] checkpoint rename failed: %s\n",
-                 ec.message().c_str());
-}
-
-}  // namespace
-
 std::vector<SweepRowResult> SweepRunner::run() {
-  resumed_ = 0;
-  const bool checkpointing = !checkpoint_dir_.empty();
-  if (checkpointing) {
-    std::error_code ec;
-    std::filesystem::create_directories(checkpoint_dir_, ec);
-    if (ec)
-      std::fprintf(stderr, "[sweep] cannot create checkpoint dir %s: %s\n",
-                   checkpoint_dir_.c_str(), ec.message().c_str());
-  }
-
   std::vector<SweepRowResult> results(rows_.size());
   std::mutex progress_mu;
-  int resumed = 0;
   core::global_pool().parallel_for(rows_.size(), [&](std::size_t i) {
-    const Row& row = rows_[i];
-    const bool keyed = checkpointing && !row.key.empty();
-    bool from_checkpoint = false;
-    if (keyed) {
-      if (auto cached = load_cell(cell_path(checkpoint_dir_, row.key), row.key)) {
-        results[i] = std::move(*cached);
-        from_checkpoint = true;
-      }
-    }
-    if (!from_checkpoint) {
-      results[i] = row.fn();
-      if (keyed) store_cell(cell_path(checkpoint_dir_, row.key), row.key, results[i]);
-    }
+    results[i] = rows_[i]();
     const std::lock_guard<std::mutex> lock(progress_mu);
-    if (from_checkpoint) ++resumed;
     if (progress_) progress_(results[i]);
   });
   rows_.clear();
-  resumed_ = resumed;
   return results;
 }
 

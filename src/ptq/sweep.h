@@ -39,35 +39,16 @@ struct SweepRowResult {
     const std::vector<std::shared_ptr<const formats::Format>>& fmts,
     const PtqOptions& opt = {});
 
-/// Deferred sweep rows, executed across the pool by run().
-///
-/// A sweep cell (one trained model evaluated against ~11 formats) costs
-/// minutes at paper sizing, so a row that dies 7/8ths of the way through a
-/// grid should not forfeit the finished cells.  Rows queued through the
-/// keyed add_row overload checkpoint their result as one small JSON file in
-/// set_checkpoint_dir(): on a rerun the runner loads each valid cell file
-/// and skips its computation entirely, recomputing only missing or corrupt
-/// cells (a corrupt file is noted on stderr and overwritten).  Files are
-/// written atomically (tmp + rename), so a run killed mid-write never
-/// leaves a half-cell behind.
+/// Deferred sweep rows, executed across the pool by run().  A whole
+/// full-sizing Table-2 sweep takes well under a minute on four threads, so
+/// rows keep no state between runs: a rerun recomputes everything.
 class SweepRunner {
  public:
   using RowFn = std::function<SweepRowResult()>;
 
   /// Queue one row (the closure owns/creates its model and must not touch
   /// state shared with other rows).
-  void add_row(RowFn fn) { rows_.push_back({std::string(), std::move(fn)}); }
-
-  /// Queue one checkpointable row.  `key` names the cell file (sanitized to
-  /// [A-Za-z0-9._-]); keys must be unique per runner and stable across
-  /// runs — encode everything that changes the result (model, sizing seed).
-  /// Without a checkpoint dir the key is inert and the row always runs.
-  void add_row(std::string key, RowFn fn) {
-    rows_.push_back({std::move(key), std::move(fn)});
-  }
-
-  /// Enable checkpointing under `dir` (created if absent; "" disables).
-  void set_checkpoint_dir(std::string dir) { checkpoint_dir_ = std::move(dir); }
+  void add_row(RowFn fn) { rows_.push_back(std::move(fn)); }
 
   /// Optional progress callback, invoked (serialized) as each row finishes.
   void on_row_done(std::function<void(const SweepRowResult&)> cb) {
@@ -78,20 +59,9 @@ class SweepRunner {
   /// add_row() order.  Clears the queue.
   [[nodiscard]] std::vector<SweepRowResult> run();
 
-  /// Rows satisfied from checkpoint files by the last run() (for tests and
-  /// progress reporting).
-  [[nodiscard]] int resumed_rows() const { return resumed_; }
-
  private:
-  struct Row {
-    std::string key;  ///< empty = never checkpointed
-    RowFn fn;
-  };
-
-  std::vector<Row> rows_;
-  std::string checkpoint_dir_;
+  std::vector<RowFn> rows_;
   std::function<void(const SweepRowResult&)> progress_;
-  int resumed_ = 0;
 };
 
 }  // namespace mersit::ptq

@@ -6,12 +6,27 @@
 #include <stdexcept>
 #include <utility>
 
-#include "core/env.h"
+#include "formats/corruption.h"
+#include "formats/quantize.h"
 #include "nn/gemm/qgemm.h"
 
 namespace mersit::serve {
 
 using core::MonoNanos;
+
+namespace {
+
+/// Swap sanity gate: an artifact whose fraction of non-finite (NaR/Inf/NaN)
+/// codes exceeds this bound is rejected.  Clean artifacts have zero.
+constexpr double kMaxNonfiniteFraction = 0.25;
+
+/// How replicas decode the (rare, corruption-only) non-finite codes that
+/// pass the gate: zero-substitution keeps a bit-flipped weight from
+/// NaN-poisoning every logit it touches.
+constexpr formats::CorruptionPolicy kCorruptionPolicy =
+    formats::CorruptionPolicy::kZeroSubstitute;
+
+}  // namespace
 
 const char* to_string(RejectReason r) {
   switch (r) {
@@ -21,25 +36,6 @@ const char* to_string(RejectReason r) {
     case RejectReason::kReplicaFailure: return "ReplicaFailure";
   }
   return "Unknown";
-}
-
-EngineOptions EngineOptions::from_env() {
-  EngineOptions o;
-  o.replicas = static_cast<int>(
-      core::env_int("MERSIT_SERVE_REPLICAS", o.replicas, 1, 256));
-  o.max_batch = static_cast<int>(
-      core::env_int("MERSIT_SERVE_BATCH", o.max_batch, 1, 1024));
-  o.queue_capacity = static_cast<std::size_t>(
-      core::env_int("MERSIT_SERVE_QUEUE",
-                    static_cast<long>(o.queue_capacity), 1, 1 << 20));
-  o.batch_delay_us = core::env_int("MERSIT_SERVE_BATCH_DELAY_US",
-                                   o.batch_delay_us, 0, 10'000'000);
-  o.default_deadline_us = core::env_int("MERSIT_SERVE_DEADLINE_US",
-                                        o.default_deadline_us, 1,
-                                        3'600'000'000L);
-  o.watchdog_period_us = core::env_int("MERSIT_SERVE_WATCHDOG_US",
-                                       o.watchdog_period_us, 100, 60'000'000);
-  return o;
 }
 
 // ------------------------------------------------------- internal structs --
@@ -366,12 +362,12 @@ void Engine::swap_artifacts(const std::string& name, std::istream& mct1,
         ptq::count_nonfinite_codes(pair.weights, *fmt);
     if (total_codes > 0 &&
         static_cast<double>(non_finite) >
-            opt_.max_nonfinite_fraction * static_cast<double>(total_codes))
+            kMaxNonfiniteFraction * static_cast<double>(total_codes))
       throw std::runtime_error(
           "Engine::swap_artifacts: artifact rejected by sanity gate: " +
           std::to_string(non_finite) + "/" + std::to_string(total_codes) +
           " codes decode non-finite (bound " +
-          std::to_string(opt_.max_nonfinite_fraction) + ")");
+          std::to_string(kMaxNonfiniteFraction) + ")");
 
     // Gate 3 + apply, per replica under its lease.  validate_table_coverage
     // and the weight installers all validate against the whole module tree
@@ -392,17 +388,17 @@ void Engine::swap_artifacts(const std::string& name, std::istream& mct1,
         // Decodes are bit-identical to unpack_weights, so responses match
         // the float path exactly.
         ptq::install_code_weights(module, pair.weights, *fmt,
-                                  opt_.corruption_policy);
+                                  kCorruptionPolicy);
       } else {
         ptq::clear_weight_codes(module);  // drop any previous generation's codes
-        ptq::unpack_weights(module, pair.weights, *fmt, opt_.corruption_policy);
+        ptq::unpack_weights(module, pair.weights, *fmt, kCorruptionPolicy);
       }
       auto state = std::make_shared<ArtifactState>();
       state->fmt = fmt;
       state->table = pair.table;
-      state->fq = std::make_unique<ptq::FakeQuantizer>(state->table, *state->fmt,
-                                                       m.cfg.policy);
-      state->fq->set_input_quantization(m.cfg.quantize_input);
+      state->fq = std::make_unique<ptq::FakeQuantizer>(
+          state->table, *state->fmt, formats::ScalePolicy::kMaxToUnity);
+      state->fq->set_input_quantization(true);
       state->seq = seq;
       m.states[static_cast<std::size_t>(idx)] = std::move(state);
     });

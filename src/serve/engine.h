@@ -1,8 +1,9 @@
 // Multi-tenant serving engine: deadline-aware micro-batching over replica
 // pools, with robustness as the contract.
 //
-// The engine composes five existing subsystems into the repo's "millions of
-// users" layer (ROADMAP):
+// The engine serves the paper's quantized artifacts (MERSIT, Posit, FP8,
+// INT8) behind one request API and hot-swaps between them.  It composes
+// five existing subsystems:
 //   * nn::ReplicaPool        — N Module::clone() replicas per model, leased;
 //   * core::BoundedQueue     — bounded MPMC admission (shed, never block);
 //   * core clock shim        — monotonic deadlines, injectable for tests;
@@ -57,9 +58,7 @@
 
 #include "core/bounded_queue.h"
 #include "core/clock.h"
-#include "formats/corruption.h"
 #include "formats/format.h"
-#include "formats/quantize.h"
 #include "nn/replica.h"
 #include "nn/tensor.h"
 #include "ptq/ptq.h"
@@ -96,33 +95,18 @@ struct EngineOptions {
   std::int64_t default_deadline_us = 50'000;  ///< per-request default
   std::size_t queue_capacity = 256;       ///< per-model admission bound
   std::int64_t watchdog_period_us = 2'000;    ///< expiry-sweep cadence
-  /// Swap sanity gate: reject an artifact whose fraction of non-finite
-  /// (NaR/Inf/NaN) codes exceeds this bound.  Clean artifacts have zero.
-  double max_nonfinite_fraction = 0.25;
-  /// How replicas decode the (rare, corruption-only) non-finite codes that
-  /// pass the gate: zero-substitution keeps a bit-flipped weight from
-  /// NaN-poisoning every logit it touches.
-  formats::CorruptionPolicy corruption_policy =
-      formats::CorruptionPolicy::kZeroSubstitute;
   core::ClockFn clock;         ///< defaults to core::mono_now_ns
-
-  /// Defaults overridden by MERSIT_SERVE_REPLICAS / _BATCH / _QUEUE /
-  /// _BATCH_DELAY_US / _DEADLINE_US / _WATCHDOG_US.  Parsing is strict
-  /// (core::env_int): a malformed value throws std::runtime_error instead
-  /// of silently serving with a default.
-  [[nodiscard]] static EngineOptions from_env();
 };
 
-/// Per-model registration config.
+/// Per-model registration config.  Swapped-in artifacts fake-quantize the
+/// model input and every activation under ScalePolicy::kMaxToUnity.
 struct ModelConfig {
   std::vector<int> sample_shape;  ///< one request's input shape (no batch dim)
-  bool quantize_input = true;     ///< false for token-id inputs (BERT)
-  formats::ScalePolicy policy = formats::ScalePolicy::kMaxToUnity;
 };
 
 class Engine {
  public:
-  explicit Engine(EngineOptions opt = EngineOptions::from_env());
+  explicit Engine(EngineOptions opt = {});
   ~Engine();  ///< drain()s
 
   Engine(const Engine&) = delete;

@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <random>
+#include <stdexcept>
 
 #include "core/registry.h"
 #include "fault/campaign.h"
@@ -77,6 +79,25 @@ TEST(BitFlip, TargetedBitTouchesOnlyThatPosition) {
       EXPECT_EQ(static_cast<std::uint8_t>(qm.tensors[i].codes[j] ^
                                           before.tensors[i].codes[j]),
                 0x80);
+}
+
+TEST(BitFlip, RejectsBitOutsideCodeWordAndRateOutsideUnitInterval) {
+  ptq::QuantizedModel qm = small_artifact("MERSIT(8,2)");
+  const ptq::QuantizedModel before = qm;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  BitFlipInjector inj(5);
+  for (const int bit : {-1, 8, 15})
+    EXPECT_THROW((void)inj.inject_bit_position(qm, bit, 1.0),
+                 std::invalid_argument)
+        << "bit " << bit;
+  for (const double rate : {nan, -0.01, 1.5}) {
+    EXPECT_THROW((void)inj.inject_bit_position(qm, 3, rate),
+                 std::invalid_argument);
+    EXPECT_THROW((void)inj.inject_ber(qm, rate), std::invalid_argument);
+    EXPECT_THROW((void)inj.inject_ber_tensor(qm, 0, rate), std::invalid_argument);
+  }
+  for (std::size_t i = 0; i < qm.tensors.size(); ++i)
+    EXPECT_EQ(qm.tensors[i].codes, before.tensors[i].codes);
 }
 
 TEST(BitFlip, DeriveSeedIsDeterministicAndSpreads) {

@@ -516,7 +516,7 @@ TEST_F(Int8ModelTest, EngineHotSwapServesIntegerPathBitIdentically) {
   opt.queue_capacity = 64;
   opt.watchdog_period_us = 2'000;
   serve::Engine engine(opt);
-  engine.register_model("m", *proto_, serve::ModelConfig{{3, 8, 8}, true});
+  engine.register_model("m", *proto_, serve::ModelConfig{{3, 8, 8}});
   {
     std::istringstream mct1(mct1s.str()), mqt1(mqt1s.str());
     engine.swap_artifacts("m", mct1, mqt1, fmt_);

@@ -2,8 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <mutex>
+#include <string>
+#include <thread>
+#include <vector>
+
 #include "core/registry.h"
+#include "core/thread_pool.h"
 #include "nn/data.h"
+#include "ptq/sweep.h"
 
 namespace mersit::ptq {
 namespace {
@@ -165,6 +173,47 @@ TEST(Ptq, BertPathWithTokenInputs) {
   const float fp32 = evaluate_fp32(*bert, test, Metric::kAccuracy);
   const float q = evaluate_ptq(*bert, train, test, *fmt, popt);
   EXPECT_GT(q, fp32 - 12.f);
+}
+
+TEST(SweepRunner, RunsEachRowOnceAndReturnsRowsInAddOrder) {
+  const int prev_width = core::global_pool().size();
+  core::resize_global_pool(4);
+  constexpr int kRows = 4;
+  std::mutex mu;
+  std::vector<int> runs(kRows, 0);
+  std::vector<std::string> finished;  // on_row_done order
+  SweepRunner runner;
+  for (int i = 0; i < kRows; ++i) {
+    runner.add_row([i, &mu, &runs] {
+      // The first row finishes last, so completion order != add order.
+      if (i == 0) std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      const std::lock_guard<std::mutex> lock(mu);
+      ++runs[static_cast<std::size_t>(i)];
+      return SweepRowResult{"row" + std::to_string(i), static_cast<float>(i),
+                            {static_cast<float>(10 * i)}};
+    });
+  }
+  runner.on_row_done([&finished](const SweepRowResult& row) {
+    finished.push_back(row.name);  // the runner serializes this callback
+  });
+  const std::vector<SweepRowResult> rows = runner.run();
+  core::resize_global_pool(prev_width);
+
+  EXPECT_EQ(runs, std::vector<int>(kRows, 1));
+  ASSERT_EQ(rows.size(), static_cast<std::size_t>(kRows));
+  for (int i = 0; i < kRows; ++i) {
+    EXPECT_EQ(rows[static_cast<std::size_t>(i)].name, "row" + std::to_string(i));
+    EXPECT_EQ(rows[static_cast<std::size_t>(i)].fp32, static_cast<float>(i));
+    EXPECT_EQ(rows[static_cast<std::size_t>(i)].metrics,
+              std::vector<float>{static_cast<float>(10 * i)});
+  }
+  ASSERT_EQ(finished.size(), static_cast<std::size_t>(kRows));
+  EXPECT_EQ(finished.back(), "row0");
+
+  // run() cleared the queue: a second run computes and reports nothing.
+  EXPECT_TRUE(runner.run().empty());
+  EXPECT_EQ(runs, std::vector<int>(kRows, 1));
+  EXPECT_EQ(finished.size(), static_cast<std::size_t>(kRows));
 }
 
 }  // namespace

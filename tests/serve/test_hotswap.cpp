@@ -129,7 +129,7 @@ class HotSwapTest : public ::testing::Test {
   }
 
   static void register_m(Engine& engine) {
-    engine.register_model("m", *proto_, ModelConfig{{3, kImg, kImg}, true});
+    engine.register_model("m", *proto_, ModelConfig{{3, kImg, kImg}});
   }
 
   static nn::ModulePtr proto_;

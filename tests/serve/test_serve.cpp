@@ -1,7 +1,7 @@
 // serve::Engine robustness contract: typed admission control, deadline
 // expiry (on-dequeue and watchdog backstop), draining semantics, replica-
-// exception containment, micro-batch coalescing and row routing, strict
-// MERSIT_SERVE_* env parsing.  Runs under the `concurrency` TSan label.
+// exception containment, micro-batch coalescing and row routing.  Runs
+// under the `concurrency` TSan label.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -126,7 +126,7 @@ nn::Tensor sample(float v0, int numel = 4) {
 
 TEST(ServeEngine, EchoServesAndRoutesRows) {
   Engine engine(fast_options());
-  engine.register_model("echo", EchoModel(), ModelConfig{{4}, false});
+  engine.register_model("echo", EchoModel(), ModelConfig{{4}});
   std::vector<std::future<Response>> futs;
   for (int i = 0; i < 8; ++i)
     futs.push_back(engine.submit("echo", sample(10.f * static_cast<float>(i))));
@@ -161,7 +161,7 @@ TEST(ServeEngine, MicroBatchCoalescesUpToMaxBatch) {
   o.max_batch = 4;
   o.batch_delay_us = 100'000;  // wide gather window
   Engine engine(o);
-  engine.register_model("echo", EchoModel(), ModelConfig{{4}, false});
+  engine.register_model("echo", EchoModel(), ModelConfig{{4}});
   std::vector<std::future<Response>> futs;
   for (int i = 0; i < 4; ++i)
     futs.push_back(engine.submit("echo", sample(static_cast<float>(i)),
@@ -181,7 +181,7 @@ TEST(ServeEngine, ConcurrentSubmittersAllServed) {
   o.max_batch = 8;
   o.queue_capacity = 1024;
   Engine engine(o);
-  engine.register_model("echo", EchoModel(), ModelConfig{{4}, false});
+  engine.register_model("echo", EchoModel(), ModelConfig{{4}});
   constexpr int kThreads = 4, kPerThread = 50;
   std::vector<std::thread> clients;
   std::vector<int> ok_counts(kThreads, 0);
@@ -208,7 +208,7 @@ TEST(ServeEngine, QueueFullShedsTyped) {
   EngineOptions o = fast_options();
   o.queue_capacity = 2;
   Engine engine(o);
-  engine.register_model("gate", GateModel(gate), ModelConfig{{4}, false});
+  engine.register_model("gate", GateModel(gate), ModelConfig{{4}});
 
   auto in_flight = engine.submit("gate", sample(0.f));
   gate->await_entered(1);  // replica busy, queue now verifiably empty
@@ -228,7 +228,7 @@ TEST(ServeEngine, QueueFullShedsTyped) {
 
 TEST(ServeEngine, ExpiredAtSubmitShedsImmediately) {
   Engine engine(fast_options());
-  engine.register_model("echo", EchoModel(), ModelConfig{{4}, false});
+  engine.register_model("echo", EchoModel(), ModelConfig{{4}});
   Response r = engine.submit("echo", sample(0.f), /*deadline_us=*/0).get();
   EXPECT_FALSE(r.ok);
   EXPECT_EQ(r.reason, RejectReason::kDeadlineExceeded);
@@ -237,7 +237,7 @@ TEST(ServeEngine, ExpiredAtSubmitShedsImmediately) {
 TEST(ServeEngine, WatchdogFailsStrandedRequests) {
   auto gate = std::make_shared<Gate>();
   Engine engine(fast_options());
-  engine.register_model("gate", GateModel(gate), ModelConfig{{4}, false});
+  engine.register_model("gate", GateModel(gate), ModelConfig{{4}});
 
   auto in_flight = engine.submit("gate", sample(0.f), /*deadline_us=*/30'000'000);
   gate->await_entered(1);
@@ -260,7 +260,7 @@ TEST(ServeEngine, WatchdogFailsStrandedRequests) {
 TEST(ServeEngine, DrainFailsQueuedAndRejectsNew) {
   auto gate = std::make_shared<Gate>();
   Engine engine(fast_options());
-  engine.register_model("gate", GateModel(gate), ModelConfig{{4}, false});
+  engine.register_model("gate", GateModel(gate), ModelConfig{{4}});
 
   auto in_flight = engine.submit("gate", sample(0.f), /*deadline_us=*/60'000'000);
   gate->await_entered(1);
@@ -280,7 +280,7 @@ TEST(ServeEngine, DrainFailsQueuedAndRejectsNew) {
   Response post = engine.submit("gate", sample(2.f)).get();
   EXPECT_FALSE(post.ok);
   EXPECT_EQ(post.reason, RejectReason::kDraining);
-  EXPECT_THROW(engine.register_model("late", EchoModel(), ModelConfig{{4}, false}),
+  EXPECT_THROW(engine.register_model("late", EchoModel(), ModelConfig{{4}}),
                std::logic_error);
 }
 
@@ -288,7 +288,7 @@ TEST(ServeEngine, DrainFailsQueuedAndRejectsNew) {
 
 TEST(ServeEngine, ReplicaExceptionFailsBatchEngineSurvives) {
   Engine engine(fast_options());
-  engine.register_model("throwy", ThrowingModel(), ModelConfig{{4}, false});
+  engine.register_model("throwy", ThrowingModel(), ModelConfig{{4}});
   Response bad =
       engine.submit("throwy", sample(ThrowingModel::kPoison)).get();
   EXPECT_FALSE(bad.ok);
@@ -306,71 +306,14 @@ TEST(ServeEngine, ReplicaExceptionFailsBatchEngineSurvives) {
 
 TEST(ServeEngine, UnknownModelAndBadShapeThrow) {
   Engine engine(fast_options());
-  engine.register_model("echo", EchoModel(), ModelConfig{{4}, false});
+  engine.register_model("echo", EchoModel(), ModelConfig{{4}});
   EXPECT_THROW((void)engine.submit("nope", sample(0.f)), std::invalid_argument);
   EXPECT_THROW((void)engine.submit("echo", nn::Tensor({3})),
                std::invalid_argument);
-  EXPECT_THROW(engine.register_model("echo", EchoModel(), ModelConfig{{4}, false}),
+  EXPECT_THROW(engine.register_model("echo", EchoModel(), ModelConfig{{4}}),
                std::invalid_argument);
-  EXPECT_THROW(engine.register_model("bad", EchoModel(), ModelConfig{{}, false}),
+  EXPECT_THROW(engine.register_model("bad", EchoModel(), ModelConfig{{}}),
                std::invalid_argument);
-}
-
-// -------------------------------------------------------------- env knobs --
-
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    had_ = old != nullptr;
-    if (had_) old_ = old;
-    setenv(name, value, 1);
-  }
-  ~ScopedEnv() {
-    if (had_)
-      setenv(name_, old_.c_str(), 1);
-    else
-      unsetenv(name_);
-  }
-
- private:
-  const char* name_;
-  bool had_ = false;
-  std::string old_;
-};
-
-TEST(ServeEngine, EnvKnobsParseStrictly) {
-  {
-    ScopedEnv r("MERSIT_SERVE_REPLICAS", "3");
-    ScopedEnv b("MERSIT_SERVE_BATCH", "16");
-    ScopedEnv q("MERSIT_SERVE_QUEUE", "512");
-    ScopedEnv d("MERSIT_SERVE_DEADLINE_US", "123456");
-    const EngineOptions o = EngineOptions::from_env();
-    EXPECT_EQ(o.replicas, 3);
-    EXPECT_EQ(o.max_batch, 16);
-    EXPECT_EQ(o.queue_capacity, 512u);
-    EXPECT_EQ(o.default_deadline_us, 123456);
-  }
-  // Garbage, zero, negative, trailing junk: every knob throws instead of
-  // silently serving with a default.
-  for (const char* var :
-       {"MERSIT_SERVE_REPLICAS", "MERSIT_SERVE_BATCH", "MERSIT_SERVE_QUEUE",
-        "MERSIT_SERVE_BATCH_DELAY_US", "MERSIT_SERVE_DEADLINE_US",
-        "MERSIT_SERVE_WATCHDOG_US"}) {
-    for (const char* bad : {"garbage", "0x10", "-1", "12stop"}) {
-      ScopedEnv e(var, bad);
-      EXPECT_THROW((void)EngineOptions::from_env(), std::runtime_error)
-          << var << "=" << bad;
-    }
-  }
-  {  // zero is out of range everywhere except the batch delay
-    ScopedEnv e("MERSIT_SERVE_REPLICAS", "0");
-    EXPECT_THROW((void)EngineOptions::from_env(), std::runtime_error);
-  }
-  {
-    ScopedEnv e("MERSIT_SERVE_BATCH_DELAY_US", "0");
-    EXPECT_EQ(EngineOptions::from_env().batch_delay_us, 0);
-  }
 }
 
 }  // namespace
