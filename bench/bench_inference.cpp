@@ -41,7 +41,7 @@
 //
 // A final single-thread sweep times the prepacked forward of every vision
 // model under every compiled-in SIMD backend the host supports
-// (MERSIT_BACKEND registry: scalar/avx2/avx512/neon), cross-checking each
+// (MERSIT_BACKEND registry: scalar/avx2/avx512), cross-checking each
 // backend's logits bitwise against the scalar backend — the backends
 // promise the identical ascending-k rounding sequence, so any ULP distance
 // is a bug.  The report records the per-backend latencies, the
@@ -435,8 +435,8 @@ KulischProbe kulisch_probe() {
   std::vector<double> sb(N);
   for (int n = 0; n < N; ++n) sb[n] = 0.25 * (n % 5 + 1);
 
-  const nn::gemm::QOperand a{ac.data(), K, false, nullptr, sa};
-  const nn::gemm::QOperand b{bc.data(), N, false, sb.data(), 0.0};
+  const nn::gemm::QOperand a{ac.data(), K, nullptr, sa};
+  const nn::gemm::QOperand b{bc.data(), N, sb.data(), 0.0};
   std::vector<float> exact(M * N);
   nn::gemm::qgemm_kulisch(M, N, K, a, b, tab, nn::gemm::Init::kZero, nullptr,
                           exact.data(), N);

@@ -55,8 +55,8 @@ struct LayerTrace {
 /// first layer) — exactly the operand stream a MAC array would fetch.
 class TraceCapture final : public nn::QuantSession {
  public:
-  TraceCapture(const ptq::CalibrationTable& table, const formats::Format& fmt,
-               ptq::FakeQuantizer& fq, const nn::Tensor& quantized_input)
+  TraceCapture(const ptq::CalibrationTable& table, ptq::FakeQuantizer& fq,
+               const nn::Tensor& quantized_input)
       : table_(table), fq_(fq) {
     const auto in = quantized_input.data();
     prev_.assign(in.begin(), in.end());
@@ -245,7 +245,7 @@ int main(int argc, char** argv) {
     ptq::FakeQuantizer fq(table, fmt, formats::ScalePolicy::kMaxToUnity);
     nn::Tensor input = calib.inputs;
     fq.quantize_input(input);
-    TraceCapture capture(table, fmt, fq, input);
+    TraceCapture capture(table, fq, input);
     nn::Context ctx;
     ctx.quant = &capture;
     (void)model->run(input, ctx);

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # CI entry point: run the tier-1 verify three ways — a default (Release)
-# build, an Address+UB-sanitized build (MERSIT_SANITIZE=ON) over the full
-# suite (including the serialization fuzz tests and fault campaigns), and a
+# build with -Werror (the repo's own sources must build warning-free; GTest
+# and google-benchmark come from system packages), an Address+UB-sanitized
+# build (MERSIT_SANITIZE=ON) over the full suite (including the
+# serialization fuzz tests and fault campaigns), and a
 # ThreadSanitizer build (MERSIT_SANITIZE=thread) over the `concurrency`-
 # labelled suites (codec lazy init, format kernels, thread pool, GEMM,
 # parallel PTQ, serving engine + hot-swap; see tests/CMakeLists.txt for the
@@ -49,7 +51,7 @@ if [[ -n "${RAW_GETENV}" ]]; then
   exit 1
 fi
 
-run_suite build
+run_suite build -DCMAKE_CXX_FLAGS=-Werror
 
 # Linkage guard: the GEMM templates in nn/gemm/backend_impl.h are compiled
 # into TUs with different -m flags, so they must have internal linkage.  A
@@ -85,8 +87,9 @@ MERSIT_BACKEND=scalar ./build/tests/test_qgemm --gtest_filter='QgemmPack*:QgemmW
 # sees, and rerun them.  They pass
 # only if -ffp-contract=off (src/CMakeLists.txt, tests/CMakeLists.txt)
 # reaches every TU on the bit-identity path; aarch64 has FMA in its
-# baseline ISA, so this is what every build there relies on.  Hosts that
-# cannot run FMA code skip the stage.
+# baseline ISA, so an aarch64 build (scalar backend only, which no CI
+# stage compiles) relies on the same flag.  Hosts that cannot run FMA code
+# skip the stage.
 if [[ "$(uname -m)" == x86_64 ]] && grep -qw fma /proc/cpuinfo; then
   echo "==> configure build-fma (-mfma)"
   cmake -B build-fma -S . "${CACHE_ARGS[@]}" -DCMAKE_CXX_FLAGS=-mfma
@@ -169,15 +172,21 @@ MERSIT_BENCH_FAST=1 ./build/bench/fig7_mac_area_power --json=build/BENCH_fig7.js
 ./build/bench/fig7_mac_area_power --check_json=BENCH_fig7.json
 
 # Paper goldens: the deterministic outputs behind Table 1 (MERSIT codes),
-# Fig. 2 (MAC parameters), Fig. 4 (range/precision) and Fig. 6 (RMSE, fast
-# sizing) must match the committed text under bench/golden/ byte for byte.
-# Every decode, table and kernel they read is seeded and thread-count
-# invariant, so any diff is a change in a paper number.
+# Fig. 2 (MAC parameters), Fig. 4 (range/precision), Table 3 (multiplier
+# breakdown), Fig. 6 (RMSE, fast sizing) and the vmargin, dot-array and
+# scaling-policy (fast sizing) ablations must match the committed text
+# under bench/golden/ byte for byte.  Every decode, table and kernel they
+# read is seeded and thread-count invariant, so any diff is a change in a
+# paper number.
 echo "==> paper goldens (bench/golden)"
-for b in table1_mersit_codes fig2_mac_params fig4_range_precision; do
+for b in table1_mersit_codes fig2_mac_params fig4_range_precision \
+         table3_multiplier_breakdown ablation_vmargin ablation_array; do
   ./build/bench/"${b}" | diff -u "bench/golden/${b}.txt" -
 done
-MERSIT_BENCH_FAST=1 ./build/bench/fig6_rmse 2>/dev/null | diff -u bench/golden/fig6_rmse.txt -
+for b in fig6_rmse ablation_scaling; do
+  MERSIT_BENCH_FAST=1 ./build/bench/"${b}" 2>/dev/null |
+    diff -u "bench/golden/${b}.txt" -
+done
 
 # Sizing knob: MERSIT_BENCH_FAST takes only 0 or 1 (unset and empty mean
 # full), and anything else must stop a bench before it runs at a sizing

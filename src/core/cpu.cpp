@@ -17,14 +17,6 @@ CpuFeatures probe() {
   // true bit always means the int8 vpdpbusd kernel can execute.
   f.avx512vnni =
       f.avx512f && __builtin_cpu_supports("avx512vnni") != 0;
-#elif defined(__aarch64__)
-  // Advanced SIMD is architecturally mandatory on AArch64.
-  f.neon = true;
-  // No portable runtime probe without getauxval plumbing; trust the compile
-  // target (the NEON TU only emits sdot when the target guarantees it).
-#if defined(__ARM_FEATURE_DOTPROD)
-  f.dotprod = true;
-#endif
 #endif
   return f;
 }
@@ -49,8 +41,6 @@ std::string cpu_feature_summary() {
   if (f.avx2) s += " avx2";
   if (f.avx512f) s += " avx512f";
   if (f.avx512vnni) s += " avx512vnni";
-  if (f.neon) s += " neon";
-  if (f.dotprod) s += " dotprod";
   return s;
 }
 

@@ -1,8 +1,8 @@
 // Host CPU feature detection for the runtime-dispatched SIMD backends.
 //
-// One CPUID probe per process (GCC/Clang's __builtin_cpu_supports on x86,
-// architecture macros elsewhere), cached in a static so callers can query on
-// every dispatch without cost.  The GEMM backend registry keys off these
+// One CPUID probe per process (GCC/Clang's __builtin_cpu_supports on x86-64;
+// every bit stays false elsewhere, where only the scalar backend is built),
+// cached in a static so callers can query on every dispatch without cost.  The GEMM backend registry keys off these
 // bits: auto-detection walks its backend list best-first and picks the first
 // one whose required features the host actually has, and a forced
 // MERSIT_BACKEND that names a backend the host cannot execute is rejected
@@ -23,14 +23,12 @@ struct CpuFeatures {
   bool avx2 = false;     ///< x86: 256-bit integer/float SIMD
   bool avx512f = false;  ///< x86: 512-bit foundation (masked ops included)
   bool avx512vnni = false;  ///< x86: vpdpbusd int8 dot-product (DL Boost)
-  bool neon = false;     ///< aarch64: Advanced SIMD (baseline on AArch64)
-  bool dotprod = false;  ///< aarch64: sdot/udot int8 dot-product (ARMv8.2)
 };
 
 /// The host's features, probed once per process (thread-safe static init).
 [[nodiscard]] const CpuFeatures& cpu_features();
 
-/// Human-readable summary ("x86-64 avx2 avx512f", "aarch64 neon",
+/// Human-readable summary ("x86-64 avx2 avx512f", "aarch64",
 /// "baseline") for bench reports and error messages.
 [[nodiscard]] std::string cpu_feature_summary();
 

@@ -20,9 +20,6 @@ const Backend* const kRegistry[] = {
     backend_avx512(),
     backend_avx2(),
 #endif
-#if defined(__aarch64__)
-    backend_neon(),
-#endif
     backend_scalar(),
 };
 

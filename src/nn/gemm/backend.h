@@ -1,8 +1,8 @@
 // Runtime-dispatched SIMD backend registry for the GEMM engine.
 //
-// One Backend descriptor per instruction set — scalar (the reference),
-// avx2, avx512 on x86-64, neon on aarch64 — each bundling eight entry
-// points: the float micro-kernel and its two panel-pack routines, the int8
+// One Backend descriptor per instruction set — scalar (the reference,
+// and the only backend built off x86-64), avx2 and avx512 — each bundling
+// eight entry points: the float micro-kernel and its two panel-pack routines, the int8
 // micro-kernel and its two panel-pack routines, the depthwise conv kernel,
 // and the supported() probe; plus its tile geometry (MR/NR register tile,
 // MC/KC/NC cache blocks).  The registry is CPUID-backed:
@@ -82,7 +82,7 @@ inline constexpr int kMaxDepthwiseLanes = 16;
 /// comparison (pointer equality) is meaningful.
 struct Backend {
   const char* name;  ///< registry / MERSIT_BACKEND name
-  int id;            ///< stable unique id; stamps packs, joins pack-cache keys
+  int id;            ///< stable unique id; stamps packs and weight plans
 
   int mr, nr;        ///< register tile: MR x NR accumulator block
   int mc, kc, nc;    ///< cache blocks: MC x KC A panels, KC x NC B panels
@@ -120,22 +120,20 @@ struct Backend {
   // bytes are backend-private (the AVX-512 pack biases A levels by 128 for
   // vpdpbusd's u8 operand); a pack is only valid for the backend that made
   // it, enforced exactly like PackedMatrix via PackedInt8::backend_id.
-  // Activations reach these packs as levels already (im2col_int8 for conv,
-  // quantize_levels for Linear), passed through the identity map.
+  // A is always the layer's weight codes, packed once per plan; B is always
+  // the per-call activation levels (im2col_int8), already int8.
 
   /// K-group width of this backend's int8 panel layout (1, 2, or 4).
   int kg8;
 
-  /// Pack an (mc x kc) block of op(A) 8-bit codes through the code→level
-  /// remap `qlut` into mr-row int8 panels.  `dst` must be 64-byte aligned
-  /// and hold ceil(mc/mr)*mr*round_up(kc, kg8) bytes.
-  void (*pack_a_int8)(const std::uint8_t* a, int lda, bool trans,
-                      const std::int8_t* qlut, int m0, int mc, int k0, int kc,
-                      std::int8_t* dst);
-  /// Pack a (kc x nc) block of op(B) codes into nr-column int8 panels.
-  void (*pack_b_int8)(const std::uint8_t* b, int ldb, bool trans,
-                      const std::int8_t* qlut, int k0, int kc, int n0, int nc,
-                      std::int8_t* dst);
+  /// Pack an (mc x kc) block of row-major 8-bit weight codes through the
+  /// code→level remap `qlut` into mr-row int8 panels.  `dst` must be
+  /// 64-byte aligned and hold ceil(mc/mr)*mr*round_up(kc, kg8) bytes.
+  void (*pack_a_int8)(const std::uint8_t* a, int lda, const std::int8_t* qlut,
+                      int m0, int mc, int k0, int kc, std::int8_t* dst);
+  /// Pack a (kc x nc) block of row-major int8 levels into nr-column panels.
+  void (*pack_b_int8)(const std::int8_t* b, int ldb, int k0, int kc, int n0,
+                      int nc, std::int8_t* dst);
 
   /// One (mr x nr) int32 tile: acc[m*ldacc + n] += Σ_k qa·qb over this
   /// k-block's kc levels (kc is the unpadded extent; the panels are padded
@@ -189,9 +187,6 @@ const Backend* backend_scalar();
 #if defined(__x86_64__) || defined(_M_X64)
 const Backend* backend_avx2();
 const Backend* backend_avx512();
-#endif
-#if defined(__aarch64__)
-const Backend* backend_neon();
 #endif
 
 }  // namespace mersit::nn::gemm

@@ -103,15 +103,13 @@ void micro(int kc, const float* ap, const float* bp, float* c, int ldc,
 // process-constant CPUID bit).
 constexpr int kKG8 = 4;
 
-void pack_a_int8(const std::uint8_t* a, int lda, bool trans,
-                 const std::int8_t* qlut, int m0, int mc, int k0, int kc,
-                 std::int8_t* dst) {
+void pack_a_int8(const std::uint8_t* a, int lda, const std::int8_t* qlut,
+                 int m0, int mc, int k0, int kc, std::int8_t* dst) {
   if (core::cpu_features().avx512vnni)
-    detail::pack_a_int8_block<kMR, kKG8, 0x80>(a, lda, trans, qlut, m0, mc,
-                                               k0, kc, dst);
+    detail::pack_a_int8_block<kMR, kKG8, 0x80>(a, lda, qlut, m0, mc, k0, kc,
+                                               dst);
   else
-    detail::pack_a_int8_block<kMR, kKG8>(a, lda, trans, qlut, m0, mc, k0, kc,
-                                         dst);
+    detail::pack_a_int8_block<kMR, kKG8>(a, lda, qlut, m0, mc, k0, kc, dst);
 }
 
 template <int R>

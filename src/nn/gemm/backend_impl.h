@@ -42,7 +42,6 @@
 #include <utility>
 
 #include "nn/gemm/backend.h"
-#include "nn/gemm/qgemm.h"
 
 namespace mersit::nn::gemm::detail {
 namespace {
@@ -90,26 +89,25 @@ void pack_b_block(const float* b, int ldb, bool trans, int k0, int kc, int n0,
   }
 }
 
-/// pack_a_block over 8-bit codes remapped to int8 levels: panels are
-/// [group][m][j] with KG-wide k groups, k extent padded to a multiple of KG
-/// and row pads zero-filled.  XOR is applied to every stored byte (including
-/// pads): 0 for two's-complement level panels, 0x80 for the AVX-512 VNNI
-/// layout, which stores A levels biased by 128 (q ^ 0x80 == q + 128 as a
-/// byte) so vpdpbusd's unsigned operand sees u8 = q + 128.
+/// pack_a_block over 8-bit weight codes remapped to int8 levels through
+/// `qlut`: panels are [group][m][j] with KG-wide k groups, k extent padded
+/// to a multiple of KG and row pads zero-filled.  XOR is applied to every
+/// stored byte (including pads): 0 for two's-complement level panels, 0x80
+/// for the AVX-512 VNNI layout, which stores A levels biased by 128
+/// (q ^ 0x80 == q + 128 as a byte) so vpdpbusd's unsigned operand sees
+/// u8 = q + 128.
 template <int MR, int KG, int XOR = 0>
-void pack_a_int8_block(const std::uint8_t* a, int lda, bool trans,
-                       const std::int8_t* qlut, int m0, int mc, int k0, int kc,
-                       std::int8_t* dst) {
+void pack_a_int8_block(const std::uint8_t* a, int lda, const std::int8_t* qlut,
+                       int m0, int mc, int k0, int kc, std::int8_t* dst) {
   const int groups = (kc + KG - 1) / KG;
   const int full_g = kc / KG;
   for (int ip = 0; ip < mc; ip += MR) {
     const int mr = std::min(MR, mc - ip);
     int g0 = 0;
-    if (!trans && mr == MR) {
-      // Full row panel over row-major A: every (m, group) is a contiguous
-      // KG-byte run through the LUT, so the per-element bounds tests of the
-      // general loop below vanish.  Byte-identical output — this is the hot
-      // shape for per-call activation packs (Linear A operand).
+    if (mr == MR) {
+      // Full row panel: every (m, group) is a contiguous KG-byte run through
+      // the LUT, so the per-element bounds tests of the general loop below
+      // vanish.  Byte-identical output.
       for (int m = 0; m < MR; ++m) {
         const std::uint8_t* row =
             a + static_cast<std::size_t>(m0 + ip + m) * lda + k0;
@@ -128,12 +126,8 @@ void pack_a_int8_block(const std::uint8_t* a, int lda, bool trans,
         for (int j = 0; j < KG; ++j) {
           const int k = g * KG + j;
           std::int8_t v = 0;
-          if (m < mr && k < kc) {
-            const std::uint8_t code =
-                trans ? a[static_cast<std::size_t>(k0 + k) * lda + m0 + ip + m]
-                      : a[static_cast<std::size_t>(m0 + ip + m) * lda + k0 + k];
-            v = qlut[code];
-          }
+          if (m < mr && k < kc)
+            v = qlut[a[static_cast<std::size_t>(m0 + ip + m) * lda + k0 + k]];
           dst[(static_cast<std::size_t>(g) * MR + m) * KG + j] =
               static_cast<std::int8_t>(v ^ XOR);
         }
@@ -144,18 +138,20 @@ void pack_a_int8_block(const std::uint8_t* a, int lda, bool trans,
 }
 
 /// Interleave KG level rows (NR bytes each) into one packed group:
-/// dst[n*KG + j] = rows[j][n].  This is the identity-map inner loop of the
-/// B packs; NR/KG are panel constants, so the constant-index shuffles below
-/// compile to a handful of byte unpacks under whatever vector ISA the TU is
-/// built with (GCC vector extensions are target-independent, with a scalar
-/// word-compose fallback for geometries no backend uses).
+/// dst[n*KG + j] = rows[j][n].  This is the inner loop of the B packs;
+/// NR/KG are panel constants, so the constant-index shuffles below compile
+/// to a handful of byte unpacks under whatever vector ISA the TU is built
+/// with (GCC vector extensions are target-independent).  The geometries are
+/// the backends' own: scalar NR 8 x KG 1, AVX2 16 x 2, AVX-512 16 x 4.
 template <int NR, int KG>
-inline void interleave_rows_i8(const std::uint8_t* const* rows,
+inline void interleave_rows_i8(const std::int8_t* const* rows,
                                std::int8_t* dst) {
+  static_assert(KG == 1 || (NR == 16 && (KG == 2 || KG == 4)),
+                "no backend packs int8 B panels at this geometry");
+  typedef std::int8_t V16 __attribute__((vector_size(16)));
   if constexpr (KG == 1) {
     std::memcpy(dst, rows[0], NR);
-  } else if constexpr (NR == 16 && KG == 2) {
-    typedef std::uint8_t V16 __attribute__((vector_size(16)));
+  } else if constexpr (KG == 2) {
     V16 a, b;
     std::memcpy(&a, rows[0], 16);
     std::memcpy(&b, rows[1], 16);
@@ -165,8 +161,7 @@ inline void interleave_rows_i8(const std::uint8_t* const* rows,
                                            12, 28, 13, 29, 14, 30, 15, 31);
     std::memcpy(dst, &lo, 16);
     std::memcpy(dst + 16, &hi, 16);
-  } else if constexpr (NR == 16 && KG == 4) {
-    typedef std::uint8_t V16 __attribute__((vector_size(16)));
+  } else {
     V16 a, b, c, d;
     std::memcpy(&a, rows[0], 16);
     std::memcpy(&b, rows[1], 16);
@@ -194,98 +189,31 @@ inline void interleave_rows_i8(const std::uint8_t* const* rows,
     std::memcpy(dst + 16, &o1, 16);
     std::memcpy(dst + 32, &o2, 16);
     std::memcpy(dst + 48, &o3, 16);
-  } else if constexpr (NR == 8 && KG == 4) {
-    typedef std::uint8_t V8 __attribute__((vector_size(8)));
-    V8 a, b, c, d;
-    std::memcpy(&a, rows[0], 8);
-    std::memcpy(&b, rows[1], 8);
-    std::memcpy(&c, rows[2], 8);
-    std::memcpy(&d, rows[3], 8);
-    const V8 ab0 = __builtin_shufflevector(a, b, 0, 8, 1, 9, 2, 10, 3, 11);
-    const V8 ab1 = __builtin_shufflevector(a, b, 4, 12, 5, 13, 6, 14, 7, 15);
-    const V8 cd0 = __builtin_shufflevector(c, d, 0, 8, 1, 9, 2, 10, 3, 11);
-    const V8 cd1 = __builtin_shufflevector(c, d, 4, 12, 5, 13, 6, 14, 7, 15);
-    const V8 o0 = __builtin_shufflevector(ab0, cd0, 0, 1, 8, 9, 2, 3, 10, 11);
-    const V8 o1 = __builtin_shufflevector(ab0, cd0, 4, 5, 12, 13, 6, 7, 14, 15);
-    const V8 o2 = __builtin_shufflevector(ab1, cd1, 0, 1, 8, 9, 2, 3, 10, 11);
-    const V8 o3 = __builtin_shufflevector(ab1, cd1, 4, 5, 12, 13, 6, 7, 14, 15);
-    std::memcpy(dst, &o0, 8);
-    std::memcpy(dst + 8, &o1, 8);
-    std::memcpy(dst + 16, &o2, 8);
-    std::memcpy(dst + 24, &o3, 8);
-  } else if constexpr (NR == 8 && KG == 2) {
-    typedef std::uint8_t V8 __attribute__((vector_size(8)));
-    V8 a, b;
-    std::memcpy(&a, rows[0], 8);
-    std::memcpy(&b, rows[1], 8);
-    const V8 lo = __builtin_shufflevector(a, b, 0, 8, 1, 9, 2, 10, 3, 11);
-    const V8 hi = __builtin_shufflevector(a, b, 4, 12, 5, 13, 6, 14, 7, 15);
-    std::memcpy(dst, &lo, 8);
-    std::memcpy(dst + 8, &hi, 8);
-  } else {
-    for (int n = 0; n < NR; ++n) {
-      std::uint32_t wv = 0;
-      for (int j = 0; j < KG; ++j)
-        wv |= static_cast<std::uint32_t>(rows[j][n]) << (8 * j);
-      std::memcpy(dst + n * KG, &wv, KG);
-    }
   }
 }
 
-/// pack_b_block over codes into [group][n][j] int8 panels, padded like
-/// pack_a_int8_block (B panels always hold plain two's-complement levels).
+/// pack_b_block over row-major int8 activation levels into [group][n][j]
+/// panels, padded like pack_a_int8_block (B panels always hold plain
+/// two's-complement levels).
 template <int NR, int KG>
-void pack_b_int8_block(const std::uint8_t* b, int ldb, bool trans,
-                       const std::int8_t* qlut, int k0, int kc, int n0, int nc,
-                       std::int8_t* dst) {
+void pack_b_int8_block(const std::int8_t* b, int ldb, int k0, int kc, int n0,
+                       int nc, std::int8_t* dst) {
   const int groups = (kc + KG - 1) / KG;
   const int full_g = kc / KG;
   for (int jp = 0; jp < nc; jp += NR) {
     const int nr = std::min(NR, nc - jp);
     int g0 = 0;
     if (nr == NR) {
-      // Full column panel: drop the per-element bounds tests for the whole
-      // k-groups (the ragged tail group, if any, falls through to the
-      // general loop).  Byte-identical output; this is the hot shape for
-      // per-call activation packs (conv im2col B operand).
-      if (trans) {
-        for (int n = 0; n < NR; ++n) {
-          const std::uint8_t* row =
-              b + static_cast<std::size_t>(n0 + jp + n) * ldb + k0;
-          std::int8_t* dn = dst + static_cast<std::size_t>(n) * KG;
-          for (int g = 0; g < full_g; ++g) {
-            const std::uint8_t* src = row + static_cast<std::size_t>(g) * KG;
-            std::int8_t* dg = dn + static_cast<std::size_t>(g) * NR * KG;
-            for (int j = 0; j < KG; ++j) dg[j] = qlut[src[j]];
-          }
-        }
-      } else {
-        // Codes already ARE the levels when the map is identity (the conv
-        // im2col operand), so the group interleave runs as straight byte
-        // shuffles with no table lookup.
-        const bool ident = qlut == identity_qlut();
-        for (int g = 0; g < full_g; ++g) {
-          std::int8_t* dg = dst + static_cast<std::size_t>(g) * NR * KG;
-          const std::uint8_t* rows[KG];
-          for (int j = 0; j < KG; ++j)
-            rows[j] =
-                b + static_cast<std::size_t>(k0 + g * KG + j) * ldb + n0 + jp;
-          if (ident) {
-            interleave_rows_i8<NR, KG>(rows, dg);
-            continue;
-          }
-          // Compose each column's KG levels into one word and store it whole
-          // (KG is 1/2/4): sequential word stores instead of a stride-KG
-          // byte scatter, ~2x faster on the per-call activation pack.
-          for (int n = 0; n < NR; ++n) {
-            std::uint32_t wv = 0;
-            for (int j = 0; j < KG; ++j)
-              wv |= static_cast<std::uint32_t>(static_cast<std::uint8_t>(
-                        qlut[rows[j][n]]))
-                    << (8 * j);
-            std::memcpy(dg + n * KG, &wv, KG);
-          }
-        }
+      // Full column panel: each whole k-group is a straight byte interleave
+      // of KG level rows (the ragged tail group, if any, falls through to
+      // the general loop).  Byte-identical output; this is the hot shape of
+      // the per-call activation pack.
+      for (int g = 0; g < full_g; ++g) {
+        const std::int8_t* rows[KG];
+        for (int j = 0; j < KG; ++j)
+          rows[j] = b + static_cast<std::size_t>(k0 + g * KG + j) * ldb + n0 + jp;
+        interleave_rows_i8<NR, KG>(rows,
+                                   dst + static_cast<std::size_t>(g) * NR * KG);
       }
       g0 = full_g;
     }
@@ -293,14 +221,10 @@ void pack_b_int8_block(const std::uint8_t* b, int ldb, bool trans,
       for (int n = 0; n < NR; ++n) {
         for (int j = 0; j < KG; ++j) {
           const int k = g * KG + j;
-          std::int8_t v = 0;
-          if (n < nr && k < kc) {
-            const std::uint8_t code =
-                trans ? b[static_cast<std::size_t>(n0 + jp + n) * ldb + k0 + k]
-                      : b[static_cast<std::size_t>(k0 + k) * ldb + n0 + jp + n];
-            v = qlut[code];
-          }
-          dst[(static_cast<std::size_t>(g) * NR + n) * KG + j] = v;
+          dst[(static_cast<std::size_t>(g) * NR + n) * KG + j] =
+              n < nr && k < kc
+                  ? b[static_cast<std::size_t>(k0 + k) * ldb + n0 + jp + n]
+                  : std::int8_t{0};
         }
       }
     }

@@ -202,30 +202,28 @@ std::int8_t* alloc_bytes(core::ScratchArena& arena, std::size_t bytes) {
 
 struct Int8TileArgs {
   const Backend* be;
-  int M, N, K;
-  const Int8Operand* a;
-  const Int8Operand* b;
+  int K;
+  const PackedInt8* a;
+  const double* a_scales;
+  const std::int8_t* b;
+  int ldb;
+  double b_scale;
   float* c;
   int ldc;
-  Init init;
-  const float* bias;
+  const float* bias;  ///< per-row init (null for Init::kZero)
   Epilogue epi;
-  const PackedInt8* pa;
-  const PackedInt8* pb;
   const float* asc;  ///< fused per-row affine scale (null when absent)
   const float* ash;  ///< fused per-row affine shift
 };
 
-/// One (MC x NC) output tile end to end: zero the int32 accumulator, run
-/// every k-block through the backend's int8 micro-kernel, then dequant into
-/// C in a single write-back pass.
+/// One (MC x NC) output tile end to end: zero the int32 accumulator, pack
+/// B and run every k-block through the backend's int8 micro-kernel, then
+/// dequant into C in a single write-back pass.
 void run_tile(const Int8TileArgs& t, int m0, int mc, int n0, int nc) {
   const Backend& be = *t.be;
   const int kg = be.kg8;
   const int kblocks = (t.K + be.kc - 1) / be.kc;
-  const int kc_max = std::min(t.K, be.kc);
-  const int kcpad_max = round_up(kc_max, kg);
-  const int mpanels = (mc + be.mr - 1) / be.mr;
+  const int kcpad_max = round_up(std::min(t.K, be.kc), kg);
   const int npanels = (nc + be.nr - 1) / be.nr;
   core::ScratchArena& arena = core::ScratchArena::local();
   const core::ScratchArena::Scope scope(arena);
@@ -234,39 +232,17 @@ void run_tile(const Int8TileArgs& t, int m0, int mc, int n0, int nc) {
       arena.alloc(static_cast<std::size_t>(mc) * nc));
   for (std::size_t i = 0; i < static_cast<std::size_t>(mc) * nc; ++i)
     acc[i] = 0;
-  std::int8_t* abuf =
-      t.pa != nullptr
-          ? nullptr
-          : alloc_bytes(arena,
-                        static_cast<std::size_t>(mpanels) * be.mr * kcpad_max);
-  std::int8_t* bbuf =
-      t.pb != nullptr
-          ? nullptr
-          : alloc_bytes(arena,
-                        static_cast<std::size_t>(npanels) * be.nr * kcpad_max);
+  std::int8_t* bpack = alloc_bytes(
+      arena, static_cast<std::size_t>(npanels) * be.nr * kcpad_max);
 
   for (int k0 = 0; k0 < t.K; k0 += be.kc) {
     const int kc = std::min(be.kc, t.K - k0);
-    const int kb = k0 / be.kc;
     const int kcpad = round_up(kc, kg);
-    const std::int8_t* apack = abuf;
-    const std::int8_t* bpack = bbuf;
-    if (t.pa != nullptr) {
-      apack = t.pa->data.data() +
-              t.pa->block_off[static_cast<std::size_t>(m0 / be.mc) * kblocks +
-                              kb];
-    } else {
-      be.pack_a_int8(t.a->codes, t.a->ld, t.a->trans, t.a->qlut, m0, mc, k0,
-                     kc, abuf);
-    }
-    if (t.pb != nullptr) {
-      bpack = t.pb->data.data() +
-              t.pb->block_off[static_cast<std::size_t>(n0 / be.nc) * kblocks +
-                              kb];
-    } else {
-      be.pack_b_int8(t.b->codes, t.b->ld, t.b->trans, t.b->qlut, k0, kc, n0,
-                     nc, bbuf);
-    }
+    const std::int8_t* apack =
+        t.a->data.data() +
+        t.a->block_off[static_cast<std::size_t>(m0 / be.mc) * kblocks +
+                       k0 / be.kc];
+    be.pack_b_int8(t.b, t.ldb, k0, kc, n0, nc, bpack);
     MERSIT_ASSERT_ALIGNED(apack);
     MERSIT_ASSERT_ALIGNED(bpack);
     for (int jp = 0; jp < nc; jp += be.nr) {
@@ -286,42 +262,22 @@ void run_tile(const Int8TileArgs& t, int m0, int mc, int n0, int nc) {
 
   // Dequant write-back: one pass, one integer→float conversion per element.
   for (int m = 0; m < mc; ++m) {
-    const double sa = t.a->channel_scales != nullptr
-                          ? t.a->channel_scales[m0 + m]
-                          : t.a->uniform_scale;
+    const double s = t.a_scales[m0 + m] * t.b_scale;
+    const double binit =
+        t.bias != nullptr ? static_cast<double>(t.bias[m0 + m]) : 0.0;
     const std::int32_t* arow = acc + static_cast<std::size_t>(m) * nc;
     float* crow = t.c + static_cast<std::size_t>(m0 + m) * t.ldc + n0;
-    const double binit =
-        t.init == Init::kBiasRow ? static_cast<double>(t.bias[m0 + m]) : 0.0;
-    if (t.b->channel_scales == nullptr && t.init != Init::kBiasCol) {
-      // Hot shape: uniform B scale and row/zero init — hoist the per-element
-      // branches so the loop is a bare fma chain.  Same expression, same
-      // double product (sa·sb), bit-identical to the general loop.
-      const double s = sa * t.b->uniform_scale;
-      for (int n = 0; n < nc; ++n)
-        crow[n] =
-            static_cast<float>(binit + static_cast<double>(arow[n]) * s);
-    } else {
-      for (int n = 0; n < nc; ++n) {
-        const double sb = t.b->channel_scales != nullptr
-                              ? t.b->channel_scales[n0 + n]
-                              : t.b->uniform_scale;
-        const double init_v =
-            t.init == Init::kBiasCol ? static_cast<double>(t.bias[n0 + n])
-                                     : binit;
-        crow[n] = static_cast<float>(
-            init_v + static_cast<double>(arow[n]) * (sa * sb));
-      }
-    }
+    for (int n = 0; n < nc; ++n)
+      crow[n] = static_cast<float>(binit + static_cast<double>(arow[n]) * s);
     if (t.asc != nullptr) {
-      const float s = t.asc[m0 + m], sh = t.ash[m0 + m];
-      for (int n = 0; n < nc; ++n) crow[n] = s * crow[n] + sh;
+      const float sc = t.asc[m0 + m], sh = t.ash[m0 + m];
+      for (int n = 0; n < nc; ++n) crow[n] = sc * crow[n] + sh;
     }
     if (t.epi != Epilogue::kNone) epilogue_apply(t.epi, crow, crow, nc);
   }
 }
 
-/// Shared skeleton of the four pack entry points: compute the block-offset
+/// Shared skeleton of the three pack entry points: compute the block-offset
 /// table for the active backend's tile geometry, then run `pack_block` per
 /// (outer, k) cache block.  A block holds whole register panels over the k
 /// extent rounded up to the k-group width (kg: 1 for FP32, the backend's
@@ -380,8 +336,8 @@ PackedPanels<T> pack_panels(bool is_a, int other, int K,
 /// Validate a prepacked operand against the call: the right side and shape
 /// first, then the backend.  Panel layouts are backend-specific; a pack
 /// built under a different backend (different Backend::id) would be
-/// misindexed, so it is refused.  The layer-side caches key on the backend
-/// id exactly so this never fires in normal operation.
+/// misindexed, so it is refused.  Layer weight plans are compiled for one
+/// backend id, so this never fires in normal operation.
 template <typename T>
 void check_packed(const char* who, const PackedPanels<T>* p, bool is_a,
                   int other, int K, const Backend& be) {
@@ -528,11 +484,12 @@ void sgemm(int M, int N, int K, const float* A, int lda, bool trans_a,
 // for_each_tile), but carries both operands as int8 levels and accumulates
 // in int32:
 //
-//  * Pack.  Each operand's 8-bit codes go through a 256-byte code→level
-//    remap (Int8Grid::level for weights, the identity map for activations,
-//    which arrive as levels) straight into the active backend's int8 panel
-//    layout — one byte moved per element on both sides, against four for
-//    the FP32 panels a code-mode forward streams.
+//  * Pack.  The weight codes go through their 256-byte code→level remap
+//    (Int8Grid::level) into the active backend's int8 panel layout once,
+//    when the weight plan is built (pack_a_int8_matrix).  The activations
+//    arrive as levels (im2col_int8) and are interleaved into B panels per
+//    tile — one byte moved per element on both sides, against four for the
+//    FP32 panels a code-mode forward streams.
 //  * Accumulate.  A per-tile int32 accumulator (mc x nc, thread-local
 //    scratch) is zeroed once, then every k-block's panels are fed through
 //    Backend::micro_int8, which adds exact integer level products.  The
@@ -541,7 +498,7 @@ void sgemm(int M, int N, int K, const float* A, int lda, bool trans_a,
 //    thread count, and SIMD backend (the per-backend ULP-0 gate is free).
 //  * Dequant write-back.  After the last k-block, each element leaves the
 //    integer domain exactly once:
-//        v = float( double(init) + double(acc) · (s_a · s_b) )
+//        v = float( double(bias[m]) + double(acc) · (s_a[m] · s_b) )
 //    followed by the optional RowAffine (v = scale[m]·v + shift[m]) and the
 //    fused epilogue — the same fixed, K-independent rounding count qgemm.h
 //    documents.
@@ -551,37 +508,23 @@ void sgemm(int M, int N, int K, const float* A, int lda, bool trans_a,
 // ---------------------------------------------------------------------------
 
 PackedInt8 pack_a_int8_matrix(int M, int K, const std::uint8_t* codes, int ld,
-                              bool trans, const std::int8_t* qlut) {
+                              const std::int8_t* level) {
   if (M < 0 || K < 0)
     throw std::invalid_argument("pack_a_int8_matrix: negative dim");
-  if (qlut == nullptr)
-    throw std::invalid_argument("pack_a_int8_matrix: null qlut");
+  if (level == nullptr)
+    throw std::invalid_argument("pack_a_int8_matrix: null level map");
   return pack_panels<std::int8_t>(
       /*is_a=*/true, M, K,
       [&](const Backend& be, int m0, int mc, int k0, int kc,
           std::int8_t* dst) {
-        be.pack_a_int8(codes, ld, trans, qlut, m0, mc, k0, kc, dst);
+        be.pack_a_int8(codes, ld, level, m0, mc, k0, kc, dst);
       });
 }
 
-PackedInt8 pack_b_int8_matrix(int K, int N, const std::uint8_t* codes, int ld,
-                              bool trans, const std::int8_t* qlut) {
-  if (K < 0 || N < 0)
-    throw std::invalid_argument("pack_b_int8_matrix: negative dim");
-  if (qlut == nullptr)
-    throw std::invalid_argument("pack_b_int8_matrix: null qlut");
-  return pack_panels<std::int8_t>(
-      /*is_a=*/false, N, K,
-      [&](const Backend& be, int n0, int nc, int k0, int kc,
-          std::int8_t* dst) {
-        be.pack_b_int8(codes, ld, trans, qlut, k0, kc, n0, nc, dst);
-      });
-}
-
-void qgemm_int8(int M, int N, int K, const Int8Operand& a,
-                const Int8Operand& b, Init init, const float* bias, float* c,
+void qgemm_int8(int M, int N, int K, const PackedInt8& a,
+                const double* a_scales, const std::int8_t* b, int ldb,
+                double b_scale, Init init, const float* bias, float* c,
                 int ldc, core::ThreadPool* pool, Epilogue epi,
-                const PackedInt8* packed_a, const PackedInt8* packed_b,
                 const RowAffine* affine) {
   if (M < 0 || N < 0 || K < 0)
     throw std::invalid_argument("qgemm_int8: negative dim");
@@ -592,21 +535,18 @@ void qgemm_int8(int M, int N, int K, const Int8Operand& a,
   if (init == Init::kAccumulate)
     throw std::invalid_argument(
         "qgemm_int8: cannot accumulate into a rounded partial");
-  if ((init == Init::kBiasRow || init == Init::kBiasCol) && bias == nullptr)
+  if (init == Init::kBiasCol)
+    throw std::invalid_argument("qgemm_int8: bias is per row (kBiasRow)");
+  if (init == Init::kBiasRow && bias == nullptr)
     throw std::invalid_argument("qgemm_int8: bias init without bias pointer");
   if (affine != nullptr &&
       (affine->scale == nullptr || affine->shift == nullptr))
     throw std::invalid_argument("qgemm_int8: affine with null scale/shift");
-  if ((packed_a == nullptr && a.qlut == nullptr) ||
-      (packed_b == nullptr && b.qlut == nullptr))
-    throw std::invalid_argument("qgemm_int8: operand without a level map");
   const Backend& be = active_backend();
-  check_packed("qgemm_int8", packed_a, /*is_a=*/true, M, K, be);
-  check_packed("qgemm_int8", packed_b, /*is_a=*/false, N, K, be);
+  check_packed("qgemm_int8", &a, /*is_a=*/true, M, K, be);
 
-  const Int8TileArgs t{&be,     M,        N,    K,    &a,  &b,
-                       c,       ldc,      init, bias, epi, packed_a,
-                       packed_b,
+  const Int8TileArgs t{&be, K, &a, a_scales, b, ldb, b_scale, c, ldc,
+                       init == Init::kBiasRow ? bias : nullptr, epi,
                        affine != nullptr ? affine->scale : nullptr,
                        affine != nullptr ? affine->shift : nullptr};
   for_each_tile(be, M, N, pool, [&t](int m0, int mc, int n0, int nc) {

@@ -2,10 +2,10 @@
 //
 // A cache-blocked, packing SGEMM whose register-tiled micro-kernel and
 // panel-pack routines are dispatched through a runtime SIMD backend
-// registry (nn/gemm/backend.h): scalar (plain C++, the reference), AVX2 and
-// AVX-512 on x86-64, NEON on aarch64 — CPUID-detected, forceable via
-// MERSIT_BACKEND, and all bit-identical to scalar (no -ffast-math, no fused
-// multiply-adds).  Three properties the rest of the repo leans on:
+// registry (nn/gemm/backend.h): scalar (plain C++, the reference, and the
+// only backend off x86-64), AVX2 and AVX-512 — CPUID-detected, forceable
+// via MERSIT_BACKEND, and all bit-identical to scalar (no -ffast-math, no
+// fused multiply-adds).  Three properties the rest of the repo leans on:
 //
 //  * Fixed k-order summation.  Every output element accumulates its K
 //    products in ascending k order, starting from its initial value (zero,
@@ -103,7 +103,7 @@ struct RowAffine {
 /// reuse across many calls over frozen data (layer weights).  One template
 /// serves both element types: PackedMatrix holds FP32 panels (from
 /// pack_a_matrix / pack_b_matrix, read by sgemm) and PackedInt8 holds int8
-/// level panels (from pack_{a,b}_int8_matrix in qgemm.h, read by
+/// weight-level panels (from pack_a_int8_matrix in qgemm.h, read by
 /// qgemm_int8).  The fields are internal to the engine — treat instances as
 /// opaque tokens.
 ///

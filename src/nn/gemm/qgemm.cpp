@@ -1,12 +1,17 @@
 #include "nn/gemm/qgemm.h"
 
-#include <array>
 #include <atomic>
 #include <cmath>
 #include <stdexcept>
 
 #if defined(__x86_64__) || defined(_M_X64)
+// GCC 12's AVX-512 intrinsics self-initialize their _mm512_undefined_*
+// operands, which -Wmaybe-uninitialized misreports inside target("avx512f")
+// functions (GCC PR105593).
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 #include <immintrin.h>
+#pragma GCC diagnostic pop
 #endif
 
 #include "core/cpu.h"
@@ -104,27 +109,6 @@ struct Quire {
     return std::ldexp(neg ? -v : v, base + shift);
   }
 };
-
-}  // namespace
-
-QgemmMode qgemm_mode() { return g_qgemm_mode.load(std::memory_order_relaxed); }
-
-QgemmMode set_qgemm_mode(QgemmMode mode) {
-  return g_qgemm_mode.exchange(mode, std::memory_order_relaxed);
-}
-
-const std::int8_t* identity_qlut() {
-  static const auto table = [] {
-    std::array<std::int8_t, 256> q{};
-    for (int c = 0; c < 256; ++c)
-      q[static_cast<std::size_t>(c)] =
-          static_cast<std::int8_t>(static_cast<std::uint8_t>(c));
-    return q;
-  }();
-  return table.data();
-}
-
-namespace {
 
 // Scalar reference for quantize_levels; also the tail loop of the SIMD
 // paths.  Kept exactly in sync with the vector paths: the whole int8 layer
@@ -228,6 +212,12 @@ QuantizeFn pick_quantize_levels() {
 
 }  // namespace
 
+QgemmMode qgemm_mode() { return g_qgemm_mode.load(std::memory_order_relaxed); }
+
+QgemmMode set_qgemm_mode(QgemmMode mode) {
+  return g_qgemm_mode.exchange(mode, std::memory_order_relaxed);
+}
+
 void quantize_levels(const float* x, std::size_t n, double inv, int lo,
                      int hi, std::int8_t* out) {
   static const QuantizeFn fn = pick_quantize_levels();
@@ -253,7 +243,9 @@ void qgemm_kulisch(int M, int N, int K, const QOperand& a, const QOperand& b,
   if (init == Init::kAccumulate)
     throw std::invalid_argument(
         "qgemm_kulisch: cannot accumulate into a rounded partial");
-  if ((init == Init::kBiasRow || init == Init::kBiasCol) && bias == nullptr)
+  if (init == Init::kBiasCol)
+    throw std::invalid_argument("qgemm_kulisch: bias is per row (kBiasRow)");
+  if (init == Init::kBiasRow && bias == nullptr)
     throw std::invalid_argument("qgemm_kulisch: bias init without bias pointer");
   const std::int64_t* mant = table.dyadic_mant();
   const int* exp = table.dyadic_exp();
@@ -262,26 +254,21 @@ void qgemm_kulisch(int M, int N, int K, const QOperand& a, const QOperand& b,
   for (int m = 0; m < M; ++m) {
     const double sa = a.channel_scales != nullptr ? a.channel_scales[m]
                                                   : a.uniform_scale;
+    const double init_v =
+        init == Init::kBiasRow ? static_cast<double>(bias[m]) : 0.0;
+    const std::uint8_t* arow = a.codes + static_cast<std::size_t>(m) * a.ld;
     float* row = c + static_cast<std::size_t>(m) * ldc;
     for (int n = 0; n < N; ++n) {
       Quire q;
       for (int k = 0; k < K; ++k) {
-        const std::uint8_t ca =
-            a.trans ? a.codes[static_cast<std::size_t>(k) * a.ld + m]
-                    : a.codes[static_cast<std::size_t>(m) * a.ld + k];
-        const std::uint8_t cb =
-            b.trans ? b.codes[static_cast<std::size_t>(n) * b.ld + k]
-                    : b.codes[static_cast<std::size_t>(k) * b.ld + n];
+        const std::uint8_t ca = arow[k];
+        const std::uint8_t cb = b.codes[static_cast<std::size_t>(k) * b.ld + n];
         const std::int64_t p = mant[ca] * mant[cb];
         if (p == 0) continue;
         q.add(p, exp[ca] + exp[cb] - base);
       }
       const double sb = b.channel_scales != nullptr ? b.channel_scales[n]
                                                     : b.uniform_scale;
-      const double init_v =
-          init == Init::kBiasRow ? static_cast<double>(bias[m])
-          : init == Init::kBiasCol ? static_cast<double>(bias[n])
-                                   : 0.0;
       const float v =
           static_cast<float>(init_v + q.to_double(base) * (sa * sb));
       row[n] = epilogue_eval(epi, v);

@@ -94,29 +94,28 @@ QgemmMode set_qgemm_mode(QgemmMode mode);
 /// run the FP32 kernel and report PlanFallback::kNoTable.
 [[nodiscard]] bool kulisch_fits(const formats::TableCodec& table);
 
-/// One code-domain GEMM operand: an 8-bit code matrix plus its scales.
-/// op(A) element (m,k) is codes[m*ld + k] (codes[k*ld + m] when trans);
-/// op(B) element (k,n) is codes[k*ld + n] (codes[n*ld + k] when trans).
-/// `channel_scales`, when non-null, holds one scale per logical row of
-/// op(A) / per logical column of op(B) (output channels); otherwise
+/// One code-domain GEMM operand: a row-major 8-bit code matrix plus its
+/// scales.  A element (m,k) is codes[m*ld + k]; B element (k,n) is
+/// codes[k*ld + n].  `channel_scales`, when non-null, holds one scale per
+/// row of A / per column of B (output channels); otherwise
 /// `uniform_scale` applies to every element (quantized activations).
 struct QOperand {
   const std::uint8_t* codes = nullptr;
   int ld = 0;
-  bool trans = false;
   const double* channel_scales = nullptr;
   double uniform_scale = 1.0;
 };
 
-/// C (M x N, row-major, ldc) = epi(init + exact(op(A)·op(B)) · scales),
-/// with the k-summation of each element performed exactly in a software
+/// C (M x N, row-major, ldc) = epi(init + exact(A·B) · scales), with the
+/// k-summation of each element performed exactly in a software
 /// quire (see the ULP contract above).  Both operands are codes of the
 /// format of `table`, whose dyadic pairs form each product
 /// mant_a·mant_b·2^(exp_a+exp_b); codes with a non-finite value must not
 /// occur (their pair is (0, 0)).  `table` must pass kulisch_fits.
-/// Init::kAccumulate is rejected: the exact sum cannot continue a rounded
-/// partial.  Runs the M·N element grid serially per call; callers
-/// parallelize over samples.
+/// Init is kZero or kBiasRow (bias[m], one per output channel);
+/// Init::kAccumulate is rejected (the exact sum cannot continue a rounded
+/// partial), and so is kBiasCol.  Runs the M·N element grid serially per
+/// call; callers parallelize over samples.
 void qgemm_kulisch(int M, int N, int K, const QOperand& a, const QOperand& b,
                    const formats::TableCodec& table, Init init,
                    const float* bias, float* c, int ldc,
@@ -125,10 +124,6 @@ void qgemm_kulisch(int M, int N, int K, const QOperand& a, const QOperand& b,
 // ---------------------------------------------------------------------------
 // Decode-free int8 path (QgemmMode::kInt8)
 // ---------------------------------------------------------------------------
-
-/// The identity level map q[c] = int8(c), for operands whose bytes already
-/// are int8 levels (activations quantized by quantize_levels below).
-[[nodiscard]] const std::int8_t* identity_qlut();
 
 /// Largest K the int8 driver accepts: the worst-case |Σ q_a·q_b| is
 /// K·128·128, which must stay below 2^31 for the int32 accumulation to be
@@ -144,55 +139,38 @@ inline constexpr int kInt8MaxK = 1 << 16;
 void quantize_levels(const float* x, std::size_t n, double inv, int lo,
                      int hi, std::int8_t* out);
 
-/// One int8-path GEMM operand: an 8-bit code matrix plus the code→level
-/// remap to apply in the pack step and the operand's dequant scales.
-/// Addressing follows QOperand.  For weights, `qlut` is Int8Grid::level and
-/// `channel_scales[ch]` = Int8Grid::pitch · WeightCodes::scales[ch]; for
-/// activations, `codes` holds levels already (quantize_levels for Linear,
-/// im2col_int8 for conv), `qlut` is identity_qlut() and `uniform_scale` =
-/// Int8Grid::pitch · tensor quant_scale.
-struct Int8Operand {
-  const std::uint8_t* codes = nullptr;
-  int ld = 0;
-  bool trans = false;
-  const std::int8_t* qlut = nullptr;
-  const double* channel_scales = nullptr;
-  double uniform_scale = 1.0;
-};
-
-/// A fully packed int8 operand (all k-blocks), for prepacking weights once
-/// and reusing across calls — PackedPanels over int8 levels, with
-/// kg = Backend::kg8.  Panel bytes are backend-specific (the AVX-512 kernel
-/// stores A biased by 128 for vpdpbusd); a pack is only valid for the
-/// backend that produced it, enforced via backend_id.
+/// The int8 path's weight operand, packed once per weight plan —
+/// PackedPanels over int8 levels, with kg = Backend::kg8.  Panel bytes are
+/// backend-specific (the AVX-512 kernel stores A biased by 128 for
+/// vpdpbusd); a pack is only valid for the backend that produced it,
+/// enforced via backend_id.
 using PackedInt8 = PackedPanels<std::int8_t>;
 
-/// Pack all of op(A) (M x K) / op(B) (K x N) int8 levels for the active
-/// backend.  `codes` + `qlut` follow Int8Operand conventions.
+/// Pack the M x K row-major weight codes (leading dim ld) through the
+/// code→level map `level` (Int8Grid::level) for the active backend.
 [[nodiscard]] PackedInt8 pack_a_int8_matrix(int M, int K,
                                             const std::uint8_t* codes, int ld,
-                                            bool trans,
-                                            const std::int8_t* qlut);
-[[nodiscard]] PackedInt8 pack_b_int8_matrix(int K, int N,
-                                            const std::uint8_t* codes, int ld,
-                                            bool trans,
-                                            const std::int8_t* qlut);
+                                            const std::int8_t* level);
 
-/// C (M x N, row-major, ldc) = epi(affine(init + double(acc) · (s_a·s_b)))
+/// C (M x N, row-major, ldc) = epi(affine(init + double(acc) · (s_a[m]·s_b)))
 /// with acc the exact int32 k-summation of level products (see the int8
-/// ULP contract above).  Init::kAccumulate is rejected (the exact sum
-/// cannot continue a rounded partial) and K must be ≤ kInt8MaxK.  `affine`,
-/// when non-null, is the per-output-row fold applied before the epilogue,
-/// exactly as in sgemm.  `packed_a` / `packed_b`, when non-null, must have
-/// been produced by pack_{a,b}_int8_matrix under the same active backend.
-/// Parallelises over output tiles on `pool` (or the global pool); results
-/// are invariant to thread count and backend by construction.
-void qgemm_int8(int M, int N, int K, const Int8Operand& a,
-                const Int8Operand& b, Init init, const float* bias, float* c,
+/// ULP contract above).  A is the prepacked weight levels `a`, with one
+/// dequant scale per row in `a_scales` (Int8Grid::pitch · the channel's
+/// WeightCodes scale).  B is K x N row-major int8 activation levels `b`
+/// (leading dim ldb, im2col_int8's output) with one uniform scale `b_scale`
+/// (Int8Grid::pitch · the tensor's quant scale), packed per call.  Init is
+/// kZero or kBiasRow (bias[m]); kAccumulate (the exact sum cannot continue
+/// a rounded partial) and kBiasCol are rejected, and K must be
+/// ≤ kInt8MaxK.  `a` must match M and K and have been packed under the
+/// active backend.  `affine`, when non-null, is the per-output-row fold
+/// applied before the epilogue, exactly as in sgemm.  Parallelises over
+/// output tiles on `pool` (or the global pool); results are invariant to
+/// thread count and backend by construction.
+void qgemm_int8(int M, int N, int K, const PackedInt8& a,
+                const double* a_scales, const std::int8_t* b, int ldb,
+                double b_scale, Init init, const float* bias, float* c,
                 int ldc, core::ThreadPool* pool = nullptr,
                 Epilogue epi = Epilogue::kNone,
-                const PackedInt8* packed_a = nullptr,
-                const PackedInt8* packed_b = nullptr,
                 const RowAffine* affine = nullptr);
 
 }  // namespace mersit::nn::gemm

@@ -123,10 +123,8 @@ Tensor conv_kulisch(const ConvGeom& g, const Tensor& x, const WeightCodes& wc,
         ccodes[i] = wc.book->kernel->encode(static_cast<double>(colp[i]) * xinv);
       const gemm::QOperand a{
           wc.codes.data() + static_cast<std::size_t>(grp) * ocg * kdim, kdim,
-          /*trans=*/false, wc.scales.data() + static_cast<std::size_t>(grp) * ocg,
-          0.0};
-      const gemm::QOperand bop{ccodes.data(), osz, /*trans=*/false, nullptr,
-                               xscale};
+          wc.scales.data() + static_cast<std::size_t>(grp) * ocg, 0.0};
+      const gemm::QOperand bop{ccodes.data(), osz, nullptr, xscale};
       gemm::qgemm_kulisch(ocg, osz, kdim, a, bop, wc.book->table(),
                           gemm::Init::kBiasRow,
                           bias + static_cast<std::size_t>(grp) * ocg,
@@ -197,22 +195,16 @@ Tensor conv_int8(const ConvGeom& g, const Tensor& x, const WeightPlan& plan,
         aff.scale = bn_scale + static_cast<std::size_t>(grp) * ocg;
         aff.shift = bn_shift + static_cast<std::size_t>(grp) * ocg;
       }
-      const gemm::Int8Operand a{
-          wc.codes.data() + static_cast<std::size_t>(grp) * ocg * kdim, kdim,
-          /*trans=*/false, grid.level,
-          plan.iscales.data() + static_cast<std::size_t>(grp) * ocg, 0.0};
-      const gemm::Int8Operand bop{reinterpret_cast<const std::uint8_t*>(qcol),
-                                  ncols, /*trans=*/false, gemm::identity_qlut(),
-                                  nullptr, grid.pitch * xscale};
       float* cdst = bn == 1
                         ? y.raw() + (static_cast<std::size_t>(b0) * g.out_ch +
                                      static_cast<std::size_t>(grp) * ocg) *
                                         osz
                         : cbuf;
-      gemm::qgemm_int8(ocg, ncols, kdim, a, bop, gemm::Init::kBiasRow,
-                       bias + static_cast<std::size_t>(grp) * ocg,
-                       cdst, ncols, &core::global_pool(), epi,
-                       &plan.ipacks[grp], nullptr,
+      gemm::qgemm_int8(ocg, ncols, kdim, plan.ipacks[grp],
+                       plan.iscales.data() + static_cast<std::size_t>(grp) * ocg,
+                       qcol, ncols, grid.pitch * xscale, gemm::Init::kBiasRow,
+                       bias + static_cast<std::size_t>(grp) * ocg, cdst, ncols,
+                       &core::global_pool(), epi,
                        bn_scale != nullptr ? &aff : nullptr);
       if (bn > 1) {
         for (int m = 0; m < ocg; ++m) {
@@ -333,7 +325,7 @@ std::shared_ptr<const WeightPlan> ChannelWeights::plan_for(const PlanRequest& re
     for (const double s : wc->scales) plan->iscales.push_back(grid.pitch * s);
     for (int grp = 0; grp < layout.groups; ++grp)
       plan->ipacks.push_back(gemm::pack_a_int8_matrix(
-          layout.rows, layout.k, wc->codes.data() + grp * block, layout.k, false, grid.level));
+          layout.rows, layout.k, wc->codes.data() + grp * block, layout.k, grid.level));
   } else if (plan->kernel == WeightKernel::kFp32) {
     const float* src = weight.value.raw();
     if (wc != nullptr) {

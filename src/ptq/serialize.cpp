@@ -280,8 +280,13 @@ QuantizedModel pack_weights(nn::Module& model, const formats::Format& fmt,
 namespace {
 
 std::string layer_label(const nn::Module* m, std::size_t index) {
-  return m->path().empty() ? "#" + std::to_string(index) + " (" + m->name() + ")"
-                           : "'" + m->path() + "'";
+  if (!m->path().empty()) return "'" + m->path() + "'";
+  std::string label = "#";
+  label += std::to_string(index);
+  label += " (";
+  label += m->name();
+  label += ')';
+  return label;
 }
 
 /// The shared validation pass of unpack_weights / install_code_weights /

@@ -68,8 +68,9 @@ TEST_P(DecodeContract, ExponentFormFieldsAreWellFormed) {
     const Decoded d = ef->decode(static_cast<std::uint8_t>(c));
     EXPECT_GE(d.frac_bits, 0) << "code " << c;
     EXPECT_LE(d.frac_bits, 31) << "code " << c;
-    if (d.frac_bits < 31)
+    if (d.frac_bits < 31) {
       EXPECT_LT(d.fraction, 1u << d.frac_bits) << "code " << c;
+    }
     if (d.cls == ValueClass::kFinite) {
       EXPECT_GE(d.exponent, ef->min_exponent()) << "code " << c;
       EXPECT_LE(d.exponent, ef->max_exponent()) << "code " << c;

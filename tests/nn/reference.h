@@ -315,8 +315,8 @@ Tensor lowered_conv(const Tensor& x, const ConvGeometry& g, GroupGemm&& group_ge
 }
 
 /// The int8 path over x (stamped scale `xscale`): quantize_levels on the
-/// format's int8 grid, then qgemm_int8 with the BN affine (when given)
-/// and the epilogue.
+/// format's int8 grid, then qgemm_int8 over the group's weight levels
+/// packed once, with the BN affine (when given) and the epilogue.
 inline Tensor int8_forward(const Tensor& x, double xscale, const WeightCodes& wc,
                            const float* bias, const ConvGeometry& g,
                            gemm::Epilogue epi, const float* bn_scale = nullptr,
@@ -326,19 +326,21 @@ inline Tensor int8_forward(const Tensor& x, double xscale, const WeightCodes& wc
   std::vector<double> iscales;
   for (const double s : wc.scales) iscales.push_back(grid.pitch * s);
   const BackendGuard scalar(gemm::scalar_backend());
+  std::vector<gemm::PackedInt8> packs;
+  for (int grp = 0; grp < g.groups; ++grp)
+    packs.push_back(gemm::pack_a_int8_matrix(
+        ocg, kdim, wc.codes.data() + static_cast<std::size_t>(grp) * ocg * kdim, kdim,
+        grid.level));
   return lowered_conv(x, g, [&](std::size_t o0, const float* col, int osz, float* out) {
     std::vector<std::int8_t> q(static_cast<std::size_t>(kdim) * osz);
     gemm::quantize_levels(col, q.size(), 1.0 / (grid.pitch * xscale), -grid.qmax,
                           grid.qmax, q.data());
-    const gemm::Int8Operand a{wc.codes.data() + o0 * kdim, kdim, false, grid.level,
-                              iscales.data() + o0, 0.0};
-    const gemm::Int8Operand b{reinterpret_cast<const std::uint8_t*>(q.data()), osz,
-                              false, gemm::identity_qlut(), nullptr,
-                              grid.pitch * xscale};
     const gemm::RowAffine aff{bn_scale != nullptr ? bn_scale + o0 : nullptr,
                               bn_shift != nullptr ? bn_shift + o0 : nullptr};
-    gemm::qgemm_int8(ocg, osz, kdim, a, b, gemm::Init::kBiasRow, bias + o0, out, osz,
-                     nullptr, epi, nullptr, nullptr, bn_scale != nullptr ? &aff : nullptr);
+    gemm::qgemm_int8(ocg, osz, kdim, packs[o0 / static_cast<std::size_t>(ocg)],
+                     iscales.data() + o0, q.data(), osz, grid.pitch * xscale,
+                     gemm::Init::kBiasRow, bias + o0, out, osz, nullptr, epi,
+                     bn_scale != nullptr ? &aff : nullptr);
   });
 }
 
@@ -354,9 +356,9 @@ Tensor kulisch_forward(const Tensor& x, double xscale, const WeightCodes& wc,
     std::vector<std::uint8_t> codes(static_cast<std::size_t>(kdim) * osz);
     for (std::size_t i = 0; i < codes.size(); ++i)
       codes[i] = encode(static_cast<double>(col[i]) * (1.0 / xscale));
-    const gemm::QOperand a{wc.codes.data() + o0 * kdim, kdim, false,
-                           wc.scales.data() + o0, 0.0};
-    const gemm::QOperand b{codes.data(), osz, false, nullptr, xscale};
+    const gemm::QOperand a{wc.codes.data() + o0 * kdim, kdim, wc.scales.data() + o0,
+                           0.0};
+    const gemm::QOperand b{codes.data(), osz, nullptr, xscale};
     gemm::qgemm_kulisch(ocg, osz, kdim, a, b, wc.book->table(), gemm::Init::kBiasRow,
                         bias + o0, out, osz, epi);
   });

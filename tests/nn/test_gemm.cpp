@@ -63,9 +63,9 @@ void ref_gemm(int M, int N, int K, const float* A, int lda, bool ta,
               gemm::Init init, const float* bias) {
   for (int m = 0; m < M; ++m) {
     for (int n = 0; n < N; ++n) {
-      float acc;
+      float acc = 0.f;
       switch (init) {
-        case gemm::Init::kZero: acc = 0.f; break;
+        case gemm::Init::kZero: break;
         case gemm::Init::kBiasRow: acc = bias[m]; break;
         case gemm::Init::kBiasCol: acc = bias[n]; break;
         case gemm::Init::kAccumulate: acc = C[static_cast<std::size_t>(m) * ldc + n]; break;

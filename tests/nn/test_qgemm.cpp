@@ -423,10 +423,10 @@ TEST(QgemmKulisch, SingleProductMatchesContractFormulaExactly) {
       if (!std::isfinite(lut[static_cast<std::size_t>(cb)])) continue;
       const std::uint8_t a_code = static_cast<std::uint8_t>(ca);
       const std::uint8_t b_code = static_cast<std::uint8_t>(cb);
-      const gemm::QOperand a{&a_code, 1, false, nullptr, sa};
-      const gemm::QOperand b{&b_code, 1, false, nullptr, sb};
+      const gemm::QOperand a{&a_code, 1, nullptr, sa};
+      const gemm::QOperand b{&b_code, 1, nullptr, sb};
       float got = 0.f;
-      gemm::qgemm_kulisch(1, 1, 1, a, b, tab, gemm::Init::kBiasCol, &bias,
+      gemm::qgemm_kulisch(1, 1, 1, a, b, tab, gemm::Init::kBiasRow, &bias,
                           &got, 1);
       const float want = static_cast<float>(
           static_cast<double>(bias) + lut[static_cast<std::size_t>(ca)] *
@@ -464,8 +464,8 @@ TEST(QgemmKulisch, CancellationRecoversTinyAddendExactly) {
                                    kernel->encode(-vmax)};
   const std::uint8_t one = kernel->encode(1.0);
   const std::uint8_t b_codes[3] = {one, one, one};
-  const gemm::QOperand a{a_codes, 3, false, nullptr, 1.0};
-  const gemm::QOperand b{b_codes, 1, false, nullptr, 1.0};
+  const gemm::QOperand a{a_codes, 3, nullptr, 1.0};
+  const gemm::QOperand b{b_codes, 1, nullptr, 1.0};
   float got = -1.f;
   gemm::qgemm_kulisch(1, 1, 3, a, b, tab, gemm::Init::kZero, nullptr, &got, 1);
   EXPECT_EQ(got, static_cast<float>(vmin));

@@ -1,10 +1,10 @@
 // Decode-free int8 path (QgemmMode::kInt8): the codec's int8 grid must be
 // usable for exactly the affine family (INT8 — exhaustively over all 256
 // codes) and for no non-affine registered format (MERSIT, posit, FP8); the
-// integer micro-kernel must be bitwise identical to the scalar
-// integer reference on every compiled-in backend, prepacked or not, at any
-// thread count (integer accumulation is associative, so this is ULP 0 by
-// construction, not tolerance); and the end-to-end wiring —
+// integer micro-kernel must be bitwise identical to the scalar integer
+// reference on every compiled-in backend, at any thread count (integer
+// accumulation is associative, so this is ULP 0 by construction, not
+// tolerance); and the end-to-end wiring —
 // ptq::evaluate_with_table, serve::Engine hot-swap, a corrupted artifact —
 // must hold the documented ULP contract vs the float code path.  Layer
 // dispatch and whole-model forwards are the contract matrix in
@@ -12,6 +12,7 @@
 // `concurrency` TSan label with the rest of the qgemm suite.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -84,13 +85,6 @@ TEST(Int8Affine, DetectsExactlyTheAffineFamilyAllFormatsAllCodes) {
   EXPECT_EQ(int8->codec().int8_grid().pitch, 1.0);
   EXPECT_EQ(int8->codec().int8_grid().qmax, 127);
 }
-
-/// A synthetic all-finite grid for the kernel gates: every code is its own
-/// two's-complement level (gemm::identity_qlut), so all 256 levels appear.
-struct SyntheticGrid {
-  const std::int8_t* q;
-  double scale;
-};
 
 // ------------------------------------------------------- activation levels --
 
@@ -192,25 +186,34 @@ TEST(Int8Levels, FakeQuantizerGridPathBitIdenticalToScalarReference) {
 
 // ------------------------------------------------ per-backend kernel gates --
 
+/// A synthetic all-finite code→level map for the kernel gates: code c maps
+/// to the byte 37·c + 5 read as a two's-complement level.  37 is odd, so
+/// the map is a bijection and all 256 levels (-128 included) appear, in an
+/// order unlike the identity.
+std::array<std::int8_t, 256> synthetic_levels() {
+  std::array<std::int8_t, 256> q{};
+  for (int c = 0; c < 256; ++c)
+    q[static_cast<std::size_t>(c)] =
+        static_cast<std::int8_t>(static_cast<std::uint8_t>(37 * c + 5));
+  return q;
+}
+
 /// Naive integer reference of the documented contract: exact int32 level
-/// accumulation, one dequant rounding chain at write-back, optional
-/// per-row affine, then the epilogue.
-void int8_reference(int M, int N, int K, const std::int8_t* qa, double ua,
-                    const double* sa_rows, const std::int8_t* qb_t,
-                    const double* sb_cols, double ub, const float* bias,
-                    bool bias_per_col, const float* aff_s, const float* aff_t,
+/// accumulation of A (M x K) times B (K x N, row-major), one dequant
+/// rounding chain at write-back, optional per-row affine, then the
+/// epilogue.
+void int8_reference(int M, int N, int K, const std::int8_t* qa,
+                    const double* sa, const std::int8_t* qb, double sb,
+                    const float* bias, const float* aff_s, const float* aff_t,
                     gemm::Epilogue epi, float* c) {
   for (int m = 0; m < M; ++m) {
     for (int n = 0; n < N; ++n) {
       std::int32_t acc = 0;
       for (int k = 0; k < K; ++k)
         acc += static_cast<std::int32_t>(qa[static_cast<std::size_t>(m) * K + k]) *
-               static_cast<std::int32_t>(qb_t[static_cast<std::size_t>(n) * K + k]);
-      const double sa = sa_rows != nullptr ? sa_rows[m] : ua;
-      const double sb = sb_cols != nullptr ? sb_cols[n] : ub;
-      const double init =
-          bias != nullptr ? static_cast<double>(bias[bias_per_col ? n : m]) : 0.0;
-      float v = static_cast<float>(init + static_cast<double>(acc) * (sa * sb));
+               static_cast<std::int32_t>(qb[static_cast<std::size_t>(k) * N + n]);
+      const double init = bias != nullptr ? static_cast<double>(bias[m]) : 0.0;
+      float v = static_cast<float>(init + static_cast<double>(acc) * (sa[m] * sb));
       if (aff_s != nullptr) v = aff_s[m] * v + aff_t[m];
       c[static_cast<std::size_t>(m) * N + n] = gemm::epilogue_eval(epi, v);
     }
@@ -218,33 +221,32 @@ void int8_reference(int M, int N, int K, const std::int8_t* qa, double ua,
 }
 
 // Every compiled-in backend the host supports must produce bitwise-identical
-// output to the naive integer reference — prepacked and pack-per-call, with
-// and without the RowAffine + epilogue write-back, at dimensions that cross
-// the MC/KC/NC cache blocks and leave ragged panel remainders.
+// output to the naive integer reference, in the form a conv calls the
+// driver: prepacked weight codes through a level map with per-row scales,
+// per-call activation levels with one uniform scale, and a per-row bias,
+// with and without the RowAffine + epilogue write-back, at dimensions that
+// cross the MC/KC/NC cache blocks and leave ragged panel remainders.
 TEST(Int8Kernel, AllBackendsBitwiseIdenticalToScalarIntegerReference) {
   constexpr int kM = 130, kK = 300, kN = 37;
-  const SyntheticGrid alut{gemm::identity_qlut(), 0.0625};
+  const std::array<std::int8_t, 256> level = synthetic_levels();
 
   std::vector<std::uint8_t> a(static_cast<std::size_t>(kM) * kK);
   for (std::size_t i = 0; i < a.size(); ++i)
     a[i] = static_cast<std::uint8_t>((i * 7 + i / 256) & 0xFF);
-  std::vector<std::uint8_t> bt(static_cast<std::size_t>(kN) * kK);  // N x K
-  for (std::size_t i = 0; i < bt.size(); ++i)
-    bt[i] = static_cast<std::uint8_t>((i * 11 + i / 256) & 0xFF);
+  std::vector<std::int8_t> qb(static_cast<std::size_t>(kK) * kN);  // K x N
+  for (std::size_t i = 0; i < qb.size(); ++i)
+    qb[i] = static_cast<std::int8_t>(static_cast<std::uint8_t>(i * 11 + i / 256));
 
-  std::vector<std::int8_t> qa(a.size()), qb(bt.size());
-  for (std::size_t i = 0; i < a.size(); ++i)
-    qa[i] = alut.q[a[i]];
-  for (std::size_t i = 0; i < bt.size(); ++i)
-    qb[i] = alut.q[bt[i]];
+  std::vector<std::int8_t> qa(a.size());
+  for (std::size_t i = 0; i < a.size(); ++i) qa[i] = level[a[i]];
 
-  std::vector<double> col_scales(kN);
-  for (int n = 0; n < kN; ++n)
-    col_scales[static_cast<std::size_t>(n)] = alut.scale * 0.25 * (n % 7 + 1);
-  const double ua = alut.scale * 1.5;
-  std::vector<float> bias(kN);
-  for (int n = 0; n < kN; ++n)
-    bias[static_cast<std::size_t>(n)] = 0.01f * static_cast<float>(n - 18);
+  std::vector<double> row_scales(kM);
+  for (int m = 0; m < kM; ++m)
+    row_scales[static_cast<std::size_t>(m)] = 0.015625 * (m % 7 + 1);
+  const double ub = 0.0625 * 1.5;
+  std::vector<float> bias(kM);
+  for (int m = 0; m < kM; ++m)
+    bias[static_cast<std::size_t>(m)] = 0.01f * static_cast<float>(m - 64);
   std::vector<float> aff_s(kM), aff_t(kM);
   for (int m = 0; m < kM; ++m) {
     aff_s[static_cast<std::size_t>(m)] = 0.75f + 0.001f * static_cast<float>(m);
@@ -252,48 +254,34 @@ TEST(Int8Kernel, AllBackendsBitwiseIdenticalToScalarIntegerReference) {
   }
 
   std::vector<float> want_plain(static_cast<std::size_t>(kM) * kN);
-  int8_reference(kM, kN, kK, qa.data(), ua, nullptr, qb.data(),
-                 col_scales.data(), 0.0, bias.data(), /*bias_per_col=*/true,
-                 nullptr, nullptr, gemm::Epilogue::kNone, want_plain.data());
+  int8_reference(kM, kN, kK, qa.data(), row_scales.data(), qb.data(), ub,
+                 bias.data(), nullptr, nullptr, gemm::Epilogue::kNone,
+                 want_plain.data());
   std::vector<float> want_fused(want_plain.size());
-  int8_reference(kM, kN, kK, qa.data(), ua, nullptr, qb.data(),
-                 col_scales.data(), 0.0, bias.data(), /*bias_per_col=*/true,
-                 aff_s.data(), aff_t.data(), gemm::Epilogue::kReLU,
-                 want_fused.data());
+  int8_reference(kM, kN, kK, qa.data(), row_scales.data(), qb.data(), ub,
+                 bias.data(), aff_s.data(), aff_t.data(),
+                 gemm::Epilogue::kReLU, want_fused.data());
 
-  const gemm::Int8Operand opa{a.data(), kK, /*trans=*/false, alut.q, nullptr, ua};
-  const gemm::Int8Operand opb{bt.data(), kK, /*trans=*/true, alut.q,
-                              col_scales.data(), 0.0};
   for (const gemm::Backend* be : gemm::backends()) {
     if (!be->supported()) continue;
     SCOPED_TRACE(be->name);
     const BackendGuard guard(*be);
-
-    std::vector<float> got(want_plain.size());
-    gemm::qgemm_int8(kM, kN, kK, opa, opb, gemm::Init::kBiasCol, bias.data(),
-                     got.data(), kN);
-    EXPECT_EQ(std::memcmp(got.data(), want_plain.data(),
-                          got.size() * sizeof(float)),
-              0)
-        << "pack-per-call";
-
     const gemm::PackedInt8 pa =
-        gemm::pack_a_int8_matrix(kM, kK, a.data(), kK, false, alut.q);
-    const gemm::PackedInt8 pb =
-        gemm::pack_b_int8_matrix(kK, kN, bt.data(), kK, true, alut.q);
-    std::fill(got.begin(), got.end(), -1.f);
-    gemm::qgemm_int8(kM, kN, kK, opa, opb, gemm::Init::kBiasCol, bias.data(),
-                     got.data(), kN, nullptr, gemm::Epilogue::kNone, &pa, &pb);
+        gemm::pack_a_int8_matrix(kM, kK, a.data(), kK, level.data());
+
+    std::vector<float> got(want_plain.size(), -1.f);
+    gemm::qgemm_int8(kM, kN, kK, pa, row_scales.data(), qb.data(), kN, ub,
+                     gemm::Init::kBiasRow, bias.data(), got.data(), kN);
     EXPECT_EQ(std::memcmp(got.data(), want_plain.data(),
                           got.size() * sizeof(float)),
               0)
-        << "prepacked";
+        << "plain";
 
     gemm::RowAffine aff{aff_s.data(), aff_t.data()};
     std::fill(got.begin(), got.end(), -1.f);
-    gemm::qgemm_int8(kM, kN, kK, opa, opb, gemm::Init::kBiasCol, bias.data(),
-                     got.data(), kN, nullptr, gemm::Epilogue::kReLU, &pa, &pb,
-                     &aff);
+    gemm::qgemm_int8(kM, kN, kK, pa, row_scales.data(), qb.data(), kN, ub,
+                     gemm::Init::kBiasRow, bias.data(), got.data(), kN,
+                     nullptr, gemm::Epilogue::kReLU, &aff);
     EXPECT_EQ(std::memcmp(got.data(), want_fused.data(),
                           got.size() * sizeof(float)),
               0)
@@ -305,69 +293,54 @@ TEST(Int8Kernel, AllBackendsBitwiseIdenticalToScalarIntegerReference) {
 // invariant to the worker count (tiles are computed whole, integer
 // accumulation is exact).
 TEST(Int8Kernel, RejectsUnsafeCallsAndStaysThreadCountInvariant) {
-  const SyntheticGrid alut{gemm::identity_qlut(), 0.5};
+  const std::array<std::int8_t, 256> level = synthetic_levels();
   constexpr int kM = 45, kK = 267, kN = 129;
   std::vector<std::uint8_t> a(static_cast<std::size_t>(kM) * kK);
-  std::vector<std::uint8_t> b(static_cast<std::size_t>(kK) * kN);
+  std::vector<std::int8_t> b(static_cast<std::size_t>(kK) * kN);
   for (std::size_t i = 0; i < a.size(); ++i)
     a[i] = static_cast<std::uint8_t>((i * 13) & 0xFF);
   for (std::size_t i = 0; i < b.size(); ++i)
-    b[i] = static_cast<std::uint8_t>((i * 29) & 0xFF);
-  const gemm::Int8Operand opa{a.data(), kK, false, alut.q, nullptr,
-                              alut.scale};
-  const gemm::Int8Operand opb{b.data(), kN, false, alut.q, nullptr,
-                              alut.scale};
+    b[i] = static_cast<std::int8_t>(static_cast<std::uint8_t>(i * 29));
+  const std::vector<double> sa(kM, 0.5);
+  const std::vector<float> bias(kM, 0.25f);
+  const gemm::PackedInt8 pa =
+      gemm::pack_a_int8_matrix(kM, kK, a.data(), kK, level.data());
   std::vector<float> c(static_cast<std::size_t>(kM) * kN);
+  const auto run = [&](const gemm::PackedInt8& w, int K, gemm::Init init) {
+    gemm::qgemm_int8(kM, kN, K, w, sa.data(), b.data(), kN, 0.5, init,
+                     bias.data(), c.data(), kN);
+  };
 
-  // K beyond the exact-int32 bound and rounded-partial continuation.
-  EXPECT_THROW(gemm::qgemm_int8(1, 1, gemm::kInt8MaxK + 1, opa, opb,
-                                gemm::Init::kZero, nullptr, c.data(), 1),
+  // K beyond the exact-int32 bound, rounded-partial continuation, and a
+  // per-column bias (the weight operand's rows are the output channels).
+  EXPECT_THROW(run(pa, gemm::kInt8MaxK + 1, gemm::Init::kZero),
                std::invalid_argument);
-  EXPECT_THROW(gemm::qgemm_int8(kM, kN, kK, opa, opb, gemm::Init::kAccumulate,
-                                nullptr, c.data(), kN),
-               std::invalid_argument);
-  gemm::Int8Operand no_lut = opa;
-  no_lut.qlut = nullptr;
-  EXPECT_THROW(gemm::qgemm_int8(kM, kN, kK, no_lut, opb, gemm::Init::kZero,
-                                nullptr, c.data(), kN),
-               std::invalid_argument);
-  // A prepacked operand must match the call shape...
+  EXPECT_THROW(run(pa, kK, gemm::Init::kAccumulate), std::invalid_argument);
+  EXPECT_THROW(run(pa, kK, gemm::Init::kBiasCol), std::invalid_argument);
+  // The weight pack must match the call shape...
   const gemm::PackedInt8 wrong_m =
-      gemm::pack_a_int8_matrix(kM - 1, kK, a.data(), kK, false, alut.q);
-  EXPECT_THROW(gemm::qgemm_int8(kM, kN, kK, opa, opb, gemm::Init::kZero,
-                                nullptr, c.data(), kN, nullptr,
-                                gemm::Epilogue::kNone, &wrong_m),
-               std::invalid_argument);
+      gemm::pack_a_int8_matrix(kM - 1, kK, a.data(), kK, level.data());
+  EXPECT_THROW(run(wrong_m, kK, gemm::Init::kZero), std::invalid_argument);
   // ...and the active backend: panels packed under scalar are misindexed by
   // any other backend.
   for (const gemm::Backend* be : gemm::backends()) {
     if (be == &gemm::scalar_backend() || !be->supported()) continue;
     SCOPED_TRACE(be->name);
-    gemm::PackedInt8 pa, pb;
+    gemm::PackedInt8 scalar_pack;
     {
       const BackendGuard guard(gemm::scalar_backend());
-      pa = gemm::pack_a_int8_matrix(kM, kK, a.data(), kK, false, alut.q);
-      pb = gemm::pack_b_int8_matrix(kK, kN, b.data(), kN, false, alut.q);
+      scalar_pack = gemm::pack_a_int8_matrix(kM, kK, a.data(), kK, level.data());
     }
     const BackendGuard guard(*be);
-    EXPECT_THROW(gemm::qgemm_int8(kM, kN, kK, opa, opb, gemm::Init::kZero,
-                                  nullptr, c.data(), kN, nullptr,
-                                  gemm::Epilogue::kNone, &pa, nullptr),
-                 std::invalid_argument);
-    EXPECT_THROW(gemm::qgemm_int8(kM, kN, kK, opa, opb, gemm::Init::kZero,
-                                  nullptr, c.data(), kN, nullptr,
-                                  gemm::Epilogue::kNone, nullptr, &pb),
-                 std::invalid_argument);
+    EXPECT_THROW(run(scalar_pack, kK, gemm::Init::kZero), std::invalid_argument);
   }
 
-  gemm::qgemm_int8(kM, kN, kK, opa, opb, gemm::Init::kZero, nullptr, c.data(),
-                   kN);
+  run(pa, kK, gemm::Init::kBiasRow);
   const std::vector<float> base = c;
   for (const int threads : {1, 13}) {
     const reference::PoolWidthGuard pool(threads);
     std::fill(c.begin(), c.end(), -1.f);
-    gemm::qgemm_int8(kM, kN, kK, opa, opb, gemm::Init::kZero, nullptr,
-                     c.data(), kN);
+    run(pa, kK, gemm::Init::kBiasRow);
     EXPECT_EQ(std::memcmp(c.data(), base.data(), c.size() * sizeof(float)), 0)
         << "threads=" << threads;
   }
