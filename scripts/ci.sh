@@ -9,11 +9,12 @@
 # parallel PTQ, serving engine + hot-swap; see tests/CMakeLists.txt for the
 # label registry).  Finally, guard against build artifacts leaking into the
 # work tree.  Between the default build and the sanitizers, the GEMM
-# library must export no weak gemm::detail template symbols, the GEMM and
-# layer suites must pass again when built with -mfma, the examples must
-# run to a clean exit, the paper's deterministic outputs must match
-# bench/golden/, and the gate-replay, trunk-mersit, mobile-int8 and
-# serve-swap benchmark workloads must report their outputs correct.
+# library must export no weak gemm::detail template symbols, the GEMM,
+# layer, fake-quant loop and codec suites must pass again when built with
+# -mfma, the examples must run to a clean exit, the paper's deterministic
+# outputs must match bench/golden/, and the gate-replay, trunk-mersit,
+# mobile-int8 and serve-swap benchmark workloads must report their outputs
+# correct.
 #
 # Usage: scripts/ci.sh [jobs]
 set -euo pipefail
@@ -83,8 +84,9 @@ MERSIT_BACKEND=scalar ./build/tests/test_concurrency --gtest_filter='Gemm*'
 MERSIT_BACKEND=scalar ./build/tests/test_qgemm --gtest_filter='QgemmPack*:QgemmWeightPlan.*:QgemmModelTest.*:Int8*'
 
 # FMA contraction guard: rebuild the GEMM and layer suites (the contract
-# matrix included) with -mfma, so the compiler may fuse any a*b + c it
-# sees, and rerun them.  They pass
+# matrix included), the fake-quant loop suites (Kernel*, in
+# test_concurrency) and the codec suite (test_formats) with -mfma, so the
+# compiler may fuse any a*b + c it sees, and rerun them.  They pass
 # only if -ffp-contract=off (src/CMakeLists.txt, tests/CMakeLists.txt)
 # reaches every TU on the bit-identity path; aarch64 has FMA in its
 # baseline ISA, so an aarch64 build (scalar backend only, which no CI
@@ -93,11 +95,13 @@ MERSIT_BACKEND=scalar ./build/tests/test_qgemm --gtest_filter='QgemmPack*:QgemmW
 if [[ "$(uname -m)" == x86_64 ]] && grep -qw fma /proc/cpuinfo; then
   echo "==> configure build-fma (-mfma)"
   cmake -B build-fma -S . "${CACHE_ARGS[@]}" -DCMAKE_CXX_FLAGS=-mfma
-  echo "==> build build-fma (test_concurrency, test_qgemm)"
-  cmake --build build-fma -j "${JOBS}" --target test_concurrency test_qgemm
-  echo "==> GEMM and layer suites under -mfma"
-  ./build-fma/tests/test_concurrency --gtest_filter='Gemm*:Layer*'
+  echo "==> build build-fma (test_concurrency, test_qgemm, test_formats)"
+  cmake --build build-fma -j "${JOBS}" --target test_concurrency test_qgemm \
+    test_formats
+  echo "==> GEMM, layer, fake-quant loop and codec suites under -mfma"
+  ./build-fma/tests/test_concurrency --gtest_filter='Gemm*:Layer*:Kernel*'
   ./build-fma/tests/test_qgemm
+  ./build-fma/tests/test_formats
 else
   echo "==> skip the -mfma stage: this host cannot execute x86-64 FMA code"
 fi

@@ -21,18 +21,32 @@
 // branches left are the short candidate scan and rare events (NaN/±0 input,
 // exact midpoint ties).
 //
-// Batch dispatch: fake_quantize runs one of three loops over the same
-// tables, picked once at construction from the host's CPUID bits (the
-// avx512f / avx2 bits the GEMM backends and quantize_levels use):
+// Batch dispatch: fake_quantize runs one of three loops, picked once at
+// construction from the host's CPUID bits (the avx512f / avx2 bits the GEMM
+// backends and quantize_levels use):
 //
-//  * kAvx512 / kAvx2 — 8 lanes at a time: the bucket key is computed as in
-//    pick_index, the bucket, both midpoints and the candidate value are
-//    gathered, the two boundary compares become mask adds, the sign is
-//    restored with a masked xor, and ±0 / NaN lanes take the zero value
-//    through a blend.  A vector holding an exact midpoint tie redoes its 8
-//    lanes with the scalar quantize_value; the tail runs the scalar loop;
-//  * kScalar — quantize_value per element: the reference the vector loops
-//    are tested against, and the fallback on other hosts.
+//  * kAvx512 / kAvx2 — vector loops with two bodies, one chosen at
+//    construction next to the loop (grid_body()):
+//     - the uniform-grid body, when the codec's int8_grid() is usable (INT8
+//       alone today): no table at all.  Per vector the floats widen to
+//       double, multiply by (1/scale)/pitch, clamp to [-qmax, qmax] and
+//       round to the nearest even level; NaN and ±0 levels become +0, and
+//       the level is multiplied by pitch (exact) and then by scale in
+//       double and narrowed to float once — the same product the
+//       reference forms from the level's decoded value.  Nearest-value
+//       ties-to-even-code rounding IS nearest-level ties-to-even-level
+//       rounding on such a grid (the codec checks the code parities), so
+//       no tie needs a redo;
+//     - the table body, for every other format (8 lanes): the bucket key
+//       is computed as in pick_index, the bucket, both midpoints and the
+//       candidate value are gathered, the two boundary compares become
+//       mask adds, the sign is restored with a masked xor, and ±0 / NaN
+//       lanes take the zero value through a blend.  A vector holding an
+//       exact midpoint tie redoes its 8 lanes with the scalar
+//       quantize_value.
+//    Both bodies leave the tail to the scalar loop;
+//  * kScalar — quantize_value per element, for every format: the reference
+//    the vector loops are tested against, and the fallback on other hosts.
 //
 // fake_quantize_with runs a named loop, so tests and benches can pin each
 // one against the scalar reference on any host that can execute it.
@@ -119,6 +133,10 @@ class QuantKernel {
 
   /// The loop fake_quantize runs: the widest the host supports.
   [[nodiscard]] Loop loop() const { return loop_; }
+
+  /// True when the vector loops run the uniform-grid body instead of the
+  /// table body: the codec's int8_grid() is usable.
+  [[nodiscard]] bool grid_body() const { return grid_body_; }
 
   /// In-place batched fake quantization; bit-identical to the scalar
   /// reference loop (fake_quantize_scalar).
@@ -213,6 +231,7 @@ class QuantKernel {
   std::vector<std::uint32_t> bucket_;
 
   Loop loop_ = Loop::kScalar;
+  bool grid_body_ = false;
 };
 
 }  // namespace mersit::formats::kernels

@@ -48,36 +48,7 @@ void MaxCalibrator::observe_input(const Tensor& t) {
 
 FakeQuantizer::FakeQuantizer(const CalibrationTable& table, const Format& fmt,
                              ScalePolicy policy)
-    : table_(table),
-      fmt_(fmt),
-      policy_(policy),
-      kernel_(fmt.kernel()),
-      grid_(kernel_->codec().int8_grid()) {}
-
-void FakeQuantizer::fake_quantize_grid(std::span<float> x,
-                                       double scale) const {
-  // Per-level outputs: float((pitch·l)·scale).  pitch·l is exact (power-of-
-  // two pitch, |l| <= 127) and equals the codec's stored value for level l,
-  // so this is the same double product + float cast the codec kernel
-  // evaluates per element — computed once per level instead.
-  const int qmax = grid_.qmax;
-  float out[255];
-  for (int l = -qmax; l <= qmax; ++l)
-    out[l + qmax] =
-        static_cast<float>((grid_.pitch * static_cast<double>(l)) * scale);
-  // (1/scale)/pitch is exact (exponent shift), so the single fused product
-  // x·inv_lvl rounds to the same double as the kernel's x·(1/scale) scaled
-  // down by the pitch — the rounding decision, ties included, is identical.
-  const double inv_lvl = (1.0 / scale) / grid_.pitch;
-  constexpr std::size_t kChunk = 4096;
-  std::int8_t lv[kChunk];
-  for (std::size_t i = 0; i < x.size(); i += kChunk) {
-    const std::size_t c = std::min(kChunk, x.size() - i);
-    nn::gemm::quantize_levels(x.data() + i, c, inv_lvl, -qmax, qmax, lv);
-    for (std::size_t j = 0; j < c; ++j)
-      x[i + j] = out[lv[j] + qmax];
-  }
-}
+    : table_(table), fmt_(fmt), policy_(policy), kernel_(fmt.kernel()) {}
 
 void FakeQuantizer::fake_quantize_tensor(Tensor& t, double scale) const {
   // Fixed 8192-element blocks (32 KiB, L1-sized) spread over the pool.  The
@@ -91,10 +62,7 @@ void FakeQuantizer::fake_quantize_tensor(Tensor& t, double scale) const {
         const std::size_t begin = b0 * kBlock;
         const std::span<float> part =
             x.subspan(begin, std::min(x.size(), b1 * kBlock) - begin);
-        if (grid_.usable)
-          fake_quantize_grid(part, scale);
-        else
-          kernel_->fake_quantize(part, scale);
+        kernel_->fake_quantize(part, scale);
       });
   // Every element is now code_value * scale for some 8-bit code; stamp the
   // scale so the Kulisch GEMM mode can recover the codes by re-encoding.

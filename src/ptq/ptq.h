@@ -77,11 +77,12 @@ class MaxCalibrator final : public nn::QuantSession {
 ///
 /// Each tensor (activation or model input) goes through one helper that
 /// splits it into fixed 8192-element blocks across core::global_pool(); each
-/// block takes the uniform-grid path (INT8) or the format's QuantKernel,
-/// whose batch loop (AVX-512 / AVX2 / scalar) was picked when the kernel was
-/// built.  Quantization is elementwise, so the output bits do not depend on
-/// the pool width; called from inside a parallel region (the evaluators'
-/// batch fan-out) the blocks run inline.
+/// block runs the format's QuantKernel, whose batch loop (AVX-512 / AVX2 /
+/// scalar) and vector body (uniform grid for INT8, bucket tables for the
+/// rest) were picked when the kernel was built.  Quantization is
+/// elementwise, so the output bits do not depend on the pool width; called
+/// from inside a parallel region (the evaluators' batch fan-out) the blocks
+/// run inline.
 ///
 /// Concurrency: after construction the quantizer only reads the calibration
 /// table and the shared format kernel, and each evaluation thread hands it a
@@ -112,24 +113,15 @@ class FakeQuantizer final : public nn::QuantSession {
   /// The distinct paths (or "<unpathed TypeName>") of those layers.
   [[nodiscard]] std::set<std::string> uncalibrated_paths() const;
 
-  /// True when the format's value set is a uniform grid the SIMD level
-  /// quantizer reproduces bit-for-bit (formats::TableCodec::Int8Grid), so
-  /// fake quantization takes the fast path (see fake_quantize_grid in
-  /// ptq.cpp).  INT8 qualifies; MERSIT / posit / FP8 grids are non-uniform
-  /// and ride the codec kernel.
-  [[nodiscard]] bool uniform_grid_fast_path() const { return grid_.usable; }
-
  private:
-  /// Block fan-out over the pool, then the grid or kernel path per block;
-  /// stamps `scale` on the tensor.
+  /// Block fan-out over the pool, then the kernel per block; stamps `scale`
+  /// on the tensor.
   void fake_quantize_tensor(nn::Tensor& t, double scale) const;
-  void fake_quantize_grid(std::span<float> x, double scale) const;
 
   const CalibrationTable& table_;
   const formats::Format& fmt_;
   formats::ScalePolicy policy_;
   std::shared_ptr<const formats::kernels::QuantKernel> kernel_;
-  const formats::TableCodec::Int8Grid& grid_;  // kernel_'s codec holds it
   bool quantize_inputs_ = false;
   std::atomic<int> uncalibrated_ = 0;
   mutable std::mutex miss_mu_;

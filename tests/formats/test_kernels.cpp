@@ -6,7 +6,8 @@
 // boundary, the saturation boundary, ±0, double denormals, NaN and ±inf —
 // plus a large random sweep.  Each batch loop (scalar, AVX2, AVX-512) the
 // host can execute is also pinned to the scalar reference directly, at every
-// lane position and in the scalar tail.
+// lane position and in the scalar tail; INT8's table-free grid body is
+// pinned the same way on the grid's own corners.
 #include "formats/kernels/quant_kernel.h"
 
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 #include <random>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/registry.h"
@@ -292,6 +294,88 @@ TEST(KernelLoops, DispatchPicksTheWidestHostLoop) {
       EXPECT_THROW(kernel->fake_quantize_with(loop, buf, 1.0),
                    std::invalid_argument);
   }
+}
+
+// ------------------------------------------------ uniform-grid body --
+// The vector loops of a format whose codec has a usable int8 grid run the
+// table-free grid body (quant_kernel.h); it must match the scalar
+// reference bit for bit on the grid's own corners.
+
+TEST(KernelGrid, OnlyInt8TakesTheGridBody) {
+  for (const auto& name : core::all_format_names()) {
+    const auto kernel = core::make_format(name)->kernel();
+    EXPECT_EQ(kernel->grid_body(), name == "INT8") << name;
+    EXPECT_EQ(kernel->grid_body(), kernel->codec().int8_grid().usable) << name;
+  }
+}
+
+/// Specials first (±0, NaN, ±inf, float denormals, values that saturate),
+/// then every grid point, the exact tie above it (at a power-of-two scale),
+/// the points a quarter pitch either side, then random data over twice the
+/// grid's range.  Level -1's tie is -0.5 pitch, whose RNE is -0.
+std::vector<float> grid_probes(const TableCodec::Int8Grid& g, double scale) {
+  constexpr float inf = std::numeric_limits<float>::infinity();
+  std::vector<float> vals = {0.f,
+                             -0.f,
+                             std::numeric_limits<float>::quiet_NaN(),
+                             inf,
+                             -inf,
+                             std::numeric_limits<float>::denorm_min(),
+                             -std::numeric_limits<float>::denorm_min(),
+                             -1e-42f,
+                             1e30f,
+                             -1e30f,
+                             std::numeric_limits<float>::max(),
+                             -std::numeric_limits<float>::max()};
+  for (int l = -g.qmax; l <= g.qmax; ++l)
+    for (const double frac : {0.0, 0.5, 0.25, -0.25})
+      vals.push_back(static_cast<float>(g.pitch * (l + frac) * scale));
+  const auto range = static_cast<float>(2.0 * g.pitch * g.qmax * scale);
+  std::mt19937 rng(5);
+  std::uniform_real_distribution<float> ud(-range, range);
+  for (int i = 0; i < 4096; ++i) vals.push_back(ud(rng));
+  return vals;
+}
+
+TEST(KernelGrid, GridBodyMatchesScalarReferenceOnEveryHostLoop) {
+  // Scale 1 puts the ties exactly on the grid midpoints; 3.1 / 127 is a
+  // calibration-like scale that is not a power of two.
+  const double scales[] = {1.0, 3.1 / 127.0};
+  int grid_formats = 0;
+  for (const auto& name : core::all_format_names()) {
+    const auto fmt = core::make_format(name);
+    const auto kernel = fmt->kernel();
+    if (!kernel->grid_body()) continue;
+    ++grid_formats;
+    for (const QuantKernel::Loop loop : QuantKernel::kLoops) {
+      if (!QuantKernel::loop_supported(loop)) continue;
+      for (const double scale : scales) {
+        const std::vector<float> buf =
+            grid_probes(fmt->codec().int8_grid(), scale);
+        std::vector<float> want = buf;
+        fake_quantize_scalar(want, *fmt, scale);
+        const std::span<const float> in_all(buf), want_all(want);
+        SCOPED_TRACE(name + " " + QuantKernel::loop_name(loop) +
+                     " scale=" + std::to_string(scale));
+        // The whole buffer at start offsets 0-7, then lengths 0-33 over
+        // its start, so every special visits every lane and the tail.
+        for (std::size_t off = 0; off < 8; ++off) {
+          std::vector<float> got(buf.begin() + off, buf.end());
+          kernel->fake_quantize_with(loop, got, scale);
+          EXPECT_TRUE(same_bits(in_all.subspan(off), got, want_all.subspan(off)))
+              << "offset=" << off;
+          for (std::size_t len = 0; len <= 33; ++len) {
+            std::vector<float> part(buf.begin() + off, buf.begin() + off + len);
+            kernel->fake_quantize_with(loop, part, scale);
+            EXPECT_TRUE(same_bits(in_all.subspan(off, len), part,
+                                  want_all.subspan(off, len)))
+                << "offset=" << off << " len=" << len;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(grid_formats, 1);  // INT8
 }
 
 TEST(FormatKernel, OneInstancePerFormatThatOutlivesIt) {
