@@ -40,8 +40,8 @@
 // path single-threaded on ResNet18-mini and VGG16-mini.
 //
 // A final single-thread sweep times the prepacked forward of every vision
-// model under every compiled-in SIMD backend the host supports
-// (MERSIT_BACKEND registry: scalar/avx2/avx512), cross-checking each
+// model under every SIMD tier the host executes (core::Tier, the
+// MERSIT_BACKEND names scalar/avx2/avx512), cross-checking each
 // backend's logits bitwise against the scalar backend — the backends
 // promise the identical ascending-k rounding sequence, so any ULP distance
 // is a bug.  The report records the per-backend latencies, the
@@ -54,9 +54,9 @@
 // output is labeled with the sizing mode.  --check_json=PATH validates
 // that a committed report carries every field the current bench emits —
 // the staleness guard CI runs so schema growth cannot silently leave
-// BENCH_inference.json behind.  --backends lists the compiled-in backends
-// with the host's support verdict and exits nonzero if detection picked a
-// backend the host cannot execute (the CI self-check).
+// BENCH_inference.json behind.  --backends lists the tiers with the host's
+// support verdict, each executable tier's tile and the active tier (the CI
+// self-check: a MERSIT_BACKEND the host cannot execute stops it).
 //
 // Perf gates: on ResNet18-mini the code-domain path must not regress
 // against prepacked FP32 (with a measurement-noise allowance; the two
@@ -73,6 +73,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 #include <random>
 #include <string>
 #include <tuple>
@@ -458,21 +459,21 @@ KulischProbe kulisch_probe() {
 /// Single-thread prepacked latency of every vision model under one backend.
 struct BackendRun {
   std::string backend;
-  bool active = false;            ///< the backend auto-detection picked
+  bool active = false;            ///< the tier active when the sweep began
   std::vector<double> model_ms;   ///< parallel to BackendSweep::models
   std::uint32_t max_ulp_vs_scalar = 0;  ///< bitwise gate: must be 0
 };
 
 struct BackendSweep {
   std::vector<std::string> models;  ///< vision-zoo model names
-  std::vector<BackendRun> runs;     ///< detection order, scalar last
+  std::vector<BackendRun> runs;     ///< widest tier first, scalar last
   double geomean_best_vs_scalar = 0.0;
   double max_speedup_best_vs_scalar = 0.0;
   std::string max_speedup_model;
 };
 
 /// Times the prepacked FP32 forward of each vision model once per
-/// compiled-in backend the host supports, single-threaded, cross-checking
+/// SIMD tier the host executes, single-threaded, cross-checking
 /// logits bitwise against the scalar backend.  A layer's weight plan is
 /// compiled for one backend, so switching backends repacks the panels in
 /// the untimed warm-up pass — exactly the hot-swap path serving exercises.
@@ -480,23 +481,21 @@ template <typename Zoo>
 BackendSweep backend_sweep(Zoo& zoo, const nn::Tensor& x, int reps) {
   BackendSweep sweep;
   core::resize_global_pool(1);
-  const nn::gemm::Backend& detected = nn::gemm::active_backend();
   const nn::Context ctx;
-  // Scalar is last in detection order, so collect the bitwise references
-  // up front with an explicit scalar pass.
-  const nn::gemm::Backend* prev =
-      nn::gemm::set_backend(&nn::gemm::scalar_backend());
+  // Scalar runs last, so collect the bitwise references up front with an
+  // explicit scalar pass.
+  const core::Tier detected = core::set_tier(core::Tier::kScalar);
   std::vector<nn::Tensor> scalar_ref;
   for (std::size_t i = 0; i < zoo.size(); ++i) {
     sweep.models.push_back(zoo[i].name);
     scalar_ref.push_back(zoo[i].model->forward(x, ctx));
   }
-  for (const nn::gemm::Backend* be : nn::gemm::backends()) {
-    if (!be->supported()) continue;
-    nn::gemm::set_backend(be);
+  for (auto t = std::rbegin(core::kTiers); t != std::rend(core::kTiers); ++t) {
+    if (!core::tier_executable(*t)) continue;
+    core::set_tier(*t);
     BackendRun run;
-    run.backend = be->name;
-    run.active = be == &detected;
+    run.backend = core::tier_name(*t);
+    run.active = *t == detected;
     for (std::size_t i = 0; i < zoo.size(); ++i) {
       run.max_ulp_vs_scalar = std::max(
           run.max_ulp_vs_scalar,
@@ -505,10 +504,10 @@ BackendSweep backend_sweep(Zoo& zoo, const nn::Tensor& x, int reps) {
     }
     sweep.runs.push_back(std::move(run));
   }
-  nn::gemm::set_backend(prev);
+  core::set_tier(detected);
 
-  // Scalar runs last (detection order), so its timings close the list; the
-  // best backend is the detected one.  Compare best vs scalar per model.
+  // Scalar runs last, so its timings close the list; the best backend is
+  // the active one.  Compare best vs scalar per model.
   const BackendRun* scalar = nullptr;
   const BackendRun* best = nullptr;
   for (const BackendRun& r : sweep.runs) {
@@ -689,23 +688,24 @@ int check_json(const char* path) {
   });
 }
 
-/// --backends: list the registry with the host's support verdict and fail
-/// if detection activated a backend this host cannot execute (the CI
+/// --backends: list the tiers, widest first, with the host's support
+/// verdict, each executable tier's tile and the active tier.  Reading the
+/// active tier throws on a MERSIT_BACKEND this host cannot execute (the CI
 /// self-check for the CPUID dispatch).
 int list_backends() {
-  const nn::gemm::Backend& active = nn::gemm::active_backend();
+  const core::Tier active = core::active_tier();
   std::printf("host features: %s\n", core::cpu_feature_summary().c_str());
-  for (const nn::gemm::Backend* be : nn::gemm::backends())
-    std::printf("%-8s %dx%d tile  supported=%s%s\n", be->name, be->mr, be->nr,
-                be->supported() ? "yes" : "no",
-                be == &active ? "  [active]" : "");
-  if (!active.supported()) {
-    std::fprintf(stderr,
-                 "bench_inference: detection activated '%s', which this host "
-                 "cannot execute\n",
-                 active.name);
-    return 1;
+  for (auto t = std::rbegin(core::kTiers); t != std::rend(core::kTiers); ++t) {
+    if (!core::tier_executable(*t)) {
+      std::printf("%-8s supported=no\n", core::tier_name(*t));
+      continue;
+    }
+    core::set_tier(*t);
+    const nn::gemm::Backend& be = nn::gemm::active_backend();
+    std::printf("%-8s %dx%d tile  supported=yes%s\n", be.name, be.mr, be.nr,
+                *t == active ? "  [active]" : "");
   }
+  core::set_tier(active);
   return 0;
 }
 
@@ -727,14 +727,6 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  if (!nn::gemm::active_backend().supported()) {
-    std::fprintf(stderr,
-                 "bench_inference: active backend '%s' is not executable on "
-                 "this host\n",
-                 nn::gemm::active_backend().name);
-    return 1;
-  }
-
   const auto sizes = bench::Sizes::from_env();
   const int batch = sizes.fast ? 8 : 32;
   const int reps = sizes.fast ? 3 : 7;
@@ -792,8 +784,7 @@ int main(int argc, char** argv) {
   //    the FP32 kernel with no fallback on every layer;
   //  * the Kulisch probe must find a usable table for the code format.
   int bad = 0;
-  const bool simd_active =
-      std::string(nn::gemm::active_backend().name) != "scalar";
+  const bool simd_active = core::active_tier() != core::Tier::kScalar;
   if (!kp.usable) {
     std::fprintf(stderr,
                  "bench_inference: no usable Kulisch table for %s\n",

@@ -6,8 +6,9 @@
 // before the google-benchmark run — the bench trajectory and EXPERIMENTS.md
 // consume it.  Per format, on a normal and a ReLU-shaped (half zeros)
 // buffer, single thread: ns/elem of the Format::quantize reference
-// (fake_quantize_scalar) and of each QuantKernel batch loop the host can
-// run (scalar, avx2, avx512), and the dispatched loop's speedup.  Every
+// (fake_quantize_scalar) and of the QuantKernel batch loop of each tier the
+// host can run (scalar, avx2, avx512; set with core::set_tier), and the
+// speedup of the active tier's loop (MERSIT_BACKEND, else the widest).  Every
 // loop's output is first compared bitwise with the reference; any
 // difference makes the run exit 1 (no timing gate).
 #include <benchmark/benchmark.h>
@@ -23,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "core/cpu.h"
 #include "core/mersit.h"
 #include "core/registry.h"
 #include "core/thread_pool.h"
@@ -119,16 +121,13 @@ void BM_QuantizeBufferKernel(benchmark::State& state, const char* name) {
 
 // ------------------------------------------------- speedup report (JSON) --
 
-using Loop = formats::kernels::QuantKernel::Loop;
-using formats::kernels::QuantKernel;
-
 /// One format on one buffer shape: the Format::quantize reference and each
-/// QuantKernel batch loop (negative = the host cannot run that loop).
+/// tier's QuantKernel batch loop (negative = the host cannot run that tier).
 struct CodecTiming {
   std::string format;
   const char* buffer = "";
   double reference_ns_per_elem = 0.0;
-  double loop_ns_per_elem[std::size(QuantKernel::kLoops)] = {};
+  double loop_ns_per_elem[std::size(core::kTiers)] = {};
   double dispatched_ns_per_elem = 0.0;
   [[nodiscard]] double speedup() const {
     return dispatched_ns_per_elem > 0.0
@@ -171,10 +170,12 @@ std::vector<float> relu_floats(std::size_t n) {
   return buf;
 }
 
-/// Measure every registered format through the reference and every host
-/// loop, on a normal and a ReLU-shaped buffer, and write the JSON report.
-/// Returns 1 when any loop's output differs bitwise from the reference.
+/// Measure every registered format through the reference and the loop of
+/// every tier the host executes (installed with core::set_tier), on a normal
+/// and a ReLU-shaped buffer, and write the JSON report.  Returns 1 when any
+/// loop's output differs bitwise from the reference.
 int write_codec_json(const char* path) {
+  const core::Tier dispatched = core::active_tier();
   constexpr std::size_t kElems = 1 << 16;
   constexpr int kPasses = 24;
   const struct {
@@ -198,27 +199,29 @@ int write_codec_json(const char* path) {
           time_ns_per_elem(b.data, kPasses, [&](std::span<float> c) {
             formats::fake_quantize_scalar(c, *fmt, scale);
           });
-      for (std::size_t l = 0; l < std::size(QuantKernel::kLoops); ++l) {
-        const Loop loop = QuantKernel::kLoops[l];
+      for (std::size_t l = 0; l < std::size(core::kTiers); ++l) {
+        const core::Tier tier = core::kTiers[l];
         t.loop_ns_per_elem[l] = -1.0;
-        if (!QuantKernel::loop_supported(loop)) continue;
+        if (!core::tier_executable(tier)) continue;
+        core::set_tier(tier);
         std::vector<float> got = b.data;
-        kernel->fake_quantize_with(loop, got, scale);
+        kernel->fake_quantize(got, scale);
         if (std::memcmp(got.data(), want.data(), got.size() * sizeof(float)) !=
             0) {
           std::fprintf(stderr,
                        "micro_codecs: %s loop differs from the scalar "
                        "reference on %s (%s buffer)\n",
-                       QuantKernel::loop_name(loop), name.c_str(), b.name);
+                       core::tier_name(tier), name.c_str(), b.name);
           ++mismatches;
         }
         t.loop_ns_per_elem[l] =
             time_ns_per_elem(b.data, kPasses, [&](std::span<float> c) {
-              kernel->fake_quantize_with(loop, c, scale);
+              kernel->fake_quantize(c, scale);
             });
-        if (loop == kernel->loop())
+        if (tier == dispatched)
           t.dispatched_ns_per_elem = t.loop_ns_per_elem[l];
       }
+      core::set_tier(dispatched);
       rows.push_back(t);
     }
   }
@@ -227,10 +230,9 @@ int write_codec_json(const char* path) {
     std::fprintf(stderr, "micro_codecs: cannot open %s\n", path);
     return 1;
   }
-  const Loop dispatched = core::make_format("MERSIT(8,2)")->kernel()->loop();
   std::fprintf(f, "{\n  \"bench\": \"micro_codecs/fake_quantize\",\n");
   std::fprintf(f, "  \"elements\": %zu,\n  \"dispatched_loop\": \"%s\",\n",
-               kElems, QuantKernel::loop_name(dispatched));
+               kElems, core::tier_name(dispatched));
   std::fprintf(f, "  \"mismatches\": %d,\n  \"rows\": [\n", mismatches);
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const CodecTiming& t = rows[i];
@@ -238,8 +240,8 @@ int write_codec_json(const char* path) {
                  "    {\"format\": \"%s\", \"buffer\": \"%s\", "
                  "\"reference_ns_per_elem\": %.3f",
                  t.format.c_str(), t.buffer, t.reference_ns_per_elem);
-    for (std::size_t l = 0; l < std::size(QuantKernel::kLoops); ++l) {
-      const char* loop = QuantKernel::loop_name(QuantKernel::kLoops[l]);
+    for (std::size_t l = 0; l < std::size(core::kTiers); ++l) {
+      const char* loop = core::tier_name(core::kTiers[l]);
       if (t.loop_ns_per_elem[l] < 0.0)
         std::fprintf(f, ", \"%s_ns_per_elem\": null", loop);
       else
@@ -252,10 +254,10 @@ int write_codec_json(const char* path) {
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
   std::printf("%-14s %-7s %10s", "format", "buffer", "reference");
-  for (const Loop loop : QuantKernel::kLoops)
-    std::printf(" %10s", QuantKernel::loop_name(loop));
+  for (const core::Tier tier : core::kTiers)
+    std::printf(" %10s", core::tier_name(tier));
   std::printf(" %8s   (ns/elem; dispatched loop: %s)\n", "speedup",
-              QuantKernel::loop_name(dispatched));
+              core::tier_name(dispatched));
   for (const CodecTiming& t : rows) {
     std::printf("%-14s %-7s %10.2f", t.format.c_str(), t.buffer,
                 t.reference_ns_per_elem);

@@ -30,6 +30,23 @@ if command -v ccache >/dev/null 2>&1; then
   echo "==> ccache detected: $(ccache --version | head -n1)"
 fi
 
+# Runs a gtest binary under a filter, failing first when any of the
+# filter's ':'-separated patterns selects no test: a pattern aimed at the
+# wrong binary would otherwise pass by running nothing.
+run_gtest() {
+  local bin="$1" filter="$2" pattern listed
+  local -a patterns
+  IFS=':' read -ra patterns <<< "${filter}"
+  for pattern in "${patterns[@]}"; do
+    listed="$("${bin}" --gtest_filter="${pattern}" --gtest_list_tests)"
+    if ! grep -q '^  ' <<< "${listed}"; then
+      echo "==> CI FAIL: ${bin} --gtest_filter='${pattern}' selects no test" >&2
+      exit 1
+    fi
+  done
+  "${bin}" --gtest_filter="${filter}"
+}
+
 run_suite() {
   local build_dir="$1"; shift
   echo "==> configure ${build_dir} ($*)"
@@ -68,20 +85,27 @@ if [[ -n "${WEAK}" ]]; then
   exit 1
 fi
 
-# SIMD backend self-check: the registry's CPUID detection must activate a
-# backend this host can actually execute (--backends exits nonzero
-# otherwise), and the GEMM suites must pass under the forced scalar
-# reference as well as under the auto-detected backend (the per-backend
-# bitwise gates inside the suites cover every other compiled-in backend).
-# `Gemm*` takes in the contract matrix (test_gemm.cpp): the weight-path
-# column Gemm/LayerPath, the model table Gemm/ModelPath and the
-# benchmark-shaped GemmBenchCell cells, whose references and pool widths 2
-# and 13 then run on the scalar packs.
-echo "==> SIMD backend self-check (--backends)"
+# SIMD tier self-check: --backends lists every tier with the host's
+# verdict and the active one (reading the active tier throws on a
+# MERSIT_BACKEND the host cannot execute).  Then the suites must pass
+# under the forced scalar tier as well as under the widest one: with
+# MERSIT_BACKEND=scalar every SIMD loop's default dispatch runs its scalar
+# body — GEMM, depthwise, fake-quant and int8 level quantization — while
+# the per-tier gates inside the suites still install every other tier the
+# host executes.  `Gemm*` takes in the contract matrix (test_gemm.cpp):
+# the weight-path column Gemm/LayerPath, the model table Gemm/ModelPath
+# and the benchmark-shaped GemmBenchCell cells, whose references and pool
+# widths 2 and 13 then run on the scalar packs; `Kernel*` the fake-quant
+# loop suites; test_formats the codec suite over the scalar fake-quant
+# loop; `Int8*` (Int8Levels among them) the int8 path and its level
+# quantization.
+echo "==> SIMD tier self-check (--backends)"
 ./build/bench/bench_inference --backends
-echo "==> GEMM suites under MERSIT_BACKEND=scalar"
-MERSIT_BACKEND=scalar ./build/tests/test_concurrency --gtest_filter='Gemm*'
-MERSIT_BACKEND=scalar ./build/tests/test_qgemm --gtest_filter='QgemmPack*:QgemmWeightPlan.*:QgemmModelTest.*:Int8*'
+echo "==> GEMM, fake-quant and codec suites under MERSIT_BACKEND=scalar"
+MERSIT_BACKEND=scalar run_gtest ./build/tests/test_concurrency 'Gemm*:Kernel*'
+MERSIT_BACKEND=scalar run_gtest ./build/tests/test_formats '*'
+MERSIT_BACKEND=scalar run_gtest ./build/tests/test_qgemm \
+  'QgemmPack*:QgemmWeightPlan.*:QgemmModelTest.*:Int8*'
 
 # FMA contraction guard: rebuild the GEMM and layer suites (the contract
 # matrix included), the fake-quant loop suites (Kernel*, in
@@ -99,7 +123,7 @@ if [[ "$(uname -m)" == x86_64 ]] && grep -qw fma /proc/cpuinfo; then
   cmake --build build-fma -j "${JOBS}" --target test_concurrency test_qgemm \
     test_formats
   echo "==> GEMM, layer, fake-quant loop and codec suites under -mfma"
-  ./build-fma/tests/test_concurrency --gtest_filter='Gemm*:Layer*:Kernel*'
+  run_gtest ./build-fma/tests/test_concurrency 'Gemm*:Layer*:Kernel*'
   ./build-fma/tests/test_qgemm
   ./build-fma/tests/test_formats
 else
@@ -232,10 +256,13 @@ for workload in trunk-mersit mobile-int8 serve-swap; do
   perfbench_exact "${workload}" --trace 0
 done
 
-# Sanitizer stages run the *default* dispatch under the forced scalar
-# reference backend (deterministic baseline codegen; the per-backend gates
-# inside test_gemm/test_qgemm still drive every compiled-in SIMD backend
-# explicitly, so the intrinsic kernels get sanitizer coverage through them).
+# Sanitizer stages run under the forced scalar tier: the default dispatch of
+# every SIMD loop — GEMM, depthwise, fake-quant and int8 level quantization
+# — runs its scalar body (deterministic baseline codegen).  The per-tier
+# gates (GemmBackend.*, GemmConv.*, Gemm/LayerPath, Gemm/ModelPath,
+# KernelLoops.*, KernelGrid.*, Int8Kernel.*, Int8Levels.*) still install
+# every tier the host executes through test::TierGuard, so the intrinsic
+# bodies get sanitizer coverage through them.
 MERSIT_BACKEND=scalar run_suite build-sanitize -DMERSIT_SANITIZE=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo
 
 # TSan stage: rebuild and run only the concurrency-sensitive suites (a full

@@ -1,5 +1,11 @@
 #include "core/cpu.h"
 
+#include <atomic>
+#include <stdexcept>
+#include <string_view>
+
+#include "core/env.h"
+
 namespace mersit::core {
 
 namespace {
@@ -19,6 +25,11 @@ CpuFeatures probe() {
       f.avx512f && __builtin_cpu_supports("avx512vnni") != 0;
 #endif
   return f;
+}
+
+std::atomic<Tier>& active_slot() {
+  static std::atomic<Tier> slot{env_tier()};
+  return slot;
 }
 
 }  // namespace
@@ -42,6 +53,55 @@ std::string cpu_feature_summary() {
   if (f.avx512f) s += " avx512f";
   if (f.avx512vnni) s += " avx512vnni";
   return s;
+}
+
+const char* tier_name(Tier tier) {
+  switch (tier) {
+    case Tier::kScalar: return "scalar";
+    case Tier::kAvx2: return "avx2";
+    case Tier::kAvx512: return "avx512";
+  }
+  return "?";
+}
+
+bool tier_executable(Tier tier) {
+  switch (tier) {
+    case Tier::kScalar: return true;
+    case Tier::kAvx2: return cpu_features().avx2;
+    case Tier::kAvx512: return cpu_features().avx512f;
+  }
+  return false;
+}
+
+Tier env_tier() {
+  const char* env = env_str("MERSIT_BACKEND");
+  Tier widest = Tier::kScalar;
+  for (const Tier t : kTiers) {
+    if (env != nullptr && std::string_view(env) == tier_name(t)) {
+      if (!tier_executable(t))
+        throw std::runtime_error(
+            std::string("MERSIT_BACKEND='") + env +
+            "': this host cannot execute the " + tier_name(t) +
+            " backend (host features: " + cpu_feature_summary() + ")");
+      return t;
+    }
+    if (tier_executable(t)) widest = t;
+  }
+  if (env != nullptr)
+    throw std::runtime_error(std::string("MERSIT_BACKEND='") + env +
+                             "': expected one of avx512|avx2|scalar");
+  return widest;
+}
+
+Tier active_tier() { return active_slot().load(std::memory_order_relaxed); }
+
+Tier set_tier(Tier tier) {
+  if (!tier_executable(tier))
+    throw std::invalid_argument(
+        std::string("set_tier: the ") + tier_name(tier) +
+        " tier is not executable on this host (features: " +
+        cpu_feature_summary() + ")");
+  return active_slot().exchange(tier, std::memory_order_relaxed);
 }
 
 }  // namespace mersit::core

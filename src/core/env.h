@@ -2,6 +2,9 @@
 // (MERSIT_THREADS, MERSIT_BACKEND, MERSIT_BENCH_FAST).  This header is the
 // only place the library, the benches and the examples read the
 // environment; scripts/ci.sh fails on a getenv anywhere else.
+// MERSIT_BACKEND names the one SIMD tier every vector loop runs — GEMM,
+// depthwise, fake-quant and int8 level quantization (core::env_tier in
+// core/cpu.h).
 //
 // Silently falling back to a default when a variable holds garbage turns
 // typos ("MERSIT_THREADS=eight", "MERSIT_BENCH_FAST=true") into mysterious
@@ -41,7 +44,7 @@ namespace mersit::core {
 /// to the empty string, the raw value otherwise.  Validation stays with the
 /// caller — which knows the accepted value set — and must follow the same
 /// loud-beats-lucky rule: an unrecognized value throws naming the variable,
-/// the value, and the accepted set (see gemm::parse_backend for the
+/// the value, and the accepted set (see core::env_tier for the
 /// MERSIT_BACKEND instance).
 [[nodiscard]] inline const char* env_str(const char* name) {
   const char* env = std::getenv(name);

@@ -46,8 +46,6 @@ QuantKernel::QuantKernel(std::string name,
   const std::uint8_t min_code = pos.front().code;
   under_tie_code_ = (min_code & 1u) == 0 ? min_code : zero_code_;
   zero_value_ = t.decode(zero_code_);
-  for (const Loop l : kLoops)
-    if (loop_supported(l)) loop_ = l;  // kLoops is narrowest first
   grid_body_ = t.int8_grid().usable;
   // Sentinel boundaries: below the smallest value, the RNE underflow
   // threshold when small magnitudes round to zero, or unreachable (-1 <
@@ -318,33 +316,14 @@ struct QuantKernelLoops {
 #endif  // x86-64
 };
 
-bool QuantKernel::loop_supported(Loop loop) {
-  switch (loop) {
-    case Loop::kScalar: return true;
-    case Loop::kAvx2: return core::cpu_features().avx2;
-    case Loop::kAvx512: return core::cpu_features().avx512f;
-  }
-  return false;
-}
-
-const char* QuantKernel::loop_name(Loop loop) {
-  switch (loop) {
-    case Loop::kScalar: return "scalar";
-    case Loop::kAvx2: return "avx2";
-    case Loop::kAvx512: return "avx512";
-  }
-  return "?";
-}
-
-void QuantKernel::run_loop(Loop loop, std::span<float> data,
-                           double scale) const {
-  switch (loop) {
+void QuantKernel::fake_quantize(std::span<float> data, double scale) const {
+  switch (core::active_tier()) {
 #if defined(__x86_64__) || defined(_M_X64)
-    case Loop::kAvx512:
+    case core::Tier::kAvx512:
       (grid_body_ ? QuantKernelLoops::grid_avx512 : QuantKernelLoops::avx512)(
           *this, data.data(), data.size(), scale);
       return;
-    case Loop::kAvx2:
+    case core::Tier::kAvx2:
       (grid_body_ ? QuantKernelLoops::grid_avx2 : QuantKernelLoops::avx2)(
           *this, data.data(), data.size(), scale);
       return;
@@ -352,16 +331,6 @@ void QuantKernel::run_loop(Loop loop, std::span<float> data,
     default:
       QuantKernelLoops::scalar(*this, data.data(), data.size(), scale);
   }
-}
-
-void QuantKernel::fake_quantize_with(Loop loop, std::span<float> data,
-                                     double scale) const {
-  if (!loop_supported(loop))
-    throw std::invalid_argument(std::string("QuantKernel: this host cannot "
-                                            "execute the ") +
-                                loop_name(loop) + " loop (host features: " +
-                                core::cpu_feature_summary() + ")");
-  run_loop(loop, data, scale);
 }
 
 double QuantKernel::quantization_rmse(std::span<const float> data,

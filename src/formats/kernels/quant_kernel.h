@@ -21,12 +21,13 @@
 // branches left are the short candidate scan and rare events (NaN/±0 input,
 // exact midpoint ties).
 //
-// Batch dispatch: fake_quantize runs one of three loops, picked once at
-// construction from the host's CPUID bits (the avx512f / avx2 bits the GEMM
-// backends and quantize_levels use):
+// Batch dispatch: fake_quantize runs the loop of core::active_tier(), read
+// per call — the one SIMD tier (MERSIT_BACKEND, else the widest the host
+// executes; core/cpu.h) that the GEMM backends and quantize_levels run too,
+// so a forced tier reaches every model forward's fake-quant as well:
 //
-//  * kAvx512 / kAvx2 — vector loops with two bodies, one chosen at
-//    construction next to the loop (grid_body()):
+//  * AVX-512 / AVX2 — vector loops with two bodies, one chosen per format
+//    at construction (grid_body()):
 //     - the uniform-grid body, when the codec's int8_grid() is usable (INT8
 //       alone today): no table at all.  Per vector the floats widen to
 //       double, multiply by (1/scale)/pitch, clamp to [-qmax, qmax] and
@@ -45,11 +46,10 @@
 //       exact midpoint tie redoes its 8 lanes with the scalar
 //       quantize_value.
 //    Both bodies leave the tail to the scalar loop;
-//  * kScalar — quantize_value per element, for every format: the reference
-//    the vector loops are tested against, and the fallback on other hosts.
+//  * scalar — quantize_value per element, for every format: the reference
+//    the vector loops are tested against, and the only loop on other hosts.
 //
-// fake_quantize_with runs a named loop, so tests and benches can pin each
-// one against the scalar reference on any host that can execute it.
+// Tests and benches pin each loop by setting the tier (core::set_tier).
 //
 // The decode and negate tables stay in the format's TableCodec, which the
 // kernel shares; Format::kernel() builds the kernel once per format, next to
@@ -123,31 +123,13 @@ class QuantKernel {
     return std::bit_cast<double>(qb ^ (sign & (0 - nonzero)));
   }
 
-  /// The batch loops behind fake_quantize (see the header comment).
-  enum class Loop : std::uint8_t { kScalar, kAvx2, kAvx512 };
-  static constexpr Loop kLoops[] = {Loop::kScalar, Loop::kAvx2, Loop::kAvx512};
-
-  /// True when this host can execute `loop`.
-  [[nodiscard]] static bool loop_supported(Loop loop);
-  [[nodiscard]] static const char* loop_name(Loop loop);
-
-  /// The loop fake_quantize runs: the widest the host supports.
-  [[nodiscard]] Loop loop() const { return loop_; }
-
   /// True when the vector loops run the uniform-grid body instead of the
   /// table body: the codec's int8_grid() is usable.
   [[nodiscard]] bool grid_body() const { return grid_body_; }
 
-  /// In-place batched fake quantization; bit-identical to the scalar
-  /// reference loop (fake_quantize_scalar).
-  void fake_quantize(std::span<float> data, double scale) const {
-    run_loop(loop_, data, scale);
-  }
-
-  /// fake_quantize through a specific loop; std::invalid_argument when the
-  /// host cannot execute it.
-  void fake_quantize_with(Loop loop, std::span<float> data,
-                          double scale) const;
+  /// In-place batched fake quantization through the active tier's loop;
+  /// bit-identical to the scalar reference loop (fake_quantize_scalar).
+  void fake_quantize(std::span<float> data, double scale) const;
 
   /// Batched RMSE between `data` and its fake-quantized image; identical
   /// accumulation order (hence bit-identical result) to the scalar path.
@@ -156,8 +138,6 @@ class QuantKernel {
 
  private:
   friend struct QuantKernelLoops;  // the loop bodies, in quant_kernel.cpp
-
-  void run_loop(Loop loop, std::span<float> data, double scale) const;
 
   /// Candidate index for a positive magnitude (caller filtered ±0/NaN):
   /// slot 0 is the zero code, slot k+1 is positive value k.  The constructor
@@ -230,7 +210,6 @@ class QuantKernel {
   std::uint64_t key_top_ = 0;
   std::vector<std::uint32_t> bucket_;
 
-  Loop loop_ = Loop::kScalar;
   bool grid_body_ = false;
 };
 

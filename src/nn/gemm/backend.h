@@ -1,15 +1,15 @@
-// Runtime-dispatched SIMD backend registry for the GEMM engine.
+// The GEMM engine's SIMD backends.
 //
-// One Backend descriptor per instruction set — scalar (the reference,
-// and the only backend built off x86-64), avx2 and avx512 — each bundling
-// eight entry points: the float micro-kernel and its two panel-pack routines, the int8
-// micro-kernel and its two panel-pack routines, the depthwise conv kernel,
-// and the supported() probe; plus its tile geometry (MR/NR register tile,
-// MC/KC/NC cache blocks).  The registry is CPUID-backed:
-// auto-detection walks the compiled-in list best-first and activates the
-// first backend the host can execute; MERSIT_BACKEND forces a specific one,
-// strict-parsed (unknown names and backends the host cannot run both
-// throw).
+// One Backend descriptor per core::Tier — scalar (the reference, and the
+// only backend built off x86-64), avx2 and avx512 — each bundling eight
+// entry points: the float micro-kernel and its two panel-pack routines, the
+// int8 micro-kernel and its two panel-pack routines, the depthwise conv
+// kernel and int8 level quantization (quantize_levels); plus its tile
+// geometry (MR/NR register tile, MC/KC/NC cache blocks).  There is no
+// registry of its own: active_backend() returns the descriptor of
+// core::active_tier(), the one tier (MERSIT_BACKEND, else the widest the
+// host executes; core/cpu.h) that every SIMD loop in the library runs —
+// GEMM, depthwise, fake-quant and level quantization alike.
 //
 // The cross-backend contract is the engine's existing bit-identity tower:
 //
@@ -27,7 +27,7 @@
 //    so the compiler cannot fuse behind the intrinsics).  Tile geometry may
 //    differ per backend because the per-element rounding sequence depends
 //    only on k order, never on MR/NR/cache blocking — test_gemm gates every
-//    compiled-in backend bitwise against scalar across the full shape/
+//    tier the host executes bitwise against scalar across the full shape/
 //    transpose/strided-C/thread-count matrix.
 //
 //  * Depthwise outputs are bit-identical to the naive conv loop.  Each
@@ -50,9 +50,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <span>
-#include <string>
-#include <string_view>
 
 #include "nn/gemm/gemm.h"
 
@@ -81,15 +78,11 @@ inline constexpr int kMaxDepthwiseLanes = 16;
 /// instances are immutable statics with process lifetime; identity
 /// comparison (pointer equality) is meaningful.
 struct Backend {
-  const char* name;  ///< registry / MERSIT_BACKEND name
-  int id;            ///< stable unique id; stamps packs and weight plans
+  const char* name;  ///< core::tier_name of its tier
+  int id;            ///< its tier's ordinal; stamps packs and weight plans
 
   int mr, nr;        ///< register tile: MR x NR accumulator block
   int mc, kc, nc;    ///< cache blocks: MC x KC A panels, KC x NC B panels
-
-  /// Host can execute this backend's instructions (CPUID-backed; constant
-  /// per process).
-  bool (*supported)();
 
   /// Pack an (mc x kc) block of op(A) into mr-row panels, k-major within a
   /// panel, short final panels zero-padded.  `dst` must be 64-byte aligned
@@ -154,35 +147,22 @@ struct Backend {
   void (*depthwise)(const DepthwiseShape& s, const float* x, const float* wt,
                     const float* bias, float* y, Epilogue epi,
                     const float* asc, const float* ash, float* scratch);
+
+  // --- Int8 level quantization --------------------------------------------
+
+  /// gemm::quantize_levels (qgemm.h) on this tier: every body forms the
+  /// product x·inv in double and rounds it to the same level, so all tiers
+  /// write the same bytes.
+  void (*quantize_levels)(const float* x, std::size_t n, double inv, int lo,
+                          int hi, std::int8_t* out);
 };
 
-/// Compiled-in backends in detection order: best first, scalar last (scalar
-/// is always present and always supported, so detection always terminates).
-[[nodiscard]] std::span<const Backend* const> backends();
-
-/// The reference backend (always compiled in, always supported).
-[[nodiscard]] const Backend& scalar_backend();
-
-/// Lookup by registry name; nullptr when no such backend is compiled in.
-[[nodiscard]] const Backend* find_backend(std::string_view name);
-
-/// Strict MERSIT_BACKEND parsing: unknown names throw listing the
-/// compiled-in backends; a known backend the host cannot execute throws
-/// naming the missing capability.  Same loud-beats-lucky policy as
-/// core::env_int.
-[[nodiscard]] const Backend& parse_backend(const std::string& value);
-
-/// The active backend: MERSIT_BACKEND when set (strict-parsed once), else
-/// the best supported compiled-in backend.  Every pack and every sgemm call
-/// reads this.
+/// The descriptor of core::active_tier().  Every pack, every sgemm call and
+/// every quantize_levels call reads this.
 [[nodiscard]] const Backend& active_backend();
 
-/// Programmatic override (tests, benches); returns the previous backend.
-/// Rejects backends the host cannot execute.
-const Backend* set_backend(const Backend* b);
-
-// Descriptor accessors defined by the backend_*.cpp translation units (the
-// registry in backend.cpp is their only caller).
+// Descriptor accessors defined by the backend_*.cpp translation units
+// (active_backend and the SIMD bodies' scalar tails are their callers).
 const Backend* backend_scalar();
 #if defined(__x86_64__) || defined(_M_X64)
 const Backend* backend_avx2();

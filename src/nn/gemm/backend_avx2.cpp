@@ -27,7 +27,6 @@
 #include <cstdint>
 
 #include "nn/gemm/backend_impl.h"
-#include "core/cpu.h"
 
 namespace mersit::nn::gemm {
 
@@ -35,8 +34,6 @@ namespace {
 
 constexpr int kMR = 6;
 constexpr int kNR = 16;
-
-bool supported() { return core::cpu_features().avx2; }
 
 /// R x (8*C) tile with compile-time row count R and ymm column count C
 /// (full unroll keeps the accumulators in registers across the k-loop).
@@ -193,15 +190,53 @@ void micro_int8(int kc, const std::int8_t* ap, const std::int8_t* bp,
 // Depthwise: 8 channels per lane block, one ymm.
 constexpr int kDwLanes = 8;
 
+// quantize_levels, bit-exact against the scalar body (backend_scalar.cpp).
+// All arithmetic stays in double (cvtps_pd, mul_pd) so the product x·inv
+// rounds identically; the clamp runs in the double domain against the
+// exact-integer bounds [lo, hi], so cvtpd_epi32 (round-to-nearest-even
+// under the default MXCSR, same as lrint) can never overflow int32.  NaN
+// lanes fall out of max/min as the bound operand (x86 min/max return the
+// second operand when either is NaN), so a separate unordered-compare mask
+// zeroes them afterwards — matching the scalar `v != v → 0` branch.  ±Inf
+// survives the multiply and clamps to hi/lo like the scalar >=/<= tests.
+// The AVX-512 body (backend_avx512.cpp) is the same computation 8 wide.
+void quantize_levels(const float* x, std::size_t n, double inv, int lo,
+                     int hi, std::int8_t* out) {
+  const __m256d vinv = _mm256_set1_pd(inv);
+  const __m256d vlo = _mm256_set1_pd(static_cast<double>(lo));
+  const __m256d vhi = _mm256_set1_pd(static_cast<double>(hi));
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m128 xf0 = _mm_loadu_ps(x + i);
+    const __m128 xf1 = _mm_loadu_ps(x + i + 4);
+    __m256d v0 = _mm256_mul_pd(_mm256_cvtps_pd(xf0), vinv);
+    __m256d v1 = _mm256_mul_pd(_mm256_cvtps_pd(xf1), vinv);
+    v0 = _mm256_min_pd(_mm256_max_pd(v0, vlo), vhi);
+    v1 = _mm256_min_pd(_mm256_max_pd(v1, vlo), vhi);
+    const __m128i q0 = _mm256_cvtpd_epi32(v0);  // RNE, in [lo, hi]
+    const __m128i q1 = _mm256_cvtpd_epi32(v1);
+    const __m128i nan0 =
+        _mm_castps_si128(_mm_cmpunord_ps(xf0, xf0));
+    const __m128i nan1 =
+        _mm_castps_si128(_mm_cmpunord_ps(xf1, xf1));
+    __m128i p16 = _mm_packs_epi32(_mm_andnot_si128(nan0, q0),
+                                  _mm_andnot_si128(nan1, q1));
+    const __m128i p8 = _mm_packs_epi16(p16, p16);
+    _mm_storel_epi64(reinterpret_cast<__m128i*>(out + i), p8);
+  }
+  if (i < n)
+    backend_scalar()->quantize_levels(x + i, n - i, inv, lo, hi, out + i);
+}
+
 constexpr Backend kAvx2 = {
     "avx2", /*id=*/1, kMR, kNR, /*mc=*/120, /*kc=*/256, /*nc=*/1024,
-    supported,
     detail::pack_a_block<kMR>, detail::pack_b_block<kNR>,
     micro,
     kKG8,
     detail::pack_a_int8_block<kMR, kKG8>, detail::pack_b_int8_block<kNR, kKG8>,
     micro_int8,
     detail::depthwise_block<kDwLanes>,
+    quantize_levels,
 };
 
 }  // namespace

@@ -17,7 +17,13 @@
 // the end of a mapping is safe).
 #if defined(__x86_64__) || defined(_M_X64)
 
+// GCC 12's AVX-512 intrinsics self-initialize their _mm512_undefined_*
+// operands, which -Wmaybe-uninitialized misreports in the quantize_levels
+// conversions below (GCC PR105593).
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 #include <immintrin.h>
+#pragma GCC diagnostic pop
 
 #include "nn/gemm/backend_impl.h"
 #include "core/cpu.h"
@@ -28,8 +34,6 @@ namespace {
 
 constexpr int kMR = 8;
 constexpr int kNR = 16;
-
-bool supported() { return core::cpu_features().avx512f; }
 
 /// R x nr tile with R a compile-time row count; `mask` selects the live
 /// n-lanes (0xFFFF on full tiles).  Masked-off accumulator lanes start at
@@ -167,15 +171,39 @@ void micro_int8(int kc, const std::int8_t* ap, const std::int8_t* bp,
 // ran about 1.5x faster than an 8-lane one despite the wasted tail lanes.
 constexpr int kDwLanes = 16;
 
+// quantize_levels: the AVX2 body's computation (see backend_avx2.cpp for
+// why it is bit-exact against the scalar body) on 8 lanes of one zmm.
+void quantize_levels(const float* x, std::size_t n, double inv, int lo,
+                     int hi, std::int8_t* out) {
+  const __m512d vinv = _mm512_set1_pd(inv);
+  const __m512d vlo = _mm512_set1_pd(static_cast<double>(lo));
+  const __m512d vhi = _mm512_set1_pd(static_cast<double>(hi));
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256 xf = _mm256_loadu_ps(x + i);
+    __m512d v = _mm512_mul_pd(_mm512_cvtps_pd(xf), vinv);
+    v = _mm512_min_pd(_mm512_max_pd(v, vlo), vhi);
+    __m256i q = _mm512_cvtpd_epi32(v);  // RNE, in [lo, hi]
+    const __m256 nan = _mm256_cmp_ps(xf, xf, _CMP_UNORD_Q);
+    q = _mm256_andnot_si256(_mm256_castps_si256(nan), q);
+    const __m128i p16 = _mm_packs_epi32(_mm256_castsi256_si128(q),
+                                        _mm256_extracti128_si256(q, 1));
+    const __m128i p8 = _mm_packs_epi16(p16, p16);
+    _mm_storel_epi64(reinterpret_cast<__m128i*>(out + i), p8);
+  }
+  if (i < n)
+    backend_scalar()->quantize_levels(x + i, n - i, inv, lo, hi, out + i);
+}
+
 constexpr Backend kAvx512 = {
     "avx512", /*id=*/2, kMR, kNR, /*mc=*/120, /*kc=*/256, /*nc=*/1024,
-    supported,
     detail::pack_a_block<kMR>, detail::pack_b_block<kNR>,
     micro,
     kKG8,
     pack_a_int8, detail::pack_b_int8_block<kNR, kKG8>,
     micro_int8,
     detail::depthwise_block<kDwLanes>,
+    quantize_levels,
 };
 
 }  // namespace

@@ -1,11 +1,12 @@
 // Dense single-precision GEMM for the inference hot paths.
 //
 // A cache-blocked, packing SGEMM whose register-tiled micro-kernel and
-// panel-pack routines are dispatched through a runtime SIMD backend
-// registry (nn/gemm/backend.h): scalar (plain C++, the reference, and the
-// only backend off x86-64), AVX2 and AVX-512 — CPUID-detected, forceable
-// via MERSIT_BACKEND, and all bit-identical to scalar (no -ffast-math, no
-// fused multiply-adds).  Three properties the rest of the repo leans on:
+// panel-pack routines come from the SIMD backend of the active tier
+// (nn/gemm/backend.h): scalar (plain C++, the reference, and the only
+// backend off x86-64), AVX2 and AVX-512 — the widest the host executes, or
+// the one MERSIT_BACKEND names for every SIMD loop in the library (GEMM,
+// depthwise, fake-quant, level quantization; core/cpu.h), and all
+// bit-identical to scalar (no -ffast-math, no fused multiply-adds).  Three properties the rest of the repo leans on:
 //
 //  * Fixed k-order summation.  Every output element accumulates its K
 //    products in ascending k order, starting from its initial value (zero,

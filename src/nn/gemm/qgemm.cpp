@@ -4,17 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
-#if defined(__x86_64__) || defined(_M_X64)
-// GCC 12's AVX-512 intrinsics self-initialize their _mm512_undefined_*
-// operands, which -Wmaybe-uninitialized misreports inside target("avx512f")
-// functions (GCC PR105593).
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
-#include <immintrin.h>
-#pragma GCC diagnostic pop
-#endif
-
-#include "core/cpu.h"
+#include "nn/gemm/backend.h"
 
 namespace mersit::nn::gemm {
 
@@ -110,106 +100,6 @@ struct Quire {
   }
 };
 
-// Scalar reference for quantize_levels; also the tail loop of the SIMD
-// paths.  Kept exactly in sync with the vector paths: the whole int8 layer
-// contract (ULP-0 across backends, thread invariance) leans on every lane
-// producing the same byte regardless of which path quantized it.
-void quantize_levels_scalar(const float* x, std::size_t n, double inv,
-                            int lo, int hi, std::int8_t* out) {
-  const double dlo = static_cast<double>(lo);
-  const double dhi = static_cast<double>(hi);
-  for (std::size_t i = 0; i < n; ++i) {
-    const double v = static_cast<double>(x[i]) * inv;
-    int q;
-    if (v >= dhi) {
-      q = hi;
-    } else if (v <= dlo) {
-      q = lo;
-    } else if (v != v) {  // NaN input: match encode-of-NaN gating upstream
-      q = 0;
-    } else {
-      q = static_cast<int>(std::lrint(v));  // RNE under default fenv
-    }
-    out[i] = static_cast<std::int8_t>(q);
-  }
-}
-
-#if defined(__x86_64__) || defined(_M_X64)
-
-// Vector variants of the same computation, bit-exact against the scalar
-// loop.  All arithmetic stays in double (cvtps_pd, mul_pd) so the product
-// x·inv rounds identically; the clamp runs in the double domain against
-// the exact-integer bounds [lo, hi], so cvtpd_epi32 (round-to-nearest-even
-// under the default MXCSR, same as lrint) can never overflow int32.  NaN
-// lanes fall out of max/min as the bound operand (x86 min/max return the
-// second operand when either is NaN), so a separate unordered-compare mask
-// zeroes them afterwards — matching the scalar `v != v → 0` branch.  ±Inf
-// survives the multiply and clamps to hi/lo like the scalar >=/<= tests.
-
-__attribute__((target("avx512f"))) void quantize_levels_avx512(
-    const float* x, std::size_t n, double inv, int lo, int hi,
-    std::int8_t* out) {
-  const __m512d vinv = _mm512_set1_pd(inv);
-  const __m512d vlo = _mm512_set1_pd(static_cast<double>(lo));
-  const __m512d vhi = _mm512_set1_pd(static_cast<double>(hi));
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 xf = _mm256_loadu_ps(x + i);
-    __m512d v = _mm512_mul_pd(_mm512_cvtps_pd(xf), vinv);
-    v = _mm512_min_pd(_mm512_max_pd(v, vlo), vhi);
-    __m256i q = _mm512_cvtpd_epi32(v);  // RNE, in [lo, hi]
-    const __m256 nan = _mm256_cmp_ps(xf, xf, _CMP_UNORD_Q);
-    q = _mm256_andnot_si256(_mm256_castps_si256(nan), q);
-    const __m128i p16 = _mm_packs_epi32(_mm256_castsi256_si128(q),
-                                        _mm256_extracti128_si256(q, 1));
-    const __m128i p8 = _mm_packs_epi16(p16, p16);
-    _mm_storel_epi64(reinterpret_cast<__m128i*>(out + i), p8);
-  }
-  if (i < n) quantize_levels_scalar(x + i, n - i, inv, lo, hi, out + i);
-}
-
-__attribute__((target("avx2"))) void quantize_levels_avx2(
-    const float* x, std::size_t n, double inv, int lo, int hi,
-    std::int8_t* out) {
-  const __m256d vinv = _mm256_set1_pd(inv);
-  const __m256d vlo = _mm256_set1_pd(static_cast<double>(lo));
-  const __m256d vhi = _mm256_set1_pd(static_cast<double>(hi));
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m128 xf0 = _mm_loadu_ps(x + i);
-    const __m128 xf1 = _mm_loadu_ps(x + i + 4);
-    __m256d v0 = _mm256_mul_pd(_mm256_cvtps_pd(xf0), vinv);
-    __m256d v1 = _mm256_mul_pd(_mm256_cvtps_pd(xf1), vinv);
-    v0 = _mm256_min_pd(_mm256_max_pd(v0, vlo), vhi);
-    v1 = _mm256_min_pd(_mm256_max_pd(v1, vlo), vhi);
-    const __m128i q0 = _mm256_cvtpd_epi32(v0);  // RNE, in [lo, hi]
-    const __m128i q1 = _mm256_cvtpd_epi32(v1);
-    const __m128i nan0 =
-        _mm_castps_si128(_mm_cmpunord_ps(xf0, xf0));
-    const __m128i nan1 =
-        _mm_castps_si128(_mm_cmpunord_ps(xf1, xf1));
-    __m128i p16 = _mm_packs_epi32(_mm_andnot_si128(nan0, q0),
-                                  _mm_andnot_si128(nan1, q1));
-    const __m128i p8 = _mm_packs_epi16(p16, p16);
-    _mm_storel_epi64(reinterpret_cast<__m128i*>(out + i), p8);
-  }
-  if (i < n) quantize_levels_scalar(x + i, n - i, inv, lo, hi, out + i);
-}
-
-#endif  // x86-64
-
-using QuantizeFn = void (*)(const float*, std::size_t, double, int, int,
-                            std::int8_t*);
-
-QuantizeFn pick_quantize_levels() {
-#if defined(__x86_64__) || defined(_M_X64)
-  const auto& f = core::cpu_features();
-  if (f.avx512f) return quantize_levels_avx512;
-  if (f.avx2) return quantize_levels_avx2;
-#endif
-  return quantize_levels_scalar;
-}
-
 }  // namespace
 
 QgemmMode qgemm_mode() { return g_qgemm_mode.load(std::memory_order_relaxed); }
@@ -220,8 +110,7 @@ QgemmMode set_qgemm_mode(QgemmMode mode) {
 
 void quantize_levels(const float* x, std::size_t n, double inv, int lo,
                      int hi, std::int8_t* out) {
-  static const QuantizeFn fn = pick_quantize_levels();
-  fn(x, n, inv, lo, hi, out);
+  active_backend().quantize_levels(x, n, inv, lo, hi, out);
 }
 
 bool kulisch_fits(const formats::TableCodec& table) {

@@ -57,9 +57,12 @@
 // (a software 512-bit quire per output element); it is a numerics
 // instrument, not a fast path.
 //
-// Backend note: the float and code paths ride the SIMD backend registry
-// (nn/gemm/backend.h) through the same float pack routines and sgemm —
-// the code path differs only in where the FP32 weights come from.
+// Backend note: the float and code paths ride the active tier's SIMD
+// backend (nn/gemm/backend.h) through the same float pack routines and
+// sgemm — the code path differs only in where the FP32 weights come from.
+// The int8 path's kernels and quantize_levels run that same backend, so
+// MERSIT_BACKEND, which names the one tier every SIMD loop runs (GEMM,
+// depthwise, fake-quant, level quantization; core/cpu.h), moves them too.
 // qgemm_kulisch reads raw codes and accumulates in integer arithmetic, so
 // it is independent of the active backend by construction and needs no
 // per-backend gating.
@@ -135,7 +138,8 @@ inline constexpr int kInt8MaxK = 1 << 16;
 /// tensor_scale).  For activations already fake-quantized onto the grid
 /// (the PTQ eval and serving paths) the rounding is exact, so this matches
 /// the format's own encode kernel code-for-code (pinned by test).
-/// Non-finite inputs clamp (NaN → 0).
+/// Non-finite inputs clamp (NaN → 0).  Runs the active backend's body;
+/// every tier writes the same bytes (pinned by test).
 void quantize_levels(const float* x, std::size_t n, double inv, int lo,
                      int hi, std::int8_t* out);
 

@@ -4,9 +4,9 @@
 // on the adversarial corners: exact decoded values, exact rounding midpoints
 // (the ties-to-even-code rule), their nextafter neighbours, the underflow
 // boundary, the saturation boundary, ±0, double denormals, NaN and ±inf —
-// plus a large random sweep.  Each batch loop (scalar, AVX2, AVX-512) the
-// host can execute is also pinned to the scalar reference directly, at every
-// lane position and in the scalar tail; INT8's table-free grid body is
+// plus a large random sweep.  Each tier's batch loop (scalar, AVX2, AVX-512)
+// the host can execute is also pinned to the scalar reference directly, at
+// every lane position and in the scalar tail; INT8's table-free grid body is
 // pinned the same way on the grid's own corners.
 #include "formats/kernels/quant_kernel.h"
 
@@ -17,10 +17,10 @@
 #include <limits>
 #include <random>
 #include <span>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "../core/tier_guard.h"
 #include "core/registry.h"
 #include "formats/quantize.h"
 
@@ -188,8 +188,8 @@ TEST(KernelEquivalence, BatchRmseMatchesScalarReference) {
 }
 
 // ------------------------------------------------------ batch loops --
-// Every fake_quantize loop the host can execute (scalar, AVX2, AVX-512),
-// called directly through fake_quantize_with, against the scalar reference.
+// Every tier's fake_quantize loop the host can execute (scalar, AVX2,
+// AVX-512), installed with test::TierGuard, against the scalar reference.
 
 /// The edge cases of one format at one scale, as floats: ±0, NaN, ±inf,
 /// float denormals, every value, every exact midpoint (an exact tie in the
@@ -238,8 +238,8 @@ std::vector<float> special_floats(const Format& fmt, double scale) {
 
 TEST(KernelLoops, EveryHostLoopMatchesScalarReference) {
   int loops_run = 0;
-  for (const QuantKernel::Loop loop : QuantKernel::kLoops) {
-    if (!QuantKernel::loop_supported(loop)) continue;
+  for (const core::Tier tier : test::executable_tiers()) {
+    const test::TierGuard guard(tier);
     ++loops_run;
     for (const auto& name : core::all_format_names()) {
       const auto fmt = core::make_format(name);
@@ -256,9 +256,9 @@ TEST(KernelLoops, EveryHostLoopMatchesScalarReference) {
         const std::span<const float> in_all(buf), want_all(want);
         for (std::size_t off = 0; off < 8; ++off) {
           std::vector<float> got(buf.begin() + off, buf.end());
-          kernel->fake_quantize_with(loop, got, scale);
+          kernel->fake_quantize(got, scale);
           EXPECT_TRUE(same_bits(in_all.subspan(off), got, want_all.subspan(off)))
-              << name << " " << QuantKernel::loop_name(loop)
+              << name << " " << core::tier_name(tier)
               << " scale=" << scale << " offset=" << off;
         }
         // Short buffers (lengths 0-33, offsets 0-7) over the dense start of
@@ -267,10 +267,10 @@ TEST(KernelLoops, EveryHostLoopMatchesScalarReference) {
         for (std::size_t off = 0; off < 8; ++off) {
           for (std::size_t len = 0; len <= 33; ++len) {
             std::vector<float> got(buf.begin() + off, buf.begin() + off + len);
-            kernel->fake_quantize_with(loop, got, scale);
+            kernel->fake_quantize(got, scale);
             EXPECT_TRUE(same_bits(in_all.subspan(off, len), got,
                                   want_all.subspan(off, len)))
-                << name << " " << QuantKernel::loop_name(loop)
+                << name << " " << core::tier_name(tier)
                 << " scale=" << scale << " offset=" << off << " len=" << len;
           }
         }
@@ -278,22 +278,6 @@ TEST(KernelLoops, EveryHostLoopMatchesScalarReference) {
     }
   }
   EXPECT_GE(loops_run, 1);  // scalar always runs
-}
-
-TEST(KernelLoops, DispatchPicksTheWidestHostLoop) {
-  const auto kernel = core::make_format("MERSIT(8,2)")->kernel();
-  QuantKernel::Loop widest = QuantKernel::Loop::kScalar;
-  for (const QuantKernel::Loop loop : QuantKernel::kLoops)
-    if (QuantKernel::loop_supported(loop)) widest = loop;
-  EXPECT_EQ(kernel->loop(), widest);
-  for (const QuantKernel::Loop loop : QuantKernel::kLoops) {
-    std::vector<float> buf(16, 1.f);
-    if (QuantKernel::loop_supported(loop))
-      EXPECT_NO_THROW(kernel->fake_quantize_with(loop, buf, 1.0));
-    else
-      EXPECT_THROW(kernel->fake_quantize_with(loop, buf, 1.0),
-                   std::invalid_argument);
-  }
 }
 
 // ------------------------------------------------ uniform-grid body --
@@ -347,26 +331,26 @@ TEST(KernelGrid, GridBodyMatchesScalarReferenceOnEveryHostLoop) {
     const auto kernel = fmt->kernel();
     if (!kernel->grid_body()) continue;
     ++grid_formats;
-    for (const QuantKernel::Loop loop : QuantKernel::kLoops) {
-      if (!QuantKernel::loop_supported(loop)) continue;
+    for (const core::Tier tier : test::executable_tiers()) {
+      const test::TierGuard guard(tier);
       for (const double scale : scales) {
         const std::vector<float> buf =
             grid_probes(fmt->codec().int8_grid(), scale);
         std::vector<float> want = buf;
         fake_quantize_scalar(want, *fmt, scale);
         const std::span<const float> in_all(buf), want_all(want);
-        SCOPED_TRACE(name + " " + QuantKernel::loop_name(loop) +
+        SCOPED_TRACE(name + " " + core::tier_name(tier) +
                      " scale=" + std::to_string(scale));
         // The whole buffer at start offsets 0-7, then lengths 0-33 over
         // its start, so every special visits every lane and the tail.
         for (std::size_t off = 0; off < 8; ++off) {
           std::vector<float> got(buf.begin() + off, buf.end());
-          kernel->fake_quantize_with(loop, got, scale);
+          kernel->fake_quantize(got, scale);
           EXPECT_TRUE(same_bits(in_all.subspan(off), got, want_all.subspan(off)))
               << "offset=" << off;
           for (std::size_t len = 0; len <= 33; ++len) {
             std::vector<float> part(buf.begin() + off, buf.begin() + off + len);
-            kernel->fake_quantize_with(loop, part, scale);
+            kernel->fake_quantize(part, scale);
             EXPECT_TRUE(same_bits(in_all.subspan(off, len), part,
                                   want_all.subspan(off, len)))
                 << "offset=" << off << " len=" << len;

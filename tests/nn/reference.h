@@ -2,7 +2,8 @@
 // lowering of Conv2d, Linear and MultiHeadSelfAttention, the depthwise
 // backend kernel, and the plane loops of GlobalAvgPool and SEBlock must
 // reproduce; the direct kernel calls the int8 and Kulisch weight paths
-// must reproduce; plus the comparator and scope guards the nn suites share.
+// must reproduce; plus the comparator and scope guards the nn suites share
+// (the tier guard, test::TierGuard, is core/tier_guard.h's).
 //
 // Every loop is the direct formula in the accumulation order the engine
 // promises: each output starts from its bias (or zero) and adds its
@@ -24,6 +25,7 @@
 #include <utility>
 #include <vector>
 
+#include "../core/tier_guard.h"
 #include "core/thread_pool.h"
 #include "formats/kernels/quant_kernel.h"
 #include "formats/quantize.h"
@@ -55,13 +57,6 @@ struct ModeGuard {
   gemm::QgemmMode prev;
 };
 
-/// Restores the active GEMM backend on scope exit.
-struct BackendGuard {
-  explicit BackendGuard(const gemm::Backend& be) : prev(gemm::set_backend(&be)) {}
-  ~BackendGuard() { gemm::set_backend(prev); }
-  const gemm::Backend* prev;
-};
-
 /// Resizes the global pool, and restores the width it had on scope exit.
 struct PoolWidthGuard {
   explicit PoolWidthGuard(int width) : prev(core::global_pool().size()) {
@@ -70,14 +65,6 @@ struct PoolWidthGuard {
   ~PoolWidthGuard() { core::resize_global_pool(prev); }
   int prev;
 };
-
-/// Every compiled-in backend the host can execute.
-inline std::vector<const gemm::Backend*> supported_backends() {
-  std::vector<const gemm::Backend*> out;
-  for (const gemm::Backend* be : gemm::backends())
-    if (be->supported()) out.push_back(be);
-  return out;
-}
 
 // ------------------------------------------------------------- test data --
 
@@ -325,7 +312,7 @@ inline Tensor int8_forward(const Tensor& x, double xscale, const WeightCodes& wc
   const int kdim = wc.per_channel, ocg = g.out_ch / g.groups;
   std::vector<double> iscales;
   for (const double s : wc.scales) iscales.push_back(grid.pitch * s);
-  const BackendGuard scalar(gemm::scalar_backend());
+  const test::TierGuard scalar(core::Tier::kScalar);
   std::vector<gemm::PackedInt8> packs;
   for (int grp = 0; grp < g.groups; ++grp)
     packs.push_back(gemm::pack_a_int8_matrix(

@@ -48,13 +48,14 @@
 namespace mersit::nn {
 namespace {
 
-using reference::BackendGuard;
 using reference::bitwise_equal;
 using reference::ModeGuard;
 using reference::PoolWidthGuard;
 using reference::random_vec;
 using reference::randomize;
 using reference::randomize_bn;
+using test::executable_tiers;
+using test::TierGuard;
 
 /// Naive triple loop with the contract sgemm promises to reproduce: each
 /// element starts from its init value and accumulates k-ascending.
@@ -199,51 +200,23 @@ TEST(GemmIm2col, RoundTripAccumulatesEveryTapOnce)
 
 // ---------------------------------------------------------- SIMD backends --
 //
-// Every compiled-in backend the host can execute is gated bitwise against
+// The backend of every tier the host can execute is gated bitwise against
 // the scalar reference: same shapes/transposes/inits, strided C, thread
 // counts, fused epilogues, and the prepacked-operand path.  Bit identity
 // holds because every backend accumulates ascending-k with a separately
 // rounded multiply and add per step (no FMA) — tile geometry may differ.
 
-TEST(GemmBackend, RegistryListsScalarLastWithUniqueIdsAndNames) {
-  const auto list = gemm::backends();
-  ASSERT_FALSE(list.empty());
-  // Scalar terminates detection: always compiled in, always supported.
-  EXPECT_EQ(list.back(), &gemm::scalar_backend());
-  EXPECT_TRUE(gemm::scalar_backend().supported());
-  EXPECT_TRUE(gemm::active_backend().supported());
+TEST(GemmBackend, EachTierRunsItsOwnDescriptor) {
   std::set<int> ids;
-  for (const gemm::Backend* be : list) {
-    EXPECT_GE(be->id, 0) << be->name;
-    EXPECT_TRUE(ids.insert(be->id).second) << "duplicate id: " << be->name;
-    EXPECT_EQ(gemm::find_backend(be->name), be);
-    EXPECT_EQ(be->mc % be->mr, 0) << be->name;  // full tiles inside a block
+  for (const core::Tier t : executable_tiers()) {
+    const TierGuard g(t);
+    const gemm::Backend& be = gemm::active_backend();
+    EXPECT_STREQ(be.name, core::tier_name(t));
+    EXPECT_EQ(be.id, static_cast<int>(t)) << be.name;
+    EXPECT_TRUE(ids.insert(be.id).second) << "duplicate id: " << be.name;
+    EXPECT_EQ(be.mc % be.mr, 0) << be.name;  // full tiles inside a block
   }
-}
-
-TEST(GemmBackend, ParseBackendRejectsUnknownNamesListingTheRegistry) {
-  EXPECT_EQ(&gemm::parse_backend("scalar"), &gemm::scalar_backend());
-  EXPECT_EQ(gemm::find_backend("bogus"), nullptr);
-  try {
-    (void)gemm::parse_backend("bogus");
-    FAIL() << "unknown backend name accepted";
-  } catch (const std::runtime_error& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("bogus"), std::string::npos) << what;
-    // The message lists every compiled-in backend so the fix is self-evident.
-    for (const gemm::Backend* be : gemm::backends())
-      EXPECT_NE(what.find(be->name), std::string::npos) << what;
-  }
-}
-
-TEST(GemmBackend, SetBackendRoundTripsAndRejectsNull) {
-  const gemm::Backend& before = gemm::active_backend();
-  {
-    const BackendGuard g(gemm::scalar_backend());
-    EXPECT_EQ(&gemm::active_backend(), &gemm::scalar_backend());
-  }
-  EXPECT_EQ(&gemm::active_backend(), &before);
-  EXPECT_THROW(gemm::set_backend(nullptr), std::invalid_argument);
+  EXPECT_EQ(ids.count(0), 1u);  // scalar always runs
 }
 
 TEST(GemmBackend, EveryBackendBitIdenticalToScalarAcrossShapesAndInits) {
@@ -268,13 +241,13 @@ TEST(GemmBackend, EveryBackendBitIdenticalToScalarAcrossShapesAndInits) {
           const auto seed = random_vec(static_cast<std::size_t>(M) * N, rng);
           std::vector<float> want = seed;
           {
-            const BackendGuard g(gemm::scalar_backend());
+            const TierGuard g(core::Tier::kScalar);
             gemm::sgemm(M, N, K, A.data(), lda, ta, B.data(), ldb, tb,
                         want.data(), N, init, bias.data());
           }
-          for (const gemm::Backend* be : gemm::backends()) {
-            if (!be->supported()) continue;
-            const BackendGuard g(*be);
+          for (const core::Tier t : executable_tiers()) {
+            const TierGuard g(t);
+            const gemm::Backend* be = &gemm::active_backend();
             std::vector<float> got = seed;
             gemm::sgemm(M, N, K, A.data(), lda, ta, B.data(), ldb, tb,
                         got.data(), N, init, bias.data());
@@ -296,13 +269,13 @@ TEST(GemmBackend, StridedOutputGapsUntouchedPerBackend) {
   const auto B = random_vec(static_cast<std::size_t>(K) * N, rng);
   std::vector<float> want(static_cast<std::size_t>(M) * ldc, 42.f);
   {
-    const BackendGuard g(gemm::scalar_backend());
+    const TierGuard g(core::Tier::kScalar);
     gemm::sgemm(M, N, K, A.data(), K, false, B.data(), N, false, want.data(),
                 ldc);
   }
-  for (const gemm::Backend* be : gemm::backends()) {
-    if (!be->supported()) continue;
-    const BackendGuard g(*be);
+  for (const core::Tier t : executable_tiers()) {
+    const TierGuard g(t);
+    const gemm::Backend* be = &gemm::active_backend();
     std::vector<float> c(static_cast<std::size_t>(M) * ldc, 42.f);
     gemm::sgemm(M, N, K, A.data(), K, false, B.data(), N, false, c.data(), ldc);
     EXPECT_TRUE(bitwise_equal(c, want)) << be->name;
@@ -328,14 +301,14 @@ TEST(GemmBackend, EpiloguesAndRowAffineBitIdenticalToScalarPerBackend) {
     for (const gemm::RowAffine* aff : {static_cast<const gemm::RowAffine*>(nullptr), &affine}) {
       std::vector<float> want(static_cast<std::size_t>(M) * N);
       {
-        const BackendGuard g(gemm::scalar_backend());
+        const TierGuard g(core::Tier::kScalar);
         gemm::sgemm(M, N, K, A.data(), K, false, B.data(), N, false,
                     want.data(), N, gemm::Init::kZero, nullptr, nullptr, epi,
                     nullptr, nullptr, aff);
       }
-      for (const gemm::Backend* be : gemm::backends()) {
-        if (!be->supported()) continue;
-        const BackendGuard g(*be);
+      for (const core::Tier t : executable_tiers()) {
+        const TierGuard g(t);
+        const gemm::Backend* be = &gemm::active_backend();
         std::vector<float> got(want.size());
         gemm::sgemm(M, N, K, A.data(), K, false, B.data(), N, false,
                     got.data(), N, gemm::Init::kZero, nullptr, nullptr, epi,
@@ -353,9 +326,9 @@ TEST(GemmBackend, ThreadCountInvariantPerBackend) {
   const int M = 150, N = 90, K = 64;
   const auto A = random_vec(static_cast<std::size_t>(M) * K, rng);
   const auto B = random_vec(static_cast<std::size_t>(K) * N, rng);
-  for (const gemm::Backend* be : gemm::backends()) {
-    if (!be->supported()) continue;
-    const BackendGuard g(*be);
+  for (const core::Tier t : executable_tiers()) {
+    const TierGuard g(t);
+    const gemm::Backend* be = &gemm::active_backend();
     std::vector<float> base(static_cast<std::size_t>(M) * N);
     gemm::sgemm(M, N, K, A.data(), K, false, B.data(), N, false, base.data(), N);
     for (const int threads : {1, 4, 13}) {
@@ -374,9 +347,9 @@ TEST(GemmBackend, PrepackedOperandsBitIdenticalAndStampedPerBackend) {
   const int M = 70, N = 51, K = 123;
   const auto A = random_vec(static_cast<std::size_t>(M) * K, rng);
   const auto B = random_vec(static_cast<std::size_t>(K) * N, rng);
-  for (const gemm::Backend* be : gemm::backends()) {
-    if (!be->supported()) continue;
-    const BackendGuard g(*be);
+  for (const core::Tier t : executable_tiers()) {
+    const TierGuard g(t);
+    const gemm::Backend* be = &gemm::active_backend();
     std::vector<float> base(static_cast<std::size_t>(M) * N);
     gemm::sgemm(M, N, K, A.data(), K, false, B.data(), N, false, base.data(), N);
     const gemm::PackedMatrix pa = gemm::pack_a_matrix(M, K, A.data(), K, false);
@@ -395,25 +368,20 @@ TEST(GemmBackend, PrepackedOperandsBitIdenticalAndStampedPerBackend) {
 }
 
 TEST(GemmBackend, RejectsOperandsPackedForAForeignBackend) {
-  const gemm::Backend* other = nullptr;
-  for (const gemm::Backend* be : gemm::backends())
-    if (be != &gemm::scalar_backend() && be->supported()) {
-      other = be;
-      break;
-    }
-  if (other == nullptr)
-    GTEST_SKIP() << "host supports only the scalar backend";
+  const core::Tier other = executable_tiers().back();
+  if (other == core::Tier::kScalar)
+    GTEST_SKIP() << "host executes only the scalar tier";
   std::mt19937 rng(97);
   const int M = 64, N = 48, K = 32;
   const auto A = random_vec(static_cast<std::size_t>(M) * K, rng);
   const auto B = random_vec(static_cast<std::size_t>(K) * N, rng);
   gemm::PackedMatrix pa, pb;
   {
-    const BackendGuard g(*other);
+    const TierGuard g(other);
     pa = gemm::pack_a_matrix(M, K, A.data(), K, false);
     pb = gemm::pack_b_matrix(K, N, B.data(), N, false);
   }
-  const BackendGuard g(gemm::scalar_backend());
+  const TierGuard g(core::Tier::kScalar);
   std::vector<float> c(static_cast<std::size_t>(M) * N);
   EXPECT_THROW(gemm::sgemm(M, N, K, A.data(), K, false, B.data(), N, false,
                            c.data(), N, gemm::Init::kZero, nullptr, nullptr,
@@ -433,7 +401,7 @@ TEST(GemmBackend, RejectsOperandsPackedForAForeignBackend) {
 // one row per distinct layer geometry in the vision zoo and BERT-mini, so
 // the zoo's shapes are covered by construction.  Every row runs at pool
 // widths 1 and 4 against the oracle: forwards (cold and warm weight plan)
-// over epilogue x BN affine on every supported backend, and backward.
+// over epilogue x BN affine on every executable tier, and backward.
 // Each test below checks one slice of the table (a layer kind, a row
 // group, forward or backward).
 
@@ -629,7 +597,7 @@ std::pair<PlanFallback, WeightKernel> expected_plan(const PathCell& cell, bool d
 }
 
 /// The row's forwards under each cell and variant, at each pool width, on
-/// every supported backend.  Each forward's plan must report the cell's
+/// every executable tier.  Each forward's plan must report the cell's
 /// kernel and reason, and its output must equal that kernel's reference:
 /// the path's direct reference for int8 / Kulisch (itself within
 /// 1e-4·(1+|y|) of the code oracle), else the oracle over the FP32 or
@@ -686,8 +654,9 @@ void check_forward(const LayerRow& row, std::size_t idx, std::span<const PathCel
     const ModeGuard mode(cell.mode);
     for (const int width : widths) {
       const PoolWidthGuard pool(width);
-      for (const gemm::Backend* be : reference::supported_backends()) {
-        const BackendGuard guard(*be);
+      for (const core::Tier t : executable_tiers()) {
+        const TierGuard guard(t);
+        const gemm::Backend* be = &gemm::active_backend();
         for (std::size_t v = 0; v < vs.size(); ++v) {
           const auto [epi, with_bn] = vs[v];
           EXPECT_TRUE(bitwise_equal(layer_forward(*layer, x, epi, with_bn ? &bn : nullptr), want[v]))
@@ -853,8 +822,9 @@ TEST(GemmConv, DepthwiseSpecialValuesMatchNaiveBitwisePerBackend) {
         const Tensor want = reference::conv_forward(
             x, conv.weight.value.raw(), conv.bias.value.raw(), g, epi,
             with_bn ? scale.data() : nullptr, with_bn ? shift.data() : nullptr);
-        for (const gemm::Backend* be : reference::supported_backends()) {
-          const BackendGuard guard(*be);
+        for (const core::Tier t : executable_tiers()) {
+          const TierGuard guard(t);
+          const gemm::Backend* be = &gemm::active_backend();
           const Tensor y = with_bn ? conv.forward_bn_fused(x, ctx, bn, epi)
                                    : conv.forward_fused(x, ctx, epi);
           EXPECT_TRUE(bitwise_equal(y, want))
@@ -942,7 +912,7 @@ TEST(LayerPrepack, ConvAndLinearForwardsBitwiseAcrossPrepackModes) {
 // the plan ran, or the code path's oracle over the decoded weights where
 // it ran FP32; a direct reference must stay within 1e-4·(1+|y|) of that
 // oracle (K float roundings apart at most).  Every cell runs on every
-// supported backend; the pool width is the test parameter.
+// executable tier; the pool width is the test parameter.
 
 constexpr PathCell kPathCells[] = {
     {QgemmMode::kCode, "code", "MERSIT(8,2)"},
@@ -989,8 +959,8 @@ INSTANTIATE_TEST_SUITE_P(Gemm, LayerPath, ::testing::Values(1, 4),
 //           the grid-flip cells below), tie-aware top-1 unchanged;
 //   kulisch x 3 formats: no bound against code (the layer column gates its
 //           numerics).
-// Each path must be bitwise invariant across every supported backend at
-// pool widths 1 and 4, and across widths 2 and 13 on the detected backend.
+// Each path must be bitwise invariant across every executable tier at
+// pool widths 1 and 4, and across widths 2 and 13 on the active tier.
 // int8 and code logits mostly agree bitwise (each quant point snaps the
 // accumulation noise back to the grid): only the layer column can tell
 // that the integer path ran.
@@ -1054,13 +1024,13 @@ Deployed deploy(const std::string& name, bool folded, int batch) {
   return d;
 }
 
-using Configs = std::vector<std::pair<const gemm::Backend*, int>>;  // (backend, width)
+using Configs = std::vector<std::pair<core::Tier, int>>;  // (tier, width)
 
 Configs matrix_configs() {
   Configs out;
-  for (const gemm::Backend* be : reference::supported_backends())
-    for (const int width : {1, 4}) out.emplace_back(be, width);
-  for (const int width : {2, 13}) out.emplace_back(&gemm::active_backend(), width);
+  for (const core::Tier t : executable_tiers())
+    for (const int width : {1, 4}) out.emplace_back(t, width);
+  for (const int width : {2, 13}) out.emplace_back(core::active_tier(), width);
   return out;
 }
 
@@ -1072,13 +1042,14 @@ Tensor expect_invariant(const std::string& cell, const Configs& configs, Forward
                         const Tensor* want = nullptr) {
   std::optional<Tensor> base;
   if (want != nullptr) base = *want;
-  for (const auto& [be, width] : configs) {
-    const BackendGuard guard(*be);
+  for (const auto& [tier, width] : configs) {
+    const TierGuard guard(tier);
     const PoolWidthGuard pool(width);
     Tensor y = forward();
     if (!base) base = std::move(y);
     else
-      EXPECT_TRUE(bitwise_equal(y, *base)) << cell << " backend=" << be->name << " width=" << width;
+      EXPECT_TRUE(bitwise_equal(y, *base))
+          << cell << " backend=" << core::tier_name(tier) << " width=" << width;
   }
   return *base;
 }
@@ -1185,14 +1156,14 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // The benchmark's own cells (BENCHMARK.json): trunk-mersit and mobile-int8
-// at their batch and pool width, BN folded, on the detected backend.
+// at their batch and pool width, BN folded, on the active tier.
 TEST(GemmBenchCell, TrunkMersitResNet18CodeBatch32Width2) {
   check_code_cell(deploy("ResNet18-mini", true, 32), "MERSIT(8,2)",
-                  {{&gemm::active_backend(), 2}});
+                  {{core::active_tier(), 2}});
 }
 
 TEST(GemmBenchCell, MobileInt8MobileNetV3Int8Batch32Width1) {
-  check_int8_cell(deploy("MobileNet_v3-mini", true, 32), {{&gemm::active_backend(), 1}});
+  check_int8_cell(deploy("MobileNet_v3-mini", true, 32), {{core::active_tier(), 1}});
 }
 }  // namespace
 }  // namespace mersit::nn

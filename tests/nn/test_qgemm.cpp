@@ -45,7 +45,6 @@
 namespace mersit::nn {
 namespace {
 
-using reference::BackendGuard;
 using reference::bitwise_equal;
 using reference::decode_lut;
 using reference::ModeGuard;
@@ -305,20 +304,16 @@ TEST(QgemmWeightPlan, RecompilesOnNewPayloadBackendOrPath) {
   }
   {
     SCOPED_TRACE("backend switch");
-    const gemm::Backend* best = nullptr;  // the detected (best) backend
-    for (const gemm::Backend* be : gemm::backends())
-      if (best == nullptr && be->supported()) best = be;
-    ASSERT_NE(best, nullptr);
     auto cached = make(*mersit);
     {
-      const BackendGuard guard(*best);
-      (void)run(*cached, kCode);  // warms panels in `best`'s layout
+      const test::TierGuard guard(test::executable_tiers().back());
+      (void)run(*cached, kCode);  // warms panels in the widest tier's layout
     }
-    const BackendGuard scalar(gemm::scalar_backend());
+    const test::TierGuard scalar(core::Tier::kScalar);
     Tensor got;
     EXPECT_NO_THROW(got = run(*cached, kCode));
     EXPECT_TRUE(bitwise_equal(got, run(*make(*mersit), kCode)));
-    EXPECT_EQ(cached->weight_plan()->backend_id, gemm::scalar_backend().id);
+    EXPECT_EQ(cached->weight_plan()->backend_id, gemm::active_backend().id);
   }
   {
     SCOPED_TRACE("path switch");

@@ -46,7 +46,6 @@
 namespace mersit::nn {
 namespace {
 
-using reference::BackendGuard;
 using reference::bitwise_equal;
 using reference::decode_lut;
 using reference::ModeGuard;
@@ -91,7 +90,10 @@ TEST(Int8Affine, DetectsExactlyTheAffineFamilyAllFormatsAllCodes) {
 // quantize_levels must agree with the format's own encode kernel over all
 // 256 codes: re-quantizing a decoded value recovers the same level the code
 // maps to, which is what makes the int8 activation path exact on
-// already-fake-quantized tensors.
+// already-fake-quantized tensors.  And every tier's body (core::Tier) must
+// write the scalar tier's bytes: all decoded codes, ±0, NaN, ±inf, ±1e30
+// and the ties ±(l + 0.5) in one long buffer, at start offsets 0-7 and
+// lengths 0-33, so every probe visits every vector lane and the tail.
 TEST(Int8Levels, QuantizeLevelsMatchesFormatEncodeAllCodes) {
   const auto fmt = core::make_format("INT8");
   const auto kernel = fmt->kernel();
@@ -123,6 +125,39 @@ TEST(Int8Levels, QuantizeLevelsMatchesFormatEncodeAllCodes) {
   EXPECT_EQ(out[0], qmax);
   EXPECT_EQ(out[1], qmin);
   EXPECT_EQ(out[2], 0);
+
+  // At scale 0.25 the products x·inv are exact, so the ties are exact.
+  int tiers_run = 0;
+  for (const double scale : {wscale, 0.25}) {
+    const double sinv = 1.0 / (grid.pitch * scale);
+    std::vector<float> buf = {0.f, -0.f, nan, std::numeric_limits<float>::infinity(),
+                              -std::numeric_limits<float>::infinity(), big, neg};
+    for (int c = 0; c < 256; ++c)
+      if (std::isfinite(lut[static_cast<std::size_t>(c)]))
+        buf.push_back(static_cast<float>(lut[static_cast<std::size_t>(c)] * scale));
+    for (int l = 0; l <= qmax; ++l)
+      for (const double tie : {l + 0.5, -(l + 0.5)})
+        buf.push_back(static_cast<float>(tie * grid.pitch * scale));
+    const auto levels = [&](core::Tier t, std::size_t off, std::size_t len) {
+      const test::TierGuard guard(t);
+      std::vector<std::int8_t> q(len, 99);
+      gemm::quantize_levels(buf.data() + off, len, sinv, qmin, qmax, q.data());
+      return q;
+    };
+    for (const core::Tier t : test::executable_tiers()) {
+      SCOPED_TRACE(std::string(core::tier_name(t)) + " scale=" + std::to_string(scale));
+      ++tiers_run;
+      const auto check = [&](std::size_t off, std::size_t len) {
+        EXPECT_EQ(levels(t, off, len), levels(core::Tier::kScalar, off, len))
+            << "offset=" << off << " len=" << len;
+      };
+      for (std::size_t off = 0; off < 8; ++off) {
+        check(off, buf.size() - off);
+        for (std::size_t len = 0; len <= 33; ++len) check(off, len);
+      }
+    }
+  }
+  EXPECT_GE(tiers_run, 2);  // scalar at both scales
 }
 
 // FakeQuantizer hands INT8 activations to the format kernel, whose vector
@@ -247,10 +282,9 @@ TEST(Int8Kernel, AllBackendsBitwiseIdenticalToScalarIntegerReference) {
                  bias.data(), aff_s.data(), aff_t.data(),
                  gemm::Epilogue::kReLU, want_fused.data());
 
-  for (const gemm::Backend* be : gemm::backends()) {
-    if (!be->supported()) continue;
-    SCOPED_TRACE(be->name);
-    const BackendGuard guard(*be);
+  for (const core::Tier t : test::executable_tiers()) {
+    SCOPED_TRACE(core::tier_name(t));
+    const test::TierGuard guard(t);
     const gemm::PackedInt8 pa =
         gemm::pack_a_int8_matrix(kM, kK, a.data(), kK, level.data());
 
@@ -308,15 +342,15 @@ TEST(Int8Kernel, RejectsUnsafeCallsAndStaysThreadCountInvariant) {
   EXPECT_THROW(run(wrong_m, kK, gemm::Init::kZero), std::invalid_argument);
   // ...and the active backend: panels packed under scalar are misindexed by
   // any other backend.
-  for (const gemm::Backend* be : gemm::backends()) {
-    if (be == &gemm::scalar_backend() || !be->supported()) continue;
-    SCOPED_TRACE(be->name);
+  for (const core::Tier t : test::executable_tiers()) {
+    if (t == core::Tier::kScalar) continue;
+    SCOPED_TRACE(core::tier_name(t));
     gemm::PackedInt8 scalar_pack;
     {
-      const BackendGuard guard(gemm::scalar_backend());
+      const test::TierGuard guard(core::Tier::kScalar);
       scalar_pack = gemm::pack_a_int8_matrix(kM, kK, a.data(), kK, level.data());
     }
-    const BackendGuard guard(*be);
+    const test::TierGuard guard(t);
     EXPECT_THROW(run(scalar_pack, kK, gemm::Init::kZero), std::invalid_argument);
   }
 
