@@ -282,16 +282,16 @@ std::string plan_fault(nn::Module& model, bool coded) {
   if (plans.size() != layers)
     return std::to_string(plans.size()) + " of " + std::to_string(layers) +
            " layers compiled a plan";
-  const nn::gemm::Backend& be = nn::gemm::active_backend();
+  const core::Tier tier = core::active_tier();
   for (const nn::LayerPlan& lp : plans) {
     const nn::WeightPlan& p = *lp.plan;
     if (p.kernel != nn::WeightKernel::kFp32 || p.reason != nn::PlanFallback::kNone ||
-        p.backend_id != be.id || (p.codes != nullptr) != coded)
+        p.tier != tier || (p.codes != nullptr) != coded)
       return lp.layer + " ran " + nn::kernel_name(p.kernel) + " (fallback: " +
              nn::fallback_name(p.reason) + ", " +
-             (p.codes != nullptr ? "codes" : "FP32 weights") + ") on backend id " +
-             std::to_string(p.backend_id) + ", expected fp32 from " +
-             (coded ? "codes" : "FP32 weights") + " on " + be.name;
+             (p.codes != nullptr ? "codes" : "FP32 weights") + ") on the " +
+             core::tier_name(p.tier) + " backend, expected fp32 from " +
+             (coded ? "codes" : "FP32 weights") + " on " + core::tier_name(tier);
   }
   return {};
 }
@@ -590,7 +590,7 @@ int write_json(const char* path, const bench::Sizes& sizes,
   }
   std::fprintf(f, "{\n  \"bench\": \"bench_inference/forward\",\n");
   std::fprintf(f, "  \"mode\": \"%s\",\n", sizes.mode());
-  std::fprintf(f, "  \"backend\": \"%s\",\n", nn::gemm::active_backend().name);
+  std::fprintf(f, "  \"backend\": \"%s\",\n", core::tier_name(core::active_tier()));
   std::fprintf(f, "  \"cpu_features\": \"%s\",\n",
                core::cpu_feature_summary().c_str());
   std::fprintf(f, "  \"qgemm_format\": \"%s\",\n", kCodeFormat);
@@ -702,7 +702,7 @@ int list_backends() {
     }
     core::set_tier(*t);
     const nn::gemm::Backend& be = nn::gemm::active_backend();
-    std::printf("%-8s %dx%d tile  supported=yes%s\n", be.name, be.mr, be.nr,
+    std::printf("%-8s %dx%d tile  supported=yes%s\n", core::tier_name(*t), be.mr, be.nr,
                 *t == active ? "  [active]" : "");
   }
   core::set_tier(active);

@@ -90,9 +90,12 @@ fi
 # MERSIT_BACKEND the host cannot execute).  Then the suites must pass
 # under the forced scalar tier as well as under the widest one: with
 # MERSIT_BACKEND=scalar every SIMD loop's default dispatch runs its scalar
-# body — GEMM, depthwise, fake-quant and int8 level quantization — while
-# the per-tier gates inside the suites still install every other tier the
-# host executes.  `Gemm*` takes in the contract matrix (test_gemm.cpp):
+# body — GEMM, depthwise, the epilogue and int8 dequant write-backs,
+# fake-quant and int8 level quantization — while the per-tier gates inside
+# the suites (GemmBackend.* for the epilogue entry and the Activation
+# modules, Int8Kernel.* for dequant_int8 and the segmented int8 output,
+# Int8Levels.* for im2col_int8) still install every other tier the host
+# executes.  `Gemm*` takes in the contract matrix (test_gemm.cpp):
 # the weight-path column Gemm/LayerPath, the model table Gemm/ModelPath
 # and the benchmark-shaped GemmBenchCell cells, whose references and pool
 # widths 2 and 13 then run on the scalar packs; `Kernel*` the fake-quant

@@ -1,15 +1,16 @@
 // The GEMM engine's SIMD backends.
 //
 // One Backend descriptor per core::Tier — scalar (the reference, and the
-// only backend built off x86-64), avx2 and avx512 — each bundling eight
+// only backend built off x86-64), avx2 and avx512 — each bundling ten
 // entry points: the float micro-kernel and its two panel-pack routines, the
-// int8 micro-kernel and its two panel-pack routines, the depthwise conv
-// kernel and int8 level quantization (quantize_levels); plus its tile
-// geometry (MR/NR register tile, MC/KC/NC cache blocks).  There is no
-// registry of its own: active_backend() returns the descriptor of
-// core::active_tier(), the one tier (MERSIT_BACKEND, else the widest the
-// host executes; core/cpu.h) that every SIMD loop in the library runs —
-// GEMM, depthwise, fake-quant and level quantization alike.
+// int8 micro-kernel and its two panel-pack routines, the int8 dequant
+// write-back, the element-wise epilogue, the depthwise conv kernel and int8
+// level quantization (quantize_levels); plus its tile geometry (MR/NR
+// register tile, MC/KC/NC cache blocks).  There is no registry of its own:
+// active_backend() returns the descriptor of core::active_tier(), the one
+// tier (MERSIT_BACKEND, else the widest the host executes; core/cpu.h) that
+// every SIMD loop in the library runs — GEMM, depthwise, the write-backs,
+// fake-quant and level quantization alike.
 //
 // The cross-backend contract is the engine's existing bit-identity tower:
 //
@@ -41,16 +42,26 @@
 //    differ only in how many channels share one vector (the lane block),
 //    which never changes a rounding sequence.
 //
+//  * Write-backs are bit-identical to scalar.  The epilogue entry applies
+//    epilogue_value (backend_impl.h, the one definition of the formulas)
+//    per element, and dequant_int8 forms float(binit + double(acc)·s) per
+//    element in double; a backend only changes how many elements share a
+//    vector, never an element's operations.  The backend TUs compile with
+//    -fno-trapping-math so the compiler may if-convert the clamp-style
+//    epilogues into vector selects; that flag changes which exception
+//    flags a loop may raise, never an IEEE result.
+//
 // Because pack layouts differ across tile geometries, a pack (PackedMatrix
-// or PackedInt8) records the backend it was packed for, sgemm and
-// qgemm_int8 reject operands packed for a foreign backend, and the
-// layer weight plans are compiled for one backend id — switching backends
-// can never serve a foreign-layout pack.
+// or PackedInt8) records the tier it was packed for, sgemm and qgemm_int8
+// reject operands packed for a foreign tier, and the layer weight plans
+// are compiled for one tier — switching tiers can never serve a
+// foreign-layout pack.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 
+#include "core/cpu.h"
 #include "nn/gemm/gemm.h"
 
 namespace mersit::nn::gemm {
@@ -78,8 +89,7 @@ inline constexpr int kMaxDepthwiseLanes = 16;
 /// instances are immutable statics with process lifetime; identity
 /// comparison (pointer equality) is meaningful.
 struct Backend {
-  const char* name;  ///< core::tier_name of its tier
-  int id;            ///< its tier's ordinal; stamps packs and weight plans
+  core::Tier tier;   ///< its tier; stamps packs and weight plans
 
   int mr, nr;        ///< register tile: MR x NR accumulator block
   int mc, kc, nc;    ///< cache blocks: MC x KC A panels, KC x NC B panels
@@ -112,7 +122,7 @@ struct Backend {
   // rounded up to a multiple of kg8 with zero levels in the padding.  Panel
   // bytes are backend-private (the AVX-512 pack biases A levels by 128 for
   // vpdpbusd's u8 operand); a pack is only valid for the backend that made
-  // it, enforced exactly like PackedMatrix via PackedInt8::backend_id.
+  // it, enforced exactly like PackedMatrix via PackedInt8::tier.
   // A is always the layer's weight codes, packed once per plan; B is always
   // the per-call activation levels (im2col_int8), already int8.
 
@@ -136,6 +146,22 @@ struct Backend {
   /// real acc entries.
   void (*micro_int8)(int kc, const std::int8_t* ap, const std::int8_t* bp,
                      std::int32_t* acc, int ldacc, int mr, int nr);
+
+  /// The int8 dequant write-back of one row of n finished sums:
+  /// out[i] = float(binit + double(acc[i]) · s), the product and sum in
+  /// double, one rounding each, then one cast to float (qgemm.h's int8 ULP
+  /// contract).
+  void (*dequant_int8)(const std::int32_t* acc, int n, double s,
+                       double binit, float* out);
+
+  // --- Element-wise epilogue ------------------------------------------------
+
+  /// dst[i] = epilogue_eval(e, src[i]) for n elements (src may alias dst):
+  /// gemm::epilogue_apply on this tier.  The switch on `e` sits outside the
+  /// element loop, so the clamp-style kinds (ReLU, ReLU6, HardSwish) run
+  /// as vector selects; SiLU and GELU call the same libm exp/tanh per
+  /// element on every tier.
+  void (*epilogue)(Epilogue e, const float* src, float* dst, int n);
 
   // --- Depthwise conv ------------------------------------------------------
 

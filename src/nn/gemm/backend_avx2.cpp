@@ -87,7 +87,7 @@ void kernel_rows(int kc, const float* ap, const float* bp, float* c, int ldc,
         const float s = asc[m], t = ash[m];
         for (int n = 0; n < nr; ++n) tmp[n] = s * tmp[n] + t;
       }
-      epilogue_apply(epi, tmp, c + static_cast<std::size_t>(m) * ldc, nr);
+      detail::epilogue(epi, tmp, c + static_cast<std::size_t>(m) * ldc, nr);
     }
   }
 }
@@ -229,12 +229,14 @@ void quantize_levels(const float* x, std::size_t n, double inv, int lo,
 }
 
 constexpr Backend kAvx2 = {
-    "avx2", /*id=*/1, kMR, kNR, /*mc=*/120, /*kc=*/256, /*nc=*/1024,
+    core::Tier::kAvx2, kMR, kNR, /*mc=*/120, /*kc=*/256, /*nc=*/1024,
     detail::pack_a_block<kMR>, detail::pack_b_block<kNR>,
     micro,
     kKG8,
     detail::pack_a_int8_block<kMR, kKG8>, detail::pack_b_int8_block<kNR, kKG8>,
     micro_int8,
+    detail::dequant_int8,
+    detail::epilogue,
     detail::depthwise_block<kDwLanes>,
     quantize_levels,
 };

@@ -1,5 +1,5 @@
-// Generic (plain C++) pack and micro-kernel templates shared by every
-// backend translation unit.
+// Generic (plain C++) pack, micro-kernel and write-back code shared by
+// every backend translation unit.
 //
 // The templates are parameterized on the register tile (MR/NR) only — cache
 // blocking stays in the driver (gemm.cpp).  Each backend TU instantiates
@@ -28,7 +28,16 @@
 //    src/CMakeLists.txt, so neither the template loops nor adjacent mul/add
 //    intrinsics can fuse into FMA);
 //  * the per-row affine is v = scale[m]*v + shift[m] (two roundings), then
-//    the epilogue via the shared epilogue_apply.
+//    the epilogue through this TU's own `epilogue` (never the dispatching
+//    gemm::epilogue_apply: a kernel stays on the tier it belongs to).
+//
+// epilogue_value is the one definition of the fusable activations; the
+// public gemm::epilogue_eval (gemm.cpp), and through it nn::act_eval, call
+// it, so fused write-backs and standalone Activation modules agree bit for
+// bit by construction.  `epilogue` and `dequant_int8` are the element-wise
+// write-back entries of every descriptor: plain loops that each backend TU
+// auto-vectorizes under its own -m flags (and -fno-trapping-math, which
+// lets the clamp-style epilogues if-convert; src/nn/CMakeLists.txt).
 //
 // depthwise_block<L> is the one depthwise kernel: every backend
 // instantiates it at its own lane count L, and the TU's -m flags turn the
@@ -36,6 +45,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -45,6 +55,57 @@
 
 namespace mersit::nn::gemm::detail {
 namespace {
+
+/// The fusable activations, one scalar each.
+inline float epilogue_value(Epilogue e, float x) {
+  switch (e) {
+    case Epilogue::kNone:
+      return x;
+    case Epilogue::kReLU:
+      return x > 0.f ? x : 0.f;
+    case Epilogue::kReLU6:
+      return x < 0.f ? 0.f : (x > 6.f ? 6.f : x);
+    case Epilogue::kSiLU:
+      return x * (1.f / (1.f + std::exp(-x)));
+    case Epilogue::kHardSwish:
+      if (x <= -3.f) return 0.f;
+      if (x >= 3.f) return x;
+      return x * (x + 3.f) / 6.f;
+    case Epilogue::kGELU: {
+      const float u = 0.7978845608f * (x + 0.044715f * x * x * x);
+      return 0.5f * x * (1.f + std::tanh(u));
+    }
+  }
+  return x;
+}
+
+/// epilogue_value over a row with a constant kind, so the per-element switch
+/// folds away and the loop vectorizes where the formula allows.
+template <Epilogue E>
+void epilogue_row(const float* src, float* dst, int n) {
+  for (int i = 0; i < n; ++i) dst[i] = epilogue_value(E, src[i]);
+}
+
+/// Backend::epilogue: the kind switch hoisted out of the element loop.
+inline void epilogue(Epilogue e, const float* src, float* dst, int n) {
+  switch (e) {
+    case Epilogue::kNone: epilogue_row<Epilogue::kNone>(src, dst, n); return;
+    case Epilogue::kReLU: epilogue_row<Epilogue::kReLU>(src, dst, n); return;
+    case Epilogue::kReLU6: epilogue_row<Epilogue::kReLU6>(src, dst, n); return;
+    case Epilogue::kSiLU: epilogue_row<Epilogue::kSiLU>(src, dst, n); return;
+    case Epilogue::kHardSwish:
+      epilogue_row<Epilogue::kHardSwish>(src, dst, n);
+      return;
+    case Epilogue::kGELU: epilogue_row<Epilogue::kGELU>(src, dst, n); return;
+  }
+}
+
+/// Backend::dequant_int8: out[i] = float(binit + double(acc[i]) · s).
+inline void dequant_int8(const std::int32_t* acc, int n, double s,
+                         double binit, float* out) {
+  for (int i = 0; i < n; ++i)
+    out[i] = static_cast<float>(binit + static_cast<double>(acc[i]) * s);
+}
 
 inline float a_elem(const float* a, int lda, bool trans, int m, int k) {
   return trans ? a[static_cast<std::size_t>(k) * lda + m]
@@ -288,7 +349,7 @@ void micro_generic(int kc, const float* ap, const float* bp, float* c, int ldc,
           const float s = asc[m], t = ash[m];
           for (int n = 0; n < NR; ++n) acc[m][n] = s * acc[m][n] + t;
         }
-        epilogue_apply(epi, acc[m], c + static_cast<std::size_t>(m) * ldc, NR);
+        epilogue(epi, acc[m], c + static_cast<std::size_t>(m) * ldc, NR);
       }
     }
     return;
@@ -314,7 +375,7 @@ void micro_generic(int kc, const float* ap, const float* bp, float* c, int ldc,
       const float s = asc[m], t = ash[m];
       for (int n = 0; n < nr; ++n) acc[m][n] = s * acc[m][n] + t;
     }
-    epilogue_apply(epi, acc[m], c + static_cast<std::size_t>(m) * ldc, nr);
+    epilogue(epi, acc[m], c + static_cast<std::size_t>(m) * ldc, nr);
   }
 }
 
@@ -367,7 +428,7 @@ inline void depthwise_taps(float (&acc)[L], const float* w, const float* x,
 /// (ki, kj) order, exactly the taps in bounds at that pixel — the set is
 /// the same for every lane, so no padded input is ever read.  The affine
 /// applies to the finished vector, the epilogue to the whole [pixel][L]
-/// block (one epilogue_apply call; the same per-element formula), and the
+/// block (one epilogue call; the same per-element formula), and the
 /// block transposes back to channel planes.  `scratch` is caller-provided
 /// (see Backend::depthwise).
 template <int L>
@@ -439,7 +500,7 @@ void depthwise_block(const DepthwiseShape& s, const float* x, const float* wt,
       }
     }
     if (epi != Epilogue::kNone)
-      epilogue_apply(epi, yt, yt, static_cast<int>(osz * L));
+      epilogue(epi, yt, yt, static_cast<int>(osz * L));
 
     p = 0;
     for (; p + L <= osz; p += L) {

@@ -52,12 +52,14 @@ void quantize_levels(const float* x, std::size_t n, double inv, int lo,
 }
 
 constexpr Backend kScalar = {
-    "scalar", /*id=*/0, kMR, kNR, /*mc=*/120, /*kc=*/256, /*nc=*/1024,
+    core::Tier::kScalar, kMR, kNR, /*mc=*/120, /*kc=*/256, /*nc=*/1024,
     detail::pack_a_block<kMR>, detail::pack_b_block<kNR>,
     detail::micro_generic<kMR, kNR>,
     kKG8,
     detail::pack_a_int8_block<kMR, kKG8>, detail::pack_b_int8_block<kNR, kKG8>,
     detail::micro_int8_generic<kMR, kNR, kKG8>,
+    detail::dequant_int8,
+    detail::epilogue,
     detail::depthwise_block<kDwLanes>,
     quantize_levels,
 };

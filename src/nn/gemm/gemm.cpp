@@ -1,14 +1,16 @@
-// The GEMM drivers: epilogue formulas, cache-blocked tiling, and the
-// prepack machinery, for FP32 (sgemm) and for int8 levels (qgemm_int8).
-// Both drivers share one pack skeleton (pack_panels), one packed-operand
-// check (check_packed) and one tile fan-out (for_each_tile); they differ
-// only in the element type and in what a tile does.  All register-tile
-// work — packing panels and the micro-kernels — dispatches through the
-// active SIMD backend (nn/gemm/backend.h); this TU stays ISA-agnostic.
+// The GEMM drivers: cache-blocked tiling and the prepack machinery, for
+// FP32 (sgemm) and for int8 levels (qgemm_int8).  Both drivers share one
+// pack skeleton (pack_panels), one packed-operand check (check_packed) and
+// one tile fan-out (for_each_tile); they differ only in the element type
+// and in what a tile does.  All register-tile work — packing panels, the
+// micro-kernels — and the element-wise write-backs (the int8 dequant, the
+// epilogue behind epilogue_apply) dispatch through the active SIMD backend
+// (nn/gemm/backend.h), whose TUs also hold the epilogue formulas
+// (backend_impl.h); this TU stays ISA-agnostic and compiles at the
+// baseline flags.
 #include "nn/gemm/gemm.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -25,29 +27,6 @@ namespace mersit::nn::gemm {
 
 namespace {
 
-/// Row write-back of completed sums with the epilogue switch hoisted out of
-/// the element loop: each case instantiates epilogue_eval with a constant
-/// kind, so the per-element switch folds away and the clamp-style cases
-/// (ReLU/ReLU6/HardSwish) vectorize.  Same formula per element, so results
-/// are bit-identical to the per-element dispatch.
-template <Epilogue E>
-void finish_row(const float* src, float* dst, int n) {
-  for (int i = 0; i < n; ++i) dst[i] = epilogue_eval(E, src[i]);
-}
-
-void finish_row(Epilogue epi, const float* src, float* dst, int n) {
-  switch (epi) {
-    case Epilogue::kNone: finish_row<Epilogue::kNone>(src, dst, n); return;
-    case Epilogue::kReLU: finish_row<Epilogue::kReLU>(src, dst, n); return;
-    case Epilogue::kReLU6: finish_row<Epilogue::kReLU6>(src, dst, n); return;
-    case Epilogue::kSiLU: finish_row<Epilogue::kSiLU>(src, dst, n); return;
-    case Epilogue::kHardSwish:
-      finish_row<Epilogue::kHardSwish>(src, dst, n);
-      return;
-    case Epilogue::kGELU: finish_row<Epilogue::kGELU>(src, dst, n); return;
-  }
-}
-
 /// Problems below this many multiply-adds skip the packing machinery: a
 /// direct m / k / n loop nest is faster there and keeps the identical
 /// per-element ascending-k accumulation order (row-at-a-time, so the inner
@@ -57,10 +36,10 @@ void finish_row(Epilogue epi, const float* src, float* dst, int n) {
 /// independent by construction.
 constexpr std::int64_t kSmallWork = 1 << 13;
 
-void small_gemm(int M, int N, int K, const float* a, int lda, bool trans_a,
-                const float* b, int ldb, bool trans_b, float* c, int ldc,
-                Init init, const float* bias, Epilogue epi, const float* asc,
-                const float* ash) {
+void small_gemm(const Backend& be, int M, int N, int K, const float* a,
+                int lda, bool trans_a, const float* b, int ldb, bool trans_b,
+                float* c, int ldc, Init init, const float* bias, Epilogue epi,
+                const float* asc, const float* ash) {
   for (int m = 0; m < M; ++m) {
     float* row = c + static_cast<std::size_t>(m) * ldc;
     switch (init) {
@@ -85,7 +64,7 @@ void small_gemm(int M, int N, int K, const float* a, int lda, bool trans_a,
       const float s = asc[m], t = ash[m];
       for (int n = 0; n < N; ++n) row[n] = s * row[n] + t;
     }
-    if (epi != Epilogue::kNone) finish_row(epi, row, row, N);
+    if (epi != Epilogue::kNone) be.epilogue(epi, row, row, N);
   }
 }
 
@@ -210,6 +189,8 @@ struct Int8TileArgs {
   double b_scale;
   float* c;
   int ldc;
+  int seg;                 ///< C columns per segment run (N when unsegmented)
+  std::size_t seg_stride;  ///< floats between segment starts
   const float* bias;  ///< per-row init (null for Init::kZero)
   Epilogue epi;
   const float* asc;  ///< fused per-row affine scale (null when absent)
@@ -218,7 +199,7 @@ struct Int8TileArgs {
 
 /// One (MC x NC) output tile end to end: zero the int32 accumulator, pack
 /// B and run every k-block through the backend's int8 micro-kernel, then
-/// dequant into C in a single write-back pass.
+/// dequant straight into C, one pass per row and segment run.
 void run_tile(const Int8TileArgs& t, int m0, int mc, int n0, int nc) {
   const Backend& be = *t.be;
   const int kg = be.kg8;
@@ -260,20 +241,30 @@ void run_tile(const Int8TileArgs& t, int m0, int mc, int n0, int nc) {
     }
   }
 
-  // Dequant write-back: one pass, one integer→float conversion per element.
+  // Dequant write-back: each element leaves the integer domain once, into
+  // its final place in C.  A row's nc columns split at segment boundaries
+  // into runs, each a contiguous stretch of C; column n0 sits `off0` into
+  // segment `seg0`.
+  const std::size_t seg0 = static_cast<std::size_t>(n0 / t.seg);
+  const int off0 = n0 % t.seg;
   for (int m = 0; m < mc; ++m) {
     const double s = t.a_scales[m0 + m] * t.b_scale;
     const double binit =
         t.bias != nullptr ? static_cast<double>(t.bias[m0 + m]) : 0.0;
     const std::int32_t* arow = acc + static_cast<std::size_t>(m) * nc;
-    float* crow = t.c + static_cast<std::size_t>(m0 + m) * t.ldc + n0;
-    for (int n = 0; n < nc; ++n)
-      crow[n] = static_cast<float>(binit + static_cast<double>(arow[n]) * s);
-    if (t.asc != nullptr) {
-      const float sc = t.asc[m0 + m], sh = t.ash[m0 + m];
-      for (int n = 0; n < nc; ++n) crow[n] = sc * crow[n] + sh;
+    float* run = t.c + static_cast<std::size_t>(m0 + m) * t.ldc +
+                 seg0 * t.seg_stride;
+    for (int n = 0, off = off0; n < nc; run += t.seg_stride, off = 0) {
+      const int len = std::min(t.seg - off, nc - n);
+      float* dst = run + off;
+      be.dequant_int8(arow + n, len, s, binit, dst);
+      if (t.asc != nullptr) {
+        const float sc = t.asc[m0 + m], sh = t.ash[m0 + m];
+        for (int i = 0; i < len; ++i) dst[i] = sc * dst[i] + sh;
+      }
+      if (t.epi != Epilogue::kNone) be.epilogue(t.epi, dst, dst, len);
+      n += len;
     }
-    if (t.epi != Epilogue::kNone) epilogue_apply(t.epi, crow, crow, nc);
   }
 }
 
@@ -298,7 +289,7 @@ PackedPanels<T> pack_panels(bool is_a, int other, int K,
   p.kg = std::is_same_v<T, std::int8_t> ? be.kg8 : 1;
   p.oc = is_a ? be.mc : be.nc;
   p.kc = be.kc;
-  p.backend_id = be.id;
+  p.tier = be.tier;
   if (other == 0 || K == 0) return p;
   const int reg = is_a ? be.mr : be.nr;  // panel register-tile extent
   const int oblocks = (other + p.oc - 1) / p.oc;
@@ -334,10 +325,10 @@ PackedPanels<T> pack_panels(bool is_a, int other, int K,
 }
 
 /// Validate a prepacked operand against the call: the right side and shape
-/// first, then the backend.  Panel layouts are backend-specific; a pack
-/// built under a different backend (different Backend::id) would be
-/// misindexed, so it is refused.  Layer weight plans are compiled for one
-/// backend id, so this never fires in normal operation.
+/// first, then the tier.  Panel layouts are backend-specific; a pack built
+/// under a different tier would be misindexed, so it is refused.  Layer
+/// weight plans are compiled for one tier, so this never fires in normal
+/// operation.
 template <typename T>
 void check_packed(const char* who, const PackedPanels<T>* p, bool is_a,
                   int other, int K, const Backend& be) {
@@ -349,9 +340,9 @@ void check_packed(const char* who, const PackedPanels<T>* p, bool is_a,
   };
   if (p->is_a != is_a || p->other != other || p->k != K)
     fail(" does not match the call shape");
-  if (!p->empty() && p->backend_id != be.id)
-    fail(std::string(" was built for another backend; active is '") +
-         be.name + "'");
+  if (!p->empty() && p->tier != be.tier)
+    fail(std::string(" was built for the '") + core::tier_name(p->tier) +
+         "' backend; active is '" + core::tier_name(be.tier) + "'");
 }
 
 /// Fan the (MC x NC) output tiles of an M x N problem out over `pool` (or
@@ -380,32 +371,11 @@ void for_each_tile(const Backend& be, int M, int N, core::ThreadPool* pool,
 }  // namespace
 
 float epilogue_eval(Epilogue e, float x) {
-  // These are the single definitions of the fusable activations; nn::act_eval
-  // delegates the matching Act kinds here, so the fused write-back and the
-  // standalone Activation modules agree bit for bit by construction.
-  switch (e) {
-    case Epilogue::kNone:
-      return x;
-    case Epilogue::kReLU:
-      return x > 0.f ? x : 0.f;
-    case Epilogue::kReLU6:
-      return x < 0.f ? 0.f : (x > 6.f ? 6.f : x);
-    case Epilogue::kSiLU:
-      return x * (1.f / (1.f + std::exp(-x)));
-    case Epilogue::kHardSwish:
-      if (x <= -3.f) return 0.f;
-      if (x >= 3.f) return x;
-      return x * (x + 3.f) / 6.f;
-    case Epilogue::kGELU: {
-      const float u = 0.7978845608f * (x + 0.044715f * x * x * x);
-      return 0.5f * x * (1.f + std::tanh(u));
-    }
-  }
-  return x;
+  return detail::epilogue_value(e, x);
 }
 
 void epilogue_apply(Epilogue e, const float* src, float* dst, int n) {
-  finish_row(e, src, dst, n);
+  active_backend().epilogue(e, src, dst, n);
 }
 
 PackedMatrix pack_a_matrix(int M, int K, const float* A, int lda, bool trans_a) {
@@ -463,8 +433,8 @@ void sgemm(int M, int N, int K, const float* A, int lda, bool trans_a,
   if (static_cast<std::int64_t>(M) * N * K <= kSmallWork) {
     // The direct path reads the raw operands; values are identical to the
     // packed panels, so skipping them changes nothing observable.
-    small_gemm(M, N, K, A, lda, trans_a, B, ldb, trans_b, C, ldc, init, bias,
-               epilogue, asc, ash);
+    small_gemm(be, M, N, K, A, lda, trans_a, B, ldb, trans_b, C, ldc, init,
+               bias, epilogue, asc, ash);
     return;
   }
 
@@ -497,11 +467,13 @@ void sgemm(int M, int N, int K, const float* A, int lda, bool trans_a,
 //    accumulation is exact, hence independent of k order, tile shape,
 //    thread count, and SIMD backend (the per-backend ULP-0 gate is free).
 //  * Dequant write-back.  After the last k-block, each element leaves the
-//    integer domain exactly once:
+//    integer domain exactly once, through Backend::dequant_int8:
 //        v = float( double(bias[m]) + double(acc) · (s_a[m] · s_b) )
-//    followed by the optional RowAffine (v = scale[m]·v + shift[m]) and the
-//    fused epilogue — the same fixed, K-independent rounding count qgemm.h
-//    documents.
+//    followed by the optional RowAffine (v = scale[m]·v + shift[m]) and
+//    Backend::epilogue — the same fixed, K-independent rounding count
+//    qgemm.h documents.  The value lands in its final place in C, which
+//    may be segmented (Int8Segments): a conv writes every sample's
+//    columns straight into its [sample][channel][pixel] output.
 //
 // Like qgemm_kulisch, Init::kAccumulate is rejected: an exact sum cannot
 // continue a rounded partial.
@@ -525,7 +497,7 @@ void qgemm_int8(int M, int N, int K, const PackedInt8& a,
                 const double* a_scales, const std::int8_t* b, int ldb,
                 double b_scale, Init init, const float* bias, float* c,
                 int ldc, core::ThreadPool* pool, Epilogue epi,
-                const RowAffine* affine) {
+                const RowAffine* affine, const Int8Segments* segments) {
   if (M < 0 || N < 0 || K < 0)
     throw std::invalid_argument("qgemm_int8: negative dim");
   if (K > kInt8MaxK)
@@ -542,10 +514,14 @@ void qgemm_int8(int M, int N, int K, const PackedInt8& a,
   if (affine != nullptr &&
       (affine->scale == nullptr || affine->shift == nullptr))
     throw std::invalid_argument("qgemm_int8: affine with null scale/shift");
+  if (segments != nullptr && segments->seg <= 0)
+    throw std::invalid_argument("qgemm_int8: segment width must be positive");
   const Backend& be = active_backend();
   check_packed("qgemm_int8", &a, /*is_a=*/true, M, K, be);
 
   const Int8TileArgs t{&be, K, &a, a_scales, b, ldb, b_scale, c, ldc,
+                       segments != nullptr ? segments->seg : N,
+                       segments != nullptr ? segments->stride : 0,
                        init == Init::kBiasRow ? bias : nullptr, epi,
                        affine != nullptr ? affine->scale : nullptr,
                        affine != nullptr ? affine->shift : nullptr};

@@ -55,6 +55,7 @@
 #include <vector>
 
 #include "core/aligned.h"
+#include "core/cpu.h"
 #include "core/thread_pool.h"
 
 namespace mersit::nn::gemm {
@@ -80,13 +81,15 @@ enum class Epilogue {
 
 /// The scalar the fused write-back applies; nn::act_eval delegates the
 /// matching Act kinds here so fused and unfused paths share one formula
-/// and stay bit-identical by construction.
+/// and stay bit-identical by construction.  The formulas are defined once,
+/// as detail::epilogue_value in nn/gemm/backend_impl.h, which every
+/// backend's write-back compiles too.
 [[nodiscard]] float epilogue_eval(Epilogue e, float x);
 
-/// dst[i] = epilogue_eval(e, src[i]) for n elements, with the epilogue
-/// switch hoisted out of the element loop so the clamp-style cases stay
-/// vectorizable (src may alias dst).  Same per-element formula, so results
-/// are bit-identical to calling epilogue_eval in a loop.
+/// dst[i] = epilogue_eval(e, src[i]) for n elements (src may alias dst) on
+/// the active tier: the Backend::epilogue entry, whose element loop runs
+/// vectorized for the clamp-style kinds.  Same per-element formula on every
+/// tier, so results are bit-identical to calling epilogue_eval in a loop.
 void epilogue_apply(Epilogue e, const float* src, float* dst, int n);
 
 /// Per-row affine stage of the fused write-back: v = scale[m]*v + shift[m],
@@ -110,8 +113,8 @@ struct RowAffine {
 ///
 /// The layout is self-describing: the tile geometry it was packed for
 /// (mr/nr register tile, kg k-group width, oc/kc cache blocks) and the
-/// owning backend's id are recorded, and both drivers reject a pack whose
-/// backend is not the active one — panel layouts differ across tile
+/// tier of the packing backend are recorded, and both drivers reject a
+/// pack whose tier is not the active one — panel layouts differ across tile
 /// geometries, so a foreign-layout pack must never be consumed silently.
 /// Panel storage is 64-byte aligned (core::AlignedVector) and every block
 /// offset is rounded to a whole cache line, so SIMD backends read panels
@@ -127,7 +130,7 @@ struct PackedPanels {
   int kg = 1;         ///< k-group width: 1 for FP32, Backend::kg8 for int8
   int oc = 0;         ///< outer cache block: MC for an A-pack, NC for a B-pack
   int kc = 0;         ///< K cache block of the packing backend
-  int backend_id = -1;  ///< Backend::id this pack was built for
+  core::Tier tier = core::Tier::kScalar;  ///< the tier that packed it
   core::AlignedVector<T> data;         ///< all blocks, contiguous, 64B-aligned
   std::vector<std::size_t> block_off;  ///< [outer_block * kblocks + kblock]
 

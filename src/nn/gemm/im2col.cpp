@@ -69,6 +69,15 @@ void im2col(const float* x, int channels, int h, int w, int k, int stride,
 void im2col_int8(const float* x, int channels, int h, int w, int k, int stride,
                  int pad, double inv, int lo, int hi, std::int8_t* col,
                  int col_ld) {
+  const std::size_t hw = static_cast<std::size_t>(h) * w;
+  if (k == 1 && stride == 1 && pad == 0) {
+    // Unit conv: column row c is input plane c, so each plane quantizes
+    // straight into its row — no scratch copy, no gather.
+    for (int c = 0; c < channels; ++c)
+      quantize_levels(x + static_cast<std::size_t>(c) * hw, hw, inv, lo, hi,
+                      col + static_cast<std::size_t>(c) * col_ld);
+    return;
+  }
   const int oh = conv_out_dim(h, k, stride, pad);
   const int ow = conv_out_dim(w, k, stride, pad);
   // Quantize the image plane group ONCE (one long quantize_levels call over
@@ -80,13 +89,13 @@ void im2col_int8(const float* x, int channels, int h, int w, int k, int stride,
   // overhead dominates at conv-sized rows.
   core::ScratchArena& arena = core::ScratchArena::local();
   const core::ScratchArena::Scope scope(arena);
-  const std::size_t plane_sz = static_cast<std::size_t>(channels) * h * w;
+  const std::size_t plane_sz = static_cast<std::size_t>(channels) * hw;
   std::int8_t* qx =
       reinterpret_cast<std::int8_t*>(arena.alloc((plane_sz + 3) / 4));
   quantize_levels(x, plane_sz, inv, lo, hi, qx);
   std::int8_t* row = col;
   for (int c = 0; c < channels; ++c) {
-    const std::int8_t* plane = qx + static_cast<std::size_t>(c) * h * w;
+    const std::int8_t* plane = qx + static_cast<std::size_t>(c) * hw;
     for (int ki = 0; ki < k; ++ki) {
       for (int kj = 0; kj < k; ++kj, row += col_ld) {
         int jb, je;

@@ -35,7 +35,9 @@ void im2col(const float* x, int channels, int h, int w, int k, int stride,
 /// im2col stores).  The plane group is quantized once into thread-local
 /// scratch and the lowering gather runs in the byte domain, so each input
 /// pixel is quantized once (not k*k times), the column buffer shrinks 4x,
-/// and the intermediate float traffic disappears.  Bit-identical to
+/// and the intermediate float traffic disappears.  A unit conv (k 1,
+/// stride 1, pad 0), whose column rows are the input planes, quantizes
+/// each plane straight into its row instead.  Bit-identical to
 /// im2col + quantize_levels by construction (elementwise quantization).
 void im2col_int8(const float* x, int channels, int h, int w, int k, int stride,
                  int pad, double inv, int lo, int hi, std::int8_t* col,

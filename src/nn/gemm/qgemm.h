@@ -68,6 +68,7 @@
 // per-backend gating.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 #include "formats/format.h"
@@ -147,7 +148,7 @@ void quantize_levels(const float* x, std::size_t n, double inv, int lo,
 /// PackedPanels over int8 levels, with kg = Backend::kg8.  Panel bytes are
 /// backend-specific (the AVX-512 kernel stores A biased by 128 for
 /// vpdpbusd); a pack is only valid for the backend that produced it,
-/// enforced via backend_id.
+/// enforced via its tier stamp.
 using PackedInt8 = PackedPanels<std::int8_t>;
 
 /// Pack the M x K row-major weight codes (leading dim ld) through the
@@ -156,8 +157,22 @@ using PackedInt8 = PackedPanels<std::int8_t>;
                                             const std::uint8_t* codes, int ld,
                                             const std::int8_t* level);
 
-/// C (M x N, row-major, ldc) = epi(affine(init + double(acc) · (s_a[m]·s_b)))
-/// with acc the exact int32 k-summation of level products (see the int8
+/// A segmented C operand for qgemm_int8: each row's N columns are written
+/// as runs of `seg` columns, run j starting j·stride floats after the
+/// row's start, so column n of row m lands at
+///   c[m·ldc + (n / seg)·stride + n % seg].
+/// Plain row-major C is the single run seg = N.  A batched conv passes
+/// seg = oh·ow and stride = out_channels·oh·ow: its GEMM columns are the
+/// samples' pixels side by side, and each sample's run lands in that
+/// sample's slice of the [sample][channel][pixel] output.
+struct Int8Segments {
+  int seg = 0;              ///< columns per run, > 0
+  std::size_t stride = 0;   ///< floats between the starts of two runs
+};
+
+/// C (M x N, row-major, ldc; or segmented, see below) =
+/// epi(affine(init + double(acc) · (s_a[m]·s_b))) with acc the exact int32
+/// k-summation of level products (see the int8
 /// ULP contract above).  A is the prepacked weight levels `a`, with one
 /// dequant scale per row in `a_scales` (Int8Grid::pitch · the channel's
 /// WeightCodes scale).  B is K x N row-major int8 activation levels `b`
@@ -167,14 +182,17 @@ using PackedInt8 = PackedPanels<std::int8_t>;
 /// a rounded partial) and kBiasCol are rejected, and K must be
 /// ≤ kInt8MaxK.  `a` must match M and K and have been packed under the
 /// active backend.  `affine`, when non-null, is the per-output-row fold
-/// applied before the epilogue, exactly as in sgemm.  Parallelises over
-/// output tiles on `pool` (or the global pool); results are invariant to
-/// thread count and backend by construction.
+/// applied before the epilogue, exactly as in sgemm.  `segments`, when
+/// non-null, lays C out in runs (Int8Segments); each element is written
+/// once, in its final place, and nothing between the runs is touched.
+/// Parallelises over output tiles on `pool` (or the global pool); results
+/// are invariant to thread count and backend by construction.
 void qgemm_int8(int M, int N, int K, const PackedInt8& a,
                 const double* a_scales, const std::int8_t* b, int ldb,
                 double b_scale, Init init, const float* bias, float* c,
                 int ldc, core::ThreadPool* pool = nullptr,
                 Epilogue epi = Epilogue::kNone,
-                const RowAffine* affine = nullptr);
+                const RowAffine* affine = nullptr,
+                const Int8Segments* segments = nullptr);
 
 }  // namespace mersit::nn::gemm

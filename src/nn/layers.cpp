@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <cstring>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -156,11 +155,14 @@ Tensor conv_int8(const ConvGeom& g, const Tensor& x, const WeightPlan& plan,
   // makes int8 win at small-channel shapes (M = ocg as low as 14 in the
   // mini models).  The lowering itself is the fused im2col_int8: columns are
   // written directly as int8 levels (one pass, 4x smaller buffer, and the
-  // separate quantize sweep disappears).  Chunk boundaries are a function of
-  // the shape only, every output element's integer accumulation is exact,
-  // and the dequant expression is per-element — so results are invariant to
-  // chunking, tiling, thread count, and backend, exactly like the
-  // per-sample formulation this replaces.
+  // separate quantize sweep disappears).  The GEMM writes its output
+  // straight into y: C is segmented (gemm::Int8Segments) into runs of osz
+  // columns, one per sample, each run landing in that sample's channel row
+  // (stride out_ch·osz between samples).  Chunk boundaries are a function
+  // of the shape only, every output element's integer accumulation is
+  // exact, and the dequant expression is per-element — so results are
+  // invariant to chunking, tiling, thread count, and backend, exactly like
+  // the per-sample formulation this replaces.
   const std::size_t col_bytes = static_cast<std::size_t>(kdim) * osz;
   constexpr std::size_t kColBudget = std::size_t{8} << 20;
   const int chunk = static_cast<int>(std::clamp<std::size_t>(
@@ -172,11 +174,7 @@ Tensor conv_int8(const ConvGeom& g, const Tensor& x, const WeightPlan& plan,
   // the arena's 64-byte slot alignment carries over.
   std::int8_t* qcol = reinterpret_cast<std::int8_t*>(
       arena.alloc((static_cast<std::size_t>(kdim) * chunk * osz + 3) / 4));
-  // Batched C rows interleave samples ([m][sample][osz]), so the GEMM lands
-  // in scratch and scatters to y's [sample][channel][osz] layout after.
-  float* cbuf = chunk > 1
-                    ? arena.alloc(static_cast<std::size_t>(ocg) * chunk * osz)
-                    : nullptr;
+  const gemm::Int8Segments segs{osz, static_cast<std::size_t>(g.out_ch) * osz};
   for (int b0 = 0; b0 < n; b0 += chunk) {
     const int bn = std::min(chunk, n - b0);
     const int ncols = bn * osz;
@@ -195,29 +193,15 @@ Tensor conv_int8(const ConvGeom& g, const Tensor& x, const WeightPlan& plan,
         aff.scale = bn_scale + static_cast<std::size_t>(grp) * ocg;
         aff.shift = bn_shift + static_cast<std::size_t>(grp) * ocg;
       }
-      float* cdst = bn == 1
-                        ? y.raw() + (static_cast<std::size_t>(b0) * g.out_ch +
-                                     static_cast<std::size_t>(grp) * ocg) *
-                                        osz
-                        : cbuf;
       gemm::qgemm_int8(ocg, ncols, kdim, plan.ipacks[grp],
                        plan.iscales.data() + static_cast<std::size_t>(grp) * ocg,
                        qcol, ncols, grid.pitch * xscale, gemm::Init::kBiasRow,
-                       bias + static_cast<std::size_t>(grp) * ocg, cdst, ncols,
-                       &core::global_pool(), epi,
-                       bn_scale != nullptr ? &aff : nullptr);
-      if (bn > 1) {
-        for (int m = 0; m < ocg; ++m) {
-          const float* crow = cbuf + static_cast<std::size_t>(m) * ncols;
-          for (int bi = 0; bi < bn; ++bi)
-            std::memcpy(y.raw() + ((static_cast<std::size_t>(b0 + bi) *
-                                        g.out_ch +
-                                    static_cast<std::size_t>(grp) * ocg + m)) *
-                                      osz,
-                        crow + static_cast<std::size_t>(bi) * osz,
-                        static_cast<std::size_t>(osz) * sizeof(float));
-        }
-      }
+                       bias + static_cast<std::size_t>(grp) * ocg,
+                       y.raw() + (static_cast<std::size_t>(b0) * g.out_ch +
+                                  static_cast<std::size_t>(grp) * ocg) *
+                                     osz,
+                       osz, &core::global_pool(), epi,
+                       bn_scale != nullptr ? &aff : nullptr, &segs);
     }
   }
   return y;
@@ -293,17 +277,17 @@ std::shared_ptr<const WeightPlan> ChannelWeights::plan_for(const PlanRequest& re
                                                            const WeightLayout& layout) {
   const Param& weight = weight_param();
   const std::uint64_t version = weight.version();
-  const int backend = gemm::active_backend().id;
+  const core::Tier tier = gemm::active_backend().tier;
   const std::lock_guard<std::mutex> lock(mu_);
   if (plan_ != nullptr && plan_->request == req && plan_->version == version &&
-      plan_->backend_id == backend)
+      plan_->tier == tier)
     return plan_;
   auto plan = std::make_shared<WeightPlan>();
   plan->request = req;
   plan->reason = req.declined;
   if (req.path != gemm::QgemmMode::kFloat) plan->codes = codes_;
   plan->version = version;
-  plan->backend_id = backend;
+  plan->tier = tier;
   const WeightCodes* wc = plan->codes.get();
   const bool int8 = req.path == gemm::QgemmMode::kInt8;
   if ((int8 || req.path == gemm::QgemmMode::kKulisch) && plan->reason == PlanFallback::kNone) {
@@ -806,8 +790,8 @@ float act_grad(Act a, float x) {
 
 Tensor Activation::forward(const Tensor& x, const Context& ctx) {
   Tensor y = Tensor::uninitialized(x.shape());
-  // act_eval delegates the fusable kinds to epilogue_eval, so the bulk
-  // epilogue loop (constant-epilogue body, auto-vectorized) computes the
+  // act_eval delegates the fusable kinds to epilogue_eval, so the active
+  // tier's epilogue entry (constant-epilogue body, vectorized) computes the
   // identical value per element — just without the per-element kind switch.
   if (const auto e = epilogue_for(kind_); e != gemm::Epilogue::kNone) {
     constexpr std::int64_t kChunk = 1 << 28;  // epilogue_apply takes int n

@@ -46,6 +46,7 @@
 #include <memory>
 #include <vector>
 
+#include "core/cpu.h"
 #include "formats/kernels/quant_kernel.h"
 #include "nn/gemm/qgemm.h"
 
@@ -126,7 +127,7 @@ struct WeightPlan {
   /// codes installed, or the kFloat path).
   std::shared_ptr<const WeightCodes> codes;
   std::uint64_t version = 0;  ///< weight Param version compiled against
-  int backend_id = 0;         ///< gemm::Backend::id the packs are laid out for
+  core::Tier tier = core::Tier::kScalar;  ///< the tier the packs are laid out for
 
   /// kFp32 from codes: the decoded weights, the packs' source and what the
   /// raw-pointer paths (depthwise, the small-problem direct GEMM) read.

@@ -20,6 +20,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <initializer_list>
 #include <limits>
 #include <memory>
@@ -30,6 +31,7 @@
 #include <stdexcept>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/registry.h"
@@ -207,16 +209,13 @@ TEST(GemmIm2col, RoundTripAccumulatesEveryTapOnce)
 // rounded multiply and add per step (no FMA) — tile geometry may differ.
 
 TEST(GemmBackend, EachTierRunsItsOwnDescriptor) {
-  std::set<int> ids;
+  ASSERT_EQ(executable_tiers().front(), core::Tier::kScalar);  // always runs
   for (const core::Tier t : executable_tiers()) {
     const TierGuard g(t);
     const gemm::Backend& be = gemm::active_backend();
-    EXPECT_STREQ(be.name, core::tier_name(t));
-    EXPECT_EQ(be.id, static_cast<int>(t)) << be.name;
-    EXPECT_TRUE(ids.insert(be.id).second) << "duplicate id: " << be.name;
-    EXPECT_EQ(be.mc % be.mr, 0) << be.name;  // full tiles inside a block
+    EXPECT_EQ(be.tier, t) << core::tier_name(t);
+    EXPECT_EQ(be.mc % be.mr, 0) << core::tier_name(t);  // full tiles inside a block
   }
-  EXPECT_EQ(ids.count(0), 1u);  // scalar always runs
 }
 
 TEST(GemmBackend, EveryBackendBitIdenticalToScalarAcrossShapesAndInits) {
@@ -252,7 +251,7 @@ TEST(GemmBackend, EveryBackendBitIdenticalToScalarAcrossShapesAndInits) {
             gemm::sgemm(M, N, K, A.data(), lda, ta, B.data(), ldb, tb,
                         got.data(), N, init, bias.data());
             EXPECT_TRUE(bitwise_equal(got, want))
-                << be->name << " M=" << M << " N=" << N << " K=" << K
+                << core::tier_name(be->tier) << " M=" << M << " N=" << N << " K=" << K
                 << " ta=" << ta << " tb=" << tb
                 << " init=" << static_cast<int>(init);
           }
@@ -278,11 +277,11 @@ TEST(GemmBackend, StridedOutputGapsUntouchedPerBackend) {
     const gemm::Backend* be = &gemm::active_backend();
     std::vector<float> c(static_cast<std::size_t>(M) * ldc, 42.f);
     gemm::sgemm(M, N, K, A.data(), K, false, B.data(), N, false, c.data(), ldc);
-    EXPECT_TRUE(bitwise_equal(c, want)) << be->name;
+    EXPECT_TRUE(bitwise_equal(c, want)) << core::tier_name(be->tier);
     for (int m = 0; m < M; ++m)
       for (int n = N; n < ldc; ++n)
         EXPECT_EQ(c[static_cast<std::size_t>(m) * ldc + n], 42.f)
-            << be->name << " m=" << m << " n=" << n;
+            << core::tier_name(be->tier) << " m=" << m << " n=" << n;
   }
 }
 
@@ -314,8 +313,71 @@ TEST(GemmBackend, EpiloguesAndRowAffineBitIdenticalToScalarPerBackend) {
                     got.data(), N, gemm::Init::kZero, nullptr, nullptr, epi,
                     nullptr, nullptr, aff);
         EXPECT_TRUE(bitwise_equal(got, want))
-            << be->name << " epi=" << static_cast<int>(epi)
+            << core::tier_name(be->tier) << " epi=" << static_cast<int>(epi)
             << " affine=" << (aff != nullptr);
+      }
+    }
+  }
+}
+
+// The element-wise write-back entry of every tier, and the Activation
+// module that runs it, byte for byte against act_eval and against the
+// scalar tier: every Act kind over the inputs where the formulas branch or
+// round specially — ±0, NaN, ±inf, denormals, ±3 and 6 exactly and one ulp
+// either side — then a random spread, at lengths that leave every vector
+// tail, out of place and in place.
+TEST(GemmBackend, EpilogueEntryAndActivationMatchActEvalAndScalarPerTier) {
+  const float inf = std::numeric_limits<float>::infinity();
+  std::vector<float> probes = {std::numeric_limits<float>::quiet_NaN(),
+                               -std::numeric_limits<float>::quiet_NaN(), inf, -inf};
+  for (const float v : {0.f, 3.f, 6.f, 1.f, 1e30f, std::numeric_limits<float>::max(),
+                        std::numeric_limits<float>::min(),
+                        std::numeric_limits<float>::denorm_min(), 1e-40f}) {
+    for (const float sv : {v, -v}) {
+      probes.push_back(sv);
+      probes.push_back(std::nextafter(sv, inf));
+      probes.push_back(std::nextafter(sv, -inf));
+    }
+  }
+  std::mt19937 rng(73);
+  std::normal_distribution<float> nd(0.f, 4.f);
+  for (int i = 0; i < 509; ++i) probes.push_back(nd(rng));
+  const int n = static_cast<int>(probes.size());
+
+  const auto same_bits = [](const float* a, const float* b, int len) {
+    return std::memcmp(a, b, static_cast<std::size_t>(len) * sizeof(float)) == 0;
+  };
+  using gemm::Epilogue;
+  const std::pair<Act, Epilogue> kinds[] = {
+      {Act::kReLU, Epilogue::kReLU},   {Act::kReLU6, Epilogue::kReLU6},
+      {Act::kSiLU, Epilogue::kSiLU},   {Act::kHardSwish, Epilogue::kHardSwish},
+      {Act::kGELU, Epilogue::kGELU},   {Act::kSigmoid, Epilogue::kNone},
+      {Act::kTanh, Epilogue::kNone}};
+  for (const auto& [kind, epi] : kinds) {
+    std::vector<float> want(probes.size());
+    for (std::size_t i = 0; i < probes.size(); ++i) want[i] = act_eval(kind, probes[i]);
+    std::vector<float> scalar_act;
+    for (const core::Tier t : executable_tiers()) {
+      SCOPED_TRACE(std::string(core::tier_name(t)) + " " + act_name(kind));
+      const TierGuard g(t);
+      Tensor x({1, n});
+      std::copy(probes.begin(), probes.end(), x.raw());
+      Activation act(kind);
+      const Tensor y = act.forward(x, Context{});
+      EXPECT_TRUE(same_bits(y.raw(), want.data(), n)) << "Activation vs act_eval";
+      if (t == core::Tier::kScalar) scalar_act.assign(y.raw(), y.raw() + n);
+      EXPECT_TRUE(same_bits(y.raw(), scalar_act.data(), n)) << "Activation vs scalar";
+      if (epi == Epilogue::kNone) continue;  // Sigmoid, Tanh: no epilogue kind
+      const gemm::Backend& be = gemm::active_backend();
+      for (const int len : {n, n - 1, 33, 17, 16, 15, 8, 7, 1, 0}) {
+        std::vector<float> out(probes.size(), 42.f);
+        be.epilogue(epi, probes.data(), out.data(), len);
+        EXPECT_TRUE(same_bits(out.data(), want.data(), len)) << "len=" << len;
+        EXPECT_TRUE(std::all_of(out.begin() + len, out.end(), [](float v) { return v == 42.f; }))
+            << "wrote past len=" << len;
+        std::vector<float> inplace = probes;
+        be.epilogue(epi, inplace.data(), inplace.data(), len);
+        EXPECT_TRUE(same_bits(inplace.data(), want.data(), len)) << "in place, len=" << len;
       }
     }
   }
@@ -337,7 +399,7 @@ TEST(GemmBackend, ThreadCountInvariantPerBackend) {
       gemm::sgemm(M, N, K, A.data(), K, false, B.data(), N, false, out.data(),
                   N, gemm::Init::kZero, nullptr, &pool);
       EXPECT_TRUE(bitwise_equal(out, base))
-          << be->name << " threads=" << threads;
+          << core::tier_name(be->tier) << " threads=" << threads;
     }
   }
 }
@@ -355,15 +417,15 @@ TEST(GemmBackend, PrepackedOperandsBitIdenticalAndStampedPerBackend) {
     const gemm::PackedMatrix pa = gemm::pack_a_matrix(M, K, A.data(), K, false);
     const gemm::PackedMatrix pb = gemm::pack_b_matrix(K, N, B.data(), N, false);
     // Self-describing layout: packs carry the geometry they were built for.
-    EXPECT_EQ(pa.backend_id, be->id) << be->name;
-    EXPECT_EQ(pb.backend_id, be->id) << be->name;
-    EXPECT_EQ(pa.mr, be->mr) << be->name;
-    EXPECT_EQ(pb.nr, be->nr) << be->name;
+    EXPECT_EQ(pa.tier, t) << core::tier_name(t);
+    EXPECT_EQ(pb.tier, t) << core::tier_name(t);
+    EXPECT_EQ(pa.mr, be->mr) << core::tier_name(be->tier);
+    EXPECT_EQ(pb.nr, be->nr) << core::tier_name(be->tier);
     std::vector<float> got(base.size());
     gemm::sgemm(M, N, K, A.data(), K, false, B.data(), N, false, got.data(), N,
                 gemm::Init::kZero, nullptr, nullptr, gemm::Epilogue::kNone,
                 &pa, &pb);
-    EXPECT_TRUE(bitwise_equal(got, base)) << be->name;
+    EXPECT_TRUE(bitwise_equal(got, base)) << core::tier_name(be->tier);
   }
 }
 
@@ -660,7 +722,7 @@ void check_forward(const LayerRow& row, std::size_t idx, std::span<const PathCel
         for (std::size_t v = 0; v < vs.size(); ++v) {
           const auto [epi, with_bn] = vs[v];
           EXPECT_TRUE(bitwise_equal(layer_forward(*layer, x, epi, with_bn ? &bn : nullptr), want[v]))
-              << where << " backend=" << be->name << " width=" << width
+              << where << " backend=" << core::tier_name(be->tier) << " width=" << width
               << " epi=" << static_cast<int>(epi) << " bn=" << with_bn;
           const auto plan = dynamic_cast<ChannelWeights&>(*layer).weight_plan();
           const auto [reason, kernel] = expected_plan(cell, depthwise, with_bn);
@@ -828,7 +890,7 @@ TEST(GemmConv, DepthwiseSpecialValuesMatchNaiveBitwisePerBackend) {
           const Tensor y = with_bn ? conv.forward_bn_fused(x, ctx, bn, epi)
                                    : conv.forward_fused(x, ctx, epi);
           EXPECT_TRUE(bitwise_equal(y, want))
-              << be->name << " epi=" << static_cast<int>(epi) << " bn=" << with_bn;
+              << core::tier_name(be->tier) << " epi=" << static_cast<int>(epi) << " bn=" << with_bn;
         }
       }
   }

@@ -33,6 +33,7 @@
 #include "nn/data.h"
 #include "nn/gemm/backend.h"
 #include "nn/gemm/gemm.h"
+#include "nn/gemm/im2col.h"
 #include "nn/gemm/qgemm.h"
 #include "nn/layers.h"
 #include "nn/models.h"
@@ -158,6 +159,54 @@ TEST(Int8Levels, QuantizeLevelsMatchesFormatEncodeAllCodes) {
     }
   }
   EXPECT_GE(tiers_run, 2);  // scalar at both scales
+}
+
+// im2col_int8 writes what im2col followed by quantize_levels writes, byte
+// for byte, on every tier: the unit conv (k 1, stride 1, pad 0), which
+// quantizes each plane straight into its column row, and two gathering
+// geometries.  The column rows are wider than the lowering (col_ld > oh·ow,
+// as a batched conv lowers one sample among several), and the bytes past
+// each row's oh·ow stay untouched.  Planes of 7 x 9 leave a vector tail,
+// and the input carries ±0, NaN, ±inf, saturating values and exact ties.
+TEST(Int8Levels, Im2colInt8MatchesIm2colThenQuantizePerTier) {
+  constexpr int kC = 5, kH = 7, kW = 9;
+  const double inv = 4.0;  // x·inv exact for the tie probes below
+  std::mt19937 rng(23);
+  std::normal_distribution<float> nd(0.f, 12.f);
+  std::vector<float> x(static_cast<std::size_t>(kC) * kH * kW);
+  for (float& v : x) v = nd(rng);
+  const float specials[] = {0.f, -0.f, std::numeric_limits<float>::quiet_NaN(),
+                            std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity(), 1e30f, -1e30f,
+                            0.125f, -0.375f, 2.625f, 31.875f, -31.875f};
+  for (std::size_t i = 0; i < std::size(specials); ++i) x[i * 5] = specials[i];
+  const std::int8_t sentinel = 0x55;
+  for (const auto [k, stride, pad] : {std::array<int, 3>{1, 1, 0},
+                                      std::array<int, 3>{3, 1, 1},
+                                      std::array<int, 3>{3, 2, 1}}) {
+    const int oh = gemm::conv_out_dim(kH, k, stride, pad);
+    const int ow = gemm::conv_out_dim(kW, k, stride, pad);
+    const int rows = kC * k * k, osz = oh * ow, col_ld = 3 * osz + 5;
+    std::vector<float> colf(static_cast<std::size_t>(rows) * col_ld, 0.f);
+    gemm::im2col(x.data(), kC, kH, kW, k, stride, pad, colf.data(), col_ld);
+    std::vector<std::int8_t> want(colf.size(), sentinel);
+    {
+      const test::TierGuard scalar(core::Tier::kScalar);
+      for (int r = 0; r < rows; ++r)
+        gemm::quantize_levels(colf.data() + static_cast<std::size_t>(r) * col_ld,
+                              static_cast<std::size_t>(osz), inv, -127, 127,
+                              want.data() + static_cast<std::size_t>(r) * col_ld);
+    }
+    for (const core::Tier t : test::executable_tiers()) {
+      SCOPED_TRACE(std::string(core::tier_name(t)) + " k=" + std::to_string(k) +
+                   " stride=" + std::to_string(stride) + " pad=" + std::to_string(pad));
+      const test::TierGuard guard(t);
+      std::vector<std::int8_t> got(want.size(), sentinel);
+      gemm::im2col_int8(x.data(), kC, kH, kW, k, stride, pad, inv, -127, 127,
+                        got.data(), col_ld);
+      EXPECT_EQ(got, want);
+    }
+  }
 }
 
 // FakeQuantizer hands INT8 activations to the format kernel, whose vector
@@ -305,6 +354,88 @@ TEST(Int8Kernel, AllBackendsBitwiseIdenticalToScalarIntegerReference) {
                           got.size() * sizeof(float)),
               0)
         << "affine+epilogue";
+  }
+
+  // Segmented C, the layout a batched conv writes into its output: runs of
+  // kSeg columns, row stride kLdc, kStride floats between runs.  N crosses
+  // the NC = 1024 block, so tiles straddle both run and block boundaries;
+  // the gaps after each row's run and after each run's last row hold a
+  // sentinel nothing may overwrite.
+  constexpr int kSeg = 37, kNs = 1100, kLdc = kSeg + 4;
+  constexpr std::size_t kStride = static_cast<std::size_t>(kM) * kLdc + 5;
+  constexpr int kRuns = (kNs + kSeg - 1) / kSeg;
+  std::vector<std::int8_t> qs(static_cast<std::size_t>(kK) * kNs);
+  for (std::size_t i = 0; i < qs.size(); ++i)
+    qs[i] = static_cast<std::int8_t>(static_cast<std::uint8_t>(i * 13 + i / 509));
+  std::vector<float> want_rows(static_cast<std::size_t>(kM) * kNs);
+  int8_reference(kM, kNs, kK, qa.data(), row_scales.data(), qs.data(), ub,
+                 bias.data(), aff_s.data(), aff_t.data(),
+                 gemm::Epilogue::kHardSwish, want_rows.data());
+  const float sentinel = -12345.5f;
+  std::vector<float> want_seg(kRuns * kStride, sentinel);
+  for (int m = 0; m < kM; ++m)
+    for (int n = 0; n < kNs; ++n)
+      want_seg[static_cast<std::size_t>(m) * kLdc + (n / kSeg) * kStride + n % kSeg] =
+          want_rows[static_cast<std::size_t>(m) * kNs + n];
+  const gemm::Int8Segments segs{kSeg, kStride};
+  const gemm::RowAffine aff{aff_s.data(), aff_t.data()};
+  for (const core::Tier t : test::executable_tiers()) {
+    const test::TierGuard guard(t);
+    const gemm::PackedInt8 pa =
+        gemm::pack_a_int8_matrix(kM, kK, a.data(), kK, level.data());
+    for (const int width : {1, 13}) {
+      SCOPED_TRACE(std::string(core::tier_name(t)) + " segmented, pool width " +
+                   std::to_string(width));
+      const reference::PoolWidthGuard pool(width);
+      std::vector<float> got(want_seg.size(), sentinel);
+      gemm::qgemm_int8(kM, kNs, kK, pa, row_scales.data(), qs.data(), kNs, ub,
+                       gemm::Init::kBiasRow, bias.data(), got.data(), kLdc,
+                       nullptr, gemm::Epilogue::kHardSwish, &aff, &segs);
+      EXPECT_EQ(std::memcmp(got.data(), want_seg.data(),
+                            got.size() * sizeof(float)),
+                0);
+    }
+  }
+}
+
+// Every tier's dequant_int8 entry against the contract formula
+// float(binit + double(acc) · s), byte for byte: accumulators 0, ±1,
+// ±(2^31 − 1) and -2^31 (beyond float's 24-bit mantissa, so a float-domain
+// body cannot hide), scales whose products overflow the float to ±inf or
+// flush it to a denormal or zero, and binit ±0 (whose sign survives only
+// when the product is -0), at every length up to two vectors and beyond.
+TEST(Int8Kernel, DequantEntryMatchesContractFormulaPerTier) {
+  constexpr std::int32_t kMax = std::numeric_limits<std::int32_t>::max();
+  std::vector<std::int32_t> acc = {0,     1,     -1,       kMax,       -kMax,
+                                   kMax - 1, std::numeric_limits<std::int32_t>::min(),
+                                   (1 << 24) + 1, -((1 << 24) + 3), 127 * 128, -16129};
+  std::mt19937 rng(17);
+  std::uniform_int_distribution<std::int32_t> ud(-kMax, kMax);
+  while (acc.size() < 45) acc.push_back(ud(rng));
+  const int n = static_cast<int>(acc.size());
+  for (const core::Tier t : test::executable_tiers()) {
+    const test::TierGuard guard(t);
+    const gemm::Backend& be = gemm::active_backend();
+    for (const double s : {1.0, -1.0, 0.015625, 1.0 / 3.0, 1e30, -1e36, 1e-45,
+                           3e-39, 1e-50, -1e-48}) {
+      for (const double binit : {0.0, -0.0, 0.75, -1e-40}) {
+        SCOPED_TRACE(std::string(core::tier_name(t)) + " s=" + std::to_string(s) +
+                     " binit=" + std::to_string(binit));
+        std::vector<float> want(acc.size());
+        for (std::size_t i = 0; i < acc.size(); ++i)
+          want[i] = static_cast<float>(binit + static_cast<double>(acc[i]) * s);
+        for (int len = 0; len <= n; ++len) {
+          std::vector<float> got(acc.size(), 42.f);
+          be.dequant_int8(acc.data(), len, s, binit, got.data());
+          EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                                static_cast<std::size_t>(len) * sizeof(float)),
+                    0)
+              << "len=" << len;
+          for (int i = len; i < n; ++i)
+            EXPECT_EQ(got[static_cast<std::size_t>(i)], 42.f) << "wrote past len=" << len;
+        }
+      }
+    }
   }
 }
 
